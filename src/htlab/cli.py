@@ -45,7 +45,7 @@ from .data import (
     save_scenario,
 )
 from .losses import LossSpec
-from .metrics import evaluate, report_from_scores
+from .metrics import aggregate_seeds, evaluate, report_from_scores
 from .model import MlpSpec, load_checkpoint, save_checkpoint
 from .numkit import Rng
 from .optim import LolConfig, SgdConfig, SwaConfig
@@ -155,7 +155,6 @@ def load_config(path: str) -> dict:
         "swa": swa_cfg,
         "seeds": seeds,
         "output_dir": run.get("output_dir", "htlab-out"),
-        "retain_checkpoints": bget(run, "retain_checkpoints", False),
         "k_spectrum": iget(run, "k_spectrum", 20),
         "ensembles": bget(run, "ensembles", False),
     }
@@ -350,34 +349,15 @@ def cmd_report(args) -> int:
     if not os.path.exists(path):
         print(f"missing {path}", file=sys.stderr)
         return 1
-    rows = [r for r in _parse_summary(path) if r["status"] == "ok"]
     metrics = ["overall", "seen", "unseen", "seen_chopped", "fnr", "effective_rank"]
-    by_protocol: dict = {}
-    order = []
-    for r in rows:
-        name = r["protocol"]
-        if name not in by_protocol:
-            by_protocol[name] = []
-            order.append(name)
-        by_protocol[name].append(r)
-
-    table = {}
-    for name in order:
-        entry = {"seeds": sorted(int(r["seed"]) for r in by_protocol[name])}
-        for m in metrics:
-            vals = np.array([float(r[m]) for r in by_protocol[name]])
-            if np.all(np.isnan(vals)):
-                continue
-            entry[m] = {"mean": float(np.mean(vals))}
-            if len(vals) > 1:
-                entry[m]["variance"] = float(np.var(vals))
-        table[name] = entry
+    table = aggregate_seeds((r["protocol"], int(r["seed"]), {m: float(r[m]) for m in metrics})
+                            for r in _parse_summary(path) if r["status"] == "ok")
 
     baseline = table.get("naive_ft")
     deltas = {}
     best_delta = {}
     if baseline is not None:
-        for name in order:
+        for name in table:
             if name == "naive_ft":
                 continue
             deltas[name] = {
@@ -396,10 +376,10 @@ def cmd_report(args) -> int:
     with open(out_path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
 
-    width = max(len(n) for n in order) + 2
+    width = max(len(n) for n in table) + 2
     head = "protocol".ljust(width) + "".join(m.rjust(15) for m in metrics)
     print(head)
-    for name in order:
+    for name in table:
         cells = []
         for m in metrics:
             if m in table[name]:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -35,11 +35,6 @@ IDX_LABELS_MAGIC = 0x00000801
 F64_MAGIC = b"HTF8"
 
 _SPLITS = ("source_train", "target_train", "target_test")
-
-
-class Sample(NamedTuple):
-    x: np.ndarray
-    y: int
 
 
 @dataclass
@@ -66,9 +61,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.y)
-
-    def __getitem__(self, i) -> Sample:
-        return Sample(self.X[i], int(self.y[i]))
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.num_classes)
@@ -149,7 +141,6 @@ class HTScenario:
     seed: int
     scenario_id: str = "scenario"
     toxicity: Optional[ToxicityMap] = None
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         self.seen_mask = np.asarray(self.seen_mask, dtype=bool)

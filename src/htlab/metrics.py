@@ -19,7 +19,7 @@ scalar exists for ordering assertions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from .model import ModelParams, chopped_logits, forward
 from .numkit import Spectrum, top_singular_values
 
 RANK_TAU = 0.01
-
-SCALAR_METRICS = ("overall_acc", "seen_acc", "unseen_acc", "seen_chopped_acc",
-                  "false_negative_rate", "effective_rank")
 
 
 @dataclass
@@ -44,16 +41,6 @@ class EvalReport:
     effective_rank: float
     n_seen: int
     n_unseen: int
-
-    def scalars(self) -> dict:
-        return {m: getattr(self, m) for m in SCALAR_METRICS}
-
-
-@dataclass
-class AggregateReport:
-    means: dict
-    variances: dict
-    count: int
 
 
 def effective_rank(spectrum: Spectrum, tau: float = RANK_TAU) -> int:
@@ -138,32 +125,26 @@ def report_from_scores(scores: np.ndarray, target_test: Dataset, seen_mask,
     )
 
 
-def aggregate_seeds(reports: Sequence[EvalReport],
-                    protocols: Optional[Sequence[str]] = None) -> AggregateReport:
-    """Population mean and variance of each scalar metric across seeds."""
-    if len(reports) < 2:
-        raise ValueError("need at least 2 reports to aggregate")
-    if protocols is not None and len(set(protocols)) != 1:
-        raise ValueError(f"mismatched protocols: {sorted(set(protocols))}")
-    means, variances = {}, {}
-    for m in SCALAR_METRICS:
-        vals = [getattr(r, m) for r in reports]
-        if any(v is None for v in vals):
-            continue
-        arr = np.array(vals, dtype=np.float64)
-        means[m] = float(arr.mean())
-        variances[m] = float(arr.var())  # population variance
-    return AggregateReport(means=means, variances=variances, count=len(reports))
+def aggregate_seeds(rows: Iterable[tuple]) -> dict:
+    """Per-protocol mean and population variance of each metric across seeds.
 
-
-def spectrum_trace(run, target_test: Dataset, k: int = 20) -> list:
-    """Per-epoch feature spectra of a run's retained checkpoints, starting
-    from the source model at position zero."""
-    if getattr(run, "checkpoints", None) is None:
-        raise ValueError("run did not retain checkpoints")
-    out = []
-    for params in run.checkpoints:
-        feats = forward(params, target_test.X, mode="eval").features
-        kk = min(k, feats.shape[0], feats.shape[1])
-        out.append(top_singular_values(feats, kk))
-    return out
+    `rows` holds (protocol, seed, {metric: value}) triples. The result maps
+    each protocol, in first-seen order, to {"seeds": sorted seeds, metric:
+    {"mean", "variance"}}. A metric that is None or NaN for every seed is
+    left out, and "variance" is given only for two or more seeds.
+    """
+    by_protocol: dict = {}
+    for name, seed, values in rows:
+        by_protocol.setdefault(name, []).append((seed, values))
+    table = {}
+    for name, members in by_protocol.items():
+        entry = {"seeds": sorted(seed for seed, _ in members)}
+        for m in members[0][1]:
+            vals = np.array([values[m] for _, values in members], dtype=np.float64)
+            if np.all(np.isnan(vals)):
+                continue
+            entry[m] = {"mean": float(np.mean(vals))}
+            if len(vals) > 1:
+                entry[m]["variance"] = float(np.var(vals))  # population variance
+        table[name] = entry
+    return table

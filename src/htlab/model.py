@@ -23,9 +23,7 @@ running statistics and are pure per-row functions of the parameters.
 
 from __future__ import annotations
 
-import io
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

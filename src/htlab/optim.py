@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -234,11 +234,24 @@ def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     return work, curve
 
 
-def swa_average(checkpoints: Sequence[ModelParams]) -> ModelParams:
-    """Running equal-weight average of a checkpoint stream."""
-    if len(checkpoints) == 0:
-        raise ValueError("empty checkpoint stream")
-    avg = checkpoints[0].clone()
-    for k, ck in enumerate(checkpoints[1:], start=1):
-        avg = params_axpy(k / (k + 1.0), avg, 1.0 / (k + 1.0), ck)
-    return avg
+class RunningAverage:
+    """Equal-weight average of a parameter stream, folded in one checkpoint
+    at a time: after k folds it is the mean of those k checkpoints, and no
+    checkpoint is kept besides the average itself."""
+
+    def __init__(self):
+        self.count = 0
+        self._avg: Optional[ModelParams] = None
+
+    def fold(self, params: ModelParams):
+        k = self.count
+        if k == 0:
+            self._avg = params.clone()
+        else:
+            self._avg = params_axpy(k / (k + 1.0), self._avg, 1.0 / (k + 1.0), params)
+        self.count = k + 1
+
+    def value(self) -> ModelParams:
+        if self.count == 0:
+            raise ValueError("empty checkpoint stream")
+        return self._avg

@@ -6,13 +6,17 @@ target splits and the frozen source parameters, which makes the
 source-data-free constraint structural. Distillation targets always come
 from the original source parameters, never from intermediate checkpoints.
 
+Every protocol name maps to a preset (_PRESETS): training phases with
+their freeze masks, the loss terms carried, the inner step and whether the
+SWA tail average is deployed. One loop in run_protocol runs any preset.
+
 Every run produces a per-epoch evaluation curve whose entry 0 is the
 source model itself, so curves from different protocols share an x-axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -21,28 +25,65 @@ from .data import Dataset, HTScenario, ToxicityMap
 from .losses import CompositeLoss, LossSpec
 from .metrics import EvalReport, evaluate
 from .model import (
+    GROUPS,
     FreezeMask,
     MlpSpec,
     ModelParams,
     forward,
+    group_of,
     init_model,
     params_axpy,
     recompute_bn_stats,
 )
 from .numkit import Rng, softmax
-from .optim import LolConfig, SgdConfig, SwaConfig, swa_average, train_lolsgd, train_sgd
+from .optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, train_lolsgd, train_sgd
 
-PROTOCOL_KINDS = (
-    "source_only", "naive_ft", "frozen_ft", "lp_ft",
-    "bn_affine_only", "bn_stats_only", "in_adapter_only",
-    "sgd_distill", "sgd_rank",
-    "lolsgd", "lolsgd_distill", "lolsgd_rank", "lolsgd_distill_rank",
-    "swa", "swad_lite",
-)
 
-_DISTILL_KINDS = {"sgd_distill", "lolsgd_distill", "lolsgd_distill_rank"}
-_RANK_KINDS = {"sgd_rank", "lolsgd_rank", "lolsgd_distill_rank"}
-_LOL_KINDS = {"lolsgd", "lolsgd_distill", "lolsgd_rank", "lolsgd_distill_rank"}
+@dataclass(frozen=True)
+class _Preset:
+    """What a protocol name stands for.
+
+    phases: (rng_label, FreezeMask) pairs run in order from the source
+        model; the first of two phases gets epochs // 2, the second the rest.
+    distill, rank: the loss terms the protocol carries.
+    step: "sgd" (train_sgd), "lol" (train_lolsgd) or "bn_stats" (one exact
+        recalibration of the running BN statistics, no training).
+    swa: whether the [swa] tail average of the trained weights is deployed.
+    """
+
+    phases: tuple = ()
+    distill: bool = False
+    rank: bool = False
+    step: str = "sgd"
+    swa: bool = False
+
+
+_FROZEN_HEAD = (("train", FreezeMask.frozen_classifier()),)
+
+_PRESETS = {
+    "source_only": _Preset(),
+    "naive_ft": _Preset((("train", FreezeMask.all_trainable()),)),
+    "frozen_ft": _Preset(_FROZEN_HEAD),
+    "lp_ft": _Preset((("probe", FreezeMask.only("classifier")),
+                      ("ft", FreezeMask.all_trainable()))),
+    "bn_affine_only": _Preset((("train", FreezeMask.only("bn_affine", "bn_stats")),)),
+    "bn_stats_only": _Preset(((None, FreezeMask.only("bn_stats")),), step="bn_stats"),
+    "in_adapter_only": _Preset((("train", FreezeMask.only("in_adapter")),)),
+    "sgd_distill": _Preset(_FROZEN_HEAD, distill=True),
+    "sgd_rank": _Preset(_FROZEN_HEAD, rank=True),
+    "lolsgd": _Preset(_FROZEN_HEAD, step="lol"),
+    "lolsgd_distill": _Preset(_FROZEN_HEAD, distill=True, step="lol"),
+    "lolsgd_rank": _Preset(_FROZEN_HEAD, rank=True, step="lol"),
+    "lolsgd_distill_rank": _Preset(_FROZEN_HEAD, distill=True, rank=True, step="lol"),
+    "swa": _Preset(_FROZEN_HEAD, swa=True),
+    "swad_lite": _Preset(_FROZEN_HEAD, swa=True),
+}
+
+PROTOCOL_KINDS = tuple(_PRESETS)
+
+# how an error message names a model part a protocol needs
+_PART_NAMES = {"bn_affine": "batchnorm", "bn_stats": "batchnorm",
+               "in_adapter": "the input adapter"}
 
 
 @dataclass(frozen=True)
@@ -54,21 +95,23 @@ class Protocol:
     swa: SwaConfig = field(default_factory=SwaConfig)
 
     def __post_init__(self):
-        if self.kind not in PROTOCOL_KINDS:
+        preset = _PRESETS.get(self.kind)
+        if preset is None:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if self.kind in _DISTILL_KINDS and self.loss.lambda_distill <= 0:
+        if preset.distill and self.loss.lambda_distill <= 0:
             raise ValueError(f"{self.kind} requires lambda_distill > 0")
-        if self.kind in _RANK_KINDS and self.loss.lambda_rank <= 0:
+        if preset.rank and self.loss.lambda_rank <= 0:
             raise ValueError(f"{self.kind} requires lambda_rank > 0")
-        if self.kind in ("swa", "swad_lite") and self.swa.start_epoch >= self.sgd.epochs:
+        if preset.swa and self.swa.start_epoch >= self.sgd.epochs:
             raise ValueError("swa start_epoch must be below the epoch count")
 
     def effective_loss(self) -> LossSpec:
         """The protocol's loss weights with terms the kind does not carry
         zeroed out, so one weight config can drive a whole grid."""
+        preset = _PRESETS[self.kind]
         return LossSpec(
-            lambda_distill=self.loss.lambda_distill if self.kind in _DISTILL_KINDS else 0.0,
-            lambda_rank=self.loss.lambda_rank if self.kind in _RANK_KINDS else 0.0,
+            lambda_distill=self.loss.lambda_distill if preset.distill else 0.0,
+            lambda_rank=self.loss.lambda_rank if preset.rank else 0.0,
             rank_sign=self.loss.rank_sign,
         )
 
@@ -82,7 +125,6 @@ class TransferRun:
     final_params: ModelParams
     curve: list                  # EvalReport per epoch, entry 0 = source
     loss_curve: list
-    checkpoints: Optional[list] = None  # ModelParams per epoch when retained
 
 
 def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
@@ -98,118 +140,70 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
     return trained
 
 
-def _mask_for(kind: str) -> FreezeMask:
-    if kind == "naive_ft":
-        return FreezeMask.all_trainable()
-    if kind == "bn_affine_only":
-        return FreezeMask.only("bn_affine", "bn_stats")
-    if kind == "in_adapter_only":
-        return FreezeMask.only("in_adapter")
-    # frozen-classifier family: everything else trains
-    return FreezeMask.frozen_classifier()
-
-
-def _check_model_compat(kind: str, spec: MlpSpec):
-    if kind in ("bn_affine_only", "bn_stats_only") and not spec.use_batchnorm:
-        raise ValueError(f"{kind} requires a model with batchnorm")
-    if kind == "in_adapter_only" and not spec.use_in_adapter:
-        raise ValueError(f"{kind} requires a model with the input adapter")
+def _check_model(kind: str, params: ModelParams):
+    """Reject a protocol with a phase that would change nothing, because the
+    model has none of the groups the phase's mask trains."""
+    present = {group_of(k, params.spec) for k in params.keys()}
+    for _, mask in _PRESETS[kind].phases:
+        trained = [g for g in GROUPS if mask.trainable(g)]
+        if not present.intersection(trained):
+            raise ValueError(f"{kind} requires a model with {_PART_NAMES[trained[0]]}")
 
 
 def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
                  source_params: ModelParams, protocol: Protocol, seed: int,
                  toxicity: Optional[ToxicityMap] = None, k_spectrum: int = 20,
-                 retain_checkpoints: bool = False,
                  scenario_id: str = "scenario") -> TransferRun:
     """Adapt the source model on the target training split with one
-    protocol and evaluate after every epoch."""
-    kind = protocol.kind
-    _check_model_compat(kind, source_params.spec)
+    protocol and evaluate after every epoch (or round)."""
+    preset = _PRESETS[protocol.kind]
+    _check_model(protocol.kind, source_params)
     seen_mask = np.asarray(seen_mask, dtype=bool)
-    rng = Rng(seed).derive(f"protocol-{kind}")
+    rng = Rng(seed).derive(f"protocol-{protocol.kind}")
+    loss = CompositeLoss(protocol.effective_loss(), source_params, seen_mask)
+    swa = protocol.swa
+    tail = RunningAverage() if preset.swa else None
+    fold_per_epoch = tail is not None and swa.cadence == "per_epoch"
+    fold_per_step = tail is not None and swa.cadence == "per_iteration"
 
     def report(params: ModelParams) -> EvalReport:
         return evaluate(params, target_test, seen_mask, toxicity, k_spectrum)
 
-    curve = [report(source_params)]
-    checkpoints = [source_params.clone()] if retain_checkpoints else None
+    curve = [report(source_params)]  # one entry per finished epoch after this
     loss_curve: list = []
 
     def on_epoch(_epoch, params):
-        curve.append(report(params))
-        if checkpoints is not None:
-            checkpoints.append(params.clone())
+        if fold_per_epoch and len(curve) - 1 >= swa.start_epoch:
+            tail.fold(params)
+        # the curve follows the deployable model: the tail average once it
+        # has started, the raw weights before that
+        curve.append(report(tail.value() if tail is not None and tail.count else params))
 
-    if kind == "source_only":
-        final = source_params.clone()
+    def on_step(params):
+        if len(curve) - 1 >= swa.start_epoch:
+            tail.fold(params)
 
-    elif kind == "bn_stats_only":
-        final = recompute_bn_stats(source_params, target_train)
-        on_epoch(0, final)
+    work = source_params
+    epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
+    for i, (label, mask) in enumerate(preset.phases):
+        cfg = replace(protocol.sgd,
+                      epochs=epochs * (i + 1) // n_phases - epochs * i // n_phases)
+        if preset.step == "bn_stats":
+            work, phase_losses = recompute_bn_stats(work, target_train), []
+            on_epoch(0, work)
+        elif preset.step == "lol":
+            work, phase_losses = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
+                                              mask, rng.derive(label), on_round=on_epoch)
+        else:
+            work, phase_losses = train_sgd(work, target_train, loss, cfg, mask,
+                                           rng.derive(label), on_epoch=on_epoch,
+                                           on_step=on_step if fold_per_step else None)
+        loss_curve += phase_losses
 
-    elif kind == "lp_ft":
-        # linear probe first, then end-to-end; epochs split evenly
-        e1 = protocol.sgd.epochs // 2
-        e2 = protocol.sgd.epochs - e1
-        loss = CompositeLoss(protocol.effective_loss(), source_params, seen_mask)
-        cfg1 = SgdConfig(lr=protocol.sgd.lr, momentum=protocol.sgd.momentum,
-                         weight_decay=protocol.sgd.weight_decay,
-                         batch_size=protocol.sgd.batch_size, epochs=e1)
-        cfg2 = SgdConfig(lr=protocol.sgd.lr, momentum=protocol.sgd.momentum,
-                         weight_decay=protocol.sgd.weight_decay,
-                         batch_size=protocol.sgd.batch_size, epochs=e2)
-        probe, lc1 = train_sgd(source_params, target_train, loss, cfg1,
-                               FreezeMask.only("classifier"), rng.derive("probe"),
-                               on_epoch=on_epoch)
-        final, lc2 = train_sgd(probe, target_train, loss, cfg2,
-                               FreezeMask.all_trainable(), rng.derive("ft"),
-                               on_epoch=on_epoch)
-        loss_curve = lc1 + lc2
-
-    elif kind in _LOL_KINDS:
-        loss = CompositeLoss(protocol.effective_loss(), source_params, seen_mask)
-        final, loss_curve = train_lolsgd(
-            source_params, target_train, loss, protocol.sgd, protocol.lol,
-            _mask_for(kind), rng.derive("train"), on_round=on_epoch)
-
-    elif kind in ("swa", "swad_lite"):
-        loss = CompositeLoss(protocol.effective_loss(), source_params, seen_mask)
-        mask = _mask_for(kind)
-        swa_cfg = protocol.swa
-        tail: dict = {"avg": None, "count": 0, "epoch": 0}
-
-        def fold(params):
-            if tail["avg"] is None:
-                tail["avg"] = params.clone()
-                tail["count"] = 1
-            else:
-                k = tail["count"]
-                tail["avg"] = params_axpy(k / (k + 1.0), tail["avg"],
-                                          1.0 / (k + 1.0), params)
-                tail["count"] = k + 1
-
-        def on_step(params):
-            if swa_cfg.cadence == "per_iteration" and tail["epoch"] >= swa_cfg.start_epoch:
-                fold(params)
-
-        def swa_epoch(epoch, params):
-            if swa_cfg.cadence == "per_epoch" and epoch >= swa_cfg.start_epoch:
-                fold(params)
-            tail["epoch"] = epoch + 1
-            current = tail["avg"] if tail["avg"] is not None else params
-            on_epoch(epoch, current)
-
-        _, loss_curve = train_sgd(source_params, target_train, loss, protocol.sgd,
-                                  mask, rng.derive("train"),
-                                  on_epoch=swa_epoch, on_step=on_step)
-        final = tail["avg"]
-
-    else:  # naive_ft, frozen_ft, bn_affine_only, in_adapter_only, sgd_distill, sgd_rank
-        loss = CompositeLoss(protocol.effective_loss(), source_params, seen_mask)
-        final, loss_curve = train_sgd(source_params, target_train, loss,
-                                      protocol.sgd, _mask_for(kind),
-                                      rng.derive("train"), on_epoch=on_epoch)
-
+    if tail is not None:
+        final = tail.value()
+    else:
+        final = source_params.clone() if work is source_params else work
     return TransferRun(
         scenario_id=scenario_id,
         protocol=protocol,
@@ -218,7 +212,6 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
         final_params=final,
         curve=curve,
         loss_curve=loss_curve,
-        checkpoints=checkpoints,
     )
 
 

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from htlab.data import Dataset, ToxicityMap
-from htlab.metrics import (
-    AggregateReport,
-    EvalReport,
-    aggregate_seeds,
-    effective_rank,
-    evaluate,
-    report_from_scores,
-    spectrum_trace,
-)
+from htlab.metrics import aggregate_seeds, effective_rank, evaluate, report_from_scores
 from htlab.model import MlpSpec, ModelParams, init_model
 from htlab.numkit import Rng, Spectrum
 
@@ -139,71 +131,45 @@ def test_report_from_scores_matches_evaluate_views():
 
 # ------------------------------------------------------------ aggregation
 
-def _rep(overall, seen=0.5, unseen=0.5, chopped=0.6, fnr=None, er=5):
-    return EvalReport(overall_acc=overall, seen_acc=seen, unseen_acc=unseen,
-                      seen_chopped_acc=chopped, false_negative_rate=fnr,
-                      spectrum=Spectrum([1.0]), effective_rank=er,
-                      n_seen=10, n_unseen=10)
+def _rows(*overall, protocol="naive_ft", fnr=None):
+    return [(protocol, seed, {"overall": v, "fnr": fnr[seed] if fnr else None})
+            for seed, v in enumerate(overall)]
 
 
 def test_aggregate_identical_reports_zero_variance():
-    agg = aggregate_seeds([_rep(0.4), _rep(0.4), _rep(0.4)])
-    assert abs(agg.means["overall_acc"] - 0.4) < 1e-15
-    assert 0.0 <= agg.variances["overall_acc"] < 1e-30
+    agg = aggregate_seeds(_rows(0.4, 0.4, 0.4))["naive_ft"]
+    assert abs(agg["overall"]["mean"] - 0.4) < 1e-15
+    assert 0.0 <= agg["overall"]["variance"] < 1e-30
 
 
 def test_aggregate_hand_variance():
-    agg = aggregate_seeds([_rep(0.4), _rep(0.6)])
-    assert abs(agg.means["overall_acc"] - 0.5) < 1e-15
-    assert abs(agg.variances["overall_acc"] - 0.01) < 1e-15
+    agg = aggregate_seeds(_rows(0.4, 0.6))["naive_ft"]
+    assert abs(agg["overall"]["mean"] - 0.5) < 1e-15
+    assert abs(agg["overall"]["variance"] - 0.01) < 1e-15
 
 
 def test_aggregate_order_invariant():
-    reports = [_rep(0.1), _rep(0.5), _rep(0.9)]
-    a = aggregate_seeds(reports)
-    b = aggregate_seeds(reports[::-1])
-    assert a.means == b.means and a.variances == b.variances
+    rows = _rows(0.1, 0.5, 0.9)
+    assert aggregate_seeds(rows) == aggregate_seeds(rows[::-1])
 
 
-def test_aggregate_requires_two_reports():
-    with pytest.raises(ValueError, match="at least 2"):
-        aggregate_seeds([_rep(0.4)])
+def test_aggregate_single_seed_has_no_variance():
+    agg = aggregate_seeds(_rows(0.4))["naive_ft"]
+    assert agg["seeds"] == [0]
+    assert agg["overall"] == {"mean": 0.4}
 
 
-def test_aggregate_rejects_mixed_protocols():
-    with pytest.raises(ValueError, match="mismatched protocols"):
-        aggregate_seeds([_rep(0.4), _rep(0.5)], protocols=["naive_ft", "frozen_ft"])
+def test_aggregate_groups_by_protocol():
+    rows = _rows(0.4, 0.6) + _rows(0.1, 0.2, 0.3, protocol="frozen_ft") + _rows(0.8)
+    table = aggregate_seeds(rows)
+    assert list(table) == ["naive_ft", "frozen_ft"]  # first-seen order
+    assert table["naive_ft"]["seeds"] == [0, 0, 1]
+    assert table["frozen_ft"]["seeds"] == [0, 1, 2]
+    assert abs(table["frozen_ft"]["overall"]["mean"] - 0.2) < 1e-15
 
 
 def test_aggregate_skips_fnr_when_absent():
-    agg = aggregate_seeds([_rep(0.4, fnr=None), _rep(0.5, fnr=None)])
-    assert "false_negative_rate" not in agg.means
-    agg2 = aggregate_seeds([_rep(0.4, fnr=0.2), _rep(0.5, fnr=0.4)])
-    assert abs(agg2.means["false_negative_rate"] - 0.3) < 1e-15
-
-
-# ------------------------------------------------------------ spectrum trace
-
-class _FakeRun:
-    def __init__(self, checkpoints):
-        self.checkpoints = checkpoints
-
-
-def test_spectrum_trace_epoch0_is_source_spectrum():
-    means = _means()
-    ds = _grid_dataset(means, 11, sigma=1.0)
-    source = nearest_mean_model(means)
-    other = constant_model(8, 4, 1)
-    run = _FakeRun([source, source.clone()])
-    spectra = spectrum_trace(run, ds, k=6)
-    base = evaluate(source, ds, SEEN, k_spectrum=6).spectrum
-    assert np.array_equal(spectra[0].values, base.values)
-    for s in spectra:
-        assert np.all(np.diff(s.values) <= 0)
-
-
-def test_spectrum_trace_requires_checkpoints():
-    means = _means()
-    ds = _grid_dataset(means, 5, sigma=1.0)
-    with pytest.raises(ValueError, match="retain"):
-        spectrum_trace(_FakeRun(None), ds)
+    agg = aggregate_seeds(_rows(0.4, 0.5))["naive_ft"]
+    assert "fnr" not in agg
+    agg2 = aggregate_seeds(_rows(0.4, 0.5, fnr=[0.2, 0.4]))["naive_ft"]
+    assert abs(agg2["fnr"]["mean"] - 0.3) < 1e-15

@@ -9,11 +9,11 @@ from htlab.model import FreezeMask, MlpSpec, backward, forward, group_of, init_m
 from htlab.numkit import Rng
 from htlab.optim import (
     LolConfig,
+    RunningAverage,
     SgdConfig,
     SwaConfig,
     lolsgd_round,
     sgd_step,
-    swa_average,
     train_lolsgd,
     train_sgd,
 )
@@ -248,9 +248,16 @@ def test_lolsgd_zero_lr_local_runs_leave_params_fixed():
 
 # ------------------------------------------------------------ swa
 
+def _average(stream):
+    avg = RunningAverage()
+    for p in stream:
+        avg.fold(p)
+    return avg.value()
+
+
 def test_swa_single_checkpoint_is_identity():
     p = init_model(SPEC, Rng(87))
-    avg = swa_average([p])
+    avg = _average([p])
     for k in p.keys():
         assert np.array_equal(avg[k], p[k])
 
@@ -258,7 +265,7 @@ def test_swa_single_checkpoint_is_identity():
 def test_swa_two_checkpoints_is_midpoint():
     a = init_model(SPEC, Rng(88))
     b = init_model(SPEC, Rng(89))
-    avg = swa_average([a, b])
+    avg = _average([a, b])
     mid = params_axpy(0.5, a, 0.5, b)
     for k in a.keys():
         assert np.array_equal(avg[k], mid[k])
@@ -266,7 +273,7 @@ def test_swa_two_checkpoints_is_midpoint():
 
 def test_swa_identical_checkpoints_idempotent():
     p = init_model(SPEC, Rng(90))
-    avg = swa_average([p, p, p, p, p])
+    avg = _average([p, p, p, p, p])
     for k in p.keys():
         scale = np.maximum(np.abs(p[k]), 1.0)
         assert np.max(np.abs(avg[k] - p[k]) / scale) < 1e-15
@@ -274,7 +281,7 @@ def test_swa_identical_checkpoints_idempotent():
 
 def test_swa_empty_stream_rejected():
     with pytest.raises(ValueError, match="empty"):
-        swa_average([])
+        _average([])
 
 
 def test_swa_config_validation():

@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from htlab.data import StyleTransform, gen_synthetic_scenario
-from htlab.losses import LossSpec
+from htlab.losses import CompositeLoss, LossSpec
 from htlab.metrics import evaluate
-from htlab.model import MlpSpec, forward, init_model
+from htlab.model import FreezeMask, MlpSpec, forward, init_model
 from htlab.numkit import Rng, softmax
-from htlab.optim import LolConfig, SgdConfig, SwaConfig, swa_average
+from htlab.optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, train_sgd
 from htlab.transfer import (
+    _PRESETS,
+    PROTOCOL_KINDS,
     Protocol,
+    _check_model,
     pretrain_source,
     run_protocol,
     se_predict,
@@ -34,6 +39,12 @@ def scenario():
 @pytest.fixture(scope="module")
 def source(scenario):
     return pretrain_source(scenario, SPEC, PRETRAIN, Rng(3).derive("source"))
+
+
+def _assert_same_report(a, b):
+    scalars = lambda r: {k: v for k, v in vars(r).items() if k != "spectrum"}  # noqa: E731
+    assert scalars(a) == scalars(b)
+    assert np.array_equal(a.spectrum.values, b.spectrum.values)
 
 
 def _run(scenario, source, kind, seed=3, **kw):
@@ -104,12 +115,26 @@ def test_bn_stats_only_touches_only_stats(scenario):
 
 
 def test_bn_protocols_rejected_without_bn(scenario, source):
-    with pytest.raises(ValueError, match="batchnorm"):
-        _run(scenario, source, "bn_stats_only")
-    with pytest.raises(ValueError, match="batchnorm"):
-        _run(scenario, source, "bn_affine_only")
-    with pytest.raises(ValueError, match="adapter"):
-        _run(scenario, source, "in_adapter_only")
+    needs = {"bn_affine_only": "batchnorm", "bn_stats_only": "batchnorm",
+             "in_adapter_only": "adapter"}
+    models = {
+        (): source,
+        ("batchnorm",): init_model(MlpSpec((8, 24, 24, 6), use_batchnorm=True), Rng(7)),
+        ("adapter",): init_model(MlpSpec((8, 24, 24, 6), use_in_adapter=True), Rng(7)),
+        ("batchnorm", "adapter"): init_model(
+            MlpSpec((8, 24, 24, 6), use_batchnorm=True, use_in_adapter=True), Rng(7)),
+    }
+    for kind in PROTOCOL_KINDS:
+        need = needs.get(kind)
+        for parts, params in models.items():
+            if need is None or need in parts:
+                _check_model(kind, params)
+            else:
+                with pytest.raises(ValueError, match=need):
+                    _check_model(kind, params)
+    for kind, need in needs.items():
+        with pytest.raises(ValueError, match=need):
+            _run(scenario, source, kind)
 
 
 def test_bn_affine_only_trains_affine_keeps_weights(scenario):
@@ -133,53 +158,87 @@ def test_in_adapter_only_trains_adapter_alone(scenario):
                               src["in_adapter.scale"])
 
 
+def _report(scenario, params):
+    return evaluate(params, scenario.target_test, scenario.seen_mask)
+
+
 def test_lp_ft_two_phase_boundary(scenario, source):
-    proto = Protocol(kind="lp_ft", sgd=ADAPT)
-    run = run_protocol(scenario.target_train, scenario.target_test,
-                       scenario.seen_mask, source, proto, seed=3,
-                       retain_checkpoints=True)
+    run = _run(scenario, source, "lp_ft")
+    # replay both phases of the underlying trainer, collecting the raw
+    # per-epoch params through its on_epoch hook
+    rng = Rng(3).derive("protocol-lp_ft")
+    half = replace(ADAPT, epochs=ADAPT.epochs // 2)
+    seen = [source]
+    keep = lambda e, p: seen.append(p.clone())  # noqa: E731
+    probe, _ = train_sgd(source, scenario.target_train, CompositeLoss(LossSpec()), half,
+                         FreezeMask.only("classifier"), rng.derive("probe"), on_epoch=keep)
+    final, _ = train_sgd(probe, scenario.target_train, CompositeLoss(LossSpec()), half,
+                         FreezeMask.all_trainable(), rng.derive("ft"), on_epoch=keep)
+    for k in final.keys():
+        assert np.array_equal(run.final_params[k], final[k])
     # epochs=4 -> phase 1 (classifier only) covers epochs 1..2
     for e in (1, 2):
-        assert np.array_equal(run.checkpoints[e]["layers.0.W"], source["layers.0.W"])
-        assert not np.array_equal(run.checkpoints[e]["layers.2.W"], source["layers.2.W"])
-    assert not np.array_equal(run.checkpoints[3]["layers.0.W"], source["layers.0.W"])
+        assert np.array_equal(seen[e]["layers.0.W"], source["layers.0.W"])
+        assert not np.array_equal(seen[e]["layers.2.W"], source["layers.2.W"])
+    assert not np.array_equal(seen[3]["layers.0.W"], source["layers.0.W"])
     assert len(run.curve) == ADAPT.epochs + 1
+    for rep, params in zip(run.curve, seen):
+        _assert_same_report(rep, _report(scenario, params))
 
 
 def test_distill_and_rank_kinds_require_weights(scenario, source):
-    with pytest.raises(ValueError, match="lambda_distill"):
-        Protocol(kind="sgd_distill", sgd=ADAPT)
-    with pytest.raises(ValueError, match="lambda_rank"):
-        Protocol(kind="lolsgd_rank", sgd=ADAPT)
-    run = _run(scenario, source, "sgd_distill",
-               loss=LossSpec(lambda_distill=1.0, lambda_rank=0.5))
+    assert {k for k, p in _PRESETS.items() if p.distill} == \
+        {"sgd_distill", "lolsgd_distill", "lolsgd_distill_rank"}
+    assert {k for k, p in _PRESETS.items() if p.rank} == \
+        {"sgd_rank", "lolsgd_rank", "lolsgd_distill_rank"}
+    both = LossSpec(lambda_distill=1.0, lambda_rank=0.5)
+    for kind, preset in _PRESETS.items():
+        if preset.distill:
+            with pytest.raises(ValueError, match="lambda_distill"):
+                Protocol(kind=kind, sgd=ADAPT, loss=LossSpec(lambda_rank=0.5))
+        if preset.rank:
+            with pytest.raises(ValueError, match="lambda_rank"):
+                Protocol(kind=kind, sgd=ADAPT, loss=LossSpec(lambda_distill=1.0))
+        # terms the kind does not carry are zeroed
+        eff = Protocol(kind=kind, sgd=ADAPT, loss=both).effective_loss()
+        assert eff.lambda_distill == (1.0 if preset.distill else 0.0), kind
+        assert eff.lambda_rank == (0.5 if preset.rank else 0.0), kind
+    run = _run(scenario, source, "sgd_distill", loss=both)
     # the kind only carries distillation; the rank weight is ignored
     assert run.protocol.effective_loss().lambda_rank == 0.0
     assert run.protocol.effective_loss().lambda_distill == 1.0
 
 
+def test_swa_presets_reject_late_start():
+    weights = LossSpec(lambda_distill=1.0, lambda_rank=0.5)
+    late = SwaConfig(start_epoch=ADAPT.epochs)
+    for kind, preset in _PRESETS.items():
+        if preset.swa:
+            with pytest.raises(ValueError, match="swa start_epoch must be below the epoch count"):
+                Protocol(kind=kind, loss=weights, sgd=ADAPT, swa=late)
+        else:
+            Protocol(kind=kind, loss=weights, sgd=ADAPT, swa=late)
+
+
 def test_swa_final_is_average_of_tail_checkpoints(scenario, source):
-    proto = Protocol(kind="swa", sgd=ADAPT, swa=SwaConfig(start_epoch=2))
-    run = run_protocol(scenario.target_train, scenario.target_test,
-                       scenario.seen_mask, source, proto, seed=3,
-                       retain_checkpoints=True)
+    run = _run(scenario, source, "swa", swa=SwaConfig(start_epoch=2))
     # replay the underlying trainer to capture the raw per-epoch params
-    from htlab.losses import CompositeLoss
-    from htlab.model import FreezeMask
-    from htlab.optim import train_sgd
     raw = []
     train_sgd(source, scenario.target_train, CompositeLoss(LossSpec()), ADAPT,
               FreezeMask.frozen_classifier(),
               Rng(3).derive("protocol-swa").derive("train"),
               on_epoch=lambda e, p: raw.append(p.clone()))
-    want = swa_average(raw[2:])  # tail = epochs 2..3
+    tail = RunningAverage()
+    for p in raw[2:]:  # tail = epochs 2..3
+        tail.fold(p)
+    want = tail.value()
     for k in want.keys():
         assert np.array_equal(run.final_params[k], want[k])
-    # retained checkpoints hold the deployable model: raw before the tail
-    # starts, the running average afterwards
-    assert np.array_equal(run.checkpoints[1]["layers.0.W"], raw[0]["layers.0.W"])
-    assert np.array_equal(run.checkpoints[3]["layers.0.W"], raw[2]["layers.0.W"])
-    assert np.array_equal(run.checkpoints[4]["layers.0.W"], want["layers.0.W"])
+    # the curve follows the deployable model: raw before the tail starts,
+    # the running average afterwards
+    _assert_same_report(run.curve[1], _report(scenario, raw[0]))
+    _assert_same_report(run.curve[3], _report(scenario, raw[2]))
+    _assert_same_report(run.curve[4], _report(scenario, want))
 
 
 def test_swad_lite_runs_and_differs_from_swa(scenario, source):
@@ -195,7 +254,6 @@ def test_unknown_kind_rejected():
 
 
 def test_every_protocol_kind_runs(scenario):
-    from htlab.transfer import PROTOCOL_KINDS
     spec = MlpSpec((8, 16, 16, 6), use_batchnorm=True, use_in_adapter=True)
     src = pretrain_source(scenario, spec, SgdConfig(lr=0.02, epochs=4), Rng(8).derive("source"))
     short = SgdConfig(lr=0.01, epochs=2, batch_size=32)
@@ -207,19 +265,6 @@ def test_every_protocol_kind_runs(scenario):
                            scenario.seen_mask, src, proto, seed=1)
         assert run.curve, kind
         assert run.curve[0].overall_acc == run.curve[0].overall_acc  # finite
-
-
-def test_spectrum_trace_on_real_run(scenario, source):
-    from htlab.metrics import spectrum_trace
-    proto = Protocol(kind="frozen_ft", sgd=ADAPT)
-    run = run_protocol(scenario.target_train, scenario.target_test,
-                       scenario.seen_mask, source, proto, seed=3,
-                       retain_checkpoints=True)
-    spectra = spectrum_trace(run, scenario.target_test, k=10)
-    assert len(spectra) == len(run.curve)
-    assert np.array_equal(spectra[0].values,
-                          evaluate(source, scenario.target_test, scenario.seen_mask,
-                                   k_spectrum=10).spectrum.values)
 
 
 def test_frozen_classifier_preserves_prediction_on_unchanged_features(scenario, source):
