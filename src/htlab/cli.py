@@ -2,14 +2,20 @@
 
 Subcommands:
 
-    gen     materialize a scenario directory from generator flags
+    gen     materialize a scenario directory; its flags are the [scenario]
+            keys (--source-per-class for source_per_class, ...)
     run     execute a protocol x seed grid from an INI config, writing
             curves.csv (one row per epoch) and summary.csv (final rows)
     report  aggregate summary.csv across seeds into a table and JSON
 
 The config file is INI-style: named sections with key = value lines; see
-configs/reference.ini for a complete example. The HTLAB_SEED environment
-variable (comma-separated integers) overrides the configured seed list.
+configs/reference.ini for a complete example. Each section has a fixed set
+of keys, and an unknown section or key, or a boolean that is not one of
+configparser's boolean words, is a validation error. Defaults come from the
+config dataclasses (SgdConfig, LolConfig, LossSpec, SwaConfig; [pretrain]
+defaults to the resolved [sgd]) and from one key table per scenario kind.
+The HTLAB_SEED environment variable (comma-separated integers) overrides
+the configured seed list.
 
 CSV schemas. curves.csv: scenario_id, protocol, seed, epoch, overall, seen,
 unseen, seen_chopped, fnr, effective_rank, sv_1..sv_k. summary.csv: the
@@ -34,6 +40,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,10 +60,9 @@ from .transfer import Protocol, pretrain_source, run_protocol, se_predict, wise_
 
 ENSEMBLE_ALPHA = 0.5
 
-CURVE_COLUMNS = ["scenario_id", "protocol", "seed", "epoch", "overall", "seen",
-                 "unseen", "seen_chopped", "fnr", "effective_rank"]
-SUMMARY_COLUMNS = ["status", "scenario_id", "protocol", "seed", "overall", "seen",
-                   "unseen", "seen_chopped", "fnr", "effective_rank"]
+_METRICS = ["overall", "seen", "unseen", "seen_chopped", "fnr", "effective_rank"]
+CURVE_COLUMNS = ["scenario_id", "protocol", "seed", "epoch", *_METRICS]
+SUMMARY_COLUMNS = ["status", "scenario_id", "protocol", "seed", *_METRICS]
 
 
 def _fmt(x) -> str:
@@ -73,8 +79,50 @@ class ConfigError(Exception):
 
 # ----------------------------------------------------------- config parsing
 
-def _section(cp, name):
-    return cp[name] if cp.has_section(name) else {}
+# [scenario] keys and defaults per kind; `htlab gen` derives its flags from
+# the synthetic and paired tables
+_GENERATED = {"seed": 0, "dim": 16, "source_per_class": 200, "train_per_class": 60,
+              "test_per_class": 40, "cluster_sep": 6.0}
+_SCENARIO_KEYS = {
+    "synthetic": {**_GENERATED, "classes": 10, "seen": 6, "style_angle": 0.0,
+                  "style_shift": 0.0, "style_noise": 0.0},
+    "paired": {**_GENERATED, "pairs": 6, "overlap": 0.6},
+    "import": {"path": ""},
+}
+_GEN_KEYS = {**_SCENARIO_KEYS["synthetic"], **_SCENARIO_KEYS["paired"]}
+_MODEL_KEYS = {"hidden": "64,64", "activation": "relu", "batchnorm": False,
+               "in_adapter": False}
+_RUN_KEYS = {"seeds": "", "output_dir": "htlab-out", "k_spectrum": 20, "ensembles": False}
+_SECTIONS = ("scenario", "model", "protocols", "pretrain", "sgd", "lol", "loss", "swa",
+             "run")
+
+
+def _read(section: str, raw, defaults: dict) -> dict:
+    """`defaults` overridden by `raw`, each value parsed as the type of its
+    default; a key `defaults` lacks is an error."""
+    out = dict(defaults)
+    for key, value in raw.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key [{section}] {key}")
+        parse = type(defaults[key])
+        if parse is bool:
+            state = configparser.ConfigParser.BOOLEAN_STATES.get(str(value).lower())
+            if state is None:
+                raise ConfigError(f"[{section}] {key} must be a boolean, got {value!r}")
+            out[key] = state
+        else:
+            try:
+                out[key] = parse(value)
+            except ValueError as e:
+                raise ConfigError(f"[{section}] {key}: {e}") from e
+    return out
+
+
+def _resolve_scenario(scn) -> dict:
+    kind = scn.get("kind", "synthetic")
+    if kind not in _SCENARIO_KEYS:
+        raise ConfigError(f"unknown scenario kind {kind!r}")
+    return _read("scenario", scn, {"kind": kind, **_SCENARIO_KEYS[kind]})
 
 
 def load_config(path: str) -> dict:
@@ -84,53 +132,26 @@ def load_config(path: str) -> dict:
     cp.read(path)
     if not cp.has_section("scenario") or not cp.has_section("run"):
         raise ConfigError("config needs [scenario] and [run] sections")
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
 
-    scn = dict(cp["scenario"])
-    model = _section(cp, "model")
-    sgd = _section(cp, "sgd")
-    pre = _section(cp, "pretrain")
-    lol = _section(cp, "lol")
-    loss = _section(cp, "loss")
-    swa = _section(cp, "swa")
-    run = dict(cp["run"])
+    def read(section, defaults):
+        return _read(section, cp[section] if cp.has_section(section) else {}, defaults)
 
-    def fget(sec, key, default):
-        return float(sec.get(key, default))
+    def load(section, base):
+        return type(base)(**read(section, asdict(base)))
 
-    def iget(sec, key, default):
-        return int(sec.get(key, default))
+    sgd = load("sgd", SgdConfig())
+    model = read("model", _MODEL_KEYS)
+    run = read("run", _RUN_KEYS)
 
-    def bget(sec, key, default):
-        return str(sec.get(key, default)).strip().lower() in ("1", "true", "yes", "on")
-
-    sgd_cfg = SgdConfig(
-        lr=fget(sgd, "lr", 0.01), momentum=fget(sgd, "momentum", 0.9),
-        weight_decay=fget(sgd, "weight_decay", 0.0),
-        batch_size=iget(sgd, "batch_size", 32), epochs=iget(sgd, "epochs", 20))
-    pretrain_cfg = SgdConfig(
-        lr=fget(pre, "lr", sgd_cfg.lr), momentum=fget(pre, "momentum", sgd_cfg.momentum),
-        weight_decay=fget(pre, "weight_decay", sgd_cfg.weight_decay),
-        batch_size=iget(pre, "batch_size", sgd_cfg.batch_size),
-        epochs=iget(pre, "epochs", sgd_cfg.epochs))
-    lol_cfg = LolConfig(
-        subsets=iget(lol, "subsets", 10), leave_k=iget(lol, "leave_k", 3),
-        local_budget=fget(lol, "local_budget", 0.0),
-        outer_step=fget(lol, "outer_step", 1.0), rounds=iget(lol, "rounds", 0))
-    loss_spec = LossSpec(
-        lambda_distill=fget(loss, "lambda_distill", 0.0),
-        lambda_rank=fget(loss, "lambda_rank", 0.0),
-        rank_sign=iget(loss, "rank_sign", 1))
-    swa_cfg = SwaConfig(
-        start_epoch=iget(swa, "start_epoch", max(0, sgd_cfg.epochs // 2)),
-        cadence=swa.get("cadence", "per_epoch"))
-
-    names = [n.strip() for n in _section(cp, "protocols").get("names", "").split(",")
+    names = [n.strip() for n in read("protocols", {"names": ""})["names"].split(",")
              if n.strip()]
     if not names:
         raise ConfigError("config needs [protocols] names = ...")
 
-    seeds_env = os.environ.get("HTLAB_SEED", "").strip()
-    seeds_raw = seeds_env if seeds_env else run.get("seeds", "")
+    seeds_raw = os.environ.get("HTLAB_SEED", "").strip() or run["seeds"]
     try:
         seeds = [int(s) for s in seeds_raw.split(",") if s.strip()]
     except ValueError as e:
@@ -138,61 +159,41 @@ def load_config(path: str) -> dict:
     if not seeds:
         raise ConfigError("need at least one seed")
 
-    hidden = [int(w) for w in str(model.get("hidden", "64,64")).split(",") if w.strip()]
-    cfg = {
-        "scenario": scn,
-        "model": {
-            "hidden": hidden,
-            "activation": model.get("activation", "relu"),
-            "batchnorm": bget(model, "batchnorm", False),
-            "in_adapter": bget(model, "in_adapter", False),
-        },
+    model["hidden"] = [int(w) for w in model["hidden"].split(",") if w.strip()]
+    return {
+        "scenario": _resolve_scenario(cp["scenario"]),
+        "model": model,
         "protocol_names": names,
-        "sgd": sgd_cfg,
-        "pretrain": pretrain_cfg,
-        "lol": lol_cfg,
-        "loss": loss_spec,
-        "swa": swa_cfg,
+        "sgd": sgd,
+        "pretrain": load("pretrain", sgd),
+        "lol": load("lol", LolConfig()),
+        "loss": load("loss", LossSpec()),
+        "swa": load("swa", SwaConfig(start_epoch=sgd.epochs // 2)),
+        **run,
         "seeds": seeds,
-        "output_dir": run.get("output_dir", "htlab-out"),
-        "k_spectrum": iget(run, "k_spectrum", 20),
-        "ensembles": bget(run, "ensembles", False),
     }
-    return cfg
 
 
 def build_scenario(scn: dict):
-    kind = scn.get("kind", "synthetic")
-    if kind == "import":
-        if "path" not in scn:
+    """The scenario a `[scenario]` dict describes; missing keys take the
+    _SCENARIO_KEYS defaults of its kind."""
+    s = _resolve_scenario(scn)
+    if s["kind"] == "import":
+        if not s["path"]:
             raise ConfigError("import scenario needs path = DIR")
-        return load_scenario(scn["path"])
-    seed = int(scn.get("seed", 0))
-    per_class = (int(scn.get("source_per_class", 200)),
-                 int(scn.get("train_per_class", 60)),
-                 int(scn.get("test_per_class", 40)))
-    if kind == "synthetic":
-        dim = int(scn.get("dim", 16))
-        style = StyleTransform.rotation_shift(
-            dim, angle=float(scn.get("style_angle", 0.0)),
-            shift=float(scn.get("style_shift", 0.0)),
-            noise_sigma=float(scn.get("style_noise", 0.0)))
-        return gen_synthetic_scenario(
-            num_classes=int(scn.get("classes", 10)),
-            num_seen=int(scn.get("seen", 6)), dim=dim, per_class=per_class,
-            cluster_sep=float(scn.get("cluster_sep", 6.0)), style=style, seed=seed)
-    if kind == "paired":
+        return load_scenario(s["path"])
+    per_class = (s["source_per_class"], s["train_per_class"], s["test_per_class"])
+    if s["kind"] == "paired":
         scenario, _ = gen_paired_toxicity_scenario(
-            num_pairs=int(scn.get("pairs", 6)), dim=int(scn.get("dim", 16)),
-            per_class=per_class, pair_overlap=float(scn.get("overlap", 0.6)),
-            seed=seed, cluster_sep=float(scn.get("cluster_sep", 6.0)))
+            num_pairs=s["pairs"], dim=s["dim"], per_class=per_class,
+            pair_overlap=s["overlap"], seed=s["seed"], cluster_sep=s["cluster_sep"])
         return scenario
-    raise ConfigError(f"unknown scenario kind {kind!r}")
-
-
-def _protocol_for(name: str, cfg: dict) -> Protocol:
-    return Protocol(kind=name, loss=cfg["loss"], sgd=cfg["sgd"], lol=cfg["lol"],
-                    swa=cfg["swa"])
+    style = StyleTransform.rotation_shift(s["dim"], angle=s["style_angle"],
+                                          shift=s["style_shift"],
+                                          noise_sigma=s["style_noise"])
+    return gen_synthetic_scenario(
+        num_classes=s["classes"], num_seen=s["seen"], dim=s["dim"],
+        per_class=per_class, cluster_sep=s["cluster_sep"], style=style, seed=s["seed"])
 
 
 # ----------------------------------------------------------- the run command
@@ -206,18 +207,16 @@ def _cell(args):
                         scenario_id=scenario.scenario_id)
 
 
-def _metric_fields(rep) -> list:
-    return [_fmt(rep.overall_acc), _fmt(rep.seen_acc), _fmt(rep.unseen_acc),
-            _fmt(rep.seen_chopped_acc), _fmt(rep.false_negative_rate),
-            _fmt(rep.effective_rank)]
-
-
-def _sv_fields(rep, k: int) -> list:
-    vals = list(rep.spectrum.values)
-    return [_fmt(v) for v in vals] + ["nan"] * (k - len(vals))
+def _fields(rep, k: int) -> list:
+    """The metric cells of one row, then sv_1..sv_k (nan past the spectrum)."""
+    vals = [rep.overall_acc, rep.seen_acc, rep.unseen_acc, rep.seen_chopped_acc,
+            rep.false_negative_rate, rep.effective_rank, *rep.spectrum.values]
+    return [_fmt(v) for v in vals] + ["nan"] * (len(_METRICS) + k - len(vals))
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -226,7 +225,8 @@ def cmd_run(args) -> int:
                    activation=cfg["model"]["activation"],
                    use_batchnorm=cfg["model"]["batchnorm"],
                    use_in_adapter=cfg["model"]["in_adapter"])
-    protocols = [_protocol_for(n, cfg) for n in cfg["protocol_names"]]
+    protocols = [Protocol(kind=n, loss=cfg["loss"], sgd=cfg["sgd"], lol=cfg["lol"],
+                          swa=cfg["swa"]) for n in cfg["protocol_names"]]
 
     # one cached source model per seed; every protocol starts from it
     sources = {}
@@ -262,23 +262,24 @@ def cmd_run(args) -> int:
             except Exception as e:  # noqa: BLE001 - cell isolation
                 failed.append((proto.kind, seed, str(e)))
 
-    curve_lines = [",".join(CURVE_COLUMNS + [f"sv_{i+1}" for i in range(sv_count)])]
-    summary_lines = [",".join(SUMMARY_COLUMNS + [f"sv_{i+1}" for i in range(sv_count)])]
+    sv_columns = [f"sv_{i+1}" for i in range(sv_count)]
+    curve_lines = [",".join(CURVE_COLUMNS + sv_columns)]
+    summary_lines = [",".join(SUMMARY_COLUMNS + sv_columns)]
 
     def curve_row(protocol_name, seed, epoch, rep):
         return ",".join([scenario.scenario_id, protocol_name, str(seed), str(epoch)]
-                        + _metric_fields(rep) + _sv_fields(rep, sv_count))
+                        + _fields(rep, sv_count))
 
-    def summary_row(protocol_name, seed, rep, status="ok"):
-        return ",".join([status, scenario.scenario_id, protocol_name, str(seed)]
-                        + _metric_fields(rep) + _sv_fields(rep, sv_count))
+    def summary_row(protocol_name, seed, rep):
+        return ",".join(["ok", scenario.scenario_id, protocol_name, str(seed)]
+                        + _fields(rep, sv_count))
 
     for proto, seed in cells:
         run = results.get((proto.kind, seed))
         if run is None:
             summary_lines.append(",".join(
                 ["FAILED", scenario.scenario_id, proto.kind, str(seed)]
-                + ["nan"] * (6 + sv_count)))
+                + ["nan"] * (len(_METRICS) + sv_count)))
             continue
         for epoch, rep in enumerate(run.curve):
             curve_lines.append(curve_row(proto.kind, seed, epoch, rep))
@@ -312,20 +313,13 @@ def cmd_run(args) -> int:
 # ----------------------------------------------------------- gen and report
 
 def cmd_gen(args) -> int:
-    out = args.out
-    if args.pairs > 0:
-        scenario, _ = gen_paired_toxicity_scenario(
-            num_pairs=args.pairs, dim=args.dim,
-            per_class=(args.source_per_class, args.train_per_class, args.test_per_class),
-            pair_overlap=args.overlap, seed=args.seed, cluster_sep=args.cluster_sep)
+    scn = {k: v for k, v in vars(args).items() if k in _GEN_KEYS and v is not None}
+    if scn.get("pairs", 0) > 0:
+        scn["kind"] = "paired"
     else:
-        style = StyleTransform.rotation_shift(args.dim, angle=args.style_angle,
-                                              shift=args.style_shift,
-                                              noise_sigma=args.style_noise)
-        scenario = gen_synthetic_scenario(
-            num_classes=args.classes, num_seen=args.seen, dim=args.dim,
-            per_class=(args.source_per_class, args.train_per_class, args.test_per_class),
-            cluster_sep=args.cluster_sep, style=style, seed=args.seed)
+        scn.pop("pairs", None)
+    scenario = build_scenario(scn)  # a flag the kind does not read is an unknown key
+    out = args.out
     save_scenario(scenario, out, force=args.force)
     print(f"{scenario.scenario_id}: {scenario.num_classes} classes "
           f"({int(scenario.seen_mask.sum())} seen), dim {scenario.dim}, "
@@ -334,14 +328,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _parse_summary(path: str):
+def _parse_summary(path: str) -> list:
+    """The `ok` rows of a summary.csv, after checking its header and the
+    width of every row."""
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    header = lines[0].split(",")
+        lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(f, 1) if ln.strip()]
+    if not lines:
+        raise ConfigError(f"{path} is empty")
+    header = lines[0][1]
+    missing = [c for c in SUMMARY_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: header lacks {', '.join(missing)}")
     rows = []
-    for ln in lines[1:]:
-        rows.append(dict(zip(header, ln.split(","))))
-    return rows
+    for n, fields in lines[1:]:
+        if len(fields) != len(header):
+            raise ConfigError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
+        rows.append(dict(zip(header, fields)))
+    ok = [r for r in rows if r["status"] == "ok"]
+    if not ok:
+        raise ConfigError(f"{path} has no ok rows")
+    return ok
 
 
 def cmd_report(args) -> int:
@@ -349,9 +355,8 @@ def cmd_report(args) -> int:
     if not os.path.exists(path):
         print(f"missing {path}", file=sys.stderr)
         return 1
-    metrics = ["overall", "seen", "unseen", "seen_chopped", "fnr", "effective_rank"]
-    table = aggregate_seeds((r["protocol"], int(r["seed"]), {m: float(r[m]) for m in metrics})
-                            for r in _parse_summary(path) if r["status"] == "ok")
+    table = aggregate_seeds((r["protocol"], int(r["seed"]), {m: float(r[m]) for m in _METRICS})
+                            for r in _parse_summary(path))
 
     baseline = table.get("naive_ft")
     deltas = {}
@@ -362,9 +367,9 @@ def cmd_report(args) -> int:
                 continue
             deltas[name] = {
                 m: table[name][m]["mean"] - baseline[m]["mean"]
-                for m in metrics if m in table[name] and m in baseline
+                for m in _METRICS if m in table[name] and m in baseline
             }
-        for m in metrics:
+        for m in _METRICS:
             vals = {n: d[m] for n, d in deltas.items() if m in d}
             if vals:
                 best = max(vals, key=vals.get)
@@ -377,16 +382,11 @@ def cmd_report(args) -> int:
         json.dump(report, f, indent=2, sort_keys=True)
 
     width = max(len(n) for n in table) + 2
-    head = "protocol".ljust(width) + "".join(m.rjust(15) for m in metrics)
+    head = "protocol".ljust(width) + "".join(m.rjust(15) for m in _METRICS)
     print(head)
-    for name in table:
-        cells = []
-        for m in metrics:
-            if m in table[name]:
-                cells.append(("%.4f" % table[name][m]["mean"]).rjust(15))
-            else:
-                cells.append("-".rjust(15))
-        print(name.ljust(width) + "".join(cells))
+    for name, entry in table.items():
+        cells = ("%.4f" % entry[m]["mean"] if m in entry else "-" for m in _METRICS)
+        print(name.ljust(width) + "".join(c.rjust(15) for c in cells))
     if deltas:
         print("\ndelta vs naive_ft (mean):")
         for name, d in deltas.items():
@@ -403,20 +403,10 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="materialize a scenario directory")
-    g.add_argument("--classes", type=int, default=10)
-    g.add_argument("--seen", type=int, default=6)
-    g.add_argument("--dim", type=int, default=16)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--source-per-class", type=int, default=200)
-    g.add_argument("--train-per-class", type=int, default=60)
-    g.add_argument("--test-per-class", type=int, default=40)
-    g.add_argument("--cluster-sep", type=float, default=6.0)
-    g.add_argument("--style-angle", type=float, default=0.0)
-    g.add_argument("--style-shift", type=float, default=0.0)
-    g.add_argument("--style-noise", type=float, default=0.0)
-    g.add_argument("--pairs", type=int, default=0,
-                   help="generate a confusable-pair scenario with this many pairs")
-    g.add_argument("--overlap", type=float, default=0.6)
+    for key, default in _GEN_KEYS.items():
+        g.add_argument("--" + key.replace("_", "-"), type=type(default), default=None,
+                       help="N > 0 generates a paired scenario of N pairs" if key == "pairs"
+                       else f"default {default}")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_gen)
@@ -437,7 +427,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError, FileExistsError) as e:
+    except (ConfigError, configparser.Error, ValueError, FileNotFoundError,
+            FileExistsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - runtime failures exit 2

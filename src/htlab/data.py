@@ -364,7 +364,7 @@ def make_ht_split(full: Dataset, seen_classes, train_ratio: float,
 def _read_exact(f, n: int, path: str) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise ValueError(f"truncated IDX file: {path}")
+        raise ValueError(f"truncated file: {path}")
     return buf
 
 
@@ -380,19 +380,23 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raw = _read_exact(f, count * rows * cols, images_path)
         if f.read(1):
             raise ValueError(f"trailing bytes in {images_path}")
-    with open(labels_path, "rb") as f:
-        magic, lcount = struct.unpack(">ii", _read_exact(f, 8, labels_path))
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"not IDX label data: magic 0x{magic:08x}")
-        labels = np.frombuffer(_read_exact(f, lcount, labels_path), dtype=np.uint8)
-        if f.read(1):
-            raise ValueError(f"trailing bytes in {labels_path}")
-    if count != lcount:
-        raise ValueError(f"count mismatch: {count} images vs {lcount} labels")
+    y = _read_idx_labels(labels_path)
+    if count != len(y):
+        raise ValueError(f"count mismatch: {count} images vs {len(y)} labels")
     X = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     X = X.reshape(count, rows * cols)
-    y = labels.astype(np.int64)
     return Dataset(X, y, int(y.max()) + 1 if count else 1)
+
+
+def _read_idx_labels(path: str) -> np.ndarray:
+    with open(path, "rb") as f:
+        magic, count = struct.unpack(">ii", _read_exact(f, 8, path))
+        if magic != IDX_LABELS_MAGIC:
+            raise ValueError(f"not IDX label data: magic 0x{magic:08x}")
+        labels = np.frombuffer(_read_exact(f, count, path), dtype=np.uint8)
+        if f.read(1):
+            raise ValueError(f"trailing bytes in {path}")
+    return labels.astype(np.int64)
 
 
 def write_idx_images(path: str, images: np.ndarray):
@@ -499,13 +503,9 @@ def load_scenario(in_dir: str) -> HTScenario:
                           os.path.join(in_dir, f"{name}_y.idx"))
             datasets[name] = Dataset(ds.X, ds.y, num_classes)
         else:
-            X = read_f64(os.path.join(in_dir, f"{name}_x.f64"))
-            with open(os.path.join(in_dir, f"{name}_y.idx"), "rb") as f:
-                magic, count = struct.unpack(">ii", f.read(8))
-                if magic != IDX_LABELS_MAGIC:
-                    raise ValueError("bad label file")
-                y = np.frombuffer(f.read(count), dtype=np.uint8).astype(np.int64)
-            datasets[name] = Dataset(X, y, num_classes)
+            datasets[name] = Dataset(read_f64(os.path.join(in_dir, f"{name}_x.f64")),
+                                     _read_idx_labels(os.path.join(in_dir, f"{name}_y.idx")),
+                                     num_classes)
 
     toxicity = None
     if "toxic_pairs" in meta and meta["toxic_pairs"]:

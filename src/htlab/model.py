@@ -420,6 +420,10 @@ def load_checkpoint(path: str) -> ModelParams:
         bn_eps=float(meta.get("bn_eps", BN_EPS)),
         bn_momentum=float(meta.get("bn_momentum", BN_MOMENTUM)),
     )
+    declared = 8 * sum(int(np.prod(shape)) for _, _, shape in arrays)
+    if len(raw) - head_end != declared:
+        raise ValueError(f"checkpoint payload is {len(raw) - head_end} bytes, "
+                         f"its header declares {declared}")
     blob = np.frombuffer(raw[head_end:], dtype="<f8")
     values = {}
     for name, offset, shape in arrays:

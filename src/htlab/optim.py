@@ -203,13 +203,8 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
         else:
             for k in deltas:
                 deltas[k] += snapshot[k] - local[k]
-    out = snapshot.clone()
     scale = lol.outer_step / lol.subsets
-    for k in out.keys():
-        out[k] = out[k] - scale * deltas[k]
-        if k.startswith("bn.") and k.endswith(".var"):
-            out[k] = np.maximum(out[k], 0.0)
-    return out
+    return params_axpy(1.0, snapshot, -scale, ModelParams(snapshot.spec, deltas))
 
 
 def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,

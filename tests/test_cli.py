@@ -1,11 +1,17 @@
+import glob
+import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from htlab.cli import main
+from htlab.cli import build_scenario, load_config, main
 from htlab.data import load_scenario
+from htlab.optim import SgdConfig
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CONFIG_TEMPLATE = """
 [scenario]
@@ -109,6 +115,28 @@ def test_gen_paired_scenario(tmp_path):
     s = load_scenario(out)
     assert s.num_classes == 8
     assert s.toxicity is not None and len(s.toxicity.pairs) == 4
+
+
+def test_gen_rejects_flag_the_kind_does_not_read(tmp_path, capsys):
+    out = str(tmp_path / "tox")
+    assert main(["gen", "--pairs", "4", "--classes", "10", "--out", out]) == 1
+    assert "[scenario] classes" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_gen_flags_build_the_same_scenario_as_config_keys(tmp_path):
+    out = str(tmp_path / "scn")
+    assert main(["gen", "--classes", "5", "--seen", "3", "--dim", "6", "--seed", "4",
+                 "--cluster-sep", "5", "--style-noise", "0.1", "--out", out]) == 0
+    path = str(tmp_path / "exp.ini")
+    with open(path, "w") as f:
+        f.write("[scenario]\nclasses = 5\nseen = 3\ndim = 6\nseed = 4\ncluster_sep = 5\n"
+                "style_noise = 0.1\n[protocols]\nnames = naive_ft\n[run]\nseeds = 0\n")
+    built, saved = build_scenario(load_config(path)["scenario"]), load_scenario(out)
+    assert built.scenario_id == saved.scenario_id
+    for split in ("source_train", "target_train", "target_test"):
+        assert np.array_equal(getattr(built, split).X, getattr(saved, split).X)
+        assert np.array_equal(getattr(built, split).y, getattr(saved, split).y)
 
 
 # ------------------------------------------------------------ run
@@ -220,6 +248,110 @@ def test_run_float_serialization_round_trips(tmp_path):
         assert "%.17g" % x == vals[col]
 
 
+def test_run_jobs_below_one_exits_1(tmp_path, capsys):
+    cfg, out = _write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--jobs", "0"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+# ------------------------------------------------------------ config schema
+
+SECTIONS = ("scenario", "model", "protocols", "pretrain", "sgd", "lol", "loss", "swa",
+            "run")
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_unknown_key_exits_1_naming_it(tmp_path, capsys, section):
+    path, out = _write_config(tmp_path)
+    with open(path) as f:
+        text = f.read()
+    if f"[{section}]" in text:
+        text = text.replace(f"[{section}]", f"[{section}]\nbogus_key = 1", 1)
+    else:
+        text += f"\n[{section}]\nbogus_key = 1\n"
+    with open(path, "w") as f:
+        f.write(text)
+    assert main(["run", "--config", path]) == 1
+    assert f"[{section}] bogus_key" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "summary.csv"))
+
+
+def test_misspelled_epochs_exits_1(tmp_path, capsys):
+    path, out = _write_config(tmp_path)
+    with open(path) as f:
+        text = f.read()
+    with open(path, "w") as f:
+        f.write(text.replace("batch_size = 16\nepochs = 2", "batch_size = 16\nepoch = 3"))
+    assert main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "[sgd]" in err and "epoch" in err
+    assert not os.path.exists(os.path.join(out, "curves.csv"))
+
+
+@pytest.mark.parametrize("extra, reason", [("[sdg]", "unknown section [sdg]"),
+                                           ("[sgd]", "already exists")],
+                         ids=["unknown", "repeated"])
+def test_bad_section_exits_1(tmp_path, capsys, extra, reason):
+    path, _ = _write_config(tmp_path, extra=f"\n{extra}\nlr = 0.5\n")
+    assert main(["run", "--config", path]) == 1
+    assert reason in capsys.readouterr().err
+
+
+def test_non_boolean_flag_exits_1(tmp_path, capsys):
+    path, _ = _write_config(tmp_path, ensembles="maybe")
+    assert main(["run", "--config", path]) == 1
+    assert "ensembles" in capsys.readouterr().err
+
+
+def test_empty_sgd_section_is_the_dataclass_default(tmp_path):
+    path, _ = _write_config(tmp_path)
+    with open(path) as f:
+        text = f.read()
+    start = text.index("[sgd]")
+    text = text[:start] + "[sgd]\n\n" + text[text.index("[run]"):]
+    with open(path, "w") as f:
+        f.write(text)
+    assert load_config(path)["sgd"] == SgdConfig()
+
+
+def test_pretrain_inherits_unset_keys_from_sgd(tmp_path):
+    path, _ = _write_config(tmp_path)
+    with open(path) as f:
+        text = f.read()
+    with open(path, "w") as f:
+        f.write(text.replace("[pretrain]\nlr = 0.02\n", "[pretrain]\n"))
+    cfg = load_config(path)
+    assert cfg["pretrain"] == SgdConfig(lr=0.01, momentum=0.9, weight_decay=0.0005,
+                                        batch_size=16, epochs=6)
+    assert cfg["sgd"].epochs == 2
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py's WORKLOADS, imported without editing sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(REPO, "perfbench", "workloads.py"))
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # dataclasses look it up
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    paths = sorted(glob.glob(os.path.join(REPO, "configs", "*.ini")))
+    assert paths
+    for w in _benchmark_workloads(monkeypatch).values():
+        for seed in (0, 1):
+            path = str(tmp_path / f"{w.name}-{seed}.ini")
+            with open(path, "w") as f:
+                f.write(w.config_text(seed))
+            paths.append(path)
+    for path in paths:
+        cfg = load_config(path)
+        assert cfg["protocol_names"] and cfg["seeds"], path
+
+
 # ------------------------------------------------------------ report
 
 def test_report_means_variances_and_deltas(tmp_path, capsys):
@@ -276,3 +408,25 @@ def test_report_json_round_trip_no_drift(tmp_path):
 def test_report_missing_inputs(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+def _rewrite_summary(out, edit):
+    path = os.path.join(out, "summary.csv")
+    with open(path) as f:
+        lines = f.read().splitlines()
+    with open(path, "w") as f:
+        f.write("\n".join(edit(lines)) + "\n")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda ls: [ls[0]] + [ln.replace("ok,", "FAILED,", 1) for ln in ls[1:]], "no ok rows"),
+    (lambda ls: [ls[0].replace(",seen,", ",seem,")] + ls[1:], "header lacks seen"),
+    (lambda ls: ls[:1] + [ls[1] + ",0.5"] + ls[2:], "fields, header has"),
+], ids=["no-ok-row", "missing-column", "wide-row"])
+def test_report_rejects_bad_summary_before_writing(tmp_path, capsys, edit, reason):
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    assert main(["run", "--config", cfg]) == 0
+    _rewrite_summary(out, edit)
+    assert main(["report", out]) == 1
+    assert reason in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))

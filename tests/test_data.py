@@ -154,6 +154,22 @@ def test_idx_truncated_rejected(tmp_path):
         load_idx(ip, lp)
 
 
+
+@pytest.mark.parametrize("edit, message", [(lambda raw: raw[:-1], "truncated"),
+                                           (lambda raw: raw + b"\x00", "trailing bytes")],
+                         ids=["truncated", "trailing-byte"])
+def test_scenario_label_file_length_checked(tmp_path, edit, message):
+    out = str(tmp_path / "scn")
+    save_scenario(ref_scenario(), out)
+    path = os.path.join(out, "target_train_y.idx")
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(edit(raw))
+    with pytest.raises(ValueError, match=message):
+        load_scenario(out)
+
+
 # ------------------------------------------------------------ splits
 
 def _tagged_dataset():

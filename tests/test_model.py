@@ -369,6 +369,20 @@ def test_configurable_bn_settings_respected(tmp_path):
     assert load_checkpoint(path).spec == spec
 
 
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw[:-1],
+                                  lambda raw: raw + b"\x00"],
+                         ids=["truncated-array", "truncated-byte", "trailing-byte"])
+def test_checkpoint_rejects_wrong_payload_length(tmp_path, edit):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(init_model(_spec(bn=True), Rng(47)), path)
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(edit(raw))
+    with pytest.raises(ValueError, match="payload is .* bytes, its header declares"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_corrupt_shapes(tmp_path):
     p = init_model(_spec(), Rng(44))
     path = str(tmp_path / "model.ckpt")

@@ -32,9 +32,9 @@ def _toy_dataset(n_per=20, dim=4, classes=3, sep=6.0, seed=70):
     return Dataset(X, y, classes)
 
 
-def _grads_for(params, X, y, mask=None):
+def _grads_for(params, X, y, mask=None, update_stats=False):
     mask = mask or FreezeMask.all_trainable()
-    trace = forward(params, X, mode="train", update_stats=False)
+    trace = forward(params, X, mode="train", update_stats=update_stats)
     _, g = cross_entropy(trace.logits, y)
     return backward(params, trace, g, mask)
 
@@ -158,21 +158,24 @@ def test_train_sgd_freeze_commutes_with_training():
 
 def test_lolsgd_degenerates_to_single_sgd_step():
     # M=1, leave_k=0, one-minibatch budget covering the whole set, outer=1
-    params = init_model(SPEC, Rng(80))
     ds = _toy_dataset(n_per=8)  # 24 samples
     cfg = SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0, batch_size=24, epochs=1)
     lol = LolConfig(subsets=1, leave_k=0, local_budget=1.0, outer_step=1.0)
     mask = FreezeMask.all_trainable()
-    out = lolsgd_round(params, ds, PLAIN_LOSS, cfg, lol, mask, Rng(8))
+    for spec in (SPEC, MlpSpec((4, 8, 3), use_batchnorm=True, use_in_adapter=True)):
+        params = init_model(spec, Rng(80))
+        out = lolsgd_round(params, ds, PLAIN_LOSS, cfg, lol, mask, Rng(8))
 
-    # reference: one sgd_step on the same (full) batch
-    sub_rng = Rng(8).derive("subset-0").derive("batches")
-    pick = sub_rng.choice(24, size=24, replace=False)
-    ref = params.clone()
-    grads = _grads_for(ref, ds.X[pick], ds.y[pick])
-    sgd_step(ref, grads, {}, cfg, mask)
-    for k in ref.keys():
-        assert np.max(np.abs(out[k] - ref[k])) <= 1e-12
+        # reference: one sgd_step on the same (full) batch, running BN stats
+        # updated as the local run updates them
+        sub_rng = Rng(8).derive("subset-0").derive("batches")
+        pick = sub_rng.choice(24, size=24, replace=False)
+        ref = params.clone()
+        grads = _grads_for(ref, ds.X[pick], ds.y[pick], update_stats=mask.bn_stats)
+        sgd_step(ref, grads, {}, cfg, mask)
+        assert ref.keys() == out.keys()
+        for k in ref.keys():
+            assert np.max(np.abs(out[k] - ref[k])) <= 1e-12, (spec, k)
 
 
 def test_lolsgd_default_recipe_accepted():
