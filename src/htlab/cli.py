@@ -27,9 +27,12 @@ nan. Exit codes: 0 success, 1 validation error, 2 runtime failure.
 
 The source model is trained once per seed and cached as a checkpoint in
 the output directory; every protocol for that seed starts from the same
-file. Independent (protocol, seed) cells may run in worker processes
-(--jobs N); rows are merged in configured order, so the output is
-byte-identical regardless of scheduling.
+file. Independent (protocol, seed) cells may run in min(N, cells) spawned
+worker processes (--jobs N). Each worker receives the scenario and the
+source params once, and each task carries only (protocol, seed). Workers
+start with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
+max(1, usable CPUs // workers), unless the caller set them. Rows are merged
+in configured order, so the output is byte-identical to --jobs 1.
 """
 
 from __future__ import annotations
@@ -37,9 +40,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -198,13 +203,80 @@ def build_scenario(scn: dict):
 
 # ----------------------------------------------------------- the run command
 
-def _cell(args):
-    """One (protocol, seed) cell; module-level so worker processes can run it."""
-    scenario, source, protocol, seed, k_spectrum = args
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# what every cell of the run in progress reads: the scenario, the source
+# params per seed and k_spectrum; set once per worker process by _share
+_SHARED: dict = {}
+
+
+def _share(scenario, sources: dict, k_spectrum: int):
+    _SHARED.update(scenario=scenario, sources=sources, k_spectrum=k_spectrum)
+
+
+def _cell(task):
+    """One (protocol, seed) cell over the _SHARED state; module-level so
+    worker processes can run it."""
+    protocol, seed = task
+    scenario = _SHARED["scenario"]
     return run_protocol(scenario.target_train, scenario.target_test,
-                        scenario.seen_mask, source, protocol, seed,
-                        toxicity=scenario.toxicity, k_spectrum=k_spectrum,
+                        scenario.seen_mask, _SHARED["sources"][seed], protocol, seed,
+                        toxicity=scenario.toxicity, k_spectrum=_SHARED["k_spectrum"],
                         scenario_id=scenario.scenario_id)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_env(environ, jobs: int, cells: int, usable_cpus: int) -> dict:
+    """The BLAS thread variables each of the min(jobs, cells) pool workers
+    starts with: the usable CPUs split evenly over the workers, at least 1
+    each. A variable already set in `environ` is left to its caller's value."""
+    threads = str(max(1, usable_cpus // min(jobs, cells)))
+    return {v: threads for v in _BLAS_THREAD_VARS if v not in environ}
+
+
+@contextmanager
+def _added_env(env: dict):
+    """os.environ with the variables of `env`, which it must lack, added for
+    the duration of the block; spawned processes inherit them."""
+    os.environ.update(env)
+    try:
+        yield
+    finally:
+        for var in env:
+            os.environ.pop(var, None)
+
+
+def _run_cells(tasks: list, jobs: int, shared: tuple) -> list:
+    """The TransferRun of each task, or the exception it raised, in task
+    order. With more than one worker the cells run in spawned processes that
+    each receive `shared` once; otherwise they run here."""
+    def attempt(call, *args):
+        try:
+            return call(*args)
+        except Exception as e:  # noqa: BLE001 - cell isolation
+            return e
+
+    workers = min(jobs, len(tasks))
+    if workers == 1:
+        _share(*shared)
+        try:
+            return [attempt(_cell, t) for t in tasks]
+        finally:
+            _SHARED.clear()
+    # spawned, not forked: a forked child keeps the BLAS thread pool the
+    # parent already started, whatever the environment says
+    with (_added_env(_worker_env(os.environ, jobs, len(tasks), _usable_cpus())),
+          ProcessPoolExecutor(max_workers=workers,
+                              mp_context=multiprocessing.get_context("spawn"),
+                              initializer=_share, initargs=shared) as pool):
+        futures = [pool.submit(_cell, t) for t in tasks]
+        return [attempt(f.result) for f in futures]
 
 
 def _fields(rep, k: int) -> list:
@@ -242,25 +314,7 @@ def cmd_run(args) -> int:
     k = cfg["k_spectrum"]
     sv_count = min(k, len(scenario.target_test), spec.layer_widths[-2])
     cells = [(proto, seed) for proto in protocols for seed in cfg["seeds"]]
-    tasks = [(scenario, sources[seed], proto, seed, k) for proto, seed in cells]
-    results = {}
-    failed = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {i: pool.submit(_cell, t) for i, t in enumerate(tasks)}
-            for i, fut in futures.items():
-                proto, seed = cells[i]
-                try:
-                    results[(proto.kind, seed)] = fut.result()
-                except Exception as e:  # noqa: BLE001 - cell isolation
-                    failed.append((proto.kind, seed, str(e)))
-    else:
-        for i, task in enumerate(tasks):
-            proto, seed = cells[i]
-            try:
-                results[(proto.kind, seed)] = _cell(task)
-            except Exception as e:  # noqa: BLE001 - cell isolation
-                failed.append((proto.kind, seed, str(e)))
+    runs = _run_cells(cells, args.jobs, (scenario, sources, k))
 
     sv_columns = [f"sv_{i+1}" for i in range(sv_count)]
     curve_lines = [",".join(CURVE_COLUMNS + sv_columns)]
@@ -274,9 +328,10 @@ def cmd_run(args) -> int:
         return ",".join(["ok", scenario.scenario_id, protocol_name, str(seed)]
                         + _fields(rep, sv_count))
 
-    for proto, seed in cells:
-        run = results.get((proto.kind, seed))
-        if run is None:
+    failed = []
+    for (proto, seed), run in zip(cells, runs):
+        if isinstance(run, Exception):
+            failed.append((proto.kind, seed, str(run)))
             summary_lines.append(",".join(
                 ["FAILED", scenario.scenario_id, proto.kind, str(seed)]
                 + ["nan"] * (len(_METRICS) + sv_count)))
@@ -414,7 +469,10 @@ def make_parser():
     r = sub.add_parser("run", help="run a protocol x seed grid")
     r.add_argument("--config", required=True)
     r.add_argument("--out", default=None, help="override the configured output dir")
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="run cells in up to N spawned worker processes, each with "
+                        "usable CPUs // workers BLAS threads unless the *_NUM_THREADS "
+                        "variables are set; output is byte-identical to --jobs 1")
     r.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="aggregate a results directory")

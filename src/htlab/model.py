@@ -420,10 +420,17 @@ def load_checkpoint(path: str) -> ModelParams:
         bn_eps=float(meta.get("bn_eps", BN_EPS)),
         bn_momentum=float(meta.get("bn_momentum", BN_MOMENTUM)),
     )
-    declared = 8 * sum(int(np.prod(shape)) for _, _, shape in arrays)
-    if len(raw) - head_end != declared:
+    # arrays are stored back to back in header order: each offset must be
+    # the running sum of the earlier sizes, and the payload exactly as long
+    expected = 0
+    for name, offset, shape in arrays:
+        if offset != expected:
+            raise ValueError(f"checkpoint array {name} declares offset {offset}, "
+                             f"expected {expected}")
+        expected += int(np.prod(shape))
+    if len(raw) - head_end != 8 * expected:
         raise ValueError(f"checkpoint payload is {len(raw) - head_end} bytes, "
-                         f"its header declares {declared}")
+                         f"its header declares {8 * expected}")
     blob = np.frombuffer(raw[head_end:], dtype="<f8")
     values = {}
     for name, offset, shape in arrays:

@@ -130,7 +130,8 @@ def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     """Minibatch SGD over per-epoch reshuffles of `dataset`.
 
     Returns (new_params, per_epoch_loss_curve); the input params are not
-    modified. Deterministic in (params, dataset, cfg, rng).
+    modified. Deterministic in (params, dataset, cfg, rng). `on_epoch` is
+    called as on_epoch(epoch, params, epoch_loss) after every epoch.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -151,7 +152,7 @@ def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                 on_step(work)
         curve.append(total / count)
         if on_epoch is not None:
-            on_epoch(epoch, work)
+            on_epoch(epoch, work, curve[-1])
     return work, curve
 
 
@@ -212,7 +213,8 @@ def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  on_round=None, on_step=None):
     """Iterated leave-out rounds. With the default budget one round costs
     one epoch of minibatches, so the default `rounds = epochs` spends the
-    same compute as train_sgd. Returns (new_params, per_round_loss_curve)."""
+    same compute as train_sgd. Returns (new_params, per_round_loss_curve);
+    `on_round` is called as on_round(round, params, round_loss)."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rounds = lol.rounds if lol.rounds > 0 else cfg.epochs
@@ -225,7 +227,7 @@ def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                             loss_sink=sink)
         curve.append(float(np.mean(sink)) if sink else float("nan"))
         if on_round is not None:
-            on_round(r, work)
+            on_round(r, work, curve[-1])
     return work, curve
 
 

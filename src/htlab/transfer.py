@@ -12,6 +12,11 @@ SWA tail average is deployed. One loop in run_protocol runs any preset.
 
 Every run produces a per-epoch evaluation curve whose entry 0 is the
 source model itself, so curves from different protocols share an x-axis.
+
+Training that diverges fails loudly: params and the epoch (or round) loss
+are checked for finite values at every epoch boundary of pretrain_source
+and run_protocol (and the source params before run_protocol starts), and
+the first failure raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -116,6 +121,28 @@ class Protocol:
         )
 
 
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite parameter or loss. `where` is the
+    protocol kind or "pretrain"; `epoch` numbers epochs (or rounds) from 1
+    as curves.csv does, 0 being the model training started from; `part` is
+    the first non-finite parameter group, or "loss"."""
+
+    def __init__(self, where: str, epoch: int, part: str):
+        super().__init__(where, epoch, part)  # args rebuild it after pickling
+        self.where, self.epoch, self.part = where, epoch, part
+
+    def __str__(self):
+        return f"{self.where} diverged at epoch {self.epoch}: non-finite {self.part}"
+
+
+def _check_finite(where: str, epoch: int, params: ModelParams, loss=None):
+    for k in params.keys():
+        if not np.isfinite(params[k]).all():
+            raise DivergenceError(where, epoch, group_of(k, params.spec))
+    if loss is not None and not np.isfinite(loss):
+        raise DivergenceError(where, epoch, "loss")
+
+
 @dataclass
 class TransferRun:
     scenario_id: str
@@ -135,8 +162,13 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
                           np.arange(scenario.num_classes)):
         raise ValueError("source training data must cover every class")
     params = init_model(spec, rng.derive("init"))
+
+    def on_epoch(epoch, work, epoch_loss):
+        _check_finite("pretrain", epoch + 1, work, epoch_loss)
+
     trained, _ = train_sgd(params, scenario.source_train, CompositeLoss(LossSpec()),
-                           cfg, FreezeMask.all_trainable(), rng.derive("pretrain"))
+                           cfg, FreezeMask.all_trainable(), rng.derive("pretrain"),
+                           on_epoch=on_epoch)
     return trained
 
 
@@ -169,10 +201,12 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     def report(params: ModelParams) -> EvalReport:
         return evaluate(params, target_test, seen_mask, toxicity, k_spectrum)
 
+    _check_finite(protocol.kind, 0, source_params)
     curve = [report(source_params)]  # one entry per finished epoch after this
     loss_curve: list = []
 
-    def on_epoch(_epoch, params):
+    def on_epoch(_epoch, params, epoch_loss=None):
+        _check_finite(protocol.kind, len(curve), params, epoch_loss)
         if fold_per_epoch and len(curve) - 1 >= swa.start_epoch:
             tail.fold(params)
         # the curve follows the deployable model: the tail average once it

@@ -2,12 +2,15 @@ import glob
 import importlib.util
 import json
 import os
+import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from htlab.cli import build_scenario, load_config, main
+import htlab
+from htlab.cli import _worker_env, build_scenario, load_config, main
 from htlab.data import load_scenario
 from htlab.optim import SgdConfig
 
@@ -68,6 +71,13 @@ def _write_config(tmp_path, names="source_only,naive_ft", seeds="0,1,2",
 def _read(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def _edit(path, old, new):
+    text = _read(path).decode()
+    assert old in text
+    with open(path, "w") as f:
+        f.write(text.replace(old, new))
 
 
 # ------------------------------------------------------------ gen
@@ -166,15 +176,87 @@ def test_run_rerun_byte_identical(tmp_path):
 
 
 def test_run_parallel_matches_sequential(tmp_path):
-    cfg, out = _write_config(tmp_path)
-    assert main(["run", "--config", cfg]) == 0
-    seq = _read(os.path.join(out, "summary.csv"))
-    sub = tmp_path / "p"
-    sub.mkdir()
-    cfg2, out2 = _write_config(sub, seeds="0,1,2")
-    assert main(["run", "--config", cfg2, "--jobs", "3"]) == 0
-    par = _read(os.path.join(out2, "summary.csv"))
-    assert seq.split(b"\n")[1:] == par.split(b"\n")[1:]  # same rows
+    cfg, _ = _write_config(tmp_path)
+    environ = dict(os.environ)
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"jobs{jobs}")
+        assert main(["run", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+        assert dict(os.environ) == environ
+        outputs[jobs] = [_read(os.path.join(out, name))
+                         for name in ("curves.csv", "summary.csv")]
+    assert outputs["2"] == outputs["1"]
+
+
+def test_run_parallel_isolates_failing_cells(tmp_path, capsys):
+    # bn_stats_only without a batchnorm model fails inside its worker
+    cfg, out = _write_config(tmp_path, names="naive_ft,bn_stats_only", seeds="0,1")
+    assert main(["run", "--config", cfg, "--jobs", "2"]) == 2
+    with open(os.path.join(out, "summary.csv")) as f:
+        rows = [ln.split(",") for ln in f.read().splitlines()[1:] if ln]
+    assert [(r[0], r[2], r[3]) for r in rows] == [
+        ("ok", "naive_ft", "0"), ("ok", "naive_ft", "1"),
+        ("FAILED", "bn_stats_only", "0"), ("FAILED", "bn_stats_only", "1")]
+    err = capsys.readouterr().err
+    for seed in ("0", "1"):
+        assert f"FAILED bn_stats_only seed={seed}: bn_stats_only requires a model " \
+               "with batchnorm" in err
+    assert "naive_ft seed=" not in err
+
+
+def test_run_parallel_as_a_module_process(tmp_path):
+    # spawned workers re-import the main module, so `python -m htlab.cli`
+    # must have no side effects at import
+    cfg, out = _write_config(tmp_path, seeds="0,1")
+    src = os.path.dirname(os.path.dirname(htlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "htlab.cli", "run", "--config", cfg,
+                           "--jobs", "2"], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "4/4 runs completed" in proc.stdout
+
+
+def _threads(n, *names):
+    return {v: n for v in names or ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
+
+
+@pytest.mark.parametrize("environ, jobs, cells, cpus, want", [
+    ({}, 2, 20, 2, _threads("1")),
+    ({}, 2, 20, 8, _threads("4")),
+    ({}, 8, 3, 6, _threads("2")),   # 3 cells need only 3 workers
+    ({}, 4, 20, 2, _threads("1")),  # never below one thread
+    # a value the caller set, even empty, is the caller's
+    ({"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": ""}, 2, 20, 8,
+     _threads("4", "OPENBLAS_NUM_THREADS")),
+])
+def test_worker_env_splits_usable_cpus_over_workers(environ, jobs, cells, cpus, want):
+    assert _worker_env(environ, jobs, cells, cpus) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_diverged_cells_fail_naming_protocol_and_epoch(tmp_path, capsys):
+    cfg, out = _write_config(tmp_path, names="naive_ft,frozen_ft", seeds="0")
+    _edit(cfg, "[sgd]\nlr = 0.01", "[sgd]\nlr = 50")
+    assert main(["run", "--config", cfg]) == 2
+    with open(os.path.join(out, "summary.csv")) as f:
+        statuses = [ln.split(",")[0] for ln in f.read().splitlines()[1:] if ln]
+    assert statuses == ["FAILED", "FAILED"]
+    err = capsys.readouterr().err
+    assert re.search(r"FAILED naive_ft seed=0: naive_ft diverged at epoch \d+: non-finite", err)
+    assert re.search(r"FAILED frozen_ft seed=0: frozen_ft diverged at epoch \d+: non-finite",
+                     err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_diverged_pretrain_exits_2_naming_it(tmp_path, capsys):
+    cfg, _ = _write_config(tmp_path, names="naive_ft", seeds="0")
+    _edit(cfg, "[pretrain]\nlr = 0.02", "[pretrain]\nlr = 50")
+    assert main(["run", "--config", cfg]) == 2
+    assert re.search(r"runtime failure: pretrain diverged at epoch \d+: non-finite",
+                     capsys.readouterr().err)
 
 
 def test_run_epoch0_rows_match_source_rows(tmp_path):

@@ -383,6 +383,25 @@ def test_checkpoint_rejects_wrong_payload_length(tmp_path, edit):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_overlapping_offsets(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(init_model(_spec(bn=True), Rng(47)), path)
+    with open(path, "rb") as f:
+        raw = f.read()
+    head_end = raw.index(b"end\n")
+    lines = raw[:head_end].split(b"\n")
+    arrays = [i for i, ln in enumerate(lines) if ln.startswith(b"array = ")]
+    # the second array claims the first one's offset; sizes and therefore
+    # the payload length are unchanged
+    name, _, shape = lines[arrays[1]][len(b"array = "):].split(b" ")
+    first_offset = lines[arrays[0]].split(b" ")[3]
+    lines[arrays[1]] = b"array = " + b" ".join([name, first_offset, shape])
+    with open(path, "wb") as f:
+        f.write(b"\n".join(lines) + raw[head_end:])
+    with pytest.raises(ValueError, match="declares offset 0, expected"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_corrupt_shapes(tmp_path):
     p = init_model(_spec(), Rng(44))
     path = str(tmp_path / "model.ckpt")

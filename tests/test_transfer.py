@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from htlab.optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, train_s
 from htlab.transfer import (
     _PRESETS,
     PROTOCOL_KINDS,
+    DivergenceError,
     Protocol,
     _check_model,
     pretrain_source,
@@ -48,7 +50,7 @@ def _assert_same_report(a, b):
 
 
 def _run(scenario, source, kind, seed=3, **kw):
-    proto = Protocol(kind=kind, sgd=ADAPT, **kw)
+    proto = Protocol(kind=kind, **{"sgd": ADAPT, **kw})
     return run_protocol(scenario.target_train, scenario.target_test,
                         scenario.seen_mask, source, proto, seed,
                         scenario_id=scenario.scenario_id)
@@ -169,7 +171,7 @@ def test_lp_ft_two_phase_boundary(scenario, source):
     rng = Rng(3).derive("protocol-lp_ft")
     half = replace(ADAPT, epochs=ADAPT.epochs // 2)
     seen = [source]
-    keep = lambda e, p: seen.append(p.clone())  # noqa: E731
+    keep = lambda e, p, loss: seen.append(p.clone())  # noqa: E731
     probe, _ = train_sgd(source, scenario.target_train, CompositeLoss(LossSpec()), half,
                          FreezeMask.only("classifier"), rng.derive("probe"), on_epoch=keep)
     final, _ = train_sgd(probe, scenario.target_train, CompositeLoss(LossSpec()), half,
@@ -227,7 +229,7 @@ def test_swa_final_is_average_of_tail_checkpoints(scenario, source):
     train_sgd(source, scenario.target_train, CompositeLoss(LossSpec()), ADAPT,
               FreezeMask.frozen_classifier(),
               Rng(3).derive("protocol-swa").derive("train"),
-              on_epoch=lambda e, p: raw.append(p.clone()))
+              on_epoch=lambda e, p, loss: raw.append(p.clone()))
     tail = RunningAverage()
     for p in raw[2:]:  # tail = epochs 2..3
         tail.fold(p)
@@ -319,3 +321,36 @@ def test_ensemble_validation(scenario, source):
     bn_src = init_model(MlpSpec((8, 24, 24, 6), use_batchnorm=True), Rng(7))
     with pytest.raises(ValueError):
         se_predict(source, bn_src, scenario.target_test.X[:3], 0.5)
+
+
+# ------------------------------------------------------------ divergence
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pretrain_divergence_raises_named_error(scenario):
+    with pytest.raises(DivergenceError) as info:
+        pretrain_source(scenario, SPEC, replace(PRETRAIN, lr=50.0), Rng(3).derive("source"))
+    assert info.value.where == "pretrain"
+    assert 1 <= info.value.epoch <= PRETRAIN.epochs
+    assert str(info.value).startswith(f"pretrain diverged at epoch {info.value.epoch}: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["naive_ft", "lolsgd"])
+def test_diverged_protocol_raises_named_error(scenario, source, kind):
+    with pytest.raises(DivergenceError) as info:
+        _run(scenario, source, kind, sgd=replace(ADAPT, lr=1e4))
+    err = info.value
+    assert err.where == kind and 1 <= err.epoch <= ADAPT.epochs
+    assert err.part in ("loss", "backbone", "classifier")
+    # a worker process sends the error back pickled
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.where, back.epoch, back.part, str(back)) == \
+        (err.where, err.epoch, err.part, str(err))
+
+
+def test_non_finite_source_fails_at_epoch_0_naming_the_group(scenario, source):
+    bad = source.clone()
+    bad["layers.2.W"][0, 0] = np.nan
+    with pytest.raises(DivergenceError,
+                       match="^frozen_ft diverged at epoch 0: non-finite classifier$"):
+        _run(scenario, bad, "frozen_ft")
