@@ -26,8 +26,13 @@ significant digits so round-trips are exact; absent values are written as
 nan. Exit codes: 0 success, 1 validation error, 2 runtime failure.
 
 The source model is trained once per seed and cached as a checkpoint in
-the output directory; every protocol for that seed starts from the same
-file. Independent (protocol, seed) cells may run in min(N, cells) spawned
+the output directory (source_seed<seed>.ckpt); every protocol for that seed
+starts from the same file. The checkpoint header holds a key hashing the
+cache format version, the scenario id, the source training data, the model
+spec, the [pretrain] settings and the seed; a checkpoint with another key,
+or none, is retrained and overwritten, with a note on stderr.
+
+Independent (protocol, seed) cells may run in min(N, cells) spawned
 worker processes (--jobs N). Each worker receives the scenario and the
 source params once, and each task carries only (protocol, seed). Workers
 start with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import hashlib
 import json
 import multiprocessing
 import os
@@ -58,7 +64,7 @@ from .data import (
 )
 from .losses import LossSpec
 from .metrics import aggregate_seeds, evaluate, report_from_scores
-from .model import MlpSpec, load_checkpoint, save_checkpoint
+from .model import MlpSpec, StaleCheckpoint, load_checkpoint, save_checkpoint
 from .numkit import Rng
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import Protocol, pretrain_source, run_protocol, se_predict, wise_merge
@@ -203,6 +209,23 @@ def build_scenario(scn: dict):
 
 # ----------------------------------------------------------- the run command
 
+# part of every source cache key; bump it when pretraining changes in a way
+# the other parts of the key do not show
+_SOURCE_CACHE_VERSION = 1
+
+
+def _source_key(scenario, spec: MlpSpec, pretrain: SgdConfig, seed: int) -> str:
+    """Hash of everything the source model of `seed` depends on."""
+    src = scenario.source_train
+    h = hashlib.blake2b(digest_size=16)
+    for part in (_SOURCE_CACHE_VERSION, scenario.scenario_id, spec, pretrain, seed,
+                 src.num_classes, src.X.shape):
+        h.update(repr(part).encode() + b"\0")
+    h.update(np.ascontiguousarray(src.X, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(src.y, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # what every cell of the run in progress reads: the scenario, the source
@@ -291,7 +314,6 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     scenario = build_scenario(cfg["scenario"])
     spec = MlpSpec((scenario.dim, *cfg["model"]["hidden"], scenario.num_classes),
                    activation=cfg["model"]["activation"],
@@ -299,17 +321,27 @@ def cmd_run(args) -> int:
                    use_in_adapter=cfg["model"]["in_adapter"])
     protocols = [Protocol(kind=n, loss=cfg["loss"], sgd=cfg["sgd"], lol=cfg["lol"],
                           swa=cfg["swa"]) for n in cfg["protocol_names"]]
+    n_classes = scenario.target_train.classes_present().size
+    if cfg["lol"].leave_k >= n_classes and any(p.local_sgd for p in protocols):
+        raise ConfigError(f"[lol] leave_k = {cfg['lol'].leave_k} must be below the "
+                          f"{n_classes} classes of the target training split")
+    os.makedirs(out_dir, exist_ok=True)
 
     # one cached source model per seed; every protocol starts from it
     sources = {}
     for seed in cfg["seeds"]:
         ckpt = os.path.join(out_dir, f"source_seed{seed}.ckpt")
+        key = _source_key(scenario, spec, cfg["pretrain"], seed)
         if os.path.exists(ckpt):
-            sources[seed] = load_checkpoint(ckpt)
-        else:
-            sources[seed] = pretrain_source(scenario, spec, cfg["pretrain"],
-                                            Rng(seed).derive("source"))
-            save_checkpoint(sources[seed], ckpt)
+            try:
+                sources[seed] = load_checkpoint(ckpt, key)
+                continue
+            except StaleCheckpoint:
+                print(f"note: {ckpt} was pretrained under another configuration; "
+                      f"retraining it", file=sys.stderr)
+        sources[seed] = pretrain_source(scenario, spec, cfg["pretrain"],
+                                        Rng(seed).derive("source"))
+        save_checkpoint(sources[seed], ckpt, key)
 
     k = cfg["k_spectrum"]
     sv_count = min(k, len(scenario.target_test), spec.layer_widths[-2])

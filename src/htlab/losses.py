@@ -13,6 +13,10 @@ which flattens the spectrum).
 
 All functions return mean-over-batch losses and gradients that already
 carry the 1/N scaling, so they can be fed straight to model.backward.
+Each also takes M batches stacked on a leading run axis, as (M, N, ...)
+arrays and (M, N) labels, for stacked params (see model.forward). The
+losses are then an (M,) array, one per run, each equal bitwise to the float
+the run's own 2-D call returns.
 """
 
 from __future__ import annotations
@@ -41,10 +45,20 @@ class LossSpec:
 
 @dataclass
 class LossBreakdown:
+    """Each term a float, or for stacked batches an (M,) array; a term that
+    is off stays the scalar 0.0."""
+
     ce: float
     distill: float
     rank: float
     total: float
+
+
+def _batch_mean(per_sample: np.ndarray):
+    """Mean over the batch (last) axis: a float for one batch, an (M,)
+    array for a stack."""
+    mean = np.mean(per_sample, axis=-1)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -53,13 +67,15 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     Returns (loss, grad_at_logits) with grad = (softmax - onehot) / N.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.shape
-    if labels.shape != (n,) or (n and labels.max() >= c):
+    n, c = logits.shape[-2:]
+    if labels.shape != logits.shape[:-1] or (labels.size and labels.max() >= c):
         raise ValueError("labels out of range")
-    p = softmax(logits, axis=1)
-    loss = float(-np.mean(np.log(p[np.arange(n), labels])))
+    p = softmax(logits, axis=-1)
+    # one flat gather over every (run, row) pair picks each true-class entry
+    rows, cols = np.arange(labels.size), labels.ravel()
+    loss = -_batch_mean(np.log(p.reshape(-1, c)[rows, cols]).reshape(labels.shape))
     grad = p.copy()
-    grad[np.arange(n), labels] -= 1.0
+    grad.reshape(-1, c)[rows, cols] -= 1.0
     return loss, grad / n
 
 
@@ -78,13 +94,13 @@ def selective_distill(source_logits: np.ndarray, target_logits: np.ndarray,
         raise ValueError("no unseen classes to distill")
     if source_logits.shape != target_logits.shape:
         raise ValueError("logit shape mismatch")
-    n = target_logits.shape[0]
-    ps = softmax(source_logits[:, unseen], axis=1)
-    pt = softmax(target_logits[:, unseen], axis=1)
+    n = target_logits.shape[-2]
+    ps = softmax(source_logits[..., unseen], axis=-1)
+    pt = softmax(target_logits[..., unseen], axis=-1)
     # KL(ps || pt) rowwise; both sides are softmax outputs so strictly positive
-    loss = float(np.mean(np.sum(ps * (np.log(ps) - np.log(pt)), axis=1)))
+    loss = _batch_mean(np.sum(ps * (np.log(ps) - np.log(pt)), axis=-1))
     grad = np.zeros_like(target_logits)
-    grad[:, unseen] = (pt - ps) / n
+    grad[..., unseen] = (pt - ps) / n
     return loss, grad
 
 
@@ -95,24 +111,25 @@ def rank_reg(features: np.ndarray) -> tuple:
     1/N covariance normalization.
     """
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    n = features.shape[-2]
     if n < 2:
         raise ValueError("rank regularizer needs at least 2 samples")
     C = covariance(features)
-    s = np.sum(C * C, axis=0)          # (C^T C)_jj = squared norm of column j
-    loss = float(np.sum(s * s))
+    s = np.sum(C * C, axis=-2)         # (C^T C)_jj = squared norm of column j
+    loss = np.sum(s * s, axis=-1)
     # dL/dC_ab = 4 C_ab s_b; then through C = (1/N) Zc^T Zc and centering
-    G = 4.0 * C * s[None, :]
-    Zc = features - features.mean(axis=0, keepdims=True)
-    dZc = (Zc @ (G + G.T)) / n
-    grad = dZc - dZc.mean(axis=0, keepdims=True)
-    return loss, grad
+    G = 4.0 * C * s[..., None, :]
+    Zc = features - features.mean(axis=-2, keepdims=True)
+    dZc = (Zc @ (G + G.swapaxes(-1, -2))) / n
+    grad = dZc - dZc.mean(axis=-2, keepdims=True)
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def compose(ce_parts, distill_parts, rank_parts, spec: LossSpec):
     """Weighted sum of the three loss terms.
 
-    Each *_parts is a (loss, grad) pair or None when the term is disabled.
+    Each *_parts is a (loss, grad) pair or None when the term is disabled;
+    the losses are floats, or (M,) arrays for stacked batches.
     A zero weight leaves the corresponding gradient untouched bitwise.
     Returns (LossBreakdown, grad_at_logits, grad_at_features_or_None).
     """
@@ -139,7 +156,8 @@ def compose(ce_parts, distill_parts, rank_parts, spec: LossSpec):
 class CompositeLoss:
     """Batch loss used by the trainers: cross-entropy plus the configured
     regularizers. Distillation targets are recomputed from the frozen
-    source model on every batch (never cached)."""
+    source model on every batch (never cached), one 2-D forward per run of
+    a stacked batch."""
 
     def __init__(self, spec: LossSpec, source_params: Optional[ModelParams] = None,
                  seen_mask=None):
@@ -155,7 +173,12 @@ class CompositeLoss:
         ce_parts = cross_entropy(trace.logits, labels)
         distill_parts = None
         if self.spec.lambda_distill > 0:
-            src_logits = forward(self.source_params, trace.X, mode="eval").logits
+            X = trace.X
+            if X.ndim == 2:
+                src_logits = forward(self.source_params, X, mode="eval").logits
+            else:
+                src_logits = np.stack([forward(self.source_params, x, mode="eval").logits
+                                       for x in X])
             distill_parts = selective_distill(src_logits, trace.logits, self.seen_mask)
         rank_parts = None
         if self.spec.lambda_rank > 0:

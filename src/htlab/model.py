@@ -19,6 +19,12 @@ weight-space ensembles are simple loops. Names and their freeze groups:
 
 Train-mode forwards normalize with batch statistics; eval-mode forwards use
 running statistics and are pure per-row functions of the parameters.
+
+forward and backward also take M independent models at once: every array
+of the params carries a leading run axis (M, *shape), X is (M, B, d) and
+each run m sees only params[k][m] and X[m]. Run m then goes through the
+same per-slice matmuls, reductions and elementwise ops as a 2-D call on
+its own slice, so its results are bitwise those of that call.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ BN_MOMENTUM = 0.1
 IN_EPS = 1e-5
 
 GROUPS = ("backbone", "classifier", "bn_affine", "bn_stats", "in_adapter")
+
+# indexes a per-feature vector (h,), or a stack of them (M, h), as one row
+# that broadcasts over the batch axis
+_ROW = np.s_[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -172,8 +182,8 @@ class ForwardTrace:
     inputs: list            # input to each linear layer
     pre: list               # linear outputs, before BN
     bn_xhat: list           # normalized pre-activations (None without BN)
-    bn_batch_mean: list
-    bn_batch_var: list
+    bn_batch_mean: list     # the statistics BN used, shaped (..., 1, h): the
+    bn_batch_var: list      # batch's in train mode, the running ones in eval
     act_in: list            # activation inputs (post-BN when BN is on)
     activations: list       # activation outputs per hidden layer
     logits: np.ndarray
@@ -196,47 +206,49 @@ def _activate_grad(name, act_in, act_out):
 
 def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
             update_stats: bool = True) -> ForwardTrace:
-    """Run the network. Train mode normalizes with batch statistics and, if
-    `update_stats`, folds them into the running statistics with momentum
-    BN_MOMENTUM (the only mutation this module ever performs). Eval mode
-    uses running statistics and is batch-composition independent.
+    """Run the network on X (N x d, or M x N x d with stacked params).
+    Train mode normalizes with batch statistics and, if `update_stats`,
+    folds them into the running statistics with momentum BN_MOMENTUM (the
+    only mutation this module ever performs). Eval mode uses running
+    statistics and is batch-composition independent.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.spec.dim:
-        raise ValueError(f"X must be N x {params.spec.dim}")
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
     spec = params.spec
-    n = X.shape[0]
+    if X.ndim not in (2, 3) or X.shape[-1] != spec.dim:
+        raise ValueError(f"X must be N x {spec.dim}, or M x N x {spec.dim}")
+    if X.shape[-2] == 0:
+        raise ValueError("empty batch")
+    if params["layers.0.W"].shape[:-2] != X.shape[:-2]:
+        raise ValueError("X and the params must have the same leading run axis")
 
     adapter_xhat = None
     a = X
     if spec.use_in_adapter:
-        mu = a.mean(axis=1, keepdims=True)
-        var = a.var(axis=1, keepdims=True)
+        mu = a.mean(axis=-1, keepdims=True)
+        var = a.var(axis=-1, keepdims=True)
         adapter_xhat = (a - mu) / np.sqrt(var + IN_EPS)
-        a = params["in_adapter.scale"] * adapter_xhat + params["in_adapter.shift"]
+        a = params["in_adapter.scale"][_ROW] * adapter_xhat + params["in_adapter.shift"][_ROW]
 
     inputs, pre, bn_xhat, bn_mean, bn_var, act_in, activations = [], [], [], [], [], [], []
     for i in range(spec.n_hidden):
         inputs.append(a)
-        z = a @ params[f"layers.{i}.W"] + params[f"layers.{i}.b"]
+        z = a @ params[f"layers.{i}.W"] + params[f"layers.{i}.b"][_ROW]
         pre.append(z)
         if spec.use_batchnorm:
             if mode == "train":
-                mb = z.mean(axis=0)
-                vb = z.var(axis=0)
+                mb = z.mean(axis=-2, keepdims=True)
+                vb = z.var(axis=-2, keepdims=True)
                 if update_stats:
                     m = spec.bn_momentum
-                    params[f"bn.{i}.mean"] = (1 - m) * params[f"bn.{i}.mean"] + m * mb
-                    params[f"bn.{i}.var"] = (1 - m) * params[f"bn.{i}.var"] + m * vb
+                    params[f"bn.{i}.mean"] = (1 - m) * params[f"bn.{i}.mean"] + m * mb[..., 0, :]
+                    params[f"bn.{i}.var"] = (1 - m) * params[f"bn.{i}.var"] + m * vb[..., 0, :]
             else:
-                mb = params[f"bn.{i}.mean"]
-                vb = params[f"bn.{i}.var"]
+                mb = params[f"bn.{i}.mean"][_ROW]
+                vb = params[f"bn.{i}.var"][_ROW]
             xhat = (z - mb) / np.sqrt(vb + spec.bn_eps)
-            y = params[f"bn.{i}.gamma"] * xhat + params[f"bn.{i}.beta"]
+            y = params[f"bn.{i}.gamma"][_ROW] * xhat + params[f"bn.{i}.beta"][_ROW]
             bn_xhat.append(xhat)
             bn_mean.append(mb)
             bn_var.append(vb)
@@ -251,7 +263,7 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
 
     inputs.append(a)
     last = spec.n_linear - 1
-    logits = a @ params[f"layers.{last}.W"] + params[f"layers.{last}.b"]
+    logits = a @ params[f"layers.{last}.W"] + params[f"layers.{last}.b"][_ROW]
     return ForwardTrace(mode=mode, X=X, adapter_xhat=adapter_xhat, inputs=inputs,
                         pre=pre, bn_xhat=bn_xhat, bn_batch_mean=bn_mean,
                         bn_batch_var=bn_var, act_in=act_in,
@@ -261,7 +273,8 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
 def backward(params: ModelParams, trace: ForwardTrace,
              grad_at_logits: np.ndarray, mask: FreezeMask,
              grad_at_features: Optional[np.ndarray] = None) -> dict:
-    """Backpropagate loss gradients through a train-mode trace.
+    """Backpropagate loss gradients through a train-mode trace; with
+    stacked params every gradient carries their leading run axis.
 
     `grad_at_logits` must already carry the loss's 1/N batch scaling.
     `grad_at_features` (optional, same shape as the penultimate features)
@@ -273,14 +286,14 @@ def backward(params: ModelParams, trace: ForwardTrace,
     spec = params.spec
     if grad_at_logits.shape != trace.logits.shape:
         raise ValueError("grad_at_logits shape mismatch")
-    n = trace.X.shape[0]
-    grads = {k: np.zeros_like(v) for k, v in params.values.items()}
+    n = trace.X.shape[-2]
+    grads = {}
 
     last = spec.n_linear - 1
     g = grad_at_logits
-    grads[f"layers.{last}.W"] = trace.inputs[last].T @ g
-    grads[f"layers.{last}.b"] = g.sum(axis=0)
-    da = g @ params[f"layers.{last}.W"].T
+    grads[f"layers.{last}.W"] = trace.inputs[last].swapaxes(-1, -2) @ g
+    grads[f"layers.{last}.b"] = g.sum(axis=-2)
+    da = g @ params[f"layers.{last}.W"].swapaxes(-1, -2)
     if grad_at_features is not None:
         if grad_at_features.shape != trace.features.shape:
             raise ValueError("grad_at_features shape mismatch")
@@ -293,25 +306,27 @@ def backward(params: ModelParams, trace: ForwardTrace,
             vb = trace.bn_batch_var[i]
             mb = trace.bn_batch_mean[i]
             inv_std = 1.0 / np.sqrt(vb + spec.bn_eps)
-            grads[f"bn.{i}.gamma"] = (dy * xhat).sum(axis=0)
-            grads[f"bn.{i}.beta"] = dy.sum(axis=0)
-            dxhat = dy * params[f"bn.{i}.gamma"]
+            grads[f"bn.{i}.gamma"] = (dy * xhat).sum(axis=-2)
+            grads[f"bn.{i}.beta"] = dy.sum(axis=-2)
+            dxhat = dy * params[f"bn.{i}.gamma"][_ROW]
             zc = trace.pre[i] - mb
-            dvar = np.sum(dxhat * zc, axis=0) * (-0.5) * inv_std**3
-            dmean = -np.sum(dxhat, axis=0) * inv_std
+            dvar = np.sum(dxhat * zc, axis=-2, keepdims=True) * (-0.5) * inv_std**3
+            dmean = -np.sum(dxhat, axis=-2, keepdims=True) * inv_std
             dz = dxhat * inv_std + dvar * 2.0 * zc / n + dmean / n
         else:
             dz = dy
-        grads[f"layers.{i}.W"] = trace.inputs[i].T @ dz
-        grads[f"layers.{i}.b"] = dz.sum(axis=0)
-        da = dz @ params[f"layers.{i}.W"].T
+        grads[f"layers.{i}.W"] = trace.inputs[i].swapaxes(-1, -2) @ dz
+        grads[f"layers.{i}.b"] = dz.sum(axis=-2)
+        da = dz @ params[f"layers.{i}.W"].swapaxes(-1, -2)
 
     if spec.use_in_adapter:
-        grads["in_adapter.scale"] = (da * trace.adapter_xhat).sum(axis=0)
-        grads["in_adapter.shift"] = da.sum(axis=0)
+        grads["in_adapter.scale"] = (da * trace.adapter_xhat).sum(axis=-2)
+        grads["in_adapter.shift"] = da.sum(axis=-2)
 
-    for k in grads:
-        if not mask.trainable(group_of(k, spec)):
+    for k, v in params.values.items():
+        if k not in grads:  # running BN statistics get no gradient
+            grads[k] = np.zeros_like(v)
+        elif not mask.trainable(group_of(k, spec)):
             grads[k][...] = 0.0
     return grads
 
@@ -371,8 +386,14 @@ def params_axpy(a: float, p1: ModelParams, b: float, p2: ModelParams) -> ModelPa
 
 # ----------------------------------------------------------- checkpoint I/O
 
-def save_checkpoint(params: ModelParams, path: str):
-    """Text header (spec + per-array offsets) then little-endian f64 data."""
+class StaleCheckpoint(ValueError):
+    """A checkpoint whose header lacks the cache key asked for, or holds
+    another one."""
+
+
+def save_checkpoint(params: ModelParams, path: str, key: Optional[str] = None):
+    """Text header (spec, the cache `key` if given, per-array offsets) then
+    little-endian f64 data."""
     spec = params.spec
     lines = [
         "htlab-checkpoint v1",
@@ -383,6 +404,8 @@ def save_checkpoint(params: ModelParams, path: str):
         f"bn_eps = {spec.bn_eps!r}",
         f"bn_momentum = {spec.bn_momentum!r}",
     ]
+    if key is not None:
+        lines.append(f"key = {key}")
     offset = 0
     for k in params.keys():
         shape = "x".join(str(s) for s in params[k].shape)
@@ -395,7 +418,9 @@ def save_checkpoint(params: ModelParams, path: str):
             f.write(np.ascontiguousarray(params[k], dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str) -> ModelParams:
+def load_checkpoint(path: str, key: Optional[str] = None) -> ModelParams:
+    """The params a checkpoint holds. With `key`, a checkpoint written
+    under another key, or under none, raises StaleCheckpoint."""
     with open(path, "rb") as f:
         raw = f.read()
     head_end = raw.index(b"end\n") + 4
@@ -412,6 +437,8 @@ def load_checkpoint(path: str) -> ModelParams:
             arrays.append((name, int(offset), shape))
         else:
             meta[k] = v
+    if key is not None and meta.get("key") != key:
+        raise StaleCheckpoint(f"{path} holds cache key {meta.get('key')}, not {key}")
     spec = MlpSpec(
         layer_widths=tuple(int(w) for w in meta["widths"].split(",")),
         activation=meta["activation"],

@@ -1,7 +1,8 @@
 """Deterministic numerical primitives shared by the rest of the package.
 
-Matrices are plain 2-D float64 numpy arrays (row major). Every public
-operation returns finite values or raises; nothing here mutates its inputs.
+Matrices are plain 2-D float64 numpy arrays (row major); `covariance` also
+takes a stack of them on leading axes. Every public operation returns
+finite values or raises; nothing here mutates its inputs.
 
 Randomness is provided by :class:`Rng`, a thin wrapper around the Philox
 counter-based bit generator keyed by an explicit ``(seed, stream)`` pair of
@@ -9,6 +10,8 @@ counter-based bit generator keyed by an explicit ``(seed, stream)`` pair of
 ``(seed, stream)`` yields the same draws on any platform. Child streams are
 derived by hashing ``(seed, stream, tag)`` with BLAKE2b into a fresh stream
 id, which makes derivation order-independent and collision-resistant.
+The Philox generator itself is built on an Rng's first draw, because many
+derived Rngs only ever derive.
 
 Test vectors for the pinned generator (``Rng(seed=3, stream=7)``):
 
@@ -41,9 +44,14 @@ class Rng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) % _U64_MAX
         self.stream = int(stream) % _U64_MAX
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream], dtype=_U64))
-        )
+        self._generator = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = np.random.Generator(
+                np.random.Philox(key=np.array([self.seed, self.stream], dtype=_U64)))
+        return self._generator
 
     def derive(self, tag) -> "Rng":
         """New independent Rng whose stream id hashes (seed, stream, tag)."""
@@ -129,16 +137,17 @@ def kl_div(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def covariance(Z: np.ndarray) -> np.ndarray:
-    """Batch covariance C = (1/N) sum_n (z_n - zbar)(z_n - zbar)^T."""
+    """Batch covariance C = (1/N) sum_n (z_n - zbar)(z_n - zbar)^T of an
+    N x d matrix, or of each matrix in a (..., N, d) stack."""
     Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2:
-        raise ValueError("Z must be 2-D")
-    n = Z.shape[0]
+    if Z.ndim < 2:
+        raise ValueError("Z must be at least 2-D")
+    n = Z.shape[-2]
     if n == 0:
         raise ValueError("empty batch")
-    Zc = Z - Z.mean(axis=0, keepdims=True)
-    C = (Zc.T @ Zc) / n
-    return 0.5 * (C + C.T)  # exact symmetry regardless of BLAS blocking
+    Zc = Z - Z.mean(axis=-2, keepdims=True)
+    C = (Zc.swapaxes(-1, -2) @ Zc) / n
+    return 0.5 * (C + C.swapaxes(-1, -2))  # exact symmetry regardless of BLAS blocking
 
 
 def top_singular_values(Z: np.ndarray, k: int) -> Spectrum:

@@ -9,7 +9,17 @@ g = mean_m (snapshot - theta_m) as a pseudo-gradient for the outer update
 theta <- snapshot - outer_step * g. Local runs start from the shared
 snapshot with fresh momentum buffers; the outer update carries no momentum.
 Displacements are summed in ascending subset order so results are bitwise
-reproducible regardless of how local runs might be scheduled.
+reproducible regardless of how local runs are scheduled.
+
+The M local runs are independent, so a round trains them together: the
+snapshot is repeated on a leading run axis (see model.forward) and one
+stacked SGD step advances every run that is still training. Each run's
+minibatches are drawn before training starts, from the run's own stream.
+Runs whose retained subsets give the same batch size share one stack; in
+a stack the runs still training at step s are always a prefix, because
+the step allocation gives the remainder to the lowest indices. Every run
+goes through the same per-slice arithmetic as if it trained alone, so the
+result does not depend on this scheduling.
 
 Compute budget: one round spends round(M * local_budget * E) minibatches,
 where E = ceil(N / batch) is the per-epoch minibatch count, split as evenly
@@ -92,7 +102,8 @@ def _decayable(key: str) -> bool:
 
 def sgd_step(params: ModelParams, grads: dict, state: dict, cfg: SgdConfig,
              mask: FreezeMask) -> ModelParams:
-    """One momentum SGD update, in place on `params`.
+    """One momentum SGD update, in place on `params` (stacked or not; the
+    update is elementwise).
 
     v <- momentum * v + grad (+ weight_decay * param on weight matrices);
     param <- param - lr * v. Frozen groups are left untouched bitwise and
@@ -108,18 +119,21 @@ def sgd_step(params: ModelParams, grads: dict, state: dict, cfg: SgdConfig,
             grad = grad + cfg.weight_decay * params[k]
         v = state.get(k)
         if v is None:
-            v = np.zeros_like(params[k])
-        v = cfg.momentum * v + grad
-        state[k] = v
+            v = state[k] = np.zeros_like(params[k])
+        v *= cfg.momentum
+        v += grad
         params[k] = params[k] - cfg.lr * v
     return params
 
 
 def _train_batch(work: ModelParams, X, y, loss: CompositeLoss, cfg: SgdConfig,
-                 mask: FreezeMask, state: dict) -> float:
+                 mask: FreezeMask, state: dict):
+    """One SGD step on a batch; returns its loss (an (M,) array of per-run
+    losses for stacked params)."""
     trace = forward(work, X, mode="train", update_stats=mask.bn_stats)
     breakdown, grad_logits, grad_features = loss(trace, y)
     grads = backward(work, trace, grad_logits, mask, grad_at_features=grad_features)
+    del trace, grad_logits, grad_features  # free the activations before the update
     sgd_step(work, grads, state, cfg, mask)
     return breakdown.total
 
@@ -168,49 +182,75 @@ def _round_step_allocation(n: int, cfg: SgdConfig, lol: LolConfig) -> list:
 
 def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rng: Rng,
-                 on_step=None, loss_sink: Optional[list] = None) -> ModelParams:
+                 loss_sink: Optional[list] = None) -> ModelParams:
     """One leave-out round: M local runs from a shared snapshot, averaged
-    displacement applied as the outer update. Returns new params."""
+    displacement applied as the outer update. Returns new params.
+
+    The runs train stacked (see the module docstring). `loss_sink` gets
+    every local minibatch loss, run by run in ascending m.
+    """
     classes = dataset.classes_present()
     if lol.leave_k >= classes.size:
         raise ValueError("leave_k must be smaller than the number of classes present")
     steps = _round_step_allocation(len(dataset), cfg, lol)
-    snapshot = params
-    deltas = None
+    # batches[m]: run m's dataset rows, one row of the array per local step
+    batches = []
     for m in range(lol.subsets):
         sub_rng = rng.derive(f"subset-{m}")
         if lol.leave_k > 0:
-            drop = classes[sub_rng.derive("drop").choice(classes.size, size=lol.leave_k,
-                                                         replace=False)]
-            keep_idx = np.flatnonzero(~np.isin(dataset.y, drop))
+            dropped = np.zeros(dataset.num_classes, dtype=bool)
+            dropped[classes[sub_rng.derive("drop").choice(classes.size, size=lol.leave_k,
+                                                          replace=False)]] = True
+            keep_idx = np.flatnonzero(~dropped[dataset.y])
         else:
             keep_idx = np.arange(len(dataset))
-        local = snapshot.clone()
-        state: dict = {}
         batch_rng = sub_rng.derive("batches")
-        n_m = len(keep_idx)
-        for _ in range(steps[m]):
-            pick = batch_rng.choice(n_m, size=min(cfg.batch_size, n_m), replace=False)
-            idx = keep_idx[pick]
-            batch_loss = _train_batch(local, dataset.X[idx], dataset.y[idx],
-                                      loss, cfg, mask, state)
-            if loss_sink is not None:
-                loss_sink.append(batch_loss)
-            if on_step is not None:
-                on_step(local)
-        # displacement accumulated in ascending m order for determinism
-        if deltas is None:
-            deltas = {k: snapshot[k] - local[k] for k in snapshot.keys()}
-        else:
-            for k in deltas:
-                deltas[k] += snapshot[k] - local[k]
+        n_m, size = len(keep_idx), min(cfg.batch_size, len(keep_idx))
+        batches.append(np.array([keep_idx[batch_rng.choice(n_m, size=size, replace=False)]
+                                 for _ in range(steps[m])], dtype=np.int64).reshape(-1, size))
+
+    snapshot = params
+    keys = snapshot.keys()
+    local = {k: np.repeat(snapshot[k][None], lol.subsets, axis=0) for k in keys}
+    losses = [[] for _ in range(lol.subsets)]
+    for size in sorted({b.shape[1] for b in batches}):
+        runs = [m for m in range(lol.subsets) if batches[m].shape[1] == size]
+        work = ModelParams(snapshot.spec, {k: local[k][runs] for k in keys})
+        state: dict = {}
+        active = len(runs)
+        for s in range(steps[runs[0]]):
+            trained = sum(1 for m in runs if steps[m] > s)  # a prefix of `runs`
+            if trained < active:
+                for k in keys:
+                    local[k][runs[trained:active]] = work[k][trained:]
+                    work[k] = work[k][:trained]
+                for k in state:
+                    state[k] = state[k][:trained]
+                active = trained
+            idx = np.stack([batches[m][s] for m in runs[:active]])
+            batch_losses = _train_batch(work, dataset.X[idx], dataset.y[idx],
+                                        loss, cfg, mask, state)
+            for m, batch_loss in zip(runs[:active], batch_losses.tolist()):
+                losses[m].append(batch_loss)
+        for k in keys:
+            local[k][runs[:active]] = work[k]
+    if loss_sink is not None:
+        for run_losses in losses:
+            loss_sink.extend(run_losses)
+    deltas = {}
+    for k in keys:
+        d = snapshot[k] - local[k]
+        total = d[0]
+        for m in range(1, lol.subsets):  # ascending m, one run at a time
+            total += d[m]
+        deltas[k] = total
     scale = lol.outer_step / lol.subsets
     return params_axpy(1.0, snapshot, -scale, ModelParams(snapshot.spec, deltas))
 
 
 def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rng: Rng,
-                 on_round=None, on_step=None):
+                 on_round=None):
     """Iterated leave-out rounds. With the default budget one round costs
     one epoch of minibatches, so the default `rounds = epochs` spends the
     same compute as train_sgd. Returns (new_params, per_round_loss_curve);
@@ -223,8 +263,7 @@ def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     for r in range(rounds):
         sink: list = []
         work = lolsgd_round(work, dataset, loss, cfg, lol, mask,
-                            rng.derive(f"round-{r}"), on_step=on_step,
-                            loss_sink=sink)
+                            rng.derive(f"round-{r}"), loss_sink=sink)
         curve.append(float(np.mean(sink)) if sink else float("nan"))
         if on_round is not None:
             on_round(r, work, curve[-1])

@@ -110,6 +110,11 @@ class Protocol:
         if preset.swa and self.swa.start_epoch >= self.sgd.epochs:
             raise ValueError("swa start_epoch must be below the epoch count")
 
+    @property
+    def local_sgd(self) -> bool:
+        """Whether the protocol trains with leave-out local SGD ([lol])."""
+        return _PRESETS[self.kind].step == "lol"
+
     def effective_loss(self) -> LossSpec:
         """The protocol's loss weights with terms the kind does not carry
         zeroed out, so one weight config can drive a whole grid."""
@@ -148,7 +153,6 @@ class TransferRun:
     scenario_id: str
     protocol: Protocol
     seed: int
-    source_params: ModelParams
     final_params: ModelParams
     curve: list                  # EvalReport per epoch, entry 0 = source
     loss_curve: list
@@ -242,7 +246,6 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
         scenario_id=scenario_id,
         protocol=protocol,
         seed=seed,
-        source_params=source_params,
         final_params=final,
         curve=curve,
         loss_curve=loss_curve,

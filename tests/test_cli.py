@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import htlab
+import htlab.cli as cli
 from htlab.cli import _worker_env, build_scenario, load_config, main
 from htlab.data import load_scenario
+from htlab.model import load_checkpoint, save_checkpoint
 from htlab.optim import SgdConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -335,6 +337,61 @@ def test_run_jobs_below_one_exits_1(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--jobs", "0"]) == 1
     assert "--jobs" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_run_leave_k_not_below_target_classes_exits_1_before_pretraining(tmp_path, capsys):
+    # the target training split holds the 3 seen classes; [lol] leave_k defaults to 3
+    cfg, out = _write_config(tmp_path, names="naive_ft,lolsgd", seeds="0")
+    assert main(["run", "--config", cfg]) == 1
+    assert ("error: [lol] leave_k = 3 must be below the 3 classes of the target "
+            "training split") in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # the same value is fine when no protocol runs leave-out local SGD
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    assert main(["run", "--config", cfg]) == 0
+
+
+# ------------------------------------------------------------ source cache
+
+def _drop_key(ckpt):
+    save_checkpoint(load_checkpoint(ckpt), ckpt)
+
+
+@pytest.mark.parametrize("change", [
+    lambda cfg, ckpt: _edit(cfg, "[pretrain]\nlr = 0.02", "[pretrain]\nlr = 0.03"),
+    lambda cfg, ckpt: _edit(cfg, "hidden = 8,8", "hidden = 16,16"),
+    lambda cfg, ckpt: _edit(cfg, "seed = 11", "seed = 12"),
+    lambda cfg, ckpt: _drop_key(ckpt),
+], ids=["pretrain-lr", "width", "scenario-seed", "checkpoint-without-key"])
+def test_source_cache_retrains_a_stale_checkpoint(tmp_path, capsys, change):
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    assert main(["run", "--config", cfg]) == 0
+    ckpt = os.path.join(out, "source_seed0.ckpt")
+    change(cfg, ckpt)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    assert err.count("note:") == 1 and f"{ckpt} was pretrained under another" in err
+    # the rerun equals a fresh run of the changed config, checkpoint included
+    fresh = str(tmp_path / "fresh")
+    assert main(["run", "--config", cfg, "--out", fresh]) == 0
+    for name in ("source_seed0.ckpt", "curves.csv", "summary.csv"):
+        assert _read(os.path.join(out, name)) == _read(os.path.join(fresh, name)), name
+
+
+def test_source_cache_loads_an_unchanged_config(tmp_path, capsys, monkeypatch):
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0,1")
+    assert main(["run", "--config", cfg]) == 0
+    first = [_read(os.path.join(out, n)) for n in ("source_seed0.ckpt", "summary.csv")]
+    capsys.readouterr()
+
+    def no_pretrain(*args, **kwargs):
+        raise AssertionError("pretrained although the cache was valid")
+
+    monkeypatch.setattr(cli, "pretrain_source", no_pretrain)
+    assert main(["run", "--config", cfg]) == 0
+    assert "note:" not in capsys.readouterr().err
+    assert [_read(os.path.join(out, n)) for n in ("source_seed0.ckpt", "summary.csv")] == first
 
 
 # ------------------------------------------------------------ config schema

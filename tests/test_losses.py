@@ -9,7 +9,7 @@ from htlab.losses import (
     rank_reg,
     selective_distill,
 )
-from htlab.model import MlpSpec, init_model, forward
+from htlab.model import MlpSpec, ModelParams, forward, init_model
 from htlab.numkit import Rng, covariance, softmax
 
 
@@ -236,6 +236,31 @@ def test_composite_loss_runs_all_terms():
     assert bd.total == bd.ce + 1.0 * bd.distill + 0.1 * bd.rank
     assert gl.shape == trace.logits.shape
     assert gf.shape == trace.features.shape
+
+
+@pytest.mark.parametrize("spec", [LossSpec(), LossSpec(lambda_distill=1.0),
+                                  LossSpec(lambda_rank=0.1),
+                                  LossSpec(lambda_distill=0.5, lambda_rank=0.2, rank_sign=-1)],
+                         ids=["ce", "distill", "rank", "distill-rank"])
+@pytest.mark.parametrize("batch", [5, 6])
+def test_stacked_losses_equal_each_batch_alone_bitwise(spec, batch):
+    model = MlpSpec((4, 6, 5))
+    loss = CompositeLoss(spec, source_params=init_model(model, Rng(62)), seen_mask=SEEN)
+    runs = [init_model(model, Rng(63 + m)) for m in range(3)]
+    stacked = ModelParams(model, {k: np.stack([r[k] for r in runs]) for k in runs[0].keys()})
+    rng = Rng(66)
+    X = rng.standard_normal((3, batch, 4))
+    labels = rng.integers(0, 5, size=(3, batch))
+    bd, gl, gf = loss(forward(stacked, X, mode="train"), labels)
+    assert bd.total.shape == (3,)
+    for m, alone in enumerate(runs):
+        bdm, glm, gfm = loss(forward(alone, X[m], mode="train"), labels[m])
+        assert type(bdm.total) is float
+        for term in ("ce", "distill", "rank", "total"):
+            # a term that is off stays the scalar 0.0 for a stack
+            assert np.broadcast_to(getattr(bd, term), (3,))[m] == getattr(bdm, term), term
+        assert np.array_equal(gl[m], glm)
+        assert (gf is None and gfm is None) or np.array_equal(gf[m], gfm)
 
 
 def test_composite_loss_requires_source_for_distill():

@@ -121,6 +121,8 @@ def test_forward_rejects_empty_and_wrong_width():
         forward(p, np.zeros((0, 5)))
     with pytest.raises(ValueError):
         forward(p, np.zeros((3, 4)))
+    with pytest.raises(ValueError):
+        forward(p, np.zeros((1, 2, 3, 5)))
 
 
 # ------------------------------------------------------------ backward
@@ -209,6 +211,51 @@ def test_duplicating_batch_preserves_gradients():
                          FreezeMask.all_trainable())
     for k in g1:
         assert np.max(np.abs(g1[k] - g2[k])) < 1e-14
+
+
+def _stack(models):
+    return ModelParams(models[0].spec,
+                       {k: np.stack([m[k] for m in models]) for k in models[0].keys()})
+
+
+def _slice(stacked, m):
+    return ModelParams(stacked.spec, {k: v[m].copy() for k, v in stacked.values.items()})
+
+
+@pytest.mark.parametrize("spec", [_spec(), _spec(bn=True, ina=True), _spec(bn=True, act="tanh")],
+                         ids=["plain", "bn-adapter", "tanh-bn"])
+@pytest.mark.parametrize("batch", [5, 7])
+def test_stacked_forward_backward_equal_each_run_alone_bitwise(spec, batch):
+    runs = [init_model(spec, Rng(60 + m)) for m in range(3)]
+    stacked = _stack(runs)
+    rng = Rng(63)
+    X = rng.standard_normal((3, batch, 5))
+    labels = rng.integers(0, 4, size=(3, batch))
+    gf = rng.standard_normal((3, batch, 7))
+    mask = FreezeMask.frozen_classifier()
+    t = forward(stacked, X, mode="train", update_stats=True)
+    g = rng.standard_normal(t.logits.shape)
+    grads = backward(stacked, t, g, mask, grad_at_features=gf)
+    ev = forward(stacked, X, mode="eval")
+    for m, alone in enumerate(runs):
+        tm = forward(alone, X[m], mode="train", update_stats=True)
+        gm = backward(alone, tm, g[m], mask, grad_at_features=gf[m])
+        assert np.array_equal(t.logits[m], tm.logits)
+        assert np.array_equal(t.features[m], tm.features)
+        for k in alone.keys():
+            assert np.array_equal(stacked[k][m], alone[k]), k  # running stats too
+            assert np.array_equal(grads[k][m], gm[k]), k
+        assert np.array_equal(ev.logits[m], forward(alone, X[m], mode="eval").logits)
+
+
+def test_forward_rejects_run_axis_mismatch():
+    stacked = _stack([init_model(_spec(), Rng(64 + m)) for m in range(2)])
+    with pytest.raises(ValueError, match="leading run axis"):
+        forward(stacked, np.zeros((3, 4, 5)))
+    with pytest.raises(ValueError, match="leading run axis"):
+        forward(stacked, np.zeros((4, 5)))
+    with pytest.raises(ValueError, match="leading run axis"):
+        forward(init_model(_spec(), Rng(66)), np.zeros((2, 4, 5)))
 
 
 def test_backward_rejects_eval_trace():

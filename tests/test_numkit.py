@@ -125,6 +125,14 @@ def test_covariance_symmetric_and_psd():
     assert np.min(np.linalg.eigvalsh(C)) > -1e-10
 
 
+def test_covariance_of_a_stack_is_each_covariance_bitwise():
+    Z = Rng(18).standard_normal((4, 9, 3))
+    C = covariance(Z)
+    assert C.shape == (4, 3, 3)
+    for m in range(4):
+        assert np.array_equal(C[m], covariance(Z[m]))
+
+
 def test_covariance_empty_rejected():
     with pytest.raises(ValueError):
         covariance(np.zeros((0, 3)))

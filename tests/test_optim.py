@@ -5,13 +5,24 @@ import pytest
 
 from htlab.data import Dataset
 from htlab.losses import CompositeLoss, LossSpec, cross_entropy
-from htlab.model import FreezeMask, MlpSpec, backward, forward, group_of, init_model, params_axpy
+from htlab.model import (
+    FreezeMask,
+    MlpSpec,
+    ModelParams,
+    backward,
+    forward,
+    group_of,
+    init_model,
+    params_axpy,
+)
 from htlab.numkit import Rng
 from htlab.optim import (
     LolConfig,
     RunningAverage,
     SgdConfig,
     SwaConfig,
+    _round_step_allocation,
+    _train_batch,
     lolsgd_round,
     sgd_step,
     train_lolsgd,
@@ -225,13 +236,126 @@ def test_lolsgd_budget_matches_sgd():
     ds = _toy_dataset(n_per=20)  # 60 samples
     cfg = SgdConfig(lr=0.02, batch_size=16, epochs=5)
     lol = LolConfig(subsets=10, leave_k=1)
-    count = {"sgd": 0, "lol": 0}
+    count = {"sgd": 0}
     train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(13),
               on_step=lambda p: count.__setitem__("sgd", count["sgd"] + 1))
-    train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), Rng(13),
-                 on_step=lambda p: count.__setitem__("lol", count["lol"] + 1))
+    # the rounds train_lolsgd runs by default (one per sgd epoch); the sink
+    # gets one loss per local minibatch
+    sink: list = []
+    work = params
+    for r in range(cfg.epochs):
+        work = lolsgd_round(work, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(),
+                            Rng(13).derive(f"round-{r}"), loss_sink=sink)
     assert count["sgd"] == cfg.epochs * math.ceil(60 / 16)
-    assert abs(count["lol"] - count["sgd"]) <= lol.subsets
+    assert abs(len(sink) - count["sgd"]) <= lol.subsets
+
+
+def _sequential_round(params, ds, loss, cfg, lol, mask, rng):
+    """A leave-out round with each local run trained alone on 2-D params, in
+    ascending m: the reference the stacked round must match bitwise.
+    Returns (params, local minibatch losses in run order, the batch size of
+    each run that trained)."""
+    classes = ds.classes_present()
+    steps = _round_step_allocation(len(ds), cfg, lol)
+    deltas, sink, sizes = None, [], []
+    for m in range(lol.subsets):
+        sub_rng = rng.derive(f"subset-{m}")
+        keep = np.arange(len(ds))
+        if lol.leave_k > 0:
+            drop = classes[sub_rng.derive("drop").choice(classes.size, size=lol.leave_k,
+                                                         replace=False)]
+            keep = np.flatnonzero(~np.isin(ds.y, drop))
+        local, state = params.clone(), {}
+        batch_rng = sub_rng.derive("batches")
+        size = min(cfg.batch_size, len(keep))
+        sizes += [size] if steps[m] else []
+        for _ in range(steps[m]):
+            idx = keep[batch_rng.choice(len(keep), size=size, replace=False)]
+            sink.append(_train_batch(local, ds.X[idx], ds.y[idx], loss, cfg, mask, state))
+        delta = {k: params[k] - local[k] for k in params.keys()}
+        deltas = delta if deltas is None else {k: deltas[k] + delta[k] for k in deltas}
+    out = params_axpy(1.0, params, -lol.outer_step / lol.subsets,
+                      ModelParams(params.spec, deltas))
+    return out, sink, sizes
+
+
+def _imbalanced_dataset(counts=(40, 5, 5, 5), dim=5, seed=71):
+    rng = Rng(seed)
+    X = np.concatenate([rng.derive(f"c{c}").standard_normal((n, dim)) + 3.0 * c
+                        for c, n in enumerate(counts)])
+    return Dataset(X, np.repeat(np.arange(len(counts)), counts), len(counts))
+
+
+_BN_ADAPTER = MlpSpec((5, 7, 6, 4), use_batchnorm=True, use_in_adapter=True)
+_TANH = MlpSpec((5, 9, 4), activation="tanh")
+_TANH_BN = MlpSpec((5, 6, 4), activation="tanh", use_batchnorm=True)
+_PLAIN = MlpSpec((5, 8, 6, 4))
+# at these widths OpenBLAS rounds some rows of a gemm differently with the
+# row count, so running every run's rows through one matmul would show here
+_REFERENCE = MlpSpec((16, 64, 64, 10))
+_CE, _DISTILL, _RANK = LossSpec(), LossSpec(lambda_distill=0.7), LossSpec(lambda_rank=0.05)
+_BOTH = LossSpec(lambda_distill=1.3, lambda_rank=1e-4, rank_sign=-1)
+
+# (id, spec, loss, SgdConfig, LolConfig, mask, dataset, what the case must exercise)
+_STACK_CASES = [
+    ("plain-ce-uneven", _PLAIN, _CE, SgdConfig(lr=0.05, batch_size=5),
+     LolConfig(subsets=4, leave_k=1), FreezeMask.all_trainable(), None, "uneven"),
+    ("bn-adapter-distill-zero-steps", _BN_ADAPTER, _DISTILL, SgdConfig(lr=0.05, batch_size=7),
+     LolConfig(subsets=10, leave_k=1), FreezeMask.all_trainable(), None, "zero"),
+    ("tanh-rank-even", _TANH, _RANK, SgdConfig(lr=0.05, batch_size=6, weight_decay=1e-3),
+     LolConfig(subsets=3, leave_k=2, local_budget=0.5), FreezeMask.frozen_classifier(),
+     None, "even"),
+    ("plain-distill-rank-one-run-keep-all", _PLAIN, _BOTH,
+     SgdConfig(lr=0.05, batch_size=13, momentum=0.0),
+     LolConfig(subsets=1, leave_k=0, local_budget=1.0, outer_step=0.5),
+     FreezeMask.all_trainable(), None, "single"),
+    ("bn-adapter-ce-ragged", _BN_ADAPTER, _CE, SgdConfig(lr=0.05, batch_size=16),
+     LolConfig(subsets=6, leave_k=1, local_budget=1.0), FreezeMask.all_trainable(),
+     "imbalanced", "ragged"),
+    ("tanh-bn-distill-rank-ragged-zero", _TANH_BN, _BOTH, SgdConfig(lr=0.03, batch_size=20),
+     LolConfig(subsets=9, leave_k=1, local_budget=0.2), FreezeMask.frozen_classifier(),
+     "imbalanced", "ragged+zero"),
+    ("bn-adapter-rank-bn-only", _BN_ADAPTER, _RANK, SgdConfig(lr=0.05, batch_size=9),
+     LolConfig(subsets=5, leave_k=0), FreezeMask.only("bn_affine", "bn_stats", "in_adapter"),
+     None, "uneven"),
+    ("reference-shapes-distill", _REFERENCE, _DISTILL, SgdConfig(lr=0.01, batch_size=7),
+     LolConfig(subsets=4, leave_k=2, local_budget=0.6), FreezeMask.frozen_classifier(),
+     None, "uneven"),
+    ("tanh-ce-leave-none", _TANH, _CE, SgdConfig(lr=0.05, batch_size=10),
+     LolConfig(subsets=4, leave_k=0, local_budget=0.55), FreezeMask.all_trainable(),
+     None, "uneven"),
+]
+
+
+@pytest.mark.parametrize("case", _STACK_CASES, ids=[c[0] for c in _STACK_CASES])
+def test_lolsgd_stacked_round_matches_sequential_runs_bitwise(case):
+    _, spec, loss_spec, cfg, lol, mask, data, exercises = case
+    ds = (_imbalanced_dataset(dim=spec.dim) if data == "imbalanced"
+          else _toy_dataset(n_per=12, dim=spec.dim, classes=4))
+    params = init_model(spec, Rng(90))
+    params["layers.0.b"] += 0.1  # off the init values, so every group moves
+    seen = np.arange(spec.num_classes) < 2
+    loss = CompositeLoss(loss_spec, init_model(spec, Rng(91)), seen)
+    steps = _round_step_allocation(len(ds), cfg, lol)
+    # each case exercises what its id claims
+    assert ("zero" in exercises) == (min(steps) == 0)
+    assert ("uneven" in exercises) == (min(steps) < max(steps) and min(steps) > 0)
+    sizes = set()
+    for r in range(2):
+        rng = Rng(92).derive(f"round-{r}")
+        sink: list = []
+        out = lolsgd_round(params, ds, loss, cfg, lol, mask, rng, loss_sink=sink)
+        ref, ref_sink, ref_sizes = _sequential_round(params, ds, loss, cfg, lol, mask, rng)
+        assert out.keys() == ref.keys()
+        for k in ref.keys():
+            assert np.isfinite(ref[k]).all(), (k, r)
+            assert np.array_equal(out[k], ref[k]), (k, r)
+        assert sink == ref_sink
+        assert len(sink) == sum(steps)
+        sizes.update(ref_sizes)
+        params = out
+    # runs of different batch sizes trained in the same round
+    assert ("ragged" in exercises) == (len(sizes) > 1)
 
 
 def test_lolsgd_zero_lr_local_runs_leave_params_fixed():
