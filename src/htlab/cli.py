@@ -67,7 +67,8 @@ from .metrics import aggregate_seeds, evaluate, report_from_scores
 from .model import MlpSpec, StaleCheckpoint, load_checkpoint, save_checkpoint
 from .numkit import Rng
 from .optim import LolConfig, SgdConfig, SwaConfig
-from .transfer import Protocol, pretrain_source, run_protocol, se_predict, wise_merge
+from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
+                       se_predict, wise_merge)
 
 ENSEMBLE_ALPHA = 0.5
 
@@ -169,7 +170,13 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"bad seed list {seeds_raw!r}") from e
     if not seeds:
         raise ConfigError("need at least one seed")
+    for what, items in (("protocol", names), ("seed", seeds)):
+        repeated = [x for x in items if items.count(x) > 1]
+        if repeated:
+            raise ConfigError(f"{what} {repeated[0]} is listed more than once")
 
+    if run["k_spectrum"] < 1:
+        raise ConfigError(f"[run] k_spectrum must be at least 1, got {run['k_spectrum']}")
     model["hidden"] = [int(w) for w in model["hidden"].split(",") if w.strip()]
     return {
         "scenario": _resolve_scenario(cp["scenario"]),
@@ -241,9 +248,11 @@ def _cell(task):
     """One (protocol, seed) cell over the _SHARED state; module-level so
     worker processes can run it."""
     protocol, seed = task
-    scenario = _SHARED["scenario"]
+    scenario, source = _SHARED["scenario"], _SHARED["sources"][seed]
+    if isinstance(source, DivergenceError):  # the seed's pretrain failed
+        raise source
     return run_protocol(scenario.target_train, scenario.target_test,
-                        scenario.seen_mask, _SHARED["sources"][seed], protocol, seed,
+                        scenario.seen_mask, source, protocol, seed,
                         toxicity=scenario.toxicity, k_spectrum=_SHARED["k_spectrum"],
                         scenario_id=scenario.scenario_id)
 
@@ -327,7 +336,8 @@ def cmd_run(args) -> int:
                           f"{n_classes} classes of the target training split")
     os.makedirs(out_dir, exist_ok=True)
 
-    # one cached source model per seed; every protocol starts from it
+    # one cached source model per seed (or the error its pretrain diverged
+    # with); every protocol starts from it
     sources = {}
     for seed in cfg["seeds"]:
         ckpt = os.path.join(out_dir, f"source_seed{seed}.ckpt")
@@ -339,8 +349,13 @@ def cmd_run(args) -> int:
             except StaleCheckpoint:
                 print(f"note: {ckpt} was pretrained under another configuration; "
                       f"retraining it", file=sys.stderr)
-        sources[seed] = pretrain_source(scenario, spec, cfg["pretrain"],
-                                        Rng(seed).derive("source"))
+        try:
+            sources[seed] = pretrain_source(scenario, spec, cfg["pretrain"],
+                                            Rng(seed).derive("source"))
+        except DivergenceError as e:
+            print(f"runtime failure: {e}", file=sys.stderr)
+            sources[seed] = e
+            continue
         save_checkpoint(sources[seed], ckpt, key)
 
     k = cfg["k_spectrum"]
@@ -430,7 +445,10 @@ def _parse_summary(path: str) -> list:
     for n, fields in lines[1:]:
         if len(fields) != len(header):
             raise ConfigError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
-        rows.append(dict(zip(header, fields)))
+        row = dict(zip(header, fields))
+        if any((r["protocol"], r["seed"]) == (row["protocol"], row["seed"]) for r in rows):
+            raise ConfigError(f"{path}:{n}: repeats protocol {row['protocol']} seed {row['seed']}")
+        rows.append(row)
     ok = [r for r in rows if r["status"] == "ok"]
     if not ok:
         raise ConfigError(f"{path} has no ok rows")

@@ -21,13 +21,14 @@ the run's own 2-D call returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import ModelParams, forward
-from .numkit import covariance, softmax
+from .numkit import _centred_covariance, softmax
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class LossSpec:
     rank_sign: int = 1
 
     def __post_init__(self):
-        if self.lambda_distill < 0 or self.lambda_rank < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not (0 <= self.lambda_distill < math.inf and 0 <= self.lambda_rank < math.inf):
+            raise ValueError("loss weights must be nonnegative and finite")
         if self.rank_sign not in (1, -1):
             raise ValueError("rank_sign must be +1 or -1")
 
@@ -56,8 +57,9 @@ class LossBreakdown:
 
 def _batch_mean(per_sample: np.ndarray):
     """Mean over the batch (last) axis: a float for one batch, an (M,)
-    array for a stack."""
-    mean = np.mean(per_sample, axis=-1)
+    array for a stack. The sum and division np.mean makes, without its
+    wrapper."""
+    mean = per_sample.sum(axis=-1) / per_sample.shape[-1]
     return float(mean) if mean.ndim == 0 else mean
 
 
@@ -68,15 +70,17 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape[-2:]
-    if labels.shape != logits.shape[:-1] or (labels.size and labels.max() >= c):
+    # as unsigned, a negative label is above every class too
+    if labels.shape != logits.shape[:-1] or (labels.size and labels.view(np.uint64).max() >= c):
         raise ValueError("labels out of range")
-    p = softmax(logits, axis=-1)
-    # one flat gather over every (run, row) pair picks each true-class entry
-    rows, cols = np.arange(labels.size), labels.ravel()
-    loss = -_batch_mean(np.log(p.reshape(-1, c)[rows, cols]).reshape(labels.shape))
-    grad = p.copy()
-    grad.reshape(-1, c)[rows, cols] -= 1.0
-    return loss, grad / n
+    grad = softmax(logits, axis=-1)
+    # one flat index per (run, row) pair picks each true-class entry
+    flat, at = grad.reshape(-1), np.arange(0, grad.size, c) + labels.ravel()
+    picked = flat[at]
+    loss = -_batch_mean(np.log(picked).reshape(labels.shape))
+    flat[at] = picked - 1.0
+    grad /= n
+    return loss, grad
 
 
 def selective_distill(source_logits: np.ndarray, target_logits: np.ndarray,
@@ -98,7 +102,7 @@ def selective_distill(source_logits: np.ndarray, target_logits: np.ndarray,
     ps = softmax(source_logits[..., unseen], axis=-1)
     pt = softmax(target_logits[..., unseen], axis=-1)
     # KL(ps || pt) rowwise; both sides are softmax outputs so strictly positive
-    loss = _batch_mean(np.sum(ps * (np.log(ps) - np.log(pt)), axis=-1))
+    loss = _batch_mean((ps * (np.log(ps) - np.log(pt))).sum(axis=-1))
     grad = np.zeros_like(target_logits)
     grad[..., unseen] = (pt - ps) / n
     return loss, grad
@@ -114,14 +118,15 @@ def rank_reg(features: np.ndarray) -> tuple:
     n = features.shape[-2]
     if n < 2:
         raise ValueError("rank regularizer needs at least 2 samples")
-    C = covariance(features)
-    s = np.sum(C * C, axis=-2)         # (C^T C)_jj = squared norm of column j
-    loss = np.sum(s * s, axis=-1)
+    Zc, C = _centred_covariance(features)
+    s = (C * C).sum(axis=-2)           # (C^T C)_jj = squared norm of column j
+    loss = (s * s).sum(axis=-1)
     # dL/dC_ab = 4 C_ab s_b; then through C = (1/N) Zc^T Zc and centering
-    G = 4.0 * C * s[..., None, :]
-    Zc = features - features.mean(axis=-2, keepdims=True)
-    dZc = (Zc @ (G + G.swapaxes(-1, -2))) / n
-    grad = dZc - dZc.mean(axis=-2, keepdims=True)
+    G = 4.0 * C
+    G *= s[..., None, :]
+    grad = Zc @ (G + G.swapaxes(-1, -2))
+    grad /= n
+    grad -= grad.sum(axis=-2, keepdims=True) / n
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
@@ -134,14 +139,13 @@ def compose(ce_parts, distill_parts, rank_parts, spec: LossSpec):
     Returns (LossBreakdown, grad_at_logits, grad_at_features_or_None).
     """
     ce_loss, grad_logits = ce_parts
-    grad_logits = grad_logits.copy()
     distill_loss = rank_loss = 0.0
     grad_features = None
     if spec.lambda_distill > 0:
         if distill_parts is None:
             raise ValueError("lambda_distill > 0 but no distillation parts")
         distill_loss, dgrad = distill_parts
-        grad_logits += spec.lambda_distill * dgrad
+        grad_logits = grad_logits + spec.lambda_distill * dgrad
     if spec.lambda_rank > 0:
         if rank_parts is None:
             raise ValueError("lambda_rank > 0 but no rank parts")

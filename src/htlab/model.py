@@ -8,8 +8,10 @@ inserting IN layers into a conv net). The final linear layer is the
 classifier; the activations feeding it are the penultimate features used by
 the diagnostics and the feature-space regularizer.
 
-Parameters live in a flat name -> array dict so optimizers, checkpoints and
-weight-space ensembles are simple loops. Names and their freeze groups:
+Parameters live in one f64 buffer, back to back in sorted-name (checkpoint)
+order, and `values[name]` is a view into it: updates, averages and checkpoints
+are buffer operations, and a change to a parameter writes into its view.
+Names and their freeze groups:
 
     layers.{i}.W / layers.{i}.b     backbone (classifier for the last i)
     bn.{i}.gamma / bn.{i}.beta      bn_affine
@@ -20,16 +22,19 @@ weight-space ensembles are simple loops. Names and their freeze groups:
 Train-mode forwards normalize with batch statistics; eval-mode forwards use
 running statistics and are pure per-row functions of the parameters.
 
-forward and backward also take M independent models at once: every array
-of the params carries a leading run axis (M, *shape), X is (M, B, d) and
-each run m sees only params[k][m] and X[m]. Run m then goes through the
-same per-slice matmuls, reductions and elementwise ops as a 2-D call on
-its own slice, so its results are bitwise those of that call.
+forward and backward also take M independent models at once: the buffer is
+then (M, P), every array of the params carries a leading run axis
+(M, *shape), X is (M, B, d) and each run m sees only params[k][m] and X[m].
+Run m then goes through the same per-slice matmuls, reductions and
+elementwise ops as a 2-D call on its own slice, so its results are bitwise
+those of that call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -85,7 +90,7 @@ class MlpSpec:
         return self.n_linear - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class FreezeMask:
     backbone: bool = True
     classifier: bool = True
@@ -103,13 +108,10 @@ class FreezeMask:
 
     @classmethod
     def only(cls, *groups):
-        m = cls(backbone=False, classifier=False, bn_affine=False,
-                bn_stats=False, in_adapter=False)
         for g in groups:
             if g not in GROUPS:
                 raise ValueError(f"unknown group {g!r}")
-            setattr(m, g, True)
-        return m
+        return cls(**{g: g in groups for g in GROUPS})
 
     def trainable(self, group: str) -> bool:
         return getattr(self, group)
@@ -126,24 +128,113 @@ def group_of(key: str, spec: MlpSpec) -> str:
     raise KeyError(key)
 
 
+class _Layout:
+    """Where each parameter of a spec lives in the flat buffer: its slice,
+    shape and group, in sorted-name order; and the names per layer."""
+
+    def __init__(self, spec: MlpSpec):
+        w = spec.layer_widths
+        self.linear = [(f"layers.{i}.W", f"layers.{i}.b") for i in range(spec.n_linear)]
+        self.bn = [tuple(f"bn.{i}.{p}" for p in ("gamma", "beta", "mean", "var"))
+                   for i in range(spec.n_hidden if spec.use_batchnorm else 0)]
+        shapes = {k: (w[i + 1],) for i, names in enumerate(self.bn) for k in names}
+        for i, (W, b) in enumerate(self.linear):
+            shapes[W], shapes[b] = (w[i], w[i + 1]), (w[i + 1],)
+        if spec.use_in_adapter:
+            shapes["in_adapter.scale"] = shapes["in_adapter.shift"] = (spec.dim,)
+        self.keys, self.shapes, self.slices, offset = tuple(sorted(shapes)), shapes, {}, 0
+        for k in self.keys:
+            self.slices[k] = slice(offset, offset + math.prod(shapes[k]))
+            offset = self.slices[k].stop
+        self.size = offset
+        self.groups = {k: group_of(k, spec) for k in self.keys}
+        self.variances = [self.slices[k] for k in self.keys if k.endswith(".var")]
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def of(spec: MlpSpec) -> "_Layout":
+        return _Layout(spec)
+
+
+def _runs(layout: _Layout, keys) -> list:
+    """The slices of `keys`, adjacent ones merged."""
+    runs = []
+    for s in (layout.slices[k] for k in keys):
+        if runs and runs[-1].stop == s.start:
+            s = slice(runs.pop().start, s.stop)
+        runs.append(s)
+    return runs
+
+
+class _Plan:
+    """What a freeze mask trains in a spec's buffer. runs: the slices that
+    get gradients; decay: those of weight matrices (the only parameters
+    weight decay applies to); undecayed: the rest of runs. train[i]: linear
+    layer i gets gradients; bn, adapter: the BN affine and adapter
+    parameters do; lowest: the lowest hidden layer backward has to reach."""
+
+    def __init__(self, spec: MlpSpec, mask: FreezeMask):
+        layout = _Layout.of(spec)
+        keys = [k for k in layout.keys
+                if layout.groups[k] != "bn_stats" and mask.trainable(layout.groups[k])]
+        self.runs = _runs(layout, keys)
+        self.decay = [layout.slices[k] for k in keys if k.endswith(".W")]
+        self.undecayed = _runs(layout, [k for k in keys if not k.endswith(".W")])
+        self.train = [mask.trainable(layout.groups[W]) for W, _ in layout.linear]
+        self.bn = spec.use_batchnorm and mask.bn_affine
+        self.adapter = spec.use_in_adapter and mask.in_adapter
+        trained = [i for i in range(spec.n_hidden) if self.train[i]]
+        self.lowest = 0 if self.bn or self.adapter else min(trained, default=spec.n_hidden)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def of(spec: MlpSpec, mask: FreezeMask) -> "_Plan":
+        return _Plan(spec, mask)
+
+
 class ModelParams:
-    """Flat parameter store with a fixed, deterministic key order."""
+    """A model's parameters: one f64 buffer `flat`, (P,) or (M, P) for M
+    stacked runs, and `values`, name -> view into it, in sorted-name order.
+    Setting a key writes into its view. Built from name -> array `values`
+    (copied), or by from_flat around a buffer (not copied)."""
 
     def __init__(self, spec: MlpSpec, values: dict):
-        self.spec = spec
-        self.values = values
+        layout = _Layout.of(spec)
+        lead = np.shape(values.get("layers.0.W"))[:-2]
+        if sorted(values) != list(layout.keys) or any(
+                np.shape(values[k]) != lead + layout.shapes[k] for k in layout.keys):
+            raise ValueError("parameter names or shapes do not match the spec")
+        self._bind(spec, np.concatenate([np.reshape(values[k], lead + (-1,))
+                                         for k in layout.keys], axis=-1, dtype=np.float64))
+
+    @classmethod
+    def from_flat(cls, spec: MlpSpec, flat: np.ndarray) -> "ModelParams":
+        params = cls.__new__(cls)
+        params._bind(spec, flat)
+        return params
+
+    def _bind(self, spec: MlpSpec, flat: np.ndarray):
+        layout = _Layout.of(spec)
+        if flat.dtype != np.float64 or flat.shape[-1:] != (layout.size,):
+            raise ValueError(f"a buffer for this spec is f64 with {layout.size} columns")
+        self.spec, self.flat, lead = spec, flat, flat.shape[:-1]
+        self.values = {k: flat[..., layout.slices[k]].reshape(lead + layout.shapes[k])
+                       for k in layout.keys}
+
+    def __reduce__(self):  # pickle the buffer once, not each view
+        return ModelParams.from_flat, (self.spec, self.flat)
 
     def keys(self):
-        return sorted(self.values.keys())
+        return list(_Layout.of(self.spec).keys)
 
     def clone(self) -> "ModelParams":
-        return ModelParams(self.spec, {k: v.copy() for k, v in self.values.items()})
+        return ModelParams.from_flat(self.spec, self.flat.copy())
 
     def __getitem__(self, key):
         return self.values[key]
 
     def __setitem__(self, key, v):
-        self.values[key] = v
+        self.values[key][...] = v
 
     def same_spec(self, other: "ModelParams") -> bool:
         return self.spec == other.spec
@@ -152,24 +243,15 @@ class ModelParams:
 def init_model(spec: MlpSpec, rng: Rng) -> ModelParams:
     """He-style init: W ~ N(0, 2/fan_in), biases zero, BN at identity with
     unit running variance, adapter at identity."""
-    values = {}
-    widths = spec.layer_widths
+    params = ModelParams.from_flat(spec, np.zeros(_Layout.of(spec).size))
     wrng = rng.derive("weights")
-    for i in range(spec.n_linear):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        values[f"layers.{i}.W"] = wrng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-        values[f"layers.{i}.b"] = np.zeros(fan_out)
-    if spec.use_batchnorm:
-        for i in range(spec.n_hidden):
-            h = widths[i + 1]
-            values[f"bn.{i}.gamma"] = np.ones(h)
-            values[f"bn.{i}.beta"] = np.zeros(h)
-            values[f"bn.{i}.mean"] = np.zeros(h)
-            values[f"bn.{i}.var"] = np.ones(h)
-    if spec.use_in_adapter:
-        values["in_adapter.scale"] = np.ones(spec.dim)
-        values["in_adapter.shift"] = np.zeros(spec.dim)
-    return ModelParams(spec, values)
+    for i, (W, _) in enumerate(_Layout.of(spec).linear):
+        fan_in = spec.layer_widths[i]
+        params[W] = wrng.standard_normal(params[W].shape) * np.sqrt(2.0 / fan_in)
+    for k in params.keys():
+        if k.endswith((".gamma", ".var", ".scale")):
+            params[k] = 1.0
+    return params
 
 
 @dataclass
@@ -184,7 +266,6 @@ class ForwardTrace:
     bn_xhat: list           # normalized pre-activations (None without BN)
     bn_batch_mean: list     # the statistics BN used, shaped (..., 1, h): the
     bn_batch_var: list      # batch's in train mode, the running ones in eval
-    act_in: list            # activation inputs (post-BN when BN is on)
     activations: list       # activation outputs per hidden layer
     logits: np.ndarray
 
@@ -192,16 +273,6 @@ class ForwardTrace:
     def features(self) -> np.ndarray:
         """Penultimate features: output of the last hidden activation."""
         return self.activations[-1]
-
-
-def _activate(name, x):
-    return np.maximum(x, 0.0) if name == "relu" else np.tanh(x)
-
-
-def _activate_grad(name, act_in, act_out):
-    if name == "relu":
-        return (act_in > 0).astype(np.float64)  # subgradient 0 at 0
-    return 1.0 - act_out**2
 
 
 def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
@@ -218,117 +289,135 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
     spec = params.spec
     if X.ndim not in (2, 3) or X.shape[-1] != spec.dim:
         raise ValueError(f"X must be N x {spec.dim}, or M x N x {spec.dim}")
-    if X.shape[-2] == 0:
+    n = X.shape[-2]
+    if n == 0:
         raise ValueError("empty batch")
-    if params["layers.0.W"].shape[:-2] != X.shape[:-2]:
+    if params.flat.shape[:-1] != X.shape[:-2]:
         raise ValueError("X and the params must have the same leading run axis")
+    layout, v = _Layout.of(spec), params.values
 
     adapter_xhat = None
     a = X
     if spec.use_in_adapter:
-        mu = a.mean(axis=-1, keepdims=True)
-        var = a.var(axis=-1, keepdims=True)
-        adapter_xhat = (a - mu) / np.sqrt(var + IN_EPS)
-        a = params["in_adapter.scale"][_ROW] * adapter_xhat + params["in_adapter.shift"][_ROW]
+        # np.mean and np.var as the sums they take, the centred rows shared
+        adapter_xhat = a - a.sum(axis=-1, keepdims=True) / spec.dim
+        var = (adapter_xhat * adapter_xhat).sum(axis=-1, keepdims=True) / spec.dim
+        adapter_xhat /= np.sqrt(var + IN_EPS)
+        a = v["in_adapter.scale"][_ROW] * adapter_xhat
+        a += v["in_adapter.shift"][_ROW]
 
-    inputs, pre, bn_xhat, bn_mean, bn_var, act_in, activations = [], [], [], [], [], [], []
+    inputs, pre, bn_xhat, bn_mean, bn_var, activations = [], [], [], [], [], []
     for i in range(spec.n_hidden):
+        W, b = layout.linear[i]
         inputs.append(a)
-        z = a @ params[f"layers.{i}.W"] + params[f"layers.{i}.b"][_ROW]
+        z = a @ v[W]
+        z += v[b][_ROW]
         pre.append(z)
+        xhat = mb = vb = None
+        y = z
         if spec.use_batchnorm:
+            gamma, beta, mean, var = layout.bn[i]
             if mode == "train":
-                mb = z.mean(axis=-2, keepdims=True)
-                vb = z.var(axis=-2, keepdims=True)
+                # likewise over the batch
+                mb = z.sum(axis=-2, keepdims=True) / n
+                xhat = z - mb
+                vb = (xhat * xhat).sum(axis=-2, keepdims=True) / n
                 if update_stats:
                     m = spec.bn_momentum
-                    params[f"bn.{i}.mean"] = (1 - m) * params[f"bn.{i}.mean"] + m * mb[..., 0, :]
-                    params[f"bn.{i}.var"] = (1 - m) * params[f"bn.{i}.var"] + m * vb[..., 0, :]
+                    v[mean][...] = (1 - m) * v[mean] + m * mb[..., 0, :]
+                    v[var][...] = (1 - m) * v[var] + m * vb[..., 0, :]
             else:
-                mb = params[f"bn.{i}.mean"][_ROW]
-                vb = params[f"bn.{i}.var"][_ROW]
-            xhat = (z - mb) / np.sqrt(vb + spec.bn_eps)
-            y = params[f"bn.{i}.gamma"][_ROW] * xhat + params[f"bn.{i}.beta"][_ROW]
-            bn_xhat.append(xhat)
-            bn_mean.append(mb)
-            bn_var.append(vb)
-        else:
-            y = z
-            bn_xhat.append(None)
-            bn_mean.append(None)
-            bn_var.append(None)
-        act_in.append(y)
-        a = _activate(spec.activation, y)
+                mb, vb = v[mean][_ROW], v[var][_ROW]
+                xhat = z - mb
+            xhat /= np.sqrt(vb + spec.bn_eps)
+            y = v[gamma][_ROW] * xhat
+            y += v[beta][_ROW]
+        bn_xhat.append(xhat)
+        bn_mean.append(mb)
+        bn_var.append(vb)
+        # the activation overwrites y unless y is z, which the trace keeps
+        into = None if y is z else y
+        a = np.maximum(y, 0.0, out=into) if spec.activation == "relu" else np.tanh(y, out=into)
         activations.append(a)
 
     inputs.append(a)
-    last = spec.n_linear - 1
-    logits = a @ params[f"layers.{last}.W"] + params[f"layers.{last}.b"][_ROW]
+    W, b = layout.linear[-1]
+    logits = a @ v[W]
+    logits += v[b][_ROW]
     return ForwardTrace(mode=mode, X=X, adapter_xhat=adapter_xhat, inputs=inputs,
                         pre=pre, bn_xhat=bn_xhat, bn_batch_mean=bn_mean,
-                        bn_batch_var=bn_var, act_in=act_in,
-                        activations=activations, logits=logits)
+                        bn_batch_var=bn_var, activations=activations, logits=logits)
 
 
 def backward(params: ModelParams, trace: ForwardTrace,
              grad_at_logits: np.ndarray, mask: FreezeMask,
-             grad_at_features: Optional[np.ndarray] = None) -> dict:
-    """Backpropagate loss gradients through a train-mode trace; with
-    stacked params every gradient carries their leading run axis.
+             grad_at_features: Optional[np.ndarray] = None,
+             out: Optional[ModelParams] = None) -> ModelParams:
+    """Backpropagate loss gradients through a train-mode trace. Returns the
+    gradients as params of the same shape; frozen groups and the running
+    BN statistics hold exact zeros.
 
     `grad_at_logits` must already carry the loss's 1/N batch scaling.
     `grad_at_features` (optional, same shape as the penultimate features)
     is injected where the features feed the classifier, which is how
-    feature-space penalties enter. Frozen groups come back as exact zeros.
+    feature-space penalties enter. Only the trained parameters are written,
+    and the pass stops below the lowest of them. `out`, gradients an earlier
+    call returned for the same mask and shape, is overwritten and returned.
     """
     if trace.mode != "train":
         raise ValueError("backward needs a train-mode trace")
     spec = params.spec
     if grad_at_logits.shape != trace.logits.shape:
         raise ValueError("grad_at_logits shape mismatch")
+    if grad_at_features is not None and grad_at_features.shape != trace.features.shape:
+        raise ValueError("grad_at_features shape mismatch")
+    if out is None:
+        out = ModelParams.from_flat(spec, np.zeros_like(params.flat))
+    plan, layout = _Plan.of(spec, mask), _Layout.of(spec)
+    v, grads = params.values, out.values
     n = trace.X.shape[-2]
-    grads = {}
 
-    last = spec.n_linear - 1
-    g = grad_at_logits
-    grads[f"layers.{last}.W"] = trace.inputs[last].swapaxes(-1, -2) @ g
-    grads[f"layers.{last}.b"] = g.sum(axis=-2)
-    da = g @ params[f"layers.{last}.W"].swapaxes(-1, -2)
-    if grad_at_features is not None:
-        if grad_at_features.shape != trace.features.shape:
-            raise ValueError("grad_at_features shape mismatch")
-        da = da + grad_at_features
-
-    for i in range(spec.n_hidden - 1, -1, -1):
-        dy = da * _activate_grad(spec.activation, trace.act_in[i], trace.activations[i])
-        if spec.use_batchnorm:
-            xhat = trace.bn_xhat[i]
-            vb = trace.bn_batch_var[i]
-            mb = trace.bn_batch_mean[i]
+    # from the classifier (i = n_hidden) down to the lowest layer the mask
+    # trains; dz is the gradient at layer i's linear output
+    dz = grad_at_logits
+    for i in range(spec.n_hidden, plan.lowest - 1, -1):
+        below = i > plan.lowest or plan.adapter  # the gradient goes on through layer i
+        if i < spec.n_hidden:
+            act = trace.activations[i]
+            dz = da  # in place from here: relu's subgradient is 0 at 0
+            dz *= (act > 0) if spec.activation == "relu" else 1.0 - act**2
+        if i < spec.n_hidden and spec.use_batchnorm:
+            gamma, beta, _, _ = layout.bn[i]
+            xhat, vb, mb = trace.bn_xhat[i], trace.bn_batch_var[i], trace.bn_batch_mean[i]
+            if plan.bn:
+                (dz * xhat).sum(axis=-2, out=grads[gamma])
+                dz.sum(axis=-2, out=grads[beta])
+            if not (below or plan.train[i]):
+                break
             inv_std = 1.0 / np.sqrt(vb + spec.bn_eps)
-            grads[f"bn.{i}.gamma"] = (dy * xhat).sum(axis=-2)
-            grads[f"bn.{i}.beta"] = dy.sum(axis=-2)
-            dxhat = dy * params[f"bn.{i}.gamma"][_ROW]
+            dz *= v[gamma][_ROW]  # now the gradient at xhat
             zc = trace.pre[i] - mb
-            dvar = np.sum(dxhat * zc, axis=-2, keepdims=True) * (-0.5) * inv_std**3
-            dmean = -np.sum(dxhat, axis=-2, keepdims=True) * inv_std
-            dz = dxhat * inv_std + dvar * 2.0 * zc / n + dmean / n
-        else:
-            dz = dy
-        grads[f"layers.{i}.W"] = trace.inputs[i].swapaxes(-1, -2) @ dz
-        grads[f"layers.{i}.b"] = dz.sum(axis=-2)
-        da = dz @ params[f"layers.{i}.W"].swapaxes(-1, -2)
+            dvar = (dz * zc).sum(axis=-2, keepdims=True) * (-0.5) * inv_std**3
+            dmean = -dz.sum(axis=-2, keepdims=True) * inv_std
+            # dz * inv_std + dvar * 2.0 * zc / n + dmean / n, term by term
+            zc *= dvar * 2.0
+            zc /= n
+            dz *= inv_std
+            dz += zc
+            dz += dmean / n
+        W, b = layout.linear[i]
+        if plan.train[i]:
+            np.matmul(trace.inputs[i].swapaxes(-1, -2), dz, out=grads[W])
+            dz.sum(axis=-2, out=grads[b])
+        if below:
+            da = dz @ v[W].swapaxes(-1, -2)
+            if i == spec.n_hidden and grad_at_features is not None:
+                da += grad_at_features
 
-    if spec.use_in_adapter:
-        grads["in_adapter.scale"] = (da * trace.adapter_xhat).sum(axis=-2)
-        grads["in_adapter.shift"] = da.sum(axis=-2)
-
-    for k, v in params.values.items():
-        if k not in grads:  # running BN statistics get no gradient
-            grads[k] = np.zeros_like(v)
-        elif not mask.trainable(group_of(k, spec)):
-            grads[k][...] = 0.0
-    return grads
+    if plan.adapter:
+        (da * trace.adapter_xhat).sum(axis=-2, out=grads["in_adapter.scale"])
+        da.sum(axis=-2, out=grads["in_adapter.shift"])
+    return out
 
 
 def recompute_bn_stats(params: ModelParams, dataset: Dataset,
@@ -375,13 +464,10 @@ def params_axpy(a: float, p1: ModelParams, b: float, p2: ModelParams) -> ModelPa
     at zero so the result stays a valid parameter set."""
     if not p1.same_spec(p2):
         raise ValueError("parameter spec mismatch")
-    values = {}
-    for k in p1.keys():
-        v = a * p1[k] + b * p2[k]
-        if k.startswith("bn.") and k.endswith(".var"):
-            v = np.maximum(v, 0.0)
-        values[k] = v
-    return ModelParams(p1.spec, values)
+    flat = a * p1.flat + b * p2.flat
+    for s in _Layout.of(p1.spec).variances:
+        np.maximum(flat[..., s], 0.0, out=flat[..., s])
+    return ModelParams.from_flat(p1.spec, flat)
 
 
 # ----------------------------------------------------------- checkpoint I/O
@@ -393,7 +479,7 @@ class StaleCheckpoint(ValueError):
 
 def save_checkpoint(params: ModelParams, path: str, key: Optional[str] = None):
     """Text header (spec, the cache `key` if given, per-array offsets) then
-    little-endian f64 data."""
+    the flat buffer as little-endian f64."""
     spec = params.spec
     lines = [
         "htlab-checkpoint v1",
@@ -406,16 +492,14 @@ def save_checkpoint(params: ModelParams, path: str, key: Optional[str] = None):
     ]
     if key is not None:
         lines.append(f"key = {key}")
-    offset = 0
-    for k in params.keys():
-        shape = "x".join(str(s) for s in params[k].shape)
-        lines.append(f"array = {k} {offset} {shape}")
-        offset += params[k].size
+    layout = _Layout.of(spec)
+    for k in layout.keys:
+        shape = "x".join(str(s) for s in layout.shapes[k])
+        lines.append(f"array = {k} {layout.slices[k].start} {shape}")
     lines.append("end")
     with open(path, "wb") as f:
         f.write(("\n".join(lines) + "\n").encode("ascii"))
-        for k in params.keys():
-            f.write(np.ascontiguousarray(params[k], dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str, key: Optional[str] = None) -> ModelParams:
@@ -433,8 +517,7 @@ def load_checkpoint(path: str, key: Optional[str] = None) -> ModelParams:
         k, v = line.split(" = ", 1)
         if k == "array":
             name, offset, shape = v.split(" ")
-            shape = tuple(int(s) for s in shape.split("x"))
-            arrays.append((name, int(offset), shape))
+            arrays.append((name, int(offset), tuple(int(s) for s in shape.split("x"))))
         else:
             meta[k] = v
     if key is not None and meta.get("key") != key:
@@ -447,34 +530,20 @@ def load_checkpoint(path: str, key: Optional[str] = None) -> ModelParams:
         bn_eps=float(meta.get("bn_eps", BN_EPS)),
         bn_momentum=float(meta.get("bn_momentum", BN_MOMENTUM)),
     )
-    # arrays are stored back to back in header order: each offset must be
-    # the running sum of the earlier sizes, and the payload exactly as long
-    expected = 0
-    for name, offset, shape in arrays:
-        if offset != expected:
+    # the header must declare the spec's arrays, back to back in its order
+    layout = _Layout.of(spec)
+    if [(name, shape) for name, _, shape in arrays] != \
+            [(k, layout.shapes[k]) for k in layout.keys]:
+        raise ValueError("checkpoint arrays do not match the declared spec")
+    for name, offset, _ in arrays:
+        if offset != layout.slices[name].start:
             raise ValueError(f"checkpoint array {name} declares offset {offset}, "
-                             f"expected {expected}")
-        expected += int(np.prod(shape))
-    if len(raw) - head_end != 8 * expected:
+                             f"expected {layout.slices[name].start}")
+    if len(raw) - head_end != 8 * layout.size:
         raise ValueError(f"checkpoint payload is {len(raw) - head_end} bytes, "
-                         f"its header declares {8 * expected}")
-    blob = np.frombuffer(raw[head_end:], dtype="<f8")
-    values = {}
-    for name, offset, shape in arrays:
-        size = int(np.prod(shape))
-        values[name] = blob[offset:offset + size].reshape(shape).copy()
-    params = ModelParams(spec, values)
-    _validate_shapes(params)
+                         f"its header declares {8 * layout.size}")
+    params = ModelParams.from_flat(spec, np.frombuffer(raw, "<f8", offset=head_end)
+                                   .astype(np.float64))
+    if any(np.any(params.flat[s] < 0) for s in layout.variances):
+        raise ValueError("negative running variance")
     return params
-
-
-def _validate_shapes(params: ModelParams):
-    ref = init_model(params.spec, Rng(0))
-    if sorted(params.values.keys()) != sorted(ref.values.keys()):
-        raise ValueError("checkpoint keys do not match the declared spec")
-    for k in ref.keys():
-        if params[k].shape != ref[k].shape:
-            raise ValueError(f"shape mismatch for {k}")
-    for k in params.keys():
-        if k.startswith("bn.") and k.endswith(".var") and np.any(params[k] < 0):
-            raise ValueError("negative running variance")

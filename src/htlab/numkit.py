@@ -113,9 +113,10 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.size == 0:
         raise ValueError("empty logits")
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def kl_div(p: np.ndarray, q: np.ndarray) -> float:
@@ -139,15 +140,23 @@ def kl_div(p: np.ndarray, q: np.ndarray) -> float:
 def covariance(Z: np.ndarray) -> np.ndarray:
     """Batch covariance C = (1/N) sum_n (z_n - zbar)(z_n - zbar)^T of an
     N x d matrix, or of each matrix in a (..., N, d) stack."""
+    return _centred_covariance(Z)[1]
+
+
+def _centred_covariance(Z: np.ndarray) -> tuple:
+    """(Z - zbar, covariance(Z))."""
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim < 2:
         raise ValueError("Z must be at least 2-D")
     n = Z.shape[-2]
     if n == 0:
         raise ValueError("empty batch")
-    Zc = Z - Z.mean(axis=-2, keepdims=True)
-    C = (Zc.swapaxes(-1, -2) @ Zc) / n
-    return 0.5 * (C + C.swapaxes(-1, -2))  # exact symmetry regardless of BLAS blocking
+    Zc = Z - Z.sum(axis=-2, keepdims=True) / n
+    C = Zc.swapaxes(-1, -2) @ Zc
+    C /= n
+    C = C + C.swapaxes(-1, -2)  # exact symmetry regardless of BLAS blocking
+    C *= 0.5
+    return Zc, C
 
 
 def top_singular_values(Z: np.ndarray, k: int) -> Spectrum:

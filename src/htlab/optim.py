@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import CompositeLoss
-from .model import FreezeMask, ModelParams, backward, forward, group_of, params_axpy
+from .model import FreezeMask, ModelParams, _Plan, backward, forward, params_axpy
 from .numkit import Rng
 
 
@@ -54,11 +54,11 @@ class SgdConfig:
     epochs: int = 20
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0 or self.batch_size < 1 or self.epochs < 0:
+        if not 0 <= self.weight_decay < math.inf or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad sgd config")
 
 
@@ -75,8 +75,8 @@ class LolConfig:
             raise ValueError("bad lol config")
         if not (0.0 < self.outer_step <= 1.0):
             raise ValueError("outer_step must be in (0, 1]")
-        if self.local_budget < 0:
-            raise ValueError("local_budget must be nonnegative")
+        if not 0 <= self.local_budget < math.inf:
+            raise ValueError("local_budget must be nonnegative and finite")
 
     def budget(self) -> float:
         return self.local_budget if self.local_budget > 0 else 1.0 / self.subsets
@@ -94,45 +94,46 @@ class SwaConfig:
             raise ValueError("start_epoch must be nonnegative")
 
 
-def _decayable(key: str) -> bool:
-    # weight decay applies to weight matrices only, never to biases or to
-    # normalization affine parameters
-    return key.endswith(".W")
-
-
-def sgd_step(params: ModelParams, grads: dict, state: dict, cfg: SgdConfig,
+def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfig,
              mask: FreezeMask) -> ModelParams:
     """One momentum SGD update, in place on `params` (stacked or not; the
-    update is elementwise).
+    update is elementwise over the trained slices of the flat buffer).
 
     v <- momentum * v + grad (+ weight_decay * param on weight matrices);
     param <- param - lr * v. Frozen groups are left untouched bitwise and
-    their momentum buffers do not accumulate.
+    their momentum buffers do not accumulate. `state` keeps the momentum
+    buffers ("velocity") and a scratch buffer between steps, as params.
     """
-    spec = params.spec
-    for k in params.keys():
-        g = group_of(k, spec)
-        if g == "bn_stats" or not mask.trainable(g):
-            continue
-        grad = grads[k]
-        if cfg.weight_decay > 0 and _decayable(k):
-            grad = grad + cfg.weight_decay * params[k]
-        v = state.get(k)
-        if v is None:
-            v = state[k] = np.zeros_like(params[k])
-        v *= cfg.momentum
-        v += grad
-        params[k] = params[k] - cfg.lr * v
+    plan = _Plan.of(params.spec, mask)
+    p, g = params.flat, grads.flat
+    if "velocity" not in state:
+        state["velocity"] = ModelParams.from_flat(params.spec, np.zeros_like(p))
+        state["scratch"] = ModelParams.from_flat(params.spec, np.empty_like(p))
+    v, t = state["velocity"].flat, state["scratch"].flat
+    for s in plan.runs:
+        v[..., s] *= cfg.momentum
+    if cfg.weight_decay > 0:
+        for s in plan.decay:
+            np.multiply(p[..., s], cfg.weight_decay, out=t[..., s])
+            t[..., s] += g[..., s]
+            v[..., s] += t[..., s]
+    for s in plan.undecayed if cfg.weight_decay > 0 else plan.runs:
+        v[..., s] += g[..., s]
+    for s in plan.runs:
+        p[..., s] -= np.multiply(v[..., s], cfg.lr, out=t[..., s])
     return params
 
 
 def _train_batch(work: ModelParams, X, y, loss: CompositeLoss, cfg: SgdConfig,
                  mask: FreezeMask, state: dict):
     """One SGD step on a batch; returns its loss (an (M,) array of per-run
-    losses for stacked params)."""
+    losses for stacked params). `state` keeps the step's buffers: the
+    gradients ("grads") and those of sgd_step."""
     trace = forward(work, X, mode="train", update_stats=mask.bn_stats)
     breakdown, grad_logits, grad_features = loss(trace, y)
-    grads = backward(work, trace, grad_logits, mask, grad_at_features=grad_features)
+    grads = state["grads"] = backward(work, trace, grad_logits, mask,
+                                      grad_at_features=grad_features,
+                                      out=state.get("grads"))
     del trace, grad_logits, grad_features  # free the activations before the update
     sgd_step(work, grads, state, cfg, mask)
     return breakdown.total
@@ -209,43 +210,37 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
         batches.append(np.array([keep_idx[batch_rng.choice(n_m, size=size, replace=False)]
                                  for _ in range(steps[m])], dtype=np.int64).reshape(-1, size))
 
-    snapshot = params
-    keys = snapshot.keys()
-    local = {k: np.repeat(snapshot[k][None], lol.subsets, axis=0) for k in keys}
+    snapshot, spec = params, params.spec
+    local = np.repeat(snapshot.flat[None], lol.subsets, axis=0)
     losses = [[] for _ in range(lol.subsets)]
     for size in sorted({b.shape[1] for b in batches}):
         runs = [m for m in range(lol.subsets) if batches[m].shape[1] == size]
-        work = ModelParams(snapshot.spec, {k: local[k][runs] for k in keys})
-        state: dict = {}
+        work = ModelParams.from_flat(spec, local[runs])
+        state: dict = {}  # params-shaped buffers of the step, trimmed with `work`
         active = len(runs)
         for s in range(steps[runs[0]]):
             trained = sum(1 for m in runs if steps[m] > s)  # a prefix of `runs`
             if trained < active:
-                for k in keys:
-                    local[k][runs[trained:active]] = work[k][trained:]
-                    work[k] = work[k][:trained]
-                for k in state:
-                    state[k] = state[k][:trained]
+                local[runs[trained:active]] = work.flat[trained:]
+                work = ModelParams.from_flat(spec, work.flat[:trained])
+                state = {k: ModelParams.from_flat(spec, b.flat[:trained])
+                         for k, b in state.items()}
                 active = trained
             idx = np.stack([batches[m][s] for m in runs[:active]])
             batch_losses = _train_batch(work, dataset.X[idx], dataset.y[idx],
                                         loss, cfg, mask, state)
             for m, batch_loss in zip(runs[:active], batch_losses.tolist()):
                 losses[m].append(batch_loss)
-        for k in keys:
-            local[k][runs[:active]] = work[k]
+        local[runs[:active]] = work.flat
     if loss_sink is not None:
         for run_losses in losses:
             loss_sink.extend(run_losses)
-    deltas = {}
-    for k in keys:
-        d = snapshot[k] - local[k]
-        total = d[0]
-        for m in range(1, lol.subsets):  # ascending m, one run at a time
-            total += d[m]
-        deltas[k] = total
+    d = snapshot.flat - local
+    total = d[0]
+    for m in range(1, lol.subsets):  # ascending m, one run at a time
+        total += d[m]
     scale = lol.outer_step / lol.subsets
-    return params_axpy(1.0, snapshot, -scale, ModelParams(snapshot.spec, deltas))
+    return params_axpy(1.0, snapshot, -scale, ModelParams.from_flat(spec, total))
 
 
 def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,

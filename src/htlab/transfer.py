@@ -34,6 +34,7 @@ from .model import (
     FreezeMask,
     MlpSpec,
     ModelParams,
+    _Layout,
     forward,
     group_of,
     init_model,
@@ -141,9 +142,9 @@ class DivergenceError(ArithmeticError):
 
 
 def _check_finite(where: str, epoch: int, params: ModelParams, loss=None):
-    for k in params.keys():
-        if not np.isfinite(params[k]).all():
-            raise DivergenceError(where, epoch, group_of(k, params.spec))
+    if not np.isfinite(params.flat).all():
+        bad = next(k for k in params.keys() if not np.isfinite(params[k]).all())
+        raise DivergenceError(where, epoch, group_of(bad, params.spec))
     if loss is not None and not np.isfinite(loss):
         raise DivergenceError(where, epoch, "loss")
 
@@ -170,16 +171,17 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
     def on_epoch(epoch, work, epoch_loss):
         _check_finite("pretrain", epoch + 1, work, epoch_loss)
 
-    trained, _ = train_sgd(params, scenario.source_train, CompositeLoss(LossSpec()),
-                           cfg, FreezeMask.all_trainable(), rng.derive("pretrain"),
-                           on_epoch=on_epoch)
+    with np.errstate(all="ignore"):  # divergence is reported by DivergenceError alone
+        trained, _ = train_sgd(params, scenario.source_train, CompositeLoss(LossSpec()),
+                               cfg, FreezeMask.all_trainable(), rng.derive("pretrain"),
+                               on_epoch=on_epoch)
     return trained
 
 
 def _check_model(kind: str, params: ModelParams):
     """Reject a protocol with a phase that would change nothing, because the
     model has none of the groups the phase's mask trains."""
-    present = {group_of(k, params.spec) for k in params.keys()}
+    present = set(_Layout.of(params.spec).groups.values())
     for _, mask in _PRESETS[kind].phases:
         trained = [g for g in GROUPS if mask.trainable(g)]
         if not present.intersection(trained):
@@ -223,20 +225,21 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
 
     work = source_params
     epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
-    for i, (label, mask) in enumerate(preset.phases):
-        cfg = replace(protocol.sgd,
-                      epochs=epochs * (i + 1) // n_phases - epochs * i // n_phases)
-        if preset.step == "bn_stats":
-            work, phase_losses = recompute_bn_stats(work, target_train), []
-            on_epoch(0, work)
-        elif preset.step == "lol":
-            work, phase_losses = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
-                                              mask, rng.derive(label), on_round=on_epoch)
-        else:
-            work, phase_losses = train_sgd(work, target_train, loss, cfg, mask,
-                                           rng.derive(label), on_epoch=on_epoch,
-                                           on_step=on_step if fold_per_step else None)
-        loss_curve += phase_losses
+    with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
+        for i, (label, mask) in enumerate(preset.phases):
+            cfg = replace(protocol.sgd,
+                          epochs=epochs * (i + 1) // n_phases - epochs * i // n_phases)
+            if preset.step == "bn_stats":
+                work, phase_losses = recompute_bn_stats(work, target_train), []
+                on_epoch(0, work)
+            elif preset.step == "lol":
+                work, phase_losses = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
+                                                  mask, rng.derive(label), on_round=on_epoch)
+            else:
+                work, phase_losses = train_sgd(work, target_train, loss, cfg, mask,
+                                               rng.derive(label), on_epoch=on_epoch,
+                                               on_step=on_step if fold_per_step else None)
+            loss_curve += phase_losses
 
     if tail is not None:
         final = tail.value()

@@ -15,6 +15,7 @@ from htlab.cli import _worker_env, build_scenario, load_config, main
 from htlab.data import load_scenario
 from htlab.model import load_checkpoint, save_checkpoint
 from htlab.optim import SgdConfig
+from htlab.transfer import DivergenceError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -259,6 +260,77 @@ def test_run_diverged_pretrain_exits_2_naming_it(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     assert re.search(r"runtime failure: pretrain diverged at epoch \d+: non-finite",
                      capsys.readouterr().err)
+
+
+def test_run_diverged_pretrain_prints_no_numpy_warnings(tmp_path):
+    cfg, _ = _write_config(tmp_path, names="naive_ft", seeds="0")
+    _edit(cfg, "[pretrain]\nlr = 0.02", "[pretrain]\nlr = 50")
+    src = os.path.dirname(os.path.dirname(htlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "htlab.cli", "run", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "runtime failure: pretrain diverged" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch):
+    cfg, out = _write_config(tmp_path, names="source_only,naive_ft", seeds="0,1")
+    pretrain = cli.pretrain_source
+
+    def diverge_seed_0(scenario, spec, pre_cfg, rng):
+        if rng.seed == 0:
+            raise DivergenceError("pretrain", 3, "backbone")
+        return pretrain(scenario, spec, pre_cfg, rng)
+
+    monkeypatch.setattr(cli, "pretrain_source", diverge_seed_0)
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED naive_ft seed=0: pretrain diverged at epoch 3: non-finite backbone" in err
+    with open(os.path.join(out, "summary.csv")) as f:
+        rows = [ln.split(",")[:4] for ln in f.read().splitlines()[1:]]
+    assert [(r[0], r[2], r[3]) for r in rows] == [
+        ("FAILED", "source_only", "0"), ("ok", "source_only", "1"),
+        ("FAILED", "naive_ft", "0"), ("ok", "naive_ft", "1")]
+    with open(os.path.join(out, "curves.csv")) as f:
+        assert {ln.split(",")[2] for ln in f.read().splitlines()[1:]} == {"1"}
+    assert not os.path.exists(os.path.join(out, "source_seed0.ckpt"))
+
+
+@pytest.mark.parametrize("names, seeds, env", [
+    ("naive_ft", "0,0", None),
+    ("naive_ft,naive_ft", "0", None),
+    ("naive_ft", "0", "1,1"),
+], ids=["seeds", "protocols", "HTLAB_SEED"])
+def test_run_repeated_seed_or_protocol_exits_1_before_writing(tmp_path, capsys, monkeypatch,
+                                                              names, seeds, env):
+    if env is None:
+        monkeypatch.delenv("HTLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HTLAB_SEED", env)
+    cfg, out = _write_config(tmp_path, names=names, seeds=seeds)
+    assert main(["run", "--config", cfg]) == 1
+    assert "is listed more than once" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("[sgd]\nlr = 0.01", "[sgd]\nlr = nan"),
+    ("[sgd]\nlr = 0.01", "[sgd]\nlr = inf"),
+    ("weight_decay = 0.0005", "weight_decay = inf"),
+    ("[run]", "[lol]\nlocal_budget = nan\n\n[run]"),
+    ("[run]", "[loss]\nlambda_distill = nan\n\n[run]"),
+    ("[run]", "[loss]\nlambda_rank = inf\n\n[run]"),
+    ("k_spectrum = 6", "k_spectrum = -3"),
+], ids=["lr-nan", "lr-inf", "weight_decay-inf", "local_budget-nan", "lambda_distill-nan",
+        "lambda_rank-inf", "k_spectrum-negative"])
+def test_run_non_finite_or_out_of_range_number_exits_1(tmp_path, capsys, old, new):
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    _edit(cfg, old, new)
+    assert main(["run", "--config", cfg]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_run_epoch0_rows_match_source_rows(tmp_path):
@@ -561,7 +633,8 @@ def _rewrite_summary(out, edit):
     (lambda ls: [ls[0]] + [ln.replace("ok,", "FAILED,", 1) for ln in ls[1:]], "no ok rows"),
     (lambda ls: [ls[0].replace(",seen,", ",seem,")] + ls[1:], "header lacks seen"),
     (lambda ls: ls[:1] + [ls[1] + ",0.5"] + ls[2:], "fields, header has"),
-], ids=["no-ok-row", "missing-column", "wide-row"])
+    (lambda ls: ls + ls[1:2], "repeats protocol naive_ft seed 0"),
+], ids=["no-ok-row", "missing-column", "wide-row", "repeated-row"])
 def test_report_rejects_bad_summary_before_writing(tmp_path, capsys, edit, reason):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     assert main(["run", "--config", cfg]) == 0

@@ -61,6 +61,11 @@ def test_ce_rejects_bad_labels():
         cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+def test_ce_rejects_negative_labels():
+    with pytest.raises(ValueError):
+        cross_entropy(np.zeros((2, 3)), np.array([0, -1]))
+
+
 # ------------------------------------------------------------ selective distill
 
 SEEN = np.array([True, True, False, False, False])

@@ -209,7 +209,7 @@ def test_duplicating_batch_preserves_gradients():
     g1 = _analytic_grads(params, X, labels, FreezeMask.all_trainable())
     g2 = _analytic_grads(params, np.vstack([X, X]), np.concatenate([labels, labels]),
                          FreezeMask.all_trainable())
-    for k in g1:
+    for k in g1.keys():
         assert np.max(np.abs(g1[k] - g2[k])) < 1e-14
 
 

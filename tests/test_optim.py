@@ -65,7 +65,7 @@ def test_sgd_step_vanilla_is_plain_descent():
 
 def test_sgd_step_zero_grad_is_noop():
     params = init_model(SPEC, Rng(72))
-    zeros = {k: np.zeros_like(params[k]) for k in params.keys()}
+    zeros = ModelParams(params.spec, {k: np.zeros_like(params[k]) for k in params.keys()})
     before = params.clone()
     sgd_step(params, zeros, {}, SgdConfig(lr=0.5, momentum=0.9, weight_decay=0.0),
              FreezeMask.all_trainable())
@@ -99,7 +99,7 @@ def test_sgd_step_weight_decay_skips_biases_and_norm_affine():
     params["layers.0.b"] += 1.0
     params["bn.0.gamma"] *= 2.0
     params["in_adapter.scale"] *= 3.0
-    zeros = {k: np.zeros_like(params[k]) for k in params.keys()}
+    zeros = ModelParams(params.spec, {k: np.zeros_like(params[k]) for k in params.keys()})
     before = params.clone()
     sgd_step(params, zeros, {}, SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.1),
              FreezeMask.all_trainable())
