@@ -262,7 +262,8 @@ class ForwardTrace:
     X: np.ndarray
     adapter_xhat: Optional[np.ndarray]
     inputs: list            # input to each linear layer
-    pre: list               # linear outputs, before BN
+    pre: list               # linear outputs before BN (None without BN,
+                            # where backward does not need them)
     bn_xhat: list           # normalized pre-activations (None without BN)
     bn_batch_mean: list     # the statistics BN used, shaped (..., 1, h): the
     bn_batch_var: list      # batch's in train mode, the running ones in eval
@@ -312,7 +313,7 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
         inputs.append(a)
         z = a @ v[W]
         z += v[b][_ROW]
-        pre.append(z)
+        pre.append(z if spec.use_batchnorm else None)
         xhat = mb = vb = None
         y = z
         if spec.use_batchnorm:
@@ -335,9 +336,8 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
         bn_xhat.append(xhat)
         bn_mean.append(mb)
         bn_var.append(vb)
-        # the activation overwrites y unless y is z, which the trace keeps
-        into = None if y is z else y
-        a = np.maximum(y, 0.0, out=into) if spec.activation == "relu" else np.tanh(y, out=into)
+        # in place: y is a temporary, or z that the trace does not keep
+        a = np.maximum(y, 0.0, out=y) if spec.activation == "relu" else np.tanh(y, out=y)
         activations.append(a)
 
     inputs.append(a)

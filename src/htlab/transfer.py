@@ -34,7 +34,6 @@ from .model import (
     FreezeMask,
     MlpSpec,
     ModelParams,
-    _Layout,
     forward,
     group_of,
     init_model,
@@ -181,7 +180,7 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
 def _check_model(kind: str, params: ModelParams):
     """Reject a protocol with a phase that would change nothing, because the
     model has none of the groups the phase's mask trains."""
-    present = set(_Layout.of(params.spec).groups.values())
+    present = {group_of(k, params.spec) for k in params.keys()}
     for _, mask in _PRESETS[kind].phases:
         trained = [g for g in GROUPS if mask.trainable(g)]
         if not present.intersection(trained):

@@ -276,13 +276,19 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
 # ------------------------------------------------------------ views and buffer
 
 def _assert_views(params):
-    for k in params.keys():
-        assert np.shares_memory(params.values[k], params.flat), k
-    before = params.flat.copy()
-    params.flat += 1.0
-    for k in params.keys():
-        assert np.array_equal(params[k], params.values[k]), k
-    params.flat[...] = before
+    """Each values[k] views its own slice of the flat buffer, the arrays
+    back to back in sorted-name order: a write to the slice shows in it."""
+    lead, offset = params.flat.shape[:-1], 0
+    for k in sorted(params.values):
+        view = params.values[k]
+        size = int(np.prod(view.shape[len(lead):]))
+        chunk = params.flat[..., offset:offset + size]
+        before = chunk.copy()
+        chunk += 1.0
+        assert np.array_equal(view.reshape(chunk.shape), before + 1.0), k
+        chunk[...] = before
+        offset += size
+    assert offset == params.flat.shape[-1]
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
@@ -314,4 +320,4 @@ def test_clone_is_independent_of_its_source():
     q["layers.0.W"] += 1.0
     q["bn.0.var"] = 7.0
     assert not np.array_equal(p["layers.0.W"], q["layers.0.W"])
-    assert np.all(p["bn.0.var"] == 1.0) and np.all(q.flat[q.flat == 7.0].size == 9)
+    assert np.all(q["bn.0.var"] == 7.0) and np.all(p["bn.0.var"] == 1.0)
