@@ -85,11 +85,12 @@ def accuracy_views(scores: np.ndarray, y: np.ndarray, seen_mask: np.ndarray,
 
 def evaluate(params: ModelParams, target_test: Dataset, seen_mask,
              toxicity: Optional[ToxicityMap] = None,
-             k_spectrum: int = 20) -> EvalReport:
-    """Eval-mode evaluation of a model on the full target test set."""
+             k_spectrum: int = 20, scratch: Optional[dict] = None) -> EvalReport:
+    """Eval-mode evaluation of a model on the full target test set; the
+    forward pass uses the buffers of `scratch` (see model.forward)."""
     if len(target_test) == 0:
         raise ValueError("empty test set")
-    trace = forward(params, target_test.X, mode="eval")
+    trace = forward(params, target_test.X, mode="eval", scratch=scratch)
     views = accuracy_views(trace.logits, target_test.y, seen_mask, toxicity)
     feats = trace.features
     k = min(k_spectrum, feats.shape[0], feats.shape[1])

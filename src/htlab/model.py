@@ -276,13 +276,27 @@ class ForwardTrace:
         return self.activations[-1]
 
 
+def _buffer(scratch: Optional[dict], key, shape: tuple, init=np.empty):
+    """`init(shape)`, made once per (key, shape) and kept in `scratch`.
+    Reusing arrays across steps keeps large temporaries from being
+    allocated, and page-faulted in, on every call."""
+    if scratch is None:
+        return init(shape)
+    buf = scratch.get((key, shape))
+    if buf is None:
+        buf = scratch[key, shape] = init(shape)
+    return buf
+
+
 def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
-            update_stats: bool = True) -> ForwardTrace:
+            update_stats: bool = True, scratch: Optional[dict] = None) -> ForwardTrace:
     """Run the network on X (N x d, or M x N x d with stacked params).
     Train mode normalizes with batch statistics and, if `update_stats`,
     folds them into the running statistics with momentum BN_MOMENTUM (the
     only mutation this module ever performs). Eval mode uses running
-    statistics and is batch-composition independent.
+    statistics and is batch-composition independent. With `scratch`, the
+    per-layer arrays of the trace are its buffers (see _buffer), so the
+    trace is valid until the next call with the same `scratch`.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -311,7 +325,7 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
     for i in range(spec.n_hidden):
         W, b = layout.linear[i]
         inputs.append(a)
-        z = a @ v[W]
+        z = np.matmul(a, v[W], out=_buffer(scratch, ("z", i), a.shape[:-1] + v[b].shape[-1:]))
         z += v[b][_ROW]
         pre.append(z if spec.use_batchnorm else None)
         xhat = mb = vb = None
@@ -321,7 +335,7 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
             if mode == "train":
                 # likewise over the batch
                 mb = z.sum(axis=-2, keepdims=True) / n
-                xhat = z - mb
+                xhat = np.subtract(z, mb, out=_buffer(scratch, ("xhat", i), z.shape))
                 vb = (xhat * xhat).sum(axis=-2, keepdims=True) / n
                 if update_stats:
                     m = spec.bn_momentum
@@ -329,9 +343,9 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
                     v[var][...] = (1 - m) * v[var] + m * vb[..., 0, :]
             else:
                 mb, vb = v[mean][_ROW], v[var][_ROW]
-                xhat = z - mb
+                xhat = np.subtract(z, mb, out=_buffer(scratch, ("xhat", i), z.shape))
             xhat /= np.sqrt(vb + spec.bn_eps)
-            y = v[gamma][_ROW] * xhat
+            y = np.multiply(v[gamma][_ROW], xhat, out=_buffer(scratch, ("y", i), z.shape))
             y += v[beta][_ROW]
         bn_xhat.append(xhat)
         bn_mean.append(mb)
@@ -352,7 +366,7 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
 def backward(params: ModelParams, trace: ForwardTrace,
              grad_at_logits: np.ndarray, mask: FreezeMask,
              grad_at_features: Optional[np.ndarray] = None,
-             out: Optional[ModelParams] = None) -> ModelParams:
+             scratch: Optional[dict] = None) -> ModelParams:
     """Backpropagate loss gradients through a train-mode trace. Returns the
     gradients as params of the same shape; frozen groups and the running
     BN statistics hold exact zeros.
@@ -361,8 +375,9 @@ def backward(params: ModelParams, trace: ForwardTrace,
     `grad_at_features` (optional, same shape as the penultimate features)
     is injected where the features feed the classifier, which is how
     feature-space penalties enter. Only the trained parameters are written,
-    and the pass stops below the lowest of them. `out`, gradients an earlier
-    call returned for the same mask and shape, is overwritten and returned.
+    and the pass stops below the lowest of them. With `scratch`, kept
+    between calls of one mask, the gradients and the temporaries are its
+    buffers, valid until the next call.
     """
     if trace.mode != "train":
         raise ValueError("backward needs a train-mode trace")
@@ -371,8 +386,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
         raise ValueError("grad_at_logits shape mismatch")
     if grad_at_features is not None and grad_at_features.shape != trace.features.shape:
         raise ValueError("grad_at_features shape mismatch")
-    if out is None:
-        out = ModelParams.from_flat(spec, np.zeros_like(params.flat))
+    out = _buffer(scratch, "grads", params.flat.shape,
+                  lambda shape: ModelParams.from_flat(spec, np.zeros(shape)))
     plan, layout = _Plan.of(spec, mask), _Layout.of(spec)
     v, grads = params.values, out.values
     n = trace.X.shape[-2]
@@ -410,7 +425,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
             np.matmul(trace.inputs[i].swapaxes(-1, -2), dz, out=grads[W])
             dz.sum(axis=-2, out=grads[b])
         if below:
-            da = dz @ v[W].swapaxes(-1, -2)
+            da = np.matmul(dz, v[W].swapaxes(-1, -2),
+                           out=_buffer(scratch, ("da", i), dz.shape[:-1] + v[W].shape[-2:-1]))
             if i == spec.n_hidden and grad_at_features is not None:
                 da += grad_at_features
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import CompositeLoss
-from .model import FreezeMask, ModelParams, _Plan, backward, forward, params_axpy
+from .model import FreezeMask, ModelParams, _buffer, _Plan, backward, forward, params_axpy
 from .numkit import Rng
 
 
@@ -102,14 +102,13 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfi
     v <- momentum * v + grad (+ weight_decay * param on weight matrices);
     param <- param - lr * v. Frozen groups are left untouched bitwise and
     their momentum buffers do not accumulate. `state` keeps the momentum
-    buffers ("velocity") and a scratch buffer between steps, as params.
+    buffers, as params under "velocity", and a scratch buffer between steps.
     """
     plan = _Plan.of(params.spec, mask)
     p, g = params.flat, grads.flat
     if "velocity" not in state:
         state["velocity"] = ModelParams.from_flat(params.spec, np.zeros_like(p))
-        state["scratch"] = ModelParams.from_flat(params.spec, np.empty_like(p))
-    v, t = state["velocity"].flat, state["scratch"].flat
+    v, t = state["velocity"].flat, _buffer(state, "update", p.shape)
     for s in plan.runs:
         v[..., s] *= cfg.momentum
     if cfg.weight_decay > 0:
@@ -127,14 +126,12 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfi
 def _train_batch(work: ModelParams, X, y, loss: CompositeLoss, cfg: SgdConfig,
                  mask: FreezeMask, state: dict):
     """One SGD step on a batch; returns its loss (an (M,) array of per-run
-    losses for stacked params). `state` keeps the step's buffers: the
-    gradients ("grads") and those of sgd_step."""
-    trace = forward(work, X, mode="train", update_stats=mask.bn_stats)
+    losses for stacked params). `state` keeps the momentum and the buffers
+    forward, backward and sgd_step reuse from step to step."""
+    trace = forward(work, X, mode="train", update_stats=mask.bn_stats, scratch=state)
     breakdown, grad_logits, grad_features = loss(trace, y)
-    grads = state["grads"] = backward(work, trace, grad_logits, mask,
-                                      grad_at_features=grad_features,
-                                      out=state.get("grads"))
-    del trace, grad_logits, grad_features  # free the activations before the update
+    grads = backward(work, trace, grad_logits, mask, grad_at_features=grad_features,
+                     scratch=state)
     sgd_step(work, grads, state, cfg, mask)
     return breakdown.total
 
@@ -183,12 +180,14 @@ def _round_step_allocation(n: int, cfg: SgdConfig, lol: LolConfig) -> list:
 
 def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rng: Rng,
-                 loss_sink: Optional[list] = None) -> ModelParams:
+                 loss_sink: Optional[list] = None,
+                 scratch: Optional[dict] = None) -> ModelParams:
     """One leave-out round: M local runs from a shared snapshot, averaged
     displacement applied as the outer update. Returns new params.
 
     The runs train stacked (see the module docstring). `loss_sink` gets
-    every local minibatch loss, run by run in ascending m.
+    every local minibatch loss, run by run in ascending m. `scratch` keeps
+    the step's buffers for the next round of the same mask.
     """
     classes = dataset.classes_present()
     if lol.leave_k >= classes.size:
@@ -211,20 +210,22 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                                  for _ in range(steps[m])], dtype=np.int64).reshape(-1, size))
 
     snapshot, spec = params, params.spec
+    state = {} if scratch is None else scratch
     local = np.repeat(snapshot.flat[None], lol.subsets, axis=0)
     losses = [[] for _ in range(lol.subsets)]
     for size in sorted({b.shape[1] for b in batches}):
         runs = [m for m in range(lol.subsets) if batches[m].shape[1] == size]
         work = ModelParams.from_flat(spec, local[runs])
-        state: dict = {}  # params-shaped buffers of the step, trimmed with `work`
+        state.pop("velocity", None)  # each local run starts without momentum
         active = len(runs)
         for s in range(steps[runs[0]]):
             trained = sum(1 for m in runs if steps[m] > s)  # a prefix of `runs`
             if trained < active:
                 local[runs[trained:active]] = work.flat[trained:]
                 work = ModelParams.from_flat(spec, work.flat[:trained])
-                state = {k: ModelParams.from_flat(spec, b.flat[:trained])
-                         for k, b in state.items()}
+                if "velocity" in state:
+                    state["velocity"] = ModelParams.from_flat(
+                        spec, state["velocity"].flat[:trained])
                 active = trained
             idx = np.stack([batches[m][s] for m in runs[:active]])
             batch_losses = _train_batch(work, dataset.X[idx], dataset.y[idx],
@@ -235,7 +236,7 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     if loss_sink is not None:
         for run_losses in losses:
             loss_sink.extend(run_losses)
-    d = snapshot.flat - local
+    d = np.subtract(snapshot.flat, local, out=local)
     total = d[0]
     for m in range(1, lol.subsets):  # ascending m, one run at a time
         total += d[m]
@@ -253,12 +254,12 @@ def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rounds = lol.rounds if lol.rounds > 0 else cfg.epochs
-    work = params
+    work, scratch = params, {}
     curve = []
     for r in range(rounds):
         sink: list = []
         work = lolsgd_round(work, dataset, loss, cfg, lol, mask,
-                            rng.derive(f"round-{r}"), loss_sink=sink)
+                            rng.derive(f"round-{r}"), loss_sink=sink, scratch=scratch)
         curve.append(float(np.mean(sink)) if sink else float("nan"))
         if on_round is not None:
             on_round(r, work, curve[-1])

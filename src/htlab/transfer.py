@@ -203,8 +203,10 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     fold_per_epoch = tail is not None and swa.cadence == "per_epoch"
     fold_per_step = tail is not None and swa.cadence == "per_iteration"
 
+    scratch: dict = {}  # the evaluation forward's buffers, reused every epoch
+
     def report(params: ModelParams) -> EvalReport:
-        return evaluate(params, target_test, seen_mask, toxicity, k_spectrum)
+        return evaluate(params, target_test, seen_mask, toxicity, k_spectrum, scratch)
 
     _check_finite(protocol.kind, 0, source_params)
     curve = [report(source_params)]  # one entry per finished epoch after this
