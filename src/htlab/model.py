@@ -130,10 +130,11 @@ def group_of(key: str, spec: MlpSpec) -> str:
 
 class _Layout:
     """Where each parameter of a spec lives in the flat buffer: its slice,
-    shape and group, in sorted-name order; and the names per layer."""
+    shape and group, in sorted-name order; the names per layer; and the
+    plan of each freeze mask used so far."""
 
     def __init__(self, spec: MlpSpec):
-        w = spec.layer_widths
+        w, self.spec, self.plans = spec.layer_widths, spec, {}
         self.linear = [(f"layers.{i}.W", f"layers.{i}.b") for i in range(spec.n_linear)]
         self.bn = [tuple(f"bn.{i}.{p}" for p in ("gamma", "beta", "mean", "var"))
                    for i in range(spec.n_hidden if spec.use_batchnorm else 0)]
@@ -155,6 +156,12 @@ class _Layout:
     def of(spec: MlpSpec) -> "_Layout":
         return _Layout(spec)
 
+    def plan(self, mask: "FreezeMask") -> "_Plan":
+        plan = self.plans.get(mask)
+        if plan is None:
+            plan = self.plans[mask] = _Plan(self, mask)
+        return plan
+
 
 def _runs(layout: _Layout, keys) -> list:
     """The slices of `keys`, adjacent ones merged."""
@@ -173,8 +180,8 @@ class _Plan:
     layer i gets gradients; bn, adapter: the BN affine and adapter
     parameters do; lowest: the lowest hidden layer backward has to reach."""
 
-    def __init__(self, spec: MlpSpec, mask: FreezeMask):
-        layout = _Layout.of(spec)
+    def __init__(self, layout: _Layout, mask: FreezeMask):
+        spec = layout.spec
         keys = [k for k in layout.keys
                 if layout.groups[k] != "bn_stats" and mask.trainable(layout.groups[k])]
         self.runs = _runs(layout, keys)
@@ -185,11 +192,6 @@ class _Plan:
         self.adapter = spec.use_in_adapter and mask.in_adapter
         trained = [i for i in range(spec.n_hidden) if self.train[i]]
         self.lowest = 0 if self.bn or self.adapter else min(trained, default=spec.n_hidden)
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def of(spec: MlpSpec, mask: FreezeMask) -> "_Plan":
-        return _Plan(spec, mask)
 
 
 class ModelParams:
@@ -217,7 +219,7 @@ class ModelParams:
         layout = _Layout.of(spec)
         if flat.dtype != np.float64 or flat.shape[-1:] != (layout.size,):
             raise ValueError(f"a buffer for this spec is f64 with {layout.size} columns")
-        self.spec, self.flat, lead = spec, flat, flat.shape[:-1]
+        self.spec, self.flat, self.layout, lead = spec, flat, layout, flat.shape[:-1]
         self.values = {k: flat[..., layout.slices[k]].reshape(lead + layout.shapes[k])
                        for k in layout.keys}
 
@@ -225,7 +227,7 @@ class ModelParams:
         return ModelParams.from_flat, (self.spec, self.flat)
 
     def keys(self):
-        return list(_Layout.of(self.spec).keys)
+        return list(self.layout.keys)
 
     def clone(self) -> "ModelParams":
         return ModelParams.from_flat(self.spec, self.flat.copy())
@@ -309,7 +311,7 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
         raise ValueError("empty batch")
     if params.flat.shape[:-1] != X.shape[:-2]:
         raise ValueError("X and the params must have the same leading run axis")
-    layout, v = _Layout.of(spec), params.values
+    layout, v = params.layout, params.values
 
     adapter_xhat = None
     a = X
@@ -388,20 +390,21 @@ def backward(params: ModelParams, trace: ForwardTrace,
         raise ValueError("grad_at_features shape mismatch")
     out = _buffer(scratch, "grads", params.flat.shape,
                   lambda shape: ModelParams.from_flat(spec, np.zeros(shape)))
-    plan, layout = _Plan.of(spec, mask), _Layout.of(spec)
+    layout = params.layout
+    plan = layout.plan(mask)
     v, grads = params.values, out.values
-    n = trace.X.shape[-2]
+    n, top = trace.X.shape[-2], spec.n_hidden
 
-    # from the classifier (i = n_hidden) down to the lowest layer the mask
+    # from the classifier (i = top) down to the lowest layer the mask
     # trains; dz is the gradient at layer i's linear output
     dz = grad_at_logits
-    for i in range(spec.n_hidden, plan.lowest - 1, -1):
+    for i in range(top, plan.lowest - 1, -1):
         below = i > plan.lowest or plan.adapter  # the gradient goes on through layer i
-        if i < spec.n_hidden:
+        if i < top:
             act = trace.activations[i]
             dz = da  # in place from here: relu's subgradient is 0 at 0
             dz *= (act > 0) if spec.activation == "relu" else 1.0 - act**2
-        if i < spec.n_hidden and spec.use_batchnorm:
+        if i < top and spec.use_batchnorm:
             gamma, beta, _, _ = layout.bn[i]
             xhat, vb, mb = trace.bn_xhat[i], trace.bn_batch_var[i], trace.bn_batch_mean[i]
             if plan.bn:
@@ -427,7 +430,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
         if below:
             da = np.matmul(dz, v[W].swapaxes(-1, -2),
                            out=_buffer(scratch, ("da", i), dz.shape[:-1] + v[W].shape[-2:-1]))
-            if i == spec.n_hidden and grad_at_features is not None:
+            if i == top and grad_at_features is not None:
                 da += grad_at_features
 
     if plan.adapter:
@@ -481,7 +484,7 @@ def params_axpy(a: float, p1: ModelParams, b: float, p2: ModelParams) -> ModelPa
     if not p1.same_spec(p2):
         raise ValueError("parameter spec mismatch")
     flat = a * p1.flat + b * p2.flat
-    for s in _Layout.of(p1.spec).variances:
+    for s in p1.layout.variances:
         np.maximum(flat[..., s], 0.0, out=flat[..., s])
     return ModelParams.from_flat(p1.spec, flat)
 

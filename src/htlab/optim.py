@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import CompositeLoss
-from .model import FreezeMask, ModelParams, _buffer, _Plan, backward, forward, params_axpy
+from .model import FreezeMask, ModelParams, _buffer, backward, forward, params_axpy
 from .numkit import Rng
 
 
@@ -104,21 +104,23 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfi
     their momentum buffers do not accumulate. `state` keeps the momentum
     buffers, as params under "velocity", and a scratch buffer between steps.
     """
-    plan = _Plan.of(params.spec, mask)
+    plan = params.layout.plan(mask)
     p, g = params.flat, grads.flat
     if "velocity" not in state:
         state["velocity"] = ModelParams.from_flat(params.spec, np.zeros_like(p))
     v, t = state["velocity"].flat, _buffer(state, "update", p.shape)
+    decay = cfg.weight_decay > 0
     for s in plan.runs:
         v[..., s] *= cfg.momentum
-    if cfg.weight_decay > 0:
-        for s in plan.decay:
+        if decay:  # t <- grad + weight_decay * param on weight matrices, grad elsewhere
             np.multiply(p[..., s], cfg.weight_decay, out=t[..., s])
-            t[..., s] += g[..., s]
-            v[..., s] += t[..., s]
-    for s in plan.undecayed if cfg.weight_decay > 0 else plan.runs:
-        v[..., s] += g[..., s]
+    for s in plan.decay if decay else ():
+        t[..., s] += g[..., s]
+    for s in plan.undecayed if decay else ():
+        t[..., s] = g[..., s]
+    grad = t if decay else g
     for s in plan.runs:
+        v[..., s] += grad[..., s]
         p[..., s] -= np.multiply(v[..., s], cfg.lr, out=t[..., s])
     return params
 
