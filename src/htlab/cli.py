@@ -30,12 +30,16 @@ the output directory (source_seed<seed>.ckpt); every protocol for that seed
 starts from the same file. The checkpoint header holds a key hashing the
 cache format version, the scenario id, the source training data, the model
 spec, the [pretrain] settings and the seed; a checkpoint with another key,
-or none, is retrained and overwritten, with a note on stderr.
+or none, is retrained and overwritten, with a note on stderr; so is a
+file that is not a whole checkpoint. A checkpoint is written beside its
+name and renamed over it, so a run killed while writing leaves no partial
+file under the name.
 
 Independent (protocol, seed) cells may run in min(N, cells) spawned
-worker processes (--jobs N). Each worker receives the scenario and the
-source params once, and each task carries only (protocol, seed). Workers
-start with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
+worker processes (--jobs N). The workers start together; once spawned,
+each reads the scenario and the source params once from a queue, and each
+task carries only (protocol, seed). Workers start with
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
 max(1, usable CPUs // workers), unless the caller set them. Rows are merged
 in configured order, so the output is byte-identical to --jobs 1.
 """
@@ -64,7 +68,8 @@ from .data import (
 )
 from .losses import LossSpec
 from .metrics import aggregate_seeds, evaluate, report_from_scores
-from .model import MlpSpec, StaleCheckpoint, load_checkpoint, save_checkpoint
+from .model import (BadCheckpoint, MlpSpec, StaleCheckpoint, load_checkpoint,
+                    save_checkpoint)
 from .numkit import Rng
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
@@ -244,6 +249,11 @@ def _share(scenario, sources: dict, k_spectrum: int):
     _SHARED.update(scenario=scenario, sources=sources, k_spectrum=k_spectrum)
 
 
+def _share_from(queue):
+    """Pool worker initializer: _share the state the parent puts on `queue`."""
+    _share(*queue.get())
+
+
 def _cell(task):
     """One (protocol, seed) cell over the _SHARED state; module-level so
     worker processes can run it."""
@@ -287,7 +297,7 @@ def _added_env(env: dict):
 def _run_cells(tasks: list, jobs: int, shared: tuple) -> list:
     """The TransferRun of each task, or the exception it raised, in task
     order. With more than one worker the cells run in spawned processes that
-    each receive `shared` once; otherwise they run here."""
+    each read `shared` once from a queue; otherwise they run here."""
     def attempt(call, *args):
         try:
             return call(*args)
@@ -303,12 +313,23 @@ def _run_cells(tasks: list, jobs: int, shared: tuple) -> list:
             _SHARED.clear()
     # spawned, not forked: a forked child keeps the BLAS thread pool the
     # parent already started, whatever the environment says
+    spawn = multiprocessing.get_context("spawn")
+    # the shared state goes over a queue, not in initargs: initargs travel
+    # in each worker's bootstrap pipe, and past the pipe's capacity `submit`
+    # blocks until that worker has imported htlab, so workers start in turn
+    queue = spawn.Queue()
     with (_added_env(_worker_env(os.environ, jobs, len(tasks), _usable_cpus())),
-          ProcessPoolExecutor(max_workers=workers,
-                              mp_context=multiprocessing.get_context("spawn"),
-                              initializer=_share, initargs=shared) as pool):
+          ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
+                              initializer=_share_from, initargs=(queue,)) as pool):
         futures = [pool.submit(_cell, t) for t in tasks]
-        return [attempt(f.result) for f in futures]
+        for _ in range(workers):
+            queue.put(shared)
+        try:
+            return [attempt(f.result) for f in futures]
+        finally:
+            # an item a dead worker never read must not hold up our exit
+            queue.close()
+            queue.cancel_join_thread()
 
 
 def _fields(rep, k: int) -> list:
@@ -349,6 +370,8 @@ def cmd_run(args) -> int:
             except StaleCheckpoint:
                 print(f"note: {ckpt} was pretrained under another configuration; "
                       f"retraining it", file=sys.stderr)
+            except BadCheckpoint as e:
+                print(f"note: {e}; retraining it", file=sys.stderr)
         try:
             sources[seed] = pretrain_source(scenario, spec, cfg["pretrain"],
                                             Rng(seed).derive("source"))
@@ -442,12 +465,15 @@ def _parse_summary(path: str) -> list:
     if missing:
         raise ConfigError(f"{path}: header lacks {', '.join(missing)}")
     rows = []
+    seen = set()
     for n, fields in lines[1:]:
         if len(fields) != len(header):
             raise ConfigError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
         row = dict(zip(header, fields))
-        if any((r["protocol"], r["seed"]) == (row["protocol"], row["seed"]) for r in rows):
-            raise ConfigError(f"{path}:{n}: repeats protocol {row['protocol']} seed {row['seed']}")
+        cell = (row["protocol"], row["seed"])
+        if cell in seen:
+            raise ConfigError(f"{path}:{n}: repeats protocol {cell[0]} seed {cell[1]}")
+        seen.add(cell)
         rows.append(row)
     ok = [r for r in rows if r["status"] == "ok"]
     if not ok:

@@ -33,6 +33,8 @@ those of that call.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -491,6 +493,11 @@ def params_axpy(a: float, p1: ModelParams, b: float, p2: ModelParams) -> ModelPa
 
 # ----------------------------------------------------------- checkpoint I/O
 
+class BadCheckpoint(ValueError):
+    """A file that is not a whole, well-formed checkpoint; the message names
+    the file and what is wrong with it."""
+
+
 class StaleCheckpoint(ValueError):
     """A checkpoint whose header lacks the cache key asked for, or holds
     another one."""
@@ -516,53 +523,85 @@ def save_checkpoint(params: ModelParams, path: str, key: Optional[str] = None):
         shape = "x".join(str(s) for s in layout.shapes[k])
         lines.append(f"array = {k} {layout.slices[k].start} {shape}")
     lines.append("end")
-    with open(path, "wb") as f:
-        f.write(("\n".join(lines) + "\n").encode("ascii"))
-        f.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
+    # written beside `path` and renamed over it, so a write cut short never
+    # leaves a partial checkpoint under the name
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(("\n".join(lines) + "\n").encode("ascii"))
+            f.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str, key: Optional[str] = None) -> ModelParams:
-    """The params a checkpoint holds. With `key`, a checkpoint written
-    under another key, or under none, raises StaleCheckpoint."""
+    """The params a checkpoint holds. A file that is not a whole, well-formed
+    checkpoint raises BadCheckpoint; with `key`, a checkpoint written under
+    another key, or under none, raises StaleCheckpoint."""
     with open(path, "rb") as f:
         raw = f.read()
-    head_end = raw.index(b"end\n") + 4
-    lines = raw[:head_end].decode("ascii").splitlines()
+
+    def bad(what):
+        return BadCheckpoint(f"{path}: {what}")
+
+    end = raw.find(b"\nend\n")
+    if end < 0:
+        raise bad("no end line; the file is cut short or not a checkpoint")
+    head_end = end + len(b"\nend\n")
+    try:
+        lines = raw[:head_end].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise bad("header is not ASCII") from None
     if lines[0] != "htlab-checkpoint v1":
-        raise ValueError("not an htlab checkpoint")
+        raise bad("not an htlab checkpoint")
     meta = {}
     arrays = []
     for line in lines[1:-1]:
-        k, v = line.split(" = ", 1)
-        if k == "array":
-            name, offset, shape = v.split(" ")
-            arrays.append((name, int(offset), tuple(int(s) for s in shape.split("x"))))
-        else:
-            meta[k] = v
+        k, sep, v = line.partition(" = ")
+        try:
+            if not sep:
+                raise ValueError
+            if k == "array":
+                name, offset, shape = v.split(" ")
+                arrays.append((name, int(offset), tuple(int(s) for s in shape.split("x"))))
+            else:
+                meta[k] = v
+        except ValueError:
+            raise bad(f"malformed header line {line!r}") from None
     if key is not None and meta.get("key") != key:
         raise StaleCheckpoint(f"{path} holds cache key {meta.get('key')}, not {key}")
-    spec = MlpSpec(
-        layer_widths=tuple(int(w) for w in meta["widths"].split(",")),
-        activation=meta["activation"],
-        use_batchnorm=bool(int(meta["batchnorm"])),
-        use_in_adapter=bool(int(meta["in_adapter"])),
-        bn_eps=float(meta.get("bn_eps", BN_EPS)),
-        bn_momentum=float(meta.get("bn_momentum", BN_MOMENTUM)),
-    )
+    missing = [k for k in ("widths", "activation", "batchnorm", "in_adapter")
+               if k not in meta]
+    if missing:
+        raise bad(f"header lacks {', '.join(missing)}")
+    try:
+        spec = MlpSpec(
+            layer_widths=tuple(int(w) for w in meta["widths"].split(",")),
+            activation=meta["activation"],
+            use_batchnorm=bool(int(meta["batchnorm"])),
+            use_in_adapter=bool(int(meta["in_adapter"])),
+            bn_eps=float(meta.get("bn_eps", BN_EPS)),
+            bn_momentum=float(meta.get("bn_momentum", BN_MOMENTUM)),
+        )
+    except ValueError as e:
+        raise bad(f"bad spec in header: {e}") from None
     # the header must declare the spec's arrays, back to back in its order
     layout = _Layout.of(spec)
     if [(name, shape) for name, _, shape in arrays] != \
             [(k, layout.shapes[k]) for k in layout.keys]:
-        raise ValueError("checkpoint arrays do not match the declared spec")
+        raise bad("arrays do not match the declared spec")
     for name, offset, _ in arrays:
         if offset != layout.slices[name].start:
-            raise ValueError(f"checkpoint array {name} declares offset {offset}, "
-                             f"expected {layout.slices[name].start}")
+            raise bad(f"array {name} declares offset {offset}, "
+                      f"expected {layout.slices[name].start}")
     if len(raw) - head_end != 8 * layout.size:
-        raise ValueError(f"checkpoint payload is {len(raw) - head_end} bytes, "
-                         f"its header declares {8 * layout.size}")
+        raise bad(f"payload is {len(raw) - head_end} bytes, "
+                  f"its header declares {8 * layout.size}")
     params = ModelParams.from_flat(spec, np.frombuffer(raw, "<f8", offset=head_end)
                                    .astype(np.float64))
     if any(np.any(params.flat[s] < 0) for s in layout.variances):
-        raise ValueError("negative running variance")
+        raise bad("negative running variance")
     return params

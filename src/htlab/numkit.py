@@ -11,7 +11,9 @@ counter-based bit generator keyed by an explicit ``(seed, stream)`` pair of
 derived by hashing ``(seed, stream, tag)`` with BLAKE2b into a fresh stream
 id, which makes derivation order-independent and collision-resistant.
 The Philox generator itself is built on an Rng's first draw, because many
-derived Rngs only ever derive.
+derived Rngs only ever derive; its key is handed over as a seed sequence
+(:class:`_PhiloxKey`), since ``Philox(key=...)`` first draws OS entropy for
+a default seed sequence it then discards.
 
 Test vectors for the pinned generator (``Rng(seed=3, stream=7)``):
 
@@ -38,6 +40,19 @@ def _tag_to_bytes(tag) -> bytes:
     raise TypeError(f"rng tag must be int or str, got {type(tag).__name__}")
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Seed sequence whose state is the Philox key (seed, stream) itself:
+    Philox(_PhiloxKey(s, t)) draws what Philox(key=[s, t]) draws."""
+
+    def __init__(self, seed: int, stream: int):
+        self.key = np.array([seed, stream], dtype=_U64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != _U64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self.key
+
+
 class Rng:
     """Counter-based RNG keyed by (seed, stream), splittable via derive()."""
 
@@ -50,7 +65,7 @@ class Rng:
     def _gen(self) -> np.random.Generator:
         if self._generator is None:
             self._generator = np.random.Generator(
-                np.random.Philox(key=np.array([self.seed, self.stream], dtype=_U64)))
+                np.random.Philox(_PhiloxKey(self.seed, self.stream)))
         return self._generator
 
     def derive(self, tag) -> "Rng":

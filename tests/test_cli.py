@@ -1,10 +1,12 @@
 import glob
 import importlib.util
 import json
+import multiprocessing.queues
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -178,8 +180,15 @@ def test_run_rerun_byte_identical(tmp_path):
     assert _read(os.path.join(out, "curves.csv")) == first_curves
 
 
-def test_run_parallel_matches_sequential(tmp_path):
+def test_run_parallel_matches_sequential(tmp_path, monkeypatch):
     cfg, _ = _write_config(tmp_path)
+    pools = []
+
+    def recording_pool(**kwargs):
+        pools.append(kwargs)
+        return ProcessPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
     environ = dict(os.environ)
     outputs = {}
     for jobs in ("1", "2"):
@@ -189,6 +198,11 @@ def test_run_parallel_matches_sequential(tmp_path):
         outputs[jobs] = [_read(os.path.join(out, name))
                          for name in ("curves.csv", "summary.csv")]
     assert outputs["2"] == outputs["1"]
+    # --jobs 1 builds no pool; the workers of --jobs 2 get only the queue
+    # that carries the scenario and the source params, not the state itself
+    [pool] = pools
+    (queue,) = pool["initargs"]
+    assert isinstance(queue, multiprocessing.queues.Queue)
 
 
 def test_run_parallel_isolates_failing_cells(tmp_path, capsys):
@@ -209,13 +223,15 @@ def test_run_parallel_isolates_failing_cells(tmp_path, capsys):
 
 def test_run_parallel_as_a_module_process(tmp_path):
     # spawned workers re-import the main module, so `python -m htlab.cli`
-    # must have no side effects at import
+    # must have no side effects at import; 4 cells give 4 workers, likely
+    # more than the cores, and a worker left without the shared state would
+    # hang the run past the timeout
     cfg, out = _write_config(tmp_path, seeds="0,1")
     src = os.path.dirname(os.path.dirname(htlab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "htlab.cli", "run", "--config", cfg,
-                           "--jobs", "2"], env=env, capture_output=True, text=True,
+                           "--jobs", "4"], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "4/4 runs completed" in proc.stdout
@@ -275,7 +291,9 @@ def test_run_diverged_pretrain_prints_no_numpy_warnings(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch, jobs):
+    # at --jobs 2 the DivergenceError reaches the workers with the sources
     cfg, out = _write_config(tmp_path, names="source_only,naive_ft", seeds="0,1")
     pretrain = cli.pretrain_source
 
@@ -285,7 +303,7 @@ def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch
         return pretrain(scenario, spec, pre_cfg, rng)
 
     monkeypatch.setattr(cli, "pretrain_source", diverge_seed_0)
-    assert main(["run", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 2
     err = capsys.readouterr().err
     assert "FAILED naive_ft seed=0: pretrain diverged at epoch 3: non-finite backbone" in err
     with open(os.path.join(out, "summary.csv")) as f:
@@ -449,6 +467,30 @@ def test_source_cache_retrains_a_stale_checkpoint(tmp_path, capsys, change):
     assert main(["run", "--config", cfg, "--out", fresh]) == 0
     for name in ("source_seed0.ckpt", "curves.csv", "summary.csv"):
         assert _read(os.path.join(out, name)) == _read(os.path.join(fresh, name)), name
+
+
+@pytest.mark.parametrize("cut", [
+    lambda raw: b"",
+    lambda raw: raw[:raw.index(b"\nend\n") - 7],
+    lambda raw: raw[:raw.index(b"\nend\n") + 5],
+    lambda raw: raw[:-3],
+], ids=["empty", "inside-header", "no-payload", "short-payload"])
+def test_source_cache_retrains_a_truncated_checkpoint(tmp_path, capsys, cut):
+    # what a run killed while writing its checkpoint used to leave behind
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    fresh = str(tmp_path / "fresh")
+    assert main(["run", "--config", cfg, "--out", fresh]) == 0
+    ckpt = os.path.join(out, "source_seed0.ckpt")
+    os.makedirs(out)
+    with open(ckpt, "wb") as f:
+        f.write(cut(_read(os.path.join(fresh, "source_seed0.ckpt"))))
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    assert err.count("note:") == 1 and f"note: {ckpt}: " in err and "retraining it" in err
+    for name in ("source_seed0.ckpt", "curves.csv", "summary.csv"):
+        assert _read(os.path.join(out, name)) == _read(os.path.join(fresh, name)), name
+    assert sorted(os.listdir(out)) == ["curves.csv", "source_seed0.ckpt", "summary.csv"]
 
 
 def test_source_cache_loads_an_unchanged_config(tmp_path, capsys, monkeypatch):

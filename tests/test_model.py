@@ -1,9 +1,16 @@
+import os
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import htlab.model as model
 from htlab.data import Dataset
 from htlab.model import (
     BN_EPS,
+    BadCheckpoint,
     FreezeMask,
     MlpSpec,
     ModelParams,
@@ -447,6 +454,70 @@ def test_checkpoint_rejects_overlapping_offsets(tmp_path):
         f.write(b"\n".join(lines) + raw[head_end:])
     with pytest.raises(ValueError, match="declares offset 0, expected"):
         load_checkpoint(path)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bn=st.booleans(), ina=st.booleans(), seed=st.integers(0, 2**32),
+       key=st.none() | st.text("0123456789abcdef", min_size=1, max_size=32),
+       data=st.data())
+def test_checkpoint_round_trips_and_any_truncation_is_bad(tmp_path, bn, ina, seed, key,
+                                                          data):
+    p = init_model(_spec(bn=bn, ina=ina), Rng(seed))
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(p, path, key)
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    q = load_checkpoint(path, key)
+    assert q.spec == p.spec and q.flat.tobytes() == p.flat.tobytes()
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(BadCheckpoint, match=re.escape(path)):
+        load_checkpoint(path, key)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda raw: b"", "no end line"),
+    (lambda raw: raw.replace(b"\nend\n", b"\nen"), "no end line"),
+    (lambda raw: raw.replace(b"htlab-checkpoint v1", b"htlab-checkpoint v0"),
+     "not an htlab checkpoint"),
+    (lambda raw: raw.replace(b"activation = ", b"activation "), "malformed header line"),
+    (lambda raw: raw.replace(b" 52 5x6", b" 52 5by6"), "malformed header line"),
+    (lambda raw: re.sub(rb"widths = [0-9,]*\n", b"", raw), "header lacks widths"),
+    (lambda raw: raw.replace(b"batchnorm = 1", b"batchnorm = yes"), "bad spec in header"),
+    (lambda raw: raw[:-8], "payload is"),
+], ids=["empty", "cut-end-line", "magic", "no-separator", "bad-shape", "no-widths",
+        "bad-flag", "short-payload"])
+def test_checkpoint_errors_name_the_file_and_the_fault(tmp_path, edit, reason):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(init_model(_spec(bn=True), Rng(47)), path)
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(edit(raw))
+    with pytest.raises(BadCheckpoint, match=f"^{re.escape(path)}: {reason}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_save_cut_short_keeps_the_old_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(init_model(_spec(), Rng(48)), path)
+    with open(path, "rb") as f:
+        before = f.read()
+    other = init_model(_spec(), Rng(49))
+
+    def killed(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    # the header is written by now; the payload never is
+    monkeypatch.setattr(model.np, "ascontiguousarray", killed)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(other, path)
+    monkeypatch.undo()
+    with open(path, "rb") as f:
+        assert f.read() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_corrupt_shapes(tmp_path):

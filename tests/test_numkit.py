@@ -235,6 +235,27 @@ def test_rng_pinned_test_vectors():
     ]
 
 
+@pytest.mark.parametrize("seed, stream", [
+    (0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (3, 7),
+    (123456789, 2**63),
+])
+def test_rng_streams_equal_philox_keyed_directly(seed, stream):
+    # Rng hands Philox its key as a seed sequence; every draw helper must
+    # see the stream Philox(key=[seed, stream]) gives
+    def draws(gen):
+        return [gen.integers(0, 2**64, size=5, dtype=np.uint64),
+                gen.standard_normal(7), gen.integers(-4, 9, size=6),
+                gen.choice(50, size=10, replace=False), gen.permutation(23)]
+
+    want = draws(np.random.Generator(
+        np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))))
+    rng = Rng(seed, stream)
+    got = [rng.u64(5), rng.standard_normal(7), rng.integers(-4, 9, size=6),
+           rng.choice(50, 10), rng.permutation(23)]
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
 def test_rng_derive_is_deterministic_and_tag_sensitive():
     root = Rng(7)
     a1 = root.derive("alpha")
