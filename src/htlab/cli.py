@@ -35,10 +35,14 @@ file that is not a whole checkpoint. A checkpoint is written beside its
 name and renamed over it, so a run killed while writing leaves no partial
 file under the name.
 
-Independent (protocol, seed) cells may run in min(N, cells) spawned
-worker processes (--jobs N). The workers start together; once spawned,
+When the cells run in one process (min(N, cells) == 1 for --jobs N), a
+protocol and all its seeds are one task, and the seeds of an SGD-trained
+protocol train stacked (see transfer.run_protocol); a seed that fails
+leaves its stack-mates' rows as they would be without it. Otherwise the
+independent (protocol, seed) cells run in min(N, cells) spawned worker
+processes, one cell per task. The workers start together; once spawned,
 each reads the scenario and the source params once from a queue, and each
-task carries only (protocol, seed). Workers start with
+task carries only its protocol and seed. Workers start with
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
 max(1, usable CPUs // workers), unless the caller set them. Rows are merged
 in configured order, so the output is byte-identical to --jobs 1.
@@ -67,7 +71,7 @@ from .data import (
     save_scenario,
 )
 from .losses import LossSpec
-from .metrics import aggregate_seeds, evaluate, report_from_scores
+from .metrics import ViewMasks, aggregate_seeds, evaluate, report_from_scores
 from .model import (BadCheckpoint, MlpSpec, StaleCheckpoint, load_checkpoint,
                     save_checkpoint)
 from .numkit import Rng
@@ -255,16 +259,23 @@ def _share_from(queue):
 
 
 def _cell(task):
-    """One (protocol, seed) cell over the _SHARED state; module-level so
-    worker processes can run it."""
-    protocol, seed = task
-    scenario, source = _SHARED["scenario"], _SHARED["sources"][seed]
-    if isinstance(source, DivergenceError):  # the seed's pretrain failed
-        raise source
-    return run_protocol(scenario.target_train, scenario.target_test,
-                        scenario.seen_mask, source, protocol, seed,
-                        toxicity=scenario.toxicity, k_spectrum=_SHARED["k_spectrum"],
-                        scenario_id=scenario.scenario_id)
+    """The runs of one task, a protocol and the seeds it covers, over the
+    _SHARED state: per seed its TransferRun or the exception it failed
+    with. Module-level so worker processes can run it."""
+    protocol, seeds = task
+    scenario, sources = _SHARED["scenario"], _SHARED["sources"]
+    # a seed whose pretrain diverged has that error in place of a source
+    trained = [s for s in seeds if not isinstance(sources[s], DivergenceError)]
+    try:
+        runs = run_protocol(scenario.target_train, scenario.target_test,
+                            scenario.seen_mask, [sources[s] for s in trained], protocol,
+                            trained, toxicity=scenario.toxicity,
+                            k_spectrum=_SHARED["k_spectrum"],
+                            scenario_id=scenario.scenario_id)
+    except Exception as e:  # noqa: BLE001 - fails every seed it trains
+        runs = [e] * len(trained)
+    done = dict(zip(trained, runs))
+    return [done.get(s, sources[s]) for s in seeds]
 
 
 def _usable_cpus() -> int:
@@ -294,10 +305,10 @@ def _added_env(env: dict):
             os.environ.pop(var, None)
 
 
-def _run_cells(tasks: list, jobs: int, shared: tuple) -> list:
-    """The TransferRun of each task, or the exception it raised, in task
-    order. With more than one worker the cells run in spawned processes that
-    each read `shared` once from a queue; otherwise they run here."""
+def _run_tasks(tasks: list, jobs: int, shared: tuple) -> list:
+    """The result of each task, or the exception it raised, in task order.
+    With more than one worker the tasks run in spawned processes that each
+    read `shared` once from a queue; otherwise they run here."""
     def attempt(call, *args):
         try:
             return call(*args)
@@ -330,6 +341,26 @@ def _run_cells(tasks: list, jobs: int, shared: tuple) -> list:
             # an item a dead worker never read must not hold up our exit
             queue.close()
             queue.cancel_join_thread()
+
+
+def _run_cells(cells: list, jobs: int, shared: tuple) -> list:
+    """The TransferRun of each (protocol, seed) cell, or the exception it
+    failed with, in cell order. When the cells run in one process a task is
+    a protocol with all its seeds, which then train stacked; with more
+    workers each cell is a task of its own."""
+    if min(jobs, len(cells)) == 1:
+        seeds: dict = {}  # protocol -> its seeds, in cell order
+        for protocol, seed in cells:
+            seeds.setdefault(protocol, []).append(seed)
+        tasks = [(protocol, tuple(s)) for protocol, s in seeds.items()]
+    else:
+        tasks = [(protocol, (seed,)) for protocol, seed in cells]
+    done = {}
+    for (protocol, task_seeds), runs in zip(tasks, _run_tasks(tasks, jobs, shared)):
+        for j, seed in enumerate(task_seeds):
+            # a task that failed as a whole fails each of its cells
+            done[protocol, seed] = runs if isinstance(runs, Exception) else runs[j]
+    return [done[c] for c in cells]
 
 
 def _fields(rep, k: int) -> list:
@@ -399,6 +430,8 @@ def cmd_run(args) -> int:
                         + _fields(rep, sv_count))
 
     failed = []
+    # the test set's masks, for the ensemble rows
+    masks = ViewMasks(scenario.target_test.y, scenario.seen_mask, scenario.toxicity)
     for (proto, seed), run in zip(cells, runs):
         if isinstance(run, Exception):
             failed.append((proto.kind, seed, str(run)))
@@ -414,12 +447,12 @@ def cmd_run(args) -> int:
             probs = se_predict(src, run.final_params, scenario.target_test.X,
                                ENSEMBLE_ALPHA)
             se_rep = report_from_scores(probs, scenario.target_test,
-                                        scenario.seen_mask, scenario.toxicity)
+                                        scenario.seen_mask, scenario.toxicity, masks)
             summary_lines.append(summary_row(
                 f"{proto.kind}+SE@{ENSEMBLE_ALPHA:g}", seed, se_rep))
             merged = wise_merge(src, run.final_params, ENSEMBLE_ALPHA)
             wise_rep = evaluate(merged, scenario.target_test, scenario.seen_mask,
-                                scenario.toxicity, k)
+                                scenario.toxicity, k, masks=masks)
             summary_lines.append(summary_row(
                 f"{proto.kind}+WiSE@{ENSEMBLE_ALPHA:g}", seed, wise_rep))
 

@@ -14,9 +14,10 @@ On-disk layout of an exported scenario directory:
                             IDX u8 images for real data)
     <split>_y.idx           labels (IDX u8)
 
-The f64 container is 16 bytes of header -- magic ``HTF8``, u32 rows, u32
+The f64 container is 12 bytes of header -- magic ``HTF8``, u32 rows, u32
 cols, little endian -- followed by rows*cols float64 values, little endian,
-row major.
+row major. The readers of both formats check the sizes a header declares
+against the file before reading.
 """
 
 from __future__ import annotations
@@ -306,66 +307,23 @@ def gen_paired_toxicity_scenario(num_pairs: int, dim: int,
     return scenario, toxicity
 
 
-@dataclass
-class SplitResult:
-    target_train: Dataset
-    target_test: Dataset
-    seen_mask: np.ndarray
-    warnings: list
-
-
-def make_ht_split(full: Dataset, seen_classes, train_ratio: float,
-                  seed: int) -> SplitResult:
-    """Per-class stratified split of `full`, then the train side is filtered
-    to the seen classes. Classes with fewer than two samples go entirely to
-    test (recorded as a warning)."""
-    if not (0.0 < train_ratio < 1.0):
-        raise ValueError("train_ratio must be in (0, 1)")
-    seen_classes = np.unique(np.asarray(list(seen_classes), dtype=np.int64))
-    present = full.classes_present()
-    if seen_classes.size == 0:
-        raise ValueError("seen_classes must be nonempty")
-    if not np.all(np.isin(seen_classes, present)):
-        raise ValueError("seen_classes not present in the dataset")
-    if seen_classes.size >= present.size:
-        raise ValueError("no unseen classes")
-
-    rng = Rng(seed).derive("ht-split")
-    warnings = []
-    train_idx, test_idx = [], []
-    for c in present:
-        idx = np.flatnonzero(full.y == c)
-        if len(idx) < 2:
-            warnings.append(f"class {c} has {len(idx)} sample(s); all sent to test")
-            test_idx.append(idx)
-            continue
-        perm = idx[rng.derive(int(c)).permutation(len(idx))]
-        n_train = int(round(train_ratio * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1)
-        train_idx.append(perm[:n_train])
-        test_idx.append(perm[n_train:])
-    train_idx = np.concatenate(train_idx) if train_idx else np.empty(0, dtype=np.int64)
-    test_idx = np.concatenate(test_idx)
-
-    seen_mask = np.zeros(full.num_classes, dtype=bool)
-    seen_mask[seen_classes] = True
-    train = full.subset(np.sort(train_idx))
-    keep = np.isin(train.y, seen_classes)
-    return SplitResult(
-        target_train=train.subset(np.flatnonzero(keep)),
-        target_test=full.subset(np.sort(test_idx)),
-        seen_mask=seen_mask,
-        warnings=warnings,
-    )
-
-
 # ------------------------------------------------------------------ IDX I/O
 
 def _read_exact(f, n: int, path: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+    """The next n bytes of `f`. The length is checked against what is left
+    of the file before reading, so a header that declares a huge size
+    allocates nothing."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise ValueError(f"truncated file: {path}")
-    return buf
+    return f.read(n)
+
+
+def _check_sizes(path: str, **fields):
+    """Reject a negative size field of a file's header; the header's
+    integers are signed, and a negative one would be read as a size."""
+    for name, value in fields.items():
+        if value < 0:
+            raise ValueError(f"{path}: negative {name} {value} in the header")
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
@@ -376,13 +334,15 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"not IDX image data: magic 0x{magic:08x}")
+            raise ValueError(f"not IDX image data: {images_path}: magic 0x{magic:08x}")
+        _check_sizes(images_path, count=count, rows=rows, cols=cols)
         raw = _read_exact(f, count * rows * cols, images_path)
         if f.read(1):
             raise ValueError(f"trailing bytes in {images_path}")
     y = _read_idx_labels(labels_path)
     if count != len(y):
-        raise ValueError(f"count mismatch: {count} images vs {len(y)} labels")
+        raise ValueError(f"count mismatch: {count} images in {images_path} vs "
+                         f"{len(y)} labels in {labels_path}")
     X = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     X = X.reshape(count, rows * cols)
     return Dataset(X, y, int(y.max()) + 1 if count else 1)
@@ -392,7 +352,8 @@ def _read_idx_labels(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         magic, count = struct.unpack(">ii", _read_exact(f, 8, path))
         if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"not IDX label data: magic 0x{magic:08x}")
+            raise ValueError(f"not IDX label data: {path}: magic 0x{magic:08x}")
+        _check_sizes(path, count=count)
         labels = np.frombuffer(_read_exact(f, count, path), dtype=np.uint8)
         if f.read(1):
             raise ValueError(f"trailing bytes in {path}")

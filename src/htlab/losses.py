@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -161,14 +161,18 @@ class CompositeLoss:
     """Batch loss used by the trainers: cross-entropy plus the configured
     regularizers. Distillation targets are recomputed from the frozen
     source model on every batch (never cached), one 2-D forward per run of
-    a stacked batch."""
+    a stacked batch. `source_params` is one model that every run distills
+    from, or a sequence of one source per run of the stacked batches (each
+    seed of a seed stack has its own)."""
 
-    def __init__(self, spec: LossSpec, source_params: Optional[ModelParams] = None,
+    def __init__(self, spec: LossSpec,
+                 source_params: Union[ModelParams, Sequence[ModelParams], None] = None,
                  seen_mask=None):
         self.spec = spec
-        self.source_params = source_params
+        self.sources = [source_params] if isinstance(source_params, ModelParams) \
+            else list(source_params or ())
         self.seen_mask = None if seen_mask is None else np.asarray(seen_mask, bool)
-        if spec.lambda_distill > 0 and (source_params is None or self.seen_mask is None):
+        if spec.lambda_distill > 0 and (not self.sources or self.seen_mask is None):
             raise ValueError("distillation needs source params and a seen mask")
 
     def __call__(self, trace, labels):
@@ -177,12 +181,16 @@ class CompositeLoss:
         ce_parts = cross_entropy(trace.logits, labels)
         distill_parts = None
         if self.spec.lambda_distill > 0:
-            X = trace.X
+            X, sources = trace.X, self.sources
             if X.ndim == 2:
-                src_logits = forward(self.source_params, X, mode="eval").logits
+                src_logits = forward(sources[0], X, mode="eval").logits
             else:
-                src_logits = np.stack([forward(self.source_params, x, mode="eval").logits
-                                       for x in X])
+                if len(sources) == 1:
+                    sources = sources * len(X)
+                elif len(sources) != len(X):
+                    raise ValueError("need one source model per run of the batch")
+                src_logits = np.stack([forward(src, x, mode="eval").logits
+                                       for src, x in zip(sources, X)])
             distill_parts = selective_distill(src_logits, trace.logits, self.seen_mask)
         rank_parts = None
         if self.spec.lambda_rank > 0:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .data import Dataset, ToxicityMap
-from .model import ModelParams, chopped_logits, forward
+from .model import ModelParams, forward
 from .numkit import Spectrum, top_singular_values
 
 RANK_TAU = 0.01
@@ -50,48 +50,73 @@ def effective_rank(spectrum: Spectrum, tau: float = RANK_TAU) -> int:
     return int(np.sum(v >= tau * v[0]))
 
 
+class ViewMasks:
+    """What the accuracy views need of a test set's labels besides the
+    scores: the seen rows, the seen columns, the toxic rows and which
+    classes are non-toxic. Built once per test set, it serves every
+    evaluation of that set."""
+
+    def __init__(self, y: np.ndarray, seen_mask, toxicity: Optional[ToxicityMap] = None):
+        seen_mask = np.asarray(seen_mask, dtype=bool)
+        if len(y) == 0:
+            raise ValueError("empty test set")
+        self.y = y
+        self.is_seen = seen_mask[y]
+        self.n_seen = int(np.count_nonzero(self.is_seen))
+        self.n_unseen = len(y) - self.n_seen
+        if self.n_seen == 0 or self.n_unseen == 0:
+            raise ValueError("test set must contain both seen and unseen samples")
+        self.seen_cols = np.flatnonzero(seen_mask)
+        # the seen rows' scores in the seen columns, as one fancy index
+        self.chop = (np.flatnonzero(self.is_seen)[:, None], self.seen_cols)
+        self.y_seen = y[self.is_seen]
+        self.toxic = self.non_toxic = None
+        if toxicity is not None:
+            self.toxic = np.flatnonzero(np.isin(y, toxicity.toxic_classes()))
+            if self.toxic.size == 0:
+                raise ValueError("toxicity map given but no toxic samples present")
+            self.non_toxic = np.zeros(seen_mask.size, dtype=bool)
+            self.non_toxic[toxicity.non_toxic_classes()] = True
+
+
 def accuracy_views(scores: np.ndarray, y: np.ndarray, seen_mask: np.ndarray,
-                   toxicity: Optional[ToxicityMap] = None) -> dict:
-    """Accuracy views from per-class scores (logits or probabilities)."""
-    seen_mask = np.asarray(seen_mask, dtype=bool)
+                   toxicity: Optional[ToxicityMap] = None,
+                   masks: Optional[ViewMasks] = None) -> dict:
+    """Accuracy views from per-class scores (logits or probabilities);
+    `masks`, if given, must be ViewMasks(y, seen_mask, toxicity). Each
+    accuracy is a count over a row count, the float bool.mean() gives."""
+    m = ViewMasks(y, seen_mask, toxicity) if masks is None else masks
     preds = np.argmax(scores, axis=1)
-    is_seen = seen_mask[y]
-    n_seen = int(is_seen.sum())
-    n_unseen = int((~is_seen).sum())
-    if n_seen == 0 or n_unseen == 0:
-        raise ValueError("test set must contain both seen and unseen samples")
-    correct = preds == y
+    correct = preds == m.y
+    n_correct = int(np.count_nonzero(correct))
+    n_seen_correct = int(np.count_nonzero(correct & m.is_seen))
+    chop_preds = m.seen_cols[np.argmax(scores[m.chop], axis=1)]
     out = {
-        "overall_acc": float(correct.mean()),
-        "seen_acc": float(correct[is_seen].mean()),
-        "unseen_acc": float(correct[~is_seen].mean()),
-        "n_seen": n_seen,
-        "n_unseen": n_unseen,
+        "overall_acc": n_correct / len(m.y),
+        "seen_acc": n_seen_correct / m.n_seen,
+        "unseen_acc": (n_correct - n_seen_correct) / m.n_unseen,
+        "seen_chopped_acc": int(np.count_nonzero(chop_preds == m.y_seen)) / m.n_seen,
+        "n_seen": m.n_seen,
+        "n_unseen": m.n_unseen,
+        "false_negative_rate": None,
     }
-    cols = np.flatnonzero(seen_mask)
-    chop = chopped_logits(scores[is_seen], seen_mask)
-    chop_preds = cols[np.argmax(chop, axis=1)]
-    out["seen_chopped_acc"] = float((chop_preds == y[is_seen]).mean())
-    if toxicity is not None:
-        toxic = np.isin(y, toxicity.toxic_classes())
-        if not toxic.any():
-            raise ValueError("toxicity map given but no toxic samples present")
-        misrouted = np.isin(preds[toxic], toxicity.non_toxic_classes())
-        out["false_negative_rate"] = float(misrouted.mean())
-    else:
-        out["false_negative_rate"] = None
+    if m.toxic is not None:
+        misrouted = m.non_toxic[preds[m.toxic]]
+        out["false_negative_rate"] = int(np.count_nonzero(misrouted)) / m.toxic.size
     return out
 
 
 def evaluate(params: ModelParams, target_test: Dataset, seen_mask,
              toxicity: Optional[ToxicityMap] = None,
-             k_spectrum: int = 20, scratch: Optional[dict] = None) -> EvalReport:
+             k_spectrum: int = 20, scratch: Optional[dict] = None,
+             masks: Optional[ViewMasks] = None) -> EvalReport:
     """Eval-mode evaluation of a model on the full target test set; the
-    forward pass uses the buffers of `scratch` (see model.forward)."""
-    if len(target_test) == 0:
-        raise ValueError("empty test set")
+    forward pass uses the buffers of `scratch` (see model.forward), and the
+    accuracy views the `masks` of the test set if given."""
+    if masks is None:
+        masks = ViewMasks(target_test.y, seen_mask, toxicity)
     trace = forward(params, target_test.X, mode="eval", scratch=scratch)
-    views = accuracy_views(trace.logits, target_test.y, seen_mask, toxicity)
+    views = accuracy_views(trace.logits, target_test.y, seen_mask, toxicity, masks)
     feats = trace.features
     k = min(k_spectrum, feats.shape[0], feats.shape[1])
     spectrum = top_singular_values(feats, k)
@@ -109,10 +134,11 @@ def evaluate(params: ModelParams, target_test: Dataset, seen_mask,
 
 
 def report_from_scores(scores: np.ndarray, target_test: Dataset, seen_mask,
-                       toxicity: Optional[ToxicityMap] = None) -> EvalReport:
+                       toxicity: Optional[ToxicityMap] = None,
+                       masks: Optional[ViewMasks] = None) -> EvalReport:
     """EvalReport for prediction-level ensembles, which have class scores
     but no feature space; spectrum fields are empty/NaN."""
-    views = accuracy_views(scores, target_test.y, seen_mask, toxicity)
+    views = accuracy_views(scores, target_test.y, seen_mask, toxicity, masks)
     return EvalReport(
         overall_acc=views["overall_acc"],
         seen_acc=views["seen_acc"],

@@ -2,6 +2,12 @@
 local SGD (averaged pseudo-gradients from class-subset runs), and tail
 weight averaging over checkpoint streams.
 
+Minibatch SGD also trains S independent runs at once when given params
+stacked on a leading run axis, one Rng per run: transfer.run_protocol
+stacks the seeds of an SGD-trained protocol this way when its cells run
+in one process. Each run reshuffles from its own stream, and one stacked
+step advances all S, each slice bitwise as if it trained alone.
+
 Leave-out local SGD works in rounds. Each round snapshots the parameters,
 runs M short local SGD passes that each drop `leave_k` randomly chosen
 classes from the training set, and treats the averaged displacement
@@ -139,34 +145,45 @@ def _train_batch(work: ModelParams, X, y, loss: CompositeLoss, cfg: SgdConfig,
 
 
 def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
-              cfg: SgdConfig, mask: FreezeMask, rng: Rng,
-              on_epoch=None, on_step=None):
+              cfg: SgdConfig, mask: FreezeMask, rng, on_epoch=None, on_step=None):
     """Minibatch SGD over per-epoch reshuffles of `dataset`.
 
-    Returns (new_params, per_epoch_loss_curve); the input params are not
-    modified. Deterministic in (params, dataset, cfg, rng). `on_epoch` is
-    called as on_epoch(epoch, params, epoch_loss) after every epoch.
+    `rng` is an Rng, or for stacked (S, P) params a sequence of S Rngs, one
+    per run: each run reshuffles from its own stream and the S runs take
+    every step together, each slice bitwise as if it trained alone (see
+    model.forward). Returns (new_params, loss_curve); the input params are
+    not modified. The curve holds each epoch's mean loss, or for stacked
+    params one such list per run. Deterministic in (params, dataset, cfg,
+    rng). `on_epoch` is called as on_epoch(epoch, params, epoch_loss) after
+    every epoch, epoch_loss being an (S,) array for stacked params.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
+    stacked = params.flat.ndim == 2
+    rngs = list(rng) if stacked else [rng]
+    if stacked and len(rngs) != len(params.flat):
+        raise ValueError("stacked params need one rng per run")
     work = params.clone()
     state: dict = {}
     curve = []
     n = len(dataset)
     for epoch in range(cfg.epochs):
-        order = rng.derive(f"epoch-{epoch}").permutation(n)
+        orders = [r.derive(f"epoch-{epoch}").permutation(n) for r in rngs]
+        order = np.stack(orders) if stacked else orders[0]
         total, count = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
+            idx = order[..., lo:lo + cfg.batch_size]
             batch_loss = _train_batch(work, dataset.X[idx], dataset.y[idx],
                                       loss, cfg, mask, state)
-            total += batch_loss * len(idx)
-            count += len(idx)
+            total += batch_loss * idx.shape[-1]
+            count += idx.shape[-1]
             if on_step is not None:
                 on_step(work)
         curve.append(total / count)
         if on_epoch is not None:
             on_epoch(epoch, work, curve[-1])
+    if stacked:  # per run, as floats
+        curve = np.reshape(curve, (len(curve), len(rngs))).T.tolist()
     return work, curve
 
 

@@ -10,25 +10,35 @@ Every protocol name maps to a preset (_PRESETS): training phases with
 their freeze masks, the loss terms carried, the inner step and whether the
 SWA tail average is deployed. One loop in run_protocol runs any preset.
 
+run_protocol takes one protocol and any number of seeds, each with its own
+source model. The seeds of an SGD preset train together, their params
+stacked on a leading run axis, so one minibatch step serves them all;
+each seed's slice does the arithmetic of a run of its own, so its results
+are bitwise those of a one-seed call. LOL presets (whose M local runs
+already fill the run axis) and bn_stats_only take the seeds one after
+another.
+
 Every run produces a per-epoch evaluation curve whose entry 0 is the
 source model itself, so curves from different protocols share an x-axis.
 
 Training that diverges fails loudly: params and the epoch (or round) loss
 are checked for finite values at every epoch boundary of pretrain_source
-and run_protocol (and the source params before run_protocol starts), and
-the first failure raises DivergenceError.
+and run_protocol (and the source params before run_protocol starts).
+pretrain_source raises the first failure as a DivergenceError;
+run_protocol returns it in place of that seed's run, and the seed's
+stack-mates train on unaffected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Dataset, HTScenario, ToxicityMap
 from .losses import CompositeLoss, LossSpec
-from .metrics import EvalReport, evaluate
+from .metrics import EvalReport, ViewMasks, evaluate
 from .model import (
     GROUPS,
     FreezeMask,
@@ -187,73 +197,147 @@ def _check_model(kind: str, params: ModelParams):
             raise ValueError(f"{kind} requires a model with {_PART_NAMES[trained[0]]}")
 
 
-def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
-                 source_params: ModelParams, protocol: Protocol, seed: int,
-                 toxicity: Optional[ToxicityMap] = None, k_spectrum: int = 20,
-                 scenario_id: str = "scenario") -> TransferRun:
-    """Adapt the source model on the target training split with one
-    protocol and evaluate after every epoch (or round)."""
-    preset = _PRESETS[protocol.kind]
-    _check_model(protocol.kind, source_params)
-    seen_mask = np.asarray(seen_mask, dtype=bool)
-    rng = Rng(seed).derive(f"protocol-{protocol.kind}")
-    loss = CompositeLoss(protocol.effective_loss(), source_params, seen_mask)
-    swa = protocol.swa
-    tail = RunningAverage() if preset.swa else None
-    fold_per_epoch = tail is not None and swa.cadence == "per_epoch"
-    fold_per_step = tail is not None and swa.cadence == "per_iteration"
+class _AllFailed(Exception):
+    """Every seed of a stack has failed, so its training stops early."""
 
+
+def _each_run(params: ModelParams) -> list:
+    """The 2-D params of each run of a stack, as views; 2-D params alone."""
+    if params.flat.ndim == 1:
+        return [params]
+    return [ModelParams.from_flat(params.spec, row) for row in params.flat]
+
+
+def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
+                 sources: Sequence[ModelParams], protocol: Protocol, seeds: Sequence[int],
+                 toxicity: Optional[ToxicityMap] = None, k_spectrum: int = 20,
+                 scenario_id: str = "scenario") -> list:
+    """Adapt each seed's source model (`sources[i]` for `seeds[i]`) on the
+    target training split with one protocol, and evaluate after every epoch
+    (or round). Returns, per seed in order, its TransferRun or what it
+    failed with: a DivergenceError once its params or loss go non-finite,
+    or the error its evaluation raised. A fault of the protocol as a whole,
+    such as a model without the parts it trains, raises.
+
+    The seeds of an SGD preset train together: their params are one (S, P)
+    stack (see optim.train_sgd), and each seed's slice does the arithmetic
+    of a 2-D run of its own, so every result is bitwise that of a one-seed
+    call. LOL presets, whose M local runs already fill the run axis, and
+    bn_stats_only run one seed after another. A seed fails alone: its slice
+    keeps its place in the stack but is no longer checked or evaluated, and
+    the others finish bitwise as if it were absent.
+    """
+    preset = _PRESETS[protocol.kind]
+    if len(sources) != len(seeds):
+        raise ValueError("need one source model per seed")
+    if any(not source.same_spec(sources[0]) for source in sources):
+        raise ValueError("the seeds' source models must share one spec")
+    for source in sources:
+        _check_model(protocol.kind, source)
+    seen_mask = np.asarray(seen_mask, dtype=bool)
+    masks = ViewMasks(target_test.y, seen_mask, toxicity)  # for every evaluation below
     scratch: dict = {}  # the evaluation forward's buffers, reused every epoch
+    swa = protocol.swa
+    fold_per_epoch = preset.swa and swa.cadence == "per_epoch"
+    fold_per_step = preset.swa and swa.cadence == "per_iteration"
 
     def report(params: ModelParams) -> EvalReport:
-        return evaluate(params, target_test, seen_mask, toxicity, k_spectrum, scratch)
+        return evaluate(params, target_test, seen_mask, toxicity, k_spectrum, scratch, masks)
 
-    _check_finite(protocol.kind, 0, source_params)
-    curve = [report(source_params)]  # one entry per finished epoch after this
-    loss_curve: list = []
+    # per seed: its curve, entry 0 the source model, or the error it failed with
+    out: list = []
+    for source in sources:
+        try:
+            _check_finite(protocol.kind, 0, source)
+            out.append([report(source)])
+        except Exception as e:  # noqa: BLE001 - a seed fails alone
+            out.append(e)
 
-    def on_epoch(_epoch, params, epoch_loss=None):
-        _check_finite(protocol.kind, len(curve), params, epoch_loss)
-        if fold_per_epoch and len(curve) - 1 >= swa.start_epoch:
-            tail.fold(params)
-        # the curve follows the deployable model: the tail average once it
-        # has started, the raw weights before that
-        curve.append(report(tail.value() if tail is not None and tail.count else params))
+    def adapt(group: list) -> list:
+        """The TransferRun, or the error, of each seed at `group`; the seeds
+        train as one stack if there are several."""
+        stacked = len(group) > 1
+        curves = [out[i] for i in group]
+        rngs = [Rng(seeds[i]).derive(f"protocol-{protocol.kind}") for i in group]
+        loss = CompositeLoss(protocol.effective_loss(), [sources[i] for i in group], seen_mask)
+        tail = RunningAverage() if preset.swa else None
+        errors: list = [None] * len(group)
+        loss_curves: list = [[] for _ in group]
+        done = 0  # epochs (or rounds) finished
 
-    def on_step(params):
-        if len(curve) - 1 >= swa.start_epoch:
-            tail.fold(params)
+        def on_epoch(_epoch, params, epoch_loss=None):
+            nonlocal done
+            done += 1
+            losses = [None] * len(group) if epoch_loss is None else \
+                np.reshape(epoch_loss, -1).tolist()
+            if fold_per_epoch and done > swa.start_epoch:
+                tail.fold(params)
+            # the curve follows the deployable model: the tail average once
+            # it has started, the raw weights before that
+            deployed = tail.value() if tail is not None and tail.count else params
+            for j, (run, shown) in enumerate(zip(_each_run(params), _each_run(deployed))):
+                if errors[j] is None:
+                    try:
+                        _check_finite(protocol.kind, done, run, losses[j])
+                        curves[j].append(report(shown))
+                    except Exception as e:  # noqa: BLE001 - a seed fails alone
+                        errors[j] = e
+            if None not in errors:
+                raise _AllFailed
 
-    work = source_params
-    epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
-    with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
-        for i, (label, mask) in enumerate(preset.phases):
-            cfg = replace(protocol.sgd,
-                          epochs=epochs * (i + 1) // n_phases - epochs * i // n_phases)
-            if preset.step == "bn_stats":
-                work, phase_losses = recompute_bn_stats(work, target_train), []
-                on_epoch(0, work)
-            elif preset.step == "lol":
-                work, phase_losses = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
-                                                  mask, rng.derive(label), on_round=on_epoch)
-            else:
-                work, phase_losses = train_sgd(work, target_train, loss, cfg, mask,
-                                               rng.derive(label), on_epoch=on_epoch,
-                                               on_step=on_step if fold_per_step else None)
-            loss_curve += phase_losses
+        def on_step(params):
+            if done >= swa.start_epoch:
+                tail.fold(params)
 
-    if tail is not None:
-        final = tail.value()
-    else:
-        final = source_params.clone() if work is source_params else work
-    return TransferRun(
-        scenario_id=scenario_id,
-        protocol=protocol,
-        seed=seed,
-        final_params=final,
-        curve=curve,
-        loss_curve=loss_curve,
-    )
+        work = ModelParams.from_flat(sources[group[0]].spec,
+                                     np.stack([sources[i].flat for i in group])) \
+            if stacked else sources[group[0]]
+        epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
+        try:
+            with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
+                for k, (label, mask) in enumerate(preset.phases):
+                    cfg = replace(protocol.sgd,
+                                  epochs=epochs * (k + 1) // n_phases - epochs * k // n_phases)
+                    if preset.step == "bn_stats":
+                        work, phase_losses = recompute_bn_stats(work, target_train), [[]]
+                        on_epoch(0, work)
+                    elif preset.step == "lol":
+                        work, phase_loss = train_lolsgd(work, target_train, loss, cfg,
+                                                        protocol.lol, mask,
+                                                        rngs[0].derive(label),
+                                                        on_round=on_epoch)
+                        phase_losses = [phase_loss]
+                    else:
+                        phase_rngs = [rng.derive(label) for rng in rngs]
+                        work, phase_losses = train_sgd(
+                            work, target_train, loss, cfg, mask,
+                            phase_rngs if stacked else phase_rngs[0], on_epoch=on_epoch,
+                            on_step=on_step if fold_per_step else None)
+                        if not stacked:
+                            phase_losses = [phase_losses]
+                    for curve, phase_loss in zip(loss_curves, phase_losses):
+                        curve += phase_loss
+        except _AllFailed:
+            return errors
+
+        finals = _each_run(tail.value() if tail is not None else work)
+        runs = []
+        for j, i in enumerate(group):
+            final = finals[j]
+            runs.append(errors[j] if errors[j] is not None else TransferRun(
+                scenario_id=scenario_id, protocol=protocol, seed=seeds[i],
+                # a stack's slice, or the source itself, is copied out
+                final_params=final.clone() if stacked or final is sources[i] else final,
+                curve=curves[j], loss_curve=loss_curves[j]))
+        return runs
+
+    live = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
+    # an SGD preset's seeds train as one stack, the others' one at a time
+    groups = [live] if preset.step == "sgd" and live else [[i] for i in live]
+    for group in groups:
+        for i, run in zip(group, adapt(group)):
+            out[i] = run
+    return out
 
 
 def wise_merge(source_params: ModelParams, target_params: ModelParams,

@@ -68,9 +68,9 @@ def grid():
                                       k_spectrum=K_SPECTRUM))
         for kind in PROTOCOLS:
             proto = Protocol(kind=kind, loss=LOSS, sgd=ADAPT, lol=LOL)
-            run = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
-                               src, proto, seed, k_spectrum=K_SPECTRUM,
-                               scenario_id=scn.scenario_id)
+            [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
+                                 [src], proto, [seed], k_spectrum=K_SPECTRUM,
+                                 scenario_id=scn.scenario_id)
             out["final"][kind].append(run.curve[-1])
             out["runs"][(kind, seed)] = (scn, src, run)
     out["elapsed"] = time.time() - t0
@@ -89,8 +89,8 @@ def toxicity_grid():
         out["source"].append(evaluate(src, scn.target_test, scn.seen_mask, toxicity=tox))
         for kind in ("naive_ft", "lolsgd_distill_rank"):
             proto = Protocol(kind=kind, loss=LOSS, sgd=ADAPT, lol=LOL)
-            run = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
-                               src, proto, seed, toxicity=tox)
+            [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
+                                 [src], proto, [seed], toxicity=tox)
             out[kind].append(run.curve[-1])
     return out
 
@@ -387,13 +387,13 @@ def test_diagnostic_concept_shift_cancellation():
         src = pretrain_source(scn, MlpSpec(WIDTHS), PRETRAIN, Rng(seed).derive("source"))
         for kind in ("naive_ft", "lolsgd"):
             proto = Protocol(kind=kind, sgd=ADAPT, lol=LOL)
-            run = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
-                               src, proto, seed)
+            [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
+                                 [src], proto, [seed])
             curves[kind].append([r.seen_acc for r in run.curve])
         # fresh full-class target-style data of the same per-class size
         full = _reference_scenario(seed, per_class=(1, 1, 60), cluster_sep=3.5).target_test
-        run = run_protocol(full, scn.target_test, scn.seen_mask, src,
-                           Protocol(kind="naive_ft", sgd=ADAPT), seed)
+        [run] = run_protocol(full, scn.target_test, scn.seen_mask, [src],
+                             Protocol(kind="naive_ft", sgd=ADAPT), [seed])
         curves["oracle"].append([r.seen_acc for r in run.curve])
     naive = np.mean(curves["naive_ft"], axis=0)[-5:]
     lol = np.mean(curves["lolsgd"], axis=0)[-5:]

@@ -180,8 +180,22 @@ def test_run_rerun_byte_identical(tmp_path):
     assert _read(os.path.join(out, "curves.csv")) == first_curves
 
 
-def test_run_parallel_matches_sequential(tmp_path, monkeypatch):
-    cfg, _ = _write_config(tmp_path)
+# every preset that trains with SGD, on a model with batchnorm and an input
+# adapter, with both loss terms and the ensembles
+_BN_ADAPTER_SGD = dict(
+    names="naive_ft,frozen_ft,lp_ft,bn_affine_only,in_adapter_only,sgd_distill,sgd_rank,"
+          "swa,swad_lite", ensembles="true",
+    extra="\n[loss]\nlambda_distill = 1.0\nlambda_rank = 1e-4\n\n[swa]\nstart_epoch = 1\n")
+
+
+@pytest.mark.parametrize("case", ["plain", "bn-adapter-sgd-presets"])
+def test_run_parallel_matches_sequential(tmp_path, monkeypatch, case):
+    # at --jobs 1 a protocol's seeds train stacked, at --jobs 2 one per task
+    if case == "plain":
+        cfg, _ = _write_config(tmp_path)
+    else:
+        cfg, _ = _write_config(tmp_path, **_BN_ADAPTER_SGD)
+        _edit(cfg, "activation = relu", "activation = relu\nbatchnorm = true\nin_adapter = true")
     pools = []
 
     def recording_pool(**kwargs):
@@ -314,6 +328,46 @@ def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch
     with open(os.path.join(out, "curves.csv")) as f:
         assert {ln.split(",")[2] for ln in f.read().splitlines()[1:]} == {"1"}
     assert not os.path.exists(os.path.join(out, "source_seed0.ckpt"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_diverging_seed_fails_alone(tmp_path, capsys, monkeypatch, jobs):
+    # seed 1's source is finite but scaled so far that training overflows;
+    # at --jobs 1 it shares a stack with seeds 0 and 2
+    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft,lp_ft,swa")
+    pretrain = cli.pretrain_source
+
+    def overflow_seed_1(scenario, spec, pre_cfg, rng):
+        params = pretrain(scenario, spec, pre_cfg, rng)
+        if rng.seed == 1:
+            params.flat[...] *= 1e60
+        return params
+
+    monkeypatch.setattr(cli, "pretrain_source", overflow_seed_1)
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    with_1, without_1 = str(tmp_path / "with"), str(tmp_path / "without")
+    assert main(["run", "--config", cfg, "--out", with_1, "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED naive_ft seed=1: naive_ft diverged at epoch 1: non-finite backbone" in err
+    failed = re.findall(r"FAILED (\w+) seed=(\d+): (\w+) diverged at epoch \d+: non-finite "
+                        r"(\w+)", err)
+    assert [(p, s) for p, s, _, _ in failed] == [("naive_ft", "1"), ("lp_ft", "1"),
+                                                 ("swa", "1")]
+    assert all(p == where for p, _, where, _ in failed)
+    monkeypatch.setenv("HTLAB_SEED", "0,2")
+    assert main(["run", "--config", cfg, "--out", without_1, "--jobs", jobs]) == 0
+
+    def rows(out, name, keep):
+        with open(os.path.join(out, name)) as f:
+            return [ln for ln in f.read().splitlines() if keep(ln.split(","))]
+
+    for name, seed_col in (("curves.csv", 2), ("summary.csv", 3)):
+        assert rows(with_1, name, lambda r: r[seed_col] != "1") == \
+            rows(without_1, name, lambda r: True)
+    seed_1 = [ln.split(",") for ln in rows(with_1, "summary.csv", lambda r: r[3] == "1")]
+    assert [(r[0], r[2]) for r in seed_1] == [
+        ("ok", "source_only"), ("FAILED", "naive_ft"), ("FAILED", "lp_ft"), ("FAILED", "swa")]
 
 
 @pytest.mark.parametrize("names, seeds, env", [

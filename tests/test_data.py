@@ -1,7 +1,11 @@
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from htlab.data import (
@@ -13,8 +17,9 @@ from htlab.data import (
     gen_synthetic_scenario,
     load_idx,
     load_scenario,
-    make_ht_split,
+    read_f64,
     save_scenario,
+    write_f64,
     write_idx_images,
     write_idx_labels,
 )
@@ -155,6 +160,90 @@ def test_idx_truncated_rejected(tmp_path):
 
 
 
+@pytest.mark.parametrize("count, rows, cols, field", [
+    (4, -2, -2, "rows"),  # with 16 pixel bytes this used to load as a 4 x 4 dataset
+    (-1, 2, 2, "count"),  # this used to fail as a truncated file
+    (4, 2, -2, "cols"),
+])
+def test_idx_negative_header_size_rejected(tmp_path, count, rows, cols, field):
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    with open(ip, "wb") as f:
+        f.write(struct.pack(">iiii", 0x803, count, rows, cols) + bytes(16))
+    write_idx_labels(lp, np.zeros(4, dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"^{re.escape(ip)}: negative {field} "):
+        load_idx(ip, lp)
+
+
+def test_idx_negative_label_count_rejected(tmp_path):
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx_images(ip, np.zeros((4, 2, 2), dtype=np.uint8))
+    with open(lp, "wb") as f:
+        f.write(struct.pack(">ii", 0x801, -1) + bytes(4))
+    with pytest.raises(ValueError, match=f"^{re.escape(lp)}: negative count "):
+        load_idx(ip, lp)
+
+
+# Round trips, and a reader that rejects, naming the file, any cut of a file
+# and any flipped bit of its header (whose sizes then disagree with the file)
+
+_READER_PROPERTIES = settings(max_examples=60, deadline=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _write(path, raw):
+    with open(path, "wb") as f:
+        f.write(raw)
+
+
+def _assert_cut_and_flip_rejected(data, path, header_bytes, read):
+    raw = _bytes(path)
+    _write(path, raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(ValueError, match=re.escape(path)):
+        read()
+    bit = data.draw(st.integers(0, 8 * header_bytes - 1), label="header bit")
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    _write(path, bytes(flipped))
+    with pytest.raises(ValueError, match=re.escape(path)):
+        read()
+    _write(path, raw)
+
+
+@_READER_PROPERTIES
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_f64_round_trips_and_any_cut_or_header_flip_is_rejected(tmp_path, rows, cols,
+                                                                seed, data):
+    X = Rng(seed).standard_normal((rows, cols))
+    path = str(tmp_path / "x.f64")
+    write_f64(path, X)
+    assert read_f64(path).tobytes() == X.tobytes()
+    _assert_cut_and_flip_rejected(data, path, 12, lambda: read_f64(path))
+
+
+@_READER_PROPERTIES
+@given(n=st.integers(1, 6), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_idx_round_trips_and_any_cut_or_header_flip_is_rejected(tmp_path, n, rows, cols,
+                                                                seed, data):
+    rng = Rng(seed)
+    images = rng.integers(0, 256, size=(n, rows, cols)).astype(np.uint8)
+    labels = rng.integers(0, 10, size=n).astype(np.uint8)
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx_images(ip, images)
+    write_idx_labels(lp, labels)
+    ds = load_idx(ip, lp)
+    assert np.array_equal(ds.X, images.reshape(n, rows * cols) / 255.0)
+    assert np.array_equal(ds.y, labels)
+    for path, header_bytes in ((ip, 16), (lp, 8)):
+        _assert_cut_and_flip_rejected(data, path, header_bytes, lambda: load_idx(ip, lp))
+
+
 @pytest.mark.parametrize("edit, message", [(lambda raw: raw[:-1], "truncated"),
                                            (lambda raw: raw + b"\x00", "trailing bytes")],
                          ids=["truncated", "trailing-byte"])
@@ -168,66 +257,6 @@ def test_scenario_label_file_length_checked(tmp_path, edit, message):
         f.write(edit(raw))
     with pytest.raises(ValueError, match=message):
         load_scenario(out)
-
-
-# ------------------------------------------------------------ splits
-
-def _tagged_dataset():
-    # feature value encodes the sample id so partitions are checkable
-    n_per = [10, 10, 10, 1]
-    X, y = [], []
-    sid = 0
-    for c, n in enumerate(n_per):
-        for _ in range(n):
-            X.append([float(sid), float(c)])
-            y.append(c)
-            sid += 1
-    return Dataset(np.array(X), np.array(y), 4)
-
-
-def test_split_ratio_seven_three():
-    full = _tagged_dataset()
-    res = make_ht_split(full, seen_classes=[0, 1], train_ratio=0.7, seed=3)
-    train_c0 = np.sum(res.target_train.y == 0)
-    assert train_c0 == 7
-    test_c0 = np.sum(res.target_test.y == 0)
-    assert test_c0 == 3
-
-
-def test_split_partition_property():
-    full = _tagged_dataset()
-    res = make_ht_split(full, seen_classes=[0, 1], train_ratio=0.7, seed=3)
-    # train ids (before the seen filter) + test ids must partition the input;
-    # check via the per-class counts and id-disjointness of what is emitted
-    train_ids = set(res.target_train.X[:, 0].astype(int))
-    test_ids = set(res.target_test.X[:, 0].astype(int))
-    assert not (train_ids & test_ids)
-    all_ids = set(range(len(full)))
-    unseen_train_ids = all_ids - train_ids - test_ids
-    # ids missing from both sides are exactly the train-side samples of
-    # unseen classes, which the seen filter drops
-    for sid in unseen_train_ids:
-        assert int(full.X[sid, 1]) not in (0, 1)
-
-
-def test_split_small_class_goes_to_test_with_warning():
-    full = _tagged_dataset()  # class 3 has a single sample
-    res = make_ht_split(full, seen_classes=[0, 1], train_ratio=0.7, seed=3)
-    assert any("class 3" in w for w in res.warnings)
-    assert np.sum(res.target_test.y == 3) == 1
-
-
-def test_split_rejects_all_seen():
-    full = _tagged_dataset()
-    with pytest.raises(ValueError, match="no unseen classes"):
-        make_ht_split(full, seen_classes=[0, 1, 2, 3], train_ratio=0.7, seed=3)
-
-
-def test_split_filters_train_to_seen():
-    full = _tagged_dataset()
-    res = make_ht_split(full, seen_classes=[0, 2], train_ratio=0.5, seed=9)
-    assert set(np.unique(res.target_train.y)) <= {0, 2}
-    assert set(np.unique(res.target_test.y)) == {0, 1, 2, 3}
 
 
 # ------------------------------------------------------------ paired toxicity

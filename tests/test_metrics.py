@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htlab.data import Dataset, ToxicityMap
-from htlab.metrics import aggregate_seeds, effective_rank, evaluate, report_from_scores
+from htlab.metrics import (
+    ViewMasks,
+    accuracy_views,
+    aggregate_seeds,
+    effective_rank,
+    evaluate,
+    report_from_scores,
+)
 from htlab.model import MlpSpec, ModelParams, init_model
 from htlab.numkit import Rng, Spectrum
 
@@ -96,6 +105,39 @@ def test_fnr_counts_only_toxic_denominator():
     rep = evaluate(constant_model(8, 4, c=2), ds, SEEN, toxicity=TOX)
     assert rep.false_negative_rate == 0.0
     assert rep.false_negative_rate is not None
+
+
+def _reference_views(scores, y, seen_mask, toxicity):
+    """The accuracy views as bool.mean() over freshly built masks."""
+    preds = np.argmax(scores, axis=1)
+    is_seen = seen_mask[y]
+    correct = preds == y
+    cols = np.flatnonzero(seen_mask)
+    chop_preds = cols[np.argmax(scores[is_seen][:, cols], axis=1)]
+    out = {"overall_acc": float(correct.mean()),
+           "seen_acc": float(correct[is_seen].mean()),
+           "unseen_acc": float(correct[~is_seen].mean()),
+           "seen_chopped_acc": float((chop_preds == y[is_seen]).mean()),
+           "n_seen": int(is_seen.sum()), "n_unseen": int((~is_seen).sum()),
+           "false_negative_rate": None}
+    if toxicity is not None:
+        toxic = np.isin(y, toxicity.toxic_classes())
+        out["false_negative_rate"] = float(
+            np.isin(preds[toxic], toxicity.non_toxic_classes()).mean())
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32), toxic=st.booleans())
+def test_accuracy_views_equal_bool_means(n, seed, toxic):
+    rng = Rng(seed)
+    y = np.concatenate([[0, 2], rng.integers(0, 4, size=n - 2)])  # seen and unseen rows
+    # ties in small integer scores check that the lowest class still wins
+    scores = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
+    tox = TOX if toxic else None
+    want = _reference_views(scores, y, SEEN, tox)
+    assert accuracy_views(scores, y, SEEN, tox) == want
+    assert accuracy_views(scores, y, SEEN, tox, ViewMasks(y, SEEN, tox)) == want
 
 
 def test_evaluate_requires_both_sides():

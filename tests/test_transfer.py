@@ -15,6 +15,7 @@ from htlab.transfer import (
     PROTOCOL_KINDS,
     DivergenceError,
     Protocol,
+    TransferRun,
     _check_model,
     pretrain_source,
     run_protocol,
@@ -50,10 +51,14 @@ def _assert_same_report(a, b):
 
 
 def _run(scenario, source, kind, seed=3, **kw):
+    """The run of one seed; its DivergenceError, if it failed, is raised."""
     proto = Protocol(kind=kind, **{"sgd": ADAPT, **kw})
-    return run_protocol(scenario.target_train, scenario.target_test,
-                        scenario.seen_mask, source, proto, seed,
-                        scenario_id=scenario.scenario_id)
+    [run] = run_protocol(scenario.target_train, scenario.target_test,
+                         scenario.seen_mask, [source], proto, [seed],
+                         scenario_id=scenario.scenario_id)
+    if isinstance(run, DivergenceError):
+        raise run
+    return run
 
 
 # ------------------------------------------------------------ pretrain
@@ -263,10 +268,64 @@ def test_every_protocol_kind_runs(scenario):
         proto = Protocol(kind=kind, loss=LossSpec(lambda_distill=1.0, lambda_rank=1e-6),
                          sgd=short, lol=LolConfig(subsets=2, leave_k=1),
                          swa=SwaConfig(start_epoch=1))
-        run = run_protocol(scenario.target_train, scenario.target_test,
-                           scenario.seen_mask, src, proto, seed=1)
+        [run] = run_protocol(scenario.target_train, scenario.target_test,
+                             scenario.seen_mask, [src], proto, seeds=[1])
         assert run.curve, kind
         assert run.curve[0].overall_acc == run.curve[0].overall_acc  # finite
+
+
+# ------------------------------------------------------------ stacked seeds
+
+_STACK_SPECS = {
+    "plain": MlpSpec((8, 24, 24, 6)),
+    "bn-adapter": MlpSpec((8, 16, 16, 6), use_batchnorm=True, use_in_adapter=True),
+}
+_STACK_SEEDS = [3, 5, 8]
+
+
+@pytest.fixture(scope="module")
+def stack_sources(scenario):
+    """Per model, one source model per seed of _STACK_SEEDS."""
+    cfg = SgdConfig(lr=0.02, epochs=3)
+    return {name: [pretrain_source(scenario, spec, cfg, Rng(seed).derive("source"))
+                   for seed in _STACK_SEEDS]
+            for name, spec in _STACK_SPECS.items()}
+
+
+def _stack_cases():
+    """(model, kind) for every preset each model has the parts for."""
+    needs_parts = {"bn_affine_only", "bn_stats_only", "in_adapter_only"}
+    return [(model, kind) for model in _STACK_SPECS for kind in PROTOCOL_KINDS
+            if model == "bn-adapter" or kind not in needs_parts]
+
+
+@pytest.mark.parametrize("model, kind", _stack_cases())
+def test_seeds_run_together_match_one_seed_calls_bitwise(scenario, stack_sources, model,
+                                                         kind):
+    # swad_lite folds per step, so the per-step tail of a stack is covered too
+    cadence = "per_iteration" if kind == "swad_lite" else "per_epoch"
+    proto = Protocol(kind=kind, loss=LossSpec(lambda_distill=1.0, lambda_rank=1e-6),
+                     sgd=replace(ADAPT, epochs=3), lol=LolConfig(subsets=3, leave_k=1),
+                     swa=SwaConfig(start_epoch=1, cadence=cadence))
+    sources = stack_sources[model]
+    args = (scenario.target_train, scenario.target_test, scenario.seen_mask)
+    together = run_protocol(*args, sources, proto, _STACK_SEEDS)
+    assert len(together) == len(_STACK_SEEDS)
+    for source, seed, run in zip(sources, _STACK_SEEDS, together):
+        [alone] = run_protocol(*args, [source], proto, [seed])
+        assert isinstance(run, TransferRun) and isinstance(alone, TransferRun)
+        assert (run.seed, run.protocol, run.scenario_id) == \
+            (alone.seed, alone.protocol, alone.scenario_id)
+        assert len(run.curve) == len(alone.curve) == (1 if kind == "source_only" else
+                                                      2 if kind == "bn_stats_only" else 4)
+        for a, b in zip(run.curve, alone.curve):
+            _assert_same_report(a, b)
+        assert run.loss_curve == alone.loss_curve
+        assert run.final_params.flat.tobytes() == alone.final_params.flat.tobytes()
+        assert run.final_params.flat.ndim == 1
+        assert not np.shares_memory(run.final_params.flat, source.flat)
+    # the seeds differ, so a slice that leaked into another would show
+    assert together[0].final_params.flat.tobytes() != together[1].final_params.flat.tobytes()
 
 
 def test_frozen_classifier_preserves_prediction_on_unchanged_features(scenario, source):
