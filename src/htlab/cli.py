@@ -71,7 +71,7 @@ from .data import (
     save_scenario,
 )
 from .losses import LossSpec
-from .metrics import ViewMasks, aggregate_seeds, evaluate, report_from_scores
+from .metrics import EvalSet, aggregate_seeds, evaluate, report_from_scores
 from .model import (BadCheckpoint, MlpSpec, StaleCheckpoint, load_checkpoint,
                     save_checkpoint)
 from .numkit import Rng
@@ -430,8 +430,8 @@ def cmd_run(args) -> int:
                         + _fields(rep, sv_count))
 
     failed = []
-    # the test set's masks, for the ensemble rows
-    masks = ViewMasks(scenario.target_test.y, scenario.seen_mask, scenario.toxicity)
+    # the test set of the ensemble rows
+    test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
     for (proto, seed), run in zip(cells, runs):
         if isinstance(run, Exception):
             failed.append((proto.kind, seed, str(run)))
@@ -446,13 +446,11 @@ def cmd_run(args) -> int:
             src = sources[seed]
             probs = se_predict(src, run.final_params, scenario.target_test.X,
                                ENSEMBLE_ALPHA)
-            se_rep = report_from_scores(probs, scenario.target_test,
-                                        scenario.seen_mask, scenario.toxicity, masks)
+            se_rep = report_from_scores(probs, test)
             summary_lines.append(summary_row(
                 f"{proto.kind}+SE@{ENSEMBLE_ALPHA:g}", seed, se_rep))
             merged = wise_merge(src, run.final_params, ENSEMBLE_ALPHA)
-            wise_rep = evaluate(merged, scenario.target_test, scenario.seen_mask,
-                                scenario.toxicity, k, masks=masks)
+            wise_rep = evaluate(merged, test, k)
             summary_lines.append(summary_row(
                 f"{proto.kind}+WiSE@{ENSEMBLE_ALPHA:g}", seed, wise_rep))
 

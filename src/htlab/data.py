@@ -7,14 +7,20 @@ test set covering every class again. The only source-to-target discrepancy
 in synthetic scenarios is an affine style transform, so generalization of
 the style shift to unseen classes is directly measurable.
 
-On-disk layout of an exported scenario directory:
+On-disk layout of a scenario directory:
 
-    meta                    key = value lines (counts, seed, seen indices)
-    <split>_x.f64 / .idx    features (f64 container for synthetic data,
-                            IDX u8 images for real data)
+    meta                    key = value lines: format, scenario_id,
+                            num_classes, dim, seed, seen (class indices),
+                            count_<split> and, for paired scenarios,
+                            toxic_pairs (toxic:non_toxic indices)
+    <split>_x.f64 / .idx    features: the f64 container (format =
+                            synthetic, what save_scenario writes) or IDX u8
+                            images scaled to [0, 1] (format = idx, for real
+                            image data prepared elsewhere)
     <split>_y.idx           labels (IDX u8)
 
-The f64 container is 12 bytes of header -- magic ``HTF8``, u32 rows, u32
+load_scenario checks every meta key it reads against the data files. The
+f64 container is 12 bytes of header -- magic ``HTF8``, u32 rows, u32
 cols, little endian -- followed by rows*cols float64 values, little endian,
 row major. The readers of both formats check the sizes a header declares
 against the file before reading.
@@ -63,9 +69,6 @@ class Dataset:
     def __len__(self):
         return len(self.y)
 
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.X[idx], self.y[idx], self.num_classes)
-
     def classes_present(self) -> np.ndarray:
         return np.unique(self.y)
 
@@ -90,10 +93,6 @@ class StyleTransform:
             raise ValueError("style matrix is numerically singular")
 
     @classmethod
-    def identity(cls, dim: int) -> "StyleTransform":
-        return cls(np.eye(dim), np.zeros(dim), 0.0)
-
-    @classmethod
     def rotation_shift(cls, dim: int, angle: float, shift: float = 0.0,
                        noise_sigma: float = 0.0) -> "StyleTransform":
         """Plane rotations by `angle` on axes (0,1), (2,3), ... plus a
@@ -106,11 +105,10 @@ class StyleTransform:
         b = np.full(dim, shift / np.sqrt(dim))
         return cls(A, b, noise_sigma)
 
-    def apply(self, X: np.ndarray, rng: Optional[Rng] = None) -> np.ndarray:
+    def apply(self, X: np.ndarray, rng: Rng) -> np.ndarray:
+        """The shifted rows; the noise, if any, is drawn from `rng`."""
         out = X @ self.A.T + self.b
         if self.noise_sigma > 0:
-            if rng is None:
-                raise ValueError("noise_sigma > 0 requires an rng")
             out = out + self.noise_sigma * rng.standard_normal(out.shape)
         return out
 
@@ -360,15 +358,6 @@ def _read_idx_labels(path: str) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def write_idx_images(path: str, images: np.ndarray):
-    """Write u8 images of shape (N, rows, cols) in IDX format."""
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-
-
 def write_idx_labels(path: str, labels: np.ndarray):
     labels = np.asarray(labels)
     if labels.size and labels.max() > 255:
@@ -402,40 +391,27 @@ def read_f64(path: str) -> np.ndarray:
 
 # ------------------------------------------------------- scenario directory
 
-def save_scenario(scenario: HTScenario, out_dir: str, quantize: bool = False,
-                  force: bool = False):
-    """Materialize a scenario as a directory.
-
-    Synthetic scenarios keep exact float features (f64 container);
-    `quantize` switches to IDX u8 features for real-image data.
-    """
+def save_scenario(scenario: HTScenario, out_dir: str, force: bool = False):
+    """Materialize a scenario as a directory, features in the exact f64
+    container."""
     os.makedirs(out_dir, exist_ok=True)
     existing = [p for p in os.listdir(out_dir) if not p.startswith(".")]
     if existing and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty")
 
-    splits = {
-        "source_train": scenario.source_train,
-        "target_train": scenario.target_train,
-        "target_test": scenario.target_test,
-    }
     lines = [
-        f"format = {'idx' if quantize else 'synthetic'}",
+        "format = synthetic",
         f"scenario_id = {scenario.scenario_id}",
         f"num_classes = {scenario.num_classes}",
         f"dim = {scenario.dim}",
         f"seed = {scenario.seed}",
         "seen = " + ",".join(str(i) for i in np.flatnonzero(scenario.seen_mask)),
     ]
-    for name, ds in splits.items():
+    for name in _SPLITS:
+        ds = getattr(scenario, name)
         lines.append(f"count_{name} = {len(ds)}")
         write_idx_labels(os.path.join(out_dir, f"{name}_y.idx"), ds.y)
-        if quantize:
-            img = np.clip(np.rint(ds.X * 255.0), 0, 255).astype(np.uint8)
-            write_idx_images(os.path.join(out_dir, f"{name}_x.idx"),
-                             img.reshape(len(ds), ds.dim, 1))
-        else:
-            write_f64(os.path.join(out_dir, f"{name}_x.f64"), ds.X)
+        write_f64(os.path.join(out_dir, f"{name}_x.f64"), ds.X)
     if scenario.toxicity is not None:
         lines.append("toxic_pairs = " + ",".join(
             f"{t}:{n}" for t, n in scenario.toxicity.pairs))
@@ -444,41 +420,70 @@ def save_scenario(scenario: HTScenario, out_dir: str, quantize: bool = False,
 
 
 def load_scenario(in_dir: str) -> HTScenario:
+    """The scenario a directory holds. Its `meta` file must declare the
+    format, the class count, the feature width, the seed, the seen classes
+    and each split's row count, and the data files must agree with it; a
+    key that is missing, malformed or out of range, or that the data
+    contradicts, raises a ValueError naming the file and the key."""
+    path = os.path.join(in_dir, "meta")
     meta = {}
-    with open(os.path.join(in_dir, "meta")) as f:
+    with open(path) as f:
         for line in f:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            k, v = line.split("=", 1)
-            meta[k.strip()] = v.strip()
-    fmt = meta["format"]
-    num_classes = int(meta["num_classes"])
+            k, sep, v = line.partition("=")
+            if sep:
+                meta[k.strip()] = v.strip()
+
+    def bad(key, why):
+        return ValueError(f"{path}: {key} {why}")
+
+    def field(key, parse=int, ok=lambda value: True):
+        if key not in meta:
+            raise bad(key, "is missing")
+        try:
+            value = parse(meta[key])
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise bad(key, f"= {meta[key]} is malformed or out of range")
+
+    def class_ids(text, sep=","):
+        return tuple(int(i) for i in text.split(sep) if i.strip())
+
+    def in_range(ids):
+        return all(0 <= i < num_classes for i in ids)
+
+    fmt = field("format", str, lambda f: f in ("synthetic", "idx"))
+    num_classes, dim = field("num_classes", ok=lambda n: n > 0), field("dim")
     seen = np.zeros(num_classes, dtype=bool)
-    seen[[int(i) for i in meta["seen"].split(",") if i]] = True
+    seen[list(field("seen", class_ids, in_range))] = True
 
     datasets = {}
     for name in _SPLITS:
+        labels = os.path.join(in_dir, f"{name}_y.idx")
         if fmt == "idx":
-            ds = load_idx(os.path.join(in_dir, f"{name}_x.idx"),
-                          os.path.join(in_dir, f"{name}_y.idx"))
-            datasets[name] = Dataset(ds.X, ds.y, num_classes)
+            ds = load_idx(os.path.join(in_dir, f"{name}_x.idx"), labels)
+            X, y = ds.X, ds.y
         else:
-            datasets[name] = Dataset(read_f64(os.path.join(in_dir, f"{name}_x.f64")),
-                                     _read_idx_labels(os.path.join(in_dir, f"{name}_y.idx")),
-                                     num_classes)
+            X, y = read_f64(os.path.join(in_dir, f"{name}_x.f64")), _read_idx_labels(labels)
+        ds = datasets[name] = Dataset(X, y, num_classes)
+        count = field(f"count_{name}")
+        if count != len(ds):
+            raise bad(f"count_{name}", f"= {count}, but {name} has {len(ds)} rows")
+        if dim != ds.dim:
+            raise bad("dim", f"= {dim}, but {name} has {ds.dim} features")
 
     toxicity = None
-    if "toxic_pairs" in meta and meta["toxic_pairs"]:
-        pairs = [tuple(int(x) for x in p.split(":")) for p in meta["toxic_pairs"].split(",")]
-        toxicity = ToxicityMap(pairs)
-
+    if meta.get("toxic_pairs"):
+        toxicity = ToxicityMap(field(
+            "toxic_pairs", lambda text: [class_ids(p, ":") for p in text.split(",")],
+            lambda pairs: all(len(p) == 2 and in_range(p) for p in pairs)))
     return HTScenario(
         source_train=datasets["source_train"],
         target_train=datasets["target_train"],
         target_test=datasets["target_test"],
         seen_mask=seen,
-        seed=int(meta["seed"]),
+        seed=field("seed"),
         scenario_id=meta.get("scenario_id", os.path.basename(os.path.normpath(in_dir))),
         toxicity=toxicity,
     )

@@ -1,6 +1,12 @@
 """Metrics and diagnostics: the four accuracy views, the toxic-pair
 false-negative rate, and feature-spectrum summaries.
 
+Every evaluation reads its test set through one EvalSet: the Dataset, with
+the row and column masks its seen classes and toxicity map give, built
+once. evaluate scores a model on it and report_from_scores a prediction
+ensemble's class scores; _report turns the accuracy views of either into
+an EvalReport.
+
 Accuracy views. `overall` is plain test accuracy; `seen`/`unseen` restrict
 to samples whose true class is seen/unseen; `seen_chopped` re-scores the
 seen samples with the unseen logit columns removed, isolating feature
@@ -43,24 +49,25 @@ class EvalReport:
     n_unseen: int
 
 
-def effective_rank(spectrum: Spectrum, tau: float = RANK_TAU) -> int:
+def effective_rank(spectrum: Spectrum) -> int:
     v = spectrum.values
     if v.size == 0 or v[0] <= 0:
         return 0
-    return int(np.sum(v >= tau * v[0]))
+    return int(np.sum(v >= RANK_TAU * v[0]))
 
 
-class ViewMasks:
-    """What the accuracy views need of a test set's labels besides the
-    scores: the seen rows, the seen columns, the toxic rows and which
-    classes are non-toxic. Built once per test set, it serves every
-    evaluation of that set."""
+class EvalSet:
+    """A test set as the evaluation reads it: the Dataset, and what the
+    accuracy views need of its labels besides the scores (the seen rows,
+    the seen columns, the toxic rows and which classes are non-toxic).
+    Built once per test set, it serves every evaluation of that set."""
 
-    def __init__(self, y: np.ndarray, seen_mask, toxicity: Optional[ToxicityMap] = None):
+    def __init__(self, data: Dataset, seen_mask, toxicity: Optional[ToxicityMap] = None):
         seen_mask = np.asarray(seen_mask, dtype=bool)
+        y = data.y
         if len(y) == 0:
             raise ValueError("empty test set")
-        self.y = y
+        self.data = data
         self.is_seen = seen_mask[y]
         self.n_seen = int(np.count_nonzero(self.is_seen))
         self.n_unseen = len(y) - self.n_seen
@@ -79,77 +86,55 @@ class ViewMasks:
             self.non_toxic[toxicity.non_toxic_classes()] = True
 
 
-def accuracy_views(scores: np.ndarray, y: np.ndarray, seen_mask: np.ndarray,
-                   toxicity: Optional[ToxicityMap] = None,
-                   masks: Optional[ViewMasks] = None) -> dict:
-    """Accuracy views from per-class scores (logits or probabilities);
-    `masks`, if given, must be ViewMasks(y, seen_mask, toxicity). Each
-    accuracy is a count over a row count, the float bool.mean() gives."""
-    m = ViewMasks(y, seen_mask, toxicity) if masks is None else masks
+def accuracy_views(scores: np.ndarray, test: EvalSet) -> dict:
+    """The accuracy views, the row counts and the false-negative rate (None
+    without a toxicity map) of per-class scores (logits or probabilities)
+    on `test`, keyed by EvalReport's field names. Each accuracy is a count
+    over a row count, the float bool.mean() gives."""
     preds = np.argmax(scores, axis=1)
-    correct = preds == m.y
+    y = test.data.y
+    correct = preds == y
     n_correct = int(np.count_nonzero(correct))
-    n_seen_correct = int(np.count_nonzero(correct & m.is_seen))
-    chop_preds = m.seen_cols[np.argmax(scores[m.chop], axis=1)]
+    n_seen_correct = int(np.count_nonzero(correct & test.is_seen))
+    chop_preds = test.seen_cols[np.argmax(scores[test.chop], axis=1)]
     out = {
-        "overall_acc": n_correct / len(m.y),
-        "seen_acc": n_seen_correct / m.n_seen,
-        "unseen_acc": (n_correct - n_seen_correct) / m.n_unseen,
-        "seen_chopped_acc": int(np.count_nonzero(chop_preds == m.y_seen)) / m.n_seen,
-        "n_seen": m.n_seen,
-        "n_unseen": m.n_unseen,
+        "overall_acc": n_correct / len(y),
+        "seen_acc": n_seen_correct / test.n_seen,
+        "unseen_acc": (n_correct - n_seen_correct) / test.n_unseen,
+        "seen_chopped_acc": int(np.count_nonzero(chop_preds == test.y_seen)) / test.n_seen,
+        "n_seen": test.n_seen,
+        "n_unseen": test.n_unseen,
         "false_negative_rate": None,
     }
-    if m.toxic is not None:
-        misrouted = m.non_toxic[preds[m.toxic]]
-        out["false_negative_rate"] = int(np.count_nonzero(misrouted)) / m.toxic.size
+    if test.toxic is not None:
+        misrouted = test.non_toxic[preds[test.toxic]]
+        out["false_negative_rate"] = int(np.count_nonzero(misrouted)) / test.toxic.size
     return out
 
 
-def evaluate(params: ModelParams, target_test: Dataset, seen_mask,
-             toxicity: Optional[ToxicityMap] = None,
-             k_spectrum: int = 20, scratch: Optional[dict] = None,
-             masks: Optional[ViewMasks] = None) -> EvalReport:
-    """Eval-mode evaluation of a model on the full target test set; the
-    forward pass uses the buffers of `scratch` (see model.forward), and the
-    accuracy views the `masks` of the test set if given."""
-    if masks is None:
-        masks = ViewMasks(target_test.y, seen_mask, toxicity)
-    trace = forward(params, target_test.X, mode="eval", scratch=scratch)
-    views = accuracy_views(trace.logits, target_test.y, seen_mask, toxicity, masks)
+def _report(views: dict, spectrum: Optional[Spectrum] = None) -> EvalReport:
+    """The EvalReport of accuracy views; without a feature spectrum the
+    spectrum is empty and the effective rank NaN."""
+    rank = float("nan") if spectrum is None else effective_rank(spectrum)
+    return EvalReport(**views, effective_rank=rank,
+                      spectrum=Spectrum(np.empty(0)) if spectrum is None else spectrum)
+
+
+def evaluate(params: ModelParams, test: EvalSet, k_spectrum: int = 20,
+             scratch: Optional[dict] = None) -> EvalReport:
+    """Eval-mode evaluation of a model on the full test set; the forward
+    pass uses the buffers of `scratch` (see model.forward). Features whose
+    Gram is not finite raise FloatingPointError."""
+    trace = forward(params, test.data.X, mode="eval", scratch=scratch)
     feats = trace.features
     k = min(k_spectrum, feats.shape[0], feats.shape[1])
-    spectrum = top_singular_values(feats, k)
-    return EvalReport(
-        overall_acc=views["overall_acc"],
-        seen_acc=views["seen_acc"],
-        unseen_acc=views["unseen_acc"],
-        seen_chopped_acc=views["seen_chopped_acc"],
-        false_negative_rate=views["false_negative_rate"],
-        spectrum=spectrum,
-        effective_rank=effective_rank(spectrum),
-        n_seen=views["n_seen"],
-        n_unseen=views["n_unseen"],
-    )
+    return _report(accuracy_views(trace.logits, test), top_singular_values(feats, k))
 
 
-def report_from_scores(scores: np.ndarray, target_test: Dataset, seen_mask,
-                       toxicity: Optional[ToxicityMap] = None,
-                       masks: Optional[ViewMasks] = None) -> EvalReport:
+def report_from_scores(scores: np.ndarray, test: EvalSet) -> EvalReport:
     """EvalReport for prediction-level ensembles, which have class scores
     but no feature space; spectrum fields are empty/NaN."""
-    views = accuracy_views(scores, target_test.y, seen_mask, toxicity, masks)
-    return EvalReport(
-        overall_acc=views["overall_acc"],
-        seen_acc=views["seen_acc"],
-        unseen_acc=views["unseen_acc"],
-        seen_chopped_acc=views["seen_chopped_acc"],
-        false_negative_rate=views["false_negative_rate"],
-        spectrum=Spectrum(np.empty(0)),
-        effective_rank=float("nan"),
-        n_seen=views["n_seen"],
-        n_unseen=views["n_unseen"],
-    )
+    return _report(accuracy_views(scores, test))
 
 
 def aggregate_seeds(rows: Iterable[tuple]) -> dict:

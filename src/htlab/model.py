@@ -472,14 +472,6 @@ def recompute_bn_stats(params: ModelParams, dataset: Dataset,
     return out
 
 
-def chopped_logits(logits: np.ndarray, seen_mask) -> np.ndarray:
-    """Restrict logit columns to the seen classes, order preserved."""
-    seen_mask = np.asarray(seen_mask, dtype=bool)
-    if seen_mask.sum() < 1:
-        raise ValueError("seen mask selects no classes")
-    return logits[:, np.flatnonzero(seen_mask)]
-
-
 def params_axpy(a: float, p1: ModelParams, b: float, p2: ModelParams) -> ModelParams:
     """Elementwise a*p1 + b*p2 over every group, running variances floored
     at zero so the result stays a valid parameter set."""

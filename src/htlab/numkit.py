@@ -83,9 +83,6 @@ class Rng:
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size=size)
 
-    def uniform(self, size=None) -> np.ndarray:
-        return self._gen.random(size=size)
-
     def integers(self, low: int, high: int, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size=size)
 
@@ -109,15 +106,6 @@ class Spectrum:
         if values.size and (np.any(values < 0) or np.any(np.diff(values) > 0)):
             raise ValueError("spectrum must be nonnegative and descending")
         self.values = values
-
-    def __len__(self):
-        return self.values.size
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
 
     def __repr__(self):
         return f"Spectrum({np.array2string(self.values, precision=4)})"
@@ -179,7 +167,9 @@ def top_singular_values(Z: np.ndarray, k: int) -> Spectrum:
 
     Computed from the d x d Gram of the centered matrix: the singular
     values are the square roots of the eigenvalues of Zc^T Zc. Cheap for
-    the small feature widths used here.
+    the small feature widths used here. A Gram that is not finite (rows
+    that overflow when squared, or are not finite themselves) raises
+    FloatingPointError.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
@@ -191,6 +181,8 @@ def top_singular_values(Z: np.ndarray, k: int) -> Spectrum:
     Zc = Z - Z.mean(axis=0, keepdims=True)
     G = Zc.T @ Zc
     G = 0.5 * (G + G.T)
+    if not np.isfinite(G).all():
+        raise FloatingPointError("non-finite Gram matrix")
     eig = np.linalg.eigvalsh(G)  # ascending
     vals = np.sqrt(np.maximum(eig[::-1], 0.0))
     return Spectrum(vals[:k])

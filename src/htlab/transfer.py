@@ -23,10 +23,11 @@ source model itself, so curves from different protocols share an x-axis.
 
 Training that diverges fails loudly: params and the epoch (or round) loss
 are checked for finite values at every epoch boundary of pretrain_source
-and run_protocol (and the source params before run_protocol starts).
-pretrain_source raises the first failure as a DivergenceError;
-run_protocol returns it in place of that seed's run, and the seed's
-stack-mates train on unaffected.
+and run_protocol (and the source params before run_protocol starts), and
+so is the Gram of the features every run_protocol evaluation takes, which
+can overflow while the params stay finite. pretrain_source raises the
+first failure as a DivergenceError; run_protocol returns it in place of
+that seed's run, and the seed's stack-mates train on unaffected.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .data import Dataset, HTScenario, ToxicityMap
 from .losses import CompositeLoss, LossSpec
-from .metrics import EvalReport, ViewMasks, evaluate
+from .metrics import EvalReport, EvalSet, evaluate
 from .model import (
     GROUPS,
     FreezeMask,
@@ -137,10 +138,11 @@ class Protocol:
 
 
 class DivergenceError(ArithmeticError):
-    """Training produced a non-finite parameter or loss. `where` is the
-    protocol kind or "pretrain"; `epoch` numbers epochs (or rounds) from 1
-    as curves.csv does, 0 being the model training started from; `part` is
-    the first non-finite parameter group, or "loss"."""
+    """Training produced a non-finite parameter, loss or feature Gram.
+    `where` is the protocol kind or "pretrain"; `epoch` numbers epochs (or
+    rounds) from 1 as curves.csv does, 0 being the model training started
+    from; `part` is the first non-finite parameter group, "loss" or
+    "features"."""
 
     def __init__(self, where: str, epoch: int, part: str):
         super().__init__(where, epoch, part)  # args rebuild it after pickling
@@ -215,9 +217,10 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     """Adapt each seed's source model (`sources[i]` for `seeds[i]`) on the
     target training split with one protocol, and evaluate after every epoch
     (or round). Returns, per seed in order, its TransferRun or what it
-    failed with: a DivergenceError once its params or loss go non-finite,
-    or the error its evaluation raised. A fault of the protocol as a whole,
-    such as a model without the parts it trains, raises.
+    failed with: a DivergenceError once its params, loss or evaluated
+    features go non-finite, or another error its evaluation raised. A
+    fault of the protocol as a whole, such as a model without the parts it
+    trains, raises.
 
     The seeds of an SGD preset train together: their params are one (S, P)
     stack (see optim.train_sgd), and each seed's slice does the arithmetic
@@ -235,21 +238,25 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     for source in sources:
         _check_model(protocol.kind, source)
     seen_mask = np.asarray(seen_mask, dtype=bool)
-    masks = ViewMasks(target_test.y, seen_mask, toxicity)  # for every evaluation below
+    test = EvalSet(target_test, seen_mask, toxicity)  # for every evaluation below
     scratch: dict = {}  # the evaluation forward's buffers, reused every epoch
     swa = protocol.swa
     fold_per_epoch = preset.swa and swa.cadence == "per_epoch"
     fold_per_step = preset.swa and swa.cadence == "per_iteration"
 
-    def report(params: ModelParams) -> EvalReport:
-        return evaluate(params, target_test, seen_mask, toxicity, k_spectrum, scratch, masks)
+    def report(epoch: int, params: ModelParams) -> EvalReport:
+        try:
+            return evaluate(params, test, k_spectrum, scratch)
+        except FloatingPointError:  # features too large to square, or not finite
+            raise DivergenceError(protocol.kind, epoch, "features") from None
 
     # per seed: its curve, entry 0 the source model, or the error it failed with
     out: list = []
     for source in sources:
         try:
             _check_finite(protocol.kind, 0, source)
-            out.append([report(source)])
+            with np.errstate(all="ignore"):  # as in training below
+                out.append([report(0, source)])
         except Exception as e:  # noqa: BLE001 - a seed fails alone
             out.append(e)
 
@@ -279,7 +286,7 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
                 if errors[j] is None:
                     try:
                         _check_finite(protocol.kind, done, run, losses[j])
-                        curves[j].append(report(shown))
+                        curves[j].append(report(done, shown))
                     except Exception as e:  # noqa: BLE001 - a seed fails alone
                         errors[j] = e
             if None not in errors:

@@ -18,7 +18,7 @@ import pytest
 from htlab.cli import main
 from htlab.data import Dataset, StyleTransform, gen_paired_toxicity_scenario, gen_synthetic_scenario
 from htlab.losses import CompositeLoss, LossSpec, cross_entropy, rank_reg, selective_distill
-from htlab.metrics import evaluate, report_from_scores
+from htlab.metrics import EvalSet, evaluate, report_from_scores
 from htlab.model import FreezeMask, MlpSpec, backward, forward, group_of, init_model
 from htlab.numkit import Rng, covariance, kl_div, softmax, top_singular_values
 from htlab.optim import LolConfig, SgdConfig, lolsgd_round, sgd_step
@@ -64,7 +64,7 @@ def grid():
     for seed in SEEDS:
         scn = _reference_scenario(seed)
         src = pretrain_source(scn, MlpSpec(WIDTHS), PRETRAIN, Rng(seed).derive("source"))
-        out["source"].append(evaluate(src, scn.target_test, scn.seen_mask,
+        out["source"].append(evaluate(src, EvalSet(scn.target_test, scn.seen_mask),
                                       k_spectrum=K_SPECTRUM))
         for kind in PROTOCOLS:
             proto = Protocol(kind=kind, loss=LOSS, sgd=ADAPT, lol=LOL)
@@ -86,7 +86,7 @@ def toxicity_grid():
         scn, tox = gen_paired_toxicity_scenario(6, DIM, PER_CLASS, pair_overlap=0.6,
                                                 seed=seed, cluster_sep=CLUSTER_SEP)
         src = pretrain_source(scn, spec, PRETRAIN, Rng(seed).derive("source"))
-        out["source"].append(evaluate(src, scn.target_test, scn.seen_mask, toxicity=tox))
+        out["source"].append(evaluate(src, EvalSet(scn.target_test, scn.seen_mask, tox)))
         for kind in ("naive_ft", "lolsgd_distill_rank"):
             proto = Protocol(kind=kind, loss=LOSS, sgd=ADAPT, lol=LOL)
             [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
@@ -281,7 +281,7 @@ def test_criterion_7_ensemble_endpoints_and_rescue(grid):
         endpoint_ok &= acc_of(forward(w0, scn.target_test.X, mode="eval").logits) == tgt_acc
         # alpha = 0.5 prediction ensemble rescues unseen accuracy
         se_rep = report_from_scores(se_predict(src, tgt, scn.target_test.X, 0.5),
-                                    scn.target_test, scn.seen_mask)
+                                    EvalSet(scn.target_test, scn.seen_mask))
         naive_rep = run.curve[-1]
         rescue_ok &= se_rep.unseen_acc > naive_rep.unseen_acc
         details.append(f"seed{seed} SE@0.5 unseen {se_rep.unseen_acc:.3f} > "

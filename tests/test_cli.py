@@ -154,6 +154,35 @@ def test_gen_flags_build_the_same_scenario_as_config_keys(tmp_path):
         assert np.array_equal(getattr(built, split).y, getattr(saved, split).y)
 
 
+@pytest.mark.parametrize("key, line", [
+    ("format", None),
+    ("format", "format = bogus"),
+    ("count_target_test", "count_target_test = 7"),
+    ("dim", "dim = 5"),
+    ("seen", "seen = 1,2,99"),
+], ids=["format-missing", "format-bogus", "count", "dim", "seen-out-of-range"])
+def test_run_rejects_an_import_whose_meta_disagrees_naming_the_key(tmp_path, capsys,
+                                                                   key, line):
+    # a `htlab gen` directory of 400 test rows of width 16, its `key` line
+    # replaced by `line` or dropped
+    scn, out = str(tmp_path / "scn"), str(tmp_path / "out")
+    assert main(["gen", "--out", scn]) == 0
+    meta = os.path.join(scn, "meta")
+    lines = _read(meta).decode().splitlines()
+    [i] = [i for i, ln in enumerate(lines) if ln.startswith(f"{key} = ")]
+    lines[i:i + 1] = [line] if line else []
+    with open(meta, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    cfg = str(tmp_path / "import.ini")
+    with open(cfg, "w") as f:
+        f.write(f"[scenario]\nkind = import\npath = {scn}\n[protocols]\nnames = naive_ft\n"
+                f"[run]\nseeds = 0\noutput_dir = {out}\n")
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {meta}: {key} ")
+    assert not os.path.exists(out)
+
+
 # ------------------------------------------------------------ run
 
 def test_run_row_bookkeeping(tmp_path):
@@ -368,6 +397,39 @@ def test_run_diverging_seed_fails_alone(tmp_path, capsys, monkeypatch, jobs):
     seed_1 = [ln.split(",") for ln in rows(with_1, "summary.csv", lambda r: r[3] == "1")]
     assert [(r[0], r[2]) for r in seed_1] == [
         ("ok", "source_only"), ("FAILED", "naive_ft"), ("FAILED", "lp_ft"), ("FAILED", "swa")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_seed_whose_features_overflow_fails_alone(tmp_path, capfd, monkeypatch, jobs):
+    # seed 1's source is finite, but its features overflow the Gram the
+    # spectrum is taken from: that seed fails at epoch 0, naming the protocol
+    # and the features, without a numpy warning (made an error here, and
+    # read from the workers' stderr at --jobs 2)
+    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft")
+    pretrain = cli.pretrain_source
+
+    def overflow_seed_1(scenario, spec, pre_cfg, rng):
+        params = pretrain(scenario, spec, pre_cfg, rng)
+        if rng.seed == 1:
+            params.flat[...] *= 1e100
+        return params
+
+    monkeypatch.setattr(cli, "pretrain_source", overflow_seed_1)
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    with_1, without_1 = str(tmp_path / "with"), str(tmp_path / "without")
+    assert main(["run", "--config", cfg, "--out", with_1, "--jobs", jobs]) == 2
+    err = capfd.readouterr().err
+    for kind in ("source_only", "naive_ft"):
+        assert f"FAILED {kind} seed=1: {kind} diverged at epoch 0: non-finite features" \
+            in err
+    assert "Warning" not in err
+    monkeypatch.setenv("HTLAB_SEED", "0,2")
+    assert main(["run", "--config", cfg, "--out", without_1, "--jobs", jobs]) == 0
+    for name, seed_col in (("curves.csv", 2), ("summary.csv", 3)):
+        with open(os.path.join(with_1, name)) as f:
+            kept = [ln for ln in f.read().splitlines() if ln.split(",")[seed_col] != "1"]
+        assert kept == _read(os.path.join(without_1, name)).decode().splitlines()
 
 
 @pytest.mark.parametrize("names, seeds, env", [

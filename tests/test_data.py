@@ -20,7 +20,6 @@ from htlab.data import (
     read_f64,
     save_scenario,
     write_f64,
-    write_idx_images,
     write_idx_labels,
 )
 from htlab.numkit import Rng
@@ -58,7 +57,7 @@ def test_generator_invariants_hold():
 
 
 def test_generator_seen_count_30_of_65():
-    style = StyleTransform.identity(4)
+    style = StyleTransform(np.eye(4), np.zeros(4))
     s = gen_synthetic_scenario(65, 30, 4, (2, 2, 1), 8.0, style, seed=3)
     assert int(s.seen_mask.sum()) == 30
 
@@ -74,9 +73,9 @@ def test_generator_min_cluster_separation():
 
 
 def test_identity_style_is_noop():
-    style = StyleTransform.identity(8)
+    style = StyleTransform(np.eye(8), np.zeros(8))
     X = Rng(1).standard_normal((5, 8))
-    assert np.array_equal(style.apply(X), X)
+    assert np.array_equal(style.apply(X, Rng(2)), X)
     s = gen_synthetic_scenario(4, 2, 8, (30, 30, 30), 6.0, style, seed=1)
     # same class-conditional distribution: compare per-class sample means
     for c in np.flatnonzero(s.seen_mask):
@@ -86,7 +85,7 @@ def test_identity_style_is_noop():
 
 
 def test_generator_rejects_degenerate_seen_counts():
-    style = StyleTransform.identity(4)
+    style = StyleTransform(np.eye(4), np.zeros(4))
     with pytest.raises(ValueError, match="no unseen classes"):
         gen_synthetic_scenario(5, 5, 4, (1, 1, 1), 4.0, style, seed=0)
     with pytest.raises(ValueError):
@@ -95,7 +94,7 @@ def test_generator_rejects_degenerate_seen_counts():
 
 def test_seen_mask_sampling_is_uniform():
     # chi-square over 200 seeds: each class should be seen ~ num_seen/C of the time
-    style = StyleTransform.identity(4)
+    style = StyleTransform(np.eye(4), np.zeros(4))
     counts = np.zeros(6)
     for seed in range(200):
         s = gen_synthetic_scenario(6, 3, 4, (1, 1, 1), 4.0, style, seed=seed)
@@ -113,6 +112,15 @@ def test_style_transform_rejects_singular_matrix():
 
 
 # ------------------------------------------------------------ IDX format
+
+def write_idx_images(path, images):
+    """Write u8 images of shape (N, rows, cols) in IDX format, the form in
+    which real image data reaches htlab; htlab itself writes none."""
+    images = np.asarray(images, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(">iiii", 0x803, *images.shape))
+        f.write(images.tobytes())
+
 
 def test_idx_round_trip(tmp_path):
     rng = Rng(5)
@@ -321,22 +329,54 @@ def test_scenario_round_trip_with_toxicity(tmp_path):
     assert loaded.toxicity.pairs == tox.pairs
 
 
-def test_scenario_quantized_round_trip(tmp_path):
-    # real-data path: features live in [0, 1] and survive u8 quantization
-    rng = Rng(8)
-    def mk(n, c):
-        X = rng.uniform((n, 4))
-        y = np.arange(n) % c
-        return Dataset(np.rint(X * 255) / 255.0, y, c)
-    s = HTScenario(source_train=mk(12, 3), target_train=Dataset(
-        np.rint(rng.uniform((6, 4)) * 255) / 255.0, np.zeros(6, dtype=int), 3),
-        target_test=mk(9, 3), seen_mask=[True, False, False], seed=1,
-        scenario_id="quant")
+@pytest.mark.parametrize("key, line", [
+    ("num_classes", "num_classes = 0"),
+    ("seed", None),
+    ("seen", "seen = 0,x"),
+    ("toxic_pairs", "toxic_pairs = 0:1,2"),
+    ("toxic_pairs", "toxic_pairs = 0:1,2:7"),
+])
+def test_scenario_meta_key_rejected_naming_it(tmp_path, key, line):
+    s, _ = gen_paired_toxicity_scenario(3, dim=6, per_class=(5, 4, 3),
+                                        pair_overlap=0.5, seed=4)
     out = str(tmp_path / "scn")
-    save_scenario(s, out, quantize=True)
-    loaded = load_scenario(out)
-    assert np.array_equal(loaded.source_train.X, s.source_train.X)
-    assert np.array_equal(loaded.target_test.y, s.target_test.y)
+    save_scenario(s, out)
+    meta = os.path.join(out, "meta")
+    with open(meta) as f:
+        lines = [ln for ln in f.read().splitlines() if not ln.startswith(f"{key} = ")]
+    with open(meta, "w") as f:
+        f.write("\n".join(lines + ([line] if line else [])) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(meta)}: {key} "):
+        load_scenario(out)
+
+
+def test_scenario_quantized_round_trip(tmp_path):
+    # real-data path: a format = idx directory of u8 images, read scaled to
+    # [0, 1]; features that are multiples of 1/255 come back exactly
+    rng = Rng(8)
+
+    def mk(y):
+        return Dataset(rng.integers(0, 256, size=(len(y), 4)) / 255.0, y, 3)
+
+    s = HTScenario(source_train=mk(np.arange(12) % 3), target_train=mk(np.zeros(6, int)),
+                   target_test=mk(np.arange(9) % 3), seen_mask=[True, False, False],
+                   seed=1, scenario_id="quant")
+    out = tmp_path / "scn"
+    out.mkdir()
+    meta = ["format = idx", "scenario_id = quant", "num_classes = 3", "dim = 4", "seed = 1",
+            "seen = 0"]
+    for name in ("source_train", "target_train", "target_test"):
+        ds = getattr(s, name)
+        meta.append(f"count_{name} = {len(ds)}")
+        write_idx_images(out / f"{name}_x.idx", np.rint(ds.X * 255).reshape(len(ds), 4, 1))
+        write_idx_labels(out / f"{name}_y.idx", ds.y)
+    (out / "meta").write_text("\n".join(meta) + "\n")
+    loaded = load_scenario(str(out))
+    for name in ("source_train", "target_train", "target_test"):
+        assert np.array_equal(getattr(loaded, name).X, getattr(s, name).X)
+        assert np.array_equal(getattr(loaded, name).y, getattr(s, name).y)
+    assert np.array_equal(loaded.seen_mask, s.seen_mask)
+    assert (loaded.seed, loaded.scenario_id) == (1, "quant")
 
 
 def test_save_refuses_nonempty_dir(tmp_path):

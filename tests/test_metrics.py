@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from htlab.data import Dataset, ToxicityMap
 from htlab.metrics import (
-    ViewMasks,
+    EvalSet,
     accuracy_views,
     aggregate_seeds,
     effective_rank,
@@ -59,7 +59,7 @@ def _means(scale=20.0):
 def test_perfect_model_scores_ones():
     means = _means()
     ds = _grid_dataset(means, 25, sigma=0.5)
-    rep = evaluate(nearest_mean_model(means), ds, SEEN, toxicity=TOX)
+    rep = evaluate(nearest_mean_model(means), EvalSet(ds, SEEN, TOX))
     assert rep.overall_acc == 1.0
     assert rep.seen_acc == 1.0 and rep.unseen_acc == 1.0
     assert rep.seen_chopped_acc == 1.0
@@ -69,7 +69,7 @@ def test_perfect_model_scores_ones():
 def test_constant_predictor_collapse():
     means = _means()
     ds = _grid_dataset(means, 10, sigma=0.5)
-    rep = evaluate(constant_model(8, 4, c=0), ds, SEEN, toxicity=TOX)
+    rep = evaluate(constant_model(8, 4, c=0), EvalSet(ds, SEEN, TOX))
     assert rep.unseen_acc == 0.0
     assert rep.seen_acc == 0.5  # only class 0 is right
     assert rep.false_negative_rate == 1.0  # toxic -> class 0, a non-toxic class
@@ -81,7 +81,7 @@ def test_accuracy_decomposition_identity_random_model():
     rng = Rng(101)
     for trial in range(5):
         p = init_model(MlpSpec((8, 6, 4)), rng.derive(trial))
-        rep = evaluate(p, ds, SEEN)
+        rep = evaluate(p, EvalSet(ds, SEEN))
         recomposed = (rep.n_seen * rep.seen_acc + rep.n_unseen * rep.unseen_acc) \
             / (rep.n_seen + rep.n_unseen)
         assert abs(rep.overall_acc - recomposed) < 1e-12
@@ -93,7 +93,7 @@ def test_chopped_never_below_seen_accuracy():
     rng = Rng(102)
     for trial in range(10):
         p = init_model(MlpSpec((8, 6, 4)), rng.derive(trial))
-        rep = evaluate(p, ds, SEEN)
+        rep = evaluate(p, EvalSet(ds, SEEN))
         assert rep.seen_chopped_acc >= rep.seen_acc
 
 
@@ -102,7 +102,7 @@ def test_fnr_counts_only_toxic_denominator():
     ds = _grid_dataset(means, 10, sigma=0.5)
     # constant predictor on class 2 (toxic): toxic samples stay in the toxic
     # set, so FNR is 0 even though everything else is wrong
-    rep = evaluate(constant_model(8, 4, c=2), ds, SEEN, toxicity=TOX)
+    rep = evaluate(constant_model(8, 4, c=2), EvalSet(ds, SEEN, TOX))
     assert rep.false_negative_rate == 0.0
     assert rep.false_negative_rate is not None
 
@@ -136,18 +136,32 @@ def test_accuracy_views_equal_bool_means(n, seed, toxic):
     scores = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
     tox = TOX if toxic else None
     want = _reference_views(scores, y, SEEN, tox)
-    assert accuracy_views(scores, y, SEEN, tox) == want
-    assert accuracy_views(scores, y, SEEN, tox, ViewMasks(y, SEEN, tox)) == want
+    assert accuracy_views(scores, EvalSet(Dataset(np.zeros((n, 1)), y, 4), SEEN, tox)) == want
 
 
-def test_evaluate_requires_both_sides():
-    means = _means()
-    ds = _grid_dataset(means, 5, sigma=0.5)
-    only_seen = ds.subset(np.flatnonzero(SEEN[ds.y]))
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), mask_bits=st.integers(1, 2**5 - 2))
+def test_seen_chopped_keeps_a_seen_argmax(seed, mask_bits):
+    # a seen row whose argmax over all classes is a seen class keeps that
+    # prediction when the unseen columns are dropped: row 0 below, labelled
+    # with its own argmax, is right in the seen and in the chopped view
+    seen = np.array([bool(mask_bits >> c & 1) for c in range(5)])
+    rng = Rng(seed)
+    scores = rng.standard_normal((2, 5))
+    full = int(np.argmax(scores[0]))
+    assume(seen[full])
+    y = np.array([full, np.flatnonzero(~seen)[0]])
+    views = accuracy_views(scores, EvalSet(Dataset(np.zeros((2, 1)), y, 5), seen))
+    assert views["seen_acc"] == views["seen_chopped_acc"] == 1.0
+
+
+def test_eval_set_requires_both_sides():
+    ds = _grid_dataset(_means(), 5, sigma=0.5)
+    seen_rows, no_rows = np.flatnonzero(SEEN[ds.y]), np.array([], dtype=int)
     with pytest.raises(ValueError, match="both seen and unseen"):
-        evaluate(nearest_mean_model(means), only_seen, SEEN)
+        EvalSet(Dataset(ds.X[seen_rows], ds.y[seen_rows], ds.num_classes), SEEN)
     with pytest.raises(ValueError, match="empty"):
-        evaluate(nearest_mean_model(means), ds.subset(np.array([], dtype=int)), SEEN)
+        EvalSet(Dataset(ds.X[no_rows], ds.y[no_rows], ds.num_classes), SEEN)
 
 
 def test_effective_rank_threshold():
@@ -163,12 +177,13 @@ def test_report_from_scores_matches_evaluate_views():
     p = nearest_mean_model(means)
     from htlab.model import forward
     logits = forward(p, ds.X, mode="eval").logits
-    a = evaluate(p, ds, SEEN, toxicity=TOX)
-    b = report_from_scores(logits, ds, SEEN, toxicity=TOX)
+    test = EvalSet(ds, SEEN, TOX)
+    a = evaluate(p, test)
+    b = report_from_scores(logits, test)
     assert a.overall_acc == b.overall_acc
     assert a.seen_chopped_acc == b.seen_chopped_acc
     assert a.false_negative_rate == b.false_negative_rate
-    assert len(b.spectrum) == 0 and np.isnan(b.effective_rank)
+    assert b.spectrum.values.size == 0 and np.isnan(b.effective_rank)
 
 
 # ------------------------------------------------------------ aggregation

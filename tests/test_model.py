@@ -15,7 +15,6 @@ from htlab.model import (
     MlpSpec,
     ModelParams,
     backward,
-    chopped_logits,
     forward,
     group_of,
     init_model,
@@ -322,32 +321,6 @@ def test_recompute_bn_requires_bn():
     ds = Dataset(np.zeros((4, 5)), np.zeros(4, dtype=int), 1)
     with pytest.raises(ValueError, match="no batchnorm"):
         recompute_bn_stats(params, ds)
-
-
-# ------------------------------------------------------------ chopped logits
-
-def test_chopped_all_true_is_identity():
-    L = Rng(32).standard_normal((7, 5))
-    assert np.array_equal(chopped_logits(L, np.ones(5, bool)), L)
-
-
-def test_chopped_column_count():
-    L = Rng(33).standard_normal((4, 65))
-    mask = np.zeros(65, bool)
-    mask[:30] = True
-    assert chopped_logits(L, mask).shape == (4, 30)
-
-
-def test_chopped_argmax_restriction_property():
-    rng = Rng(34)
-    mask = np.array([True, False, True, True, False])
-    cols = np.flatnonzero(mask)
-    for _ in range(200):
-        L = rng.standard_normal((1, 5))
-        full = np.argmax(L[0])
-        if mask[full]:
-            sub = np.argmax(chopped_logits(L, mask)[0])
-            assert cols[sub] == full
 
 
 # ------------------------------------------------------------ params_axpy

@@ -181,7 +181,7 @@ def test_spectrum_rank_one_input():
     rng = Rng(19)
     u = rng.standard_normal(10)
     v = rng.standard_normal(4)
-    s = top_singular_values(np.outer(u, v), 4)
+    s = top_singular_values(np.outer(u, v), 4).values
     # centering a rank-1 matrix leaves rank <= 2; trailing values are
     # eigen-noise of the Gram route, sqrt(machine eps) relative at worst
     assert s[2] < 1e-7 * s[0] and s[3] < 1e-7 * s[0]
@@ -208,6 +208,15 @@ def test_spectrum_orthogonal_right_multiplication_invariant():
 def test_spectrum_k_too_large_rejected():
     with pytest.raises(ValueError, match="exceeds"):
         top_singular_values(np.zeros((3, 5)), 4)
+
+
+@pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
+def test_spectrum_of_a_non_finite_gram_raises(big):
+    # 1e200 is finite, but its square overflows the Gram
+    Z = Rng(22).standard_normal((6, 3))
+    Z[0, 1] = big
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        top_singular_values(Z, 3)
 
 
 def test_spectrum_type_validates_order():

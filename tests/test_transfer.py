@@ -6,7 +6,7 @@ import pytest
 
 from htlab.data import StyleTransform, gen_synthetic_scenario
 from htlab.losses import CompositeLoss, LossSpec
-from htlab.metrics import evaluate
+from htlab.metrics import EvalSet, evaluate
 from htlab.model import FreezeMask, MlpSpec, forward, init_model
 from htlab.numkit import Rng, softmax
 from htlab.optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, train_sgd
@@ -80,14 +80,14 @@ def test_pretrain_accuracy_on_held_out_source_data(scenario, source):
 
 
 def test_pretrain_transfers_something_to_unseen(scenario, source):
-    rep = evaluate(source, scenario.target_test, scenario.seen_mask)
+    rep = evaluate(source, EvalSet(scenario.target_test, scenario.seen_mask))
     assert rep.unseen_acc > 0.0
 
 
 # ------------------------------------------------------------ run_protocol
 
 def test_every_curve_starts_at_the_source_model(scenario, source):
-    base = evaluate(source, scenario.target_test, scenario.seen_mask)
+    base = evaluate(source, EvalSet(scenario.target_test, scenario.seen_mask))
     for kind in ("naive_ft", "frozen_ft", "lolsgd", "swa"):
         kw = {}
         if kind == "swa":
@@ -166,7 +166,7 @@ def test_in_adapter_only_trains_adapter_alone(scenario):
 
 
 def _report(scenario, params):
-    return evaluate(params, scenario.target_test, scenario.seen_mask)
+    return evaluate(params, EvalSet(scenario.target_test, scenario.seen_mask))
 
 
 def test_lp_ft_two_phase_boundary(scenario, source):
