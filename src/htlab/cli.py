@@ -270,8 +270,7 @@ def _cell(task):
         runs = run_protocol(scenario.target_train, scenario.target_test,
                             scenario.seen_mask, [sources[s] for s in trained], protocol,
                             trained, toxicity=scenario.toxicity,
-                            k_spectrum=_SHARED["k_spectrum"],
-                            scenario_id=scenario.scenario_id)
+                            k_spectrum=_SHARED["k_spectrum"])
     except Exception as e:  # noqa: BLE001 - fails every seed it trains
         runs = [e] * len(trained)
     done = dict(zip(trained, runs))
@@ -485,8 +484,9 @@ def cmd_gen(args) -> int:
 
 
 def _parse_summary(path: str) -> list:
-    """The `ok` rows of a summary.csv, after checking its header and the
-    width of every row."""
+    """The `ok` rows of a summary.csv as (protocol, seed, {metric: value})
+    triples, after checking its header, the width of every row and that
+    each `ok` row's seed and metric cells are numbers."""
     with open(path) as f:
         lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(f, 1) if ln.strip()]
     if not lines:
@@ -495,7 +495,15 @@ def _parse_summary(path: str) -> list:
     missing = [c for c in SUMMARY_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{path}: header lacks {', '.join(missing)}")
-    rows = []
+
+    def number(n: int, row: dict, column: str, parse):
+        try:
+            return parse(row[column])
+        except ValueError:
+            bad = f"{path}:{n}: {column} = {row[column]!r} is not a number"
+            raise ConfigError(bad) from None
+
+    ok = []
     seen = set()
     for n, fields in lines[1:]:
         if len(fields) != len(header):
@@ -505,8 +513,9 @@ def _parse_summary(path: str) -> list:
         if cell in seen:
             raise ConfigError(f"{path}:{n}: repeats protocol {cell[0]} seed {cell[1]}")
         seen.add(cell)
-        rows.append(row)
-    ok = [r for r in rows if r["status"] == "ok"]
+        if row["status"] == "ok":
+            ok.append((row["protocol"], number(n, row, "seed", int),
+                       {m: number(n, row, m, float) for m in _METRICS}))
     if not ok:
         raise ConfigError(f"{path} has no ok rows")
     return ok
@@ -517,8 +526,7 @@ def cmd_report(args) -> int:
     if not os.path.exists(path):
         print(f"missing {path}", file=sys.stderr)
         return 1
-    table = aggregate_seeds((r["protocol"], int(r["seed"]), {m: float(r[m]) for m in _METRICS})
-                            for r in _parse_summary(path))
+    table = aggregate_seeds(_parse_summary(path))
 
     baseline = table.get("naive_ft")
     deltas = {}

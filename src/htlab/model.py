@@ -47,6 +47,7 @@ from .numkit import Rng
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 IN_EPS = 1e-5
+BN_STATS_BATCH = 256  # rows per eval forward in recompute_bn_stats
 
 GROUPS = ("backbone", "classifier", "bn_affine", "bn_stats", "in_adapter")
 
@@ -441,8 +442,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
     return out
 
 
-def recompute_bn_stats(params: ModelParams, dataset: Dataset,
-                       batch_size: int = 256) -> ModelParams:
+def recompute_bn_stats(params: ModelParams, dataset: Dataset) -> ModelParams:
     """Replace running BN statistics with exact full-dataset statistics.
 
     Layers are processed in order: layer i's pre-activations are computed in
@@ -459,8 +459,8 @@ def recompute_bn_stats(params: ModelParams, dataset: Dataset,
     for i in range(spec.n_hidden):
         s = np.zeros(spec.layer_widths[i + 1])
         sq = np.zeros(spec.layer_widths[i + 1])
-        for lo in range(0, n_total, batch_size):
-            Xb = dataset.X[lo:lo + batch_size]
+        for lo in range(0, n_total, BN_STATS_BATCH):
+            Xb = dataset.X[lo:lo + BN_STATS_BATCH]
             trace = forward(out, Xb, mode="eval")
             z = trace.pre[i]
             s += z.sum(axis=0)

@@ -79,6 +79,8 @@ class LolConfig:
     def __post_init__(self):
         if self.subsets < 1 or self.leave_k < 0:
             raise ValueError("bad lol config")
+        if self.rounds < 0:
+            raise ValueError("rounds must be nonnegative (0 runs the sgd epochs)")
         if not (0.0 < self.outer_step <= 1.0):
             raise ValueError("outer_step must be in (0, 1]")
         if not 0 <= self.local_budget < math.inf:
@@ -151,11 +153,11 @@ def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     `rng` is an Rng, or for stacked (S, P) params a sequence of S Rngs, one
     per run: each run reshuffles from its own stream and the S runs take
     every step together, each slice bitwise as if it trained alone (see
-    model.forward). Returns (new_params, loss_curve); the input params are
-    not modified. The curve holds each epoch's mean loss, or for stacked
-    params one such list per run. Deterministic in (params, dataset, cfg,
-    rng). `on_epoch` is called as on_epoch(epoch, params, epoch_loss) after
-    every epoch, epoch_loss being an (S,) array for stacked params.
+    model.forward). Returns the trained params; the input params are not
+    modified. Deterministic in (params, dataset, cfg, rng). `on_epoch` is
+    called as on_epoch(epoch, params, epoch_loss) after every epoch, with
+    the epoch's mean minibatch loss, an (S,) array for stacked params; it
+    is the only place that loss goes.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -165,7 +167,6 @@ def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
         raise ValueError("stacked params need one rng per run")
     work = params.clone()
     state: dict = {}
-    curve = []
     n = len(dataset)
     for epoch in range(cfg.epochs):
         orders = [r.derive(f"epoch-{epoch}").permutation(n) for r in rngs]
@@ -179,12 +180,9 @@ def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
             count += idx.shape[-1]
             if on_step is not None:
                 on_step(work)
-        curve.append(total / count)
         if on_epoch is not None:
-            on_epoch(epoch, work, curve[-1])
-    if stacked:  # per run, as floats
-        curve = np.reshape(curve, (len(curve), len(rngs))).T.tolist()
-    return work, curve
+            on_epoch(epoch, work, total / count)
+    return work
 
 
 def _round_step_allocation(n: int, cfg: SgdConfig, lol: LolConfig) -> list:
@@ -199,8 +197,7 @@ def _round_step_allocation(n: int, cfg: SgdConfig, lol: LolConfig) -> list:
 
 def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rng: Rng,
-                 loss_sink: Optional[list] = None,
-                 scratch: Optional[dict] = None) -> ModelParams:
+                 loss_sink: list, scratch: dict) -> ModelParams:
     """One leave-out round: M local runs from a shared snapshot, averaged
     displacement applied as the outer update. Returns new params.
 
@@ -229,32 +226,30 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                                  for _ in range(steps[m])], dtype=np.int64).reshape(-1, size))
 
     snapshot, spec = params, params.spec
-    state = {} if scratch is None else scratch
     local = np.repeat(snapshot.flat[None], lol.subsets, axis=0)
     losses = [[] for _ in range(lol.subsets)]
     for size in sorted({b.shape[1] for b in batches}):
         runs = [m for m in range(lol.subsets) if batches[m].shape[1] == size]
         work = ModelParams.from_flat(spec, local[runs])
-        state.pop("velocity", None)  # each local run starts without momentum
+        scratch.pop("velocity", None)  # each local run starts without momentum
         active = len(runs)
         for s in range(steps[runs[0]]):
             trained = sum(1 for m in runs if steps[m] > s)  # a prefix of `runs`
             if trained < active:
                 local[runs[trained:active]] = work.flat[trained:]
                 work = ModelParams.from_flat(spec, work.flat[:trained])
-                if "velocity" in state:
-                    state["velocity"] = ModelParams.from_flat(
-                        spec, state["velocity"].flat[:trained])
+                if "velocity" in scratch:
+                    scratch["velocity"] = ModelParams.from_flat(
+                        spec, scratch["velocity"].flat[:trained])
                 active = trained
             idx = np.stack([batches[m][s] for m in runs[:active]])
             batch_losses = _train_batch(work, dataset.X[idx], dataset.y[idx],
-                                        loss, cfg, mask, state)
+                                        loss, cfg, mask, scratch)
             for m, batch_loss in zip(runs[:active], batch_losses.tolist()):
                 losses[m].append(batch_loss)
         local[runs[:active]] = work.flat
-    if loss_sink is not None:
-        for run_losses in losses:
-            loss_sink.extend(run_losses)
+    for run_losses in losses:
+        loss_sink.extend(run_losses)
     d = np.subtract(snapshot.flat, local, out=local)
     total = d[0]
     for m in range(1, lol.subsets):  # ascending m, one run at a time
@@ -268,21 +263,20 @@ def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  on_round=None):
     """Iterated leave-out rounds. With the default budget one round costs
     one epoch of minibatches, so the default `rounds = epochs` spends the
-    same compute as train_sgd. Returns (new_params, per_round_loss_curve);
-    `on_round` is called as on_round(round, params, round_loss)."""
+    same compute as train_sgd. Returns the trained params; `on_round` is
+    called as on_round(round, params, round_loss) after every round, with
+    the mean of the round's local minibatch losses."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rounds = lol.rounds if lol.rounds > 0 else cfg.epochs
     work, scratch = params, {}
-    curve = []
     for r in range(rounds):
         sink: list = []
         work = lolsgd_round(work, dataset, loss, cfg, lol, mask,
-                            rng.derive(f"round-{r}"), loss_sink=sink, scratch=scratch)
-        curve.append(float(np.mean(sink)) if sink else float("nan"))
+                            rng.derive(f"round-{r}"), sink, scratch)
         if on_round is not None:
-            on_round(r, work, curve[-1])
-    return work, curve
+            on_round(r, work, float(np.mean(sink)) if sink else float("nan"))
+    return work
 
 
 class RunningAverage:

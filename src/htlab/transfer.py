@@ -18,8 +18,10 @@ are bitwise those of a one-seed call. LOL presets (whose M local runs
 already fill the run axis) and bn_stats_only take the seeds one after
 another.
 
-Every run produces a per-epoch evaluation curve whose entry 0 is the
-source model itself, so curves from different protocols share an x-axis.
+A run is its final params and a per-epoch evaluation curve whose entry 0
+is the source model itself, so curves from different protocols share an
+x-axis. Each epoch's (or round's) training loss reaches run_protocol only
+through the trainers' on_epoch/on_round hooks, for the check below.
 
 Training that diverges fails loudly: params and the epoch (or round) loss
 are checked for finite values at every epoch boundary of pretrain_source
@@ -162,12 +164,11 @@ def _check_finite(where: str, epoch: int, params: ModelParams, loss=None):
 
 @dataclass
 class TransferRun:
-    scenario_id: str
-    protocol: Protocol
-    seed: int
+    """What one seed of run_protocol produced: the params it deploys (the
+    tail average for SWA presets) and one EvalReport per epoch (or round),
+    entry 0 being the source model."""
     final_params: ModelParams
-    curve: list                  # EvalReport per epoch, entry 0 = source
-    loss_curve: list
+    curve: list
 
 
 def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
@@ -183,10 +184,9 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
         _check_finite("pretrain", epoch + 1, work, epoch_loss)
 
     with np.errstate(all="ignore"):  # divergence is reported by DivergenceError alone
-        trained, _ = train_sgd(params, scenario.source_train, CompositeLoss(LossSpec()),
-                               cfg, FreezeMask.all_trainable(), rng.derive("pretrain"),
-                               on_epoch=on_epoch)
-    return trained
+        return train_sgd(params, scenario.source_train, CompositeLoss(LossSpec()), cfg,
+                         FreezeMask.all_trainable(), rng.derive("pretrain"),
+                         on_epoch=on_epoch)
 
 
 def _check_model(kind: str, params: ModelParams):
@@ -212,13 +212,13 @@ def _each_run(params: ModelParams) -> list:
 
 def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
                  sources: Sequence[ModelParams], protocol: Protocol, seeds: Sequence[int],
-                 toxicity: Optional[ToxicityMap] = None, k_spectrum: int = 20,
-                 scenario_id: str = "scenario") -> list:
+                 toxicity: Optional[ToxicityMap] = None, k_spectrum: int = 20) -> list:
     """Adapt each seed's source model (`sources[i]` for `seeds[i]`) on the
     target training split with one protocol, and evaluate after every epoch
-    (or round). Returns, per seed in order, its TransferRun or what it
-    failed with: a DivergenceError once its params, loss or evaluated
-    features go non-finite, or another error its evaluation raised. A
+    (or round). Returns, per seed in order, its TransferRun (final params
+    and evaluation curve) or what it failed with: a DivergenceError once
+    its params, epoch loss or evaluated features go non-finite, or another
+    error its evaluation raised. The epoch losses feed that check alone. A
     fault of the protocol as a whole, such as a model without the parts it
     trains, raises.
 
@@ -269,7 +269,6 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
         loss = CompositeLoss(protocol.effective_loss(), [sources[i] for i in group], seen_mask)
         tail = RunningAverage() if preset.swa else None
         errors: list = [None] * len(group)
-        loss_curves: list = [[] for _ in group]
         done = 0  # epochs (or rounds) finished
 
         def on_epoch(_epoch, params, epoch_loss=None):
@@ -306,24 +305,17 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
                     cfg = replace(protocol.sgd,
                                   epochs=epochs * (k + 1) // n_phases - epochs * k // n_phases)
                     if preset.step == "bn_stats":
-                        work, phase_losses = recompute_bn_stats(work, target_train), [[]]
+                        work = recompute_bn_stats(work, target_train)
                         on_epoch(0, work)
                     elif preset.step == "lol":
-                        work, phase_loss = train_lolsgd(work, target_train, loss, cfg,
-                                                        protocol.lol, mask,
-                                                        rngs[0].derive(label),
-                                                        on_round=on_epoch)
-                        phase_losses = [phase_loss]
+                        work = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
+                                            mask, rngs[0].derive(label), on_round=on_epoch)
                     else:
                         phase_rngs = [rng.derive(label) for rng in rngs]
-                        work, phase_losses = train_sgd(
-                            work, target_train, loss, cfg, mask,
-                            phase_rngs if stacked else phase_rngs[0], on_epoch=on_epoch,
-                            on_step=on_step if fold_per_step else None)
-                        if not stacked:
-                            phase_losses = [phase_losses]
-                    for curve, phase_loss in zip(loss_curves, phase_losses):
-                        curve += phase_loss
+                        work = train_sgd(work, target_train, loss, cfg, mask,
+                                         phase_rngs if stacked else phase_rngs[0],
+                                         on_epoch=on_epoch,
+                                         on_step=on_step if fold_per_step else None)
         except _AllFailed:
             return errors
 
@@ -332,10 +324,9 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
         for j, i in enumerate(group):
             final = finals[j]
             runs.append(errors[j] if errors[j] is not None else TransferRun(
-                scenario_id=scenario_id, protocol=protocol, seed=seeds[i],
                 # a stack's slice, or the source itself, is copied out
                 final_params=final.clone() if stacked or final is sources[i] else final,
-                curve=curves[j], loss_curve=loss_curves[j]))
+                curve=curves[j]))
         return runs
 
     live = [i for i, o in enumerate(out) if not isinstance(o, Exception)]

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from htlab.cli import main
-from htlab.data import Dataset, StyleTransform, gen_paired_toxicity_scenario, gen_synthetic_scenario
+from htlab.data import StyleTransform, gen_paired_toxicity_scenario, gen_synthetic_scenario
 from htlab.losses import CompositeLoss, LossSpec, cross_entropy, rank_reg, selective_distill
 from htlab.metrics import EvalSet, evaluate, report_from_scores
 from htlab.model import FreezeMask, MlpSpec, backward, forward, group_of, init_model
-from htlab.numkit import Rng, covariance, kl_div, softmax, top_singular_values
+from htlab.numkit import Rng, covariance, kl_div, top_singular_values
 from htlab.optim import LolConfig, SgdConfig, lolsgd_round, sgd_step
 from htlab.transfer import Protocol, pretrain_source, run_protocol, se_predict, wise_merge
 
@@ -69,8 +69,7 @@ def grid():
         for kind in PROTOCOLS:
             proto = Protocol(kind=kind, loss=LOSS, sgd=ADAPT, lol=LOL)
             [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
-                                 [src], proto, [seed], k_spectrum=K_SPECTRUM,
-                                 scenario_id=scn.scenario_id)
+                                 [src], proto, [seed], k_spectrum=K_SPECTRUM)
             out["final"][kind].append(run.curve[-1])
             out["runs"][(kind, seed)] = (scn, src, run)
     out["elapsed"] = time.time() - t0
@@ -198,7 +197,7 @@ def test_criterion_2_lolsgd_degenerates_to_sgd():
     cfg = SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0, batch_size=n, epochs=1)
     lol = LolConfig(subsets=1, leave_k=0, local_budget=1.0, outer_step=1.0)
     loss = CompositeLoss(LossSpec())
-    out = lolsgd_round(params, ds, loss, cfg, lol, FreezeMask.all_trainable(), Rng(9))
+    out = lolsgd_round(params, ds, loss, cfg, lol, FreezeMask.all_trainable(), Rng(9), [], {})
 
     pick = Rng(9).derive("subset-0").derive("batches").choice(n, size=n, replace=False)
     ref = params.clone()

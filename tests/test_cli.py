@@ -457,8 +457,9 @@ def test_run_repeated_seed_or_protocol_exits_1_before_writing(tmp_path, capsys, 
     ("[run]", "[loss]\nlambda_distill = nan\n\n[run]"),
     ("[run]", "[loss]\nlambda_rank = inf\n\n[run]"),
     ("k_spectrum = 6", "k_spectrum = -3"),
+    ("[run]", "[lol]\nrounds = -1\n\n[run]"),
 ], ids=["lr-nan", "lr-inf", "weight_decay-inf", "local_budget-nan", "lambda_distill-nan",
-        "lambda_rank-inf", "k_spectrum-negative"])
+        "lambda_rank-inf", "k_spectrum-negative", "lol-rounds-negative"])
 def test_run_non_finite_or_out_of_range_number_exits_1(tmp_path, capsys, old, new):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     _edit(cfg, old, new)
@@ -787,12 +788,24 @@ def _rewrite_summary(out, edit):
         f.write("\n".join(edit(lines)) + "\n")
 
 
+def _set_cell(header, line, column, value):
+    """`line` of a CSV under `header` with its `column` cell set to `value`."""
+    fields = line.split(",")
+    fields[header.split(",").index(column)] = value
+    return ",".join(fields)
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda ls: [ls[0]] + [ln.replace("ok,", "FAILED,", 1) for ln in ls[1:]], "no ok rows"),
     (lambda ls: [ls[0].replace(",seen,", ",seem,")] + ls[1:], "header lacks seen"),
     (lambda ls: ls[:1] + [ls[1] + ",0.5"] + ls[2:], "fields, header has"),
     (lambda ls: ls + ls[1:2], "repeats protocol naive_ft seed 0"),
-], ids=["no-ok-row", "missing-column", "wide-row", "repeated-row"])
+    (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "overall", "x")] + ls[2:],
+     "summary.csv:2: overall = 'x' is not a number"),
+    (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "seed", "x")] + ls[2:],
+     "summary.csv:2: seed = 'x' is not a number"),
+], ids=["no-ok-row", "missing-column", "wide-row", "repeated-row", "metric-not-a-number",
+        "seed-not-a-number"])
 def test_report_rejects_bad_summary_before_writing(tmp_path, capsys, edit, reason):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     assert main(["run", "--config", cfg]) == 0

@@ -1,4 +1,5 @@
-"""No public function or method of the package is reached only by tests.
+"""No public function or method of the package is reached only by tests,
+and no module of the package or its tests imports a name it never reads.
 
 The package is parsed with `ast`. A public module-level function, or a
 public method of a public class, must be referenced somewhere in the
@@ -7,6 +8,9 @@ reach, and is deleted rather than kept alive by them. A name counts as
 referenced wherever it appears as a bare name or as an attribute, so the
 check can miss dead code that shares a name with something used, but it
 never flags code the package calls.
+
+A name an import binds must be read somewhere in its module, as a bare
+name; `from __future__` imports bind nothing and are skipped.
 """
 
 import ast
@@ -15,6 +19,7 @@ import os
 import htlab
 
 SRC = os.path.dirname(htlab.__file__)
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 # public names the package does not call, kept on purpose
 KEEP = {
@@ -74,3 +79,29 @@ def test_every_public_function_is_reached_from_the_package():
 def test_keep_set_names_existing_unreferenced_code():
     # an entry whose code is now called, or gone, is dropped from KEEP
     assert set(KEEP) <= set(unreferenced())
+
+
+def unused_imports(paths) -> list:
+    """Each name an import in one of the `paths` binds that its module
+    never reads, as "file:line: name"."""
+    out = []
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `import a.b` binds `a`
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                out += [f"{os.path.basename(path)}:{node.lineno}: {name}" for name in bound
+                        if name not in read]
+    return out
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [os.path.join(d, name) for d in (SRC, TESTS) for name in sorted(os.listdir(d))
+             if name.endswith(".py")]
+    assert unused_imports(paths) == []

@@ -253,10 +253,14 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
     X, y = _data(spec, n=130)
     seen = np.arange(spec.num_classes) < 6
     src = init_model(spec, Rng(1))
-    epochs = []
-    out, curve = train_sgd(src, Dataset(X, y, spec.num_classes),
-                           CompositeLoss(loss_spec, src, seen), cfg, mask, Rng(4),
-                           on_epoch=lambda e, p, loss: epochs.append(p.clone()))
+    epochs, curve = [], []
+
+    def on_epoch(epoch, params, loss):
+        epochs.append(params.clone())
+        curve.append(loss)
+
+    out = train_sgd(src, Dataset(X, y, spec.num_classes), CompositeLoss(loss_spec, src, seen),
+                    cfg, mask, Rng(4), on_epoch=on_epoch)
     ref, ref_state, ref_curve = {k: src[k].copy() for k in src.keys()}, {}, []
     for epoch in range(cfg.epochs):  # 5 batches an epoch, 70 steps in all
         order = Rng(4).derive(f"epoch-{epoch}").permutation(len(y))

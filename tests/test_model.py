@@ -291,7 +291,7 @@ def test_recompute_bn_matches_full_batch_oracle():
     params["bn.1.var"] *= 5.0
     X = Rng(28).standard_normal((300, 5)) * 2 + 1
     ds = Dataset(X, np.zeros(300, dtype=int), 1)
-    out = recompute_bn_stats(params, ds, batch_size=64)
+    out = recompute_bn_stats(params, ds)  # 300 rows: two BN_STATS_BATCH chunks
     oracle = _full_batch_stats_oracle(params, X)
     # layer 0 sees raw inputs, so its stats match the oracle directly
     assert np.max(np.abs(out["bn.0.mean"] - oracle[0][0])) < 1e-10

@@ -11,7 +11,6 @@ from htlab.model import (
     ModelParams,
     backward,
     forward,
-    group_of,
     init_model,
     params_axpy,
 )
@@ -127,8 +126,9 @@ def test_sgd_step_frozen_group_untouched():
 def test_train_sgd_zero_epochs_returns_input():
     params = init_model(SPEC, Rng(76))
     ds = _toy_dataset()
-    out, curve = train_sgd(params, ds, PLAIN_LOSS, SgdConfig(epochs=0),
-                           FreezeMask.all_trainable(), Rng(1))
+    curve = []
+    out = train_sgd(params, ds, PLAIN_LOSS, SgdConfig(epochs=0), FreezeMask.all_trainable(),
+                    Rng(1), on_epoch=lambda e, p, loss: curve.append(loss))
     assert curve == []
     for k in params.keys():
         assert np.array_equal(out[k], params[k])
@@ -138,9 +138,12 @@ def test_train_sgd_deterministic():
     params = init_model(SPEC, Rng(77))
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.05, epochs=3, batch_size=16)
-    a, ca = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(5))
-    b, cb = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(5))
-    assert ca == cb
+    ca, cb = [], []
+    a = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(5),
+                  on_epoch=lambda e, p, loss: ca.append(loss))
+    b = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(5),
+                  on_epoch=lambda e, p, loss: cb.append(loss))
+    assert len(ca) == cfg.epochs and ca == cb
     for k in a.keys():
         assert np.array_equal(a[k], b[k])
 
@@ -150,7 +153,9 @@ def test_train_sgd_loss_decreases_on_separable_data():
     ds = _toy_dataset(sep=8.0)
     cfg = SgdConfig(lr=0.01, momentum=0.0, weight_decay=0.0,
                     batch_size=len(ds), epochs=20)
-    _, curve = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(6))
+    curve = []
+    train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(6),
+              on_epoch=lambda e, p, loss: curve.append(loss))
     assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
     assert curve[-1] < curve[0]
 
@@ -159,7 +164,7 @@ def test_train_sgd_freeze_commutes_with_training():
     params = init_model(SPEC, Rng(79))
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.1, epochs=4, batch_size=8, weight_decay=1e-3)
-    out, _ = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.frozen_classifier(), Rng(7))
+    out = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.frozen_classifier(), Rng(7))
     assert np.array_equal(out["layers.1.W"], params["layers.1.W"])
     assert np.array_equal(out["layers.1.b"], params["layers.1.b"])
     assert not np.array_equal(out["layers.0.W"], params["layers.0.W"])
@@ -175,7 +180,7 @@ def test_lolsgd_degenerates_to_single_sgd_step():
     mask = FreezeMask.all_trainable()
     for spec in (SPEC, MlpSpec((4, 8, 3), use_batchnorm=True, use_in_adapter=True)):
         params = init_model(spec, Rng(80))
-        out = lolsgd_round(params, ds, PLAIN_LOSS, cfg, lol, mask, Rng(8))
+        out = lolsgd_round(params, ds, PLAIN_LOSS, cfg, lol, mask, Rng(8), [], {})
 
         # reference: one sgd_step on the same (full) batch, running BN stats
         # updated as the local run updates them
@@ -195,7 +200,7 @@ def test_lolsgd_default_recipe_accepted():
     cfg = SgdConfig(lr=0.02, batch_size=8, epochs=1)
     lol = LolConfig(subsets=10, leave_k=2)  # < 3 classes present
     out = lolsgd_round(params, ds, PLAIN_LOSS, cfg, lol,
-                       FreezeMask.frozen_classifier(), Rng(9))
+                       FreezeMask.frozen_classifier(), Rng(9), [], {})
     assert not np.array_equal(out["layers.0.W"], params["layers.0.W"])
 
 
@@ -204,7 +209,7 @@ def test_lolsgd_rejects_leaving_out_everything():
     ds = _toy_dataset(classes=3)
     with pytest.raises(ValueError, match="leave_k"):
         lolsgd_round(params, ds, PLAIN_LOSS, SgdConfig(), LolConfig(leave_k=3),
-                     FreezeMask.all_trainable(), Rng(10))
+                     FreezeMask.all_trainable(), Rng(10), [], {})
 
 
 def test_lolsgd_frozen_groups_bitwise_invariant():
@@ -212,7 +217,7 @@ def test_lolsgd_frozen_groups_bitwise_invariant():
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.1, batch_size=8, epochs=1)
     out = lolsgd_round(params, ds, PLAIN_LOSS, cfg, LolConfig(subsets=4, leave_k=1),
-                       FreezeMask.frozen_classifier(), Rng(11))
+                       FreezeMask.frozen_classifier(), Rng(11), [], {})
     assert np.array_equal(out["layers.1.W"], params["layers.1.W"])
     assert np.array_equal(out["layers.1.b"], params["layers.1.b"])
 
@@ -222,11 +227,12 @@ def test_lolsgd_deterministic_per_seed():
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.05, batch_size=16, epochs=2)
     lol = LolConfig(subsets=5, leave_k=1)
-    a, ca = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol,
-                         FreezeMask.all_trainable(), Rng(12))
-    b, cb = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol,
-                         FreezeMask.all_trainable(), Rng(12))
-    assert ca == cb
+    ca, cb = [], []
+    a = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), Rng(12),
+                     on_round=lambda r, p, loss: ca.append(loss))
+    b = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), Rng(12),
+                     on_round=lambda r, p, loss: cb.append(loss))
+    assert len(ca) == cfg.epochs and ca == cb
     for k in a.keys():
         assert np.array_equal(a[k], b[k])
 
@@ -242,10 +248,10 @@ def test_lolsgd_budget_matches_sgd():
     # the rounds train_lolsgd runs by default (one per sgd epoch); the sink
     # gets one loss per local minibatch
     sink: list = []
-    work = params
+    work, scratch = params, {}
     for r in range(cfg.epochs):
         work = lolsgd_round(work, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(),
-                            Rng(13).derive(f"round-{r}"), loss_sink=sink)
+                            Rng(13).derive(f"round-{r}"), sink, scratch)
     assert count["sgd"] == cfg.epochs * math.ceil(60 / 16)
     assert abs(len(sink) - count["sgd"]) <= lol.subsets
 
@@ -344,7 +350,7 @@ def test_lolsgd_stacked_round_matches_sequential_runs_bitwise(case):
     for r in range(2):
         rng = Rng(92).derive(f"round-{r}")
         sink: list = []
-        out = lolsgd_round(params, ds, loss, cfg, lol, mask, rng, loss_sink=sink)
+        out = lolsgd_round(params, ds, loss, cfg, lol, mask, rng, sink, {})
         ref, ref_sink, ref_sizes = _sequential_round(params, ds, loss, cfg, lol, mask, rng)
         assert out.keys() == ref.keys()
         for k in ref.keys():
@@ -368,7 +374,7 @@ def test_lolsgd_zero_lr_local_runs_leave_params_fixed():
     mask = FreezeMask(backbone=False, classifier=False, bn_affine=False,
                       bn_stats=False, in_adapter=False)
     out = lolsgd_round(params, ds, PLAIN_LOSS, cfg, LolConfig(subsets=3, leave_k=1),
-                       mask, Rng(14))
+                       mask, Rng(14), [], {})
     for k in params.keys():
         assert np.array_equal(out[k], params[k])
 
@@ -427,3 +433,5 @@ def test_config_validation():
         LolConfig(subsets=0)
     with pytest.raises(ValueError):
         LolConfig(outer_step=0.0)
+    with pytest.raises(ValueError, match="rounds"):
+        LolConfig(rounds=-1)

@@ -54,8 +54,7 @@ def _run(scenario, source, kind, seed=3, **kw):
     """The run of one seed; its DivergenceError, if it failed, is raised."""
     proto = Protocol(kind=kind, **{"sgd": ADAPT, **kw})
     [run] = run_protocol(scenario.target_train, scenario.target_test,
-                         scenario.seen_mask, [source], proto, [seed],
-                         scenario_id=scenario.scenario_id)
+                         scenario.seen_mask, [source], proto, [seed])
     if isinstance(run, DivergenceError):
         raise run
     return run
@@ -177,10 +176,10 @@ def test_lp_ft_two_phase_boundary(scenario, source):
     half = replace(ADAPT, epochs=ADAPT.epochs // 2)
     seen = [source]
     keep = lambda e, p, loss: seen.append(p.clone())  # noqa: E731
-    probe, _ = train_sgd(source, scenario.target_train, CompositeLoss(LossSpec()), half,
-                         FreezeMask.only("classifier"), rng.derive("probe"), on_epoch=keep)
-    final, _ = train_sgd(probe, scenario.target_train, CompositeLoss(LossSpec()), half,
-                         FreezeMask.all_trainable(), rng.derive("ft"), on_epoch=keep)
+    probe = train_sgd(source, scenario.target_train, CompositeLoss(LossSpec()), half,
+                      FreezeMask.only("classifier"), rng.derive("probe"), on_epoch=keep)
+    final = train_sgd(probe, scenario.target_train, CompositeLoss(LossSpec()), half,
+                      FreezeMask.all_trainable(), rng.derive("ft"), on_epoch=keep)
     for k in final.keys():
         assert np.array_equal(run.final_params[k], final[k])
     # epochs=4 -> phase 1 (classifier only) covers epochs 1..2
@@ -212,8 +211,8 @@ def test_distill_and_rank_kinds_require_weights(scenario, source):
         assert eff.lambda_rank == (0.5 if preset.rank else 0.0), kind
     run = _run(scenario, source, "sgd_distill", loss=both)
     # the kind only carries distillation; the rank weight is ignored
-    assert run.protocol.effective_loss().lambda_rank == 0.0
-    assert run.protocol.effective_loss().lambda_distill == 1.0
+    distill_only = _run(scenario, source, "sgd_distill", loss=LossSpec(lambda_distill=1.0))
+    assert run.final_params.flat.tobytes() == distill_only.final_params.flat.tobytes()
 
 
 def test_swa_presets_reject_late_start():
@@ -299,9 +298,24 @@ def _stack_cases():
             if model == "bn-adapter" or kind not in needs_parts]
 
 
+def _record_epoch_losses(monkeypatch) -> list:
+    """The list each epoch loss that run_protocol's train_sgd passes to its
+    on_epoch hook is appended to from now on, as an (S,) array."""
+    losses = []
+
+    def recording(*args, on_epoch, **kwargs):
+        def hook(epoch, params, epoch_loss):
+            losses.append(np.reshape(epoch_loss, -1))
+            on_epoch(epoch, params, epoch_loss)
+        return train_sgd(*args, on_epoch=hook, **kwargs)
+
+    monkeypatch.setattr("htlab.transfer.train_sgd", recording)
+    return losses
+
+
 @pytest.mark.parametrize("model, kind", _stack_cases())
 def test_seeds_run_together_match_one_seed_calls_bitwise(scenario, stack_sources, model,
-                                                         kind):
+                                                         kind, monkeypatch):
     # swad_lite folds per step, so the per-step tail of a stack is covered too
     cadence = "per_iteration" if kind == "swad_lite" else "per_epoch"
     proto = Protocol(kind=kind, loss=LossSpec(lambda_distill=1.0, lambda_rank=1e-6),
@@ -309,18 +323,24 @@ def test_seeds_run_together_match_one_seed_calls_bitwise(scenario, stack_sources
                      swa=SwaConfig(start_epoch=1, cadence=cadence))
     sources = stack_sources[model]
     args = (scenario.target_train, scenario.target_test, scenario.seen_mask)
+    losses = _record_epoch_losses(monkeypatch)
     together = run_protocol(*args, sources, proto, _STACK_SEEDS)
     assert len(together) == len(_STACK_SEEDS)
-    for source, seed, run in zip(sources, _STACK_SEEDS, together):
+    # an SGD preset's seeds train as one stack, passing (S,) losses to on_epoch
+    stacked_losses = losses[:]
+    trains_sgd = _PRESETS[kind].step == "sgd" and _PRESETS[kind].phases
+    assert len(stacked_losses) == (3 if trains_sgd else 0)
+    assert all(loss.shape == (len(_STACK_SEEDS),) for loss in stacked_losses)
+    for j, (source, seed, run) in enumerate(zip(sources, _STACK_SEEDS, together)):
+        losses.clear()
         [alone] = run_protocol(*args, [source], proto, [seed])
         assert isinstance(run, TransferRun) and isinstance(alone, TransferRun)
-        assert (run.seed, run.protocol, run.scenario_id) == \
-            (alone.seed, alone.protocol, alone.scenario_id)
+        assert [loss[j].tobytes() for loss in stacked_losses] == \
+            [loss[0].tobytes() for loss in losses]
         assert len(run.curve) == len(alone.curve) == (1 if kind == "source_only" else
                                                       2 if kind == "bn_stats_only" else 4)
         for a, b in zip(run.curve, alone.curve):
             _assert_same_report(a, b)
-        assert run.loss_curve == alone.loss_curve
         assert run.final_params.flat.tobytes() == alone.final_params.flat.tobytes()
         assert run.final_params.flat.ndim == 1
         assert not np.shares_memory(run.final_params.flat, source.flat)
