@@ -299,8 +299,8 @@ def _stack_cases():
 
 
 def _record_epoch_losses(monkeypatch) -> list:
-    """The list each epoch loss that run_protocol's train_sgd passes to its
-    on_epoch hook is appended to from now on, as an (S,) array."""
+    """A list that, from now on, gets each epoch loss run_protocol's
+    train_sgd passes to on_epoch, as an (S,) array."""
     losses = []
 
     def recording(*args, on_epoch, **kwargs):
