@@ -35,17 +35,17 @@ file that is not a whole checkpoint. A checkpoint is written beside its
 name and renamed over it, so a run killed while writing leaves no partial
 file under the name.
 
-When the cells run in one process (min(N, cells) == 1 for --jobs N), a
-protocol and all its seeds are one task, and the seeds of an SGD-trained
-protocol train stacked (see transfer.run_protocol); a seed that fails
-leaves its stack-mates' rows as they would be without it. Otherwise the
-independent (protocol, seed) cells run in min(N, cells) spawned worker
-processes, one cell per task. The workers start together; once spawned,
+A task is a protocol and the seeds that train together, at any --jobs
+(transfer.Protocol.seed_groups): all the seeds of an SGD-trained protocol,
+which train stacked, or one seed of a leave-out protocol or bn_stats_only.
+A seed that fails leaves its stack-mates' rows as they would be without
+it. With --jobs N the tasks run in min(N, tasks) spawned worker processes,
+or in this one when that is 1. The workers start together; once spawned,
 each reads the scenario and the source params once from a queue, and each
-task carries only its protocol and seed. Workers start with
+task carries only its protocol and seeds. Workers start with
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
 max(1, usable CPUs // workers), unless the caller set them. Rows are merged
-in configured order, so the output is byte-identical to --jobs 1.
+in configured order, so the output is byte-identical at every --jobs.
 """
 
 from __future__ import annotations
@@ -161,7 +161,10 @@ def load_config(path: str) -> dict:
         return _read(section, cp[section] if cp.has_section(section) else {}, defaults)
 
     def load(section, base):
-        return type(base)(**read(section, asdict(base)))
+        try:
+            return type(base)(**read(section, asdict(base)))
+        except ValueError as e:  # the config class names the key, not its section
+            raise ConfigError(f"[{section}] {e}") from e
 
     sgd = load("sgd", SgdConfig())
     model = read("model", _MODEL_KEYS)
@@ -185,7 +188,7 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"{what} {repeated[0]} is listed more than once")
 
     if run["k_spectrum"] < 1:
-        raise ConfigError(f"[run] k_spectrum must be at least 1, got {run['k_spectrum']}")
+        raise ConfigError(f"[run] k_spectrum = {run['k_spectrum']} must be at least 1")
     model["hidden"] = [int(w) for w in model["hidden"].split(",") if w.strip()]
     return {
         "scenario": _resolve_scenario(cp["scenario"]),
@@ -284,11 +287,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_env(environ, jobs: int, cells: int, usable_cpus: int) -> dict:
-    """The BLAS thread variables each of the min(jobs, cells) pool workers
+def _worker_env(environ, jobs: int, tasks: int, usable_cpus: int) -> dict:
+    """The BLAS thread variables each of the min(jobs, tasks) pool workers
     starts with: the usable CPUs split evenly over the workers, at least 1
     each. A variable already set in `environ` is left to its caller's value."""
-    threads = str(max(1, usable_cpus // min(jobs, cells)))
+    threads = str(max(1, usable_cpus // min(jobs, tasks)))
     return {v: threads for v in _BLAS_THREAD_VARS if v not in environ}
 
 
@@ -344,16 +347,13 @@ def _run_tasks(tasks: list, jobs: int, shared: tuple) -> list:
 
 def _run_cells(cells: list, jobs: int, shared: tuple) -> list:
     """The TransferRun of each (protocol, seed) cell, or the exception it
-    failed with, in cell order. When the cells run in one process a task is
-    a protocol with all its seeds, which then train stacked; with more
-    workers each cell is a task of its own."""
-    if min(jobs, len(cells)) == 1:
-        seeds: dict = {}  # protocol -> its seeds, in cell order
-        for protocol, seed in cells:
-            seeds.setdefault(protocol, []).append(seed)
-        tasks = [(protocol, tuple(s)) for protocol, s in seeds.items()]
-    else:
-        tasks = [(protocol, (seed,)) for protocol, seed in cells]
+    failed with, in cell order. A task is one group of a protocol's seeds
+    that train together (Protocol.seed_groups), at any `jobs`."""
+    seeds: dict = {}  # protocol -> its seeds, in cell order
+    for protocol, seed in cells:
+        seeds.setdefault(protocol, []).append(seed)
+    tasks = [(protocol, tuple(group)) for protocol, s in seeds.items()
+             for group in protocol.seed_groups(s)]
     done = {}
     for (protocol, task_seeds), runs in zip(tasks, _run_tasks(tasks, jobs, shared)):
         for j, seed in enumerate(task_seeds):
@@ -363,9 +363,11 @@ def _run_cells(cells: list, jobs: int, shared: tuple) -> list:
 
 
 def _fields(rep, k: int) -> list:
-    """The metric cells of one row, then sv_1..sv_k (nan past the spectrum)."""
-    vals = [rep.overall_acc, rep.seen_acc, rep.unseen_acc, rep.seen_chopped_acc,
-            rep.false_negative_rate, rep.effective_rank, *rep.spectrum.values]
+    """The metric cells of one row, then sv_1..sv_k (nan past the spectrum,
+    and everywhere without a report)."""
+    vals = [] if rep is None else [
+        rep.overall_acc, rep.seen_acc, rep.unseen_acc, rep.seen_chopped_acc,
+        rep.false_negative_rate, rep.effective_rank, *rep.spectrum.values]
     return [_fmt(v) for v in vals] + ["nan"] * (len(_METRICS) + k - len(vals))
 
 
@@ -420,13 +422,8 @@ def cmd_run(args) -> int:
     curve_lines = [",".join(CURVE_COLUMNS + sv_columns)]
     summary_lines = [",".join(SUMMARY_COLUMNS + sv_columns)]
 
-    def curve_row(protocol_name, seed, epoch, rep):
-        return ",".join([scenario.scenario_id, protocol_name, str(seed), str(epoch)]
-                        + _fields(rep, sv_count))
-
-    def summary_row(protocol_name, seed, rep):
-        return ",".join(["ok", scenario.scenario_id, protocol_name, str(seed)]
-                        + _fields(rep, sv_count))
+    def row(*lead, rep=None):
+        return ",".join([scenario.scenario_id, *map(str, lead)] + _fields(rep, sv_count))
 
     failed = []
     # the test set of the ensemble rows
@@ -434,24 +431,20 @@ def cmd_run(args) -> int:
     for (proto, seed), run in zip(cells, runs):
         if isinstance(run, Exception):
             failed.append((proto.kind, seed, str(run)))
-            summary_lines.append(",".join(
-                ["FAILED", scenario.scenario_id, proto.kind, str(seed)]
-                + ["nan"] * (len(_METRICS) + sv_count)))
+            summary_lines.append("FAILED," + row(proto.kind, seed))
             continue
-        for epoch, rep in enumerate(run.curve):
-            curve_lines.append(curve_row(proto.kind, seed, epoch, rep))
-        summary_lines.append(summary_row(proto.kind, seed, run.curve[-1]))
+        curve_lines += [row(proto.kind, seed, epoch, rep=rep)
+                        for epoch, rep in enumerate(run.curve)]
+        summary_lines.append("ok," + row(proto.kind, seed, rep=run.curve[-1]))
         if cfg["ensembles"] and proto.kind != "source_only":
             src = sources[seed]
             probs = se_predict(src, run.final_params, scenario.target_test.X,
                                ENSEMBLE_ALPHA)
-            se_rep = report_from_scores(probs, test)
-            summary_lines.append(summary_row(
-                f"{proto.kind}+SE@{ENSEMBLE_ALPHA:g}", seed, se_rep))
+            summary_lines.append("ok," + row(f"{proto.kind}+SE@{ENSEMBLE_ALPHA:g}", seed,
+                                             rep=report_from_scores(probs, test)))
             merged = wise_merge(src, run.final_params, ENSEMBLE_ALPHA)
-            wise_rep = evaluate(merged, test, k)
-            summary_lines.append(summary_row(
-                f"{proto.kind}+WiSE@{ENSEMBLE_ALPHA:g}", seed, wise_rep))
+            summary_lines.append("ok," + row(f"{proto.kind}+WiSE@{ENSEMBLE_ALPHA:g}", seed,
+                                             rep=evaluate(merged, test, k)))
 
     with open(os.path.join(out_dir, "curves.csv"), "w", newline="") as f:
         f.write("\n".join(curve_lines) + "\n")
@@ -469,10 +462,11 @@ def cmd_run(args) -> int:
 
 def cmd_gen(args) -> int:
     scn = {k: v for k, v in vars(args).items() if k in _GEN_KEYS and v is not None}
-    if scn.get("pairs", 0) > 0:
-        scn["kind"] = "paired"
-    else:
-        scn.pop("pairs", None)
+    pairs = scn.pop("pairs", 0)
+    if pairs < 0:
+        raise ConfigError(f"--pairs = {pairs} must be at least 0")
+    if pairs > 0:
+        scn.update(kind="paired", pairs=pairs)
     scenario = build_scenario(scn)  # a flag the kind does not read is an unknown key
     out = args.out
     save_scenario(scenario, out, force=args.force)
@@ -585,7 +579,7 @@ def make_parser():
     r.add_argument("--config", required=True)
     r.add_argument("--out", default=None, help="override the configured output dir")
     r.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run cells in up to N spawned worker processes, each with "
+                   help="run the tasks in up to N spawned worker processes, each with "
                         "usable CPUs // workers BLAS threads unless the *_NUM_THREADS "
                         "variables are set; output is byte-identical to --jobs 1")
     r.set_defaults(func=cmd_run)

@@ -13,10 +13,11 @@ which flattens the spectrum).
 
 All functions return mean-over-batch losses and gradients that already
 carry the 1/N scaling, so they can be fed straight to model.backward.
-Each also takes M batches stacked on a leading run axis, as (M, N, ...)
-arrays and (M, N) labels, for stacked params (see model.forward). The
-losses are then an (M,) array, one per run, each equal bitwise to the float
-the run's own 2-D call returns.
+They take the batches of M runs stacked on a leading run axis, as
+(M, N, ...) arrays and (M, N) labels (see model.forward), and return an
+(M,) array of losses, one per run. Every reduction runs along the batch or
+class axis, so each run's loss and gradient are bitwise those of its own
+batch alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .model import ModelParams, forward
-from .numkit import _centred_covariance, softmax
+from .numkit import _centred_covariance, _require, softmax
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,16 @@ class LossSpec:
     rank_sign: int = 1
 
     def __post_init__(self):
-        if not (0 <= self.lambda_distill < math.inf and 0 <= self.lambda_rank < math.inf):
-            raise ValueError("loss weights must be nonnegative and finite")
-        if self.rank_sign not in (1, -1):
-            raise ValueError("rank_sign must be +1 or -1")
+        for key in ("lambda_distill", "lambda_rank"):
+            _require(self, key, 0 <= getattr(self, key) < math.inf,
+                     "must be nonnegative and finite")
+        _require(self, "rank_sign", self.rank_sign in (1, -1), "must be +1 or -1")
 
 
 @dataclass
 class LossBreakdown:
-    """Each term a float, or for stacked batches an (M,) array; a term that
-    is off stays the scalar 0.0."""
+    """Each term an (M,) array of per-run losses; a term that is off stays
+    the scalar 0.0."""
 
     ce: float
     distill: float
@@ -56,11 +57,9 @@ class LossBreakdown:
 
 
 def _batch_mean(per_sample: np.ndarray):
-    """Mean over the batch (last) axis: a float for one batch, an (M,)
-    array for a stack. The sum and division np.mean makes, without its
-    wrapper."""
-    mean = per_sample.sum(axis=-1) / per_sample.shape[-1]
-    return float(mean) if mean.ndim == 0 else mean
+    """Mean over the batch (last) axis: the sum and division np.mean makes,
+    without its wrapper."""
+    return per_sample.sum(axis=-1) / per_sample.shape[-1]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -127,18 +126,19 @@ def rank_reg(features: np.ndarray) -> tuple:
     grad = Zc @ (G + G.swapaxes(-1, -2))
     grad /= n
     grad -= grad.sum(axis=-2, keepdims=True) / n
-    return (float(loss) if loss.ndim == 0 else loss), grad
+    return loss, grad
 
 
 def compose(ce_parts, distill_parts, rank_parts, spec: LossSpec):
     """Weighted sum of the three loss terms.
 
-    Each *_parts is a (loss, grad) pair or None when the term is disabled;
-    the losses are floats, or (M,) arrays for stacked batches.
-    A zero weight leaves the corresponding gradient untouched bitwise.
-    Returns (LossBreakdown, grad_at_logits, grad_at_features_or_None).
+    Each *_parts is a (loss, grad) pair, its loss an (M,) array, or None
+    when the term is disabled.
+    A zero weight leaves the total and the corresponding gradient untouched
+    bitwise. Returns (LossBreakdown, grad_at_logits, grad_at_features_or_None).
     """
     ce_loss, grad_logits = ce_parts
+    total = ce_loss
     distill_loss = rank_loss = 0.0
     grad_features = None
     if spec.lambda_distill > 0:
@@ -146,13 +146,14 @@ def compose(ce_parts, distill_parts, rank_parts, spec: LossSpec):
             raise ValueError("lambda_distill > 0 but no distillation parts")
         distill_loss, dgrad = distill_parts
         grad_logits = grad_logits + spec.lambda_distill * dgrad
+        total = total + spec.lambda_distill * distill_loss
     if spec.lambda_rank > 0:
         if rank_parts is None:
             raise ValueError("lambda_rank > 0 but no rank parts")
         rank_loss, rgrad = rank_parts
-        grad_features = spec.rank_sign * spec.lambda_rank * rgrad
-    total = ce_loss + spec.lambda_distill * distill_loss \
-        + spec.rank_sign * spec.lambda_rank * rank_loss
+        weight = spec.rank_sign * spec.lambda_rank
+        grad_features = weight * rgrad
+        total = total + weight * rank_loss
     return LossBreakdown(ce=ce_loss, distill=distill_loss, rank=rank_loss,
                          total=total), grad_logits, grad_features
 
@@ -160,10 +161,10 @@ def compose(ce_parts, distill_parts, rank_parts, spec: LossSpec):
 class CompositeLoss:
     """Batch loss used by the trainers: cross-entropy plus the configured
     regularizers. Distillation targets are recomputed from the frozen
-    source model on every batch (never cached), one 2-D forward per run of
-    a stacked batch. `source_params` is one model that every run distills
-    from, or a sequence of one source per run of the stacked batches (each
-    seed of a seed stack has its own)."""
+    source model on every batch (never cached), one eval forward per run
+    of the batch stack. `source_params` is one model that every run
+    distills from, or a sequence of one source per run (each seed of a
+    seed stack has its own)."""
 
     def __init__(self, spec: LossSpec,
                  source_params: Union[ModelParams, Sequence[ModelParams], None] = None,
@@ -177,21 +178,19 @@ class CompositeLoss:
 
     def __call__(self, trace, labels):
         """Returns (LossBreakdown, grad_at_logits, grad_at_features_or_None)
-        for a train-mode trace."""
+        for a train-mode trace of a batch stack; a single (N, d) batch
+        reads as a stack of one."""
         ce_parts = cross_entropy(trace.logits, labels)
         distill_parts = None
         if self.spec.lambda_distill > 0:
-            X, sources = trace.X, self.sources
-            if X.ndim == 2:
-                src_logits = forward(sources[0], X, mode="eval").logits
-            else:
-                if len(sources) == 1:
-                    sources = sources * len(X)
-                elif len(sources) != len(X):
-                    raise ValueError("need one source model per run of the batch")
-                src_logits = np.stack([forward(src, x, mode="eval").logits
-                                       for src, x in zip(sources, X)])
-            distill_parts = selective_distill(src_logits, trace.logits, self.seen_mask)
+            batches = trace.X.reshape(-1, *trace.X.shape[-2:])  # each run's (N, d) batch
+            sources = self.sources * len(batches) if len(self.sources) == 1 else self.sources
+            if len(sources) != len(batches):
+                raise ValueError("need one source model per run of the batch")
+            src_logits = np.stack([forward(src, x, mode="eval").logits
+                                   for src, x in zip(sources, batches)])
+            distill_parts = selective_distill(src_logits.reshape(trace.logits.shape),
+                                              trace.logits, self.seen_mask)
         rank_parts = None
         if self.spec.lambda_rank > 0:
             rank_parts = rank_reg(trace.features)

@@ -32,6 +32,12 @@ _U64 = np.uint64
 _U64_MAX = 2**64
 
 
+def _require(config, key: str, ok: bool, bound: str):
+    """Reject a config field out of its bound, naming the key and value."""
+    if not ok:
+        raise ValueError(f"{key} = {getattr(config, key)!r} {bound}")
+
+
 def _tag_to_bytes(tag) -> bytes:
     if isinstance(tag, (int, np.integer)):
         return b"i" + int(tag).to_bytes(8, "little", signed=False)

@@ -2,11 +2,13 @@
 local SGD (averaged pseudo-gradients from class-subset runs), and tail
 weight averaging over checkpoint streams.
 
-Minibatch SGD also trains S independent runs at once when given params
-stacked on a leading run axis, one Rng per run: transfer.run_protocol
-stacks the seeds of an SGD-trained protocol this way when its cells run
-in one process. Each run reshuffles from its own stream, and one stacked
-step advances all S, each slice bitwise as if it trained alone.
+Both trainers take a run stack: params of shape (S, P), S >= 1, with one
+Rng per run. Minibatch SGD trains the S runs at once: transfer.run_protocol
+stacks the seeds of an SGD-trained protocol this way, and a single model
+trains as a one-row stack. Each run reshuffles from its own stream, and
+one stacked step advances all S, each slice bitwise as if it trained
+alone. Leave-out local SGD trains one run (S = 1), since its M local runs
+already fill the run axis.
 
 Leave-out local SGD works in rounds. Each round snapshots the parameters,
 runs M short local SGD passes that each drop `leave_k` randomly chosen
@@ -41,14 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .losses import CompositeLoss
 from .model import FreezeMask, ModelParams, _buffer, backward, forward, params_axpy
-from .numkit import Rng
+from .numkit import Rng, _require
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,12 @@ class SgdConfig:
     epochs: int = 20
 
     def __post_init__(self):
-        if not 0 < self.lr < math.inf:
-            raise ValueError("lr must be positive and finite")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if not 0 <= self.weight_decay < math.inf or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("bad sgd config")
+        _require(self, "lr", 0 < self.lr < math.inf, "must be positive and finite")
+        _require(self, "momentum", 0.0 <= self.momentum < 1.0, "must be in [0, 1)")
+        _require(self, "weight_decay", 0 <= self.weight_decay < math.inf,
+                 "must be nonnegative and finite")
+        _require(self, "batch_size", self.batch_size >= 1, "must be at least 1")
+        _require(self, "epochs", self.epochs >= 0, "must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,12 @@ class LolConfig:
     rounds: int = 0            # 0 -> match the sgd epochs
 
     def __post_init__(self):
-        if self.subsets < 1 or self.leave_k < 0:
-            raise ValueError("bad lol config")
-        if self.rounds < 0:
-            raise ValueError("rounds must be nonnegative (0 runs the sgd epochs)")
-        if not (0.0 < self.outer_step <= 1.0):
-            raise ValueError("outer_step must be in (0, 1]")
-        if not 0 <= self.local_budget < math.inf:
-            raise ValueError("local_budget must be nonnegative and finite")
+        _require(self, "subsets", self.subsets >= 1, "must be at least 1")
+        _require(self, "leave_k", self.leave_k >= 0, "must be at least 0")
+        _require(self, "rounds", self.rounds >= 0, "must be at least 0 (0 runs the sgd epochs)")
+        _require(self, "outer_step", 0.0 < self.outer_step <= 1.0, "must be in (0, 1]")
+        _require(self, "local_budget", 0 <= self.local_budget < math.inf,
+                 "must be nonnegative and finite")
 
     def budget(self) -> float:
         return self.local_budget if self.local_budget > 0 else 1.0 / self.subsets
@@ -96,16 +96,15 @@ class SwaConfig:
     cadence: str = "per_epoch"  # per_epoch (SWA) or per_iteration (SWAD-lite)
 
     def __post_init__(self):
-        if self.cadence not in ("per_epoch", "per_iteration"):
-            raise ValueError("cadence must be per_epoch or per_iteration")
-        if self.start_epoch < 0:
-            raise ValueError("start_epoch must be nonnegative")
+        _require(self, "start_epoch", self.start_epoch >= 0, "must be at least 0")
+        _require(self, "cadence", self.cadence in ("per_epoch", "per_iteration"),
+                 "must be per_epoch or per_iteration")
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfig,
              mask: FreezeMask) -> ModelParams:
-    """One momentum SGD update, in place on `params` (stacked or not; the
-    update is elementwise over the trained slices of the flat buffer).
+    """One momentum SGD update, in place on `params` (elementwise over the
+    trained slices of the flat buffer).
 
     v <- momentum * v + grad (+ weight_decay * param on weight matrices);
     param <- param - lr * v. Frozen groups are left untouched bitwise and
@@ -135,9 +134,9 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfi
 
 def _train_batch(work: ModelParams, X, y, loss: CompositeLoss, cfg: SgdConfig,
                  mask: FreezeMask, state: dict):
-    """One SGD step on a batch; returns its loss (an (M,) array of per-run
-    losses for stacked params). `state` keeps the momentum and the buffers
-    forward, backward and sgd_step reuse from step to step."""
+    """One SGD step on a batch stack; returns the (M,) array of per-run
+    losses. `state` keeps the momentum and the buffers forward, backward
+    and sgd_step reuse from step to step."""
     trace = forward(work, X, mode="train", update_stats=mask.bn_stats, scratch=state)
     breakdown, grad_logits, grad_features = loss(trace, y)
     grads = backward(work, trace, grad_logits, mask, grad_at_features=grad_features,
@@ -147,41 +146,38 @@ def _train_batch(work: ModelParams, X, y, loss: CompositeLoss, cfg: SgdConfig,
 
 
 def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
-              cfg: SgdConfig, mask: FreezeMask, rng, on_epoch=None, on_step=None):
-    """Minibatch SGD over per-epoch reshuffles of `dataset`.
-
-    `rng` is an Rng, or for stacked (S, P) params a sequence of S Rngs, one
-    per run: each run reshuffles from its own stream and the S runs take
-    every step together, each slice bitwise as if it trained alone (see
-    model.forward). Returns the trained params; the input params are not
-    modified. Deterministic in (params, dataset, cfg, rng). `on_epoch` is
-    called as on_epoch(epoch, params, epoch_loss) after every epoch, with
-    the epoch's mean minibatch loss, an (S,) array for stacked params; it
-    is the only place that loss goes.
+              cfg: SgdConfig, mask: FreezeMask, rngs: Sequence[Rng], on_epoch=None,
+              on_step=None):
+    """Minibatch SGD over per-epoch reshuffles of `dataset`, for the S runs
+    of (S, P) params, one of `rngs` per run: each run reshuffles from its
+    own stream and the S runs take every step together, each slice bitwise
+    as if it trained alone (see model.forward). Returns the trained params;
+    the input params are not modified. Deterministic in (params, dataset,
+    cfg, rngs). `on_epoch` is called as on_epoch(epoch, params, epoch_loss)
+    after every epoch, with the (S,) array of the epoch's mean minibatch
+    losses; it is the only place that loss goes.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    stacked = params.flat.ndim == 2
-    rngs = list(rng) if stacked else [rng]
-    if stacked and len(rngs) != len(params.flat):
-        raise ValueError("stacked params need one rng per run")
+    if params.flat.ndim != 2 or len(rngs) != len(params.flat):
+        raise ValueError("train_sgd takes (S, P) params and one rng per run")
     work = params.clone()
     state: dict = {}
     n = len(dataset)
     for epoch in range(cfg.epochs):
-        orders = [r.derive(f"epoch-{epoch}").permutation(n) for r in rngs]
-        order = np.stack(orders) if stacked else orders[0]
-        total, count = 0.0, 0
+        order = np.stack([r.derive(f"epoch-{epoch}").permutation(n) for r in rngs])
+        totals, count = [0.0] * len(rngs), 0
         for lo in range(0, n, cfg.batch_size):
-            idx = order[..., lo:lo + cfg.batch_size]
+            idx = order[:, lo:lo + cfg.batch_size]
             batch_loss = _train_batch(work, dataset.X[idx], dataset.y[idx],
                                       loss, cfg, mask, state)
-            total += batch_loss * idx.shape[-1]
-            count += idx.shape[-1]
+            # Python floats round as f64 array ops do, at less cost per step
+            totals = [t + b * idx.shape[1] for t, b in zip(totals, batch_loss.tolist())]
+            count += idx.shape[1]
             if on_step is not None:
                 on_step(work)
         if on_epoch is not None:
-            on_epoch(epoch, work, total / count)
+            on_epoch(epoch, work, np.array(totals) / count)
     return work
 
 
@@ -198,8 +194,10 @@ def _round_step_allocation(n: int, cfg: SgdConfig, lol: LolConfig) -> list:
 def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rng: Rng,
                  loss_sink: list, scratch: dict) -> ModelParams:
-    """One leave-out round: M local runs from a shared snapshot, averaged
-    displacement applied as the outer update. Returns new params.
+    """One leave-out round: M local runs from the snapshot `params`, one
+    model, averaged displacement applied as the outer update. Returns the
+    new params, of the snapshot's shape: (P,), or (1, P) as train_lolsgd
+    passes it.
 
     The runs train stacked (see the module docstring). `loss_sink` gets
     every local minibatch loss, run by run in ascending m. `scratch` keeps
@@ -226,7 +224,7 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                                  for _ in range(steps[m])], dtype=np.int64).reshape(-1, size))
 
     snapshot, spec = params, params.spec
-    local = np.repeat(snapshot.flat[None], lol.subsets, axis=0)
+    local = np.repeat(snapshot.flat.reshape(1, -1), lol.subsets, axis=0)
     losses = [[] for _ in range(lol.subsets)]
     for size in sorted({b.shape[1] for b in batches}):
         runs = [m for m in range(lol.subsets) if batches[m].shape[1] == size]
@@ -259,23 +257,26 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
 
 
 def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
-                 cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rng: Rng,
+                 cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rngs: Sequence[Rng],
                  on_round=None):
-    """Iterated leave-out rounds. With the default budget one round costs
-    one epoch of minibatches, so the default `rounds = epochs` spends the
-    same compute as train_sgd. Returns the trained params; `on_round` is
-    called as on_round(round, params, round_loss) after every round, with
-    the mean of the round's local minibatch losses."""
+    """Iterated leave-out rounds for the one run of (1, P) params, with a
+    one-Rng `rngs`. With the default budget one round costs one epoch of
+    minibatches, so the default `rounds = epochs` spends the same compute
+    as train_sgd. Returns the trained (1, P) params; `on_round` is called
+    as on_round(round, params, round_loss) after every round, with the (1,)
+    mean of the round's local minibatch losses."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
+    if params.flat.shape[:-1] != (1,) or len(rngs) != 1:
+        raise ValueError("train_lolsgd takes (1, P) params and one rng")
     rounds = lol.rounds if lol.rounds > 0 else cfg.epochs
     work, scratch = params, {}
     for r in range(rounds):
         sink: list = []
         work = lolsgd_round(work, dataset, loss, cfg, lol, mask,
-                            rng.derive(f"round-{r}"), sink, scratch)
+                            rngs[0].derive(f"round-{r}"), sink, scratch)
         if on_round is not None:
-            on_round(r, work, float(np.mean(sink)) if sink else float("nan"))
+            on_round(r, work, np.mean(sink, keepdims=True))
     return work
 
 

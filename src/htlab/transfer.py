@@ -11,12 +11,13 @@ their freeze masks, the loss terms carried, the inner step and whether the
 SWA tail average is deployed. One loop in run_protocol runs any preset.
 
 run_protocol takes one protocol and any number of seeds, each with its own
-source model. The seeds of an SGD preset train together, their params
-stacked on a leading run axis, so one minibatch step serves them all;
-each seed's slice does the arithmetic of a run of its own, so its results
-are bitwise those of a one-seed call. LOL presets (whose M local runs
-already fill the run axis) and bn_stats_only take the seeds one after
-another.
+source model, and trains every run as an (S, P) stack of params.
+Protocol.seed_groups says which seeds share a stack. An SGD preset's seeds
+are one stack, so one minibatch step serves them all; each seed's slice
+does the arithmetic of a run of its own, so its results are bitwise those
+of a one-seed call. A LOL preset's seeds (whose M local runs already fill
+the run axis) and bn_stats_only's are a one-row stack each. The CLI splits
+its tasks by the same rule.
 
 A run is its final params and a per-epoch evaluation curve whose entry 0
 is the source model itself, so curves from different protocols share an
@@ -128,6 +129,13 @@ class Protocol:
         """Whether the protocol trains with leave-out local SGD ([lol])."""
         return _PRESETS[self.kind].step == "lol"
 
+    def seed_groups(self, seeds: Sequence) -> list:
+        """`seeds` split, in order, into the groups that train as one stack:
+        all of them for an SGD preset, one each for the others."""
+        if _PRESETS[self.kind].step == "sgd":
+            return [list(seeds)] if seeds else []
+        return [[seed] for seed in seeds]
+
     def effective_loss(self) -> LossSpec:
         """The protocol's loss weights with terms the kind does not carry
         zeroed out, so one weight config can drive a whole grid."""
@@ -158,7 +166,7 @@ def _check_finite(where: str, epoch: int, params: ModelParams, loss=None):
     if not np.isfinite(params.flat).all():
         bad = next(k for k in params.keys() if not np.isfinite(params[k]).all())
         raise DivergenceError(where, epoch, group_of(bad, params.spec))
-    if loss is not None and not np.isfinite(loss):
+    if loss is not None and not np.isfinite(loss).all():
         raise DivergenceError(where, epoch, "loss")
 
 
@@ -171,6 +179,16 @@ class TransferRun:
     curve: list
 
 
+def _stack(runs: Sequence[ModelParams]) -> ModelParams:
+    """The runs' params, copied into one (S, P) stack."""
+    return ModelParams.from_flat(runs[0].spec, np.stack([run.flat for run in runs]))
+
+
+def _rows(params: ModelParams) -> list:
+    """The (P,) params of each run of an (S, P) stack, as views."""
+    return [ModelParams.from_flat(params.spec, row) for row in params.flat]
+
+
 def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
                     rng: Rng) -> ModelParams:
     """Train the source model from scratch on the source split. After this
@@ -178,15 +196,16 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
     if not np.array_equal(scenario.source_train.classes_present(),
                           np.arange(scenario.num_classes)):
         raise ValueError("source training data must cover every class")
-    params = init_model(spec, rng.derive("init"))
+    params = _stack([init_model(spec, rng.derive("init"))])
 
     def on_epoch(epoch, work, epoch_loss):
         _check_finite("pretrain", epoch + 1, work, epoch_loss)
 
     with np.errstate(all="ignore"):  # divergence is reported by DivergenceError alone
-        return train_sgd(params, scenario.source_train, CompositeLoss(LossSpec()), cfg,
-                         FreezeMask.all_trainable(), rng.derive("pretrain"),
-                         on_epoch=on_epoch)
+        params = train_sgd(params, scenario.source_train, CompositeLoss(LossSpec()), cfg,
+                           FreezeMask.all_trainable(), [rng.derive("pretrain")],
+                           on_epoch=on_epoch)
+    return _rows(params)[0]
 
 
 def _check_model(kind: str, params: ModelParams):
@@ -203,13 +222,6 @@ class _AllFailed(Exception):
     """Every seed of a stack has failed, so its training stops early."""
 
 
-def _each_run(params: ModelParams) -> list:
-    """The 2-D params of each run of a stack, as views; 2-D params alone."""
-    if params.flat.ndim == 1:
-        return [params]
-    return [ModelParams.from_flat(params.spec, row) for row in params.flat]
-
-
 def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
                  sources: Sequence[ModelParams], protocol: Protocol, seeds: Sequence[int],
                  toxicity: Optional[ToxicityMap] = None, k_spectrum: int = 20) -> list:
@@ -222,13 +234,12 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     fault of the protocol as a whole, such as a model without the parts it
     trains, raises.
 
-    The seeds of an SGD preset train together: their params are one (S, P)
-    stack (see optim.train_sgd), and each seed's slice does the arithmetic
-    of a 2-D run of its own, so every result is bitwise that of a one-seed
-    call. LOL presets, whose M local runs already fill the run axis, and
-    bn_stats_only run one seed after another. A seed fails alone: its slice
-    keeps its place in the stack but is no longer checked or evaluated, and
-    the others finish bitwise as if it were absent.
+    Each group of protocol.seed_groups trains as one (S, P) stack (see
+    optim.train_sgd), and each seed's slice does the arithmetic of a run of
+    its own, so every result is bitwise that of a one-seed call. A seed
+    fails alone: its slice keeps its place in the stack but is no longer
+    checked or evaluated, and the others finish bitwise as if it were
+    absent.
     """
     preset = _PRESETS[protocol.kind]
     if len(sources) != len(seeds):
@@ -261,9 +272,8 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
             out.append(e)
 
     def adapt(group: list) -> list:
-        """The TransferRun, or the error, of each seed at `group`; the seeds
-        train as one stack if there are several."""
-        stacked = len(group) > 1
+        """The TransferRun, or the error, of each seed at `group`, the
+        seeds trained as one stack."""
         curves = [out[i] for i in group]
         rngs = [Rng(seeds[i]).derive(f"protocol-{protocol.kind}") for i in group]
         loss = CompositeLoss(protocol.effective_loss(), [sources[i] for i in group], seen_mask)
@@ -271,20 +281,19 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
         errors: list = [None] * len(group)
         done = 0  # epochs (or rounds) finished
 
-        def on_epoch(_epoch, params, epoch_loss=None):
+        def on_epoch(_epoch, params, epoch_loss):
             nonlocal done
             done += 1
-            losses = [None] * len(group) if epoch_loss is None else \
-                np.reshape(epoch_loss, -1).tolist()
             if fold_per_epoch and done > swa.start_epoch:
                 tail.fold(params)
             # the curve follows the deployable model: the tail average once
             # it has started, the raw weights before that
             deployed = tail.value() if tail is not None and tail.count else params
-            for j, (run, shown) in enumerate(zip(_each_run(params), _each_run(deployed))):
+            for j, (run, shown, run_loss) in enumerate(
+                    zip(_rows(params), _rows(deployed), epoch_loss)):
                 if errors[j] is None:
                     try:
-                        _check_finite(protocol.kind, done, run, losses[j])
+                        _check_finite(protocol.kind, done, run, run_loss)
                         curves[j].append(report(done, shown))
                     except Exception as e:  # noqa: BLE001 - a seed fails alone
                         errors[j] = e
@@ -295,9 +304,7 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
             if done >= swa.start_epoch:
                 tail.fold(params)
 
-        work = ModelParams.from_flat(sources[group[0]].spec,
-                                     np.stack([sources[i].flat for i in group])) \
-            if stacked else sources[group[0]]
+        work = _stack([sources[i] for i in group])
         epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
         try:
             with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
@@ -305,34 +312,26 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
                     cfg = replace(protocol.sgd,
                                   epochs=epochs * (k + 1) // n_phases - epochs * k // n_phases)
                     if preset.step == "bn_stats":
-                        work = recompute_bn_stats(work, target_train)
-                        on_epoch(0, work)
-                    elif preset.step == "lol":
+                        work = _stack([recompute_bn_stats(run, target_train)
+                                       for run in _rows(work)])
+                        on_epoch(0, work, [None] * len(group))  # no loss to check
+                        continue
+                    phase_rngs = [rng.derive(label) for rng in rngs]
+                    if preset.step == "lol":
                         work = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
-                                            mask, rngs[0].derive(label), on_round=on_epoch)
+                                            mask, phase_rngs, on_round=on_epoch)
                     else:
-                        phase_rngs = [rng.derive(label) for rng in rngs]
-                        work = train_sgd(work, target_train, loss, cfg, mask,
-                                         phase_rngs if stacked else phase_rngs[0],
+                        work = train_sgd(work, target_train, loss, cfg, mask, phase_rngs,
                                          on_epoch=on_epoch,
                                          on_step=on_step if fold_per_step else None)
         except _AllFailed:
             return errors
-
-        finals = _each_run(tail.value() if tail is not None else work)
-        runs = []
-        for j, i in enumerate(group):
-            final = finals[j]
-            runs.append(errors[j] if errors[j] is not None else TransferRun(
-                # a stack's slice, or the source itself, is copied out
-                final_params=final.clone() if stacked or final is sources[i] else final,
-                curve=curves[j]))
-        return runs
+        finals = _rows(tail.value() if tail is not None else work)
+        return [error if error is not None else TransferRun(final_params=final, curve=curve)
+                for error, final, curve in zip(errors, finals, curves)]
 
     live = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
-    # an SGD preset's seeds train as one stack, the others' one at a time
-    groups = [live] if preset.step == "sgd" and live else [[i] for i in live]
-    for group in groups:
+    for group in protocol.seed_groups(live):
         for i, run in zip(group, adapt(group)):
             out[i] = run
     return out

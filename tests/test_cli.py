@@ -10,6 +10,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import htlab
 import htlab.cli as cli
@@ -112,6 +114,13 @@ def test_gen_rejects_no_unseen(tmp_path, capsys):
                "--out", str(tmp_path / "scn")])
     assert rc == 1
     assert "no unseen classes" in capsys.readouterr().err
+
+
+def test_gen_rejects_negative_pairs_naming_the_flag(tmp_path, capsys):
+    out = str(tmp_path / "scn")
+    assert main(["gen", "--pairs", "-3", "--out", out]) == 1
+    assert "--pairs = -3" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_gen_refuses_nonempty_without_force(tmp_path):
@@ -219,7 +228,7 @@ _BN_ADAPTER_SGD = dict(
 
 @pytest.mark.parametrize("case", ["plain", "bn-adapter-sgd-presets"])
 def test_run_parallel_matches_sequential(tmp_path, monkeypatch, case):
-    # at --jobs 1 a protocol's seeds train stacked, at --jobs 2 one per task
+    # an SGD preset's seeds train stacked in the same tasks at --jobs 1 and 2
     if case == "plain":
         cfg, _ = _write_config(tmp_path)
     else:
@@ -266,10 +275,12 @@ def test_run_parallel_isolates_failing_cells(tmp_path, capsys):
 
 def test_run_parallel_as_a_module_process(tmp_path):
     # spawned workers re-import the main module, so `python -m htlab.cli`
-    # must have no side effects at import; 4 cells give 4 workers, likely
-    # more than the cores, and a worker left without the shared state would
-    # hang the run past the timeout
-    cfg, out = _write_config(tmp_path, seeds="0,1")
+    # must have no side effects at import; the 4 seeds of a leave-out
+    # protocol are 4 tasks and give 4 workers, likely more than the cores,
+    # and a worker left without the shared state would hang the run past
+    # the timeout
+    cfg, out = _write_config(tmp_path, names="lolsgd", seeds="0,1,2,3",
+                             extra="\n[lol]\nsubsets = 2\nleave_k = 1\n")
     src = os.path.dirname(os.path.dirname(htlab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -285,17 +296,17 @@ def _threads(n, *names):
                                     "MKL_NUM_THREADS")}
 
 
-@pytest.mark.parametrize("environ, jobs, cells, cpus, want", [
+@pytest.mark.parametrize("environ, jobs, tasks, cpus, want", [
     ({}, 2, 20, 2, _threads("1")),
     ({}, 2, 20, 8, _threads("4")),
-    ({}, 8, 3, 6, _threads("2")),   # 3 cells need only 3 workers
+    ({}, 8, 3, 6, _threads("2")),   # 3 tasks need only 3 workers
     ({}, 4, 20, 2, _threads("1")),  # never below one thread
     # a value the caller set, even empty, is the caller's
     ({"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": ""}, 2, 20, 8,
      _threads("4", "OPENBLAS_NUM_THREADS")),
 ])
-def test_worker_env_splits_usable_cpus_over_workers(environ, jobs, cells, cpus, want):
-    assert _worker_env(environ, jobs, cells, cpus) == want
+def test_worker_env_splits_usable_cpus_over_workers(environ, jobs, tasks, cpus, want):
+    assert _worker_env(environ, jobs, tasks, cpus) == want
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -363,7 +374,7 @@ def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_diverging_seed_fails_alone(tmp_path, capsys, monkeypatch, jobs):
     # seed 1's source is finite but scaled so far that training overflows;
-    # at --jobs 1 it shares a stack with seeds 0 and 2
+    # at any --jobs it shares a stack with seeds 0 and 2
     cfg, _ = _write_config(tmp_path, names="source_only,naive_ft,lp_ft,swa")
     pretrain = cli.pretrain_source
 
@@ -466,6 +477,68 @@ def test_run_non_finite_or_out_of_range_number_exits_1(tmp_path, capsys, old, ne
     assert main(["run", "--config", cfg]) == 1
     assert "error:" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("[run]", "[lol]\nsubsets = 0\n\n[run]", "[lol] subsets = 0 "),
+    ("batch_size = 16", "batch_size = 0", "[sgd] batch_size = 0 "),
+    ("epochs = 6", "epochs = -1", "[pretrain] epochs = -1 "),
+    ("[run]", "[loss]\nlambda_rank = -1\n\n[run]", "[loss] lambda_rank = -1.0 "),
+    ("[run]", "[swa]\nstart_epoch = -2\n\n[run]", "[swa] start_epoch = -2 "),
+    ("[run]", "[lol]\nouter_step = 2\n\n[run]", "[lol] outer_step = 2.0 "),
+], ids=["lol-subsets", "sgd-batch_size", "pretrain-epochs", "loss-lambda_rank",
+        "swa-start_epoch", "lol-outer_step"])
+def test_run_rejected_value_names_its_section_and_key(tmp_path, capsys, old, new, named):
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    _edit(cfg, old, new)
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+# a grid every row of which the test below finds again in its sub-grids
+_GRID_PROTOCOLS = ("source_only", "naive_ft", "lp_ft", "sgd_distill", "lolsgd", "swa")
+_GRID_SEEDS = (0, 1, 2)
+_GRID_EXTRA = "\n[loss]\nlambda_distill = 1.0\n\n[lol]\nsubsets = 3\nleave_k = 1\n"
+
+
+def _grid_rows(tmp_path, protocols, seeds, jobs) -> dict:
+    """(file, protocol, seed) -> that cell's lines, its ensemble rows
+    included, of a run of the grid protocols x seeds at --jobs `jobs`."""
+    cfg, out = _write_config(tmp_path, names=",".join(protocols),
+                             seeds=",".join(map(str, seeds)), ensembles="true",
+                             extra=_GRID_EXTRA)
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 0
+    rows: dict = {}
+    for name, seed_col in (("curves.csv", 2), ("summary.csv", 3)):
+        header, *lines = _read(os.path.join(out, name)).decode().splitlines()
+        for line in lines:
+            fields = line.split(",")
+            cell = (name, fields[seed_col - 1].split("+")[0], int(fields[seed_col]))
+            rows.setdefault(cell, [header]).append(line)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def full_grid_rows(tmp_path_factory):
+    return _grid_rows(tmp_path_factory.mktemp("full"), _GRID_PROTOCOLS, _GRID_SEEDS, "1")
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(protocols=st.lists(st.sampled_from(_GRID_PROTOCOLS), min_size=1, max_size=3,
+                          unique=True),
+       seeds=st.lists(st.sampled_from(_GRID_SEEDS), min_size=1, unique=True),
+       jobs=st.sampled_from(["1", "2"]))
+@example(protocols=list(_GRID_PROTOCOLS[::-1]), seeds=[2, 0], jobs="2")
+def test_cell_rows_do_not_depend_on_jobs_or_grid_mates(tmp_path_factory, full_grid_rows,
+                                                       protocols, seeds, jobs):
+    # a seed stack of an SGD preset holds every seed of the grid, so its
+    # rows must not depend on which other seeds share it, nor on --jobs
+    got = _grid_rows(tmp_path_factory.mktemp("grid"), protocols, seeds, jobs)
+    assert got == {cell: lines for cell, lines in full_grid_rows.items()
+                   if cell[1] in protocols and cell[2] in seeds}
 
 
 def test_run_epoch0_rows_match_source_rows(tmp_path):

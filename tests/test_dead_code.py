@@ -1,10 +1,11 @@
-"""No public function or method of the package is reached only by tests,
-and no module of the package or its tests imports a name it never reads.
+"""No function or method of the package is reached only by tests, and no
+module of the package or its tests imports a name it never reads.
 
-The package is parsed with `ast`. A public module-level function, or a
-public method of a public class, must be referenced somewhere in the
+The package is parsed with `ast`. A module-level function, or a method of
+a class, private ones included, must be referenced somewhere in the
 package outside its own body; one that is not is code only the tests
-reach, and is deleted rather than kept alive by them. A name counts as
+reach, or nothing does, and is deleted rather than kept alive by them.
+Dunder methods are skipped, since Python calls them. A name counts as
 referenced wherever it appears as a bare name or as an attribute, so the
 check can miss dead code that shares a name with something used, but it
 never flags code the package calls.
@@ -21,9 +22,10 @@ import htlab
 SRC = os.path.dirname(htlab.__file__)
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
-# public names the package does not call, kept on purpose
+# names the package does not call, kept on purpose
 KEEP = {
     "numkit.Rng.u64": "pins the stream contract: the test vectors are u64 draws",
+    "numkit._PhiloxKey.generate_state": "numpy's Philox calls it to seed itself",
     "numkit.kl_div": "an acceptance oracle for the distillation loss",
     "numkit.covariance": "the tested public form of rank_reg's covariance",
 }
@@ -35,23 +37,26 @@ def _referenced(node) -> list:
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
-def _public_defs(module: str, tree) -> list:
-    """(qualified name, def node) of each public function of the module and
-    each public method of its public classes."""
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+
+
+def _defs(module: str, tree) -> list:
+    """(qualified name, def node) of each function of the module and each
+    method of its classes, dunder methods aside."""
     out = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and not node.name.startswith("_"):
+        if _is_def(node):
             out.append((f"{module}.{node.name}", node))
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        elif isinstance(node, ast.ClassDef):
             out += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not item.name.startswith("_")]
+                    if _is_def(item)]
     return out
 
 
 def unreferenced(src: str = SRC) -> list:
-    """Qualified names of the public functions and methods under `src` that
+    """Qualified names of the functions and methods under `src` that
     nothing there references outside their own bodies."""
     trees = {}
     for name in sorted(os.listdir(src)):
@@ -64,14 +69,14 @@ def unreferenced(src: str = SRC) -> list:
             uses[name] = uses.get(name, 0) + 1
     dead = []
     for module, tree in trees.items():
-        for qualname, node in _public_defs(module, tree):
+        for qualname, node in _defs(module, tree):
             own = _referenced(node).count(node.name)
             if uses.get(node.name, 0) - own == 0:
                 dead.append(qualname)
     return dead
 
 
-def test_every_public_function_is_reached_from_the_package():
+def test_every_function_is_reached_from_the_package():
     dead = [name for name in unreferenced() if name not in KEEP]
     assert dead == [], f"referenced only by tests, if at all: {', '.join(dead)}"
 

@@ -214,11 +214,11 @@ def _compare(spec, work, ref, state, ref_state, mask, what):
             assert not state["velocity"][k].any(), (what, "frozen momentum", k)
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+@pytest.mark.parametrize("runs", [1, 3], ids=["one-row", "stacked"])
 @pytest.mark.parametrize("loss_name", list(_LOSSES))
 @pytest.mark.parametrize("mask_name", list(_MASKS))
 @pytest.mark.parametrize("model", ["plain", "bn-adapter", "tanh"])
-def test_train_batch_matches_per_key_reference_bitwise(model, mask_name, loss_name, stacked):
+def test_train_batch_matches_per_key_reference_bitwise(model, mask_name, loss_name, runs):
     spec, mask = _MODELS[model], _MASKS[mask_name]
     loss_spec, decay = _LOSSES[loss_name]
     cfg = SgdConfig(lr=0.05, momentum=0.9, weight_decay=decay)
@@ -226,19 +226,13 @@ def test_train_batch_matches_per_key_reference_bitwise(model, mask_name, loss_na
     seen = np.arange(spec.num_classes) < 3
     src = init_model(spec, Rng(1))
     loss = CompositeLoss(loss_spec, src, seen)
-    runs = 3 if stacked else 1
     starts = [init_model(spec, Rng(2 + m)) for m in range(runs)]
-    if stacked:
-        work = ModelParams(spec, {k: np.stack([s[k] for s in starts]) for k in src.keys()})
-    else:
-        work = starts[0].clone()
+    work = ModelParams(spec, {k: np.stack([s[k] for s in starts]) for k in src.keys()})
     ref = {k: work[k].copy() for k in work.keys()}
     state, ref_state = {}, {}
     rng = Rng(9)
     for step in range(50):
         idx = np.stack([rng.choice(len(y), size=16) for _ in range(runs)])
-        if not stacked:
-            idx = idx[0]
         got = _train_batch(work, X[idx], y[idx], loss, cfg, mask, state)
         want = _ref_step(spec, ref, X[idx], y[idx], loss_spec, src, seen, cfg, mask, ref_state)
         assert np.array_equal(got, want), step
@@ -257,10 +251,12 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
 
     def on_epoch(epoch, params, loss):
         epochs.append(params.clone())
-        curve.append(loss)
+        curve.append(loss.tolist())
 
-    out = train_sgd(src, Dataset(X, y, spec.num_classes), CompositeLoss(loss_spec, src, seen),
-                    cfg, mask, Rng(4), on_epoch=on_epoch)
+    # a one-row stack, checked against the per-key reference of one model
+    one_row = ModelParams.from_flat(spec, src.flat[None].copy())
+    out = train_sgd(one_row, Dataset(X, y, spec.num_classes),
+                    CompositeLoss(loss_spec, src, seen), cfg, mask, [Rng(4)], on_epoch=on_epoch)
     ref, ref_state, ref_curve = {k: src[k].copy() for k in src.keys()}, {}, []
     for epoch in range(cfg.epochs):  # 5 batches an epoch, 70 steps in all
         order = Rng(4).derive(f"epoch-{epoch}").permutation(len(y))
@@ -269,12 +265,12 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
             idx = order[lo:lo + cfg.batch_size]
             total += _ref_step(spec, ref, X[idx], y[idx], loss_spec, src, seen, cfg, mask,
                                ref_state) * len(idx)
-        ref_curve.append(total / len(y))
+        ref_curve.append([total / len(y)])
         for k in ref:
-            assert np.array_equal(epochs[epoch][k], ref[k]), (epoch, k)
+            assert np.array_equal(epochs[epoch][k][0], ref[k]), (epoch, k)
     assert curve == ref_curve
     for k in ref:
-        assert np.array_equal(out[k], ref[k]), k
+        assert np.array_equal(out[k][0], ref[k]), k
 
 
 # ------------------------------------------------------------ views and buffer

@@ -258,14 +258,17 @@ def test_stacked_losses_equal_each_batch_alone_bitwise(spec, batch):
     labels = rng.integers(0, 5, size=(3, batch))
     bd, gl, gf = loss(forward(stacked, X, mode="train"), labels)
     assert bd.total.shape == (3,)
-    for m, alone in enumerate(runs):
-        bdm, glm, gfm = loss(forward(alone, X[m], mode="train"), labels[m])
-        assert type(bdm.total) is float
+    for m, run in enumerate(runs):
+        # the run alone, as a stack of one
+        alone = ModelParams.from_flat(model, run.flat[None])
+        bdm, glm, gfm = loss(forward(alone, X[m:m + 1], mode="train"), labels[m:m + 1])
+        assert bdm.total.shape == (1,)
         for term in ("ce", "distill", "rank", "total"):
             # a term that is off stays the scalar 0.0 for a stack
-            assert np.broadcast_to(getattr(bd, term), (3,))[m] == getattr(bdm, term), term
-        assert np.array_equal(gl[m], glm)
-        assert (gf is None and gfm is None) or np.array_equal(gf[m], gfm)
+            assert np.broadcast_to(getattr(bd, term), (3,))[m] == \
+                np.broadcast_to(getattr(bdm, term), (1,))[0], term
+        assert np.array_equal(gl[m], glm[0])
+        assert (gf is None and gfm is None) or np.array_equal(gf[m], gfm[0])
 
 
 def test_composite_loss_requires_source_for_distill():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def _toy_dataset(n_per=20, dim=4, classes=3, sep=6.0, seed=70):
                         for c in range(classes)])
     y = np.repeat(np.arange(classes), n_per)
     return Dataset(X, y, classes)
+
+
+def _one_row(params):
+    """`params` as a stack of one run, (1, P), as the trainers take it."""
+    return ModelParams.from_flat(params.spec, params.flat[None].copy())
 
 
 def _grads_for(params, X, y, mask=None, update_stats=False):
@@ -124,47 +130,47 @@ def test_sgd_step_frozen_group_untouched():
 # ------------------------------------------------------------ train_sgd
 
 def test_train_sgd_zero_epochs_returns_input():
-    params = init_model(SPEC, Rng(76))
+    params = _one_row(init_model(SPEC, Rng(76)))
     ds = _toy_dataset()
     curve = []
     out = train_sgd(params, ds, PLAIN_LOSS, SgdConfig(epochs=0), FreezeMask.all_trainable(),
-                    Rng(1), on_epoch=lambda e, p, loss: curve.append(loss))
+                    [Rng(1)], on_epoch=lambda e, p, loss: curve.append(loss))
     assert curve == []
     for k in params.keys():
         assert np.array_equal(out[k], params[k])
 
 
 def test_train_sgd_deterministic():
-    params = init_model(SPEC, Rng(77))
+    params = _one_row(init_model(SPEC, Rng(77)))
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.05, epochs=3, batch_size=16)
     ca, cb = [], []
-    a = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(5),
-                  on_epoch=lambda e, p, loss: ca.append(loss))
-    b = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(5),
-                  on_epoch=lambda e, p, loss: cb.append(loss))
+    a = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(5)],
+                  on_epoch=lambda e, p, loss: ca.append(loss.tolist()))
+    b = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(5)],
+                  on_epoch=lambda e, p, loss: cb.append(loss.tolist()))
     assert len(ca) == cfg.epochs and ca == cb
     for k in a.keys():
         assert np.array_equal(a[k], b[k])
 
 
 def test_train_sgd_loss_decreases_on_separable_data():
-    params = init_model(SPEC, Rng(78))
+    params = _one_row(init_model(SPEC, Rng(78)))
     ds = _toy_dataset(sep=8.0)
     cfg = SgdConfig(lr=0.01, momentum=0.0, weight_decay=0.0,
                     batch_size=len(ds), epochs=20)
     curve = []
-    train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(6),
-              on_epoch=lambda e, p, loss: curve.append(loss))
+    train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(6)],
+              on_epoch=lambda e, p, loss: curve.append(loss.item()))
     assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
     assert curve[-1] < curve[0]
 
 
 def test_train_sgd_freeze_commutes_with_training():
-    params = init_model(SPEC, Rng(79))
+    params = _one_row(init_model(SPEC, Rng(79)))
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.1, epochs=4, batch_size=8, weight_decay=1e-3)
-    out = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.frozen_classifier(), Rng(7))
+    out = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.frozen_classifier(), [Rng(7)])
     assert np.array_equal(out["layers.1.W"], params["layers.1.W"])
     assert np.array_equal(out["layers.1.b"], params["layers.1.b"])
     assert not np.array_equal(out["layers.0.W"], params["layers.0.W"])
@@ -223,15 +229,15 @@ def test_lolsgd_frozen_groups_bitwise_invariant():
 
 
 def test_lolsgd_deterministic_per_seed():
-    params = init_model(SPEC, Rng(84))
+    params = _one_row(init_model(SPEC, Rng(84)))
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.05, batch_size=16, epochs=2)
     lol = LolConfig(subsets=5, leave_k=1)
     ca, cb = [], []
-    a = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), Rng(12),
-                     on_round=lambda r, p, loss: ca.append(loss))
-    b = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), Rng(12),
-                     on_round=lambda r, p, loss: cb.append(loss))
+    a = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), [Rng(12)],
+                     on_round=lambda r, p, loss: ca.append(loss.tolist()))
+    b = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), [Rng(12)],
+                     on_round=lambda r, p, loss: cb.append(loss.tolist()))
     assert len(ca) == cfg.epochs and ca == cb
     for k in a.keys():
         assert np.array_equal(a[k], b[k])
@@ -243,7 +249,7 @@ def test_lolsgd_budget_matches_sgd():
     cfg = SgdConfig(lr=0.02, batch_size=16, epochs=5)
     lol = LolConfig(subsets=10, leave_k=1)
     count = {"sgd": 0}
-    train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), Rng(13),
+    train_sgd(_one_row(params), ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(13)],
               on_step=lambda p: count.__setitem__("sgd", count["sgd"] + 1))
     # the rounds train_lolsgd runs by default (one per sgd epoch); the sink
     # gets one loss per local minibatch
@@ -435,3 +441,36 @@ def test_config_validation():
         LolConfig(outer_step=0.0)
     with pytest.raises(ValueError, match="rounds"):
         LolConfig(rounds=-1)
+
+
+_REJECTIONS = [
+    (lambda: SgdConfig(lr=0.0), "lr = 0.0 must be positive and finite"),
+    (lambda: SgdConfig(weight_decay=-1.0), "weight_decay = -1.0 must be nonnegative"),
+    (lambda: SgdConfig(batch_size=0), "batch_size = 0 must be at least 1"),
+    (lambda: SgdConfig(epochs=-1), "epochs = -1 must be at least 0"),
+    (lambda: LolConfig(subsets=0), "subsets = 0 must be at least 1"),
+    (lambda: LolConfig(leave_k=-1), "leave_k = -1 must be at least 0"),
+    (lambda: LolConfig(outer_step=2.0), "outer_step = 2.0 must be in (0, 1]"),
+    (lambda: SwaConfig(start_epoch=-2), "start_epoch = -2 must be at least 0"),
+    (lambda: LossSpec(lambda_rank=-1.0), "lambda_rank = -1.0 must be nonnegative"),
+    (lambda: LossSpec(rank_sign=0), "rank_sign = 0 must be +1 or -1"),
+]
+
+
+@pytest.mark.parametrize("make, message", _REJECTIONS,
+                         ids=[message.split(" ")[0] for _, message in _REJECTIONS])
+def test_config_rejection_names_the_key_and_value(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_trainers_take_a_run_stack_and_one_rng_per_run():
+    params = init_model(SPEC, Rng(76))
+    ds, cfg, mask = _toy_dataset(), SgdConfig(epochs=1), FreezeMask.all_trainable()
+    for bad_params, rngs in ((params, [Rng(1)]), (_one_row(params), [Rng(1), Rng(2)])):
+        with pytest.raises(ValueError, match="train_sgd takes"):
+            train_sgd(bad_params, ds, PLAIN_LOSS, cfg, mask, rngs)
+    two_runs = ModelParams.from_flat(SPEC, np.stack([params.flat, params.flat]))
+    with pytest.raises(ValueError, match="train_lolsgd takes"):
+        train_lolsgd(two_runs, ds, PLAIN_LOSS, cfg, LolConfig(leave_k=1), mask,
+                     [Rng(1), Rng(2)])

@@ -7,7 +7,7 @@ import pytest
 from htlab.data import StyleTransform, gen_synthetic_scenario
 from htlab.losses import CompositeLoss, LossSpec
 from htlab.metrics import EvalSet, evaluate
-from htlab.model import FreezeMask, MlpSpec, forward, init_model
+from htlab.model import FreezeMask, MlpSpec, ModelParams, forward, init_model
 from htlab.numkit import Rng, softmax
 from htlab.optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, train_sgd
 from htlab.transfer import (
@@ -48,6 +48,16 @@ def _assert_same_report(a, b):
     scalars = lambda r: {k: v for k, v in vars(r).items() if k != "spectrum"}  # noqa: E731
     assert scalars(a) == scalars(b)
     assert np.array_equal(a.spectrum.values, b.spectrum.values)
+
+
+def _one_row(params):
+    """One model's params as the (1, P) stack the trainers take."""
+    return ModelParams.from_flat(params.spec, params.flat[None].copy())
+
+
+def _row(params):
+    """The model of a one-row stack, copied out."""
+    return ModelParams.from_flat(params.spec, params.flat[0].copy())
 
 
 def _run(scenario, source, kind, seed=3, **kw):
@@ -175,13 +185,13 @@ def test_lp_ft_two_phase_boundary(scenario, source):
     rng = Rng(3).derive("protocol-lp_ft")
     half = replace(ADAPT, epochs=ADAPT.epochs // 2)
     seen = [source]
-    keep = lambda e, p, loss: seen.append(p.clone())  # noqa: E731
-    probe = train_sgd(source, scenario.target_train, CompositeLoss(LossSpec()), half,
-                      FreezeMask.only("classifier"), rng.derive("probe"), on_epoch=keep)
+    keep = lambda e, p, loss: seen.append(_row(p))  # noqa: E731
+    probe = train_sgd(_one_row(source), scenario.target_train, CompositeLoss(LossSpec()), half,
+                      FreezeMask.only("classifier"), [rng.derive("probe")], on_epoch=keep)
     final = train_sgd(probe, scenario.target_train, CompositeLoss(LossSpec()), half,
-                      FreezeMask.all_trainable(), rng.derive("ft"), on_epoch=keep)
+                      FreezeMask.all_trainable(), [rng.derive("ft")], on_epoch=keep)
     for k in final.keys():
-        assert np.array_equal(run.final_params[k], final[k])
+        assert np.array_equal(run.final_params[k], final[k][0])
     # epochs=4 -> phase 1 (classifier only) covers epochs 1..2
     for e in (1, 2):
         assert np.array_equal(seen[e]["layers.0.W"], source["layers.0.W"])
@@ -230,10 +240,10 @@ def test_swa_final_is_average_of_tail_checkpoints(scenario, source):
     run = _run(scenario, source, "swa", swa=SwaConfig(start_epoch=2))
     # replay the underlying trainer to capture the raw per-epoch params
     raw = []
-    train_sgd(source, scenario.target_train, CompositeLoss(LossSpec()), ADAPT,
+    train_sgd(_one_row(source), scenario.target_train, CompositeLoss(LossSpec()), ADAPT,
               FreezeMask.frozen_classifier(),
-              Rng(3).derive("protocol-swa").derive("train"),
-              on_epoch=lambda e, p, loss: raw.append(p.clone()))
+              [Rng(3).derive("protocol-swa").derive("train")],
+              on_epoch=lambda e, p, loss: raw.append(_row(p)))
     tail = RunningAverage()
     for p in raw[2:]:  # tail = epochs 2..3
         tail.fold(p)
@@ -305,7 +315,7 @@ def _record_epoch_losses(monkeypatch) -> list:
 
     def recording(*args, on_epoch, **kwargs):
         def hook(epoch, params, epoch_loss):
-            losses.append(np.reshape(epoch_loss, -1))
+            losses.append(epoch_loss)
             on_epoch(epoch, params, epoch_loss)
         return train_sgd(*args, on_epoch=hook, **kwargs)
 
