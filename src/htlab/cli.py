@@ -9,11 +9,11 @@ Subcommands:
     report  aggregate summary.csv across seeds into a table and JSON
 
 The config file is INI-style: named sections with key = value lines; see
-configs/reference.ini for a complete example. Each section has a fixed set
-of keys, and an unknown section or key, or a boolean that is not one of
-configparser's boolean words, is a validation error. Defaults come from the
-config dataclasses (SgdConfig, LolConfig, LossSpec, SwaConfig; [pretrain]
-defaults to the resolved [sgd]) and from one key table per scenario kind.
+configs/reference.ini for a complete example. A key states its type, default
+and bound once: in a key table below, or as a field of SgdConfig, LolConfig,
+LossSpec or SwaConfig ([pretrain] defaults to the resolved [sgd]). An unknown
+section or key exits 1, and so does a value that does not parse or is out of
+bound, as `error: [section] key = value <bound>` (`htlab gen`: `--flag = ...`).
 The HTLAB_SEED environment variable (comma-separated integers) overrides
 the configured seed list.
 
@@ -59,7 +59,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -74,7 +74,7 @@ from .losses import LossSpec
 from .metrics import EvalSet, aggregate_seeds, evaluate, report_from_scores
 from .model import (BadCheckpoint, MlpSpec, StaleCheckpoint, load_checkpoint,
                     save_checkpoint)
-from .numkit import Rng
+from .numkit import _FINITE, _NONNEGATIVE, _POSITIVE, Rng, _at_least, _check, _one_of
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
                        se_predict, wise_merge)
@@ -94,123 +94,125 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ----------------------------------------------------------- config parsing
 
-# [scenario] keys and defaults per kind; `htlab gen` derives its flags from
-# the synthetic and paired tables
-_GENERATED = {"seed": 0, "dim": 16, "source_per_class": 200, "train_per_class": 60,
-              "test_per_class": 40, "cluster_sep": 6.0}
+# key -> (default, bound), per section and [scenario] kind. A value parses as
+# its default's type and is held to its bound (numkit._check); a callable
+# bound is made from the section's values, and None leaves the key free.
+_COUNT = _at_least(1)
+_GENERATED = {"seed": (0, (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)")),
+              "dim": (16, _at_least(2)), "source_per_class": (200, _COUNT),
+              "train_per_class": (60, _COUNT), "test_per_class": (40, _COUNT),
+              "cluster_sep": (6.0, _POSITIVE)}
 _SCENARIO_KEYS = {
-    "synthetic": {**_GENERATED, "classes": 10, "seen": 6, "style_angle": 0.0,
-                  "style_shift": 0.0, "style_noise": 0.0},
-    "paired": {**_GENERATED, "pairs": 6, "overlap": 0.6},
-    "import": {"path": ""},
+    "synthetic": {**_GENERATED, "classes": (10, lambda s: (
+                      lambda v: v > s["seen"], f"must be above seen ({s['seen']})")),
+                  "seen": (6, _COUNT), "style_angle": (0.0, _FINITE),
+                  "style_shift": (0.0, _FINITE), "style_noise": (0.0, _NONNEGATIVE)},
+    "paired": {**_GENERATED, "pairs": (6, _COUNT),
+               "overlap": (0.6, (lambda v: 0 <= v < 1, "must be in [0, 1)"))},
+    "import": {"path": ("", (bool, "must name a scenario directory"))},
 }
-_GEN_KEYS = {**_SCENARIO_KEYS["synthetic"], **_SCENARIO_KEYS["paired"]}
-_MODEL_KEYS = {"hidden": "64,64", "activation": "relu", "batchnorm": False,
-               "in_adapter": False}
-_RUN_KEYS = {"seeds": "", "output_dir": "htlab-out", "k_spectrum": 20, "ensembles": False}
-_SECTIONS = ("scenario", "model", "protocols", "pretrain", "sgd", "lol", "loss", "swa",
-             "run")
+_GEN_KEYS = {**_SCENARIO_KEYS["synthetic"], **_SCENARIO_KEYS["paired"]}  # htlab gen's flags
 
 
-def _read(section: str, raw, defaults: dict) -> dict:
-    """`defaults` overridden by `raw`, each value parsed as the type of its
-    default; a key `defaults` lacks is an error."""
-    out = dict(defaults)
+def _keys(config) -> dict:
+    """key -> (default, bound) of the fields of a config dataclass or instance."""
+    return {f.name: (getattr(config, f.name, f.default), f.metadata.get("bound"))
+            for f in fields(config)}
+
+
+def _widths(text: str) -> list:
+    """The widths `text` lists by commas; none unless each is at least 1."""
+    widths = [w.strip() for w in text.split(",") if w.strip()]
+    return [int(w) for w in widths] if all(w.isdecimal() and int(w) > 0 for w in widths) else []
+
+
+_MODEL_KEYS = {"hidden": ("64,64", (_widths, "must list widths of at least 1")),
+               "activation": _keys(MlpSpec)["activation"], "batchnorm": (False, None),
+               "in_adapter": (False, None)}
+_PROTOCOLS_KEYS = {"names": ("", (lambda v: v.replace(",", "").strip(),
+                                   "must list one or more protocols"))}
+_RUN_KEYS = {"seeds": ("", None), "output_dir": ("htlab-out", None),
+             "k_spectrum": (20, _COUNT), "ensembles": (False, None)}
+_SECTIONS = ("scenario", "model", "protocols", "pretrain", "sgd", "lol", "loss", "swa", "run")
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+
+def _read(section: str, raw, keys: dict, name=None) -> dict:
+    """The defaults of `keys` overridden by `raw`, each value parsed as the
+    type of its default and held to its bound; a key `keys` lacks is an
+    error. A message names a key `name(key)`, by default `[section] key`."""
+    name = name or (lambda key: f"[{section}] {key}")
+    out = {key: default for key, (default, _) in keys.items()}
     for key, value in raw.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key [{section}] {key}")
-        parse = type(defaults[key])
-        if parse is bool:
-            state = configparser.ConfigParser.BOOLEAN_STATES.get(str(value).lower())
-            if state is None:
-                raise ConfigError(f"[{section}] {key} must be a boolean, got {value!r}")
-            out[key] = state
-        else:
-            try:
-                out[key] = parse(value)
-            except ValueError as e:
-                raise ConfigError(f"[{section}] {key}: {e}") from e
+        if key not in keys:
+            raise ValueError(f"unknown key [{section}] {key}")
+        parse = type(keys[key][0])
+        try:
+            out[key] = _BOOLEANS[str(value).lower()] if parse is bool else parse(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"{name(key)} = {value!r} must be {parse.__name__}") from None
+    for key, (_, bound) in keys.items():
+        if bound is not None:
+            _check(name(key), out[key], bound(out) if callable(bound) else bound)
     return out
 
 
-def _resolve_scenario(scn) -> dict:
+def _resolve_scenario(scn, name=None) -> dict:
     kind = scn.get("kind", "synthetic")
-    if kind not in _SCENARIO_KEYS:
-        raise ConfigError(f"unknown scenario kind {kind!r}")
-    return _read("scenario", scn, {"kind": kind, **_SCENARIO_KEYS[kind]})
+    _check("[scenario] kind", kind, _one_of(*_SCENARIO_KEYS))
+    return _read("scenario", scn, {"kind": (kind, None), **_SCENARIO_KEYS[kind]}, name)
 
 
 def load_config(path: str) -> dict:
     if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.read(path)
     if not cp.has_section("scenario") or not cp.has_section("run"):
-        raise ConfigError("config needs [scenario] and [run] sections")
+        raise ValueError("config needs [scenario] and [run] sections")
     for name in cp.sections():
         if name not in _SECTIONS:
-            raise ConfigError(f"unknown section [{name}]")
+            raise ValueError(f"unknown section [{name}]")
 
-    def read(section, defaults):
-        return _read(section, cp[section] if cp.has_section(section) else {}, defaults)
+    def read(section, keys):
+        return _read(section, cp[section] if cp.has_section(section) else {}, keys)
 
     def load(section, base):
-        try:
-            return type(base)(**read(section, asdict(base)))
-        except ValueError as e:  # the config class names the key, not its section
-            raise ConfigError(f"[{section}] {e}") from e
+        return type(base)(**read(section, _keys(base)))
 
     sgd = load("sgd", SgdConfig())
     model = read("model", _MODEL_KEYS)
     run = read("run", _RUN_KEYS)
 
-    names = [n.strip() for n in read("protocols", {"names": ""})["names"].split(",")
+    names = [n.strip() for n in read("protocols", _PROTOCOLS_KEYS)["names"].split(",")
              if n.strip()]
-    if not names:
-        raise ConfigError("config needs [protocols] names = ...")
-
     seeds_raw = os.environ.get("HTLAB_SEED", "").strip() or run["seeds"]
     try:
         seeds = [int(s) for s in seeds_raw.split(",") if s.strip()]
     except ValueError as e:
-        raise ConfigError(f"bad seed list {seeds_raw!r}") from e
+        raise ValueError(f"bad seed list {seeds_raw!r}") from e
     if not seeds:
-        raise ConfigError("need at least one seed")
+        raise ValueError("need at least one seed")
     for what, items in (("protocol", names), ("seed", seeds)):
         repeated = [x for x in items if items.count(x) > 1]
         if repeated:
-            raise ConfigError(f"{what} {repeated[0]} is listed more than once")
+            raise ValueError(f"{what} {repeated[0]} is listed more than once")
 
-    if run["k_spectrum"] < 1:
-        raise ConfigError(f"[run] k_spectrum = {run['k_spectrum']} must be at least 1")
-    model["hidden"] = [int(w) for w in model["hidden"].split(",") if w.strip()]
-    return {
-        "scenario": _resolve_scenario(cp["scenario"]),
-        "model": model,
-        "protocol_names": names,
-        "sgd": sgd,
-        "pretrain": load("pretrain", sgd),
-        "lol": load("lol", LolConfig()),
-        "loss": load("loss", LossSpec()),
-        "swa": load("swa", SwaConfig(start_epoch=sgd.epochs // 2)),
-        **run,
-        "seeds": seeds,
-    }
+    model["hidden"] = _widths(model["hidden"])
+    bases = {"pretrain": sgd, "lol": LolConfig(), "loss": LossSpec(),
+             "swa": SwaConfig(start_epoch=sgd.epochs // 2)}
+    return {"scenario": _resolve_scenario(cp["scenario"]), "model": model,
+            "protocol_names": names, **run, "seeds": seeds, "sgd": sgd,
+            **{section: load(section, base) for section, base in bases.items()}}
 
 
-def build_scenario(scn: dict):
+def build_scenario(scn: dict, name=None):
     """The scenario a `[scenario]` dict describes; missing keys take the
-    _SCENARIO_KEYS defaults of its kind."""
-    s = _resolve_scenario(scn)
+    _SCENARIO_KEYS defaults of its kind. `name` is _read's."""
+    s = _resolve_scenario(scn, name)
     if s["kind"] == "import":
-        if not s["path"]:
-            raise ConfigError("import scenario needs path = DIR")
         return load_scenario(s["path"])
     per_class = (s["source_per_class"], s["train_per_class"], s["test_per_class"])
     if s["kind"] == "paired":
@@ -372,21 +374,21 @@ def _fields(rep, k: int) -> list:
 
 
 def cmd_run(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    _check("--jobs", args.jobs, _COUNT)
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output_dir"]
+    # before the scenario is built, so a bad combination costs no generation
+    protocols = [Protocol(kind=n, loss=cfg["loss"], sgd=cfg["sgd"], lol=cfg["lol"],
+                          swa=cfg["swa"]) for n in cfg["protocol_names"]]
     scenario = build_scenario(cfg["scenario"])
     spec = MlpSpec((scenario.dim, *cfg["model"]["hidden"], scenario.num_classes),
                    activation=cfg["model"]["activation"],
                    use_batchnorm=cfg["model"]["batchnorm"],
                    use_in_adapter=cfg["model"]["in_adapter"])
-    protocols = [Protocol(kind=n, loss=cfg["loss"], sgd=cfg["sgd"], lol=cfg["lol"],
-                          swa=cfg["swa"]) for n in cfg["protocol_names"]]
     n_classes = scenario.target_train.classes_present().size
-    if cfg["lol"].leave_k >= n_classes and any(p.local_sgd for p in protocols):
-        raise ConfigError(f"[lol] leave_k = {cfg['lol'].leave_k} must be below the "
-                          f"{n_classes} classes of the target training split")
+    if any(p.local_sgd for p in protocols):
+        _check("[lol] leave_k", cfg["lol"].leave_k, (lambda v: v < n_classes, (
+            f"must be below the {n_classes} classes of the target training split")))
     os.makedirs(out_dir, exist_ok=True)
 
     # one cached source model per seed (or the error its pretrain diverged
@@ -463,17 +465,15 @@ def cmd_run(args) -> int:
 def cmd_gen(args) -> int:
     scn = {k: v for k, v in vars(args).items() if k in _GEN_KEYS and v is not None}
     pairs = scn.pop("pairs", 0)
-    if pairs < 0:
-        raise ConfigError(f"--pairs = {pairs} must be at least 0")
-    if pairs > 0:
+    if pairs:  # 0, the default, generates a synthetic scenario
         scn.update(kind="paired", pairs=pairs)
-    scenario = build_scenario(scn)  # a flag the kind does not read is an unknown key
-    out = args.out
-    save_scenario(scenario, out, force=args.force)
+    # a flag the kind does not read is an unknown key
+    scenario = build_scenario(scn, name=lambda key: "--" + key.replace("_", "-"))
+    save_scenario(scenario, args.out, force=args.force)
     print(f"{scenario.scenario_id}: {scenario.num_classes} classes "
           f"({int(scenario.seen_mask.sum())} seen), dim {scenario.dim}, "
           f"{len(scenario.source_train)}/{len(scenario.target_train)}/"
-          f"{len(scenario.target_test)} samples -> {out}")
+          f"{len(scenario.target_test)} samples -> {args.out}")
     return 0
 
 
@@ -484,34 +484,34 @@ def _parse_summary(path: str) -> list:
     with open(path) as f:
         lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(f, 1) if ln.strip()]
     if not lines:
-        raise ConfigError(f"{path} is empty")
+        raise ValueError(f"{path} is empty")
     header = lines[0][1]
     missing = [c for c in SUMMARY_COLUMNS if c not in header]
     if missing:
-        raise ConfigError(f"{path}: header lacks {', '.join(missing)}")
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
 
     def number(n: int, row: dict, column: str, parse):
         try:
             return parse(row[column])
         except ValueError:
             bad = f"{path}:{n}: {column} = {row[column]!r} is not a number"
-            raise ConfigError(bad) from None
+            raise ValueError(bad) from None
 
     ok = []
     seen = set()
     for n, fields in lines[1:]:
         if len(fields) != len(header):
-            raise ConfigError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
+            raise ValueError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
         row = dict(zip(header, fields))
         cell = (row["protocol"], row["seed"])
         if cell in seen:
-            raise ConfigError(f"{path}:{n}: repeats protocol {cell[0]} seed {cell[1]}")
+            raise ValueError(f"{path}:{n}: repeats protocol {cell[0]} seed {cell[1]}")
         seen.add(cell)
         if row["status"] == "ok":
             ok.append((row["protocol"], number(n, row, "seed", int),
                        {m: number(n, row, m, float) for m in _METRICS}))
     if not ok:
-        raise ConfigError(f"{path} has no ok rows")
+        raise ValueError(f"{path} has no ok rows")
     return ok
 
 
@@ -567,7 +567,7 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="materialize a scenario directory")
-    for key, default in _GEN_KEYS.items():
+    for key, (default, _) in _GEN_KEYS.items():
         g.add_argument("--" + key.replace("_", "-"), type=type(default), default=None,
                        help="N > 0 generates a paired scenario of N pairs" if key == "pairs"
                        else f"default {default}")
@@ -594,8 +594,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, configparser.Error, ValueError, FileNotFoundError,
-            FileExistsError) as e:
+    except (configparser.Error, ValueError, FileNotFoundError, FileExistsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - runtime failures exit 2

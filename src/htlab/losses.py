@@ -22,27 +22,22 @@ batch alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .model import ModelParams, forward
-from .numkit import _centred_covariance, _require, softmax
+from .numkit import _NONNEGATIVE, _bounded, _centred_covariance, _check_fields, softmax
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    lambda_distill: float = 0.0
-    lambda_rank: float = 0.0
-    rank_sign: int = 1
+    lambda_distill: float = _bounded(0.0, _NONNEGATIVE)
+    lambda_rank: float = _bounded(0.0, _NONNEGATIVE)
+    rank_sign: int = _bounded(1, (lambda v: v in (1, -1), "must be +1 or -1"))
 
-    def __post_init__(self):
-        for key in ("lambda_distill", "lambda_rank"):
-            _require(self, key, 0 <= getattr(self, key) < math.inf,
-                     "must be nonnegative and finite")
-        _require(self, "rank_sign", self.rank_sign in (1, -1), "must be +1 or -1")
+    __post_init__ = _check_fields
 
 
 @dataclass

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .numkit import Rng
+from .numkit import _FRACTION, _POSITIVE, Rng, _bounded, _check, _check_fields, _one_of
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -59,11 +59,11 @@ _ROW = np.s_[..., None, :]
 @dataclass(frozen=True)
 class MlpSpec:
     layer_widths: tuple  # (d, h1, ..., hL, C)
-    activation: str = "relu"
+    activation: str = _bounded("relu", _one_of("relu", "tanh"))
     use_batchnorm: bool = False
     use_in_adapter: bool = False
-    bn_eps: float = BN_EPS
-    bn_momentum: float = BN_MOMENTUM
+    bn_eps: float = _bounded(BN_EPS, _POSITIVE)
+    bn_momentum: float = _bounded(BN_MOMENTUM, _FRACTION)
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -71,10 +71,7 @@ class MlpSpec:
             raise ValueError("need at least one hidden layer")
         if min(self.layer_widths) < 1:
             raise ValueError("all widths must be >= 1")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.bn_eps <= 0 or not (0.0 < self.bn_momentum <= 1.0):
-            raise ValueError("bad batchnorm settings")
+        _check_fields(self)
 
     @property
     def dim(self) -> int:
@@ -112,8 +109,7 @@ class FreezeMask:
     @classmethod
     def only(cls, *groups):
         for g in groups:
-            if g not in GROUPS:
-                raise ValueError(f"unknown group {g!r}")
+            _check("group", g, _one_of(*GROUPS))
         return cls(**{g: g in groups for g in GROUPS})
 
     def trainable(self, group: str) -> bool:

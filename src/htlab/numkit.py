@@ -23,6 +23,8 @@ Test vectors for the pinned generator (``Rng(seed=3, stream=7)``):
 from __future__ import annotations
 
 import hashlib
+import math
+from dataclasses import field, fields
 
 import numpy as np
 
@@ -32,10 +34,37 @@ _U64 = np.uint64
 _U64_MAX = 2**64
 
 
-def _require(config, key: str, ok: bool, bound: str):
-    """Reject a config field out of its bound, naming the key and value."""
-    if not ok:
-        raise ValueError(f"{key} = {getattr(config, key)!r} {bound}")
+def _check(key: str, value, bound):
+    """Raise ValueError("<key> = <value!r> <words>") unless ok(value), bound = (ok, words)."""
+    ok, words = bound
+    if not ok(value):
+        raise ValueError(f"{key} = {value!r} {words}")
+
+
+def _bounded(default, bound):
+    """A dataclass field of `default` whose value _check_fields holds to `bound`."""
+    return field(default=default, metadata={"bound": bound})
+
+
+def _check_fields(config):
+    """_check each bounded field of the dataclass `config`: its __post_init__."""
+    for f in fields(config):
+        if "bound" in f.metadata:
+            _check(f.name, getattr(config, f.name), f.metadata["bound"])
+
+
+def _at_least(low):
+    return (lambda v: v >= low, f"must be at least {low}")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, "must be " + " or ".join(map(str, choices)))
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
+_FINITE = (math.isfinite, "must be finite")
+_FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
 
 
 def _tag_to_bytes(tag) -> bytes:
@@ -180,10 +209,8 @@ def top_singular_values(Z: np.ndarray, k: int) -> Spectrum:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError("Z must be 2-D")
-    if k > min(Z.shape):
-        raise ValueError(f"k={k} exceeds min(rows, cols)={min(Z.shape)}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check("k", k, (lambda v: 0 <= v <= min(Z.shape),
+                    f"is negative or exceeds min(rows, cols) = {min(Z.shape)}"))
     Zc = Z - Z.mean(axis=0, keepdims=True)
     G = Zc.T @ Zc
     G = 0.5 * (G + G.T)

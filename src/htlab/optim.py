@@ -50,41 +50,30 @@ import numpy as np
 from .data import Dataset
 from .losses import CompositeLoss
 from .model import FreezeMask, ModelParams, _buffer, backward, forward, params_axpy
-from .numkit import Rng, _require
+from .numkit import (_FRACTION, _NONNEGATIVE, _POSITIVE, Rng, _at_least, _bounded,
+                     _check_fields, _one_of)
 
 
 @dataclass(frozen=True)
 class SgdConfig:
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    batch_size: int = 32
-    epochs: int = 20
+    lr: float = _bounded(0.01, _POSITIVE)
+    momentum: float = _bounded(0.9, (lambda v: 0 <= v < 1, "must be in [0, 1)"))
+    weight_decay: float = _bounded(0.0, _NONNEGATIVE)
+    batch_size: int = _bounded(32, _at_least(1))
+    epochs: int = _bounded(20, _at_least(0))
 
-    def __post_init__(self):
-        _require(self, "lr", 0 < self.lr < math.inf, "must be positive and finite")
-        _require(self, "momentum", 0.0 <= self.momentum < 1.0, "must be in [0, 1)")
-        _require(self, "weight_decay", 0 <= self.weight_decay < math.inf,
-                 "must be nonnegative and finite")
-        _require(self, "batch_size", self.batch_size >= 1, "must be at least 1")
-        _require(self, "epochs", self.epochs >= 0, "must be at least 0")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class LolConfig:
-    subsets: int = 10          # M: local runs per round
-    leave_k: int = 3           # classes dropped per local run
-    local_budget: float = 0.0  # fraction of an epoch per local run; 0 -> 1/M
-    outer_step: float = 1.0
-    rounds: int = 0            # 0 -> match the sgd epochs
+    subsets: int = _bounded(10, _at_least(1))  # M: local runs per round
+    leave_k: int = _bounded(3, _at_least(0))  # classes dropped per local run
+    local_budget: float = _bounded(0.0, _NONNEGATIVE)  # of an epoch per local run; 0 -> 1/M
+    outer_step: float = _bounded(1.0, _FRACTION)
+    rounds: int = _bounded(0, (lambda v: v >= 0, "must be at least 0 (0 runs the sgd epochs)"))
 
-    def __post_init__(self):
-        _require(self, "subsets", self.subsets >= 1, "must be at least 1")
-        _require(self, "leave_k", self.leave_k >= 0, "must be at least 0")
-        _require(self, "rounds", self.rounds >= 0, "must be at least 0 (0 runs the sgd epochs)")
-        _require(self, "outer_step", 0.0 < self.outer_step <= 1.0, "must be in (0, 1]")
-        _require(self, "local_budget", 0 <= self.local_budget < math.inf,
-                 "must be nonnegative and finite")
+    __post_init__ = _check_fields
 
     def budget(self) -> float:
         return self.local_budget if self.local_budget > 0 else 1.0 / self.subsets
@@ -92,13 +81,10 @@ class LolConfig:
 
 @dataclass(frozen=True)
 class SwaConfig:
-    start_epoch: int = 0
-    cadence: str = "per_epoch"  # per_epoch (SWA) or per_iteration (SWAD-lite)
+    start_epoch: int = _bounded(0, _at_least(0))
+    cadence: str = _bounded("per_epoch", _one_of("per_epoch", "per_iteration"))
 
-    def __post_init__(self):
-        _require(self, "start_epoch", self.start_epoch >= 0, "must be at least 0")
-        _require(self, "cadence", self.cadence in ("per_epoch", "per_iteration"),
-                 "must be per_epoch or per_iteration")
+    __post_init__ = _check_fields
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfig,

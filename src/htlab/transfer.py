@@ -54,7 +54,7 @@ from .model import (
     params_axpy,
     recompute_bn_stats,
 )
-from .numkit import Rng, softmax
+from .numkit import Rng, _check, _one_of, softmax
 from .optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, train_lolsgd, train_sgd
 
 
@@ -114,15 +114,17 @@ class Protocol:
     swa: SwaConfig = field(default_factory=SwaConfig)
 
     def __post_init__(self):
-        preset = _PRESETS.get(self.kind)
-        if preset is None:
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if preset.distill and self.loss.lambda_distill <= 0:
-            raise ValueError(f"{self.kind} requires lambda_distill > 0")
-        if preset.rank and self.loss.lambda_rank <= 0:
-            raise ValueError(f"{self.kind} requires lambda_rank > 0")
-        if preset.swa and self.swa.start_epoch >= self.sgd.epochs:
-            raise ValueError("swa start_epoch must be below the epoch count")
+        # a key is named by its config section, as is the field that holds it
+        _check("[protocols] names", self.kind, _one_of(*_PRESETS))
+        preset = _PRESETS[self.kind]
+        weight = (lambda v: v > 0, f"must be positive for {self.kind}")
+        for key, carried in (("lambda_distill", preset.distill), ("lambda_rank", preset.rank)):
+            if carried:
+                _check(f"[loss] {key}", getattr(self.loss, key), weight)
+        if preset.swa:
+            _check("[swa] start_epoch", self.swa.start_epoch, (
+                lambda v: v < self.sgd.epochs,
+                f"must be below [sgd] epochs ({self.sgd.epochs}) for {self.kind}"))
 
     @property
     def local_sgd(self) -> bool:
@@ -139,12 +141,9 @@ class Protocol:
     def effective_loss(self) -> LossSpec:
         """The protocol's loss weights with terms the kind does not carry
         zeroed out, so one weight config can drive a whole grid."""
-        preset = _PRESETS[self.kind]
-        return LossSpec(
-            lambda_distill=self.loss.lambda_distill if preset.distill else 0.0,
-            lambda_rank=self.loss.lambda_rank if preset.rank else 0.0,
-            rank_sign=self.loss.rank_sign,
-        )
+        preset, loss = _PRESETS[self.kind], self.loss
+        return replace(loss, lambda_distill=loss.lambda_distill if preset.distill else 0.0,
+                       lambda_rank=loss.lambda_rank if preset.rank else 0.0)
 
 
 class DivergenceError(ArithmeticError):
@@ -340,8 +339,7 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
 def wise_merge(source_params: ModelParams, target_params: ModelParams,
                alpha: float) -> ModelParams:
     """Weight-space ensemble: alpha * source + (1 - alpha) * target."""
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must be in [0, 1]")
+    _check("alpha", alpha, (lambda v: 0 <= v <= 1, "must be in [0, 1]"))
     return params_axpy(alpha, source_params, 1.0 - alpha, target_params)
 
 
@@ -351,8 +349,7 @@ def se_predict(source_params: ModelParams, target_params: ModelParams,
     outputs, rowwise."""
     if not source_params.same_spec(target_params):
         raise ValueError("parameter spec mismatch")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must be in [0, 1]")
+    _check("alpha", alpha, (lambda v: 0 <= v <= 1, "must be in [0, 1]"))
     ps = softmax(forward(source_params, X, mode="eval").logits, axis=1)
     pt = softmax(forward(target_params, X, mode="eval").logits, axis=1)
     return alpha * ps + (1.0 - alpha) * pt

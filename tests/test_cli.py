@@ -1,3 +1,4 @@
+import configparser
 import glob
 import importlib.util
 import json
@@ -17,8 +18,9 @@ import htlab
 import htlab.cli as cli
 from htlab.cli import _worker_env, build_scenario, load_config, main
 from htlab.data import load_scenario
-from htlab.model import load_checkpoint, save_checkpoint
-from htlab.optim import SgdConfig
+from htlab.losses import LossSpec
+from htlab.model import MlpSpec, load_checkpoint, save_checkpoint
+from htlab.optim import LolConfig, SgdConfig, SwaConfig
 from htlab.transfer import DivergenceError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -113,13 +115,36 @@ def test_gen_rejects_no_unseen(tmp_path, capsys):
     rc = main(["gen", "--classes", "10", "--seen", "10",
                "--out", str(tmp_path / "scn")])
     assert rc == 1
-    assert "no unseen classes" in capsys.readouterr().err
+    assert "--classes = 10 must be above seen (10)" in capsys.readouterr().err
 
 
-def test_gen_rejects_negative_pairs_naming_the_flag(tmp_path, capsys):
+# an out-of-bound value of every numeric flag (with the flags its kind
+# needs), and how the message names it
+_BAD_GEN_FLAGS = [
+    (["--pairs", "-3"], "--pairs = -3 "),
+    (["--seed", "-1"], "--seed = -1 "),
+    (["--dim", "1"], "--dim = 1 "),
+    (["--source-per-class", "0"], "--source-per-class = 0 "),
+    (["--train-per-class", "0"], "--train-per-class = 0 "),
+    (["--test-per-class", "-2"], "--test-per-class = -2 "),
+    (["--cluster-sep", "-1"], "--cluster-sep = -1.0 "),
+    (["--cluster-sep", "nan"], "--cluster-sep = nan "),
+    (["--classes", "-3"], "--classes = -3 "),
+    (["--seen", "0"], "--seen = 0 "),
+    (["--style-angle", "inf"], "--style-angle = inf "),
+    (["--style-shift", "nan"], "--style-shift = nan "),
+    (["--style-noise", "-1"], "--style-noise = -1.0 "),
+    (["--pairs", "2", "--overlap", "1"], "--overlap = 1.0 "),
+]
+
+
+@pytest.mark.parametrize("flags, named", _BAD_GEN_FLAGS,
+                         ids=[" ".join(flags) for flags, _ in _BAD_GEN_FLAGS])
+def test_gen_rejects_negative_pairs_naming_the_flag(tmp_path, capfd, flags, named):
     out = str(tmp_path / "scn")
-    assert main(["gen", "--pairs", "-3", "--out", out]) == 1
-    assert "--pairs = -3" in capsys.readouterr().err
+    assert main(["gen", *flags, "--out", out]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: {named}must ") and err.count("\n") == 1  # no warnings
     assert not os.path.exists(out)
 
 
@@ -486,14 +511,36 @@ def test_run_non_finite_or_out_of_range_number_exits_1(tmp_path, capsys, old, ne
     ("[run]", "[loss]\nlambda_rank = -1\n\n[run]", "[loss] lambda_rank = -1.0 "),
     ("[run]", "[swa]\nstart_epoch = -2\n\n[run]", "[swa] start_epoch = -2 "),
     ("[run]", "[lol]\nouter_step = 2\n\n[run]", "[lol] outer_step = 2.0 "),
+    ("hidden = 8,8", "hidden = 0,8", "[model] hidden = '0,8' "),
+    ("hidden = 8,8", "hidden = ,", "[model] hidden = ',' "),
+    ("activation = relu", "activation = gelu", "[model] activation = 'gelu' "),
+    ("classes = 5", "classes = 1", "[scenario] classes = 1 must be above seen (3)"),
+    ("seen = 3", "seen = 0", "[scenario] seen = 0 "),
+    ("dim = 6", "dim = 1", "[scenario] dim = 1 "),
+    ("style_noise = 0.1", "style_noise = -1", "[scenario] style_noise = -1.0 "),
+    ("train_per_class = 12", "train_per_class = 0", "[scenario] train_per_class = 0 "),
+    ("cluster_sep = 6.0", "cluster_sep = -1", "[scenario] cluster_sep = -1.0 "),
+    ("cluster_sep = 6.0", "cluster_sep = nan", "[scenario] cluster_sep = nan "),
+    ("style_shift = 0.5", "style_shift = nan", "[scenario] style_shift = nan "),
+    ("style_angle = 0.3", "style_angle = inf", "[scenario] style_angle = inf "),
+    ("names = naive_ft", "names = swa\n\n[swa]\nstart_epoch = 2",
+     "[swa] start_epoch = 2 must be below [sgd] epochs (2) for swa"),
+    ("names = naive_ft", "names = sgd_distill",
+     "[loss] lambda_distill = 0.0 must be positive for sgd_distill"),
 ], ids=["lol-subsets", "sgd-batch_size", "pretrain-epochs", "loss-lambda_rank",
-        "swa-start_epoch", "lol-outer_step"])
-def test_run_rejected_value_names_its_section_and_key(tmp_path, capsys, old, new, named):
+        "swa-start_epoch", "lol-outer_step", "model-hidden-zero", "model-hidden-empty",
+        "model-activation", "scenario-classes-below-seen", "scenario-seen",
+        "scenario-dim", "scenario-style_noise", "scenario-train_per_class",
+        "scenario-cluster_sep", "scenario-cluster_sep-nan", "scenario-style_shift-nan",
+        "scenario-style_angle-inf", "swa-start_epoch-not-below-sgd-epochs",
+        "loss-lambda_distill-zero-for-sgd_distill"])
+def test_run_rejected_value_names_its_section_and_key(tmp_path, capfd, old, new, named):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     _edit(cfg, old, new)
     assert main(["run", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert f"error: {named}" in err and "Traceback" not in err
+    err = capfd.readouterr().err
+    # one line: no traceback and no numpy warning
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
     assert not os.path.exists(out)
 
 
@@ -698,6 +745,19 @@ def test_source_cache_loads_an_unchanged_config(tmp_path, capsys, monkeypatch):
     assert [_read(os.path.join(out, n)) for n in ("source_seed0.ckpt", "summary.csv")] == first
 
 
+def test_source_key_of_the_reference_config_is_pinned(monkeypatch):
+    # the key is in every checkpoint header, so a change that moves it, such
+    # as one to the repr of a config class, retrains every cached source
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    cfg = load_config(os.path.join(REPO, "configs", "reference.ini"))
+    scenario, model = build_scenario(cfg["scenario"]), cfg["model"]
+    spec = MlpSpec((scenario.dim, *model["hidden"], scenario.num_classes),
+                   activation=model["activation"], use_batchnorm=model["batchnorm"],
+                   use_in_adapter=model["in_adapter"])
+    assert cli._source_key(scenario, spec, cfg["pretrain"], 0) == \
+        "50d14f5dadf11ab71f3eb7986d1f421c"
+
+
 # ------------------------------------------------------------ config schema
 
 SECTIONS = ("scenario", "model", "protocols", "pretrain", "sgd", "lol", "loss", "swa",
@@ -768,6 +828,111 @@ def test_pretrain_inherits_unset_keys_from_sgd(tmp_path):
     assert cfg["pretrain"] == SgdConfig(lr=0.01, momentum=0.9, weight_decay=0.0005,
                                         batch_size=16, epochs=6)
     assert cfg["sgd"].epochs == 2
+
+
+# the keys that take free text, and why. The other text keys are bounded:
+# [scenario] path must name a directory, [protocols] names at least one
+# protocol (each checked by Protocol), and [scenario] kind, which picks the
+# table, must be one of them (_resolve_scenario).
+_FREE_FORM = {
+    "output_dir": "any directory name; the run creates it",
+    "seeds": "a list, whose entries load_config parses and checks for repeats, and "
+             "which HTLAB_SEED overrides",
+}
+
+
+def test_every_key_but_free_text_and_booleans_has_a_bound():
+    tables = {f"scenario {kind}": keys for kind, keys in cli._SCENARIO_KEYS.items()}
+    tables.update(model=cli._MODEL_KEYS, protocols=cli._PROTOCOLS_KEYS, run=cli._RUN_KEYS,
+                  sgd=cli._keys(SgdConfig), lol=cli._keys(LolConfig),
+                  loss=cli._keys(LossSpec), swa=cli._keys(SwaConfig))
+    # [pretrain] reads the [sgd] keys
+    assert {name.split()[0] for name in tables} | {"pretrain"} == set(cli._SECTIONS)
+    unbounded = {key for keys in tables.values() for key, (default, bound) in keys.items()
+                 if bound is None and not isinstance(default, bool)}
+    assert unbounded == set(_FREE_FORM)
+
+
+# configs/reference.ini cut down to one seed, two epochs and a small scenario
+_TINY = {"scenario": {"classes": "5", "seen": "3", "dim": "6", "source_per_class": "20",
+                      "train_per_class": "8", "test_per_class": "6"},
+         "model": {"hidden": "8,8"},
+         "protocols": {"names": "naive_ft,sgd_distill,sgd_rank,swa,lolsgd"},
+         "pretrain": {"epochs": "2"}, "sgd": {"epochs": "2"},
+         "lol": {"subsets": "3", "leave_k": "1"}, "swa": {"start_epoch": "1"},
+         "run": {"seeds": "0", "k_spectrum": "4"}}
+_NAN, _INF = float("nan"), float("inf")
+_SGD_VALUES = {"lr": ([0.001, 0.05], [0.0, -0.1, _NAN, _INF]),
+               "momentum": ([0.0, 0.5], [1.0, -0.1, _NAN]),
+               "weight_decay": ([0.0, 0.01], [-1.0, _NAN, _INF]),
+               "batch_size": ([4, 16], [0, -1])}
+# per [section] key of _TINY: values in its bound that a run of _TINY
+# completes, and values out of its bound
+_KEY_VALUES = {
+    ("scenario", "seed"): ([0, 7, 2**64 - 1], [-1, 2**64]),
+    ("scenario", "dim"): ([2, 6], [1, 0, -4]),
+    ("scenario", "source_per_class"): ([1, 20], [0, -5]),
+    ("scenario", "train_per_class"): ([1, 8], [0]),
+    ("scenario", "test_per_class"): ([1, 6], [0]),
+    ("scenario", "cluster_sep"): ([0.5, 5.0], [0.0, -1.0, _NAN, _INF]),
+    ("scenario", "classes"): ([4, 7], [3, 1, -3]),
+    ("scenario", "seen"): ([2, 3], [0, -1]),
+    ("scenario", "style_angle"): ([0.0, -2.5], [_NAN, _INF, -_INF]),
+    ("scenario", "style_shift"): ([0.0, 3.0], [_NAN, -_INF]),
+    ("scenario", "style_noise"): ([0.0, 0.5], [-1.0, _NAN, _INF]),
+    ("model", "hidden"): (["8", "8,4", "16,8,8"], ["0,8", ",", "8,-1", "a"]),
+    ("model", "activation"): (["relu", "tanh"], ["gelu", "RELU"]),
+    ("model", "batchnorm"): (["true", "false"], ["maybe"]),
+    ("model", "in_adapter"): (["true", "false"], ["2"]),
+    **{("pretrain", key): values for key, values in _SGD_VALUES.items()},
+    ("pretrain", "epochs"): ([0, 1, 3], [-1]),
+    **{("sgd", key): values for key, values in _SGD_VALUES.items()},
+    ("sgd", "epochs"): ([2, 3], [-1]),
+    ("lol", "subsets"): ([1, 3], [0, -2]),
+    ("lol", "leave_k"): ([0, 2], [-1]),
+    ("lol", "local_budget"): ([0.0, 0.2, 1.0], [-0.5, _NAN, _INF]),
+    ("lol", "outer_step"): ([0.5, 1.0], [0.0, 1.5, _NAN]),
+    ("lol", "rounds"): ([0, 1], [-1]),
+    ("loss", "lambda_distill"): ([0.5, 4.0], [-1.0, _NAN, _INF]),
+    ("loss", "lambda_rank"): ([1e-5, 3e-5], [-1.0, _INF]),
+    ("loss", "rank_sign"): ([1, -1], [0, 2]),
+    ("swa", "start_epoch"): ([0, 1], [-1, -5]),
+    ("swa", "cadence"): (["per_epoch", "per_iteration"], ["daily"]),
+    ("run", "k_spectrum"): ([1, 4, 64], [0, -3]),
+    ("run", "ensembles"): (["true", "false"], ["2"]),
+}
+_KEY_CASES = [(section, key, value, in_bound)
+              for (section, key), (good, bad) in _KEY_VALUES.items()
+              for in_bound, values in ((True, good), (False, bad)) for value in values]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_KEY_CASES))
+def test_one_key_in_or_out_of_its_bound_exits_0_or_1_naming_it(tmp_path_factory, capfd,
+                                                               monkeypatch, case):
+    section, key, value, in_bound = case
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    tmp = tmp_path_factory.mktemp("bound")
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read(os.path.join(REPO, "configs", "reference.ini"))
+    for name, keys in _TINY.items():
+        cp[name].update(keys)
+    out = str(tmp / "out")
+    cp["run"]["output_dir"] = out
+    cp[section][key] = str(value)
+    path = str(tmp / "tiny.ini")
+    with open(path, "w") as f:
+        cp.write(f)
+    capfd.readouterr()
+    rc = main(["run", "--config", path])
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    if in_bound:
+        assert rc == 0, err
+    else:
+        assert rc == 1 and f"error: [{section}] {key}" in err
+        assert not os.path.exists(out)
 
 
 def _benchmark_workloads(monkeypatch):
