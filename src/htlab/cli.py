@@ -15,7 +15,7 @@ LossSpec or SwaConfig ([pretrain] defaults to the resolved [sgd]). An unknown
 section or key exits 1, and so does a value that does not parse or is out of
 bound, as `error: [section] key = value <bound>` (`htlab gen`: `--flag = ...`).
 The HTLAB_SEED environment variable (comma-separated integers) overrides
-the configured seed list.
+the configured seed list, and is reported as `HTLAB_SEED = value <bound>`.
 
 CSV schemas. curves.csv: scenario_id, protocol, seed, epoch, overall, seen,
 unseen, seen_chopped, fnr, effective_rank, sv_1..sv_k. summary.csv: the
@@ -27,13 +27,15 @@ nan. Exit codes: 0 success, 1 validation error, 2 runtime failure.
 
 The source model is trained once per seed and cached as a checkpoint in
 the output directory (source_seed<seed>.ckpt); every protocol for that seed
-starts from the same file. The checkpoint header holds a key hashing the
-cache format version, the scenario id, the source training data, the model
-spec, the [pretrain] settings and the seed; a checkpoint with another key,
-or none, is retrained and overwritten, with a note on stderr; so is a
-file that is not a whole checkpoint. A checkpoint is written beside its
-name and renamed over it, so a run killed while writing leaves no partial
-file under the name.
+starts from the same file. A checkpoint is its cache key and its parameter
+buffer: the key hashes the cache format version, the scenario id, the
+source training data, the model spec, the [pretrain] settings and the seed,
+and the buffer is loaded into the spec [model] describes, never one the
+file states. A checkpoint with another key, or none, is retrained and
+overwritten, with a note on stderr; so is a file that is not a whole
+checkpoint of that spec's size, one in an older format included. A
+checkpoint is written beside its name and renamed over it, so a run killed
+while writing leaves no partial file under the name.
 
 A task is a protocol and the seeds that train together, at any --jobs
 (transfer.Protocol.seed_groups): all the seeds of an SGD-trained protocol,
@@ -128,11 +130,20 @@ def _widths(text: str) -> list:
     return [int(w) for w in widths] if all(w.isdecimal() and int(w) > 0 for w in widths) else []
 
 
+def _items(text: str, parse=str) -> list:
+    """The entries `text` lists by commas, each parsed; none unless each
+    parses and none is listed twice."""
+    try:
+        items = [parse(x.strip()) for x in text.split(",") if x.strip()]
+    except ValueError:
+        return []
+    return items if len(set(items)) == len(items) else []
+
+
 _MODEL_KEYS = {"hidden": ("64,64", (_widths, "must list widths of at least 1")),
                "activation": _keys(MlpSpec)["activation"], "batchnorm": (False, None),
                "in_adapter": (False, None)}
-_PROTOCOLS_KEYS = {"names": ("", (lambda v: v.replace(",", "").strip(),
-                                   "must list one or more protocols"))}
+_PROTOCOLS_KEYS = {"names": ("", (_items, "must list one or more protocols, each once"))}
 _RUN_KEYS = {"seeds": ("", None), "output_dir": ("htlab-out", None),
              "k_spectrum": (20, _COUNT), "ensembles": (False, None)}
 _SECTIONS = ("scenario", "model", "protocols", "pretrain", "sgd", "lol", "loss", "swa", "run")
@@ -186,19 +197,13 @@ def load_config(path: str) -> dict:
     model = read("model", _MODEL_KEYS)
     run = read("run", _RUN_KEYS)
 
-    names = [n.strip() for n in read("protocols", _PROTOCOLS_KEYS)["names"].split(",")
-             if n.strip()]
-    seeds_raw = os.environ.get("HTLAB_SEED", "").strip() or run["seeds"]
-    try:
-        seeds = [int(s) for s in seeds_raw.split(",") if s.strip()]
-    except ValueError as e:
-        raise ValueError(f"bad seed list {seeds_raw!r}") from e
-    if not seeds:
-        raise ValueError("need at least one seed")
-    for what, items in (("protocol", names), ("seed", seeds)):
-        repeated = [x for x in items if items.count(x) > 1]
-        if repeated:
-            raise ValueError(f"{what} {repeated[0]} is listed more than once")
+    names = _items(read("protocols", _PROTOCOLS_KEYS)["names"])
+    env = os.environ.get("HTLAB_SEED", "").strip()
+    seeds_from, seeds_raw = ("HTLAB_SEED", env) if env else ("[run] seeds", run["seeds"])
+    # [run] seeds is free text in _RUN_KEYS, since HTLAB_SEED overrides it
+    _check(seeds_from, seeds_raw,
+           (lambda v: _items(v, int), "must list one or more integers, each once"))
+    seeds = _items(seeds_raw, int)
 
     model["hidden"] = _widths(model["hidden"])
     bases = {"pretrain": sgd, "lol": LolConfig(), "loss": LossSpec(),
@@ -399,7 +404,7 @@ def cmd_run(args) -> int:
         key = _source_key(scenario, spec, cfg["pretrain"], seed)
         if os.path.exists(ckpt):
             try:
-                sources[seed] = load_checkpoint(ckpt, key)
+                sources[seed] = load_checkpoint(ckpt, spec, key)
                 continue
             except StaleCheckpoint:
                 print(f"note: {ckpt} was pretrained under another configuration; "

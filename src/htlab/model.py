@@ -8,9 +8,9 @@ inserting IN layers into a conv net). The final linear layer is the
 classifier; the activations feeding it are the penultimate features used by
 the diagnostics and the feature-space regularizer.
 
-Parameters live in one f64 buffer, back to back in sorted-name (checkpoint)
-order, and `values[name]` is a view into it: updates, averages and checkpoints
-are buffer operations, and a change to a parameter writes into its view.
+Parameters live in one f64 buffer, back to back in sorted-name order, and
+`values[name]` is a view into it: updates, averages and checkpoints are
+buffer operations, and a change to a parameter writes into its view.
 Names and their freeze groups:
 
     layers.{i}.W / layers.{i}.b     backbone (classifier for the last i)
@@ -18,6 +18,11 @@ Names and their freeze groups:
     bn.{i}.mean / bn.{i}.var        bn_stats (updated by train forwards,
                                     never by gradients)
     in_adapter.scale / .shift       in_adapter
+
+A checkpoint is an ASCII header (`htlab-checkpoint v2`, an optional
+`key = <cache key>` line, `end`) followed by the buffer as little-endian
+f64. It does not restate the spec: its reader passes one in, so a file
+cannot change the model it is loaded as.
 
 Train-mode forwards normalize with batch statistics; eval-mode forwards use
 running statistics and are pure per-row functions of the parameters.
@@ -491,26 +496,13 @@ class StaleCheckpoint(ValueError):
     another one."""
 
 
+_MAGIC = "htlab-checkpoint v2"
+
+
 def save_checkpoint(params: ModelParams, path: str, key: Optional[str] = None):
-    """Text header (spec, the cache `key` if given, per-array offsets) then
-    the flat buffer as little-endian f64."""
-    spec = params.spec
-    lines = [
-        "htlab-checkpoint v1",
-        "widths = " + ",".join(str(w) for w in spec.layer_widths),
-        f"activation = {spec.activation}",
-        f"batchnorm = {int(spec.use_batchnorm)}",
-        f"in_adapter = {int(spec.use_in_adapter)}",
-        f"bn_eps = {spec.bn_eps!r}",
-        f"bn_momentum = {spec.bn_momentum!r}",
-    ]
-    if key is not None:
-        lines.append(f"key = {key}")
-    layout = _Layout.of(spec)
-    for k in layout.keys:
-        shape = "x".join(str(s) for s in layout.shapes[k])
-        lines.append(f"array = {k} {layout.slices[k].start} {shape}")
-    lines.append("end")
+    """Write `params` as a checkpoint (see the module docstring), under the
+    cache `key` if one is given."""
+    lines = [_MAGIC, *([f"key = {key}"] if key is not None else []), "end"]
     # written beside `path` and renamed over it, so a write cut short never
     # leaves a partial checkpoint under the name
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -525,10 +517,12 @@ def save_checkpoint(params: ModelParams, path: str, key: Optional[str] = None):
         raise
 
 
-def load_checkpoint(path: str, key: Optional[str] = None) -> ModelParams:
-    """The params a checkpoint holds. A file that is not a whole, well-formed
-    checkpoint raises BadCheckpoint; with `key`, a checkpoint written under
-    another key, or under none, raises StaleCheckpoint."""
+def load_checkpoint(path: str, spec: MlpSpec, key: Optional[str] = None) -> ModelParams:
+    """The params of `spec` a checkpoint holds. A file that is not a whole,
+    well-formed checkpoint of that spec's size raises BadCheckpoint. With
+    `key`, a checkpoint written under another key, or under none, raises
+    StaleCheckpoint; the key is checked before the payload's length, so one
+    written for another spec reads as stale, not as bad."""
     with open(path, "rb") as f:
         raw = f.read()
 
@@ -543,51 +537,18 @@ def load_checkpoint(path: str, key: Optional[str] = None) -> ModelParams:
         lines = raw[:head_end].decode("ascii").splitlines()
     except UnicodeDecodeError:
         raise bad("header is not ASCII") from None
-    if lines[0] != "htlab-checkpoint v1":
-        raise bad("not an htlab checkpoint")
-    meta = {}
-    arrays = []
+    if lines[0] != _MAGIC:
+        raise bad(f"not an {_MAGIC} file")
+    found = None  # the key the header holds
     for line in lines[1:-1]:
-        k, sep, v = line.partition(" = ")
-        try:
-            if not sep:
-                raise ValueError
-            if k == "array":
-                name, offset, shape = v.split(" ")
-                arrays.append((name, int(offset), tuple(int(s) for s in shape.split("x"))))
-            else:
-                meta[k] = v
-        except ValueError:
-            raise bad(f"malformed header line {line!r}") from None
-    if key is not None and meta.get("key") != key:
-        raise StaleCheckpoint(f"{path} holds cache key {meta.get('key')}, not {key}")
-    missing = [k for k in ("widths", "activation", "batchnorm", "in_adapter")
-               if k not in meta]
-    if missing:
-        raise bad(f"header lacks {', '.join(missing)}")
-    try:
-        spec = MlpSpec(
-            layer_widths=tuple(int(w) for w in meta["widths"].split(",")),
-            activation=meta["activation"],
-            use_batchnorm=bool(int(meta["batchnorm"])),
-            use_in_adapter=bool(int(meta["in_adapter"])),
-            bn_eps=float(meta.get("bn_eps", BN_EPS)),
-            bn_momentum=float(meta.get("bn_momentum", BN_MOMENTUM)),
-        )
-    except ValueError as e:
-        raise bad(f"bad spec in header: {e}") from None
-    # the header must declare the spec's arrays, back to back in its order
+        name, sep, found = line.partition(" = ")
+        if name != "key" or not sep:
+            raise bad(f"malformed header line {line!r}")
+    if key is not None and found != key:
+        raise StaleCheckpoint(f"{path} holds cache key {found}, not {key}")
     layout = _Layout.of(spec)
-    if [(name, shape) for name, _, shape in arrays] != \
-            [(k, layout.shapes[k]) for k in layout.keys]:
-        raise bad("arrays do not match the declared spec")
-    for name, offset, _ in arrays:
-        if offset != layout.slices[name].start:
-            raise bad(f"array {name} declares offset {offset}, "
-                      f"expected {layout.slices[name].start}")
     if len(raw) - head_end != 8 * layout.size:
-        raise bad(f"payload is {len(raw) - head_end} bytes, "
-                  f"its header declares {8 * layout.size}")
+        raise bad(f"payload is {len(raw) - head_end} bytes, its spec needs {8 * layout.size}")
     params = ModelParams.from_flat(spec, np.frombuffer(raw, "<f8", offset=head_end)
                                    .astype(np.float64))
     if any(np.any(params.flat[s] < 0) for s in layout.variances):

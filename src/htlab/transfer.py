@@ -98,8 +98,6 @@ _PRESETS = {
     "swad_lite": _Preset(_FROZEN_HEAD, swa=True),
 }
 
-PROTOCOL_KINDS = tuple(_PRESETS)
-
 # how an error message names a model part a protocol needs
 _PART_NAMES = {"bn_affine": "batchnorm", "bn_stats": "batchnorm",
                "in_adapter": "the input adapter"}

@@ -19,7 +19,7 @@ import htlab.cli as cli
 from htlab.cli import _worker_env, build_scenario, load_config, main
 from htlab.data import load_scenario
 from htlab.losses import LossSpec
-from htlab.model import MlpSpec, load_checkpoint, save_checkpoint
+from htlab.model import MlpSpec, ModelParams
 from htlab.optim import LolConfig, SgdConfig, SwaConfig
 from htlab.transfer import DivergenceError
 
@@ -468,23 +468,6 @@ def test_run_seed_whose_features_overflow_fails_alone(tmp_path, capfd, monkeypat
         assert kept == _read(os.path.join(without_1, name)).decode().splitlines()
 
 
-@pytest.mark.parametrize("names, seeds, env", [
-    ("naive_ft", "0,0", None),
-    ("naive_ft,naive_ft", "0", None),
-    ("naive_ft", "0", "1,1"),
-], ids=["seeds", "protocols", "HTLAB_SEED"])
-def test_run_repeated_seed_or_protocol_exits_1_before_writing(tmp_path, capsys, monkeypatch,
-                                                              names, seeds, env):
-    if env is None:
-        monkeypatch.delenv("HTLAB_SEED", raising=False)
-    else:
-        monkeypatch.setenv("HTLAB_SEED", env)
-    cfg, out = _write_config(tmp_path, names=names, seeds=seeds)
-    assert main(["run", "--config", cfg]) == 1
-    assert "is listed more than once" in capsys.readouterr().err
-    assert not os.path.exists(out)
-
-
 @pytest.mark.parametrize("old, new", [
     ("[sgd]\nlr = 0.01", "[sgd]\nlr = nan"),
     ("[sgd]\nlr = 0.01", "[sgd]\nlr = inf"),
@@ -527,16 +510,33 @@ def test_run_non_finite_or_out_of_range_number_exits_1(tmp_path, capsys, old, ne
      "[swa] start_epoch = 2 must be below [sgd] epochs (2) for swa"),
     ("names = naive_ft", "names = sgd_distill",
      "[loss] lambda_distill = 0.0 must be positive for sgd_distill"),
+    ("names = naive_ft", "names = naive_ft,naive_ft",
+     "[protocols] names = 'naive_ft,naive_ft' must list one or more protocols, each once"),
+    ("seeds = 0", "seeds = 0,0", "[run] seeds = '0,0' must list one or more integers, "
+                                 "each once"),
+    ("seeds = 0", "seeds = 0,x", "[run] seeds = '0,x' "),
+    ("seeds = 0", "seeds = ,", "[run] seeds = ',' "),
+    # HTLAB_SEED = new overrides [run] seeds
+    ("HTLAB_SEED", "1,1", "HTLAB_SEED = '1,1' must list one or more integers, each once"),
+    ("HTLAB_SEED", "1.5", "HTLAB_SEED = '1.5' "),
+    ("HTLAB_SEED", ",", "HTLAB_SEED = ',' "),
 ], ids=["lol-subsets", "sgd-batch_size", "pretrain-epochs", "loss-lambda_rank",
         "swa-start_epoch", "lol-outer_step", "model-hidden-zero", "model-hidden-empty",
         "model-activation", "scenario-classes-below-seen", "scenario-seen",
         "scenario-dim", "scenario-style_noise", "scenario-train_per_class",
         "scenario-cluster_sep", "scenario-cluster_sep-nan", "scenario-style_shift-nan",
         "scenario-style_angle-inf", "swa-start_epoch-not-below-sgd-epochs",
-        "loss-lambda_distill-zero-for-sgd_distill"])
-def test_run_rejected_value_names_its_section_and_key(tmp_path, capfd, old, new, named):
+        "loss-lambda_distill-zero-for-sgd_distill", "protocols-names-repeated",
+        "run-seeds-repeated", "run-seeds-not-integer", "run-seeds-empty",
+        "HTLAB_SEED-repeated", "HTLAB_SEED-not-integer", "HTLAB_SEED-empty"])
+def test_run_rejected_value_names_its_section_and_key(tmp_path, capfd, monkeypatch, old,
+                                                      new, named):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
-    _edit(cfg, old, new)
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    if old == "HTLAB_SEED":
+        monkeypatch.setenv("HTLAB_SEED", new)
+    else:
+        _edit(cfg, old, new)
     assert main(["run", "--config", cfg]) == 1
     err = capfd.readouterr().err
     # one line: no traceback and no numpy warning
@@ -681,7 +681,9 @@ def test_run_leave_k_not_below_target_classes_exits_1_before_pretraining(tmp_pat
 # ------------------------------------------------------------ source cache
 
 def _drop_key(ckpt):
-    save_checkpoint(load_checkpoint(ckpt), ckpt)
+    raw = _read(ckpt)
+    with open(ckpt, "wb") as f:
+        f.write(re.sub(rb"\nkey = \w+\n", b"\n", raw, count=1))
 
 
 @pytest.mark.parametrize("change", [
@@ -728,6 +730,51 @@ def test_source_cache_retrains_a_truncated_checkpoint(tmp_path, capsys, cut):
     for name in ("source_seed0.ckpt", "curves.csv", "summary.csv"):
         assert _read(os.path.join(out, name)) == _read(os.path.join(fresh, name)), name
     assert sorted(os.listdir(out)) == ["curves.csv", "source_seed0.ckpt", "summary.csv"]
+
+
+def _write_v1_checkpoint(path, spec, key, flat):
+    """`flat` in the checkpoint layout before v2, whose header restated the
+    spec and each array's offset and shape, and whose reader built the model
+    from that header."""
+    params = ModelParams.from_flat(spec, flat)
+    lines = ["htlab-checkpoint v1", "widths = " + ",".join(map(str, spec.layer_widths)),
+             f"activation = {spec.activation}", f"batchnorm = {int(spec.use_batchnorm)}",
+             f"in_adapter = {int(spec.use_in_adapter)}", f"bn_eps = {spec.bn_eps!r}",
+             f"bn_momentum = {spec.bn_momentum!r}", f"key = {key}"]
+    offset = 0
+    for k in params.keys():
+        lines.append(f"array = {k} {offset} {'x'.join(map(str, params[k].shape))}")
+        offset += params[k].size
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines + ["end"]) + "\n").encode("ascii"))
+        f.write(flat.astype("<f8").tobytes())
+
+
+def test_source_cache_retrains_a_checkpoint_whose_header_states_another_model(
+        tmp_path, capsys, monkeypatch):
+    # each seed's source params under its right key, in a v1 file whose
+    # header says tanh where [model] says relu: a run must still adapt the
+    # model its config describes
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    cfg, out = _write_config(tmp_path, names="source_only,naive_ft", seeds="0,1")
+    fresh = str(tmp_path / "fresh")
+    assert main(["run", "--config", cfg, "--out", fresh]) == 0
+    os.makedirs(out)
+    names = [f"source_seed{seed}.ckpt" for seed in (0, 1)]
+    for name in names:
+        raw = _read(os.path.join(fresh, name))
+        head_end = raw.index(b"\nend\n") + len(b"\nend\n")
+        key = re.search(rb"\nkey = (\w+)\n", raw[:head_end]).group(1).decode()
+        _write_v1_checkpoint(os.path.join(out, name), MlpSpec((6, 8, 8, 5), "tanh"), key,
+                             np.frombuffer(raw, "<f8", offset=head_end))
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln.startswith("note:")] == [
+        f"note: {os.path.join(out, name)}: not an htlab-checkpoint v2 file; retraining it"
+        for name in names]
+    for name in names + ["curves.csv", "summary.csv"]:
+        assert _read(os.path.join(out, name)) == _read(os.path.join(fresh, name)), name
 
 
 def test_source_cache_loads_an_unchanged_config(tmp_path, capsys, monkeypatch):

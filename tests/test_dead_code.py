@@ -1,5 +1,6 @@
-"""No function or method of the package is reached only by tests, and no
-module of the package or its tests imports a name it never reads.
+"""No function, method or module-level constant of the package is reached
+only by tests, and no module of the package or its tests imports a name it
+never reads.
 
 The package is parsed with `ast`. A module-level function, or a method of
 a class, private ones included, must be referenced somewhere in the
@@ -8,7 +9,9 @@ reach, or nothing does, and is deleted rather than kept alive by them.
 Dunder methods are skipped, since Python calls them. A name counts as
 referenced wherever it appears as a bare name or as an attribute, so the
 check can miss dead code that shares a name with something used, but it
-never flags code the package calls.
+never flags code the package calls. Likewise a name a module-level
+assignment binds, dunders aside, must be read somewhere in the package:
+loaded as a bare name, or used as an attribute.
 
 A name an import binds must be read somewhere in its module, as a bare
 name; `from __future__` imports bind nothing and are skipped.
@@ -37,9 +40,13 @@ def _referenced(node) -> list:
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _is_def(node) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _is_dunder(node.name)
 
 
 def _defs(module: str, tree) -> list:
@@ -55,9 +62,21 @@ def _defs(module: str, tree) -> list:
     return out
 
 
+def _constants(tree) -> list:
+    """Each name a module-level assignment of `tree` binds, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and not _is_dunder(n.id)]
+    return names
+
+
 def unreferenced(src: str = SRC) -> list:
     """Qualified names of the functions and methods under `src` that
-    nothing there references outside their own bodies."""
+    nothing there references outside their own bodies, and of the
+    module-level constants nothing there reads."""
     trees = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
@@ -67,12 +86,16 @@ def unreferenced(src: str = SRC) -> list:
     for tree in trees.values():
         for name in _referenced(tree):
             uses[name] = uses.get(name, 0) + 1
+    reads = {n.id if isinstance(n, ast.Name) else n.attr for tree in trees.values()
+             for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     dead = []
     for module, tree in trees.items():
         for qualname, node in _defs(module, tree):
             own = _referenced(node).count(node.name)
             if uses.get(node.name, 0) - own == 0:
                 dead.append(qualname)
+        dead += [f"{module}.{name}" for name in _constants(tree) if name not in reads]
     return dead
 
 

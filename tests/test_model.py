@@ -1,5 +1,6 @@
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from htlab.model import (
     FreezeMask,
     MlpSpec,
     ModelParams,
+    StaleCheckpoint,
     backward,
     forward,
     group_of,
@@ -375,13 +377,13 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     p = init_model(spec, Rng(43))
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(p, path)
-    q = load_checkpoint(path)
+    q = load_checkpoint(path, spec)
     assert q.spec == spec
     for k in p.keys():
         assert np.array_equal(p[k], q[k])
 
 
-def test_configurable_bn_settings_respected(tmp_path):
+def test_configurable_bn_settings_respected():
     spec = MlpSpec((5, 6, 4), use_batchnorm=True, bn_eps=1e-3, bn_momentum=0.5)
     p = init_model(spec, Rng(45))
     X = Rng(46).standard_normal((16, 5))
@@ -390,10 +392,6 @@ def test_configurable_bn_settings_respected(tmp_path):
     mb, vb = t.bn_batch_mean[0], t.bn_batch_var[0]
     assert np.allclose(p["bn.0.mean"], 0.5 * before + 0.5 * mb, atol=0)
     assert np.allclose(t.bn_xhat[0], (t.pre[0] - mb) / np.sqrt(vb + 1e-3), atol=0)
-    # settings survive the checkpoint round trip
-    path = str(tmp_path / "m.ckpt")
-    save_checkpoint(p, path)
-    assert load_checkpoint(path).spec == spec
 
 
 @pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw[:-1],
@@ -401,76 +399,102 @@ def test_configurable_bn_settings_respected(tmp_path):
                          ids=["truncated-array", "truncated-byte", "trailing-byte"])
 def test_checkpoint_rejects_wrong_payload_length(tmp_path, edit):
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(init_model(_spec(bn=True), Rng(47)), path)
+    spec = _spec(bn=True)
+    save_checkpoint(init_model(spec, Rng(47)), path)
     with open(path, "rb") as f:
         raw = f.read()
     with open(path, "wb") as f:
         f.write(edit(raw))
-    with pytest.raises(ValueError, match="payload is .* bytes, its header declares"):
-        load_checkpoint(path)
+    with pytest.raises(BadCheckpoint, match="payload is .* bytes, its spec needs"):
+        load_checkpoint(path, spec)
 
 
-def test_checkpoint_rejects_overlapping_offsets(tmp_path):
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(init_model(_spec(bn=True), Rng(47)), path)
-    with open(path, "rb") as f:
-        raw = f.read()
-    head_end = raw.index(b"end\n")
-    lines = raw[:head_end].split(b"\n")
-    arrays = [i for i, ln in enumerate(lines) if ln.startswith(b"array = ")]
-    # the second array claims the first one's offset; sizes and therefore
-    # the payload length are unchanged
-    name, _, shape = lines[arrays[1]][len(b"array = "):].split(b" ")
-    first_offset = lines[arrays[0]].split(b" ")[3]
-    lines[arrays[1]] = b"array = " + b" ".join([name, first_offset, shape])
-    with open(path, "wb") as f:
-        f.write(b"\n".join(lines) + raw[head_end:])
-    with pytest.raises(ValueError, match="declares offset 0, expected"):
-        load_checkpoint(path)
+_SPECS = st.builds(_spec, bn=st.booleans(), ina=st.booleans(),
+                   act=st.sampled_from(["relu", "tanh"]),
+                   widths=st.lists(st.integers(1, 6), min_size=3, max_size=5).map(tuple))
+_KEYS = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1,
+                max_size=40)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(bn=st.booleans(), ina=st.booleans(), seed=st.integers(0, 2**32),
-       key=st.none() | st.text("0123456789abcdef", min_size=1, max_size=32),
-       data=st.data())
-def test_checkpoint_round_trips_and_any_truncation_is_bad(tmp_path, bn, ina, seed, key,
-                                                          data):
-    p = init_model(_spec(bn=bn, ina=ina), Rng(seed))
+@given(spec=_SPECS, seed=st.integers(0, 2**32), key=st.none() | _KEYS, data=st.data())
+def test_checkpoint_round_trips_and_any_truncation_is_bad(tmp_path, spec, seed, key, data):
+    p = init_model(spec, Rng(seed))
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(p, path, key)
     assert os.listdir(tmp_path) == ["model.ckpt"]
-    q = load_checkpoint(path, key)
-    assert q.spec == p.spec and q.flat.tobytes() == p.flat.tobytes()
+    q = load_checkpoint(path, spec, key)
+    assert q.spec == spec and q.flat.tobytes() == p.flat.tobytes()
     with open(path, "rb") as f:
         raw = f.read()
     with open(path, "wb") as f:
         f.write(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
     with pytest.raises(BadCheckpoint, match=re.escape(path)):
-        load_checkpoint(path, key)
+        load_checkpoint(path, spec, key)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_SPECS, key=st.none() | _KEYS, data=st.data())
+def test_checkpoint_header_byte_change_or_other_spec_never_loads(tmp_path, spec, key,
+                                                                 data):
+    path = str(tmp_path / "model.ckpt")
+    params = init_model(spec, Rng(50))
+    save_checkpoint(params, path, key)
+    with open(path, "rb") as f:
+        raw = f.read()
+    # a spec of another parameter count: the payload length names both sizes,
+    # after the key, so a checkpoint of another configuration reads as stale
+    widths = spec.layer_widths
+    other = replace(spec, layer_widths=(widths[0], widths[1] + 1, *widths[2:]))
+    size, other_size = 8 * params.flat.size, 8 * init_model(other, Rng(0)).flat.size
+    with pytest.raises(BadCheckpoint, match=f"payload is {size} bytes, "
+                                            f"its spec needs {other_size}$"):
+        load_checkpoint(path, other, key)
+    with pytest.raises(StaleCheckpoint):
+        load_checkpoint(path, other, (key or "") + "x")
+    # any one byte of the header changed
+    head_end = raw.index(b"\nend\n") + len(b"\nend\n")
+    at = data.draw(st.integers(0, head_end - 1), label="at")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+    with open(path, "wb") as f:
+        f.write(raw[:at] + bytes([byte]) + raw[at + 1:])
+    with pytest.raises((BadCheckpoint, StaleCheckpoint)):
+        load_checkpoint(path, spec, key)
+
+
+def test_checkpoint_rejects_negative_running_variance(tmp_path):
+    spec = _spec(bn=True)
+    p = init_model(spec, Rng(51))
+    p["bn.1.var"] = -1.0
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(p, path)
+    with pytest.raises(BadCheckpoint, match="negative running variance"):
+        load_checkpoint(path, spec)
 
 
 @pytest.mark.parametrize("edit, reason", [
     (lambda raw: b"", "no end line"),
     (lambda raw: raw.replace(b"\nend\n", b"\nen"), "no end line"),
-    (lambda raw: raw.replace(b"htlab-checkpoint v1", b"htlab-checkpoint v0"),
-     "not an htlab checkpoint"),
-    (lambda raw: raw.replace(b"activation = ", b"activation "), "malformed header line"),
-    (lambda raw: raw.replace(b" 52 5x6", b" 52 5by6"), "malformed header line"),
-    (lambda raw: re.sub(rb"widths = [0-9,]*\n", b"", raw), "header lacks widths"),
-    (lambda raw: raw.replace(b"batchnorm = 1", b"batchnorm = yes"), "bad spec in header"),
+    (lambda raw: raw.replace(b"htlab-checkpoint v2", b"htlab-checkpoint v1"),
+     "not an htlab-checkpoint v2 file"),
+    (lambda raw: raw.replace(b"key = ", b"key "), "malformed header line"),
+    (lambda raw: raw.replace(b"key = ", b"widths = 5,6,7,4\nkey = "), "malformed header line"),
+    (lambda raw: raw.replace(b"key = k", b"key = \xff"), "header is not ASCII"),
     (lambda raw: raw[:-8], "payload is"),
-], ids=["empty", "cut-end-line", "magic", "no-separator", "bad-shape", "no-widths",
-        "bad-flag", "short-payload"])
+], ids=["empty", "cut-end-line", "magic", "no-separator", "spec-line", "not-ascii",
+        "short-payload"])
 def test_checkpoint_errors_name_the_file_and_the_fault(tmp_path, edit, reason):
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(init_model(_spec(bn=True), Rng(47)), path)
+    spec = _spec(bn=True)
+    save_checkpoint(init_model(spec, Rng(47)), path, "k1")
     with open(path, "rb") as f:
         raw = f.read()
     with open(path, "wb") as f:
         f.write(edit(raw))
     with pytest.raises(BadCheckpoint, match=f"^{re.escape(path)}: {reason}"):
-        load_checkpoint(path)
+        load_checkpoint(path, spec, "k1")
 
 
 def test_checkpoint_save_cut_short_keeps_the_old_file(tmp_path, monkeypatch):
@@ -491,18 +515,3 @@ def test_checkpoint_save_cut_short_keeps_the_old_file(tmp_path, monkeypatch):
     with open(path, "rb") as f:
         assert f.read() == before
     assert os.listdir(tmp_path) == ["model.ckpt"]
-
-
-def test_checkpoint_rejects_corrupt_shapes(tmp_path):
-    p = init_model(_spec(), Rng(44))
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(p, path)
-    with open(path, "rb") as f:
-        raw = f.read()
-    # declare a wrong width in the header
-    bad = raw.replace(b"widths = 5,6,7,4", b"widths = 5,6,9,4", 1)
-    bad_path = str(tmp_path / "bad.ckpt")
-    with open(bad_path, "wb") as f:
-        f.write(bad)
-    with pytest.raises(ValueError):
-        load_checkpoint(bad_path)

@@ -13,7 +13,6 @@ from htlab.numkit import Rng, softmax
 from htlab.optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, train_sgd
 from htlab.transfer import (
     _PRESETS,
-    PROTOCOL_KINDS,
     DivergenceError,
     Protocol,
     TransferRun,
@@ -141,7 +140,7 @@ def test_bn_protocols_rejected_without_bn(scenario, source):
         ("batchnorm", "adapter"): init_model(
             MlpSpec((8, 24, 24, 6), use_batchnorm=True, use_in_adapter=True), Rng(7)),
     }
-    for kind in PROTOCOL_KINDS:
+    for kind in _PRESETS:
         need = needs.get(kind)
         for parts, params in models.items():
             if need is None or need in parts:
@@ -275,7 +274,7 @@ def test_every_protocol_kind_runs(scenario):
     spec = MlpSpec((8, 16, 16, 6), use_batchnorm=True, use_in_adapter=True)
     src = pretrain_source(scenario, spec, SgdConfig(lr=0.02, epochs=4), Rng(8).derive("source"))
     short = SgdConfig(lr=0.01, epochs=2, batch_size=32)
-    for kind in PROTOCOL_KINDS:
+    for kind in _PRESETS:
         proto = Protocol(kind=kind, loss=LossSpec(lambda_distill=1.0, lambda_rank=1e-6),
                          sgd=short, lol=LolConfig(subsets=2, leave_k=1),
                          swa=SwaConfig(start_epoch=1))
@@ -306,7 +305,7 @@ def stack_sources(scenario):
 def _stack_cases():
     """(model, kind) for every preset each model has the parts for."""
     needs_parts = {"bn_affine_only", "bn_stats_only", "in_adapter_only"}
-    return [(model, kind) for model in _STACK_SPECS for kind in PROTOCOL_KINDS
+    return [(model, kind) for model in _STACK_SPECS for kind in _PRESETS
             if model == "bn-adapter" or kind not in needs_parts]
 
 
