@@ -352,23 +352,6 @@ def _run_tasks(tasks: list, jobs: int, shared: tuple) -> list:
             queue.cancel_join_thread()
 
 
-def _run_cells(cells: list, jobs: int, shared: tuple) -> list:
-    """The TransferRun of each (protocol, seed) cell, or the exception it
-    failed with, in cell order. A task is one group of a protocol's seeds
-    that train together (Protocol.seed_groups), at any `jobs`."""
-    seeds: dict = {}  # protocol -> its seeds, in cell order
-    for protocol, seed in cells:
-        seeds.setdefault(protocol, []).append(seed)
-    tasks = [(protocol, tuple(group)) for protocol, s in seeds.items()
-             for group in protocol.seed_groups(s)]
-    done = {}
-    for (protocol, task_seeds), runs in zip(tasks, _run_tasks(tasks, jobs, shared)):
-        for j, seed in enumerate(task_seeds):
-            # a task that failed as a whole fails each of its cells
-            done[protocol, seed] = runs if isinstance(runs, Exception) else runs[j]
-    return [done[c] for c in cells]
-
-
 def _fields(rep, k: int) -> list:
     """The metric cells of one row, then sv_1..sv_k (nan past the spectrum,
     and everywhere without a report)."""
@@ -422,8 +405,13 @@ def cmd_run(args) -> int:
 
     k = cfg["k_spectrum"]
     sv_count = min(k, len(scenario.target_test), spec.layer_widths[-2])
-    cells = [(proto, seed) for proto in protocols for seed in cfg["seeds"]]
-    runs = _run_cells(cells, args.jobs, (scenario, sources, k))
+    tasks = [(proto, tuple(group)) for proto in protocols
+             for group in proto.seed_groups(cfg["seeds"])]
+    # per cell, in configured order: seed_groups keeps the seeds' order, and
+    # a task that failed as a whole fails each of its seeds
+    results = _run_tasks(tasks, args.jobs, (scenario, sources, k))
+    cells = [(proto, seed, runs if isinstance(runs, Exception) else runs[j])
+             for (proto, seeds), runs in zip(tasks, results) for j, seed in enumerate(seeds)]
 
     sv_columns = [f"sv_{i+1}" for i in range(sv_count)]
     curve_lines = [",".join(CURVE_COLUMNS + sv_columns)]
@@ -435,7 +423,7 @@ def cmd_run(args) -> int:
     failed = []
     # the test set of the ensemble rows
     test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
-    for (proto, seed), run in zip(cells, runs):
+    for proto, seed, run in cells:
         if isinstance(run, Exception):
             failed.append((proto.kind, seed, str(run)))
             summary_lines.append("FAILED," + row(proto.kind, seed))
@@ -484,8 +472,9 @@ def cmd_gen(args) -> int:
 
 def _parse_summary(path: str) -> list:
     """The `ok` rows of a summary.csv as (protocol, seed, {metric: value})
-    triples, after checking its header, the width of every row and that
-    each `ok` row's seed and metric cells are numbers."""
+    triples, after checking that its header has every summary column and
+    none twice, the width of every row and that each `ok` row's seed and
+    metric cells are numbers."""
     with open(path) as f:
         lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(f, 1) if ln.strip()]
     if not lines:
@@ -494,6 +483,9 @@ def _parse_summary(path: str) -> list:
     missing = [c for c in SUMMARY_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+    repeated = [c for i, c in enumerate(header) if c in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}: header repeats {', '.join(repeated)}")
 
     def number(n: int, row: dict, column: str, parse):
         try:

@@ -7,6 +7,13 @@ test set covering every class again. The only source-to-target discrepancy
 in synthetic scenarios is an affine style transform, so generalization of
 the style shift to unseen classes is directly measurable.
 
+Both generators differ only in their class means, seen mask and id; one
+sampler, _draw_scenario, draws the splits of either. Each split draws from
+a stream of Rng(seed) tagged by the split and its per-class count n
+(`source-{n}`, `target_train-{n}`, `target_test-{n}`, and the style noise
+from `target_train-noise-{n}` and `target_test-noise-{n}`), so changing one
+count redraws only that split.
+
 On-disk layout of a scenario directory:
 
     meta                    key = value lines: format, scenario_id,
@@ -42,6 +49,8 @@ IDX_LABELS_MAGIC = 0x00000801
 F64_MAGIC = b"HTF8"
 
 _SPLITS = ("source_train", "target_train", "target_test")
+_META_KEYS = ("format", "scenario_id", "num_classes", "dim", "seed", "seen",
+              *(f"count_{name}" for name in _SPLITS), "toxic_pairs")
 
 
 @dataclass
@@ -193,6 +202,31 @@ def _sample_classes(means: np.ndarray, classes: np.ndarray, per_class: int,
     return X, y
 
 
+def _draw_scenario(means: np.ndarray, seen_mask: np.ndarray,
+                   per_class: tuple[int, int, int], seed: int, scenario_id: str,
+                   style: Optional[StyleTransform] = None,
+                   toxicity: Optional[ToxicityMap] = None) -> HTScenario:
+    """The scenario whose three splits are drawn from unit-variance clusters
+    around `means`, per_class rows per class each: source training and
+    target test from every class, target training from the seen ones. The
+    target splits are then pushed through `style`, if given."""
+    if min(per_class) < 1:
+        raise ValueError("per-class counts must be >= 1")
+    if style is not None and style.A.shape[0] != means.shape[1]:
+        raise ValueError("style dimension mismatch")
+    rng = Rng(seed)
+    every = np.arange(seen_mask.size)
+    splits = []
+    for tag, classes, n in zip(("source", "target_train", "target_test"),
+                               (every, np.flatnonzero(seen_mask), every), per_class):
+        X, y = _sample_classes(means, classes, n, rng.derive(f"{tag}-{n}"))
+        if style is not None and tag != "source":
+            X = style.apply(X, rng.derive(f"{tag}-noise-{n}"))
+        splits.append(Dataset(X, y, seen_mask.size))
+    return HTScenario(*splits, seen_mask=seen_mask, seed=seed, scenario_id=scenario_id,
+                      toxicity=toxicity)
+
+
 def gen_synthetic_scenario(num_classes: int, num_seen: int, dim: int,
                            per_class: tuple[int, int, int], cluster_sep: float,
                            style: StyleTransform, seed: int) -> HTScenario:
@@ -201,9 +235,7 @@ def gen_synthetic_scenario(num_classes: int, num_seen: int, dim: int,
     Source samples come straight from the class clusters; target samples are
     drawn from the same clusters and then pushed through `style`. Seen
     classes are chosen uniformly without replacement. Deterministic in all
-    arguments; sampling streams are tagged by split name and count, so
-    changing one count leaves the class means, the seen mask, and the other
-    splits' draws untouched.
+    arguments; a count changes only its own split's draws.
     """
     if num_seen >= num_classes:
         raise ValueError("no unseen classes")
@@ -211,38 +243,12 @@ def gen_synthetic_scenario(num_classes: int, num_seen: int, dim: int,
         raise ValueError("need at least one seen class")
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    n_src, n_tt, n_te = per_class
-    if min(n_src, n_tt, n_te) < 1:
-        raise ValueError("per-class counts must be >= 1")
-    if style.A.shape[0] != dim:
-        raise ValueError("style dimension mismatch")
-
     rng = Rng(seed)
     means = _class_means(num_classes, dim, cluster_sep, rng.derive("means"))
-    seen = np.sort(rng.derive("seen").choice(num_classes, size=num_seen, replace=False))
     seen_mask = np.zeros(num_classes, dtype=bool)
-    seen_mask[seen] = True
-    all_classes = np.arange(num_classes)
-
-    Xs, ys = _sample_classes(means, all_classes, n_src,
-                             rng.derive(f"source-{n_src}"))
-
-    Xtt, ytt = _sample_classes(means, seen, n_tt,
-                               rng.derive(f"target_train-{n_tt}"))
-    Xtt = style.apply(Xtt, rng.derive(f"target_train-noise-{n_tt}"))
-
-    Xte, yte = _sample_classes(means, all_classes, n_te,
-                               rng.derive(f"target_test-{n_te}"))
-    Xte = style.apply(Xte, rng.derive(f"target_test-noise-{n_te}"))
-
-    return HTScenario(
-        source_train=Dataset(Xs, ys, num_classes),
-        target_train=Dataset(Xtt, ytt, num_classes),
-        target_test=Dataset(Xte, yte, num_classes),
-        seen_mask=seen_mask,
-        seed=seed,
-        scenario_id=f"syn-c{num_classes}-s{num_seen}-d{dim}-seed{seed}",
-    )
+    seen_mask[rng.derive("seen").choice(num_classes, size=num_seen, replace=False)] = True
+    return _draw_scenario(means, seen_mask, per_class, seed,
+                          f"syn-c{num_classes}-s{num_seen}-d{dim}-seed{seed}", style=style)
 
 
 def gen_paired_toxicity_scenario(num_pairs: int, dim: int,
@@ -265,44 +271,19 @@ def gen_paired_toxicity_scenario(num_pairs: int, dim: int,
         raise ValueError("need at least one pair")
     if not (0.0 <= pair_overlap < 1.0):
         raise ValueError("pair_overlap must be in [0, 1)")
-    num_classes = 2 * num_pairs
-    n_src, n_tt, n_te = per_class
-    if min(n_src, n_tt, n_te) < 1:
-        raise ValueError("per-class counts must be >= 1")
-
     rng = Rng(seed)
     centers = _class_means(num_pairs, dim, cluster_sep, rng.derive("pair-centers")) \
         if num_pairs > 1 else np.zeros((1, dim))
     dirs = rng.derive("pair-dirs").standard_normal((num_pairs, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    delta = (1.0 - pair_overlap) * cluster_sep
-    means = np.empty((num_classes, dim))
-    pairs = []
-    for p in range(num_pairs):
-        means[2 * p] = centers[p] - 0.5 * delta * dirs[p]      # toxic
-        means[2 * p + 1] = centers[p] + 0.5 * delta * dirs[p]  # non-toxic
-        pairs.append((2 * p, 2 * p + 1))
-    toxicity = ToxicityMap(pairs)
-
-    seen_mask = np.zeros(num_classes, dtype=bool)
-    seen_mask[toxicity.non_toxic_classes()] = True
-    all_classes = np.arange(num_classes)
-    seen = np.flatnonzero(seen_mask)
-
-    Xs, ys = _sample_classes(means, all_classes, n_src, rng.derive(f"source-{n_src}"))
-    Xtt, ytt = _sample_classes(means, seen, n_tt, rng.derive(f"target_train-{n_tt}"))
-    Xte, yte = _sample_classes(means, all_classes, n_te, rng.derive(f"target_test-{n_te}"))
-
-    scenario = HTScenario(
-        source_train=Dataset(Xs, ys, num_classes),
-        target_train=Dataset(Xtt, ytt, num_classes),
-        target_test=Dataset(Xte, yte, num_classes),
-        seen_mask=seen_mask,
-        seed=seed,
-        scenario_id=f"tox-p{num_pairs}-o{pair_overlap:g}-d{dim}-seed{seed}",
-        toxicity=toxicity,
-    )
-    return scenario, toxicity
+    half = 0.5 * (1.0 - pair_overlap) * cluster_sep * dirs
+    # rows 2p (toxic) and 2p+1 (non-toxic, seen) straddle center p
+    means = np.stack([centers - half, centers + half], axis=1).reshape(2 * num_pairs, dim)
+    scenario = _draw_scenario(
+        means, np.arange(2 * num_pairs) % 2 == 1, per_class, seed,
+        f"tox-p{num_pairs}-o{pair_overlap:g}-d{dim}-seed{seed}",
+        toxicity=ToxicityMap([(2 * p, 2 * p + 1) for p in range(num_pairs)]))
+    return scenario, scenario.toxicity
 
 
 # ------------------------------------------------------------------ IDX I/O
@@ -424,17 +405,24 @@ def load_scenario(in_dir: str) -> HTScenario:
     format, the class count, the feature width, the seed, the seen classes
     and each split's row count, and the data files must agree with it; a
     key that is missing, malformed or out of range, or that the data
-    contradicts, raises a ValueError naming the file and the key."""
+    contradicts, raises a ValueError naming the file and the key; so does a
+    key it does not know or one listed twice, and a line without `=`."""
     path = os.path.join(in_dir, "meta")
-    meta = {}
-    with open(path) as f:
-        for line in f:
-            k, sep, v = line.partition("=")
-            if sep:
-                meta[k.strip()] = v.strip()
 
     def bad(key, why):
         return ValueError(f"{path}: {key} {why}")
+
+    meta = {}
+    with open(path) as f:
+        for line in filter(str.strip, f):
+            k, sep, v = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise bad(k, "is not a key = value line")
+            if k not in _META_KEYS:
+                raise bad(k, "is not a meta key")
+            if k in meta:
+                raise bad(k, "is listed twice")
+            meta[k] = v
 
     def field(key, parse=int, ok=lambda value: True):
         if key not in meta:
@@ -474,7 +462,7 @@ def load_scenario(in_dir: str) -> HTScenario:
             raise bad("dim", f"= {dim}, but {name} has {ds.dim} features")
 
     toxicity = None
-    if meta.get("toxic_pairs"):
+    if "toxic_pairs" in meta:
         toxicity = ToxicityMap(field(
             "toxic_pairs", lambda text: [class_ids(p, ":") for p in text.split(",")],
             lambda pairs: all(len(p) == 2 and in_range(p) for p in pairs)))

@@ -1080,6 +1080,13 @@ def _set_cell(header, line, column, value):
     return ",".join(fields)
 
 
+def _insert_column(lines, before, name, value):
+    """`lines` of a CSV with a column `name` of `value` cells put before `before`."""
+    i = lines[0].split(",").index(before)
+    rows = [ln.split(",") for ln in lines]
+    return [",".join(r[:i] + [value if n else name] + r[i:]) for n, r in enumerate(rows)]
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda ls: [ls[0]] + [ln.replace("ok,", "FAILED,", 1) for ln in ls[1:]], "no ok rows"),
     (lambda ls: [ls[0].replace(",seen,", ",seem,")] + ls[1:], "header lacks seen"),
@@ -1089,8 +1096,11 @@ def _set_cell(header, line, column, value):
      "summary.csv:2: overall = 'x' is not a number"),
     (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "seed", "x")] + ls[2:],
      "summary.csv:2: seed = 'x' is not a number"),
+    # a second `overall` column, before effective_rank, of 0.99 in every row
+    (lambda ls: _insert_column(ls, "effective_rank", "overall", "0.99"),
+     "header repeats overall"),
 ], ids=["no-ok-row", "missing-column", "wide-row", "repeated-row", "metric-not-a-number",
-        "seed-not-a-number"])
+        "seed-not-a-number", "repeated-column"])
 def test_report_rejects_bad_summary_before_writing(tmp_path, capsys, edit, reason):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     assert main(["run", "--config", cfg]) == 0

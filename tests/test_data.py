@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import struct
@@ -40,6 +41,30 @@ def test_generator_deterministic_byte_identical():
         assert np.array_equal(getattr(a, part).X, getattr(b, part).X)
         assert np.array_equal(getattr(a, part).y, getattr(b, part).y)
     assert np.array_equal(a.seen_mask, b.seen_mask)
+
+
+def test_generators_draw_pinned_bytes():
+    # every split, the seen mask and the id of both generators over a grid
+    # that reaches one pair (no center draw), style noise off and on, and
+    # two count triples; the digest changes with any draw either one makes
+    h = hashlib.sha256()
+
+    def add(s):
+        for part in ("source_train", "target_train", "target_test"):
+            h.update(getattr(s, part).X.astype("<f8").tobytes())
+            h.update(getattr(s, part).y.astype("<i8").tobytes())
+        h.update(s.seen_mask.tobytes())
+        h.update(s.scenario_id.encode())
+
+    for counts in ((5, 4, 3), (2, 1, 3)):
+        for noise in (0.0, 0.3):
+            style = StyleTransform.rotation_shift(4, angle=0.4, shift=1.0, noise_sigma=noise)
+            add(gen_synthetic_scenario(5, 2, 4, counts, 3.0, style, seed=7))
+        for pairs in (1, 3):
+            s, tox = gen_paired_toxicity_scenario(pairs, 4, counts, pair_overlap=0.5, seed=7)
+            add(s)
+            h.update(repr(tox.pairs).encode())
+    assert h.hexdigest() == "312ce40c6235acb6d2fd0b6f60dc8ab37aec164ce2b535c5cd16aeee3042fb0b"
 
 
 def test_generator_invariants_hold():
@@ -335,6 +360,11 @@ def test_scenario_round_trip_with_toxicity(tmp_path):
     ("seen", "seen = 0,x"),
     ("toxic_pairs", "toxic_pairs = 0:1,2"),
     ("toxic_pairs", "toxic_pairs = 0:1,2:7"),
+    ("toxic_pairs", "toxic_pairs = "),
+    # a key it does not know, one listed twice, and a line without `=`
+    ("toxic_pair", "toxic_pair = 0:1,2:3,4:5"),
+    ("seen", "seen = 1,3,5\nseen = 1"),
+    ("dim", "dim = 6\ndim 6"),
 ])
 def test_scenario_meta_key_rejected_naming_it(tmp_path, key, line):
     s, _ = gen_paired_toxicity_scenario(3, dim=6, per_class=(5, 4, 3),
