@@ -31,11 +31,11 @@ starts from the same file. A checkpoint is its cache key and its parameter
 buffer: the key hashes the cache format version, the scenario id, the
 source training data, the model spec, the [pretrain] settings and the seed,
 and the buffer is loaded into the spec [model] describes, never one the
-file states. A checkpoint with another key, or none, is retrained and
-overwritten, with a note on stderr; so is a file that is not a whole
-checkpoint of that spec's size, one in an older format included. A
-checkpoint is written beside its name and renamed over it, so a run killed
-while writing leaves no partial file under the name.
+file states. A file that is not exactly the checkpoint of that key and of
+that spec's size (another key, an older format or a cut-short write) is
+retrained and overwritten, with a note on stderr. A checkpoint is
+written beside its name and renamed over it, so a run killed while writing
+leaves no partial file under the name.
 
 A task is a protocol and the seeds that train together, at any --jobs
 (transfer.Protocol.seed_groups): all the seeds of an SGD-trained protocol,
@@ -73,9 +73,8 @@ from .data import (
     save_scenario,
 )
 from .losses import LossSpec
-from .metrics import EvalSet, aggregate_seeds, evaluate, report_from_scores
-from .model import (BadCheckpoint, MlpSpec, StaleCheckpoint, load_checkpoint,
-                    save_checkpoint)
+from .metrics import METRICS, EvalSet, aggregate_seeds, evaluate, report_from_scores
+from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
 from .numkit import _FINITE, _NONNEGATIVE, _POSITIVE, Rng, _at_least, _check, _one_of
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
@@ -83,9 +82,8 @@ from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
 
 ENSEMBLE_ALPHA = 0.5
 
-_METRICS = ["overall", "seen", "unseen", "seen_chopped", "fnr", "effective_rank"]
-CURVE_COLUMNS = ["scenario_id", "protocol", "seed", "epoch", *_METRICS]
-SUMMARY_COLUMNS = ["status", "scenario_id", "protocol", "seed", *_METRICS]
+CURVE_COLUMNS = ["scenario_id", "protocol", "seed", "epoch", *METRICS]
+SUMMARY_COLUMNS = ["status", "scenario_id", "protocol", "seed", *METRICS]
 
 
 def _fmt(x) -> str:
@@ -355,10 +353,8 @@ def _run_tasks(tasks: list, jobs: int, shared: tuple) -> list:
 def _fields(rep, k: int) -> list:
     """The metric cells of one row, then sv_1..sv_k (nan past the spectrum,
     and everywhere without a report)."""
-    vals = [] if rep is None else [
-        rep.overall_acc, rep.seen_acc, rep.unseen_acc, rep.seen_chopped_acc,
-        rep.false_negative_rate, rep.effective_rank, *rep.spectrum.values]
-    return [_fmt(v) for v in vals] + ["nan"] * (len(_METRICS) + k - len(vals))
+    vals = [] if rep is None else [*(getattr(rep, m) for m in METRICS), *rep.sv]
+    return [_fmt(v) for v in vals] + ["nan"] * (len(METRICS) + k - len(vals))
 
 
 def cmd_run(args) -> int:
@@ -389,9 +385,6 @@ def cmd_run(args) -> int:
             try:
                 sources[seed] = load_checkpoint(ckpt, spec, key)
                 continue
-            except StaleCheckpoint:
-                print(f"note: {ckpt} was pretrained under another configuration; "
-                      f"retraining it", file=sys.stderr)
             except BadCheckpoint as e:
                 print(f"note: {e}; retraining it", file=sys.stderr)
         try:
@@ -473,8 +466,8 @@ def cmd_gen(args) -> int:
 def _parse_summary(path: str) -> list:
     """The `ok` rows of a summary.csv as (protocol, seed, {metric: value})
     triples, after checking that its header has every summary column and
-    none twice, the width of every row and that each `ok` row's seed and
-    metric cells are numbers."""
+    none twice, the width of every row, that each row's status is `ok` or
+    `FAILED` and that each `ok` row's seed and metric cells are numbers."""
     with open(path) as f:
         lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(f, 1) if ln.strip()]
     if not lines:
@@ -504,9 +497,11 @@ def _parse_summary(path: str) -> list:
         if cell in seen:
             raise ValueError(f"{path}:{n}: repeats protocol {cell[0]} seed {cell[1]}")
         seen.add(cell)
+        if row["status"] not in ("ok", "FAILED"):
+            raise ValueError(f"{path}:{n}: status = {row['status']!r} is not ok or FAILED")
         if row["status"] == "ok":
             ok.append((row["protocol"], number(n, row, "seed", int),
-                       {m: number(n, row, m, float) for m in _METRICS}))
+                       {m: number(n, row, m, float) for m in METRICS}))
     if not ok:
         raise ValueError(f"{path} has no ok rows")
     return ok
@@ -528,9 +523,9 @@ def cmd_report(args) -> int:
                 continue
             deltas[name] = {
                 m: table[name][m]["mean"] - baseline[m]["mean"]
-                for m in _METRICS if m in table[name] and m in baseline
+                for m in METRICS if m in table[name] and m in baseline
             }
-        for m in _METRICS:
+        for m in METRICS:
             vals = {n: d[m] for n, d in deltas.items() if m in d}
             if vals:
                 best = max(vals, key=vals.get)
@@ -543,10 +538,10 @@ def cmd_report(args) -> int:
         json.dump(report, f, indent=2, sort_keys=True)
 
     width = max(len(n) for n in table) + 2
-    head = "protocol".ljust(width) + "".join(m.rjust(15) for m in _METRICS)
+    head = "protocol".ljust(width) + "".join(m.rjust(15) for m in METRICS)
     print(head)
     for name, entry in table.items():
-        cells = ("%.4f" % entry[m]["mean"] if m in entry else "-" for m in _METRICS)
+        cells = ("%.4f" % entry[m]["mean"] if m in entry else "-" for m in METRICS)
         print(name.ljust(width) + "".join(c.rjust(15) for c in cells))
     if deltas:
         print("\ndelta vs naive_ft (mean):")

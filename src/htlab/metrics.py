@@ -5,7 +5,8 @@ Every evaluation reads its test set through one EvalSet: the Dataset, with
 the row and column masks its seen classes and toxicity map give, built
 once. evaluate scores a model on it and report_from_scores a prediction
 ensemble's class scores; _report turns the accuracy views of either into
-an EvalReport.
+an EvalReport. Its fields are the METRICS, which are also the metric
+columns of every result row, in row order, and `sv`, the spectrum.
 
 Accuracy views. `overall` is plain test accuracy; `seen`/`unseen` restrict
 to samples whose true class is seen/unseen; `seen_chopped` re-scores the
@@ -13,13 +14,14 @@ seen samples with the unseen logit columns removed, isolating feature
 quality from the extra difficulty of the full label space. Ties always
 break to the lowest class index.
 
-The false-negative rate (confusable-pair scenarios only) is the fraction
-of toxic-class test samples predicted as any non-toxic class.
+The false-negative rate `fnr` (confusable-pair scenarios only) is the
+fraction of toxic-class test samples predicted as any non-toxic class.
 
 Spectrum diagnostics come from the penultimate features of the full test
-set. `effective_rank` counts singular values at or above RANK_TAU times
-the leading one; the paper-style presentation is the raw spectrum, the
-scalar exists for ordering assertions.
+set: `sv` holds their top singular values, descending. `effective_rank`
+counts those at or above RANK_TAU times the leading one; the paper-style
+presentation is the raw spectrum, the scalar exists for ordering
+assertions.
 """
 
 from __future__ import annotations
@@ -31,29 +33,28 @@ import numpy as np
 
 from .data import Dataset, ToxicityMap
 from .model import ModelParams, forward
-from .numkit import Spectrum, top_singular_values
+from .numkit import top_singular_values
 
 RANK_TAU = 0.01
+
+METRICS = ("overall", "seen", "unseen", "seen_chopped", "fnr", "effective_rank")
 
 
 @dataclass
 class EvalReport:
-    overall_acc: float
-    seen_acc: float
-    unseen_acc: float
-    seen_chopped_acc: float
-    false_negative_rate: Optional[float]
-    spectrum: Spectrum
+    overall: float
+    seen: float
+    unseen: float
+    seen_chopped: float
+    fnr: Optional[float]
     effective_rank: float
-    n_seen: int
-    n_unseen: int
+    sv: np.ndarray  # the feature spectrum, descending; empty without features
 
 
-def effective_rank(spectrum: Spectrum) -> int:
-    v = spectrum.values
-    if v.size == 0 or v[0] <= 0:
+def effective_rank(sv: np.ndarray) -> int:
+    if sv.size == 0 or sv[0] <= 0:
         return 0
-    return int(np.sum(v >= RANK_TAU * v[0]))
+    return int(np.sum(sv >= RANK_TAU * sv[0]))
 
 
 class EvalSet:
@@ -87,10 +88,10 @@ class EvalSet:
 
 
 def accuracy_views(scores: np.ndarray, test: EvalSet) -> dict:
-    """The accuracy views, the row counts and the false-negative rate (None
-    without a toxicity map) of per-class scores (logits or probabilities)
-    on `test`, keyed by EvalReport's field names. Each accuracy is a count
-    over a row count, the float bool.mean() gives."""
+    """The accuracy views and the false-negative rate (None without a
+    toxicity map) of per-class scores (logits or probabilities) on `test`,
+    keyed by EvalReport's field names. Each accuracy is a count over a row
+    count, the float bool.mean() gives."""
     preds = np.argmax(scores, axis=1)
     y = test.data.y
     correct = preds == y
@@ -98,26 +99,24 @@ def accuracy_views(scores: np.ndarray, test: EvalSet) -> dict:
     n_seen_correct = int(np.count_nonzero(correct & test.is_seen))
     chop_preds = test.seen_cols[np.argmax(scores[test.chop], axis=1)]
     out = {
-        "overall_acc": n_correct / len(y),
-        "seen_acc": n_seen_correct / test.n_seen,
-        "unseen_acc": (n_correct - n_seen_correct) / test.n_unseen,
-        "seen_chopped_acc": int(np.count_nonzero(chop_preds == test.y_seen)) / test.n_seen,
-        "n_seen": test.n_seen,
-        "n_unseen": test.n_unseen,
-        "false_negative_rate": None,
+        "overall": n_correct / len(y),
+        "seen": n_seen_correct / test.n_seen,
+        "unseen": (n_correct - n_seen_correct) / test.n_unseen,
+        "seen_chopped": int(np.count_nonzero(chop_preds == test.y_seen)) / test.n_seen,
+        "fnr": None,
     }
     if test.toxic is not None:
         misrouted = test.non_toxic[preds[test.toxic]]
-        out["false_negative_rate"] = int(np.count_nonzero(misrouted)) / test.toxic.size
+        out["fnr"] = int(np.count_nonzero(misrouted)) / test.toxic.size
     return out
 
 
-def _report(views: dict, spectrum: Optional[Spectrum] = None) -> EvalReport:
-    """The EvalReport of accuracy views; without a feature spectrum the
-    spectrum is empty and the effective rank NaN."""
-    rank = float("nan") if spectrum is None else effective_rank(spectrum)
-    return EvalReport(**views, effective_rank=rank,
-                      spectrum=Spectrum(np.empty(0)) if spectrum is None else spectrum)
+def _report(views: dict, sv: Optional[np.ndarray] = None) -> EvalReport:
+    """The EvalReport of accuracy views; without a feature spectrum `sv` is
+    empty and the effective rank NaN."""
+    if sv is None:
+        return EvalReport(**views, effective_rank=float("nan"), sv=np.empty(0))
+    return EvalReport(**views, effective_rank=effective_rank(sv), sv=sv)
 
 
 def evaluate(params: ModelParams, test: EvalSet, k_spectrum: int = 20,
@@ -133,7 +132,7 @@ def evaluate(params: ModelParams, test: EvalSet, k_spectrum: int = 20,
 
 def report_from_scores(scores: np.ndarray, test: EvalSet) -> EvalReport:
     """EvalReport for prediction-level ensembles, which have class scores
-    but no feature space; spectrum fields are empty/NaN."""
+    but no feature space; `sv` is empty and the effective rank NaN."""
     return _report(accuracy_views(scores, test))
 
 

@@ -19,10 +19,11 @@ Names and their freeze groups:
                                     never by gradients)
     in_adapter.scale / .shift       in_adapter
 
-A checkpoint is an ASCII header (`htlab-checkpoint v2`, an optional
-`key = <cache key>` line, `end`) followed by the buffer as little-endian
-f64. It does not restate the spec: its reader passes one in, so a file
-cannot change the model it is loaded as.
+A checkpoint is the three ASCII lines `htlab-checkpoint v2`,
+`key = <cache key>` and `end`, then the buffer as little-endian f64. It
+does not restate the spec: its reader passes one in, so a file cannot
+change the model it is loaded as. The reader takes exactly the header its
+writer would write for the key it asks for, and nothing else.
 
 Train-mode forwards normalize with batch statistics; eval-mode forwards use
 running statistics and are pure per-row functions of the parameters.
@@ -81,10 +82,6 @@ class MlpSpec:
     @property
     def dim(self) -> int:
         return self.layer_widths[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.layer_widths[-1]
 
     @property
     def n_linear(self) -> int:
@@ -487,28 +484,24 @@ def params_axpy(a: float, p1: ModelParams, b: float, p2: ModelParams) -> ModelPa
 # ----------------------------------------------------------- checkpoint I/O
 
 class BadCheckpoint(ValueError):
-    """A file that is not a whole, well-formed checkpoint; the message names
-    the file and what is wrong with it."""
+    """A file that is not a whole checkpoint of the cache key and spec asked
+    for; the message names the file and what is wrong with it."""
 
 
-class StaleCheckpoint(ValueError):
-    """A checkpoint whose header lacks the cache key asked for, or holds
-    another one."""
+def _header(key: str) -> bytes:
+    """The bytes a checkpoint under the cache `key` starts with."""
+    return f"htlab-checkpoint v2\nkey = {key}\nend\n".encode("ascii")
 
 
-_MAGIC = "htlab-checkpoint v2"
-
-
-def save_checkpoint(params: ModelParams, path: str, key: Optional[str] = None):
-    """Write `params` as a checkpoint (see the module docstring), under the
-    cache `key` if one is given."""
-    lines = [_MAGIC, *([f"key = {key}"] if key is not None else []), "end"]
+def save_checkpoint(params: ModelParams, path: str, key: str):
+    """Write `params` as a checkpoint under the cache `key` (see the module
+    docstring)."""
     # written beside `path` and renamed over it, so a write cut short never
     # leaves a partial checkpoint under the name
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(("\n".join(lines) + "\n").encode("ascii"))
+            f.write(_header(key))
             f.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -517,40 +510,22 @@ def save_checkpoint(params: ModelParams, path: str, key: Optional[str] = None):
         raise
 
 
-def load_checkpoint(path: str, spec: MlpSpec, key: Optional[str] = None) -> ModelParams:
-    """The params of `spec` a checkpoint holds. A file that is not a whole,
-    well-formed checkpoint of that spec's size raises BadCheckpoint. With
-    `key`, a checkpoint written under another key, or under none, raises
-    StaleCheckpoint; the key is checked before the payload's length, so one
-    written for another spec reads as stale, not as bad."""
+def load_checkpoint(path: str, spec: MlpSpec, key: str) -> ModelParams:
+    """The params of `spec` that save_checkpoint wrote under the cache `key`.
+    A file that does not start with exactly that header, or whose payload is
+    not a buffer of `spec`'s size with nonnegative running variances, raises
+    BadCheckpoint."""
     with open(path, "rb") as f:
         raw = f.read()
-
-    def bad(what):
-        return BadCheckpoint(f"{path}: {what}")
-
-    end = raw.find(b"\nend\n")
-    if end < 0:
-        raise bad("no end line; the file is cut short or not a checkpoint")
-    head_end = end + len(b"\nend\n")
-    try:
-        lines = raw[:head_end].decode("ascii").splitlines()
-    except UnicodeDecodeError:
-        raise bad("header is not ASCII") from None
-    if lines[0] != _MAGIC:
-        raise bad(f"not an {_MAGIC} file")
-    found = None  # the key the header holds
-    for line in lines[1:-1]:
-        name, sep, found = line.partition(" = ")
-        if name != "key" or not sep:
-            raise bad(f"malformed header line {line!r}")
-    if key is not None and found != key:
-        raise StaleCheckpoint(f"{path} holds cache key {found}, not {key}")
+    head = _header(key)
+    if not raw.startswith(head):
+        raise BadCheckpoint(f"{path}: not a checkpoint of this configuration's cache key")
     layout = _Layout.of(spec)
-    if len(raw) - head_end != 8 * layout.size:
-        raise bad(f"payload is {len(raw) - head_end} bytes, its spec needs {8 * layout.size}")
-    params = ModelParams.from_flat(spec, np.frombuffer(raw, "<f8", offset=head_end)
+    if len(raw) - len(head) != 8 * layout.size:
+        raise BadCheckpoint(f"{path}: payload is {len(raw) - len(head)} bytes, "
+                            f"its spec needs {8 * layout.size}")
+    params = ModelParams.from_flat(spec, np.frombuffer(raw, "<f8", offset=len(head))
                                    .astype(np.float64))
     if any(np.any(params.flat[s] < 0) for s in layout.variances):
-        raise bad("negative running variance")
+        raise BadCheckpoint(f"{path}: negative running variance")
     return params

@@ -1,8 +1,9 @@
 """Deterministic numerical primitives shared by the rest of the package.
 
 Matrices are plain 2-D float64 numpy arrays (row major); `covariance` also
-takes a stack of them on leading axes. Every public operation returns
-finite values or raises; nothing here mutates its inputs.
+takes a stack of them on leading axes, and `top_singular_values` returns a
+plain 1-D array. Every public operation returns finite values or raises;
+nothing here mutates its inputs.
 
 Randomness is provided by :class:`Rng`, a thin wrapper around the Philox
 counter-based bit generator keyed by an explicit ``(seed, stream)`` pair of
@@ -118,9 +119,6 @@ class Rng:
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size=size)
 
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
-
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
 
@@ -129,21 +127,6 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"
-
-
-class Spectrum:
-    """Nonnegative singular values in descending order."""
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("spectrum must be 1-D")
-        if values.size and (np.any(values < 0) or np.any(np.diff(values) > 0)):
-            raise ValueError("spectrum must be nonnegative and descending")
-        self.values = values
-
-    def __repr__(self):
-        return f"Spectrum({np.array2string(self.values, precision=4)})"
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -197,14 +180,15 @@ def _centred_covariance(Z: np.ndarray) -> tuple:
     return Zc, C
 
 
-def top_singular_values(Z: np.ndarray, k: int) -> Spectrum:
-    """Top-k singular values of the mean-centered Z, descending.
+def top_singular_values(Z: np.ndarray, k: int) -> np.ndarray:
+    """Top-k singular values of the mean-centered Z, as a 1-D array.
 
     Computed from the d x d Gram of the centered matrix: the singular
-    values are the square roots of the eigenvalues of Zc^T Zc. Cheap for
-    the small feature widths used here. A Gram that is not finite (rows
-    that overflow when squared, or are not finite themselves) raises
-    FloatingPointError.
+    values are the square roots of its eigenvalues, taken in descending
+    order and floored at zero, so the array is descending and nonnegative
+    by construction. Cheap for the small feature widths used here. A Gram
+    that is not finite (rows that overflow when squared, or are not finite
+    themselves) raises FloatingPointError.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
@@ -217,5 +201,4 @@ def top_singular_values(Z: np.ndarray, k: int) -> Spectrum:
     if not np.isfinite(G).all():
         raise FloatingPointError("non-finite Gram matrix")
     eig = np.linalg.eigvalsh(G)  # ascending
-    vals = np.sqrt(np.maximum(eig[::-1], 0.0))
-    return Spectrum(vals[:k])
+    return np.sqrt(np.maximum(eig[::-1], 0.0))[:k]

@@ -111,7 +111,7 @@ def test_criterion_1_numerical_correctness():
                 params = init_model(spec, Rng(38))
                 drng = Rng(39)
                 X = drng.standard_normal((8, 5))
-                y = drng.integers(0, 4, size=8)
+                y = drng.choice(4, 8, replace=True)
                 seen = np.array([True, True, False, False])
                 src = init_model(spec, Rng(40))
                 lspec = LossSpec(lambda_distill=0.7, lambda_rank=0.05)
@@ -147,7 +147,7 @@ def test_criterion_1_numerical_correctness():
 
     # standalone loss gradients vs finite differences
     logits = rng.standard_normal((5, 3))
-    labels = rng.integers(0, 3, size=5)
+    labels = rng.choice(3, 5, replace=True)
     _, g = cross_entropy(logits, labels)
     for fn_grad, fn_loss, x in (
         (g, lambda: cross_entropy(logits, labels)[0], logits),
@@ -171,7 +171,7 @@ def test_criterion_1_numerical_correctness():
     naive = sum(np.outer(r - zbar, r - zbar) for r in Z) / len(Z)
     assert np.max(np.abs(C - naive)) < 1e-12
     Z2 = rng.standard_normal((10, 4))
-    got = top_singular_values(Z2, 4).values
+    got = top_singular_values(Z2, 4)
     want = np.linalg.svd(Z2 - Z2.mean(axis=0), compute_uv=False)
     assert np.max(np.abs(got - want) / np.maximum(want, 1e-12)) < 1e-8
     rl, rg = rank_reg(Z2)
@@ -215,8 +215,8 @@ def test_criterion_2_lolsgd_degenerates_to_sgd():
 # ------------------------------------------------ criteria 3..6: orderings
 
 def test_criterion_3_naive_fine_tuning_forgets(grid):
-    src_u = _mean(grid["source"], "unseen_acc")
-    naive_u = _mean(grid["final"]["naive_ft"], "unseen_acc")
+    src_u = _mean(grid["source"], "unseen")
+    naive_u = _mean(grid["final"]["naive_ft"], "unseen")
     ok = naive_u <= src_u - 0.20 and grid["elapsed"] < 180.0
     _say("3 forgetting-reproduction", ok,
          f"naive unseen {naive_u:.3f} <= source unseen {src_u:.3f} - 0.20, "
@@ -224,19 +224,19 @@ def test_criterion_3_naive_fine_tuning_forgets(grid):
 
 
 def test_criterion_4_frozen_classifier_helps(grid):
-    naive_u = _mean(grid["final"]["naive_ft"], "unseen_acc")
-    frozen_u = _mean(grid["final"]["frozen_ft"], "unseen_acc")
+    naive_u = _mean(grid["final"]["naive_ft"], "unseen")
+    frozen_u = _mean(grid["final"]["frozen_ft"], "unseen")
     _say("4 frozen-classifier-effect", frozen_u >= naive_u + 0.10,
          f"frozen unseen {frozen_u:.3f} >= naive unseen {naive_u:.3f} + 0.10")
 
 
 def test_criterion_5_method_ordering(grid):
-    naive_u = _mean(grid["final"]["naive_ft"], "unseen_acc")
-    frozen_u = _mean(grid["final"]["frozen_ft"], "unseen_acc")
-    lol_u = _mean(grid["final"]["lolsgd"], "unseen_acc")
-    ldr_u = _mean(grid["final"]["lolsgd_distill_rank"], "unseen_acc")
-    ldr_o = _mean(grid["final"]["lolsgd_distill_rank"], "overall_acc")
-    src_o = _mean(grid["source"], "overall_acc")
+    naive_u = _mean(grid["final"]["naive_ft"], "unseen")
+    frozen_u = _mean(grid["final"]["frozen_ft"], "unseen")
+    lol_u = _mean(grid["final"]["lolsgd"], "unseen")
+    ldr_u = _mean(grid["final"]["lolsgd_distill_rank"], "unseen")
+    ldr_o = _mean(grid["final"]["lolsgd_distill_rank"], "overall")
+    src_o = _mean(grid["source"], "overall")
     order_ok = ldr_u >= lol_u >= frozen_u > naive_u
     win_ok = ldr_o >= src_o
     _say("5 method-ordering", order_ok and win_ok and grid["elapsed"] < 900.0,
@@ -282,9 +282,9 @@ def test_criterion_7_ensemble_endpoints_and_rescue(grid):
         se_rep = report_from_scores(se_predict(src, tgt, scn.target_test.X, 0.5),
                                     EvalSet(scn.target_test, scn.seen_mask))
         naive_rep = run.curve[-1]
-        rescue_ok &= se_rep.unseen_acc > naive_rep.unseen_acc
-        details.append(f"seed{seed} SE@0.5 unseen {se_rep.unseen_acc:.3f} > "
-                       f"naive {naive_rep.unseen_acc:.3f}")
+        rescue_ok &= se_rep.unseen > naive_rep.unseen
+        details.append(f"seed{seed} SE@0.5 unseen {se_rep.unseen:.3f} > "
+                       f"naive {naive_rep.unseen:.3f}")
     _say("7 ensemble-endpoints", endpoint_ok and rescue_ok,
          "endpoints exact; " + "; ".join(details))
 
@@ -292,9 +292,9 @@ def test_criterion_7_ensemble_endpoints_and_rescue(grid):
 # ------------------------------------------------ criterion 8: toxicity
 
 def test_criterion_8_false_negative_case_study(toxicity_grid):
-    src_f = _mean(toxicity_grid["source"], "false_negative_rate")
-    naive_f = _mean(toxicity_grid["naive_ft"], "false_negative_rate")
-    ldr_f = _mean(toxicity_grid["lolsgd_distill_rank"], "false_negative_rate")
+    src_f = _mean(toxicity_grid["source"], "fnr")
+    naive_f = _mean(toxicity_grid["naive_ft"], "fnr")
+    ldr_f = _mean(toxicity_grid["lolsgd_distill_rank"], "fnr")
     ok = naive_f >= src_f and ldr_f <= naive_f
     _say("8 false-negative-case-study", ok,
          f"naive FNR {naive_f:.3f} >= source FNR {src_f:.3f}; "
@@ -388,12 +388,12 @@ def test_diagnostic_concept_shift_cancellation():
             proto = Protocol(kind=kind, sgd=ADAPT, lol=LOL)
             [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
                                  [src], proto, [seed])
-            curves[kind].append([r.seen_acc for r in run.curve])
+            curves[kind].append([r.seen for r in run.curve])
         # fresh full-class target-style data of the same per-class size
         full = _reference_scenario(seed, per_class=(1, 1, 60), cluster_sep=3.5).target_test
         [run] = run_protocol(full, scn.target_test, scn.seen_mask, [src],
                              Protocol(kind="naive_ft", sgd=ADAPT), [seed])
-        curves["oracle"].append([r.seen_acc for r in run.curve])
+        curves["oracle"].append([r.seen for r in run.curve])
     naive = np.mean(curves["naive_ft"], axis=0)[-5:]
     lol = np.mean(curves["lolsgd"], axis=0)[-5:]
     oracle = np.mean(curves["oracle"], axis=0)[-5:]

@@ -680,6 +680,9 @@ def test_run_leave_k_not_below_target_classes_exits_1_before_pretraining(tmp_pat
 
 # ------------------------------------------------------------ source cache
 
+_NOT_OURS = "not a checkpoint of this configuration's cache key"
+
+
 def _drop_key(ckpt):
     raw = _read(ckpt)
     with open(ckpt, "wb") as f:
@@ -700,7 +703,7 @@ def test_source_cache_retrains_a_stale_checkpoint(tmp_path, capsys, change):
     capsys.readouterr()
     assert main(["run", "--config", cfg]) == 0
     err = capsys.readouterr().err
-    assert err.count("note:") == 1 and f"{ckpt} was pretrained under another" in err
+    assert err.count("note:") == 1 and f"note: {ckpt}: {_NOT_OURS}; retraining it" in err
     # the rerun equals a fresh run of the changed config, checkpoint included
     fresh = str(tmp_path / "fresh")
     assert main(["run", "--config", cfg, "--out", fresh]) == 0
@@ -771,7 +774,7 @@ def test_source_cache_retrains_a_checkpoint_whose_header_states_another_model(
     assert main(["run", "--config", cfg]) == 0
     err = capsys.readouterr().err
     assert [ln for ln in err.splitlines() if ln.startswith("note:")] == [
-        f"note: {os.path.join(out, name)}: not an htlab-checkpoint v2 file; retraining it"
+        f"note: {os.path.join(out, name)}: {_NOT_OURS}; retraining it"
         for name in names]
     for name in names + ["curves.csv", "summary.csv"]:
         assert _read(os.path.join(out, name)) == _read(os.path.join(fresh, name)), name
@@ -1099,8 +1102,10 @@ def _insert_column(lines, before, name, value):
     # a second `overall` column, before effective_rank, of 0.99 in every row
     (lambda ls: _insert_column(ls, "effective_rank", "overall", "0.99"),
      "header repeats overall"),
+    (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "status", "OK")] + ls[2:],
+     "summary.csv:2: status = 'OK' is not ok or FAILED"),
 ], ids=["no-ok-row", "missing-column", "wide-row", "repeated-row", "metric-not-a-number",
-        "seed-not-a-number", "repeated-column"])
+        "seed-not-a-number", "repeated-column", "unknown-status"])
 def test_report_rejects_bad_summary_before_writing(tmp_path, capsys, edit, reason):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     assert main(["run", "--config", cfg]) == 0

@@ -150,8 +150,8 @@ def write_idx_images(path, images):
 def test_idx_round_trip(tmp_path):
     rng = Rng(5)
     n = 10_000
-    images = rng.integers(0, 256, size=(n, 2, 2)).astype(np.uint8)
-    labels = rng.integers(0, 10, size=n).astype(np.uint8)
+    images = rng.choice(256, (n, 2, 2), replace=True).astype(np.uint8)
+    labels = rng.choice(10, n, replace=True).astype(np.uint8)
     ip, lp = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
@@ -265,8 +265,8 @@ def test_f64_round_trips_and_any_cut_or_header_flip_is_rejected(tmp_path, rows, 
 def test_idx_round_trips_and_any_cut_or_header_flip_is_rejected(tmp_path, n, rows, cols,
                                                                 seed, data):
     rng = Rng(seed)
-    images = rng.integers(0, 256, size=(n, rows, cols)).astype(np.uint8)
-    labels = rng.integers(0, 10, size=n).astype(np.uint8)
+    images = rng.choice(256, (n, rows, cols), replace=True).astype(np.uint8)
+    labels = rng.choice(10, n, replace=True).astype(np.uint8)
     ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
@@ -386,7 +386,7 @@ def test_scenario_quantized_round_trip(tmp_path):
     rng = Rng(8)
 
     def mk(y):
-        return Dataset(rng.integers(0, 256, size=(len(y), 4)) / 255.0, y, 3)
+        return Dataset(rng.choice(256, (len(y), 4), replace=True) / 255.0, y, 3)
 
     s = HTScenario(source_train=mk(np.arange(12) % 3), target_train=mk(np.zeros(6, int)),
                    target_test=mk(np.arange(9) % 3), seen_mask=[True, False, False],

@@ -201,7 +201,7 @@ _LOSSES = {
 def _data(spec, n=120, seed=5):
     rng = Rng(seed)
     X = rng.standard_normal((n, spec.dim)) * 1.5
-    return X, rng.integers(0, spec.num_classes, size=n)
+    return X, rng.choice(spec.layer_widths[-1], n, replace=True)
 
 
 def _compare(spec, work, ref, state, ref_state, mask, what):
@@ -223,7 +223,7 @@ def test_train_batch_matches_per_key_reference_bitwise(model, mask_name, loss_na
     loss_spec, decay = _LOSSES[loss_name]
     cfg = SgdConfig(lr=0.05, momentum=0.9, weight_decay=decay)
     X, y = _data(spec)
-    seen = np.arange(spec.num_classes) < 3
+    seen = np.arange(spec.layer_widths[-1]) < 3
     src = init_model(spec, Rng(1))
     loss = CompositeLoss(loss_spec, src, seen)
     starts = [init_model(spec, Rng(2 + m)) for m in range(runs)]
@@ -245,7 +245,7 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
     loss_spec, decay = _LOSSES["distill-rank-decay"]
     cfg = SgdConfig(lr=0.02, momentum=0.9, weight_decay=decay, batch_size=32, epochs=14)
     X, y = _data(spec, n=130)
-    seen = np.arange(spec.num_classes) < 6
+    seen = np.arange(spec.layer_widths[-1]) < 6
     src = init_model(spec, Rng(1))
     epochs, curve = [], []
 
@@ -255,7 +255,7 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
 
     # a one-row stack, checked against the per-key reference of one model
     one_row = ModelParams.from_flat(spec, src.flat[None].copy())
-    out = train_sgd(one_row, Dataset(X, y, spec.num_classes),
+    out = train_sgd(one_row, Dataset(X, y, spec.layer_widths[-1]),
                     CompositeLoss(loss_spec, src, seen), cfg, mask, [Rng(4)], on_epoch=on_epoch)
     ref, ref_state, ref_curve = {k: src[k].copy() for k in src.keys()}, {}, []
     for epoch in range(cfg.epochs):  # 5 batches an epoch, 70 steps in all

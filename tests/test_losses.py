@@ -50,7 +50,7 @@ def test_ce_decreases_with_margin():
 def test_ce_grad_matches_fd():
     rng = Rng(50)
     logits = rng.standard_normal((5, 3))
-    labels = rng.integers(0, 3, size=5)
+    labels = rng.choice(3, 5, replace=True)
     _, grad = cross_entropy(logits, labels)
     num = _fd(lambda: cross_entropy(logits, labels)[0], logits)
     assert np.max(np.abs(grad - num)) < 1e-6
@@ -170,7 +170,7 @@ def test_rank_needs_two_samples():
 def _parts(seed=58):
     rng = Rng(seed)
     logits = rng.standard_normal((6, 5))
-    labels = rng.integers(0, 5, size=6)
+    labels = rng.choice(5, 6, replace=True)
     feats = rng.standard_normal((6, 4))
     src = rng.standard_normal((6, 5))
     ce = cross_entropy(logits, labels)
@@ -233,7 +233,7 @@ def test_composite_loss_runs_all_terms():
     params = init_model(spec, Rng(60))
     rng = Rng(61)
     X = rng.standard_normal((8, 4))
-    labels = rng.integers(0, 2, size=8)  # seen classes only
+    labels = rng.choice(2, 8, replace=True)  # seen classes only
     loss = CompositeLoss(LossSpec(lambda_distill=1.0, lambda_rank=0.1),
                          source_params=source, seen_mask=SEEN)
     trace = forward(params, X, mode="train", update_stats=False)
@@ -255,7 +255,7 @@ def test_stacked_losses_equal_each_batch_alone_bitwise(spec, batch):
     stacked = ModelParams(model, {k: np.stack([r[k] for r in runs]) for k in runs[0].keys()})
     rng = Rng(66)
     X = rng.standard_normal((3, batch, 4))
-    labels = rng.integers(0, 5, size=(3, batch))
+    labels = rng.choice(5, (3, batch), replace=True)
     bd, gl, gf = loss(forward(stacked, X, mode="train"), labels)
     assert bd.total.shape == (3,)
     for m, run in enumerate(runs):

@@ -15,7 +15,6 @@ from htlab.model import (
     FreezeMask,
     MlpSpec,
     ModelParams,
-    StaleCheckpoint,
     backward,
     forward,
     group_of,
@@ -186,7 +185,7 @@ def test_gradients_match_finite_differences(bn, ina, act):
     params = init_model(spec, Rng(38))
     rng = Rng(39)
     X = rng.standard_normal((8, 5))
-    labels = rng.integers(0, 4, size=8)
+    labels = rng.choice(4, 8, replace=True)
     _fd_check(params, X, labels, FreezeMask.all_trainable())
 
 
@@ -194,7 +193,7 @@ def test_gradients_with_feature_injection_match_fd():
     params = init_model(_spec(bn=True, act="tanh"), Rng(19))
     rng = Rng(20)
     X = rng.standard_normal((6, 5))
-    labels = rng.integers(0, 4, size=6)
+    labels = rng.choice(4, 6, replace=True)
     _fd_check(params, X, labels, FreezeMask.all_trainable(), feat_coeff=0.3)
 
 
@@ -202,7 +201,7 @@ def test_frozen_classifier_grads_exact_zero():
     params = init_model(_spec(), Rng(21))
     rng = Rng(22)
     X = rng.standard_normal((8, 5))
-    labels = rng.integers(0, 4, size=8)
+    labels = rng.choice(4, 8, replace=True)
     grads = _analytic_grads(params, X, labels, FreezeMask.frozen_classifier())
     assert np.all(grads["layers.2.W"] == 0.0)
     assert np.all(grads["layers.2.b"] == 0.0)
@@ -213,7 +212,7 @@ def test_duplicating_batch_preserves_gradients():
     params = init_model(_spec(), Rng(23))
     rng = Rng(24)
     X = rng.standard_normal((5, 5))
-    labels = rng.integers(0, 4, size=5)
+    labels = rng.choice(4, 5, replace=True)
     g1 = _analytic_grads(params, X, labels, FreezeMask.all_trainable())
     g2 = _analytic_grads(params, np.vstack([X, X]), np.concatenate([labels, labels]),
                          FreezeMask.all_trainable())
@@ -238,7 +237,7 @@ def test_stacked_forward_backward_equal_each_run_alone_bitwise(spec, batch):
     stacked = _stack(runs)
     rng = Rng(63)
     X = rng.standard_normal((3, batch, 5))
-    labels = rng.integers(0, 4, size=(3, batch))
+    labels = rng.choice(4, (3, batch), replace=True)
     gf = rng.standard_normal((3, batch, 7))
     mask = FreezeMask.frozen_classifier()
     t = forward(stacked, X, mode="train", update_stats=True)
@@ -376,8 +375,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     spec = _spec(bn=True, ina=True, act="tanh")
     p = init_model(spec, Rng(43))
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(p, path)
-    q = load_checkpoint(path, spec)
+    save_checkpoint(p, path, "k")
+    q = load_checkpoint(path, spec, "k")
     assert q.spec == spec
     for k in p.keys():
         assert np.array_equal(p[k], q[k])
@@ -400,13 +399,13 @@ def test_configurable_bn_settings_respected():
 def test_checkpoint_rejects_wrong_payload_length(tmp_path, edit):
     path = str(tmp_path / "model.ckpt")
     spec = _spec(bn=True)
-    save_checkpoint(init_model(spec, Rng(47)), path)
+    save_checkpoint(init_model(spec, Rng(47)), path, "k")
     with open(path, "rb") as f:
         raw = f.read()
     with open(path, "wb") as f:
         f.write(edit(raw))
     with pytest.raises(BadCheckpoint, match="payload is .* bytes, its spec needs"):
-        load_checkpoint(path, spec)
+        load_checkpoint(path, spec, "k")
 
 
 _SPECS = st.builds(_spec, bn=st.booleans(), ina=st.booleans(),
@@ -444,23 +443,23 @@ def test_checkpoint_header_byte_change_or_other_spec_never_loads(tmp_path, spec,
     save_checkpoint(params, path, key)
     with open(path, "rb") as f:
         raw = f.read()
-    # a spec of another parameter count: the payload length names both sizes,
-    # after the key, so a checkpoint of another configuration reads as stale
+    # a spec of another parameter count: the payload length names both
+    # sizes; under another key the header is refused first
     widths = spec.layer_widths
     other = replace(spec, layer_widths=(widths[0], widths[1] + 1, *widths[2:]))
     size, other_size = 8 * params.flat.size, 8 * init_model(other, Rng(0)).flat.size
     with pytest.raises(BadCheckpoint, match=f"payload is {size} bytes, "
                                             f"its spec needs {other_size}$"):
         load_checkpoint(path, other, key)
-    with pytest.raises(StaleCheckpoint):
-        load_checkpoint(path, other, (key or "") + "x")
+    with pytest.raises(BadCheckpoint, match="not a checkpoint of this configuration's"):
+        load_checkpoint(path, other, f"{key}x")
     # any one byte of the header changed
     head_end = raw.index(b"\nend\n") + len(b"\nend\n")
     at = data.draw(st.integers(0, head_end - 1), label="at")
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
     with open(path, "wb") as f:
         f.write(raw[:at] + bytes([byte]) + raw[at + 1:])
-    with pytest.raises((BadCheckpoint, StaleCheckpoint)):
+    with pytest.raises(BadCheckpoint, match=re.escape(path)):
         load_checkpoint(path, spec, key)
 
 
@@ -469,22 +468,26 @@ def test_checkpoint_rejects_negative_running_variance(tmp_path):
     p = init_model(spec, Rng(51))
     p["bn.1.var"] = -1.0
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(p, path)
+    save_checkpoint(p, path, "k")
     with pytest.raises(BadCheckpoint, match="negative running variance"):
-        load_checkpoint(path, spec)
+        load_checkpoint(path, spec, "k")
+
+
+_NOT_OURS = "not a checkpoint of this configuration's cache key$"
 
 
 @pytest.mark.parametrize("edit, reason", [
-    (lambda raw: b"", "no end line"),
-    (lambda raw: raw.replace(b"\nend\n", b"\nen"), "no end line"),
-    (lambda raw: raw.replace(b"htlab-checkpoint v2", b"htlab-checkpoint v1"),
-     "not an htlab-checkpoint v2 file"),
-    (lambda raw: raw.replace(b"key = ", b"key "), "malformed header line"),
-    (lambda raw: raw.replace(b"key = ", b"widths = 5,6,7,4\nkey = "), "malformed header line"),
-    (lambda raw: raw.replace(b"key = k", b"key = \xff"), "header is not ASCII"),
+    (lambda raw: b"", _NOT_OURS),
+    (lambda raw: raw.replace(b"\nend\n", b"\nen"), _NOT_OURS),
+    (lambda raw: raw.replace(b"htlab-checkpoint v2", b"htlab-checkpoint v1"), _NOT_OURS),
+    (lambda raw: raw.replace(b"key = ", b"key "), _NOT_OURS),
+    (lambda raw: raw.replace(b"key = ", b"widths = 5,6,7,4\nkey = "), _NOT_OURS),
+    (lambda raw: raw.replace(b"key = k", b"key = \xff"), _NOT_OURS),
+    # the key asked for, after another one
+    (lambda raw: raw.replace(b"key = k1\n", b"key = OTHER\nkey = k1\n"), _NOT_OURS),
     (lambda raw: raw[:-8], "payload is"),
 ], ids=["empty", "cut-end-line", "magic", "no-separator", "spec-line", "not-ascii",
-        "short-payload"])
+        "second-key-line", "short-payload"])
 def test_checkpoint_errors_name_the_file_and_the_fault(tmp_path, edit, reason):
     path = str(tmp_path / "model.ckpt")
     spec = _spec(bn=True)
@@ -497,9 +500,20 @@ def test_checkpoint_errors_name_the_file_and_the_fault(tmp_path, edit, reason):
         load_checkpoint(path, spec, "k1")
 
 
+def test_checkpoint_is_pinned_header_then_little_endian_buffer(tmp_path):
+    # the bytes every cached source checkpoint already on disk holds: a
+    # change here makes each of them retrain
+    p = init_model(_spec(bn=True, ina=True), Rng(52))
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(p, path, "k")
+    with open(path, "rb") as f:
+        assert f.read() == (b"htlab-checkpoint v2\nkey = k\nend\n"
+                            + p.flat.astype("<f8").tobytes())
+
+
 def test_checkpoint_save_cut_short_keeps_the_old_file(tmp_path, monkeypatch):
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(init_model(_spec(), Rng(48)), path)
+    save_checkpoint(init_model(_spec(), Rng(48)), path, "k")
     with open(path, "rb") as f:
         before = f.read()
     other = init_model(_spec(), Rng(49))
@@ -510,7 +524,7 @@ def test_checkpoint_save_cut_short_keeps_the_old_file(tmp_path, monkeypatch):
     # the header is written by now; the payload never is
     monkeypatch.setattr(model.np, "ascontiguousarray", killed)
     with pytest.raises(KeyboardInterrupt):
-        save_checkpoint(other, path)
+        save_checkpoint(other, path, "k")
     monkeypatch.undo()
     with open(path, "rb") as f:
         assert f.read() == before

@@ -346,7 +346,7 @@ def test_lolsgd_stacked_round_matches_sequential_runs_bitwise(case):
           else _toy_dataset(n_per=12, dim=spec.dim, classes=4))
     params = init_model(spec, Rng(90))
     params["layers.0.b"] += 0.1  # off the init values, so every group moves
-    seen = np.arange(spec.num_classes) < 2
+    seen = np.arange(spec.layer_widths[-1]) < 2
     loss = CompositeLoss(loss_spec, init_model(spec, Rng(91)), seen)
     steps = _round_step_allocation(len(ds), cfg, lol)
     # each case exercises what its id claims

@@ -45,9 +45,9 @@ def source(scenario):
 
 
 def _assert_same_report(a, b):
-    scalars = lambda r: {k: v for k, v in vars(r).items() if k != "spectrum"}  # noqa: E731
+    scalars = lambda r: {k: v for k, v in vars(r).items() if k != "sv"}  # noqa: E731
     assert scalars(a) == scalars(b)
-    assert np.array_equal(a.spectrum.values, b.spectrum.values)
+    assert np.array_equal(a.sv, b.sv)
 
 
 def _one_row(params):
@@ -90,7 +90,7 @@ def test_pretrain_accuracy_on_held_out_source_data(scenario, source):
 
 def test_pretrain_transfers_something_to_unseen(scenario, source):
     rep = evaluate(source, EvalSet(scenario.target_test, scenario.seen_mask))
-    assert rep.unseen_acc > 0.0
+    assert rep.unseen > 0.0
 
 
 # ------------------------------------------------------------ run_protocol
@@ -105,9 +105,9 @@ def test_every_curve_starts_at_the_source_model(scenario, source):
             kw["lol"] = LolConfig(subsets=3, leave_k=1)
         run = _run(scenario, source, kind, **kw)
         head = run.curve[0]
-        assert head.overall_acc == base.overall_acc
-        assert head.seen_chopped_acc == base.seen_chopped_acc
-        assert np.array_equal(head.spectrum.values, base.spectrum.values)
+        assert head.overall == base.overall
+        assert head.seen_chopped == base.seen_chopped
+        assert np.array_equal(head.sv, base.sv)
         assert len(run.curve) == ADAPT.epochs + 1
 
 
@@ -281,7 +281,7 @@ def test_every_protocol_kind_runs(scenario):
         [run] = run_protocol(scenario.target_train, scenario.target_test,
                              scenario.seen_mask, [src], proto, seeds=[1])
         assert run.curve, kind
-        assert run.curve[0].overall_acc == run.curve[0].overall_acc  # finite
+        assert run.curve[0].overall == run.curve[0].overall  # finite
 
 
 # ------------------------------------------------------------ stacked seeds
