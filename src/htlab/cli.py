@@ -463,11 +463,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _parse_summary(path: str) -> list:
+def _parse_summary(path: str) -> tuple:
     """The `ok` rows of a summary.csv as (protocol, seed, {metric: value})
-    triples, after checking that its header has every summary column and
-    none twice, the width of every row, that each row's status is `ok` or
-    `FAILED` and that each `ok` row's seed and metric cells are numbers."""
+    triples and each row's status by (protocol, seed), after checking that
+    the header has every summary column once, the width and status (`ok` or
+    `FAILED`) of every row, and that seed and `ok` metric cells are numbers."""
     with open(path) as f:
         lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(f, 1) if ln.strip()]
     if not lines:
@@ -487,24 +487,22 @@ def _parse_summary(path: str) -> list:
             bad = f"{path}:{n}: {column} = {row[column]!r} is not a number"
             raise ValueError(bad) from None
 
-    ok = []
-    seen = set()
+    ok, cells = [], {}
     for n, fields in lines[1:]:
         if len(fields) != len(header):
             raise ValueError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
         row = dict(zip(header, fields))
-        cell = (row["protocol"], row["seed"])
-        if cell in seen:
+        cell = (row["protocol"], number(n, row, "seed", int))
+        if cell in cells:
             raise ValueError(f"{path}:{n}: repeats protocol {cell[0]} seed {cell[1]}")
-        seen.add(cell)
+        cells[cell] = row["status"]
         if row["status"] not in ("ok", "FAILED"):
             raise ValueError(f"{path}:{n}: status = {row['status']!r} is not ok or FAILED")
         if row["status"] == "ok":
-            ok.append((row["protocol"], number(n, row, "seed", int),
-                       {m: number(n, row, m, float) for m in METRICS}))
+            ok.append((*cell, {m: number(n, row, m, float) for m in METRICS}))
     if not ok:
         raise ValueError(f"{path} has no ok rows")
-    return ok
+    return ok, cells
 
 
 def cmd_report(args) -> int:
@@ -512,24 +510,22 @@ def cmd_report(args) -> int:
     if not os.path.exists(path):
         print(f"missing {path}", file=sys.stderr)
         return 1
-    table = aggregate_seeds(_parse_summary(path))
-
-    baseline = table.get("naive_ft")
-    deltas = {}
+    rows, cells = _parse_summary(path)
+    table = aggregate_seeds(rows)
+    # each protocol against naive_ft seed by seed, over the seeds both have ok rows for
+    base = {seed: values for name, seed, values in rows if name == "naive_ft"}
+    diffs = [(name, seed, {m: values[m] - base[seed][m] for m in METRICS})
+             for name, seed, values in rows if name != "naive_ft" and seed in base]
+    deltas = aggregate_seeds(diffs)
+    for name, seed, diff in diffs:
+        deltas[name].setdefault("per_seed", {})[seed] = {m: diff[m] for m in deltas[name]
+                                                         if m in METRICS}
     best_delta = {}
-    if baseline is not None:
-        for name in table:
-            if name == "naive_ft":
-                continue
-            deltas[name] = {
-                m: table[name][m]["mean"] - baseline[m]["mean"]
-                for m in METRICS if m in table[name] and m in baseline
-            }
-        for m in METRICS:
-            vals = {n: d[m] for n, d in deltas.items() if m in d}
-            if vals:
-                best = max(vals, key=vals.get)
-                best_delta[m] = {"protocol": best, "delta": vals[best]}
+    for m in METRICS:
+        vals = {n: d[m]["mean"] for n, d in deltas.items() if m in d}
+        if vals:
+            best = max(vals, key=vals.get)
+            best_delta[m] = {"protocol": best, "delta": vals[best]}
 
     report = {"protocols": table, "delta_vs_naive_ft": deltas,
               "best_delta_vs_naive_ft": best_delta}
@@ -538,16 +534,21 @@ def cmd_report(args) -> int:
         json.dump(report, f, indent=2, sort_keys=True)
 
     width = max(len(n) for n in table) + 2
-    head = "protocol".ljust(width) + "".join(m.rjust(15) for m in METRICS)
-    print(head)
+    print("protocol".ljust(width) + "".join(m.rjust(15) for m in METRICS))
     for name, entry in table.items():
-        cells = ("%.4f" % entry[m]["mean"] if m in entry else "-" for m in METRICS)
-        print(name.ljust(width) + "".join(c.rjust(15) for c in cells))
+        shown = ("%.4f" % entry[m]["mean"] if m in entry else "-" for m in METRICS)
+        print(name.ljust(width) + "".join(c.rjust(15) for c in shown))
+    seeds = sorted({seed for _, seed in cells})
+    for name in dict.fromkeys(name for name, _ in cells):
+        missing = [s for s in seeds if cells.get((name, s)) != "ok"]
+        if missing:
+            print(f"note: {name} has no ok row for seed {', '.join(map(str, missing))}")
     if deltas:
-        print("\ndelta vs naive_ft (mean):")
+        print("\ndelta vs naive_ft (mean over the seeds both have ok rows for):")
         for name, d in deltas.items():
             if "overall" in d and "unseen" in d:
-                print(f"  {name}: overall {d['overall']:+.4f}, unseen {d['unseen']:+.4f}")
+                print(f"  {name}: overall {d['overall']['mean']:+.4f}, "
+                      f"unseen {d['unseen']['mean']:+.4f}")
     print(f"\nwritten: {out_path}")
     return 0
 

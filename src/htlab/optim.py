@@ -19,15 +19,18 @@ snapshot with fresh momentum buffers; the outer update carries no momentum.
 Displacements are summed in ascending subset order so results are bitwise
 reproducible regardless of how local runs are scheduled.
 
-The M local runs are independent, so a round trains them together: the
-snapshot is repeated on a leading run axis (see model.forward) and one
-stacked SGD step advances every run that is still training. Each run's
-minibatches are drawn before training starts, from the run's own stream.
-Runs whose retained subsets give the same batch size share one stack; in
-a stack the runs still training at step s are always a prefix, because
-the step allocation gives the remainder to the lowest indices. Every run
-goes through the same per-slice arithmetic as if it trained alone, so the
-result does not depend on this scheduling.
+The M local runs are independent, so a round trains them together as one
+stack, the snapshot repeated on a leading run axis (see model.forward).
+Each run's minibatches are drawn before training starts, from the run's
+own stream. Runs whose retained subsets give the same batch size share one
+stack; a run with no steps stays out of it, its row already the snapshot.
+
+Both trainers step through one loop, _train_steps, which trains the first
+A runs of the stack in place at each step. A never grows: in train_sgd it
+is S, and in a leave-out stack the runs still training are a prefix,
+because the step allocation gives the remainder to the lowest indices, so
+a finished run's row stays as its last step left it. Every run does the
+arithmetic of a run trained alone, whatever this scheduling.
 
 Compute budget: one round spends round(M * local_budget * E) minibatches,
 where E = ceil(N / batch) is the per-epoch minibatch count, split as evenly
@@ -118,22 +121,35 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfi
     return params
 
 
-def _train_batch(work: ModelParams, X, y, loss: CompositeLoss, cfg: SgdConfig,
-                 mask: FreezeMask, state: dict):
-    """One SGD step on a batch stack; returns the (M,) array of per-run
-    losses. `state` keeps the momentum and the buffers forward, backward
-    and sgd_step reuse from step to step."""
-    trace = forward(work, X, mode="train", update_stats=mask.bn_stats, scratch=state)
-    breakdown, grad_logits, grad_features = loss(trace, y)
-    grads = backward(work, trace, grad_logits, mask, grad_at_features=grad_features,
-                     scratch=state)
-    sgd_step(work, grads, state, cfg, mask)
-    return breakdown.total
+def _train_steps(work: ModelParams, dataset: Dataset, steps, loss: CompositeLoss,
+                 cfg: SgdConfig, mask: FreezeMask, state: dict, on_step=None) -> list:
+    """The one training loop: an SGD step on the (S, P) stack `work`, in
+    place, per (A, b) array of `steps`, whose row a is run a's batch of
+    dataset rows. The first A is S and A never grows; a step trains
+    work.flat[:A], so the rows past it keep what their last step left.
+    Returns each step's LossBreakdown. `state` keeps the momentum and the
+    buffers forward, backward and sgd_step reuse; on_step(work) follows
+    every step."""
+    out, run = [], work
+    for idx in steps:
+        if len(idx) < len(run.flat):  # the runs past len(idx) have finished
+            run = ModelParams.from_flat(work.spec, work.flat[:len(idx)])
+            state["velocity"] = ModelParams.from_flat(work.spec,
+                                                      state["velocity"].flat[:len(idx)])
+        trace = forward(run, dataset.X[idx], mode="train", update_stats=mask.bn_stats,
+                        scratch=state)
+        breakdown, grad_logits, grad_features = loss(trace, dataset.y[idx])
+        grads = backward(run, trace, grad_logits, mask, grad_at_features=grad_features,
+                         scratch=state)
+        sgd_step(run, grads, state, cfg, mask)
+        out.append(breakdown)
+        if on_step is not None:
+            on_step(work)
+    return out
 
 
 def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
-              cfg: SgdConfig, mask: FreezeMask, rngs: Sequence[Rng], on_epoch=None,
-              on_step=None):
+              cfg: SgdConfig, mask: FreezeMask, rngs: Sequence[Rng], on_epoch, on_step=None):
     """Minibatch SGD over per-epoch reshuffles of `dataset`, for the S runs
     of (S, P) params, one of `rngs` per run: each run reshuffles from its
     own stream and the S runs take every step together, each slice bitwise
@@ -152,18 +168,13 @@ def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     n = len(dataset)
     for epoch in range(cfg.epochs):
         order = np.stack([r.derive(f"epoch-{epoch}").permutation(n) for r in rngs])
-        totals, count = [0.0] * len(rngs), 0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[:, lo:lo + cfg.batch_size]
-            batch_loss = _train_batch(work, dataset.X[idx], dataset.y[idx],
-                                      loss, cfg, mask, state)
+        steps = [order[:, lo:lo + cfg.batch_size] for lo in range(0, n, cfg.batch_size)]
+        totals = [0.0] * len(rngs)
+        for idx, step in zip(steps, _train_steps(work, dataset, steps, loss, cfg, mask,
+                                                 state, on_step)):
             # Python floats round as f64 array ops do, at less cost per step
-            totals = [t + b * idx.shape[1] for t, b in zip(totals, batch_loss.tolist())]
-            count += idx.shape[1]
-            if on_step is not None:
-                on_step(work)
-        if on_epoch is not None:
-            on_epoch(epoch, work, np.array(totals) / count)
+            totals = [t + b * idx.shape[1] for t, b in zip(totals, step.total.tolist())]
+        on_epoch(epoch, work, np.array(totals) / n)
     return work
 
 
@@ -211,29 +222,17 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
 
     snapshot, spec = params, params.spec
     local = np.repeat(snapshot.flat.reshape(1, -1), lol.subsets, axis=0)
-    losses = [[] for _ in range(lol.subsets)]
-    for size in sorted({b.shape[1] for b in batches}):
-        runs = [m for m in range(lol.subsets) if batches[m].shape[1] == size]
+    losses = []  # (m, loss) per local step; a stable sort on m gives the sink's order
+    for size in sorted({b.shape[1] for b in batches if len(b)}):
+        runs = [m for m, b in enumerate(batches) if len(b) and b.shape[1] == size]
         work = ModelParams.from_flat(spec, local[runs])
         scratch.pop("velocity", None)  # each local run starts without momentum
-        active = len(runs)
-        for s in range(steps[runs[0]]):
-            trained = sum(1 for m in runs if steps[m] > s)  # a prefix of `runs`
-            if trained < active:
-                local[runs[trained:active]] = work.flat[trained:]
-                work = ModelParams.from_flat(spec, work.flat[:trained])
-                if "velocity" in scratch:
-                    scratch["velocity"] = ModelParams.from_flat(
-                        spec, scratch["velocity"].flat[:trained])
-                active = trained
-            idx = np.stack([batches[m][s] for m in runs[:active]])
-            batch_losses = _train_batch(work, dataset.X[idx], dataset.y[idx],
-                                        loss, cfg, mask, scratch)
-            for m, batch_loss in zip(runs[:active], batch_losses.tolist()):
-                losses[m].append(batch_loss)
-        local[runs[:active]] = work.flat
-    for run_losses in losses:
-        loss_sink.extend(run_losses)
+        group = [np.stack([batches[m][s] for m in runs if steps[m] > s])
+                 for s in range(steps[runs[0]])]
+        for step in _train_steps(work, dataset, group, loss, cfg, mask, scratch):
+            losses += zip(runs, step.total.tolist())
+        local[runs] = work.flat
+    loss_sink.extend(run_loss for _, run_loss in sorted(losses, key=lambda ml: ml[0]))
     d = np.subtract(snapshot.flat, local, out=local)
     total = d[0]
     for m in range(1, lol.subsets):  # ascending m, one run at a time
@@ -244,12 +243,12 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
 
 def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rngs: Sequence[Rng],
-                 on_round=None):
+                 on_epoch):
     """Iterated leave-out rounds for the one run of (1, P) params, with a
     one-Rng `rngs`. With the default budget one round costs one epoch of
     minibatches, so the default `rounds = epochs` spends the same compute
-    as train_sgd. Returns the trained (1, P) params; `on_round` is called
-    as on_round(round, params, round_loss) after every round, with the (1,)
+    as train_sgd. Returns the trained (1, P) params; `on_epoch` is called
+    as on_epoch(round, params, round_loss) after every round, with the (1,)
     mean of the round's local minibatch losses."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -261,8 +260,7 @@ def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
         sink: list = []
         work = lolsgd_round(work, dataset, loss, cfg, lol, mask,
                             rngs[0].derive(f"round-{r}"), sink, scratch)
-        if on_round is not None:
-            on_round(r, work, np.mean(sink, keepdims=True))
+        on_epoch(r, work, np.mean(sink, keepdims=True))
     return work
 
 

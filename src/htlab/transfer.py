@@ -22,7 +22,7 @@ its tasks by the same rule.
 A run is its final params and a per-epoch evaluation curve whose entry 0
 is the source model itself, so curves from different protocols share an
 x-axis. Each epoch's (or round's) training loss reaches run_protocol only
-through the trainers' on_epoch/on_round hooks, for the check below.
+through the trainers' one on_epoch hook, for the check below.
 
 Training that diverges fails loudly: params and the epoch (or round) loss
 are checked for finite values at every epoch boundary of pretrain_source
@@ -316,7 +316,7 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
                     phase_rngs = [rng.derive(label) for rng in rngs]
                     if preset.step == "lol":
                         work = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
-                                            mask, phase_rngs, on_round=on_epoch)
+                                            mask, phase_rngs, on_epoch=on_epoch)
                     else:
                         work = train_sgd(work, target_train, loss, cfg, mask, phase_rngs,
                                          on_epoch=on_epoch,

@@ -1030,10 +1030,49 @@ def test_report_means_variances_and_deltas(tmp_path, capsys):
 
     naive = mean_of("naive_ft", "unseen")
     frozen = mean_of("frozen_ft", "unseen")
-    got = report["delta_vs_naive_ft"]["frozen_ft"]["unseen"]
-    assert abs(got - (frozen - naive)) < 1e-15
+    delta = report["delta_vs_naive_ft"]["frozen_ft"]
+    assert abs(delta["unseen"]["mean"] - (frozen - naive)) < 1e-15
+    # the per-seed differences the mean is taken over, by seed
+    assert delta["seeds"] == [0, 1, 2]
+    cell = {(r["protocol"], r["seed"]): float(r["unseen"]) for r in rows}
+    assert sorted(delta["per_seed"]) == ["0", "1", "2"]  # JSON keys are strings
+    for s in "012":
+        assert delta["per_seed"][s]["unseen"] == cell["frozen_ft", s] - cell["naive_ft", s]
     assert report["protocols"]["naive_ft"]["seeds"] == [0, 1, 2]
     assert "variance" in report["protocols"]["naive_ft"]["overall"]
+
+
+def test_report_pairs_each_delta_by_seed_and_notes_a_missing_seed(tmp_path, capsys):
+    # configs/reference.ini's naive_ft and sgd_distill cells, with sgd_distill
+    # seed 2 rewritten as FAILED: the delta is the mean over seeds 0 and 1 of
+    # the per-seed differences, 0.14125 in overall, not the mean over seeds
+    # 0 and 1 minus naive_ft's mean over all three seeds (0.145417)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read(os.path.join(REPO, "configs", "reference.ini"))
+    out = str(tmp_path / "results")
+    cp["protocols"]["names"] = "naive_ft,sgd_distill"
+    cp["run"].update(output_dir=out, ensembles="false")
+    path = str(tmp_path / "reference.ini")
+    with open(path, "w") as f:
+        cp.write(f)
+    assert main(["run", "--config", path]) == 0
+    _rewrite_summary(out, lambda ls: [
+        ln.replace("ok,", "FAILED,", 1) if ",sgd_distill,2," in ln else ln for ln in ls])
+    capsys.readouterr()
+    assert main(["report", out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    with open(os.path.join(out, "report.json")) as f:
+        report = json.load(f)
+    delta = report["delta_vs_naive_ft"]["sgd_distill"]
+    assert delta["seeds"] == [0, 1] and sorted(delta["per_seed"]) == ["0", "1"]
+    assert abs(delta["overall"]["mean"] - 0.14125) < 1e-12
+    assert report["best_delta_vs_naive_ft"]["overall"] == {
+        "protocol": "sgd_distill", "delta": delta["overall"]["mean"]}
+    assert [ln for ln in printed if ln.startswith("note:")] == [
+        "note: sgd_distill has no ok row for seed 2"]
+    # 0.14125 prints as either neighbour, as the order of operations rounds it
+    [line] = [ln for ln in printed if ln.startswith("  sgd_distill:")]
+    assert line.split()[2] in ("+0.1412,", "+0.1413,")
 
 
 def test_report_single_seed_omits_variance(tmp_path):

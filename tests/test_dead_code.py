@@ -15,6 +15,9 @@ loaded as a bare name, or used as an attribute.
 
 A name an import binds must be read somewhere in its module, as a bare
 name; `from __future__` imports bind nothing and are skipped.
+
+The package has one trainer loop: `sgd_step` and a `forward` in any mode
+but "eval" are each called from one function only, optim._train_steps.
 """
 
 import ast
@@ -73,15 +76,21 @@ def _constants(tree) -> list:
     return names
 
 
-def unreferenced(src: str = SRC) -> list:
-    """Qualified names of the functions and methods under `src` that
-    nothing there references outside their own bodies, and of the
-    module-level constants nothing there reads."""
+def _trees(src: str) -> dict:
+    """The parsed module of each .py file under `src`, by module name."""
     trees = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as f:
                 trees[name[:-3]] = ast.parse(f.read(), filename=name)
+    return trees
+
+
+def unreferenced(src: str = SRC) -> list:
+    """Qualified names of the functions and methods under `src` that
+    nothing there references outside their own bodies, and of the
+    module-level constants nothing there reads."""
+    trees = _trees(src)
     uses: dict = {}
     for tree in trees.values():
         for name in _referenced(tree):
@@ -107,6 +116,43 @@ def test_every_function_is_reached_from_the_package():
 def test_keep_set_names_existing_unreferenced_code():
     # an entry whose code is now called, or gone, is dropped from KEEP
     assert set(KEEP) <= set(unreferenced())
+
+
+def _training_calls(node) -> list:
+    """The name of each call under `node` that takes a training step: each
+    sgd_step call, and each forward call given a mode other than "eval"."""
+    out = []
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        mode = [k.value for k in call.keywords if k.arg == "mode"] + call.args[2:3]
+        if name == "sgd_step" or name == "forward" and mode and not (
+                isinstance(mode[0], ast.Constant) and mode[0].value == "eval"):
+            out.append(name)
+    return out
+
+
+def training_callers(src: str = SRC) -> dict:
+    """For "sgd_step" and the non-eval "forward", the qualified name of
+    each function or method under `src` that calls it, once per call; a
+    call outside every function counts under its module's name."""
+    callers: dict = {}
+    for module, tree in _trees(src).items():
+        rest = _training_calls(tree)
+        for qualname, node in _defs(module, tree):
+            for name in _training_calls(node):
+                callers.setdefault(name, []).append(qualname)
+                rest.remove(name)
+        for name in rest:
+            callers.setdefault(name, []).append(module)
+    return callers
+
+
+def test_one_function_runs_the_training_step():
+    # a second trainer loop would call these from a second function
+    assert training_callers() == {"sgd_step": ["optim._train_steps"],
+                                  "forward": ["optim._train_steps"]}
 
 
 def unused_imports(paths) -> list:

@@ -23,7 +23,7 @@ from htlab.model import (
     recompute_bn_stats,
 )
 from htlab.numkit import Rng
-from htlab.optim import SgdConfig, _train_batch, train_sgd
+from htlab.optim import SgdConfig, _train_steps, train_sgd
 
 _ROW = np.s_[..., None, :]
 
@@ -230,10 +230,11 @@ def test_train_batch_matches_per_key_reference_bitwise(model, mask_name, loss_na
     work = ModelParams(spec, {k: np.stack([s[k] for s in starts]) for k in src.keys()})
     ref = {k: work[k].copy() for k in work.keys()}
     state, ref_state = {}, {}
-    rng = Rng(9)
+    rng, data = Rng(9), Dataset(X, y, spec.layer_widths[-1])
     for step in range(50):
         idx = np.stack([rng.choice(len(y), size=16) for _ in range(runs)])
-        got = _train_batch(work, X[idx], y[idx], loss, cfg, mask, state)
+        [got] = _train_steps(work, data, [idx], loss, cfg, mask, state)
+        got = got.total
         want = _ref_step(spec, ref, X[idx], y[idx], loss_spec, src, seen, cfg, mask, ref_state)
         assert np.array_equal(got, want), step
     _compare(spec, work, ref, state, ref_state, mask, "after 50 steps")
@@ -298,14 +299,17 @@ def test_values_stay_views_of_the_buffer(stacked):
     p = init_model(spec, Rng(3))
     if stacked:
         p = ModelParams(spec, {k: np.stack([p[k], 2 * p[k]]) for k in p.keys()})
-        X, y = np.stack([X[:16], X[16:32]]), np.stack([y[:16], y[16:32]])
+        idx = np.arange(32).reshape(2, 16)
     else:
-        X, y = X[:16], y[:16]
+        idx = np.arange(16)
     running = p["bn.0.mean"].copy()
-    forward(p, X, mode="train")  # a BN running-statistics update
+    forward(p, X[idx], mode="train")  # a BN running-statistics update
     assert not np.array_equal(p["bn.0.mean"], running)
     _assert_views(p)
-    _train_batch(p, X, y, CompositeLoss(LossSpec()), SgdConfig(weight_decay=0.01),
+    # one training step on p as a stack: p itself, or a one-row view of its buffer
+    stack = p if stacked else ModelParams.from_flat(spec, p.flat[None])
+    _train_steps(stack, Dataset(X, y, 5), [idx.reshape(len(stack.flat), -1)],
+                 CompositeLoss(LossSpec()), SgdConfig(weight_decay=0.01),
                  FreezeMask.all_trainable(), {})
     _assert_views(p)
     if not stacked:

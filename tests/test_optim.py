@@ -22,7 +22,7 @@ from htlab.optim import (
     SgdConfig,
     SwaConfig,
     _round_step_allocation,
-    _train_batch,
+    _train_steps,
     lolsgd_round,
     sgd_step,
     train_lolsgd,
@@ -46,6 +46,10 @@ def _toy_dataset(n_per=20, dim=4, classes=3, sep=6.0, seed=70):
 def _one_row(params):
     """`params` as a stack of one run, (1, P), as the trainers take it."""
     return ModelParams.from_flat(params.spec, params.flat[None].copy())
+
+
+def _no_hook(epoch, params, epoch_loss):
+    pass
 
 
 def _grads_for(params, X, y, mask=None, update_stats=False):
@@ -170,7 +174,8 @@ def test_train_sgd_freeze_commutes_with_training():
     params = _one_row(init_model(SPEC, Rng(79)))
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.1, epochs=4, batch_size=8, weight_decay=1e-3)
-    out = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.frozen_classifier(), [Rng(7)])
+    out = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.frozen_classifier(), [Rng(7)],
+                    on_epoch=_no_hook)
     assert np.array_equal(out["layers.1.W"], params["layers.1.W"])
     assert np.array_equal(out["layers.1.b"], params["layers.1.b"])
     assert not np.array_equal(out["layers.0.W"], params["layers.0.W"])
@@ -235,9 +240,9 @@ def test_lolsgd_deterministic_per_seed():
     lol = LolConfig(subsets=5, leave_k=1)
     ca, cb = [], []
     a = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), [Rng(12)],
-                     on_round=lambda r, p, loss: ca.append(loss.tolist()))
+                     on_epoch=lambda r, p, loss: ca.append(loss.tolist()))
     b = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), [Rng(12)],
-                     on_round=lambda r, p, loss: cb.append(loss.tolist()))
+                     on_epoch=lambda r, p, loss: cb.append(loss.tolist()))
     assert len(ca) == cfg.epochs and ca == cb
     for k in a.keys():
         assert np.array_equal(a[k], b[k])
@@ -250,6 +255,7 @@ def test_lolsgd_budget_matches_sgd():
     lol = LolConfig(subsets=10, leave_k=1)
     count = {"sgd": 0}
     train_sgd(_one_row(params), ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(13)],
+              on_epoch=_no_hook,
               on_step=lambda p: count.__setitem__("sgd", count["sgd"] + 1))
     # the rounds train_lolsgd runs by default (one per sgd epoch); the sink
     # gets one loss per local minibatch
@@ -263,8 +269,9 @@ def test_lolsgd_budget_matches_sgd():
 
 
 def _sequential_round(params, ds, loss, cfg, lol, mask, rng):
-    """A leave-out round with each local run trained alone on 2-D params, in
-    ascending m: the reference the stacked round must match bitwise.
+    """A leave-out round with each local run trained alone as a one-row
+    stack, one step at a time, in ascending m: the reference the stacked
+    round must match bitwise.
     Returns (params, local minibatch losses in run order, the batch size of
     each run that trained)."""
     classes = ds.classes_present()
@@ -277,14 +284,15 @@ def _sequential_round(params, ds, loss, cfg, lol, mask, rng):
             drop = classes[sub_rng.derive("drop").choice(classes.size, size=lol.leave_k,
                                                          replace=False)]
             keep = np.flatnonzero(~np.isin(ds.y, drop))
-        local, state = params.clone(), {}
+        local, state = _one_row(params), {}
         batch_rng = sub_rng.derive("batches")
         size = min(cfg.batch_size, len(keep))
         sizes += [size] if steps[m] else []
         for _ in range(steps[m]):
             idx = keep[batch_rng.choice(len(keep), size=size, replace=False)]
-            sink.append(_train_batch(local, ds.X[idx], ds.y[idx], loss, cfg, mask, state))
-        delta = {k: params[k] - local[k] for k in params.keys()}
+            [step] = _train_steps(local, ds, [idx[None]], loss, cfg, mask, state)
+            sink.append(step.total.item())
+        delta = {k: params[k] - local[k][0] for k in params.keys()}
         deltas = delta if deltas is None else {k: deltas[k] + delta[k] for k in deltas}
     out = params_axpy(1.0, params, -lol.outer_step / lol.subsets,
                       ModelParams(params.spec, deltas))
@@ -368,6 +376,41 @@ def test_lolsgd_stacked_round_matches_sequential_runs_bitwise(case):
         params = out
     # runs of different batch sizes trained in the same round
     assert ("ragged" in exercises) == (len(sizes) > 1)
+
+
+def test_train_steps_shrinking_prefix_matches_each_run_trained_alone():
+    # three runs step as a stack of A = 3, 3, 2, 1 under distillation and
+    # the rank term, with momentum and weight decay, so the velocity is
+    # trimmed with the stack and the BN running statistics are updated
+    spec, cfg = _TANH_BN, SgdConfig(lr=0.05, momentum=0.9, weight_decay=1e-3)
+    ds = _toy_dataset(n_per=12, dim=spec.dim, classes=4)
+    seen = np.arange(spec.layer_widths[-1]) < 2
+    loss = CompositeLoss(_BOTH, init_model(spec, Rng(91)), seen)
+    mask = FreezeMask.all_trainable()
+    rng = Rng(94)
+    steps = [np.stack([rng.choice(len(ds), size=8, replace=False) for _ in range(a)])
+             for a in (3, 3, 2, 1)]
+    starts = [init_model(spec, Rng(95 + r)) for r in range(3)]
+    work = ModelParams.from_flat(spec, np.stack([start.flat for start in starts]))
+    after: list = []  # the whole stack after each step
+    got = _train_steps(work, ds, steps, loss, cfg, mask, {},
+                       on_step=lambda w: after.append(w.flat.copy()))
+    assert [len(step.total) for step in got] == [3, 3, 2, 1]
+    for step in got:  # the terms sum to the total with the configured weights
+        assert np.array_equal(step.total, step.ce + _BOTH.lambda_distill * step.distill
+                              + _BOTH.rank_sign * _BOTH.lambda_rank * step.rank)
+    for r, start in enumerate(starts):
+        alone, alone_after = _one_row(start), []
+        own = [idx[r:r + 1] for idx in steps if len(idx) > r]
+        want = _train_steps(alone, ds, own, loss, cfg, mask, {},
+                            on_step=lambda w: alone_after.append(w.flat[0].copy()))
+        for j, (g, w) in enumerate(zip(got, want)):
+            for term in ("ce", "distill", "rank", "total"):
+                assert getattr(g, term)[r] == getattr(w, term)[0], (r, j, term)
+        # after its last step the run's row stays as that step left it
+        for j, stack in enumerate(after):
+            assert np.array_equal(stack[r], alone_after[min(j, len(own) - 1)]), (r, j)
+        assert np.array_equal(work.flat[r], alone.flat[0]), r
 
 
 def test_lolsgd_zero_lr_local_runs_leave_params_fixed():
@@ -469,8 +512,8 @@ def test_trainers_take_a_run_stack_and_one_rng_per_run():
     ds, cfg, mask = _toy_dataset(), SgdConfig(epochs=1), FreezeMask.all_trainable()
     for bad_params, rngs in ((params, [Rng(1)]), (_one_row(params), [Rng(1), Rng(2)])):
         with pytest.raises(ValueError, match="train_sgd takes"):
-            train_sgd(bad_params, ds, PLAIN_LOSS, cfg, mask, rngs)
+            train_sgd(bad_params, ds, PLAIN_LOSS, cfg, mask, rngs, _no_hook)
     two_runs = ModelParams.from_flat(SPEC, np.stack([params.flat, params.flat]))
     with pytest.raises(ValueError, match="train_lolsgd takes"):
         train_lolsgd(two_runs, ds, PLAIN_LOSS, cfg, LolConfig(leave_k=1), mask,
-                     [Rng(1), Rng(2)])
+                     [Rng(1), Rng(2)], _no_hook)
