@@ -21,9 +21,10 @@ CSV schemas. curves.csv: scenario_id, protocol, seed, epoch, overall, seen,
 unseen, seen_chopped, fnr, effective_rank, sv_1..sv_k. summary.csv: the
 same columns minus epoch, plus a leading status column ("ok" or "FAILED");
 when ensembles are enabled each trained protocol also gets rows named
-<protocol>+SE@0.5 and <protocol>+WiSE@0.5. Floats are serialized with 17
-significant digits so round-trips are exact; absent values are written as
-nan. Exit codes: 0 success, 1 validation error, 2 runtime failure.
+<protocol>+SE@0.5 and <protocol>+WiSE@0.5, FAILED when the protocol's row
+of that seed is. Floats are serialized with 17 significant digits so
+round-trips are exact; absent values are written as nan. Exit codes: 0
+success, 1 validation error, 2 runtime failure.
 
 The source model is trained once per seed and cached as a checkpoint in
 the output directory (source_seed<seed>.ckpt); every protocol for that seed
@@ -37,17 +38,18 @@ retrained and overwritten, with a note on stderr. A checkpoint is
 written beside its name and renamed over it, so a run killed while writing
 leaves no partial file under the name.
 
-A task is a protocol and the seeds that train together, at any --jobs
-(transfer.Protocol.seed_groups): all the seeds of an SGD-trained protocol,
-which train stacked, or one seed of a leave-out protocol or bn_stats_only.
-A seed that fails leaves its stack-mates' rows as they would be without
-it. With --jobs N the tasks run in min(N, tasks) spawned worker processes,
-or in this one when that is 1. The workers start together; once spawned,
-each reads the scenario and the source params once from a queue, and each
-task carries only its protocol and seeds. Workers start with
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
-max(1, usable CPUs // workers), unless the caller set them. Rows are merged
-in configured order, so the output is byte-identical at every --jobs.
+A task is a protocol and the seeds that train together as one stack, one
+run_protocol call, at any --jobs (transfer.Protocol.seed_groups): all the
+seeds of a protocol, bn_stats_only's included, or one seed of a leave-out
+protocol. A seed whose pretrain diverged is in no task; a seed that fails
+in a task leaves its stack-mates' rows as they would be without it. With
+--jobs N the tasks run in min(N, tasks) spawned worker processes, or in
+this one when that is 1. The workers start together; once spawned, each
+reads the scenario and the source params once from a queue, and each task
+carries only its protocol and seeds. Workers start with
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1, unless
+the caller set them. Rows are merged in configured order, so the output is
+byte-identical at every --jobs.
 """
 
 from __future__ import annotations
@@ -269,35 +271,19 @@ def _share_from(queue):
 def _cell(task):
     """The runs of one task, a protocol and the seeds it covers, over the
     _SHARED state: per seed its TransferRun or the exception it failed
-    with. Module-level so worker processes can run it."""
+    with; a fault of the task as a whole raises. Module-level so worker
+    processes can run it."""
     protocol, seeds = task
     scenario, sources = _SHARED["scenario"], _SHARED["sources"]
-    # a seed whose pretrain diverged has that error in place of a source
-    trained = [s for s in seeds if not isinstance(sources[s], DivergenceError)]
-    try:
-        runs = run_protocol(scenario.target_train, scenario.target_test,
-                            scenario.seen_mask, [sources[s] for s in trained], protocol,
-                            trained, toxicity=scenario.toxicity,
-                            k_spectrum=_SHARED["k_spectrum"])
-    except Exception as e:  # noqa: BLE001 - fails every seed it trains
-        runs = [e] * len(trained)
-    done = dict(zip(trained, runs))
-    return [done.get(s, sources[s]) for s in seeds]
+    return run_protocol(scenario.target_train, scenario.target_test, scenario.seen_mask,
+                        [sources[s] for s in seeds], protocol, seeds,
+                        toxicity=scenario.toxicity, k_spectrum=_SHARED["k_spectrum"])
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_env(environ, jobs: int, tasks: int, usable_cpus: int) -> dict:
-    """The BLAS thread variables each of the min(jobs, tasks) pool workers
-    starts with: the usable CPUs split evenly over the workers, at least 1
+def _worker_env(environ) -> dict:
+    """The BLAS thread variables each pool worker starts with: one thread
     each. A variable already set in `environ` is left to its caller's value."""
-    threads = str(max(1, usable_cpus // min(jobs, tasks)))
-    return {v: threads for v in _BLAS_THREAD_VARS if v not in environ}
+    return {v: "1" for v in _BLAS_THREAD_VARS if v not in environ}
 
 
 @contextmanager
@@ -323,7 +309,7 @@ def _run_tasks(tasks: list, jobs: int, shared: tuple) -> list:
             return e
 
     workers = min(jobs, len(tasks))
-    if workers == 1:
+    if workers <= 1:  # none when every seed's pretrain diverged
         _share(*shared)
         try:
             return [attempt(_cell, t) for t in tasks]
@@ -336,7 +322,7 @@ def _run_tasks(tasks: list, jobs: int, shared: tuple) -> list:
     # in each worker's bootstrap pipe, and past the pipe's capacity `submit`
     # blocks until that worker has imported htlab, so workers start in turn
     queue = spawn.Queue()
-    with (_added_env(_worker_env(os.environ, jobs, len(tasks), _usable_cpus())),
+    with (_added_env(_worker_env(os.environ)),
           ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
                               initializer=_share_from, initargs=(queue,)) as pool):
         futures = [pool.submit(_cell, t) for t in tasks]
@@ -375,9 +361,9 @@ def cmd_run(args) -> int:
             f"must be below the {n_classes} classes of the target training split")))
     os.makedirs(out_dir, exist_ok=True)
 
-    # one cached source model per seed (or the error its pretrain diverged
-    # with); every protocol starts from it
-    sources = {}
+    # one cached source model per seed, which every protocol starts from,
+    # or the error its pretrain diverged with
+    sources, diverged = {}, {}
     for seed in cfg["seeds"]:
         ckpt = os.path.join(out_dir, f"source_seed{seed}.ckpt")
         key = _source_key(scenario, spec, cfg["pretrain"], seed)
@@ -392,19 +378,23 @@ def cmd_run(args) -> int:
                                             Rng(seed).derive("source"))
         except DivergenceError as e:
             print(f"runtime failure: {e}", file=sys.stderr)
-            sources[seed] = e
+            diverged[seed] = e
             continue
         save_checkpoint(sources[seed], ckpt, key)
 
     k = cfg["k_spectrum"]
     sv_count = min(k, len(scenario.target_test), spec.layer_widths[-2])
     tasks = [(proto, tuple(group)) for proto in protocols
-             for group in proto.seed_groups(cfg["seeds"])]
-    # per cell, in configured order: seed_groups keeps the seeds' order, and
-    # a task that failed as a whole fails each of its seeds
-    results = _run_tasks(tasks, args.jobs, (scenario, sources, k))
-    cells = [(proto, seed, runs if isinstance(runs, Exception) else runs[j])
-             for (proto, seeds), runs in zip(tasks, results) for j, seed in enumerate(seeds)]
+             for group in proto.seed_groups(list(sources))]  # the pretrained seeds, in order
+    # per (protocol, seed): its run or the error it failed with; a task that
+    # failed as a whole fails each of its seeds
+    runs = {}
+    for (proto, seeds), result in zip(tasks, _run_tasks(tasks, args.jobs,
+                                                        (scenario, sources, k))):
+        for j, seed in enumerate(seeds):
+            runs[proto.kind, seed] = result if isinstance(result, Exception) else result[j]
+    cells = [(proto, seed, runs[proto.kind, seed] if seed in sources else diverged[seed])
+             for proto in protocols for seed in cfg["seeds"]]
 
     sv_columns = [f"sv_{i+1}" for i in range(sv_count)]
     curve_lines = [",".join(CURVE_COLUMNS + sv_columns)]
@@ -417,22 +407,24 @@ def cmd_run(args) -> int:
     # the test set of the ensemble rows
     test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
     for proto, seed, run in cells:
+        # the cell's summary rows: its own, then its SE and WiSE ensembles'
+        names = [proto.kind]
+        if cfg["ensembles"] and proto.kind != "source_only":
+            names += [f"{proto.kind}+{e}@{ENSEMBLE_ALPHA:g}" for e in ("SE", "WiSE")]
         if isinstance(run, Exception):
             failed.append((proto.kind, seed, str(run)))
-            summary_lines.append("FAILED," + row(proto.kind, seed))
+            summary_lines += ["FAILED," + row(name, seed) for name in names]
             continue
         curve_lines += [row(proto.kind, seed, epoch, rep=rep)
                         for epoch, rep in enumerate(run.curve)]
-        summary_lines.append("ok," + row(proto.kind, seed, rep=run.curve[-1]))
-        if cfg["ensembles"] and proto.kind != "source_only":
+        reports = [run.curve[-1]]
+        if len(names) > 1:
             src = sources[seed]
             probs = se_predict(src, run.final_params, scenario.target_test.X,
                                ENSEMBLE_ALPHA)
-            summary_lines.append("ok," + row(f"{proto.kind}+SE@{ENSEMBLE_ALPHA:g}", seed,
-                                             rep=report_from_scores(probs, test)))
             merged = wise_merge(src, run.final_params, ENSEMBLE_ALPHA)
-            summary_lines.append("ok," + row(f"{proto.kind}+WiSE@{ENSEMBLE_ALPHA:g}", seed,
-                                             rep=evaluate(merged, test, k)))
+            reports += [report_from_scores(probs, test), evaluate(merged, test, k)]
+        summary_lines += ["ok," + row(name, seed, rep=rep) for name, rep in zip(names, reports)]
 
     with open(os.path.join(out_dir, "curves.csv"), "w", newline="") as f:
         f.write("\n".join(curve_lines) + "\n")
@@ -573,8 +565,8 @@ def make_parser():
     r.add_argument("--out", default=None, help="override the configured output dir")
     r.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="run the tasks in up to N spawned worker processes, each with "
-                        "usable CPUs // workers BLAS threads unless the *_NUM_THREADS "
-                        "variables are set; output is byte-identical to --jobs 1")
+                        "one BLAS thread unless the *_NUM_THREADS variables are set; "
+                        "output is byte-identical to --jobs 1")
     r.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="aggregate a results directory")

@@ -208,13 +208,10 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     batches = []
     for m in range(lol.subsets):
         sub_rng = rng.derive(f"subset-{m}")
-        if lol.leave_k > 0:
-            dropped = np.zeros(dataset.num_classes, dtype=bool)
-            dropped[classes[sub_rng.derive("drop").choice(classes.size, size=lol.leave_k,
-                                                          replace=False)]] = True
-            keep_idx = np.flatnonzero(~dropped[dataset.y])
-        else:
-            keep_idx = np.arange(len(dataset))
+        dropped = np.zeros(dataset.num_classes, dtype=bool)
+        dropped[classes[sub_rng.derive("drop").choice(classes.size, size=lol.leave_k,
+                                                      replace=False)]] = True
+        keep_idx = np.flatnonzero(~dropped[dataset.y])
         batch_rng = sub_rng.derive("batches")
         n_m, size = len(keep_idx), min(cfg.batch_size, len(keep_idx))
         batches.append(np.array([keep_idx[batch_rng.choice(n_m, size=size, replace=False)]

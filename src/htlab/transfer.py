@@ -11,22 +11,22 @@ their freeze masks, the loss terms carried, the inner step and whether the
 SWA tail average is deployed. One loop in run_protocol runs any preset.
 
 run_protocol takes one protocol and any number of seeds, each with its own
-source model, and trains every run as an (S, P) stack of params.
-Protocol.seed_groups says which seeds share a stack. An SGD preset's seeds
-are one stack, so one minibatch step serves them all; each seed's slice
+source model, and trains them as one (S, P) stack of params: one call is
+one stack, so one minibatch step serves all its seeds. Each seed's slice
 does the arithmetic of a run of its own, so its results are bitwise those
-of a one-seed call. A LOL preset's seeds (whose M local runs already fill
-the run axis) and bn_stats_only's are a one-row stack each. The CLI splits
-its tasks by the same rule.
+of a one-seed call. Which seeds share a call is the caller's rule,
+Protocol.seed_groups: all of them, except for a LOL preset, whose M local
+runs already fill the run axis, so its seeds are a call each.
 
 A run is its final params and a per-epoch evaluation curve whose entry 0
 is the source model itself, so curves from different protocols share an
 x-axis. Each epoch's (or round's) training loss reaches run_protocol only
-through the trainers' one on_epoch hook, for the check below.
+through the trainers' one on_epoch hook, for the check below; entry 0
+takes the same hook, called once before training.
 
 Training that diverges fails loudly: params and the epoch (or round) loss
 are checked for finite values at every epoch boundary of pretrain_source
-and run_protocol (and the source params before run_protocol starts), and
+and run_protocol (epoch 0 of run_protocol being the source params), and
 so is the Gram of the features every run_protocol evaluation takes, which
 can overflow while the params stay finite. pretrain_source raises the
 first failure as a DivergenceError; run_protocol returns it in place of
@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import Dataset, HTScenario, ToxicityMap
 from .losses import CompositeLoss, LossSpec
-from .metrics import EvalReport, EvalSet, evaluate
+from .metrics import EvalSet, evaluate
 from .model import (
     GROUPS,
     FreezeMask,
@@ -130,11 +130,12 @@ class Protocol:
         return _PRESETS[self.kind].step == "lol"
 
     def seed_groups(self, seeds: Sequence) -> list:
-        """`seeds` split, in order, into the groups that train as one stack:
-        all of them for an SGD preset, one each for the others."""
-        if _PRESETS[self.kind].step == "sgd":
-            return [list(seeds)] if seeds else []
-        return [[seed] for seed in seeds]
+        """`seeds` split, in order, into the groups that train as one stack,
+        one run_protocol call each: one seed each for a leave-out preset,
+        whose M local runs already fill the run axis, all of them otherwise."""
+        if self.local_sgd:
+            return [[seed] for seed in seeds]
+        return [list(seeds)] if seeds else []
 
     def effective_loss(self) -> LossSpec:
         """The protocol's loss weights with terms the kind does not carry
@@ -228,13 +229,14 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     and evaluation curve) or what it failed with: a DivergenceError once
     its params, epoch loss or evaluated features go non-finite, or another
     error its evaluation raised. The epoch losses feed that check alone. A
-    fault of the protocol as a whole, such as a model without the parts it
-    trains, raises.
+    fault of the call as a whole, such as a model without the parts the
+    protocol trains or more than one seed of a leave-out protocol, raises.
 
-    Each group of protocol.seed_groups trains as one (S, P) stack (see
-    optim.train_sgd), and each seed's slice does the arithmetic of a run of
-    its own, so every result is bitwise that of a one-seed call. A seed
-    fails alone: its slice keeps its place in the stack but is no longer
+    The seeds train as one (S, P) stack (see optim.train_sgd); which seeds
+    share a call is the caller's choice (Protocol.seed_groups). Each seed's
+    slice does the arithmetic of a run of its own, so every result is
+    bitwise that of a one-seed call. A seed fails alone, its source model
+    included: its slice keeps its place in the stack but is no longer
     checked or evaluated, and the others finish bitwise as if it were
     absent.
     """
@@ -251,87 +253,63 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     swa = protocol.swa
     fold_per_epoch = preset.swa and swa.cadence == "per_epoch"
     fold_per_step = preset.swa and swa.cadence == "per_iteration"
+    rngs = [Rng(seed).derive(f"protocol-{protocol.kind}") for seed in seeds]
+    loss = CompositeLoss(protocol.effective_loss(), sources, seen_mask)
+    tail = RunningAverage() if preset.swa else None
+    curves: list = [[] for _ in seeds]
+    errors: list = [None] * len(seeds)
+    done = -1  # epochs (or rounds) finished; the call before training is epoch 0
 
-    def report(epoch: int, params: ModelParams) -> EvalReport:
-        try:
-            return evaluate(params, test, k_spectrum, scratch)
-        except FloatingPointError:  # features too large to square, or not finite
-            raise DivergenceError(protocol.kind, epoch, "features") from None
+    def on_epoch(_epoch, params, epoch_loss):
+        nonlocal done
+        done += 1
+        if fold_per_epoch and done > swa.start_epoch:
+            tail.fold(params)
+        # the curve follows the deployable model: the tail average once
+        # it has started, the raw weights before that
+        deployed = tail.value() if tail is not None and tail.count else params
+        for j, (run, shown, run_loss) in enumerate(
+                zip(_rows(params), _rows(deployed), epoch_loss)):
+            if errors[j] is None:
+                try:
+                    _check_finite(protocol.kind, done, run, run_loss)
+                    curves[j].append(evaluate(shown, test, k_spectrum, scratch))
+                except FloatingPointError:  # features too large to square, or not finite
+                    errors[j] = DivergenceError(protocol.kind, done, "features")
+                except Exception as e:  # noqa: BLE001 - a seed fails alone
+                    errors[j] = e
+        if None not in errors:
+            raise _AllFailed
 
-    # per seed: its curve, entry 0 the source model, or the error it failed with
-    out: list = []
-    for source in sources:
-        try:
-            _check_finite(protocol.kind, 0, source)
-            with np.errstate(all="ignore"):  # as in training below
-                out.append([report(0, source)])
-        except Exception as e:  # noqa: BLE001 - a seed fails alone
-            out.append(e)
+    def on_step(params):
+        if done >= swa.start_epoch:
+            tail.fold(params)
 
-    def adapt(group: list) -> list:
-        """The TransferRun, or the error, of each seed at `group`, the
-        seeds trained as one stack."""
-        curves = [out[i] for i in group]
-        rngs = [Rng(seeds[i]).derive(f"protocol-{protocol.kind}") for i in group]
-        loss = CompositeLoss(protocol.effective_loss(), [sources[i] for i in group], seen_mask)
-        tail = RunningAverage() if preset.swa else None
-        errors: list = [None] * len(group)
-        done = 0  # epochs (or rounds) finished
-
-        def on_epoch(_epoch, params, epoch_loss):
-            nonlocal done
-            done += 1
-            if fold_per_epoch and done > swa.start_epoch:
-                tail.fold(params)
-            # the curve follows the deployable model: the tail average once
-            # it has started, the raw weights before that
-            deployed = tail.value() if tail is not None and tail.count else params
-            for j, (run, shown, run_loss) in enumerate(
-                    zip(_rows(params), _rows(deployed), epoch_loss)):
-                if errors[j] is None:
-                    try:
-                        _check_finite(protocol.kind, done, run, run_loss)
-                        curves[j].append(report(done, shown))
-                    except Exception as e:  # noqa: BLE001 - a seed fails alone
-                        errors[j] = e
-            if None not in errors:
-                raise _AllFailed
-
-        def on_step(params):
-            if done >= swa.start_epoch:
-                tail.fold(params)
-
-        work = _stack([sources[i] for i in group])
-        epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
-        try:
-            with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
-                for k, (label, mask) in enumerate(preset.phases):
-                    cfg = replace(protocol.sgd,
-                                  epochs=epochs * (k + 1) // n_phases - epochs * k // n_phases)
-                    if preset.step == "bn_stats":
-                        work = _stack([recompute_bn_stats(run, target_train)
-                                       for run in _rows(work)])
-                        on_epoch(0, work, [None] * len(group))  # no loss to check
-                        continue
-                    phase_rngs = [rng.derive(label) for rng in rngs]
-                    if preset.step == "lol":
-                        work = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
-                                            mask, phase_rngs, on_epoch=on_epoch)
-                    else:
-                        work = train_sgd(work, target_train, loss, cfg, mask, phase_rngs,
-                                         on_epoch=on_epoch,
-                                         on_step=on_step if fold_per_step else None)
-        except _AllFailed:
-            return errors
-        finals = _rows(tail.value() if tail is not None else work)
-        return [error if error is not None else TransferRun(final_params=final, curve=curve)
-                for error, final, curve in zip(errors, finals, curves)]
-
-    live = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
-    for group in protocol.seed_groups(live):
-        for i, run in zip(group, adapt(group)):
-            out[i] = run
-    return out
+    work = _stack(sources)
+    epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
+    try:
+        with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
+            on_epoch(None, work, [None] * len(seeds))  # entry 0; no loss to check
+            for k, (label, mask) in enumerate(preset.phases):
+                cfg = replace(protocol.sgd,
+                              epochs=epochs * (k + 1) // n_phases - epochs * k // n_phases)
+                if preset.step == "bn_stats":
+                    work = _stack([recompute_bn_stats(run, target_train) for run in _rows(work)])
+                    on_epoch(0, work, [None] * len(seeds))
+                    continue
+                phase_rngs = [rng.derive(label) for rng in rngs]
+                if preset.step == "lol":
+                    work = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
+                                        mask, phase_rngs, on_epoch=on_epoch)
+                else:
+                    work = train_sgd(work, target_train, loss, cfg, mask, phase_rngs,
+                                     on_epoch=on_epoch,
+                                     on_step=on_step if fold_per_step else None)
+    except _AllFailed:
+        return errors
+    finals = _rows(tail.value() if tail is not None else work)
+    return [error if error is not None else TransferRun(final_params=final, curve=curve)
+            for error, final, curve in zip(errors, finals, curves)]
 
 
 def wise_merge(source_params: ModelParams, target_params: ModelParams,

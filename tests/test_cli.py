@@ -321,17 +321,16 @@ def _threads(n, *names):
                                     "MKL_NUM_THREADS")}
 
 
-@pytest.mark.parametrize("environ, jobs, tasks, cpus, want", [
-    ({}, 2, 20, 2, _threads("1")),
-    ({}, 2, 20, 8, _threads("4")),
-    ({}, 8, 3, 6, _threads("2")),   # 3 tasks need only 3 workers
-    ({}, 4, 20, 2, _threads("1")),  # never below one thread
+@pytest.mark.parametrize("environ, want", [
+    ({}, _threads("1")),
+    ({"PATH": "/bin"}, _threads("1")),  # only the three variables count
+    ({"MKL_NUM_THREADS": "4"}, _threads("1", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")),
     # a value the caller set, even empty, is the caller's
-    ({"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": ""}, 2, 20, 8,
-     _threads("4", "OPENBLAS_NUM_THREADS")),
+    ({"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": ""}, _threads("1", "OPENBLAS_NUM_THREADS")),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}, {}),
 ])
-def test_worker_env_splits_usable_cpus_over_workers(environ, jobs, tasks, cpus, want):
-    assert _worker_env(environ, jobs, tasks, cpus) == want
+def test_worker_env_gives_each_worker_one_blas_thread(environ, want):
+    assert _worker_env(environ) == want
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -372,7 +371,7 @@ def test_run_diverged_pretrain_prints_no_numpy_warnings(tmp_path):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch, jobs):
-    # at --jobs 2 the DivergenceError reaches the workers with the sources
+    # the seed is left out of every task, so no worker sees its error
     cfg, out = _write_config(tmp_path, names="source_only,naive_ft", seeds="0,1")
     pretrain = cli.pretrain_source
 
@@ -400,7 +399,8 @@ def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch
 def test_run_diverging_seed_fails_alone(tmp_path, capsys, monkeypatch, jobs):
     # seed 1's source is finite but scaled so far that training overflows;
     # at any --jobs it shares a stack with seeds 0 and 2
-    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft,lp_ft,swa")
+    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft,lp_ft,swa",
+                           ensembles="true")
     pretrain = cli.pretrain_source
 
     def overflow_seed_1(scenario, spec, pre_cfg, rng):
@@ -431,8 +431,16 @@ def test_run_diverging_seed_fails_alone(tmp_path, capsys, monkeypatch, jobs):
         assert rows(with_1, name, lambda r: r[seed_col] != "1") == \
             rows(without_1, name, lambda r: True)
     seed_1 = [ln.split(",") for ln in rows(with_1, "summary.csv", lambda r: r[3] == "1")]
-    assert [(r[0], r[2]) for r in seed_1] == [
-        ("ok", "source_only"), ("FAILED", "naive_ft"), ("FAILED", "lp_ft"), ("FAILED", "swa")]
+    # a failed cell's ensemble rows are FAILED with it, every metric nan
+    ensembles = [f"{p}{e}" for p in ("naive_ft", "lp_ft", "swa")
+                 for e in ("", "+SE@0.5", "+WiSE@0.5")]
+    assert [(r[0], r[2]) for r in seed_1] == [("ok", "source_only")] + [
+        ("FAILED", name) for name in ensembles]
+    assert all(set(r[4:]) == {"nan"} for r in seed_1[1:])
+    assert main(["report", with_1]) == 0
+    notes = re.findall(r"^note: (\S+) has no ok row for seed 1$",
+                       capsys.readouterr().out, re.M)
+    assert notes == ensembles
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

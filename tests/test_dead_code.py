@@ -18,6 +18,9 @@ name; `from __future__` imports bind nothing and are skipped.
 
 The package has one trainer loop: `sgd_step` and a `forward` in any mode
 but "eval" are each called from one function only, optim._train_steps.
+Likewise it applies the task rule once: `seed_groups`, which splits a
+protocol's seeds into the stacks run_protocol trains, is called from
+cli.cmd_run alone.
 """
 
 import ast
@@ -118,14 +121,18 @@ def test_keep_set_names_existing_unreferenced_code():
     assert set(KEEP) <= set(unreferenced())
 
 
+def _calls(node) -> list:
+    """(name, call node) of each call under `node` to a bare name or an
+    attribute."""
+    return [(getattr(call.func, "id", getattr(call.func, "attr", None)), call)
+            for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+
 def _training_calls(node) -> list:
     """The name of each call under `node` that takes a training step: each
     sgd_step call, and each forward call given a mode other than "eval"."""
     out = []
-    for call in ast.walk(node):
-        if not isinstance(call, ast.Call):
-            continue
-        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    for name, call in _calls(node):
         mode = [k.value for k in call.keywords if k.arg == "mode"] + call.args[2:3]
         if name == "sgd_step" or name == "forward" and mode and not (
                 isinstance(mode[0], ast.Constant) and mode[0].value == "eval"):
@@ -133,26 +140,37 @@ def _training_calls(node) -> list:
     return out
 
 
-def training_callers(src: str = SRC) -> dict:
-    """For "sgd_step" and the non-eval "forward", the qualified name of
-    each function or method under `src` that calls it, once per call; a
-    call outside every function counts under its module's name."""
-    callers: dict = {}
+def _seed_groups_calls(node) -> list:
+    """The name seed_groups, once per call to it under `node`."""
+    return [name for name, _ in _calls(node) if name == "seed_groups"]
+
+
+def callers(calls, src: str = SRC) -> dict:
+    """For each name `calls(node)` lists, the qualified name of each
+    function or method under `src` whose node lists it, once per listing;
+    a call outside every function counts under its module's name."""
+    out: dict = {}
     for module, tree in _trees(src).items():
-        rest = _training_calls(tree)
+        rest = calls(tree)
         for qualname, node in _defs(module, tree):
-            for name in _training_calls(node):
-                callers.setdefault(name, []).append(qualname)
+            for name in calls(node):
+                out.setdefault(name, []).append(qualname)
                 rest.remove(name)
         for name in rest:
-            callers.setdefault(name, []).append(module)
-    return callers
+            out.setdefault(name, []).append(module)
+    return out
 
 
 def test_one_function_runs_the_training_step():
     # a second trainer loop would call these from a second function
-    assert training_callers() == {"sgd_step": ["optim._train_steps"],
-                                  "forward": ["optim._train_steps"]}
+    assert callers(_training_calls) == {"sgd_step": ["optim._train_steps"],
+                                        "forward": ["optim._train_steps"]}
+
+
+def test_one_function_applies_the_task_rule():
+    # run_protocol trains the seeds it is given as one stack; a second
+    # caller of seed_groups would group them a second time
+    assert callers(_seed_groups_calls) == {"seed_groups": ["cli.cmd_run"]}
 
 
 def unused_imports(paths) -> list:

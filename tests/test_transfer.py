@@ -335,7 +335,10 @@ def test_seeds_run_together_match_one_seed_calls_bitwise(scenario, stack_sources
     sources = stack_sources[model]
     args = (scenario.target_train, scenario.target_test, scenario.seen_mask)
     losses = _record_epoch_losses(monkeypatch)
-    together = run_protocol(*args, sources, proto, _STACK_SEEDS)
+    # the seeds in one call per group, as the CLI groups them
+    together = [run for group in proto.seed_groups(range(len(_STACK_SEEDS)))
+                for run in run_protocol(*args, [sources[i] for i in group], proto,
+                                        [_STACK_SEEDS[i] for i in group])]
     assert len(together) == len(_STACK_SEEDS)
     # an SGD preset's seeds train as one stack, passing (S,) losses to on_epoch
     stacked_losses = losses[:]
@@ -357,6 +360,34 @@ def test_seeds_run_together_match_one_seed_calls_bitwise(scenario, stack_sources
         assert not np.shares_memory(run.final_params.flat, source.flat)
     # the seeds differ, so a slice that leaked into another would show
     assert together[0].final_params.flat.tobytes() != together[1].final_params.flat.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["naive_ft", "sgd_distill"])
+def test_non_finite_source_fails_alone_in_its_stack(scenario, stack_sources, kind):
+    # the middle seed's source is not finite: it fails at epoch 0 while its
+    # row stays in the stack, and its stack-mates finish as if it were absent
+    proto = Protocol(kind=kind, loss=LossSpec(lambda_distill=1.0), sgd=replace(ADAPT, epochs=3))
+    sources = [s.clone() for s in stack_sources["plain"]]
+    sources[1]["layers.2.W"][0, 0] = np.nan
+    args = (scenario.target_train, scenario.target_test, scenario.seen_mask)
+    runs = run_protocol(*args, sources, proto, _STACK_SEEDS)
+    assert isinstance(runs[1], DivergenceError)
+    assert str(runs[1]) == f"{kind} diverged at epoch 0: non-finite classifier"
+    without = run_protocol(*args, [sources[0], sources[2]], proto,
+                           [_STACK_SEEDS[0], _STACK_SEEDS[2]])
+    for run, alone in zip([runs[0], runs[2]], without):
+        assert len(run.curve) == len(alone.curve) == 4
+        for a, b in zip(run.curve, alone.curve):
+            _assert_same_report(a, b)
+        assert run.final_params.flat.tobytes() == alone.final_params.flat.tobytes()
+
+
+def test_leave_out_protocol_takes_one_seed_per_call(scenario, stack_sources):
+    # run_protocol applies no grouping rule: a leave-out stack is train_lolsgd's error
+    proto = Protocol(kind="lolsgd", sgd=ADAPT, lol=LolConfig(subsets=2, leave_k=1))
+    with pytest.raises(ValueError, match=r"^train_lolsgd takes \(1, P\) params and one rng$"):
+        run_protocol(scenario.target_train, scenario.target_test, scenario.seen_mask,
+                     stack_sources["plain"][:2], proto, _STACK_SEEDS[:2])
 
 
 def test_frozen_classifier_preserves_prediction_on_unchanged_features(scenario, source):
