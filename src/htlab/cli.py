@@ -10,10 +10,11 @@ Subcommands:
 
 The config file is INI-style: named sections with key = value lines; see
 configs/reference.ini for a complete example. A key states its type, default
-and bound once: in a key table below, or as a field of SgdConfig, LolConfig,
-LossSpec or SwaConfig ([pretrain] defaults to the resolved [sgd]). An unknown
-section or key exits 1, and so does a value that does not parse or is out of
-bound, as `error: [section] key = value <bound>` (`htlab gen`: `--flag = ...`).
+and bound once: in a key table below, or as a field of SyntheticSpec or
+PairedSpec ([scenario], by kind), SgdConfig, LolConfig, LossSpec or SwaConfig
+([pretrain] defaults to the resolved [sgd]). An unknown section or key exits
+1, and so does a value that does not parse or is out of bound, as
+`error: [section] key = value <bound>` (`htlab gen`: `--flag = ...`).
 The HTLAB_SEED environment variable (comma-separated integers) overrides
 the configured seed list, and is reported as `HTLAB_SEED = value <bound>`.
 
@@ -68,7 +69,8 @@ from dataclasses import fields
 import numpy as np
 
 from .data import (
-    StyleTransform,
+    PairedSpec,
+    SyntheticSpec,
     gen_paired_toxicity_scenario,
     gen_synthetic_scenario,
     load_scenario,
@@ -77,7 +79,7 @@ from .data import (
 from .losses import LossSpec
 from .metrics import METRICS, EvalSet, aggregate_seeds, evaluate, report_from_scores
 from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
-from .numkit import _FINITE, _NONNEGATIVE, _POSITIVE, Rng, _at_least, _check, _one_of
+from .numkit import Rng, _at_least, _check, _one_of
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
                        se_predict, wise_merge)
@@ -98,30 +100,19 @@ def _fmt(x) -> str:
 
 # ----------------------------------------------------------- config parsing
 
-# key -> (default, bound), per section and [scenario] kind. A value parses as
-# its default's type and is held to its bound (numkit._check); a callable
-# bound is made from the section's values, and None leaves the key free.
-_COUNT = _at_least(1)
-_GENERATED = {"seed": (0, (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)")),
-              "dim": (16, _at_least(2)), "source_per_class": (200, _COUNT),
-              "train_per_class": (60, _COUNT), "test_per_class": (40, _COUNT),
-              "cluster_sep": (6.0, _POSITIVE)}
-_SCENARIO_KEYS = {
-    "synthetic": {**_GENERATED, "classes": (10, lambda s: (
-                      lambda v: v > s["seen"], f"must be above seen ({s['seen']})")),
-                  "seen": (6, _COUNT), "style_angle": (0.0, _FINITE),
-                  "style_shift": (0.0, _FINITE), "style_noise": (0.0, _NONNEGATIVE)},
-    "paired": {**_GENERATED, "pairs": (6, _COUNT),
-               "overlap": (0.6, (lambda v: 0 <= v < 1, "must be in [0, 1)"))},
-    "import": {"path": ("", (bool, "must name a scenario directory"))},
-}
-_GEN_KEYS = {**_SCENARIO_KEYS["synthetic"], **_SCENARIO_KEYS["paired"]}  # htlab gen's flags
-
-
 def _keys(config) -> dict:
     """key -> (default, bound) of the fields of a config dataclass or instance."""
     return {f.name: (getattr(config, f.name, f.default), f.metadata.get("bound"))
             for f in fields(config)}
+
+
+# key -> (default, bound), per section and [scenario] kind. A value parses as
+# its default's type and is held to its bound (numkit._check); a callable
+# bound is made from the section's values, and None leaves the key free.
+_COUNT = _at_least(1)
+_SCENARIO_KEYS = {"synthetic": _keys(SyntheticSpec), "paired": _keys(PairedSpec),
+                  "import": {"path": ("", (bool, "must name a scenario directory"))}}
+_GEN_KEYS = {**_SCENARIO_KEYS["synthetic"], **_SCENARIO_KEYS["paired"]}  # htlab gen's flags
 
 
 def _widths(text: str) -> list:
@@ -158,7 +149,7 @@ def _read(section: str, raw, keys: dict, name=None) -> dict:
     out = {key: default for key, (default, _) in keys.items()}
     for key, value in raw.items():
         if key not in keys:
-            raise ValueError(f"unknown key [{section}] {key}")
+            raise ValueError(f"unknown key {name(key)}")
         parse = type(keys[key][0])
         try:
             out[key] = _BOOLEANS[str(value).lower()] if parse is bool else parse(value)
@@ -215,22 +206,14 @@ def load_config(path: str) -> dict:
 
 def build_scenario(scn: dict, name=None):
     """The scenario a `[scenario]` dict describes; missing keys take the
-    _SCENARIO_KEYS defaults of its kind. `name` is _read's."""
+    defaults of its kind's spec. `name` is _read's."""
     s = _resolve_scenario(scn, name)
-    if s["kind"] == "import":
+    kind = s.pop("kind")
+    if kind == "import":
         return load_scenario(s["path"])
-    per_class = (s["source_per_class"], s["train_per_class"], s["test_per_class"])
-    if s["kind"] == "paired":
-        scenario, _ = gen_paired_toxicity_scenario(
-            num_pairs=s["pairs"], dim=s["dim"], per_class=per_class,
-            pair_overlap=s["overlap"], seed=s["seed"], cluster_sep=s["cluster_sep"])
-        return scenario
-    style = StyleTransform.rotation_shift(s["dim"], angle=s["style_angle"],
-                                          shift=s["style_shift"],
-                                          noise_sigma=s["style_noise"])
-    return gen_synthetic_scenario(
-        num_classes=s["classes"], num_seen=s["seen"], dim=s["dim"],
-        per_class=per_class, cluster_sep=s["cluster_sep"], style=style, seed=s["seed"])
+    if kind == "paired":
+        return gen_paired_toxicity_scenario(PairedSpec(**s))
+    return gen_synthetic_scenario(SyntheticSpec(**s))
 
 
 # ----------------------------------------------------------- the run command

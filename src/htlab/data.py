@@ -7,8 +7,12 @@ test set covering every class again. The only source-to-target discrepancy
 in synthetic scenarios is an affine style transform, so generalization of
 the style shift to unseen classes is directly measurable.
 
-Both generators differ only in their class means, seen mask and id; one
-sampler, _draw_scenario, draws the splits of either. Each split draws from
+Each generator takes a frozen spec whose fields are the [scenario] keys of
+its kind, each with its default and bound: SyntheticSpec or PairedSpec, on a
+shared base of the keys both read. The generators differ only in their
+class means, seen mask and id; one sampler, _draw_scenario, draws the splits
+of either, and the spec restyles the target splits (a synthetic scenario's
+rotation, shift and noise; none for a paired one). Each split draws from
 a stream of Rng(seed) tagged by the split and its per-class count n
 (`source-{n}`, `target_train-{n}`, `target_test-{n}`, and the style noise
 from `target_train-noise-{n}` and `target_test-noise-{n}`), so changing one
@@ -42,7 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numkit import Rng
+from .numkit import (_FINITE, _NONNEGATIVE, _POSITIVE, Rng, _at_least, _bounded,
+                     _check_fields)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -80,46 +85,6 @@ class Dataset:
 
     def classes_present(self) -> np.ndarray:
         return np.unique(self.y)
-
-
-@dataclass
-class StyleTransform:
-    """Affine covariate shift x -> A x + b + eps, eps ~ N(0, noise_sigma^2 I)."""
-
-    A: np.ndarray
-    b: np.ndarray
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        d = self.A.shape[0]
-        if self.A.shape != (d, d) or self.b.shape != (d,):
-            raise ValueError("A must be d x d and b length d")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if abs(np.linalg.det(self.A)) <= 1e-9:
-            raise ValueError("style matrix is numerically singular")
-
-    @classmethod
-    def rotation_shift(cls, dim: int, angle: float, shift: float = 0.0,
-                       noise_sigma: float = 0.0) -> "StyleTransform":
-        """Plane rotations by `angle` on axes (0,1), (2,3), ... plus a
-        uniform shift of total length `shift`."""
-        A = np.eye(dim)
-        c, s = np.cos(angle), np.sin(angle)
-        for i in range(0, dim - 1, 2):
-            A[i, i], A[i, i + 1] = c, -s
-            A[i + 1, i], A[i + 1, i + 1] = s, c
-        b = np.full(dim, shift / np.sqrt(dim))
-        return cls(A, b, noise_sigma)
-
-    def apply(self, X: np.ndarray, rng: Rng) -> np.ndarray:
-        """The shifted rows; the noise, if any, is drawn from `rng`."""
-        out = X @ self.A.T + self.b
-        if self.noise_sigma > 0:
-            out = out + self.noise_sigma * rng.standard_normal(out.shape)
-        return out
 
 
 @dataclass
@@ -179,6 +144,62 @@ class HTScenario:
                 raise ValueError("non-toxic classes must equal the seen classes")
 
 
+@dataclass(frozen=True)
+class _ScenarioSpec:
+    """The [scenario] keys both generated kinds read: the seed, the feature
+    width, the rows per class of each split and the least distance between
+    class means (each field states its default and bound once)."""
+
+    seed: int = _bounded(0, (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"))
+    dim: int = _bounded(16, _at_least(2))
+    source_per_class: int = _bounded(200, _at_least(1))
+    train_per_class: int = _bounded(60, _at_least(1))
+    test_per_class: int = _bounded(40, _at_least(1))
+    cluster_sep: float = _bounded(6.0, _POSITIVE)
+
+    __post_init__ = _check_fields
+
+    def restyle(self, X: np.ndarray, rng: Rng) -> np.ndarray:
+        """The target rows X as drawn: a paired scenario has no style shift."""
+        return X
+
+
+@dataclass(frozen=True)
+class SyntheticSpec(_ScenarioSpec):
+    """A [scenario] of kind synthetic: `classes` class clusters, `seen` of
+    them in target training, and the style shift of the target splits."""
+
+    classes: int = _bounded(10, lambda s: (lambda v: v > s["seen"],
+                                           f"must be above seen ({s['seen']})"))
+    seen: int = _bounded(6, _at_least(1))
+    style_angle: float = _bounded(0.0, _FINITE)
+    style_shift: float = _bounded(0.0, _FINITE)
+    style_noise: float = _bounded(0.0, _NONNEGATIVE)
+
+    def restyle(self, X: np.ndarray, rng: Rng) -> np.ndarray:
+        """X @ A.T + b + eps: A rotates the planes of axes (0, 1), (2, 3), ...
+        by style_angle, b is a uniform shift of total length style_shift,
+        and eps ~ N(0, style_noise^2 I) is drawn from `rng`."""
+        A = np.eye(self.dim)
+        c, s = np.cos(self.style_angle), np.sin(self.style_angle)
+        for i in range(0, self.dim - 1, 2):
+            A[i, i], A[i, i + 1] = c, -s
+            A[i + 1, i], A[i + 1, i + 1] = s, c
+        out = X @ A.T + np.full(self.dim, self.style_shift / np.sqrt(self.dim))
+        if self.style_noise > 0:
+            out = out + self.style_noise * rng.standard_normal(out.shape)
+        return out
+
+
+@dataclass(frozen=True)
+class PairedSpec(_ScenarioSpec):
+    """A [scenario] of kind paired: `pairs` confusable class pairs whose
+    members sit (1 - overlap) * cluster_sep apart."""
+
+    pairs: int = _bounded(6, _at_least(1))
+    overlap: float = _bounded(0.6, (lambda v: 0 <= v < 1, "must be in [0, 1)"))
+
+
 def _class_means(num_classes: int, dim: int, cluster_sep: float, rng: Rng) -> np.ndarray:
     """Gaussian directions rescaled so the minimum pairwise distance is
     exactly cluster_sep."""
@@ -202,88 +223,69 @@ def _sample_classes(means: np.ndarray, classes: np.ndarray, per_class: int,
     return X, y
 
 
-def _draw_scenario(means: np.ndarray, seen_mask: np.ndarray,
-                   per_class: tuple[int, int, int], seed: int, scenario_id: str,
-                   style: Optional[StyleTransform] = None,
-                   toxicity: Optional[ToxicityMap] = None) -> HTScenario:
+def _draw_scenario(spec: _ScenarioSpec, means: np.ndarray, seen_mask: np.ndarray,
+                   scenario_id: str, toxicity: Optional[ToxicityMap] = None) -> HTScenario:
     """The scenario whose three splits are drawn from unit-variance clusters
-    around `means`, per_class rows per class each: source training and
+    around `means`, the spec's rows per class each: source training and
     target test from every class, target training from the seen ones. The
-    target splits are then pushed through `style`, if given."""
-    if min(per_class) < 1:
-        raise ValueError("per-class counts must be >= 1")
-    if style is not None and style.A.shape[0] != means.shape[1]:
-        raise ValueError("style dimension mismatch")
-    rng = Rng(seed)
+    target splits are then restyled by the spec."""
+    rng = Rng(spec.seed)
     every = np.arange(seen_mask.size)
     splits = []
     for tag, classes, n in zip(("source", "target_train", "target_test"),
-                               (every, np.flatnonzero(seen_mask), every), per_class):
+                               (every, np.flatnonzero(seen_mask), every),
+                               (spec.source_per_class, spec.train_per_class,
+                                spec.test_per_class)):
         X, y = _sample_classes(means, classes, n, rng.derive(f"{tag}-{n}"))
-        if style is not None and tag != "source":
-            X = style.apply(X, rng.derive(f"{tag}-noise-{n}"))
+        if tag != "source":
+            X = spec.restyle(X, rng.derive(f"{tag}-noise-{n}"))
         splits.append(Dataset(X, y, seen_mask.size))
-    return HTScenario(*splits, seen_mask=seen_mask, seed=seed, scenario_id=scenario_id,
+    return HTScenario(*splits, seen_mask=seen_mask, seed=spec.seed, scenario_id=scenario_id,
                       toxicity=toxicity)
 
 
-def gen_synthetic_scenario(num_classes: int, num_seen: int, dim: int,
-                           per_class: tuple[int, int, int], cluster_sep: float,
-                           style: StyleTransform, seed: int) -> HTScenario:
+def gen_synthetic_scenario(spec: SyntheticSpec) -> HTScenario:
     """Build a scenario from unit-variance Gaussian class clusters.
 
     Source samples come straight from the class clusters; target samples are
-    drawn from the same clusters and then pushed through `style`. Seen
-    classes are chosen uniformly without replacement. Deterministic in all
-    arguments; a count changes only its own split's draws.
+    drawn from the same clusters and then restyled. Seen classes are chosen
+    uniformly without replacement. Deterministic in the spec; a count
+    changes only its own split's draws.
     """
-    if num_seen >= num_classes:
-        raise ValueError("no unseen classes")
-    if num_seen <= 0:
-        raise ValueError("need at least one seen class")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    rng = Rng(seed)
-    means = _class_means(num_classes, dim, cluster_sep, rng.derive("means"))
-    seen_mask = np.zeros(num_classes, dtype=bool)
-    seen_mask[rng.derive("seen").choice(num_classes, size=num_seen, replace=False)] = True
-    return _draw_scenario(means, seen_mask, per_class, seed,
-                          f"syn-c{num_classes}-s{num_seen}-d{dim}-seed{seed}", style=style)
+    rng = Rng(spec.seed)
+    means = _class_means(spec.classes, spec.dim, spec.cluster_sep, rng.derive("means"))
+    seen_mask = np.zeros(spec.classes, dtype=bool)
+    seen_mask[rng.derive("seen").choice(spec.classes, size=spec.seen, replace=False)] = True
+    return _draw_scenario(spec, means, seen_mask,
+                          f"syn-c{spec.classes}-s{spec.seen}-d{spec.dim}-seed{spec.seed}")
 
 
-def gen_paired_toxicity_scenario(num_pairs: int, dim: int,
-                                 per_class: tuple[int, int, int],
-                                 pair_overlap: float, seed: int,
-                                 cluster_sep: float = 6.0):
+def gen_paired_toxicity_scenario(spec: PairedSpec) -> HTScenario:
     """Scenario of visually-confusable class pairs; only the harmless member
     of each pair appears in target training.
 
     Pair centers are spread like unrelated classes; the two members of a
-    pair sit at distance (1 - pair_overlap) * cluster_sep from each other,
-    so pair_overlap = 0 makes paired classes no more confusable than any
-    other pair, and values near 1 make them nearly coincide. There is no
-    style shift here; the studied failure mode is label confusion alone.
+    pair sit at distance (1 - overlap) * cluster_sep from each other, so
+    overlap = 0 makes paired classes no more confusable than any other
+    pair, and values near 1 make them nearly coincide. There is no style
+    shift here; the studied failure mode is label confusion alone.
 
-    Returns (scenario, toxicity_map). Class 2p is the toxic member of pair
-    p, class 2p+1 the non-toxic (seen) member.
+    Class 2p is the toxic member of pair p, class 2p+1 the non-toxic (seen)
+    member; scenario.toxicity maps them.
     """
-    if num_pairs < 1:
-        raise ValueError("need at least one pair")
-    if not (0.0 <= pair_overlap < 1.0):
-        raise ValueError("pair_overlap must be in [0, 1)")
-    rng = Rng(seed)
-    centers = _class_means(num_pairs, dim, cluster_sep, rng.derive("pair-centers")) \
-        if num_pairs > 1 else np.zeros((1, dim))
-    dirs = rng.derive("pair-dirs").standard_normal((num_pairs, dim))
+    rng = Rng(spec.seed)
+    centers = _class_means(spec.pairs, spec.dim, spec.cluster_sep,
+                           rng.derive("pair-centers")) \
+        if spec.pairs > 1 else np.zeros((1, spec.dim))
+    dirs = rng.derive("pair-dirs").standard_normal((spec.pairs, spec.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    half = 0.5 * (1.0 - pair_overlap) * cluster_sep * dirs
+    half = 0.5 * (1.0 - spec.overlap) * spec.cluster_sep * dirs
     # rows 2p (toxic) and 2p+1 (non-toxic, seen) straddle center p
-    means = np.stack([centers - half, centers + half], axis=1).reshape(2 * num_pairs, dim)
-    scenario = _draw_scenario(
-        means, np.arange(2 * num_pairs) % 2 == 1, per_class, seed,
-        f"tox-p{num_pairs}-o{pair_overlap:g}-d{dim}-seed{seed}",
-        toxicity=ToxicityMap([(2 * p, 2 * p + 1) for p in range(num_pairs)]))
-    return scenario, scenario.toxicity
+    means = np.stack([centers - half, centers + half], axis=1).reshape(2 * spec.pairs, spec.dim)
+    return _draw_scenario(
+        spec, means, np.arange(2 * spec.pairs) % 2 == 1,
+        f"tox-p{spec.pairs}-o{spec.overlap:g}-d{spec.dim}-seed{spec.seed}",
+        toxicity=ToxicityMap([(2 * p, 2 * p + 1) for p in range(spec.pairs)]))
 
 
 # ------------------------------------------------------------------ IDX I/O
@@ -444,7 +446,9 @@ def load_scenario(in_dir: str) -> HTScenario:
     fmt = field("format", str, lambda f: f in ("synthetic", "idx"))
     num_classes, dim = field("num_classes", ok=lambda n: n > 0), field("dim")
     seen = np.zeros(num_classes, dtype=bool)
-    seen[list(field("seen", class_ids, in_range))] = True
+    # a proper nonempty subset of the classes
+    seen[list(field("seen", class_ids,
+                    lambda ids: in_range(ids) and 0 < len(set(ids)) < num_classes))] = True
 
     datasets = {}
     for name in _SPLITS:
@@ -454,6 +458,8 @@ def load_scenario(in_dir: str) -> HTScenario:
             X, y = ds.X, ds.y
         else:
             X, y = read_f64(os.path.join(in_dir, f"{name}_x.f64")), _read_idx_labels(labels)
+        if len(y) and y.max() >= num_classes:
+            raise bad("num_classes", f"= {num_classes}, but {name} has label {y.max()}")
         ds = datasets[name] = Dataset(X, y, num_classes)
         count = field(f"count_{name}")
         if count != len(ds):

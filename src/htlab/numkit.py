@@ -48,10 +48,14 @@ def _bounded(default, bound):
 
 
 def _check_fields(config):
-    """_check each bounded field of the dataclass `config`: its __post_init__."""
+    """_check each bounded field of the dataclass `config`: its __post_init__.
+    A callable bound is made from the dict of the field values."""
     for f in fields(config):
-        if "bound" in f.metadata:
-            _check(f.name, getattr(config, f.name), f.metadata["bound"])
+        bound = f.metadata.get("bound")
+        if callable(bound):
+            bound = bound(vars(config))
+        if bound is not None:
+            _check(f.name, getattr(config, f.name), bound)
 
 
 def _at_least(low):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from htlab.cli import main
-from htlab.data import StyleTransform, gen_paired_toxicity_scenario, gen_synthetic_scenario
+from htlab.data import (PairedSpec, SyntheticSpec, gen_paired_toxicity_scenario,
+                        gen_synthetic_scenario)
 from htlab.losses import CompositeLoss, LossSpec, cross_entropy, rank_reg, selective_distill
 from htlab.metrics import EvalSet, evaluate, report_from_scores
 from htlab.model import FreezeMask, MlpSpec, backward, forward, group_of, init_model
@@ -30,7 +31,7 @@ SEEDS = (0, 1, 2)
 NUM_CLASSES, NUM_SEEN, DIM = 10, 6, 16
 PER_CLASS = (200, 60, 40)
 CLUSTER_SEP = 5.0
-STYLE = dict(angle=0.8, shift=1.0, noise_sigma=0.2)
+STYLE = dict(style_angle=0.8, style_shift=1.0, style_noise=0.2)
 WIDTHS = (DIM, 64, 64, NUM_CLASSES)
 PRETRAIN = SgdConfig(lr=0.02, momentum=0.9, weight_decay=1e-2, batch_size=32, epochs=20)
 ADAPT = SgdConfig(lr=0.02, momentum=0.9, weight_decay=1e-2, batch_size=32, epochs=20)
@@ -42,9 +43,11 @@ PROTOCOLS = ("naive_ft", "frozen_ft", "sgd_rank", "lolsgd", "lolsgd_distill_rank
 
 
 def _reference_scenario(seed, per_class=PER_CLASS, cluster_sep=CLUSTER_SEP):
-    style = StyleTransform.rotation_shift(DIM, **STYLE)
-    return gen_synthetic_scenario(NUM_CLASSES, NUM_SEEN, DIM, per_class,
-                                  cluster_sep, style, seed=seed)
+    source, train, test = per_class
+    return gen_synthetic_scenario(SyntheticSpec(
+        classes=NUM_CLASSES, seen=NUM_SEEN, dim=DIM, source_per_class=source,
+        train_per_class=train, test_per_class=test, cluster_sep=cluster_sep, **STYLE,
+        seed=seed))
 
 
 def _say(criterion, ok, detail):
@@ -82,8 +85,11 @@ def toxicity_grid():
     out = {"source": [], "naive_ft": [], "lolsgd_distill_rank": []}
     spec = MlpSpec((DIM, 64, 64, 12))
     for seed in SEEDS:
-        scn, tox = gen_paired_toxicity_scenario(6, DIM, PER_CLASS, pair_overlap=0.6,
-                                                seed=seed, cluster_sep=CLUSTER_SEP)
+        source, train, test = PER_CLASS
+        scn = gen_paired_toxicity_scenario(PairedSpec(
+            pairs=6, dim=DIM, source_per_class=source, train_per_class=train,
+            test_per_class=test, overlap=0.6, seed=seed, cluster_sep=CLUSTER_SEP))
+        tox = scn.toxicity
         src = pretrain_source(scn, spec, PRETRAIN, Rng(seed).derive("source"))
         out["source"].append(evaluate(src, EvalSet(scn.target_test, scn.seen_mask, tox)))
         for kind in ("naive_ft", "lolsgd_distill_rank"):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import htlab
 import htlab.cli as cli
 from htlab.cli import _worker_env, build_scenario, load_config, main
-from htlab.data import load_scenario
+from htlab.data import SyntheticSpec, load_scenario
 from htlab.losses import LossSpec
 from htlab.model import MlpSpec, ModelParams
 from htlab.optim import LolConfig, SgdConfig, SwaConfig
@@ -166,10 +166,15 @@ def test_gen_paired_scenario(tmp_path):
     assert s.toxicity is not None and len(s.toxicity.pairs) == 4
 
 
-def test_gen_rejects_flag_the_kind_does_not_read(tmp_path, capsys):
+@pytest.mark.parametrize("flags, named", [
+    (["--pairs", "4", "--classes", "10"], "--classes"),
+    (["--overlap", "0.5"], "--overlap"),
+    (["--pairs", "3", "--style-angle", "0.3"], "--style-angle"),
+], ids=["classes-paired", "overlap-synthetic", "style-angle-paired"])
+def test_gen_rejects_flag_the_kind_does_not_read(tmp_path, capsys, flags, named):
     out = str(tmp_path / "tox")
-    assert main(["gen", "--pairs", "4", "--classes", "10", "--out", out]) == 1
-    assert "[scenario] classes" in capsys.readouterr().err
+    assert main(["gen", *flags, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: unknown key {named}\n"
     assert not os.path.exists(out)
 
 
@@ -188,23 +193,27 @@ def test_gen_flags_build_the_same_scenario_as_config_keys(tmp_path):
         assert np.array_equal(getattr(built, split).y, getattr(saved, split).y)
 
 
-@pytest.mark.parametrize("key, line", [
-    ("format", None),
-    ("format", "format = bogus"),
-    ("count_target_test", "count_target_test = 7"),
-    ("dim", "dim = 5"),
-    ("seen", "seen = 1,2,99"),
-], ids=["format-missing", "format-bogus", "count", "dim", "seen-out-of-range"])
+@pytest.mark.parametrize("key, edits", [
+    ("format", {"format": None}),
+    ("format", {"format": "format = bogus"}),
+    ("count_target_test", {"count_target_test": "count_target_test = 7"}),
+    ("dim", {"dim": "dim = 5"}),
+    ("seen", {"seen": "seen = 1,2,99"}),
+    ("num_classes", {"num_classes": "num_classes = 8", "seen": "seen = 0,1,2,3,5"}),
+    ("seen", {"seen": "seen = 0,1,2,3,4,5,6,7,8,9"}),
+], ids=["format-missing", "format-bogus", "count", "dim", "seen-out-of-range",
+        "num-classes-below-labels", "seen-every-class"])
 def test_run_rejects_an_import_whose_meta_disagrees_naming_the_key(tmp_path, capsys,
-                                                                   key, line):
-    # a `htlab gen` directory of 400 test rows of width 16, its `key` line
-    # replaced by `line` or dropped
+                                                                   key, edits):
+    # a `htlab gen` directory of 10 classes (6 seen) and 400 test rows of
+    # width 16, each line of `edits`' keys replaced by its line or dropped
     scn, out = str(tmp_path / "scn"), str(tmp_path / "out")
     assert main(["gen", "--out", scn]) == 0
     meta = os.path.join(scn, "meta")
     lines = _read(meta).decode().splitlines()
-    [i] = [i for i, ln in enumerate(lines) if ln.startswith(f"{key} = ")]
-    lines[i:i + 1] = [line] if line else []
+    for edited, line in edits.items():
+        [i] = [i for i, ln in enumerate(lines) if ln.startswith(f"{edited} = ")]
+        lines[i:i + 1] = [line] if line else []
     with open(meta, "w") as f:
         f.write("\n".join(lines) + "\n")
     cfg = str(tmp_path / "import.ini")
@@ -964,14 +973,8 @@ _KEY_CASES = [(section, key, value, in_bound)
               for in_bound, values in ((True, good), (False, bad)) for value in values]
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.sampled_from(_KEY_CASES))
-def test_one_key_in_or_out_of_its_bound_exits_0_or_1_naming_it(tmp_path_factory, capfd,
-                                                               monkeypatch, case):
-    section, key, value, in_bound = case
-    monkeypatch.delenv("HTLAB_SEED", raising=False)
-    tmp = tmp_path_factory.mktemp("bound")
+def _tiny_config(tmp, section, key, value):
+    """(config path, output dir) of _TINY with [section] key = value."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.read(os.path.join(REPO, "configs", "reference.ini"))
     for name, keys in _TINY.items():
@@ -982,6 +985,17 @@ def test_one_key_in_or_out_of_its_bound_exits_0_or_1_naming_it(tmp_path_factory,
     path = str(tmp / "tiny.ini")
     with open(path, "w") as f:
         cp.write(f)
+    return path, out
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_KEY_CASES))
+def test_one_key_in_or_out_of_its_bound_exits_0_or_1_naming_it(tmp_path_factory, capfd,
+                                                               monkeypatch, case):
+    section, key, value, in_bound = case
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    path, out = _tiny_config(tmp_path_factory.mktemp("bound"), section, key, value)
     capfd.readouterr()
     rc = main(["run", "--config", path])
     err = capfd.readouterr().err
@@ -991,6 +1005,31 @@ def test_one_key_in_or_out_of_its_bound_exits_0_or_1_naming_it(tmp_path_factory,
     else:
         assert rc == 1 and f"error: [{section}] {key}" in err
         assert not os.path.exists(out)
+
+
+_SCENARIO_OUT_OF_BOUND = [(key, bad[0]) for (section, key), (_, bad) in _KEY_VALUES.items()
+                          if section == "scenario"]
+
+
+@pytest.mark.parametrize("key, value", _SCENARIO_OUT_OF_BOUND,
+                         ids=[key for key, _ in _SCENARIO_OUT_OF_BOUND])
+def test_spec_and_run_reject_an_out_of_bound_scenario_key_in_the_same_words(
+        tmp_path, capsys, monkeypatch, key, value):
+    # the spec built in Python from the [scenario] values of the run
+    monkeypatch.delenv("HTLAB_SEED", raising=False)
+    path, out = _tiny_config(tmp_path, "scenario", key, value)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read(path)
+    values = {k: type(getattr(SyntheticSpec, k))(v) for k, v in cp["scenario"].items()
+              if k != "kind"}
+    with pytest.raises(ValueError) as rejected:
+        SyntheticSpec(**values)
+    words = str(rejected.value)
+    assert words.startswith(f"{key} = {value!r} must ")  # e.g. seen = 0 must be at least 1
+    capsys.readouterr()
+    assert main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: [scenario] {words}\n"
+    assert not os.path.exists(out)
 
 
 def _benchmark_workloads(monkeypatch):

@@ -12,7 +12,8 @@ from scipy import stats
 from htlab.data import (
     Dataset,
     HTScenario,
-    StyleTransform,
+    PairedSpec,
+    SyntheticSpec,
     ToxicityMap,
     gen_paired_toxicity_scenario,
     gen_synthetic_scenario,
@@ -26,11 +27,15 @@ from htlab.data import (
 from htlab.numkit import Rng
 
 
+def _counts(source, train, test):
+    """The spec fields of the rows per class of each split."""
+    return dict(source_per_class=source, train_per_class=train, test_per_class=test)
+
+
 def ref_scenario(seed=7, per_class=(50, 20, 10)):
-    style = StyleTransform.rotation_shift(8, angle=0.4, shift=1.0, noise_sigma=0.1)
-    return gen_synthetic_scenario(num_classes=6, num_seen=4, dim=8,
-                                  per_class=per_class, cluster_sep=5.0,
-                                  style=style, seed=seed)
+    return gen_synthetic_scenario(SyntheticSpec(
+        classes=6, seen=4, dim=8, **_counts(*per_class), cluster_sep=5.0,
+        style_angle=0.4, style_shift=1.0, style_noise=0.1, seed=seed))
 
 
 # ------------------------------------------------------------ generator
@@ -58,12 +63,14 @@ def test_generators_draw_pinned_bytes():
 
     for counts in ((5, 4, 3), (2, 1, 3)):
         for noise in (0.0, 0.3):
-            style = StyleTransform.rotation_shift(4, angle=0.4, shift=1.0, noise_sigma=noise)
-            add(gen_synthetic_scenario(5, 2, 4, counts, 3.0, style, seed=7))
+            add(gen_synthetic_scenario(SyntheticSpec(
+                classes=5, seen=2, dim=4, **_counts(*counts), cluster_sep=3.0,
+                style_angle=0.4, style_shift=1.0, style_noise=noise, seed=7)))
         for pairs in (1, 3):
-            s, tox = gen_paired_toxicity_scenario(pairs, 4, counts, pair_overlap=0.5, seed=7)
+            s = gen_paired_toxicity_scenario(PairedSpec(pairs=pairs, dim=4, **_counts(*counts),
+                                                        overlap=0.5, seed=7))
             add(s)
-            h.update(repr(tox.pairs).encode())
+            h.update(repr(s.toxicity.pairs).encode())
     assert h.hexdigest() == "312ce40c6235acb6d2fd0b6f60dc8ab37aec164ce2b535c5cd16aeee3042fb0b"
 
 
@@ -82,8 +89,8 @@ def test_generator_invariants_hold():
 
 
 def test_generator_seen_count_30_of_65():
-    style = StyleTransform(np.eye(4), np.zeros(4))
-    s = gen_synthetic_scenario(65, 30, 4, (2, 2, 1), 8.0, style, seed=3)
+    s = gen_synthetic_scenario(SyntheticSpec(classes=65, seen=30, dim=4, **_counts(2, 2, 1),
+                                             cluster_sep=8.0, seed=3))
     assert int(s.seen_mask.sum()) == 30
 
 
@@ -98,10 +105,10 @@ def test_generator_min_cluster_separation():
 
 
 def test_identity_style_is_noop():
-    style = StyleTransform(np.eye(8), np.zeros(8))
+    spec = SyntheticSpec(classes=4, seen=2, dim=8, **_counts(30, 30, 30), seed=1)
     X = Rng(1).standard_normal((5, 8))
-    assert np.array_equal(style.apply(X, Rng(2)), X)
-    s = gen_synthetic_scenario(4, 2, 8, (30, 30, 30), 6.0, style, seed=1)
+    assert np.array_equal(spec.restyle(X, Rng(2)), X)
+    s = gen_synthetic_scenario(spec)
     # same class-conditional distribution: compare per-class sample means
     for c in np.flatnonzero(s.seen_mask):
         mu_src = s.source_train.X[s.source_train.y == c].mean(axis=0)
@@ -110,30 +117,23 @@ def test_identity_style_is_noop():
 
 
 def test_generator_rejects_degenerate_seen_counts():
-    style = StyleTransform(np.eye(4), np.zeros(4))
-    with pytest.raises(ValueError, match="no unseen classes"):
-        gen_synthetic_scenario(5, 5, 4, (1, 1, 1), 4.0, style, seed=0)
-    with pytest.raises(ValueError):
-        gen_synthetic_scenario(5, 0, 4, (1, 1, 1), 4.0, style, seed=0)
+    with pytest.raises(ValueError, match=r"^classes = 5 must be above seen \(5\)$"):
+        SyntheticSpec(classes=5, seen=5)
+    with pytest.raises(ValueError, match="^seen = 0 must be at least 1$"):
+        SyntheticSpec(classes=5, seen=0)
 
 
 def test_seen_mask_sampling_is_uniform():
     # chi-square over 200 seeds: each class should be seen ~ num_seen/C of the time
-    style = StyleTransform(np.eye(4), np.zeros(4))
     counts = np.zeros(6)
     for seed in range(200):
-        s = gen_synthetic_scenario(6, 3, 4, (1, 1, 1), 4.0, style, seed=seed)
+        s = gen_synthetic_scenario(SyntheticSpec(classes=6, seen=3, dim=4, **_counts(1, 1, 1),
+                                                 cluster_sep=4.0, seed=seed))
         counts += s.seen_mask
     expected = 200 * 3 / 6
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     p = stats.chi2.sf(chi2, df=5)
     assert p > 0.001
-
-
-def test_style_transform_rejects_singular_matrix():
-    A = np.zeros((3, 3))
-    with pytest.raises(ValueError, match="singular"):
-        StyleTransform(A, np.zeros(3))
 
 
 # ------------------------------------------------------------ IDX format
@@ -295,31 +295,31 @@ def test_scenario_label_file_length_checked(tmp_path, edit, message):
 # ------------------------------------------------------------ paired toxicity
 
 def test_paired_scenario_shape():
-    s, tox = gen_paired_toxicity_scenario(6, dim=8, per_class=(20, 10, 8),
-                                          pair_overlap=0.6, seed=2)
+    s = gen_paired_toxicity_scenario(PairedSpec(pairs=6, dim=8, **_counts(20, 10, 8),
+                                                overlap=0.6, seed=2))
     assert s.num_classes == 12
     assert int(s.seen_mask.sum()) == 6
-    assert np.array_equal(np.flatnonzero(s.seen_mask), np.sort(tox.non_toxic_classes()))
+    assert np.array_equal(np.flatnonzero(s.seen_mask), np.sort(s.toxicity.non_toxic_classes()))
     s.validate()
 
 
 def test_paired_scenario_overlap_zero_is_unconfusable():
-    s, tox = gen_paired_toxicity_scenario(4, dim=10, per_class=(30, 5, 5),
-                                          pair_overlap=0.0, seed=11, cluster_sep=6.0)
+    s = gen_paired_toxicity_scenario(PairedSpec(pairs=4, dim=10, **_counts(30, 5, 5),
+                                                overlap=0.0, seed=11, cluster_sep=6.0))
     means = np.stack([s.source_train.X[s.source_train.y == c].mean(axis=0)
                       for c in range(8)])
-    for t, n in tox.pairs:
+    for t, n in s.toxicity.pairs:
         within = np.linalg.norm(means[t] - means[n])
         assert within > 6.0 - 1.5  # pair distance ~ cluster_sep
 
 
 def test_paired_scenario_overlap_brings_pairs_close():
     sep, ovl = 6.0, 0.6
-    s, tox = gen_paired_toxicity_scenario(4, dim=10, per_class=(40, 5, 5),
-                                          pair_overlap=ovl, seed=11, cluster_sep=sep)
+    s = gen_paired_toxicity_scenario(PairedSpec(pairs=4, dim=10, **_counts(40, 5, 5),
+                                                overlap=ovl, seed=11, cluster_sep=sep))
     means = np.stack([s.source_train.X[s.source_train.y == c].mean(axis=0)
                       for c in range(8)])
-    for t, n in tox.pairs:
+    for t, n in s.toxicity.pairs:
         within = np.linalg.norm(means[t] - means[n])
         assert abs(within - (1 - ovl) * sep) < 1.0
 
@@ -345,13 +345,13 @@ def test_scenario_round_trip_exact(tmp_path):
 
 
 def test_scenario_round_trip_with_toxicity(tmp_path):
-    s, tox = gen_paired_toxicity_scenario(3, dim=6, per_class=(5, 4, 3),
-                                          pair_overlap=0.5, seed=4)
+    s = gen_paired_toxicity_scenario(PairedSpec(pairs=3, dim=6, **_counts(5, 4, 3),
+                                                overlap=0.5, seed=4))
     out = str(tmp_path / "scn")
     save_scenario(s, out)
     loaded = load_scenario(out)
     assert loaded.toxicity is not None
-    assert loaded.toxicity.pairs == tox.pairs
+    assert loaded.toxicity.pairs == s.toxicity.pairs
 
 
 @pytest.mark.parametrize("key, line", [
@@ -367,8 +367,8 @@ def test_scenario_round_trip_with_toxicity(tmp_path):
     ("dim", "dim = 6\ndim 6"),
 ])
 def test_scenario_meta_key_rejected_naming_it(tmp_path, key, line):
-    s, _ = gen_paired_toxicity_scenario(3, dim=6, per_class=(5, 4, 3),
-                                        pair_overlap=0.5, seed=4)
+    s = gen_paired_toxicity_scenario(PairedSpec(pairs=3, dim=6, **_counts(5, 4, 3),
+                                                overlap=0.5, seed=4))
     out = str(tmp_path / "scn")
     save_scenario(s, out)
     meta = os.path.join(out, "meta")

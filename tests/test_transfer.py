@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from htlab.data import StyleTransform, gen_synthetic_scenario
+from htlab.data import SyntheticSpec, gen_synthetic_scenario
 from htlab.losses import CompositeLoss, LossSpec
 from htlab.metrics import EvalSet, evaluate
 from htlab.model import FreezeMask, MlpSpec, ModelParams, forward, init_model
@@ -29,9 +29,11 @@ ADAPT = SgdConfig(lr=0.01, momentum=0.9, weight_decay=5e-4, batch_size=32, epoch
 
 
 def _scenario(per_class=(100, 30, 20), seed=3):
-    style = StyleTransform.rotation_shift(8, angle=0.35, shift=1.0, noise_sigma=0.1)
-    return gen_synthetic_scenario(6, 4, 8, per_class, cluster_sep=6.0,
-                                  style=style, seed=seed)
+    source, train, test = per_class
+    return gen_synthetic_scenario(SyntheticSpec(
+        classes=6, seen=4, dim=8, source_per_class=source, train_per_class=train,
+        test_per_class=test, cluster_sep=6.0, style_angle=0.35, style_shift=1.0,
+        style_noise=0.1, seed=seed))
 
 
 @pytest.fixture(scope="module")
