@@ -44,19 +44,19 @@ run_protocol call, at any --jobs (transfer.Protocol.seed_groups): all the
 seeds of a protocol, bn_stats_only's included, or one seed of a leave-out
 protocol. A seed whose pretrain diverged is in no task; a seed that fails
 in a task leaves its stack-mates' rows as they would be without it. With
---jobs N the tasks run in min(N, tasks) spawned worker processes, or in
-this one when that is 1. The workers start together; once spawned, each
-reads the scenario and the source params once from a queue, and each task
-carries only its protocol and seeds. Workers start with
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1, unless
-the caller set them. Rows are merged in configured order, so the output is
-byte-identical at every --jobs.
+--jobs N the tasks run in min(N, tasks) worker processes forked from this
+one, or in this one when that is 1. The workers inherit the scenario and the
+source params, so each task carries only its protocol and seeds. While they
+run, numpy's OpenBLAS is capped at one thread, which they inherit, unless
+the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. Rows are merged in
+configured order, so the output is byte-identical at every --jobs.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import hashlib
 import json
 import multiprocessing
@@ -67,6 +67,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .data import (
     PairedSpec,
@@ -235,20 +236,12 @@ def _source_key(scenario, spec: MlpSpec, pretrain: SgdConfig, seed: int) -> str:
     return h.hexdigest()
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 # what every cell of the run in progress reads: the scenario, the source
-# params per seed and k_spectrum; set once per worker process by _share
+# params per seed and k_spectrum; set by _run_tasks, and inherited by the
+# pool workers it forks
 _SHARED: dict = {}
-
-
-def _share(scenario, sources: dict, k_spectrum: int):
-    _SHARED.update(scenario=scenario, sources=sources, k_spectrum=k_spectrum)
-
-
-def _share_from(queue):
-    """Pool worker initializer: _share the state the parent puts on `queue`."""
-    _share(*queue.get())
 
 
 def _cell(task):
@@ -263,28 +256,33 @@ def _cell(task):
                         toxicity=scenario.toxicity, k_spectrum=_SHARED["k_spectrum"])
 
 
-def _worker_env(environ) -> dict:
-    """The BLAS thread variables each pool worker starts with: one thread
-    each. A variable already set in `environ` is left to its caller's value."""
-    return {v: "1" for v in _BLAS_THREAD_VARS if v not in environ}
-
-
 @contextmanager
-def _added_env(env: dict):
-    """os.environ with the variables of `env`, which it must lack, added for
-    the duration of the block; spawned processes inherit them."""
-    os.environ.update(env)
+def _one_blas_thread():
+    """numpy's BLAS capped at one thread for the block, and its thread count
+    restored after; processes forked inside the block inherit the cap. Left
+    as it is when the caller set one of _BLAS_THREAD_VARS, or where numpy's
+    BLAS is not the scipy-openblas build, whose run-time setter this calls."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)  # dlsym also searches its dependencies
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None or any(v in os.environ for v in _BLAS_THREAD_VARS):
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(1)
     try:
         yield
     finally:
-        for var in env:
-            os.environ.pop(var, None)
+        set_(before)
 
 
-def _run_tasks(tasks: list, jobs: int, shared: tuple) -> list:
-    """The result of each task, or the exception it raised, in task order.
-    With more than one worker the tasks run in spawned processes that each
-    read `shared` once from a queue; otherwise they run here."""
+def _run_tasks(tasks: list, jobs: int, shared: dict) -> list:
+    """The result of each task, or the exception it raised, in task order,
+    with `shared` as _SHARED. With more than one worker the tasks run in
+    forked processes, which inherit _SHARED and _one_blas_thread's cap;
+    otherwise they run here."""
     def attempt(call, *args):
         try:
             return call(*args)
@@ -292,31 +290,19 @@ def _run_tasks(tasks: list, jobs: int, shared: tuple) -> list:
             return e
 
     workers = min(jobs, len(tasks))
-    if workers <= 1:  # none when every seed's pretrain diverged
-        _share(*shared)
-        try:
+    _SHARED.update(shared)
+    try:
+        if workers <= 1:  # none when every seed's pretrain diverged
             return [attempt(_cell, t) for t in tasks]
-        finally:
-            _SHARED.clear()
-    # spawned, not forked: a forked child keeps the BLAS thread pool the
-    # parent already started, whatever the environment says
-    spawn = multiprocessing.get_context("spawn")
-    # the shared state goes over a queue, not in initargs: initargs travel
-    # in each worker's bootstrap pipe, and past the pipe's capacity `submit`
-    # blocks until that worker has imported htlab, so workers start in turn
-    queue = spawn.Queue()
-    with (_added_env(_worker_env(os.environ)),
-          ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
-                              initializer=_share_from, initargs=(queue,)) as pool):
-        futures = [pool.submit(_cell, t) for t in tasks]
-        for _ in range(workers):
-            queue.put(shared)
-        try:
+        # a fork-context pool forks all its workers at the first submit,
+        # before it starts a thread of its own
+        with (_one_blas_thread(),
+              ProcessPoolExecutor(max_workers=workers,
+                                  mp_context=multiprocessing.get_context("fork")) as pool):
+            futures = [pool.submit(_cell, t) for t in tasks]
             return [attempt(f.result) for f in futures]
-        finally:
-            # an item a dead worker never read must not hold up our exit
-            queue.close()
-            queue.cancel_join_thread()
+    finally:
+        _SHARED.clear()
 
 
 def _fields(rep, k: int) -> list:
@@ -372,8 +358,8 @@ def cmd_run(args) -> int:
     # per (protocol, seed): its run or the error it failed with; a task that
     # failed as a whole fails each of its seeds
     runs = {}
-    for (proto, seeds), result in zip(tasks, _run_tasks(tasks, args.jobs,
-                                                        (scenario, sources, k))):
+    shared = {"scenario": scenario, "sources": sources, "k_spectrum": k}
+    for (proto, seeds), result in zip(tasks, _run_tasks(tasks, args.jobs, shared)):
         for j, seed in enumerate(seeds):
             runs[proto.kind, seed] = result if isinstance(result, Exception) else result[j]
     cells = [(proto, seed, runs[proto.kind, seed] if seed in sources else diverged[seed])
@@ -547,9 +533,9 @@ def make_parser():
     r.add_argument("--config", required=True)
     r.add_argument("--out", default=None, help="override the configured output dir")
     r.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run the tasks in up to N spawned worker processes, each with "
-                        "one BLAS thread unless the *_NUM_THREADS variables are set; "
-                        "output is byte-identical to --jobs 1")
+                   help="run the tasks in up to N forked worker processes, each with "
+                        "one OpenBLAS thread unless OPENBLAS_NUM_THREADS or "
+                        "OMP_NUM_THREADS is set; output is byte-identical to --jobs 1")
     r.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="aggregate a results directory")

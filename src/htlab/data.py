@@ -461,6 +461,13 @@ def load_scenario(in_dir: str) -> HTScenario:
         if len(y) and y.max() >= num_classes:
             raise bad("num_classes", f"= {num_classes}, but {name} has label {y.max()}")
         ds = datasets[name] = Dataset(X, y, num_classes)
+        present = ds.classes_present()
+        if name == "target_train" and not seen[present].all():
+            label = present[~seen[present]][0]
+            raise bad("seen", f"= {meta['seen']}, but {name} has unseen label {label}")
+        if name != "target_train" and present.size < num_classes:
+            label = np.setdiff1d(np.arange(num_classes), present)[0]
+            raise bad("num_classes", f"= {num_classes}, but {name} has no label {label}")
         count = field(f"count_{name}")
         if count != len(ds):
             raise bad(f"count_{name}", f"= {count}, but {name} has {len(ds)} rows")

@@ -1,8 +1,8 @@
 import configparser
+import ctypes
 import glob
 import importlib.util
 import json
-import multiprocessing.queues
 import os
 import re
 import subprocess
@@ -11,12 +11,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import htlab
 import htlab.cli as cli
-from htlab.cli import _worker_env, build_scenario, load_config, main
+from htlab.cli import build_scenario, load_config, main
 from htlab.data import SyntheticSpec, load_scenario
 from htlab.losses import LossSpec
 from htlab.model import MlpSpec, ModelParams
@@ -201,12 +202,16 @@ def test_gen_flags_build_the_same_scenario_as_config_keys(tmp_path):
     ("seen", {"seen": "seen = 1,2,99"}),
     ("num_classes", {"num_classes": "num_classes = 8", "seen": "seen = 0,1,2,3,5"}),
     ("seen", {"seen": "seen = 0,1,2,3,4,5,6,7,8,9"}),
+    ("num_classes", {"num_classes": "num_classes = 12"}),
+    ("seen", {"seen": "seen = 0,1,2,3,4,5"}),
 ], ids=["format-missing", "format-bogus", "count", "dim", "seen-out-of-range",
-        "num-classes-below-labels", "seen-every-class"])
+        "num-classes-below-labels", "seen-every-class", "num-classes-above-labels",
+        "seen-lacks-a-trained-class"])
 def test_run_rejects_an_import_whose_meta_disagrees_naming_the_key(tmp_path, capsys,
                                                                    key, edits):
-    # a `htlab gen` directory of 10 classes (6 seen) and 400 test rows of
-    # width 16, each line of `edits`' keys replaced by its line or dropped
+    # a `htlab gen` directory of 10 classes (seen 0,1,2,3,5,9) and 400 test
+    # rows of width 16, each line of `edits`' keys replaced by its line or
+    # dropped
     scn, out = str(tmp_path / "scn"), str(tmp_path / "out")
     assert main(["gen", "--out", scn]) == 0
     meta = os.path.join(scn, "meta")
@@ -284,11 +289,11 @@ def test_run_parallel_matches_sequential(tmp_path, monkeypatch, case):
         outputs[jobs] = [_read(os.path.join(out, name))
                          for name in ("curves.csv", "summary.csv")]
     assert outputs["2"] == outputs["1"]
-    # --jobs 1 builds no pool; the workers of --jobs 2 get only the queue
-    # that carries the scenario and the source params, not the state itself
+    # --jobs 1 builds no pool; the workers of --jobs 2 are forked, so they
+    # inherit the scenario and the source params and nothing of it is pickled
     [pool] = pools
-    (queue,) = pool["initargs"]
-    assert isinstance(queue, multiprocessing.queues.Queue)
+    assert pool["mp_context"].get_start_method() == "fork"
+    assert "initializer" not in pool and "initargs" not in pool
 
 
 def test_run_parallel_isolates_failing_cells(tmp_path, capsys):
@@ -307,39 +312,81 @@ def test_run_parallel_isolates_failing_cells(tmp_path, capsys):
     assert "naive_ft seed=" not in err
 
 
+def _src_env() -> dict:
+    """os.environ with this htlab's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(htlab.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_run_parallel_as_a_module_process(tmp_path):
-    # spawned workers re-import the main module, so `python -m htlab.cli`
-    # must have no side effects at import; the 4 seeds of a leave-out
-    # protocol are 4 tasks and give 4 workers, likely more than the cores,
-    # and a worker left without the shared state would hang the run past
-    # the timeout
+    # `python -m htlab.cli` forks its workers from a process that runs the
+    # module as __main__; the 4 seeds of a leave-out protocol are 4 tasks and
+    # give 4 workers, likely more than the cores, and a worker that hung
+    # would hold the run past the timeout
     cfg, out = _write_config(tmp_path, names="lolsgd", seeds="0,1,2,3",
                              extra="\n[lol]\nsubsets = 2\nleave_k = 1\n")
-    src = os.path.dirname(os.path.dirname(htlab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "htlab.cli", "run", "--config", cfg,
-                           "--jobs", "4"], env=env, capture_output=True, text=True,
+                           "--jobs", "4"], env=_src_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "4/4 runs completed" in proc.stdout
 
 
-def _threads(n, *names):
-    return {v: n for v in names or ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                    "MKL_NUM_THREADS")}
+def test_run_parallel_from_a_script_without_a_main_guard(tmp_path):
+    # forked workers import nothing, so a script may call main at its top
+    # level, with no `if __name__ == "__main__":` guard
+    cfg, out = _write_config(tmp_path)
+    script = tmp_path / "grid.py"
+    script.write_text("import sys\nfrom htlab.cli import main\n"
+                      f"sys.exit(main(['run', '--config', {cfg!r}, '--jobs', '2']))\n")
+    proc = subprocess.run([sys.executable, str(script)], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(out, "summary.csv")) as f:
+        rows = [ln.split(",") for ln in f.read().splitlines()[1:] if ln]
+    assert len(rows) == 6 and all(r[0] == "ok" for r in rows)
 
 
-@pytest.mark.parametrize("environ, want", [
-    ({}, _threads("1")),
-    ({"PATH": "/bin"}, _threads("1")),  # only the three variables count
-    ({"MKL_NUM_THREADS": "4"}, _threads("1", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")),
-    # a value the caller set, even empty, is the caller's
-    ({"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": ""}, _threads("1", "OPENBLAS_NUM_THREADS")),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}, {}),
-])
-def test_worker_env_gives_each_worker_one_blas_thread(environ, want):
-    assert _worker_env(environ) == want
+def _openblas():
+    """The get and set thread-count calls of numpy's OpenBLAS; the test
+    skips where numpy's BLAS has none."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _blas_threads(task):
+    """A stand-in for cli._cell: the OpenBLAS threads of the process that runs it."""
+    return _openblas()[0]()
+
+
+@pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_pool_workers_get_one_blas_thread_unless_the_caller_set_one(tmp_path, monkeypatch,
+                                                                    var):
+    get, set_ = _openblas()
+    for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(v, raising=False)
+    if var:
+        monkeypatch.setenv(var, "2")
+    cfg, _ = _write_config(tmp_path, seeds="0")
+    before = get()
+    set_(2)
+    try:
+        # 2 tasks at --jobs 2 fork a pool; the count is put back after
+        assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
+        assert get() == 2
+        # forked workers inherit a patched _cell
+        monkeypatch.setattr(cli, "_cell", _blas_threads)
+        want = 2 if var else 1
+        assert cli._run_tasks([None, None], jobs=2, shared={}) == [want, want]
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

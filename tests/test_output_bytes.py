@@ -2,7 +2,7 @@
 at the workload's own --jobs, checked against the digests the benchmark
 pins (perfbench/digests.json). `reference` draws a synthetic scenario and
 `bn-adapter` a paired one, so together they reach both generators;
-`lol-distill-jobs2` runs its tasks in two spawned workers, so its rows
+`lol-distill-jobs2` runs its tasks in two forked workers, so its rows
 cross the process pool. The three runs take about 13 s.
 
 Also every file of two `htlab gen` directories, one per generator: a
