@@ -10,8 +10,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import pytest
 from numpy.linalg import _umath_linalg
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
