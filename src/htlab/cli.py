@@ -35,9 +35,11 @@ source training data, the model spec, the [pretrain] settings and the seed,
 and the buffer is loaded into the spec [model] describes, never one the
 file states. A file that is not exactly the checkpoint of that key and of
 that spec's size (another key, an older format or a cut-short write) is
-retrained and overwritten, with a note on stderr. A checkpoint is
-written beside its name and renamed over it, so a run killed while writing
-leaves no partial file under the name.
+retrained and overwritten, with a note on stderr. Every file that run and
+report write is written beside its name and renamed over it, so a run
+killed while writing leaves no partial file under the name. Once its config
+is valid, a run first removes the curves.csv, summary.csv and report.json
+an earlier run left; its checkpoints stay.
 
 A task is a protocol and the seeds that train together as one stack, one
 run_protocol call, at any --jobs (transfer.Protocol.seed_groups): all the
@@ -63,7 +65,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 
 import numpy as np
@@ -79,7 +81,7 @@ from .data import (
 )
 from .losses import LossSpec
 from .metrics import METRICS, EvalSet, aggregate_seeds, evaluate, report_from_scores
-from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
+from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint, write_file
 from .numkit import Rng, _at_least, _check, _one_of
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
@@ -89,14 +91,6 @@ ENSEMBLE_ALPHA = 0.5
 
 CURVE_COLUMNS = ["scenario_id", "protocol", "seed", "epoch", *METRICS]
 SUMMARY_COLUMNS = ["status", "scenario_id", "protocol", "seed", *METRICS]
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
 
 
 # ----------------------------------------------------------- config parsing
@@ -238,8 +232,8 @@ def _source_key(scenario, spec: MlpSpec, pretrain: SgdConfig, seed: int) -> str:
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# what every cell of the run in progress reads: the scenario, the source
-# params per seed and k_spectrum; set by _run_tasks, and inherited by the
+# what every cell of the run in progress reads: the scenario, _sources'
+# dict and k_spectrum; set by _run_tasks, and inherited by the
 # pool workers it forks
 _SHARED: dict = {}
 
@@ -305,11 +299,62 @@ def _run_tasks(tasks: list, jobs: int, shared: dict) -> list:
         _SHARED.clear()
 
 
-def _fields(rep, k: int) -> list:
-    """The metric cells of one row, then sv_1..sv_k (nan past the spectrum,
-    and everywhere without a report)."""
-    vals = [] if rep is None else [*(getattr(rep, m) for m in METRICS), *rep.sv]
-    return [_fmt(v) for v in vals] + ["nan"] * (len(METRICS) + k - len(vals))
+def _sources(scenario, spec: MlpSpec, pretrain: SgdConfig, seeds: list, out_dir: str) -> dict:
+    """Per seed, its source params, loaded from its checkpoint or pretrained
+    and saved there, or the DivergenceError its pretrain raised."""
+    sources = {}
+    for seed in seeds:
+        ckpt = os.path.join(out_dir, f"source_seed{seed}.ckpt")
+        key = _source_key(scenario, spec, pretrain, seed)
+        if os.path.exists(ckpt):
+            try:
+                sources[seed] = load_checkpoint(ckpt, spec, key)
+                continue
+            except BadCheckpoint as e:
+                print(f"note: {e}; retraining it", file=sys.stderr)
+        try:
+            sources[seed] = pretrain_source(scenario, spec, pretrain,
+                                            Rng(seed).derive("source"))
+            save_checkpoint(sources[seed], ckpt, key)
+        except DivergenceError as e:
+            print(f"runtime failure: {e}", file=sys.stderr)
+            sources[seed] = e
+    return sources
+
+
+def _tables(cells: dict, scenario, sources: dict, k: int, ensembles: bool) -> tuple:
+    """curves.csv and summary.csv, with columns sv_1..sv_k, as text: the rows of
+    `cells`, (protocol, seed) -> run or error, with `ensembles` SE and WiSE rows."""
+    sv_columns = [f"sv_{i+1}" for i in range(k)]
+    curves = [",".join(CURVE_COLUMNS + sv_columns)]
+    summary = [",".join(SUMMARY_COLUMNS + sv_columns)]
+
+    def row(*lead, rep=None):
+        # the metric cells, then sv_1..sv_k; nan past the spectrum or without a report
+        vals = [] if rep is None else [*(getattr(rep, m) for m in METRICS), *rep.sv.tolist()]
+        vals += [None] * (len(METRICS) + k - len(vals))
+        return ",".join([scenario.scenario_id, *map(str, lead),
+                         *("nan" if v is None else "%.17g" % v for v in vals)])
+
+    # the test set of the ensemble rows
+    test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
+    for (proto, seed), run in cells.items():
+        # the cell's summary rows: its own, then its SE and WiSE ensembles'
+        names = [proto.kind]
+        if ensembles and proto.kind != "source_only":
+            names += [f"{proto.kind}+{e}@{ENSEMBLE_ALPHA:g}" for e in ("SE", "WiSE")]
+        if isinstance(run, Exception):
+            summary += ["FAILED," + row(name, seed) for name in names]
+            continue
+        curves += [row(proto.kind, seed, epoch, rep=rep) for epoch, rep in enumerate(run.curve)]
+        reports = [run.curve[-1]]
+        if len(names) > 1:
+            src, final = sources[seed], run.final_params
+            probs = se_predict(src, final, scenario.target_test.X, ENSEMBLE_ALPHA)
+            merged = wise_merge(src, final, ENSEMBLE_ALPHA)
+            reports += [report_from_scores(probs, test), evaluate(merged, test, k)]
+        summary += ["ok," + row(name, seed, rep=rep) for name, rep in zip(names, reports)]
+    return "\n".join(curves) + "\n", "\n".join(summary) + "\n"
 
 
 def cmd_run(args) -> int:
@@ -329,81 +374,33 @@ def cmd_run(args) -> int:
         _check("[lol] leave_k", cfg["lol"].leave_k, (lambda v: v < n_classes, (
             f"must be below the {n_classes} classes of the target training split")))
     os.makedirs(out_dir, exist_ok=True)
+    # what an earlier run left; its checkpoints stay, guarded by their cache key
+    for name in ("curves.csv", "summary.csv", "report.json"):
+        with suppress(FileNotFoundError):
+            os.unlink(os.path.join(out_dir, name))
 
-    # one cached source model per seed, which every protocol starts from,
-    # or the error its pretrain diverged with
-    sources, diverged = {}, {}
-    for seed in cfg["seeds"]:
-        ckpt = os.path.join(out_dir, f"source_seed{seed}.ckpt")
-        key = _source_key(scenario, spec, cfg["pretrain"], seed)
-        if os.path.exists(ckpt):
-            try:
-                sources[seed] = load_checkpoint(ckpt, spec, key)
-                continue
-            except BadCheckpoint as e:
-                print(f"note: {e}; retraining it", file=sys.stderr)
-        try:
-            sources[seed] = pretrain_source(scenario, spec, cfg["pretrain"],
-                                            Rng(seed).derive("source"))
-        except DivergenceError as e:
-            print(f"runtime failure: {e}", file=sys.stderr)
-            diverged[seed] = e
-            continue
-        save_checkpoint(sources[seed], ckpt, key)
-
-    k = cfg["k_spectrum"]
-    sv_count = min(k, len(scenario.target_test), spec.layer_widths[-2])
+    sources = _sources(scenario, spec, cfg["pretrain"], cfg["seeds"], out_dir)
+    trained = [seed for seed, src in sources.items() if not isinstance(src, Exception)]
     tasks = [(proto, tuple(group)) for proto in protocols
-             for group in proto.seed_groups(list(sources))]  # the pretrained seeds, in order
-    # per (protocol, seed): its run or the error it failed with; a task that
-    # failed as a whole fails each of its seeds
-    runs = {}
-    shared = {"scenario": scenario, "sources": sources, "k_spectrum": k}
+             for group in proto.seed_groups(trained)]
+    # per (protocol, seed), in configured order: its run or the error it
+    # failed with. Each starts as its _sources entry, which a task replaces
+    # unless it is a pretrain's error; a failed task fails each of its seeds
+    cells = {(proto, seed): sources[seed] for proto in protocols for seed in cfg["seeds"]}
+    shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"]}
     for (proto, seeds), result in zip(tasks, _run_tasks(tasks, args.jobs, shared)):
         for j, seed in enumerate(seeds):
-            runs[proto.kind, seed] = result if isinstance(result, Exception) else result[j]
-    cells = [(proto, seed, runs[proto.kind, seed] if seed in sources else diverged[seed])
-             for proto in protocols for seed in cfg["seeds"]]
+            cells[proto, seed] = result if isinstance(result, Exception) else result[j]
 
-    sv_columns = [f"sv_{i+1}" for i in range(sv_count)]
-    curve_lines = [",".join(CURVE_COLUMNS + sv_columns)]
-    summary_lines = [",".join(SUMMARY_COLUMNS + sv_columns)]
+    sv_count = min(cfg["k_spectrum"], len(scenario.target_test), spec.layer_widths[-2])
+    curves, summary = _tables(cells, scenario, sources, sv_count, cfg["ensembles"])
+    write_file(os.path.join(out_dir, "curves.csv"), curves.encode())
+    write_file(os.path.join(out_dir, "summary.csv"), summary.encode())
 
-    def row(*lead, rep=None):
-        return ",".join([scenario.scenario_id, *map(str, lead)] + _fields(rep, sv_count))
-
-    failed = []
-    # the test set of the ensemble rows
-    test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
-    for proto, seed, run in cells:
-        # the cell's summary rows: its own, then its SE and WiSE ensembles'
-        names = [proto.kind]
-        if cfg["ensembles"] and proto.kind != "source_only":
-            names += [f"{proto.kind}+{e}@{ENSEMBLE_ALPHA:g}" for e in ("SE", "WiSE")]
-        if isinstance(run, Exception):
-            failed.append((proto.kind, seed, str(run)))
-            summary_lines += ["FAILED," + row(name, seed) for name in names]
-            continue
-        curve_lines += [row(proto.kind, seed, epoch, rep=rep)
-                        for epoch, rep in enumerate(run.curve)]
-        reports = [run.curve[-1]]
-        if len(names) > 1:
-            src = sources[seed]
-            probs = se_predict(src, run.final_params, scenario.target_test.X,
-                               ENSEMBLE_ALPHA)
-            merged = wise_merge(src, run.final_params, ENSEMBLE_ALPHA)
-            reports += [report_from_scores(probs, test), evaluate(merged, test, k)]
-        summary_lines += ["ok," + row(name, seed, rep=rep) for name, rep in zip(names, reports)]
-
-    with open(os.path.join(out_dir, "curves.csv"), "w", newline="") as f:
-        f.write("\n".join(curve_lines) + "\n")
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as f:
-        f.write("\n".join(summary_lines) + "\n")
-
-    for kind, seed, msg in failed:
-        print(f"FAILED {kind} seed={seed}: {msg}", file=sys.stderr)
-    done = len(cells) - len(failed)
-    print(f"{done}/{len(cells)} runs completed -> {out_dir}/summary.csv")
+    failed = [(cell, run) for cell, run in cells.items() if isinstance(run, Exception)]
+    for (proto, seed), err in failed:
+        print(f"FAILED {proto.kind} seed={seed}: {err}", file=sys.stderr)
+    print(f"{len(cells) - len(failed)}/{len(cells)} runs completed -> {out_dir}/summary.csv")
     return 2 if failed else 0
 
 
@@ -491,8 +488,7 @@ def cmd_report(args) -> int:
     report = {"protocols": table, "delta_vs_naive_ft": deltas,
               "best_delta_vs_naive_ft": best_delta}
     out_path = os.path.join(args.results_dir, "report.json")
-    with open(out_path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
+    write_file(out_path, json.dumps(report, indent=2, sort_keys=True).encode())
 
     width = max(len(n) for n in table) + 2
     print("protocol".ljust(width) + "".join(m.rjust(15) for m in METRICS))

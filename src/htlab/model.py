@@ -493,21 +493,23 @@ def _header(key: str) -> bytes:
     return f"htlab-checkpoint v2\nkey = {key}\nend\n".encode("ascii")
 
 
-def save_checkpoint(params: ModelParams, path: str, key: str):
-    """Write `params` as a checkpoint under the cache `key` (see the module
-    docstring)."""
-    # written beside `path` and renamed over it, so a write cut short never
-    # leaves a partial checkpoint under the name
+def write_file(path: str, data: bytes):
+    """`data` written beside `path` and renamed over it: a cut write leaves `path` as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(_header(key))
-            f.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(params: ModelParams, path: str, key: str):
+    """Write `params` as a checkpoint under the cache `key` (see the module
+    docstring), through write_file."""
+    write_file(path, _header(key) + np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str, spec: MlpSpec, key: str) -> ModelParams:

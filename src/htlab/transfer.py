@@ -123,6 +123,8 @@ class Protocol:
             _check("[swa] start_epoch", self.swa.start_epoch, (
                 lambda v: v < self.sgd.epochs,
                 f"must be below [sgd] epochs ({self.sgd.epochs}) for {self.kind}"))
+        _check("[sgd] epochs", self.sgd.epochs, (lambda v: not 0 < v < len(preset.phases),
+               f"must be 0 or at least {len(preset.phases)}, the phases of {self.kind}"))
 
     @property
     def local_sgd(self) -> bool:

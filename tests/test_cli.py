@@ -257,6 +257,94 @@ def test_run_rerun_byte_identical(tmp_path):
     assert _read(os.path.join(out, "curves.csv")) == first_curves
 
 
+def test_run_removes_the_outputs_an_earlier_run_left(tmp_path, capsys):
+    cfg, out = _write_config(tmp_path, seeds="0,1")
+    assert main(["run", "--config", cfg]) == 0
+    assert main(["report", out]) == 0
+    ckpts = sorted(glob.glob(os.path.join(out, "source_seed*.ckpt")))
+    before = {path: (_read(path), os.stat(path).st_mtime_ns) for path in ckpts}
+    capsys.readouterr()
+    _edit(cfg, "names = source_only,naive_ft", "names = source_only,frozen_ft")
+    assert main(["run", "--config", cfg]) == 0
+    # the report of the first run aggregated naive_ft, which this one did not run
+    assert not os.path.exists(os.path.join(out, "report.json"))
+    lines = _read(os.path.join(out, "summary.csv")).decode().splitlines()[1:]
+    assert {ln.split(",")[2] for ln in lines} == {"source_only", "frozen_ft"}
+    # the checkpoints were loaded, not rewritten
+    assert "note:" not in capsys.readouterr().err
+    assert {path: (_read(path), os.stat(path).st_mtime_ns) for path in ckpts} == before
+
+
+class _CutShort:
+    """A file whose write writes the first half of what it is given, then
+    raises as a full disk would."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[:len(data) // 2])
+        self._f.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def test_a_cut_short_csv_write_leaves_no_cut_file_and_no_temporary(tmp_path, monkeypatch):
+    cfg, out = _write_config(tmp_path, seeds="0")
+    assert main(["run", "--config", cfg]) == 0
+    path = os.path.join(out, "curves.csv")
+    old = _read(path)
+    real_open = open
+
+    def cut_curves_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        cut = "w" in mode and os.path.basename(str(file)).startswith("curves.csv")
+        return _CutShort(f) if cut else f
+
+    # a run whose curves.csv write is cut short fails, and leaves under the
+    # name neither a cut file nor the one an earlier run wrote
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", cut_curves_open)
+        assert main(["run", "--config", cfg]) == 2
+    assert not os.path.exists(path)
+    assert glob.glob(os.path.join(out, "*.tmp")) == []
+    # a cut write leaves the file it was to replace whole
+    cli.write_file(path, old)
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", cut_curves_open)
+        with pytest.raises(OSError, match="No space left"):
+            cli.write_file(path, old.replace(b"naive_ft", b"frozen_ft"))
+    assert _read(path) == old
+    assert glob.glob(os.path.join(out, "*.tmp")) == []
+
+
+def test_run_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    get, set_ = _openblas()
+    outputs = []
+    before = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            cfg, out = _write_config(run_dir, names="source_only,naive_ft,sgd_distill,lolsgd",
+                                     seeds="0,1", ensembles="true", extra=_GRID_EXTRA)
+            # test rows x feature width x width past OpenBLAS's threading threshold
+            _edit(cfg, "hidden = 8,8", "hidden = 64,64")
+            _edit(cfg, "test_per_class = 8", "test_per_class = 40")
+            assert main(["run", "--config", cfg]) == 0
+            names = ["curves.csv", "summary.csv", "source_seed0.ckpt", "source_seed1.ckpt"]
+            outputs.append({name: _read(os.path.join(out, name)) for name in names})
+    finally:
+        set_(before)
+    assert outputs[1] == outputs[0]
+
+
 # every preset that trains with SGD, on a model with batchnorm and an input
 # adapter, with both loss terms and the ensembles
 _BN_ADAPTER_SGD = dict(
@@ -606,6 +694,20 @@ def test_run_rejected_value_names_its_section_and_key(tmp_path, capfd, monkeypat
     # one line: no traceback and no numpy warning
     assert err.startswith(f"error: {named}") and err.count("\n") == 1
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("epochs", [1, 0])
+def test_run_lp_ft_needs_an_sgd_epoch_per_phase_or_none(tmp_path, capfd, epochs):
+    # with one epoch lp_ft's probe phase would get none: naive_ft under its name
+    cfg, out = _write_config(tmp_path, names="lp_ft", seeds="0")
+    _edit(cfg, "batch_size = 16\nepochs = 2", f"batch_size = 16\nepochs = {epochs}")
+    if epochs:
+        assert main(["run", "--config", cfg]) == 1
+        assert capfd.readouterr().err == \
+            "error: [sgd] epochs = 1 must be 0 or at least 2, the phases of lp_ft\n"
+        assert not os.path.exists(out)
+    else:
+        assert main(["run", "--config", cfg]) == 0
 
 
 # a grid every row of which the test below finds again in its sub-grids
