@@ -334,7 +334,7 @@ def test_run_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             run_dir.mkdir()
             cfg, out = _write_config(run_dir, names="source_only,naive_ft,sgd_distill,lolsgd",
                                      seeds="0,1", ensembles="true", extra=_GRID_EXTRA)
-            # test rows x feature width x width past OpenBLAS's threading threshold
+            # matmuls larger than the other grids', so a second thread has work to share
             _edit(cfg, "hidden = 8,8", "hidden = 64,64")
             _edit(cfg, "test_per_class = 8", "test_per_class = 40")
             assert main(["run", "--config", cfg]) == 0
