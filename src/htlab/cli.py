@@ -3,10 +3,13 @@
 Subcommands:
 
     gen     materialize a scenario directory; its flags are the [scenario]
-            keys (--source-per-class for source_per_class, ...)
+            keys (--source-per-class for source_per_class, ...). With
+            --force over an earlier directory, its meta goes first and the
+            new one is written last, so a cut gen leaves no meta
     run     execute a protocol x seed grid from an INI config, writing
             curves.csv (one row per epoch) and summary.csv (final rows)
-    report  aggregate summary.csv across seeds into a table and JSON
+    report  aggregate summary.csv across seeds into a table and JSON,
+            with the sha256 of the summary.csv bytes it read
 
 The config file is INI-style: named sections with key = value lines; see
 configs/reference.ini for a complete example. A key states its type, default
@@ -35,11 +38,12 @@ source training data, the model spec, the [pretrain] settings and the seed,
 and the buffer is loaded into the spec [model] describes, never one the
 file states. A file that is not exactly the checkpoint of that key and of
 that spec's size (another key, an older format or a cut-short write) is
-retrained and overwritten, with a note on stderr. Every file that run and
-report write is written beside its name and renamed over it, so a run
-killed while writing leaves no partial file under the name. Once its config
-is valid, a run first removes the curves.csv, summary.csv and report.json
-an earlier run left; its checkpoints stay.
+retrained and overwritten, with a note on stderr. Every file that gen, run
+and report write goes through data.write_file: it is written beside its
+name and renamed over it, so a command killed while writing leaves no
+partial file under the name. Once its config is valid, a run first removes
+the curves.csv, summary.csv and report.json an earlier run left; its
+checkpoints stay.
 
 A task is a protocol and the seeds that train together as one stack, one
 run_protocol call, at any --jobs (transfer.Protocol.seed_groups): all the
@@ -78,10 +82,11 @@ from .data import (
     gen_synthetic_scenario,
     load_scenario,
     save_scenario,
+    write_file,
 )
 from .losses import LossSpec
 from .metrics import METRICS, EvalSet, aggregate_seeds, evaluate, report_from_scores
-from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint, write_file
+from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
 from .numkit import Rng, _at_least, _check, _one_of
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
@@ -130,7 +135,7 @@ _MODEL_KEYS = {"hidden": ("64,64", (_widths, "must list widths of at least 1")),
                "activation": _keys(MlpSpec)["activation"], "batchnorm": (False, None),
                "in_adapter": (False, None)}
 _PROTOCOLS_KEYS = {"names": ("", (_items, "must list one or more protocols, each once"))}
-_RUN_KEYS = {"seeds": ("", None), "output_dir": ("htlab-out", None),
+_RUN_KEYS = {"seeds": ("", None), "output_dir": ("htlab-out", (bool, "must name a directory")),
              "k_spectrum": (20, _COUNT), "ensembles": (False, None)}
 _SECTIONS = ("scenario", "model", "protocols", "pretrain", "sgd", "lol", "loss", "swa", "run")
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
@@ -421,13 +426,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _parse_summary(path: str) -> tuple:
-    """The `ok` rows of a summary.csv as (protocol, seed, {metric: value})
-    triples and each row's status by (protocol, seed), after checking that
-    the header has every summary column once, the width and status (`ok` or
-    `FAILED`) of every row, and that seed and `ok` metric cells are numbers."""
-    with open(path) as f:
-        lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(f, 1) if ln.strip()]
+def _parse_summary(path: str, text: str) -> tuple:
+    """The `ok` rows of `text`, the summary.csv at `path`, as (protocol,
+    seed, {metric: value}) triples and each row's status by (protocol,
+    seed), after checking that the header has every summary column once,
+    the width and status (`ok` or `FAILED`) of every row, and that seed and
+    `ok` metric cells are numbers."""
+    lines = [(n, ln.split(",")) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")
     header = lines[0][1]
@@ -468,7 +473,9 @@ def cmd_report(args) -> int:
     if not os.path.exists(path):
         print(f"missing {path}", file=sys.stderr)
         return 1
-    rows, cells = _parse_summary(path)
+    with open(path, "rb") as f:
+        raw = f.read()
+    rows, cells = _parse_summary(path, raw.decode())
     table = aggregate_seeds(rows)
     # each protocol against naive_ft seed by seed, over the seeds both have ok rows for
     base = {seed: values for name, seed, values in rows if name == "naive_ft"}
@@ -486,7 +493,8 @@ def cmd_report(args) -> int:
             best_delta[m] = {"protocol": best, "delta": vals[best]}
 
     report = {"protocols": table, "delta_vs_naive_ft": deltas,
-              "best_delta_vs_naive_ft": best_delta}
+              "best_delta_vs_naive_ft": best_delta,
+              "summary_sha256": hashlib.sha256(raw).hexdigest()}
     out_path = os.path.join(args.results_dir, "report.json")
     write_file(out_path, json.dumps(report, indent=2, sort_keys=True).encode())
 

@@ -35,12 +35,20 @@ f64 container is 12 bytes of header -- magic ``HTF8``, u32 rows, u32
 cols, little endian -- followed by rows*cols float64 values, little endian,
 row major. The readers of both formats check the sizes a header declares
 against the file before reading.
+
+write_file is the package's one file writer. Each file it writes -- a
+scenario directory's, and the checkpoints, CSVs and report of the other
+modules -- goes to a temporary beside its name and is renamed over it.
+save_scenario removes an earlier meta before its first write and writes
+meta last, so a save cut partway leaves no meta, never a mix of two
+scenarios that loads.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -288,7 +296,20 @@ def gen_paired_toxicity_scenario(spec: PairedSpec) -> HTScenario:
         toxicity=ToxicityMap([(2 * p, 2 * p + 1) for p in range(spec.pairs)]))
 
 
-# ------------------------------------------------------------------ IDX I/O
+# ------------------------------------------------------- file and IDX I/O
+
+def write_file(path: str, data: bytes):
+    """`data` written beside `path` and renamed over it: a cut write leaves `path` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
 
 def _read_exact(f, n: int, path: str) -> bytes:
     """The next n bytes of `f`. The length is checked against what is left
@@ -345,22 +366,20 @@ def write_idx_labels(path: str, labels: np.ndarray):
     labels = np.asarray(labels)
     if labels.size and labels.max() > 255:
         raise ValueError("IDX labels must fit in u8")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABELS_MAGIC, len(labels)))
-        f.write(labels.astype(np.uint8).tobytes())
+    write_file(path, struct.pack(">ii", IDX_LABELS_MAGIC, len(labels))
+               + labels.astype(np.uint8).tobytes())
 
 
 # -------------------------------------------------------- f64 container I/O
 
 def write_f64(path: str, X: np.ndarray):
     X = np.ascontiguousarray(X, dtype=np.float64)
-    with open(path, "wb") as f:
-        f.write(F64_MAGIC)
-        f.write(struct.pack("<II", X.shape[0], X.shape[1]))
-        f.write(X.astype("<f8").tobytes())
+    write_file(path, F64_MAGIC + struct.pack("<II", *X.shape) + X.astype("<f8").tobytes())
 
 
 def read_f64(path: str) -> np.ndarray:
+    """The features an f64 container holds; a non-finite one raises,
+    naming the file."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, path)
         if magic != F64_MAGIC:
@@ -369,18 +388,24 @@ def read_f64(path: str) -> np.ndarray:
         raw = _read_exact(f, rows * cols * 8, path)
         if f.read(1):
             raise ValueError(f"trailing bytes in {path}")
-    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    X = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    if not np.isfinite(X).all():
+        raise ValueError(f"{path}: non-finite features")
+    return X
 
 
 # ------------------------------------------------------- scenario directory
 
 def save_scenario(scenario: HTScenario, out_dir: str, force: bool = False):
     """Materialize a scenario as a directory, features in the exact f64
-    container."""
+    container, an earlier `meta` removed first and the new one written last."""
     os.makedirs(out_dir, exist_ok=True)
     existing = [p for p in os.listdir(out_dir) if not p.startswith(".")]
     if existing and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty")
+    meta = os.path.join(out_dir, "meta")
+    with suppress(FileNotFoundError):
+        os.unlink(meta)
 
     lines = [
         "format = synthetic",
@@ -398,8 +423,7 @@ def save_scenario(scenario: HTScenario, out_dir: str, force: bool = False):
     if scenario.toxicity is not None:
         lines.append("toxic_pairs = " + ",".join(
             f"{t}:{n}" for t, n in scenario.toxicity.pairs))
-    with open(os.path.join(out_dir, "meta"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_file(meta, ("\n".join(lines) + "\n").encode())
 
 
 def load_scenario(in_dir: str) -> HTScenario:
@@ -408,7 +432,9 @@ def load_scenario(in_dir: str) -> HTScenario:
     and each split's row count, and the data files must agree with it; a
     key that is missing, malformed or out of range, or that the data
     contradicts, raises a ValueError naming the file and the key; so does a
-    key it does not know or one listed twice, and a line without `=`."""
+    key it does not know or one listed twice, a line without `=`, and
+    `toxic_pairs` listing a class twice or non-toxic classes other than the
+    seen ones. A non-finite feature raises naming its file."""
     path = os.path.join(in_dir, "meta")
 
     def bad(key, why):
@@ -476,9 +502,15 @@ def load_scenario(in_dir: str) -> HTScenario:
 
     toxicity = None
     if "toxic_pairs" in meta:
-        toxicity = ToxicityMap(field(
-            "toxic_pairs", lambda text: [class_ids(p, ":") for p in text.split(",")],
-            lambda pairs: all(len(p) == 2 and in_range(p) for p in pairs)))
+        pairs = field("toxic_pairs", lambda text: [class_ids(p, ":") for p in text.split(",")],
+                      lambda pairs: all(len(p) == 2 and in_range(p) for p in pairs))
+        flat = [i for p in pairs for i in p]
+        if len(set(flat)) < len(flat):
+            raise bad("toxic_pairs", f"= {meta['toxic_pairs']} lists a class twice")
+        if sorted(flat[1::2]) != np.flatnonzero(seen).tolist():
+            raise bad("toxic_pairs", f"= {meta['toxic_pairs']}, but its non-toxic classes "
+                                     f"are not the seen classes {meta['seen']}")
+        toxicity = ToxicityMap(pairs)
     return HTScenario(
         source_train=datasets["source_train"],
         target_train=datasets["target_train"],

@@ -39,15 +39,13 @@ those of that call.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_file
 from .numkit import _FRACTION, _POSITIVE, Rng, _bounded, _check, _check_fields, _one_of
 
 BN_EPS = 1e-5
@@ -491,19 +489,6 @@ class BadCheckpoint(ValueError):
 def _header(key: str) -> bytes:
     """The bytes a checkpoint under the cache `key` starts with."""
     return f"htlab-checkpoint v2\nkey = {key}\nend\n".encode("ascii")
-
-
-def write_file(path: str, data: bytes):
-    """`data` written beside `path` and renamed over it: a cut write leaves `path` as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def save_checkpoint(params: ModelParams, path: str, key: str):

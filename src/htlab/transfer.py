@@ -244,8 +244,7 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
         raise ValueError("need one source model per seed")
     if any(not source.same_spec(sources[0]) for source in sources):
         raise ValueError("the seeds' source models must share one spec")
-    for source in sources:
-        _check_model(protocol.kind, source)
+    _check_model(protocol.kind, sources[0])  # the one spec of every seed's source
     seen_mask = np.asarray(seen_mask, dtype=bool)
     test = EvalSet(target_test, seen_mask, toxicity)  # for every evaluation below
     scratch: dict = {}  # the evaluation forward's buffers, reused every epoch

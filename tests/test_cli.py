@@ -1,6 +1,7 @@
 import configparser
 import ctypes
 import glob
+import hashlib
 import importlib.util
 import json
 import os
@@ -157,6 +158,42 @@ def test_gen_refuses_nonempty_without_force(tmp_path):
                  "--force"]) == 0
 
 
+def _import_config(tmp_path, scn, out):
+    """The path of a config that runs naive_ft seed 0 on the scenario
+    directory `scn` into `out`."""
+    cfg = str(tmp_path / "import.ini")
+    with open(cfg, "w") as f:
+        f.write(f"[scenario]\nkind = import\npath = {scn}\n[protocols]\nnames = naive_ft\n"
+                f"[run]\nseeds = 0\noutput_dir = {out}\n")
+    return cfg
+
+
+def test_a_cut_gen_force_leaves_a_directory_that_does_not_load(tmp_path, monkeypatch,
+                                                               capsys):
+    # `gen --force` of a restyled scenario over an earlier `gen` directory,
+    # its target_test_x.f64 write cut short: the earlier meta is gone, so the
+    # files of the two scenarios never load as one
+    scn, out = str(tmp_path / "scn"), str(tmp_path / "out")
+    assert main(["gen", "--out", scn]) == 0
+    real_open = open
+
+    def cut_test_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        cut = "w" in mode and os.path.basename(str(file)).startswith("target_test_x.f64")
+        return _CutShort(f) if cut else f
+
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", cut_test_open)
+        assert main(["gen", "--force", "--style-angle", "0.8", "--out", scn]) == 2
+    meta = os.path.join(scn, "meta")
+    assert not os.path.exists(meta)
+    assert glob.glob(os.path.join(scn, "*.tmp")) == []
+    capsys.readouterr()
+    assert main(["run", "--config", _import_config(tmp_path, scn, out)]) == 1
+    assert f"'{meta}'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_gen_paired_scenario(tmp_path):
     out = str(tmp_path / "tox")
     rc = main(["gen", "--pairs", "4", "--dim", "8", "--overlap", "0.5",
@@ -221,12 +258,8 @@ def test_run_rejects_an_import_whose_meta_disagrees_naming_the_key(tmp_path, cap
         lines[i:i + 1] = [line] if line else []
     with open(meta, "w") as f:
         f.write("\n".join(lines) + "\n")
-    cfg = str(tmp_path / "import.ini")
-    with open(cfg, "w") as f:
-        f.write(f"[scenario]\nkind = import\npath = {scn}\n[protocols]\nnames = naive_ft\n"
-                f"[run]\nseeds = 0\noutput_dir = {out}\n")
     capsys.readouterr()
-    assert main(["run", "--config", cfg]) == 1
+    assert main(["run", "--config", _import_config(tmp_path, scn, out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {meta}: {key} ")
     assert not os.path.exists(out)
 
@@ -696,6 +729,15 @@ def test_run_rejected_value_names_its_section_and_key(tmp_path, capfd, monkeypat
     assert not os.path.exists(out)
 
 
+def test_run_empty_output_dir_exits_1_before_the_scenario_is_built(tmp_path, capfd,
+                                                                   monkeypatch):
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    _edit(cfg, f"output_dir = {out}", "output_dir = ")
+    monkeypatch.setattr(cli, "build_scenario", lambda *a, **k: pytest.fail("built"))
+    assert main(["run", "--config", cfg]) == 1
+    assert capfd.readouterr().err == "error: [run] output_dir = '' must name a directory\n"
+
+
 @pytest.mark.parametrize("epochs", [1, 0])
 def test_run_lp_ft_needs_an_sgd_epoch_per_phase_or_none(tmp_path, capfd, epochs):
     # with one epoch lp_ft's probe phase would get none: naive_ft under its name
@@ -1047,11 +1089,10 @@ def test_pretrain_inherits_unset_keys_from_sgd(tmp_path):
 
 
 # the keys that take free text, and why. The other text keys are bounded:
-# [scenario] path must name a directory, [protocols] names at least one
-# protocol (each checked by Protocol), and [scenario] kind, which picks the
-# table, must be one of them (_resolve_scenario).
+# [scenario] path and [run] output_dir must name a directory, [protocols]
+# names at least one protocol (each checked by Protocol), and [scenario]
+# kind, which picks the table, must be one of them (_resolve_scenario).
 _FREE_FORM = {
-    "output_dir": "any directory name; the run creates it",
     "seeds": "a list, whose entries load_config parses and checks for repeats, and "
              "which HTLAB_SEED overrides",
 }
@@ -1296,6 +1337,19 @@ def test_report_json_round_trip_no_drift(tmp_path):
     with open(os.path.join(out, "report.json")) as f:
         second = json.load(f)
     assert first == second
+
+
+def test_report_records_the_sha256_of_the_summary_it_aggregated(tmp_path):
+    cfg, out = _write_config(tmp_path, names="naive_ft,frozen_ft", seeds="0,1")
+    assert main(["run", "--config", cfg]) == 0
+    assert main(["report", out]) == 0
+    summary = os.path.join(out, "summary.csv")
+    recorded = json.loads(_read(os.path.join(out, "report.json")))["summary_sha256"]
+    assert recorded == hashlib.sha256(_read(summary)).hexdigest()
+    # an edit after the report no longer matches what it aggregated
+    _rewrite_summary(out, lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "overall", "0.5")]
+                     + ls[2:])
+    assert hashlib.sha256(_read(summary)).hexdigest() != recorded
 
 
 def test_report_missing_inputs(tmp_path, capsys):

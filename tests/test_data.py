@@ -361,6 +361,11 @@ def test_scenario_round_trip_with_toxicity(tmp_path):
     ("toxic_pairs", "toxic_pairs = 0:1,2"),
     ("toxic_pairs", "toxic_pairs = 0:1,2:7"),
     ("toxic_pairs", "toxic_pairs = "),
+    # the seen classes are 1,3,5: non-toxic classes that are not those, and
+    # a class listed twice
+    ("toxic_pairs", "toxic_pairs = 1:0,3:2,5:4"),
+    ("toxic_pairs", "toxic_pairs = 0:1"),
+    ("toxic_pairs", "toxic_pairs = 0:1,0:3,4:5"),
     # a key it does not know, one listed twice, and a line without `=`
     ("toxic_pair", "toxic_pair = 0:1,2:3,4:5"),
     ("seen", "seen = 1,3,5\nseen = 1"),
@@ -377,6 +382,17 @@ def test_scenario_meta_key_rejected_naming_it(tmp_path, key, line):
     with open(meta, "w") as f:
         f.write("\n".join(lines + ([line] if line else [])) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(meta)}: {key} "):
+        load_scenario(out)
+
+
+def test_scenario_non_finite_feature_rejected_naming_its_file(tmp_path):
+    out = str(tmp_path / "scn")
+    save_scenario(ref_scenario(), out)
+    path = os.path.join(out, "target_test_x.f64")
+    X = read_f64(path)
+    X[3, 1] = np.nan
+    write_f64(path, X)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: non-finite features$"):
         load_scenario(out)
 
 

@@ -20,7 +20,9 @@ The package has one trainer loop: `sgd_step` and a `forward` in any mode
 but "eval" are each called from one function only, optim._train_steps.
 Likewise it applies the task rule once: `seed_groups`, which splits a
 protocol's seeds into the stacks run_protocol trains, is called from
-cli.cmd_run alone.
+cli.cmd_run alone. And it has one file writer: the only `open` call with a
+mode that writes (`w`, `a`, `x` or `+`, or a mode that is not a literal)
+is data.write_file's, which writes beside the name and renames.
 """
 
 import ast
@@ -171,6 +173,25 @@ def test_one_function_applies_the_task_rule():
     # run_protocol trains the seeds it is given as one stack; a second
     # caller of seed_groups would group them a second time
     assert callers(_seed_groups_calls) == {"seed_groups": ["cli.cmd_run"]}
+
+
+def _write_opens(node) -> list:
+    """The name open, once per call to it under `node` whose mode writes or
+    is not a string literal."""
+    out = []
+    for call in (call for name, call in _calls(node) if name == "open"):
+        # the mode given by keyword or second argument, or the default "r"
+        mode = ([k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+                + [ast.Constant("r")])[0]
+        if not (isinstance(mode, ast.Constant) and set(str(mode.value)).isdisjoint("wax+")):
+            out.append("open")
+    return out
+
+
+def test_one_function_opens_a_file_for_writing():
+    # a second writer would write a file in place, where a cut write
+    # leaves a cut file under its name
+    assert callers(_write_opens) == {"open": ["data.write_file"]}
 
 
 def unused_imports(paths) -> list:
