@@ -54,7 +54,9 @@ in a task leaves its stack-mates' rows as they would be without it. With
 one, or in this one when that is 1. The workers inherit the scenario and the
 source params, so each task carries only its protocol and seeds. While they
 run, numpy's OpenBLAS is capped at one thread, which they inherit, unless
-the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. Rows are merged in
+the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules
+load only when a pool starts. Each task's result becomes its cells' rows,
+the ensembles' too, here as it arrives and is let go; rows are merged in
 configured order, so the output is byte-identical at every --jobs.
 """
 
@@ -65,10 +67,9 @@ import configparser
 import ctypes
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 
@@ -191,10 +192,11 @@ def load_config(path: str) -> dict:
     names = _items(read("protocols", _PROTOCOLS_KEYS)["names"])
     env = os.environ.get("HTLAB_SEED", "").strip()
     seeds_from, seeds_raw = ("HTLAB_SEED", env) if env else ("[run] seeds", run["seeds"])
-    # [run] seeds is free text in _RUN_KEYS, since HTLAB_SEED overrides it
-    _check(seeds_from, seeds_raw,
-           (lambda v: _items(v, int), "must list one or more integers, each once"))
     seeds = _items(seeds_raw, int)
+    # [run] seeds is free text in _RUN_KEYS, since HTLAB_SEED overrides it; each
+    # seed is held to [scenario] seed's bound, as Rng reduces a seed mod 2**64
+    _check(seeds_from, seeds_raw, (lambda v: seeds and all(0 <= s < 2**64 for s in seeds),
+                                   "must list one or more integers in [0, 2**64), each once"))
 
     model["hidden"] = _widths(model["hidden"])
     bases = {"pretrain": sgd, "lol": LolConfig(), "loss": LossSpec(),
@@ -277,11 +279,11 @@ def _one_blas_thread():
         set_(before)
 
 
-def _run_tasks(tasks: list, jobs: int, shared: dict) -> list:
-    """The result of each task, or the exception it raised, in task order,
-    with `shared` as _SHARED. With more than one worker the tasks run in
-    forked processes, which inherit _SHARED and _one_blas_thread's cap;
-    otherwise they run here."""
+def _run_tasks(tasks: list, jobs: int, shared: dict, take=lambda task, result: result) -> list:
+    """take(task, result) of each task, in task order as its result (or the
+    exception it raised) arrives, with `shared` as _SHARED; no result is kept
+    past its take. With more than one worker the tasks run in forked processes,
+    which inherit _SHARED and _one_blas_thread's cap, else here, with no pool."""
     def attempt(call, *args):
         try:
             return call(*args)
@@ -292,14 +294,16 @@ def _run_tasks(tasks: list, jobs: int, shared: dict) -> list:
     _SHARED.update(shared)
     try:
         if workers <= 1:  # none when every seed's pretrain diverged
-            return [attempt(_cell, t) for t in tasks]
+            return [take(t, attempt(_cell, t)) for t in tasks]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # a fork-context pool forks all its workers at the first submit,
         # before it starts a thread of its own
         with (_one_blas_thread(),
               ProcessPoolExecutor(max_workers=workers,
                                   mp_context=multiprocessing.get_context("fork")) as pool):
-            futures = [pool.submit(_cell, t) for t in tasks]
-            return [attempt(f.result) for f in futures]
+            futures = deque(pool.submit(_cell, t) for t in tasks)
+            return [take(t, attempt(futures.popleft().result)) for t in tasks]
     finally:
         _SHARED.clear()
 
@@ -327,39 +331,32 @@ def _sources(scenario, spec: MlpSpec, pretrain: SgdConfig, seeds: list, out_dir:
     return sources
 
 
-def _tables(cells: dict, scenario, sources: dict, k: int, ensembles: bool) -> tuple:
-    """curves.csv and summary.csv, with columns sv_1..sv_k, as text: the rows of
-    `cells`, (protocol, seed) -> run or error, with `ensembles` SE and WiSE rows."""
-    sv_columns = [f"sv_{i+1}" for i in range(k)]
-    curves = [",".join(CURVE_COLUMNS + sv_columns)]
-    summary = [",".join(SUMMARY_COLUMNS + sv_columns)]
-
+def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensembles: bool):
+    """The curves.csv and summary.csv rows, with columns sv_1..sv_k, of the
+    cell (proto, seed) as text, from its run or the error it failed with,
+    and that error's text or None. With `ensembles` its summary rows go on
+    with its SE and WiSE rows over `test`, made from its `source` params."""
     def row(*lead, rep=None):
         # the metric cells, then sv_1..sv_k; nan past the spectrum or without a report
         vals = [] if rep is None else [*(getattr(rep, m) for m in METRICS), *rep.sv.tolist()]
         vals += [None] * (len(METRICS) + k - len(vals))
         return ",".join([scenario.scenario_id, *map(str, lead),
-                         *("nan" if v is None else "%.17g" % v for v in vals)])
+                         *("nan" if v is None else "%.17g" % v for v in vals)]) + "\n"
 
-    # the test set of the ensemble rows
-    test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
-    for (proto, seed), run in cells.items():
-        # the cell's summary rows: its own, then its SE and WiSE ensembles'
-        names = [proto.kind]
-        if ensembles and proto.kind != "source_only":
-            names += [f"{proto.kind}+{e}@{ENSEMBLE_ALPHA:g}" for e in ("SE", "WiSE")]
-        if isinstance(run, Exception):
-            summary += ["FAILED," + row(name, seed) for name in names]
-            continue
-        curves += [row(proto.kind, seed, epoch, rep=rep) for epoch, rep in enumerate(run.curve)]
-        reports = [run.curve[-1]]
-        if len(names) > 1:
-            src, final = sources[seed], run.final_params
-            probs = se_predict(src, final, scenario.target_test.X, ENSEMBLE_ALPHA)
-            merged = wise_merge(src, final, ENSEMBLE_ALPHA)
-            reports += [report_from_scores(probs, test), evaluate(merged, test, k)]
-        summary += ["ok," + row(name, seed, rep=rep) for name, rep in zip(names, reports)]
-    return "\n".join(curves) + "\n", "\n".join(summary) + "\n"
+    names = [proto.kind]
+    if ensembles and proto.kind != "source_only":
+        names += [f"{proto.kind}+{e}@{ENSEMBLE_ALPHA:g}" for e in ("SE", "WiSE")]
+    if isinstance(run, Exception):
+        return "", "".join("FAILED," + row(name, seed) for name in names), str(run)
+    curves = "".join(row(proto.kind, seed, epoch, rep=rep) for epoch, rep in enumerate(run.curve))
+    reports = [run.curve[-1]]
+    if len(names) > 1:
+        final = run.final_params
+        probs = se_predict(source, final, scenario.target_test.X, ENSEMBLE_ALPHA)
+        merged = wise_merge(source, final, ENSEMBLE_ALPHA)
+        reports += [report_from_scores(probs, test), evaluate(merged, test, k)]
+    summary = "".join("ok," + row(name, seed, rep=rep) for name, rep in zip(names, reports))
+    return curves, summary, None
 
 
 def cmd_run(args) -> int:
@@ -388,21 +385,34 @@ def cmd_run(args) -> int:
     trained = [seed for seed, src in sources.items() if not isinstance(src, Exception)]
     tasks = [(proto, tuple(group)) for proto in protocols
              for group in proto.seed_groups(trained)]
-    # per (protocol, seed), in configured order: its run or the error it
-    # failed with. Each starts as its _sources entry, which a task replaces
-    # unless it is a pretrain's error; a failed task fails each of its seeds
-    cells = {(proto, seed): sources[seed] for proto in protocols for seed in cfg["seeds"]}
-    shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"]}
-    for (proto, seeds), result in zip(tasks, _run_tasks(tasks, args.jobs, shared)):
-        for j, seed in enumerate(seeds):
-            cells[proto, seed] = result if isinstance(result, Exception) else result[j]
-
     sv_count = min(cfg["k_spectrum"], len(scenario.target_test), spec.layer_widths[-2])
-    curves, summary = _tables(cells, scenario, sources, sv_count, cfg["ensembles"])
-    write_file(os.path.join(out_dir, "curves.csv"), curves.encode())
-    write_file(os.path.join(out_dir, "summary.csv"), summary.encode())
+    test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
 
-    failed = [(cell, run) for cell, run in cells.items() if isinstance(run, Exception)]
+    def rows(proto, seed, run):
+        return _cell_rows(proto, seed, run, scenario, sources[seed], test, sv_count,
+                          cfg["ensembles"])
+
+    def take(task, result):  # a failed task fails each of its seeds
+        proto, seeds = task
+        for j, seed in enumerate(seeds):
+            run = result if isinstance(result, Exception) else result[j]
+            cells[proto, seed] = rows(proto, seed, run)
+
+    # per (protocol, seed), in configured order: _cell_rows of its run or of
+    # the error it failed with. A seed whose pretrain diverged is in no task;
+    # a task's result becomes its cells' rows as it arrives, and is let go
+    cells = {(proto, seed): rows(proto, seed, src) if isinstance(src, Exception) else None
+             for proto in protocols for seed, src in sources.items()}
+
+    shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"]}
+    _run_tasks(tasks, args.jobs, shared, take)
+    sv_columns = [f"sv_{i+1}" for i in range(sv_count)]
+    for part, (name, columns) in enumerate((("curves.csv", CURVE_COLUMNS),
+                                            ("summary.csv", SUMMARY_COLUMNS))):
+        text = ",".join(columns + sv_columns) + "\n" + "".join(c[part] for c in cells.values())
+        write_file(os.path.join(out_dir, name), text.encode())
+
+    failed = [(cell, c[2]) for cell, c in cells.items() if c[2] is not None]
     for (proto, seed), err in failed:
         print(f"FAILED {proto.kind} seed={seed}: {err}", file=sys.stderr)
     print(f"{len(cells) - len(failed)}/{len(cells)} runs completed -> {out_dir}/summary.csv")

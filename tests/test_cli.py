@@ -1,5 +1,7 @@
+import concurrent.futures
 import configparser
 import ctypes
+import gc
 import glob
 import hashlib
 import importlib.util
@@ -8,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -400,7 +403,7 @@ def test_run_parallel_matches_sequential(tmp_path, monkeypatch, case):
         pools.append(kwargs)
         return ProcessPoolExecutor(**kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     environ = dict(os.environ)
     outputs = {}
     for jobs in ("1", "2"):
@@ -469,6 +472,22 @@ def test_run_parallel_from_a_script_without_a_main_guard(tmp_path):
     assert len(rows) == 6 and all(r[0] == "ok" for r in rows)
 
 
+def test_gen_report_and_a_jobs_1_run_never_import_the_pool(tmp_path):
+    # the pool's modules are imported where a pool is built, so a command
+    # that starts none never loads them
+    cfg, out = _write_config(tmp_path)
+    script = (f"import sys\nfrom htlab.cli import main\n"
+              f"assert main(['gen', '--classes', '4', '--seen', '2', '--dim', '4', "
+              f"'--out', {str(tmp_path / 'scn')!r}]) == 0\n"
+              f"assert main(['run', '--config', {cfg!r}, '--jobs', '1']) == 0\n"
+              f"assert main(['report', {out!r}]) == 0\n"
+              "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def _openblas():
     """The get and set thread-count calls of numpy's OpenBLAS; the test
     skips where numpy's BLAS has none."""
@@ -508,6 +527,47 @@ def test_pool_workers_get_one_blas_thread_unless_the_caller_set_one(tmp_path, mo
         assert get() == 2
     finally:
         set_(before)
+
+
+def test_a_jobs_1_run_lets_each_task_s_runs_go_before_the_next_task(tmp_path,
+                                                                    monkeypatch):
+    # a task's runs become its cells' rows as they arrive; nothing keeps them
+    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft,lolsgd", seeds="0,1",
+                           ensembles="true", extra="\n[lol]\nsubsets = 2\nleave_k = 1\n")
+    cell, refs, alive = cli._cell, [], []
+
+    def watched(task):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        runs = cell(task)
+        refs.extend(weakref.ref(run.final_params) for run in runs)
+        return runs
+
+    monkeypatch.setattr(cli, "_cell", watched)
+    assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+    # source_only and naive_ft are one task each, lolsgd one per seed
+    assert len(refs) == 6 and alive == [0, 0, 0, 0]
+
+
+def test_the_ensemble_rows_are_made_in_the_run_s_own_process(tmp_path, monkeypatch):
+    # forked workers inherit the patches, so a call made in one is logged too
+    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft,lolsgd", seeds="0,1",
+                           ensembles="true", extra="\n[lol]\nsubsets = 2\nleave_k = 1\n")
+    log = tmp_path / "calls"
+
+    def logged(fn):
+        def call(*args):
+            with open(log, "a") as f:
+                f.write(f"{fn.__name__} {os.getpid()}\n")
+            return fn(*args)
+        return call
+
+    for name in ("se_predict", "wise_merge"):
+        monkeypatch.setattr(cli, name, logged(getattr(cli, name)))
+    assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
+    # one call of each per trained cell: naive_ft and lolsgd, 2 seeds each
+    assert sorted(log.read_text().splitlines()) == (
+        [f"se_predict {os.getpid()}"] * 4 + [f"wise_merge {os.getpid()}"] * 4)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -697,14 +757,23 @@ def test_run_non_finite_or_out_of_range_number_exits_1(tmp_path, capsys, old, ne
      "[loss] lambda_distill = 0.0 must be positive for sgd_distill"),
     ("names = naive_ft", "names = naive_ft,naive_ft",
      "[protocols] names = 'naive_ft,naive_ft' must list one or more protocols, each once"),
-    ("seeds = 0", "seeds = 0,0", "[run] seeds = '0,0' must list one or more integers, "
-                                 "each once"),
+    ("seeds = 0", "seeds = 0,0", "[run] seeds = '0,0' must list one or more integers "
+                                 "in [0, 2**64), each once"),
     ("seeds = 0", "seeds = 0,x", "[run] seeds = '0,x' "),
     ("seeds = 0", "seeds = ,", "[run] seeds = ',' "),
+    ("seeds = 0", "seeds = -1", "[run] seeds = '-1' must list one or more integers "
+                                "in [0, 2**64), each once"),
+    # Rng would reduce it mod 2**64 to seed 0
+    ("seeds = 0", "seeds = 0,18446744073709551616",
+     "[run] seeds = '0,18446744073709551616' must list one or more integers in [0, 2**64)"),
     # HTLAB_SEED = new overrides [run] seeds
-    ("HTLAB_SEED", "1,1", "HTLAB_SEED = '1,1' must list one or more integers, each once"),
+    ("HTLAB_SEED", "1,1", "HTLAB_SEED = '1,1' must list one or more integers "
+                          "in [0, 2**64), each once"),
     ("HTLAB_SEED", "1.5", "HTLAB_SEED = '1.5' "),
     ("HTLAB_SEED", ",", "HTLAB_SEED = ',' "),
+    ("HTLAB_SEED", "-1", "HTLAB_SEED = '-1' must list one or more integers in [0, 2**64)"),
+    ("HTLAB_SEED", "18446744073709551616",
+     "HTLAB_SEED = '18446744073709551616' must list one or more integers in [0, 2**64)"),
 ], ids=["lol-subsets", "sgd-batch_size", "pretrain-epochs", "loss-lambda_rank",
         "swa-start_epoch", "lol-outer_step", "model-hidden-zero", "model-hidden-empty",
         "model-activation", "scenario-classes-below-seen", "scenario-seen",
@@ -713,7 +782,9 @@ def test_run_non_finite_or_out_of_range_number_exits_1(tmp_path, capsys, old, ne
         "scenario-style_angle-inf", "swa-start_epoch-not-below-sgd-epochs",
         "loss-lambda_distill-zero-for-sgd_distill", "protocols-names-repeated",
         "run-seeds-repeated", "run-seeds-not-integer", "run-seeds-empty",
-        "HTLAB_SEED-repeated", "HTLAB_SEED-not-integer", "HTLAB_SEED-empty"])
+        "run-seeds-negative", "run-seeds-too-large", "HTLAB_SEED-repeated",
+        "HTLAB_SEED-not-integer", "HTLAB_SEED-empty", "HTLAB_SEED-negative",
+        "HTLAB_SEED-too-large"])
 def test_run_rejected_value_names_its_section_and_key(tmp_path, capfd, monkeypatch, old,
                                                       new, named):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
