@@ -56,8 +56,9 @@ source params, so each task carries only its protocol and seeds. While they
 run, numpy's OpenBLAS is capped at one thread, which they inherit, unless
 the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules
 load only when a pool starts. Each task's result becomes its cells' rows,
-the ensembles' too, here as it arrives and is let go; rows are merged in
-configured order, so the output is byte-identical at every --jobs.
+the ensembles' too, as encoded bytes, here as it arrives and is let go;
+each file is written as its header and then each cell's rows in configured
+order, so the output is byte-identical at every --jobs.
 """
 
 from __future__ import annotations
@@ -333,9 +334,10 @@ def _sources(scenario, spec: MlpSpec, pretrain: SgdConfig, seeds: list, out_dir:
 
 def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensembles: bool):
     """The curves.csv and summary.csv rows, with columns sv_1..sv_k, of the
-    cell (proto, seed) as text, from its run or the error it failed with,
-    and that error's text or None. With `ensembles` its summary rows go on
-    with its SE and WiSE rows over `test`, made from its `source` params."""
+    cell (proto, seed) as encoded bytes, from its run or the error it failed
+    with, and that error's text or None. With `ensembles` its summary rows
+    go on with its SE and WiSE rows over `test`, made from its `source`
+    params."""
     def row(*lead, rep=None):
         # the metric cells, then sv_1..sv_k; nan past the spectrum or without a report
         vals = [] if rep is None else [*(getattr(rep, m) for m in METRICS), *rep.sv.tolist()]
@@ -347,7 +349,7 @@ def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensemb
     if ensembles and proto.kind != "source_only":
         names += [f"{proto.kind}+{e}@{ENSEMBLE_ALPHA:g}" for e in ("SE", "WiSE")]
     if isinstance(run, Exception):
-        return "", "".join("FAILED," + row(name, seed) for name in names), str(run)
+        return b"", "".join("FAILED," + row(name, seed) for name in names).encode(), str(run)
     curves = "".join(row(proto.kind, seed, epoch, rep=rep) for epoch, rep in enumerate(run.curve))
     reports = [run.curve[-1]]
     if len(names) > 1:
@@ -356,7 +358,7 @@ def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensemb
         merged = wise_merge(source, final, ENSEMBLE_ALPHA)
         reports += [report_from_scores(probs, test), evaluate(merged, test, k)]
     summary = "".join("ok," + row(name, seed, rep=rep) for name, rep in zip(names, reports))
-    return curves, summary, None
+    return curves.encode(), summary.encode(), None
 
 
 def cmd_run(args) -> int:
@@ -409,8 +411,8 @@ def cmd_run(args) -> int:
     sv_columns = [f"sv_{i+1}" for i in range(sv_count)]
     for part, (name, columns) in enumerate((("curves.csv", CURVE_COLUMNS),
                                             ("summary.csv", SUMMARY_COLUMNS))):
-        text = ",".join(columns + sv_columns) + "\n" + "".join(c[part] for c in cells.values())
-        write_file(os.path.join(out_dir, name), text.encode())
+        header = (",".join(columns + sv_columns) + "\n").encode()
+        write_file(os.path.join(out_dir, name), header, *(c[part] for c in cells.values()))
 
     failed = [(cell, c[2]) for cell, c in cells.items() if c[2] is not None]
     for (proto, seed), err in failed:

@@ -92,7 +92,9 @@ class Dataset:
         return len(self.y)
 
     def classes_present(self) -> np.ndarray:
-        return np.unique(self.y)
+        """The labels that occur in y, ascending, as int64 (np.unique(y),
+        without the numpy.ma import np.unique makes on first use)."""
+        return np.flatnonzero(np.bincount(self.y, minlength=self.num_classes))
 
 
 @dataclass
@@ -298,12 +300,15 @@ def gen_paired_toxicity_scenario(spec: PairedSpec) -> HTScenario:
 
 # ------------------------------------------------------- file and IDX I/O
 
-def write_file(path: str, data: bytes):
-    """`data` written beside `path` and renamed over it: a cut write leaves `path` as it was."""
+def write_file(path: str, *chunks: bytes):
+    """The `chunks`, in order and one write each, written beside `path` and
+    renamed over it: a cut write leaves `path` as it was. The chunks are
+    never joined, so no copy of the whole file is made."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -366,15 +371,15 @@ def write_idx_labels(path: str, labels: np.ndarray):
     labels = np.asarray(labels)
     if labels.size and labels.max() > 255:
         raise ValueError("IDX labels must fit in u8")
-    write_file(path, struct.pack(">ii", IDX_LABELS_MAGIC, len(labels))
-               + labels.astype(np.uint8).tobytes())
+    write_file(path, struct.pack(">ii", IDX_LABELS_MAGIC, len(labels)),
+               labels.astype(np.uint8).tobytes())
 
 
 # -------------------------------------------------------- f64 container I/O
 
 def write_f64(path: str, X: np.ndarray):
     X = np.ascontiguousarray(X, dtype=np.float64)
-    write_file(path, F64_MAGIC + struct.pack("<II", *X.shape) + X.astype("<f8").tobytes())
+    write_file(path, F64_MAGIC + struct.pack("<II", *X.shape), X.astype("<f8").tobytes())
 
 
 def read_f64(path: str) -> np.ndarray:

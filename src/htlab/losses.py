@@ -115,10 +115,10 @@ def rank_reg(features: np.ndarray) -> tuple:
     Zc, C = _centred_covariance(features)
     s = (C * C).sum(axis=-2)           # (C^T C)_jj = squared norm of column j
     loss = (s * s).sum(axis=-1)
-    # dL/dC_ab = 4 C_ab s_b; then through C = (1/N) Zc^T Zc and centering
-    G = 4.0 * C
-    G *= s[..., None, :]
-    grad = Zc @ (G + G.swapaxes(-1, -2))
+    # dL/dC_ab = 4 C_ab s_b, in C's buffer; then through C = (1/N) Zc^T Zc and centering
+    C *= 4.0
+    C *= s[..., None, :]
+    grad = Zc @ (C + C.swapaxes(-1, -2))
     grad /= n
     grad -= grad.sum(axis=-2, keepdims=True) / n
     return loss, grad

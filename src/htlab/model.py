@@ -39,6 +39,7 @@ those of that call.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -494,7 +495,7 @@ def _header(key: str) -> bytes:
 def save_checkpoint(params: ModelParams, path: str, key: str):
     """Write `params` as a checkpoint under the cache `key` (see the module
     docstring), through write_file."""
-    write_file(path, _header(key) + np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
+    write_file(path, _header(key), np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str, spec: MlpSpec, key: str) -> ModelParams:
@@ -502,14 +503,15 @@ def load_checkpoint(path: str, spec: MlpSpec, key: str) -> ModelParams:
     A file that does not start with exactly that header, or whose payload is
     not a buffer of `spec`'s size with nonnegative running variances, raises
     BadCheckpoint."""
+    head, layout = _header(key), _Layout.of(spec)
     with open(path, "rb") as f:
-        raw = f.read()
-    head = _header(key)
+        # one byte past a whole checkpoint tells a longer file, unread
+        raw = f.read(len(head) + 8 * layout.size + 1)
+        size = os.fstat(f.fileno()).st_size
     if not raw.startswith(head):
         raise BadCheckpoint(f"{path}: not a checkpoint of this configuration's cache key")
-    layout = _Layout.of(spec)
     if len(raw) - len(head) != 8 * layout.size:
-        raise BadCheckpoint(f"{path}: payload is {len(raw) - len(head)} bytes, "
+        raise BadCheckpoint(f"{path}: payload is {size - len(head)} bytes, "
                             f"its spec needs {8 * layout.size}")
     params = ModelParams.from_flat(spec, np.frombuffer(raw, "<f8", offset=len(head))
                                    .astype(np.float64))

@@ -222,13 +222,15 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     losses = []  # (m, loss) per local step; a stable sort on m gives the sink's order
     for size in sorted({b.shape[1] for b in batches if len(b)}):
         runs = [m for m, b in enumerate(batches) if len(b) and b.shape[1] == size]
-        work = ModelParams.from_flat(spec, local[runs])
+        whole = len(runs) == lol.subsets  # every run: train `local` itself, not a copy
+        work = ModelParams.from_flat(spec, local if whole else local[runs])
         scratch.pop("velocity", None)  # each local run starts without momentum
         group = [np.stack([batches[m][s] for m in runs if steps[m] > s])
                  for s in range(steps[runs[0]])]
         for step in _train_steps(work, dataset, group, loss, cfg, mask, scratch):
             losses += zip(runs, step.total.tolist())
-        local[runs] = work.flat
+        if not whole:
+            local[runs] = work.flat
     loss_sink.extend(run_loss for _, run_loss in sorted(losses, key=lambda ml: ml[0]))
     d = np.subtract(snapshot.flat, local, out=local)
     total = d[0]

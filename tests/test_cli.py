@@ -474,14 +474,16 @@ def test_run_parallel_from_a_script_without_a_main_guard(tmp_path):
 
 def test_gen_report_and_a_jobs_1_run_never_import_the_pool(tmp_path):
     # the pool's modules are imported where a pool is built, so a command
-    # that starts none never loads them
+    # that starts none never loads them; nor does any command load numpy.ma,
+    # which np.unique imports on its first call
     cfg, out = _write_config(tmp_path)
     script = (f"import sys\nfrom htlab.cli import main\n"
               f"assert main(['gen', '--classes', '4', '--seen', '2', '--dim', '4', "
               f"'--out', {str(tmp_path / 'scn')!r}]) == 0\n"
               f"assert main(['run', '--config', {cfg!r}, '--jobs', '1']) == 0\n"
               f"assert main(['report', {out!r}]) == 0\n"
-              "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+              "print(sorted({'multiprocessing', 'concurrent.futures', 'numpy.ma'}"
+              " & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -440,3 +440,20 @@ def test_scenario_validation_catches_leaks():
     with pytest.raises(ValueError, match="unseen-class"):
         HTScenario(source_train=s.source_train, target_train=bad_train,
                    target_test=s.target_test, seen_mask=s.seen_mask, seed=0)
+
+
+@given(data=st.data(), num_classes=st.integers(1, 12))
+def test_classes_present_is_np_unique_of_the_labels(data, num_classes):
+    # the labels may skip classes and repeat, or be none at all
+    y = np.array(data.draw(st.lists(st.integers(0, num_classes - 1), max_size=40)),
+                 dtype=np.int64)
+    got = Dataset(np.zeros((len(y), 2)), y, num_classes).classes_present()
+    want = np.unique(y)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("y, want", [([], []), ([4, 0, 4, 4, 2], [0, 2, 4]), ([1], [1])])
+def test_classes_present_lists_each_label_once_ascending(y, want):
+    got = Dataset(np.zeros((len(y), 2)), y, 6).classes_present()
+    assert got.dtype == np.int64 and got.tolist() == want

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import htlab.model as model
 from htlab.data import Dataset
 from htlab.model import (
     BN_EPS,
@@ -408,6 +407,50 @@ def test_checkpoint_rejects_wrong_payload_length(tmp_path, edit):
         load_checkpoint(path, spec, "k")
 
 
+class _CountedReads:
+    """A file whose reads count the bytes they return."""
+
+    def __init__(self, f):
+        self._f, self.count = f, 0
+
+    def read(self, *size):
+        data = self._f.read(*size)
+        self.count += len(data)
+        return data
+
+    def fileno(self):
+        return self._f.fileno()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def test_checkpoint_longer_than_its_spec_is_refused_unread(tmp_path, monkeypatch):
+    # a stray file of any length is refused after at most one byte past a
+    # whole checkpoint; the message still states its whole payload
+    path = str(tmp_path / "model.ckpt")
+    spec = _spec(bn=True)
+    save_checkpoint(init_model(spec, Rng(47)), path, "k")
+    payload = 8 * init_model(spec, Rng(0)).flat.size
+    whole = os.path.getsize(path)
+    with open(path, "ab") as f:
+        f.write(bytes(4096))
+    files, real_open = [], open
+
+    def counted_open(file, *args, **kwargs):
+        files.append(_CountedReads(real_open(file, *args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    with pytest.raises(BadCheckpoint, match=f"^{re.escape(path)}: payload is {payload + 4096} "
+                                            f"bytes, its spec needs {payload}$"):
+        load_checkpoint(path, spec, "k")
+    assert len(files) == 1 and files[0].count <= whole + 1
+
+
 _SPECS = st.builds(_spec, bn=st.booleans(), ina=st.booleans(),
                    act=st.sampled_from(["relu", "tanh"]),
                    widths=st.lists(st.integers(1, 6), min_size=3, max_size=5).map(tuple))
@@ -517,12 +560,26 @@ def test_checkpoint_save_cut_short_keeps_the_old_file(tmp_path, monkeypatch):
     with open(path, "rb") as f:
         before = f.read()
     other = init_model(_spec(), Rng(49))
+    real_open = open
 
-    def killed(*args, **kwargs):
-        raise KeyboardInterrupt
+    class KilledAfterOneWrite:
+        def __init__(self, f):
+            self._f, self._writes = f, 0
+
+        def write(self, data):
+            if self._writes:
+                raise KeyboardInterrupt
+            self._writes += 1
+            return self._f.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
 
     # the header is written by now; the payload never is
-    monkeypatch.setattr(model.np, "ascontiguousarray", killed)
+    monkeypatch.setattr("builtins.open", lambda *a, **k: KilledAfterOneWrite(real_open(*a, **k)))
     with pytest.raises(KeyboardInterrupt):
         save_checkpoint(other, path, "k")
     monkeypatch.undo()
