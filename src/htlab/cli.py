@@ -91,8 +91,8 @@ from .metrics import METRICS, EvalSet, aggregate_seeds, evaluate, report_from_sc
 from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
 from .numkit import Rng, _at_least, _check, _one_of
 from .optim import LolConfig, SgdConfig, SwaConfig
-from .transfer import (DivergenceError, Protocol, pretrain_source, run_protocol,
-                       se_predict, wise_merge)
+from .transfer import (DivergenceError, Protocol, _check_model, pretrain_source,
+                       run_protocol, se_predict, wise_merge)
 
 ENSEMBLE_ALPHA = 0.5
 
@@ -377,6 +377,8 @@ def cmd_run(args) -> int:
     if any(p.local_sgd for p in protocols):
         _check("[lol] leave_k", cfg["lol"].leave_k, (lambda v: v < n_classes, (
             f"must be below the {n_classes} classes of the target training split")))
+    for proto in protocols:  # a protocol the model cannot run, before any work
+        _check_model(proto.kind, spec)
     os.makedirs(out_dir, exist_ok=True)
     # what an earlier run left; its checkpoints stay, guarded by their cache key
     for name in ("curves.csv", "summary.csv", "report.json"):

@@ -195,27 +195,12 @@ class _Plan:
 
 
 class ModelParams:
-    """A model's parameters: one f64 buffer `flat`, (P,) or (M, P) for M
-    stacked runs, and `values`, name -> view into it, in sorted-name order.
-    Setting a key writes into its view. Built from name -> array `values`
-    (copied), or by from_flat around a buffer (not copied)."""
+    """A model's parameters around one f64 buffer `flat`, (P,) or (M, P)
+    for M stacked runs, which is bound, not copied: `values` is name ->
+    view into it, in sorted-name order, and setting a key writes into its
+    view."""
 
-    def __init__(self, spec: MlpSpec, values: dict):
-        layout = _Layout.of(spec)
-        lead = np.shape(values.get("layers.0.W"))[:-2]
-        if sorted(values) != list(layout.keys) or any(
-                np.shape(values[k]) != lead + layout.shapes[k] for k in layout.keys):
-            raise ValueError("parameter names or shapes do not match the spec")
-        self._bind(spec, np.concatenate([np.reshape(values[k], lead + (-1,))
-                                         for k in layout.keys], axis=-1, dtype=np.float64))
-
-    @classmethod
-    def from_flat(cls, spec: MlpSpec, flat: np.ndarray) -> "ModelParams":
-        params = cls.__new__(cls)
-        params._bind(spec, flat)
-        return params
-
-    def _bind(self, spec: MlpSpec, flat: np.ndarray):
+    def __init__(self, spec: MlpSpec, flat: np.ndarray):
         layout = _Layout.of(spec)
         if flat.dtype != np.float64 or flat.shape[-1:] != (layout.size,):
             raise ValueError(f"a buffer for this spec is f64 with {layout.size} columns")
@@ -224,13 +209,13 @@ class ModelParams:
                        for k in layout.keys}
 
     def __reduce__(self):  # pickle the buffer once, not each view
-        return ModelParams.from_flat, (self.spec, self.flat)
+        return ModelParams, (self.spec, self.flat)
 
     def keys(self):
         return list(self.layout.keys)
 
     def clone(self) -> "ModelParams":
-        return ModelParams.from_flat(self.spec, self.flat.copy())
+        return ModelParams(self.spec, self.flat.copy())
 
     def __getitem__(self, key):
         return self.values[key]
@@ -238,14 +223,11 @@ class ModelParams:
     def __setitem__(self, key, v):
         self.values[key][...] = v
 
-    def same_spec(self, other: "ModelParams") -> bool:
-        return self.spec == other.spec
-
 
 def init_model(spec: MlpSpec, rng: Rng) -> ModelParams:
     """He-style init: W ~ N(0, 2/fan_in), biases zero, BN at identity with
     unit running variance, adapter at identity."""
-    params = ModelParams.from_flat(spec, np.zeros(_Layout.of(spec).size))
+    params = ModelParams(spec, np.zeros(_Layout.of(spec).size))
     wrng = rng.derive("weights")
     for i, (W, _) in enumerate(_Layout.of(spec).linear):
         fan_in = spec.layer_widths[i]
@@ -389,7 +371,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
     if grad_at_features is not None and grad_at_features.shape != trace.features.shape:
         raise ValueError("grad_at_features shape mismatch")
     out = _buffer(scratch, "grads", params.flat.shape,
-                  lambda shape: ModelParams.from_flat(spec, np.zeros(shape)))
+                  lambda shape: ModelParams(spec, np.zeros(shape)))
     layout = params.layout
     plan = layout.plan(mask)
     v, grads = params.values, out.values
@@ -472,12 +454,12 @@ def recompute_bn_stats(params: ModelParams, dataset: Dataset) -> ModelParams:
 def params_axpy(a: float, p1: ModelParams, b: float, p2: ModelParams) -> ModelParams:
     """Elementwise a*p1 + b*p2 over every group, running variances floored
     at zero so the result stays a valid parameter set."""
-    if not p1.same_spec(p2):
+    if p1.spec != p2.spec:
         raise ValueError("parameter spec mismatch")
     flat = a * p1.flat + b * p2.flat
     for s in p1.layout.variances:
         np.maximum(flat[..., s], 0.0, out=flat[..., s])
-    return ModelParams.from_flat(p1.spec, flat)
+    return ModelParams(p1.spec, flat)
 
 
 # ----------------------------------------------------------- checkpoint I/O
@@ -513,8 +495,7 @@ def load_checkpoint(path: str, spec: MlpSpec, key: str) -> ModelParams:
     if len(raw) - len(head) != 8 * layout.size:
         raise BadCheckpoint(f"{path}: payload is {size - len(head)} bytes, "
                             f"its spec needs {8 * layout.size}")
-    params = ModelParams.from_flat(spec, np.frombuffer(raw, "<f8", offset=len(head))
-                                   .astype(np.float64))
+    params = ModelParams(spec, np.frombuffer(raw, "<f8", offset=len(head)).astype(np.float64))
     if any(np.any(params.flat[s] < 0) for s in layout.variances):
         raise BadCheckpoint(f"{path}: negative running variance")
     return params

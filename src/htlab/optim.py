@@ -97,14 +97,15 @@ def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfi
 
     v <- momentum * v + grad (+ weight_decay * param on weight matrices);
     param <- param - lr * v. Frozen groups are left untouched bitwise and
-    their momentum buffers do not accumulate. `state` keeps the momentum
-    buffers, as params under "velocity", and a scratch buffer between steps.
+    their momentum does not accumulate. `state` keeps the momentum, an
+    array of the buffer's shape under "velocity", and a scratch buffer
+    between steps.
     """
     plan = params.layout.plan(mask)
     p, g = params.flat, grads.flat
     if "velocity" not in state:
-        state["velocity"] = ModelParams.from_flat(params.spec, np.zeros_like(p))
-    v, t = state["velocity"].flat, _buffer(state, "update", p.shape)
+        state["velocity"] = np.zeros_like(p)
+    v, t = state["velocity"], _buffer(state, "update", p.shape)
     decay = cfg.weight_decay > 0
     for s in plan.runs:
         v[..., s] *= cfg.momentum
@@ -133,9 +134,8 @@ def _train_steps(work: ModelParams, dataset: Dataset, steps, loss: CompositeLoss
     out, run = [], work
     for idx in steps:
         if len(idx) < len(run.flat):  # the runs past len(idx) have finished
-            run = ModelParams.from_flat(work.spec, work.flat[:len(idx)])
-            state["velocity"] = ModelParams.from_flat(work.spec,
-                                                      state["velocity"].flat[:len(idx)])
+            run = ModelParams(work.spec, work.flat[:len(idx)])
+            state["velocity"] = state["velocity"][:len(idx)]
         trace = forward(run, dataset.X[idx], mode="train", update_stats=mask.bn_stats,
                         scratch=state)
         breakdown, grad_logits, grad_features = loss(trace, dataset.y[idx])
@@ -223,7 +223,7 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     for size in sorted({b.shape[1] for b in batches if len(b)}):
         runs = [m for m, b in enumerate(batches) if len(b) and b.shape[1] == size]
         whole = len(runs) == lol.subsets  # every run: train `local` itself, not a copy
-        work = ModelParams.from_flat(spec, local if whole else local[runs])
+        work = ModelParams(spec, local if whole else local[runs])
         scratch.pop("velocity", None)  # each local run starts without momentum
         group = [np.stack([batches[m][s] for m in runs if steps[m] > s])
                  for s in range(steps[runs[0]])]
@@ -237,7 +237,7 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
     for m in range(1, lol.subsets):  # ascending m, one run at a time
         total += d[m]
     scale = lol.outer_step / lol.subsets
-    return params_axpy(1.0, snapshot, -scale, ModelParams.from_flat(spec, total))
+    return params_axpy(1.0, snapshot, -scale, ModelParams(spec, total))
 
 
 def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,

@@ -48,6 +48,7 @@ from .model import (
     FreezeMask,
     MlpSpec,
     ModelParams,
+    _Layout,
     forward,
     group_of,
     init_model,
@@ -181,12 +182,12 @@ class TransferRun:
 
 def _stack(runs: Sequence[ModelParams]) -> ModelParams:
     """The runs' params, copied into one (S, P) stack."""
-    return ModelParams.from_flat(runs[0].spec, np.stack([run.flat for run in runs]))
+    return ModelParams(runs[0].spec, np.stack([run.flat for run in runs]))
 
 
 def _rows(params: ModelParams) -> list:
     """The (P,) params of each run of an (S, P) stack, as views."""
-    return [ModelParams.from_flat(params.spec, row) for row in params.flat]
+    return [ModelParams(params.spec, row) for row in params.flat]
 
 
 def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
@@ -205,10 +206,10 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
     return _rows(params)[0]
 
 
-def _check_model(kind: str, params: ModelParams):
-    """Reject a protocol with a phase that would change nothing, because the
-    model has none of the groups the phase's mask trains."""
-    present = {group_of(k, params.spec) for k in params.keys()}
+def _check_model(kind: str, spec: MlpSpec):
+    """Reject a protocol with a phase that would change nothing, because a
+    model of `spec` has none of the groups the phase's mask trains."""
+    present = {group_of(k, spec) for k in _Layout.of(spec).keys}
     for _, mask in _PRESETS[kind].phases:
         trained = [g for g in GROUPS if mask.trainable(g)]
         if not present.intersection(trained):
@@ -242,9 +243,9 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     preset = _PRESETS[protocol.kind]
     if len(sources) != len(seeds):
         raise ValueError("need one source model per seed")
-    if any(not source.same_spec(sources[0]) for source in sources):
+    if any(source.spec != sources[0].spec for source in sources):
         raise ValueError("the seeds' source models must share one spec")
-    _check_model(protocol.kind, sources[0])  # the one spec of every seed's source
+    _check_model(protocol.kind, sources[0].spec)  # the one spec of every seed's source
     seen_mask = np.asarray(seen_mask, dtype=bool)
     test = EvalSet(target_test, seen_mask, toxicity)  # for every evaluation below
     scratch: dict = {}  # the evaluation forward's buffers, reused every epoch
@@ -321,7 +322,7 @@ def se_predict(source_params: ModelParams, target_params: ModelParams,
                X: np.ndarray, alpha: float) -> np.ndarray:
     """Prediction-space ensemble: convex mix of the two models' softmax
     outputs, rowwise."""
-    if not source_params.same_spec(target_params):
+    if source_params.spec != target_params.spec:
         raise ValueError("parameter spec mismatch")
     _check("alpha", alpha, (lambda v: 0 <= v <= 1, "must be in [0, 1]"))
     ps = softmax(forward(source_params, X, mode="eval").logits, axis=1)

@@ -420,8 +420,16 @@ def test_run_parallel_matches_sequential(tmp_path, monkeypatch, case):
     assert "initializer" not in pool and "initargs" not in pool
 
 
-def test_run_parallel_isolates_failing_cells(tmp_path, capsys):
+def _skip_the_model_check(monkeypatch):
+    """cmd_run's up-front model check made a no-op, so a protocol the model
+    cannot run reaches its cells, where run_protocol's own check fails them;
+    forked workers inherit the patch."""
+    monkeypatch.setattr(cli, "_check_model", lambda kind, spec: None)
+
+
+def test_run_parallel_isolates_failing_cells(tmp_path, capsys, monkeypatch):
     # bn_stats_only without a batchnorm model fails inside its worker
+    _skip_the_model_check(monkeypatch)
     cfg, out = _write_config(tmp_path, names="naive_ft,bn_stats_only", seeds="0,1")
     assert main(["run", "--config", cfg, "--jobs", "2"]) == 2
     with open(os.path.join(out, "summary.csv")) as f:
@@ -895,8 +903,9 @@ def test_run_seed_env_override(tmp_path, monkeypatch):
     assert all(ln.split(",")[3] == "5" for ln in lines[1:])
 
 
-def test_run_failure_marks_row_and_exits_2(tmp_path, capsys):
+def test_run_failure_marks_row_and_exits_2(tmp_path, capsys, monkeypatch):
     # bn_stats_only without a batchnorm model fails at run time per cell
+    _skip_the_model_check(monkeypatch)
     cfg, out = _write_config(tmp_path, names="naive_ft,bn_stats_only", seeds="0")
     rc = main(["run", "--config", cfg])
     assert rc == 2
@@ -957,6 +966,17 @@ def test_run_leave_k_not_below_target_classes_exits_1_before_pretraining(tmp_pat
     # the same value is fine when no protocol runs leave-out local SGD
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     assert main(["run", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("kind,part", [("bn_affine_only", "batchnorm"),
+                                       ("bn_stats_only", "batchnorm"),
+                                       ("in_adapter_only", "the input adapter")])
+def test_run_protocol_the_model_cannot_run_exits_1_before_pretraining(tmp_path, capsys,
+                                                                      kind, part):
+    cfg, out = _write_config(tmp_path, names=f"naive_ft,{kind}")
+    assert main(["run", "--config", cfg]) == 1
+    assert f"error: {kind} requires a model with {part}" in capsys.readouterr().err
+    assert not os.path.exists(out)  # so no source_seed*.ckpt either
 
 
 # ------------------------------------------------------------ source cache
@@ -1020,7 +1040,7 @@ def _write_v1_checkpoint(path, spec, key, flat):
     """`flat` in the checkpoint layout before v2, whose header restated the
     spec and each array's offset and shape, and whose reader built the model
     from that header."""
-    params = ModelParams.from_flat(spec, flat)
+    params = ModelParams(spec, flat)
     lines = ["htlab-checkpoint v1", "widths = " + ",".join(map(str, spec.layer_widths)),
              f"activation = {spec.activation}", f"batchnorm = {int(spec.use_batchnorm)}",
              f"in_adapter = {int(spec.use_in_adapter)}", f"bn_eps = {spec.bn_eps!r}",

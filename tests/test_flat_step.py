@@ -205,13 +205,14 @@ def _data(spec, n=120, seed=5):
 
 
 def _compare(spec, work, ref, state, ref_state, mask, what):
+    momentum = ModelParams(spec, state["velocity"]) if "velocity" in state else None
     for k in work.keys():
         assert np.array_equal(work[k], ref[k]), (what, k)
         group = group_of(k, spec)
         if group != "bn_stats" and mask.trainable(group):
-            assert np.array_equal(state["velocity"][k], ref_state[k]), (what, "momentum", k)
-        elif "velocity" in state:
-            assert not state["velocity"][k].any(), (what, "frozen momentum", k)
+            assert np.array_equal(momentum[k], ref_state[k]), (what, "momentum", k)
+        elif momentum is not None:
+            assert not momentum[k].any(), (what, "frozen momentum", k)
 
 
 @pytest.mark.parametrize("runs", [1, 3], ids=["one-row", "stacked"])
@@ -227,7 +228,7 @@ def test_train_batch_matches_per_key_reference_bitwise(model, mask_name, loss_na
     src = init_model(spec, Rng(1))
     loss = CompositeLoss(loss_spec, src, seen)
     starts = [init_model(spec, Rng(2 + m)) for m in range(runs)]
-    work = ModelParams(spec, {k: np.stack([s[k] for s in starts]) for k in src.keys()})
+    work = ModelParams(spec, np.stack([s.flat for s in starts]))
     ref = {k: work[k].copy() for k in work.keys()}
     state, ref_state = {}, {}
     rng, data = Rng(9), Dataset(X, y, spec.layer_widths[-1])
@@ -255,7 +256,7 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
         curve.append(loss.tolist())
 
     # a one-row stack, checked against the per-key reference of one model
-    one_row = ModelParams.from_flat(spec, src.flat[None].copy())
+    one_row = ModelParams(spec, src.flat[None].copy())
     out = train_sgd(one_row, Dataset(X, y, spec.layer_widths[-1]),
                     CompositeLoss(loss_spec, src, seen), cfg, mask, [Rng(4)], on_epoch=on_epoch)
     ref, ref_state, ref_curve = {k: src[k].copy() for k in src.keys()}, {}, []
@@ -298,7 +299,7 @@ def test_values_stay_views_of_the_buffer(stacked):
     X, y = _data(spec)
     p = init_model(spec, Rng(3))
     if stacked:
-        p = ModelParams(spec, {k: np.stack([p[k], 2 * p[k]]) for k in p.keys()})
+        p = ModelParams(spec, np.stack([p.flat, 2 * p.flat]))
         idx = np.arange(32).reshape(2, 16)
     else:
         idx = np.arange(16)
@@ -307,7 +308,7 @@ def test_values_stay_views_of_the_buffer(stacked):
     assert not np.array_equal(p["bn.0.mean"], running)
     _assert_views(p)
     # one training step on p as a stack: p itself, or a one-row view of its buffer
-    stack = p if stacked else ModelParams.from_flat(spec, p.flat[None])
+    stack = p if stacked else ModelParams(spec, p.flat[None])
     _train_steps(stack, Dataset(X, y, 5), [idx.reshape(len(stack.flat), -1)],
                  CompositeLoss(LossSpec()), SgdConfig(weight_decay=0.01),
                  FreezeMask.all_trainable(), {})

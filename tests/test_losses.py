@@ -252,7 +252,7 @@ def test_stacked_losses_equal_each_batch_alone_bitwise(spec, batch):
     model = MlpSpec((4, 6, 5))
     loss = CompositeLoss(spec, source_params=init_model(model, Rng(62)), seen_mask=SEEN)
     runs = [init_model(model, Rng(63 + m)) for m in range(3)]
-    stacked = ModelParams(model, {k: np.stack([r[k] for r in runs]) for k in runs[0].keys()})
+    stacked = ModelParams(model, np.stack([r.flat for r in runs]))
     rng = Rng(66)
     X = rng.standard_normal((3, batch, 4))
     labels = rng.choice(5, (3, batch), replace=True)
@@ -260,7 +260,7 @@ def test_stacked_losses_equal_each_batch_alone_bitwise(spec, batch):
     assert bd.total.shape == (3,)
     for m, run in enumerate(runs):
         # the run alone, as a stack of one
-        alone = ModelParams.from_flat(model, run.flat[None])
+        alone = ModelParams(model, run.flat[None])
         bdm, glm, gfm = loss(forward(alone, X[m:m + 1], mode="train"), labels[m:m + 1])
         assert bdm.total.shape == (1,)
         for term in ("ce", "distill", "rank", "total"):

@@ -1,4 +1,5 @@
 import os
+import pickle
 import re
 from dataclasses import replace
 
@@ -220,12 +221,11 @@ def test_duplicating_batch_preserves_gradients():
 
 
 def _stack(models):
-    return ModelParams(models[0].spec,
-                       {k: np.stack([m[k] for m in models]) for k in models[0].keys()})
+    return ModelParams(models[0].spec, np.stack([m.flat for m in models]))
 
 
 def _slice(stacked, m):
-    return ModelParams(stacked.spec, {k: v[m].copy() for k, v in stacked.values.items()})
+    return ModelParams(stacked.spec, stacked.flat[m].copy())
 
 
 @pytest.mark.parametrize("spec", [_spec(), _spec(bn=True, ina=True), _spec(bn=True, act="tanh")],
@@ -321,6 +321,33 @@ def test_recompute_bn_requires_bn():
     ds = Dataset(np.zeros((4, 5)), np.zeros(4, dtype=int), 1)
     with pytest.raises(ValueError, match="no batchnorm"):
         recompute_bn_stats(params, ds)
+
+
+# ------------------------------------------------------------ ModelParams
+
+@pytest.mark.parametrize("runs", [None, 3], ids=["one", "stacked"])
+def test_params_pickle_the_buffer_once_and_come_back_as_views(runs):
+    spec = _spec(bn=True, ina=True, widths=(16, 64, 64, 10))
+    models = [init_model(spec, Rng(30 + m)) for m in range(runs or 1)]
+    params = models[0] if runs is None else _stack(models)
+    raw = pickle.dumps(params)
+    back = pickle.loads(raw)
+    assert back.spec == spec
+    assert back.flat.shape == params.flat.shape and np.array_equal(back.flat, params.flat)
+    assert back.keys() == params.keys()
+    for k in back.keys():
+        assert np.shares_memory(back.values[k], back.flat), k
+        assert np.array_equal(back[k], params[k]), k
+    # each view pickled on its own would about double it
+    assert len(raw) < 1.5 * params.flat.nbytes
+
+
+def test_params_take_only_an_f64_buffer_of_the_spec_s_width():
+    spec = _spec()
+    width = init_model(spec, Rng(29)).flat.size
+    for flat in (np.zeros(width, dtype=np.float32), np.zeros(width + 1), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match=f"f64 with {width} columns"):
+            ModelParams(spec, flat)
 
 
 # ------------------------------------------------------------ params_axpy

@@ -45,7 +45,7 @@ def _toy_dataset(n_per=20, dim=4, classes=3, sep=6.0, seed=70):
 
 def _one_row(params):
     """`params` as a stack of one run, (1, P), as the trainers take it."""
-    return ModelParams.from_flat(params.spec, params.flat[None].copy())
+    return ModelParams(params.spec, params.flat[None].copy())
 
 
 def _no_hook(epoch, params, epoch_loss):
@@ -74,7 +74,7 @@ def test_sgd_step_vanilla_is_plain_descent():
 
 def test_sgd_step_zero_grad_is_noop():
     params = init_model(SPEC, Rng(72))
-    zeros = ModelParams(params.spec, {k: np.zeros_like(params[k]) for k in params.keys()})
+    zeros = ModelParams(params.spec, np.zeros_like(params.flat))
     before = params.clone()
     sgd_step(params, zeros, {}, SgdConfig(lr=0.5, momentum=0.9, weight_decay=0.0),
              FreezeMask.all_trainable())
@@ -108,7 +108,7 @@ def test_sgd_step_weight_decay_skips_biases_and_norm_affine():
     params["layers.0.b"] += 1.0
     params["bn.0.gamma"] *= 2.0
     params["in_adapter.scale"] *= 3.0
-    zeros = ModelParams(params.spec, {k: np.zeros_like(params[k]) for k in params.keys()})
+    zeros = ModelParams(params.spec, np.zeros_like(params.flat))
     before = params.clone()
     sgd_step(params, zeros, {}, SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.1),
              FreezeMask.all_trainable())
@@ -294,8 +294,9 @@ def _sequential_round(params, ds, loss, cfg, lol, mask, rng):
             sink.append(step.total.item())
         delta = {k: params[k] - local[k][0] for k in params.keys()}
         deltas = delta if deltas is None else {k: deltas[k] + delta[k] for k in deltas}
+    flat = np.concatenate([deltas[k].ravel() for k in params.keys()])
     out = params_axpy(1.0, params, -lol.outer_step / lol.subsets,
-                      ModelParams(params.spec, deltas))
+                      ModelParams(params.spec, flat))
     return out, sink, sizes
 
 
@@ -391,7 +392,7 @@ def test_train_steps_shrinking_prefix_matches_each_run_trained_alone():
     steps = [np.stack([rng.choice(len(ds), size=8, replace=False) for _ in range(a)])
              for a in (3, 3, 2, 1)]
     starts = [init_model(spec, Rng(95 + r)) for r in range(3)]
-    work = ModelParams.from_flat(spec, np.stack([start.flat for start in starts]))
+    work = ModelParams(spec, np.stack([start.flat for start in starts]))
     after: list = []  # the whole stack after each step
     got = _train_steps(work, ds, steps, loss, cfg, mask, {},
                        on_step=lambda w: after.append(w.flat.copy()))
@@ -513,7 +514,7 @@ def test_trainers_take_a_run_stack_and_one_rng_per_run():
     for bad_params, rngs in ((params, [Rng(1)]), (_one_row(params), [Rng(1), Rng(2)])):
         with pytest.raises(ValueError, match="train_sgd takes"):
             train_sgd(bad_params, ds, PLAIN_LOSS, cfg, mask, rngs, _no_hook)
-    two_runs = ModelParams.from_flat(SPEC, np.stack([params.flat, params.flat]))
+    two_runs = ModelParams(SPEC, np.stack([params.flat, params.flat]))
     with pytest.raises(ValueError, match="train_lolsgd takes"):
         train_lolsgd(two_runs, ds, PLAIN_LOSS, cfg, LolConfig(leave_k=1), mask,
                      [Rng(1), Rng(2)], _no_hook)

@@ -54,12 +54,12 @@ def _assert_same_report(a, b):
 
 def _one_row(params):
     """One model's params as the (1, P) stack the trainers take."""
-    return ModelParams.from_flat(params.spec, params.flat[None].copy())
+    return ModelParams(params.spec, params.flat[None].copy())
 
 
 def _row(params):
     """The model of a one-row stack, copied out."""
-    return ModelParams.from_flat(params.spec, params.flat[0].copy())
+    return ModelParams(params.spec, params.flat[0].copy())
 
 
 def _run(scenario, source, kind, seed=3, **kw):
@@ -135,21 +135,21 @@ def test_bn_stats_only_touches_only_stats(scenario):
 def test_bn_protocols_rejected_without_bn(scenario, source):
     needs = {"bn_affine_only": "batchnorm", "bn_stats_only": "batchnorm",
              "in_adapter_only": "adapter"}
-    models = {
-        (): source,
-        ("batchnorm",): init_model(MlpSpec((8, 24, 24, 6), use_batchnorm=True), Rng(7)),
-        ("adapter",): init_model(MlpSpec((8, 24, 24, 6), use_in_adapter=True), Rng(7)),
-        ("batchnorm", "adapter"): init_model(
-            MlpSpec((8, 24, 24, 6), use_batchnorm=True, use_in_adapter=True), Rng(7)),
+    specs = {
+        (): source.spec,
+        ("batchnorm",): MlpSpec((8, 24, 24, 6), use_batchnorm=True),
+        ("adapter",): MlpSpec((8, 24, 24, 6), use_in_adapter=True),
+        ("batchnorm", "adapter"): MlpSpec((8, 24, 24, 6), use_batchnorm=True,
+                                          use_in_adapter=True),
     }
     for kind in _PRESETS:
         need = needs.get(kind)
-        for parts, params in models.items():
+        for parts, spec in specs.items():
             if need is None or need in parts:
-                _check_model(kind, params)
+                _check_model(kind, spec)
             else:
                 with pytest.raises(ValueError, match=need):
-                    _check_model(kind, params)
+                    _check_model(kind, spec)
     for kind, need in needs.items():
         with pytest.raises(ValueError, match=need):
             _run(scenario, source, kind)
