@@ -21,13 +21,14 @@ PairedSpec ([scenario], by kind), SgdConfig, LolConfig, LossSpec or SwaConfig
 The HTLAB_SEED environment variable (comma-separated integers) overrides
 the configured seed list, and is reported as `HTLAB_SEED = value <bound>`.
 
-CSV schemas. curves.csv: scenario_id, protocol, seed, epoch, overall, seen,
-unseen, seen_chopped, fnr, effective_rank, sv_1..sv_k. summary.csv: the
-same columns minus epoch, plus a leading status column ("ok" or "FAILED");
-when ensembles are enabled each trained protocol also gets rows named
-<protocol>+SE@0.5 and <protocol>+WiSE@0.5, FAILED when the protocol's row
-of that seed is. Floats are serialized with 17 significant digits so
-round-trips are exact; absent values are written as nan. Exit codes: 0
+CSV schemas. _SCHEMAS describes both files once, for the writer and the one
+reader: curves.csv is scenario_id, protocol, seed, epoch (0 is the source
+model), then the METRICS and sv_1..sv_k; summary.csv leads with status (ok
+or FAILED) and has no epoch. With ensembles each trained protocol also gets
+<protocol>+SE@0.5 and <protocol>+WiSE@0.5 rows, FAILED when its own is.
+Floats have 17 significant digits, so they read back exactly; absent values
+are nan. A scenario_id outside [A-Za-z0-9._+-]+ is refused as its scenario
+loads, and report refuses a summary.csv of two scenario_ids. Exit codes: 0
 success, 1 validation error, 2 runtime failure.
 
 The source model is trained once per seed and cached as a checkpoint in
@@ -52,10 +53,11 @@ protocol. A seed whose pretrain diverged is in no task; a seed that fails
 in a task leaves its stack-mates' rows as they would be without it. With
 --jobs N the tasks run in min(N, tasks) worker processes forked from this
 one, or in this one when that is 1. The workers inherit the scenario and the
-source params, so each task carries only its protocol and seeds. While they
-run, numpy's OpenBLAS is capped at one thread, which they inherit, unless
-the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules
-load only when a pool starts. Each task's result becomes its cells' rows,
+source params, so each task carries only its protocol and seeds. At any
+--jobs the pretrains and tasks run with numpy's OpenBLAS capped at one
+thread, which the workers inherit, unless the caller set
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules load only when
+a pool starts. Each task's result becomes its cells' rows,
 the ensembles' too, as encoded bytes, here as it arrives and is let go;
 each file is written as its header and then each cell's rows in configured
 order, so the output is byte-identical at every --jobs.
@@ -71,7 +73,7 @@ import json
 import os
 import sys
 from collections import deque
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import fields
 
 import numpy as np
@@ -87,7 +89,7 @@ from .data import (
     write_file,
 )
 from .losses import LossSpec
-from .metrics import METRICS, EvalSet, aggregate_seeds, evaluate, report_from_scores
+from .metrics import METRICS, EvalReport, EvalSet, aggregate_seeds, evaluate, report_from_scores
 from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
 from .numkit import Rng, _at_least, _check, _one_of
 from .optim import LolConfig, SgdConfig, SwaConfig
@@ -96,8 +98,16 @@ from .transfer import (DivergenceError, Protocol, _check_model, pretrain_source,
 
 ENSEMBLE_ALPHA = 0.5
 
-CURVE_COLUMNS = ["scenario_id", "protocol", "seed", "epoch", *METRICS]
-SUMMARY_COLUMNS = ["status", "scenario_id", "protocol", "seed", *METRICS]
+# each results file as (its leading columns, those that name a row); the
+# METRICS and sv_1..sv_k follow. status leads, so a reader may take it by position
+_SCHEMAS = {"curves.csv": (("scenario_id", "protocol", "seed", "epoch"),
+                           ("protocol", "seed", "epoch")),
+            "summary.csv": (("status", "scenario_id", "protocol", "seed"), ("protocol", "seed"))}
+
+
+def _columns(name: str, k: int) -> list:
+    """The columns of results file `name` with a spectrum of k values."""
+    return [*_SCHEMAS[name][0], *METRICS, *(f"sv_{i}" for i in range(1, k + 1))]
 
 
 # ----------------------------------------------------------- config parsing
@@ -258,33 +268,28 @@ def _cell(task):
                         toxicity=scenario.toxicity, k_spectrum=_SHARED["k_spectrum"])
 
 
-@contextmanager
 def _one_blas_thread():
-    """numpy's BLAS capped at one thread for the block, and its thread count
-    restored after; processes forked inside the block inherit the cap. Left
-    as it is when the caller set one of _BLAS_THREAD_VARS, or where numpy's
-    BLAS is not the scipy-openblas build, whose run-time setter this calls."""
+    """Caps numpy's BLAS at one thread, which processes forked later inherit,
+    and returns the call that restores its thread count. Leaves the count as
+    it is when the caller set one of _BLAS_THREAD_VARS, or where numpy's BLAS
+    is not the scipy-openblas build, whose run-time setter this calls."""
     lib = ctypes.CDLL(_umath_linalg.__file__)  # dlsym also searches its dependencies
     get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if get is None or set_ is None or any(v in os.environ for v in _BLAS_THREAD_VARS):
-        yield
-        return
+        return lambda: None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     before = get()
     set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    return lambda: set_(before)
 
 
-def _run_tasks(tasks: list, jobs: int, shared: dict, take=lambda task, result: result) -> list:
+def _run_tasks(tasks: list, jobs: int, shared: dict, take) -> list:
     """take(task, result) of each task, in task order as its result (or the
     exception it raised) arrives, with `shared` as _SHARED; no result is kept
     past its take. With more than one worker the tasks run in forked processes,
-    which inherit _SHARED and _one_blas_thread's cap, else here, with no pool."""
+    which inherit _SHARED and the BLAS thread count, else here, with no pool."""
     def attempt(call, *args):
         try:
             return call(*args)
@@ -300,9 +305,8 @@ def _run_tasks(tasks: list, jobs: int, shared: dict, take=lambda task, result: r
         from concurrent.futures import ProcessPoolExecutor
         # a fork-context pool forks all its workers at the first submit,
         # before it starts a thread of its own
-        with (_one_blas_thread(),
-              ProcessPoolExecutor(max_workers=workers,
-                                  mp_context=multiprocessing.get_context("fork")) as pool):
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             futures = deque(pool.submit(_cell, t) for t in tasks)
             return [take(t, attempt(futures.popleft().result)) for t in tasks]
     finally:
@@ -338,26 +342,30 @@ def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensemb
     with, and that error's text or None. With `ensembles` its summary rows
     go on with its SE and WiSE rows over `test`, made from its `source`
     params."""
-    def row(*lead, rep=None):
-        # the metric cells, then sv_1..sv_k; nan past the spectrum or without a report
+    def row(name, rep=None, protocol=proto.kind, **cells):
+        # the cells of the file's leading columns (_SCHEMAS), then the metrics
+        # and sv_1..sv_k; nan past the spectrum or without a report
+        cells.update(scenario_id=scenario.scenario_id, protocol=protocol, seed=seed)
         vals = [] if rep is None else [*(getattr(rep, m) for m in METRICS), *rep.sv.tolist()]
         vals += [None] * (len(METRICS) + k - len(vals))
-        return ",".join([scenario.scenario_id, *map(str, lead),
+        return ",".join([*(str(cells[c]) for c in _SCHEMAS[name][0]),
                          *("nan" if v is None else "%.17g" % v for v in vals)]) + "\n"
 
     names = [proto.kind]
     if ensembles and proto.kind != "source_only":
         names += [f"{proto.kind}+{e}@{ENSEMBLE_ALPHA:g}" for e in ("SE", "WiSE")]
     if isinstance(run, Exception):
-        return b"", "".join("FAILED," + row(name, seed) for name in names).encode(), str(run)
-    curves = "".join(row(proto.kind, seed, epoch, rep=rep) for epoch, rep in enumerate(run.curve))
+        failed = "".join(row("summary.csv", status="FAILED", protocol=n) for n in names)
+        return b"", failed.encode(), str(run)
+    curves = "".join(row("curves.csv", rep, epoch=epoch) for epoch, rep in enumerate(run.curve))
     reports = [run.curve[-1]]
     if len(names) > 1:
         final = run.final_params
         probs = se_predict(source, final, scenario.target_test.X, ENSEMBLE_ALPHA)
         merged = wise_merge(source, final, ENSEMBLE_ALPHA)
         reports += [report_from_scores(probs, test), evaluate(merged, test, k)]
-    summary = "".join("ok," + row(name, seed, rep=rep) for name, rep in zip(names, reports))
+    summary = "".join(row("summary.csv", rep, status="ok", protocol=n)
+                      for n, rep in zip(names, reports))
     return curves.encode(), summary.encode(), None
 
 
@@ -381,14 +389,10 @@ def cmd_run(args) -> int:
         _check_model(proto.kind, spec)
     os.makedirs(out_dir, exist_ok=True)
     # what an earlier run left; its checkpoints stay, guarded by their cache key
-    for name in ("curves.csv", "summary.csv", "report.json"):
+    for name in (*_SCHEMAS, "report.json"):
         with suppress(FileNotFoundError):
             os.unlink(os.path.join(out_dir, name))
 
-    sources = _sources(scenario, spec, cfg["pretrain"], cfg["seeds"], out_dir)
-    trained = [seed for seed, src in sources.items() if not isinstance(src, Exception)]
-    tasks = [(proto, tuple(group)) for proto in protocols
-             for group in proto.seed_groups(trained)]
     sv_count = min(cfg["k_spectrum"], len(scenario.target_test), spec.layer_widths[-2])
     test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
 
@@ -402,18 +406,23 @@ def cmd_run(args) -> int:
             run = result if isinstance(result, Exception) else result[j]
             cells[proto, seed] = rows(proto, seed, run)
 
-    # per (protocol, seed), in configured order: _cell_rows of its run or of
-    # the error it failed with. A seed whose pretrain diverged is in no task;
-    # a task's result becomes its cells' rows as it arrives, and is let go
-    cells = {(proto, seed): rows(proto, seed, src) if isinstance(src, Exception) else None
-             for proto in protocols for seed, src in sources.items()}
-
-    shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"]}
-    _run_tasks(tasks, args.jobs, shared, take)
-    sv_columns = [f"sv_{i+1}" for i in range(sv_count)]
-    for part, (name, columns) in enumerate((("curves.csv", CURVE_COLUMNS),
-                                            ("summary.csv", SUMMARY_COLUMNS))):
-        header = (",".join(columns + sv_columns) + "\n").encode()
+    restore = _one_blas_thread()  # for the pretrains and every cell, at any --jobs
+    try:
+        sources = _sources(scenario, spec, cfg["pretrain"], cfg["seeds"], out_dir)
+        trained = [seed for seed, src in sources.items() if not isinstance(src, Exception)]
+        tasks = [(proto, tuple(group)) for proto in protocols
+                 for group in proto.seed_groups(trained)]
+        # per (protocol, seed), in configured order: _cell_rows of its run or of
+        # the error it failed with. A seed whose pretrain diverged is in no task;
+        # a task's result becomes its cells' rows as it arrives, and is let go
+        cells = {(proto, seed): rows(proto, seed, src) if isinstance(src, Exception) else None
+                 for proto in protocols for seed, src in sources.items()}
+        shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"]}
+        _run_tasks(tasks, args.jobs, shared, take)
+    finally:
+        restore()
+    for part, name in enumerate(_SCHEMAS):
+        header = (",".join(_columns(name, sv_count)) + "\n").encode()
         write_file(os.path.join(out_dir, name), header, *(c[part] for c in cells.values()))
 
     failed = [(cell, c[2]) for cell, c in cells.items() if c[2] is not None]
@@ -440,46 +449,53 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _parse_summary(path: str, text: str) -> tuple:
-    """The `ok` rows of `text`, the summary.csv at `path`, as (protocol,
-    seed, {metric: value}) triples and each row's status by (protocol,
-    seed), after checking that the header has every summary column once,
-    the width and status (`ok` or `FAILED`) of every row, and that seed and
-    `ok` metric cells are numbers."""
+def _read_rows(path: str, text: str) -> list:
+    """The rows of `text`, the results file at `path` (named as in _SCHEMAS),
+    each as its leading cells by column, seed and epoch as ints, and its
+    EvalReport, None in a FAILED row; fnr reads as nan where it was None.
+    Checks that the header has each of _columns once, the width of every
+    row, that no two rows share a key, the status (`ok` or `FAILED`), that
+    all rows have one scenario_id, and that seed, epoch and the metric and
+    spectrum cells of a report are numbers."""
+    name = os.path.basename(path)
+    lead, key = _SCHEMAS[name]
     lines = [(n, ln.split(",")) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")
     header = lines[0][1]
-    missing = [c for c in SUMMARY_COLUMNS if c not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
-    repeated = [c for i, c in enumerate(header) if c in header[:i]]
-    if repeated:
-        raise ValueError(f"{path}: header repeats {', '.join(repeated)}")
+    columns = _columns(name, len({c for c in header if c.startswith("sv_")}))
+    for fault, bad in (("lacks", [c for c in columns if c not in header]),
+                       ("repeats", [c for i, c in enumerate(header) if c in header[:i]])):
+        if bad:
+            raise ValueError(f"{path}: header {fault} {', '.join(bad)}")
 
     def number(n: int, row: dict, column: str, parse):
         try:
             return parse(row[column])
         except ValueError:
-            bad = f"{path}:{n}: {column} = {row[column]!r} is not a number"
-            raise ValueError(bad) from None
+            raise ValueError(f"{path}:{n}: {column} = {row[column]!r} is not a number") from None
 
-    ok, cells = [], {}
+    out, keys = [], set()
     for n, fields in lines[1:]:
         if len(fields) != len(header):
             raise ValueError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
         row = dict(zip(header, fields))
-        cell = (row["protocol"], number(n, row, "seed", int))
-        if cell in cells:
-            raise ValueError(f"{path}:{n}: repeats protocol {cell[0]} seed {cell[1]}")
-        cells[cell] = row["status"]
-        if row["status"] not in ("ok", "FAILED"):
+        cells = {c: number(n, row, c, int if c in ("seed", "epoch") else str) for c in lead}
+        named = tuple(cells[c] for c in key)
+        if named in keys:
+            raise ValueError(f"{path}:{n}: repeats " + " ".join(f"{c} {cells[c]}" for c in key))
+        keys.add(named)
+        if cells.get("status", "ok") not in ("ok", "FAILED"):
             raise ValueError(f"{path}:{n}: status = {row['status']!r} is not ok or FAILED")
-        if row["status"] == "ok":
-            ok.append((*cell, {m: number(n, row, m, float) for m in METRICS}))
-    if not ok:
-        raise ValueError(f"{path} has no ok rows")
-    return ok, cells
+        if out and cells["scenario_id"] != out[0][0]["scenario_id"]:
+            raise ValueError(f"{path}:{n}: scenario_id = {row['scenario_id']!r} is not "
+                             f"{out[0][0]['scenario_id']!r}, as on line {lines[1][0]}")
+        rep = None
+        if cells.get("status") != "FAILED":
+            vals = [number(n, row, c, float) for c in columns[len(lead):]]
+            rep = EvalReport(**dict(zip(METRICS, vals)), sv=np.array(vals[len(METRICS):]))
+        out.append((cells, rep))
+    return out
 
 
 def cmd_report(args) -> int:
@@ -489,7 +505,11 @@ def cmd_report(args) -> int:
         return 1
     with open(path, "rb") as f:
         raw = f.read()
-    rows, cells = _parse_summary(path, raw.decode())
+    parsed = _read_rows(path, raw.decode())
+    rows = [(c["protocol"], c["seed"], {m: getattr(rep, m) for m in METRICS})
+            for c, rep in parsed if rep is not None]
+    if not rows:
+        raise ValueError(f"{path} has no ok rows")
     table = aggregate_seeds(rows)
     # each protocol against naive_ft seed by seed, over the seeds both have ok rows for
     base = {seed: values for name, seed, values in rows if name == "naive_ft"}
@@ -517,9 +537,10 @@ def cmd_report(args) -> int:
     for name, entry in table.items():
         shown = ("%.4f" % entry[m]["mean"] if m in entry else "-" for m in METRICS)
         print(name.ljust(width) + "".join(c.rjust(15) for c in shown))
-    seeds = sorted({seed for _, seed in cells})
-    for name in dict.fromkeys(name for name, _ in cells):
-        missing = [s for s in seeds if cells.get((name, s)) != "ok"]
+    ok = {(name, seed) for name, seed, _ in rows}
+    seeds = sorted({c["seed"] for c, _ in parsed})
+    for name in dict.fromkeys(c["protocol"] for c, _ in parsed):
+        missing = [s for s in seeds if (name, s) not in ok]
         if missing:
             print(f"note: {name} has no ok row for seed {', '.join(map(str, missing))}")
     if deltas:
@@ -551,9 +572,8 @@ def make_parser():
     r.add_argument("--config", required=True)
     r.add_argument("--out", default=None, help="override the configured output dir")
     r.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run the tasks in up to N forked worker processes, each with "
-                        "one OpenBLAS thread unless OPENBLAS_NUM_THREADS or "
-                        "OMP_NUM_THREADS is set; output is byte-identical to --jobs 1")
+                   help="run the tasks in up to N forked worker processes; output is "
+                        "byte-identical to --jobs 1")
     r.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="aggregate a results directory")

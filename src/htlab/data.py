@@ -20,10 +20,10 @@ count redraws only that split.
 
 On-disk layout of a scenario directory:
 
-    meta                    key = value lines: format, scenario_id,
-                            num_classes, dim, seed, seen (class indices),
-                            count_<split> and, for paired scenarios,
-                            toxic_pairs (toxic:non_toxic indices)
+    meta                    key = value lines: format, scenario_id (of
+                            [A-Za-z0-9._+-]), num_classes, dim, seed, seen
+                            (class indices), count_<split> and, for paired
+                            scenarios, toxic_pairs (toxic:non_toxic indices)
     <split>_x.f64 / .idx    features: the f64 container (format =
                             synthetic, what save_scenario writes) or IDX u8
                             images scaled to [0, 1] (format = idx, for real
@@ -47,6 +47,7 @@ scenarios that loads.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
@@ -474,6 +475,7 @@ def load_scenario(in_dir: str) -> HTScenario:
     def in_range(ids):
         return all(0 <= i < num_classes for i in ids)
 
+    meta.setdefault("scenario_id", os.path.basename(os.path.normpath(in_dir)))
     fmt = field("format", str, lambda f: f in ("synthetic", "idx"))
     num_classes, dim = field("num_classes", ok=lambda n: n > 0), field("dim")
     seen = np.zeros(num_classes, dtype=bool)
@@ -522,6 +524,6 @@ def load_scenario(in_dir: str) -> HTScenario:
         target_test=datasets["target_test"],
         seen_mask=seen,
         seed=field("seed"),
-        scenario_id=meta.get("scenario_id", os.path.basename(os.path.normpath(in_dir))),
+        scenario_id=field("scenario_id", str, lambda v: re.fullmatch(r"[A-Za-z0-9._+-]+", v)),
         toxicity=toxicity,
     )

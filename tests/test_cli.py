@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 
@@ -24,6 +25,7 @@ import htlab.cli as cli
 from htlab.cli import build_scenario, load_config, main
 from htlab.data import SyntheticSpec, load_scenario
 from htlab.losses import LossSpec
+from htlab.metrics import METRICS, EvalReport
 from htlab.model import MlpSpec, ModelParams
 from htlab.optim import LolConfig, SgdConfig, SwaConfig
 from htlab.transfer import DivergenceError
@@ -244,9 +246,11 @@ def test_gen_flags_build_the_same_scenario_as_config_keys(tmp_path):
     ("seen", {"seen": "seen = 0,1,2,3,4,5,6,7,8,9"}),
     ("num_classes", {"num_classes": "num_classes = 12"}),
     ("seen", {"seen": "seen = 0,1,2,3,4,5"}),
+    # a comma would add a field to every row of the CSVs
+    ("scenario_id", {"scenario_id": "scenario_id = syn,x"}),
 ], ids=["format-missing", "format-bogus", "count", "dim", "seen-out-of-range",
         "num-classes-below-labels", "seen-every-class", "num-classes-above-labels",
-        "seen-lacks-a-trained-class"])
+        "seen-lacks-a-trained-class", "scenario-id-with-a-comma"])
 def test_run_rejects_an_import_whose_meta_disagrees_naming_the_key(tmp_path, capsys,
                                                                    key, edits):
     # a `htlab gen` directory of 10 classes (seen 0,1,2,3,5,9) and 400 test
@@ -510,33 +514,39 @@ def _openblas():
     return get, set_
 
 
-def _blas_threads(task):
-    """A stand-in for cli._cell: the OpenBLAS threads of the process that runs it."""
-    return _openblas()[0]()
-
-
+@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_pool_workers_get_one_blas_thread_unless_the_caller_set_one(tmp_path, monkeypatch,
-                                                                    var):
+                                                                    var, jobs):
+    # the pretrain and both tasks, in this process at --jobs 1 and in forked
+    # workers, which inherit the patches, at --jobs 2
     get, set_ = _openblas()
     for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(v, raising=False)
     if var:
         monkeypatch.setenv(var, "2")
     cfg, _ = _write_config(tmp_path, seeds="0")
+    log = tmp_path / "threads"
+
+    def logged(fn):
+        def call(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{fn.__name__} {get()}\n")
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("pretrain_source", "run_protocol"):
+        monkeypatch.setattr(cli, name, logged(getattr(cli, name)))
     before = get()
     set_(2)
     try:
-        # 2 tasks at --jobs 2 fork a pool; the count is put back after
-        assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
-        assert get() == 2
-        # forked workers inherit a patched _cell
-        monkeypatch.setattr(cli, "_cell", _blas_threads)
-        want = 2 if var else 1
-        assert cli._run_tasks([None, None], jobs=2, shared={}) == [want, want]
-        assert get() == 2
+        assert main(["run", "--config", cfg, "--jobs", jobs]) == 0
+        assert get() == 2  # the count is put back after
     finally:
         set_(before)
+    want = 2 if var else 1
+    assert sorted(log.read_text().splitlines()) == [
+        f"pretrain_source {want}", f"run_protocol {want}", f"run_protocol {want}"]
 
 
 def test_a_jobs_1_run_lets_each_task_s_runs_go_before_the_next_task(tmp_path,
@@ -947,6 +957,51 @@ def test_run_float_serialization_round_trips(tmp_path):
     for col in ("overall", "seen", "unseen", "seen_chopped"):
         x = float(vals[col])
         assert "%.17g" % x == vals[col]
+
+
+_SPECIAL_FLOATS = [float("nan"), 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   float("inf"), float("-inf"), 1e308, -1e308]
+_FLOATS = st.sampled_from(_SPECIAL_FLOATS) | st.floats()
+
+
+def _bits(rep) -> np.ndarray:
+    """The metrics and spectrum of `rep` as f64 bits, None as nan."""
+    vals = [np.nan if v is None else v for v in (getattr(rep, m) for m in METRICS)]
+    return np.array([*vals, *rep.sv], dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports=st.lists(st.tuples(st.lists(_FLOATS, min_size=5, max_size=5),
+                                  st.none() | _FLOATS), min_size=1, max_size=3),
+       k=st.integers(0, 64), data=st.data())
+def test_a_report_round_trips_through_the_writer_and_reader_of_each_file(reports, k, data):
+    # each epoch's report, and the last as the summary row, reads back bit
+    # for bit: None and every nan as numpy's nan
+    curve = [EvalReport(*vals[:4], fnr, vals[4],
+                        np.array(data.draw(st.lists(_FLOATS, min_size=k, max_size=k))))
+             for vals, fnr in reports]
+    proto = types.SimpleNamespace(kind="naive_ft")
+    scenario = types.SimpleNamespace(scenario_id="syn-c5-s3-d6-seed11")
+    written = cli._cell_rows(proto, 7, types.SimpleNamespace(curve=curve), scenario, None, None,
+                             k, False)
+    failed = cli._cell_rows(proto, 8, ValueError("diverged"), scenario, None, None, k, False)
+    lead = {"scenario_id": scenario.scenario_id, "protocol": "naive_ft"}
+    for name, body, want in [
+            ("curves.csv", written[0], [({**lead, "seed": 7, "epoch": e}, rep)
+                                        for e, rep in enumerate(curve)]),
+            ("summary.csv", written[1] + failed[1],
+             [({"status": "ok", **lead, "seed": 7}, curve[-1]),
+              ({"status": "FAILED", **lead, "seed": 8}, None)])]:
+        header = ",".join(cli._columns(name, k)) + "\n"
+        got = cli._read_rows(name, header + body.decode())
+        assert [cells for cells, _ in got] == [cells for cells, _ in want]
+        for (_, back), (_, rep) in zip(got, want):
+            if rep is None:
+                assert back is None
+                continue
+            expected = _bits(rep)
+            expected[np.isnan(expected.view(np.float64))] = np.float64(np.nan).view(np.uint64)
+            assert np.array_equal(_bits(back), expected)
 
 
 def test_run_jobs_below_one_exits_1(tmp_path, capsys):
@@ -1486,8 +1541,12 @@ def _insert_column(lines, before, name, value):
      "header repeats overall"),
     (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "status", "OK")] + ls[2:],
      "summary.csv:2: status = 'OK' is not ok or FAILED"),
+    # a second row, of seed 1, from another scenario
+    (lambda ls: ls + [_set_cell(ls[0], _set_cell(ls[0], ls[1], "seed", "1"), "scenario_id",
+                                "other")],
+     "summary.csv:3: scenario_id = 'other' is not"),
 ], ids=["no-ok-row", "missing-column", "wide-row", "repeated-row", "metric-not-a-number",
-        "seed-not-a-number", "repeated-column", "unknown-status"])
+        "seed-not-a-number", "repeated-column", "unknown-status", "mixed-scenario-ids"])
 def test_report_rejects_bad_summary_before_writing(tmp_path, capsys, edit, reason):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     assert main(["run", "--config", cfg]) == 0

@@ -370,6 +370,9 @@ def test_scenario_round_trip_with_toxicity(tmp_path):
     ("toxic_pair", "toxic_pair = 0:1,2:3,4:5"),
     ("seen", "seen = 1,3,5\nseen = 1"),
     ("dim", "dim = 6\ndim 6"),
+    # an id the CSVs' cells cannot hold
+    ("scenario_id", "scenario_id = syn,x"),
+    ("scenario_id", "scenario_id = two words"),
 ])
 def test_scenario_meta_key_rejected_naming_it(tmp_path, key, line):
     s = gen_paired_toxicity_scenario(PairedSpec(pairs=3, dim=6, **_counts(5, 4, 3),
@@ -383,6 +386,23 @@ def test_scenario_meta_key_rejected_naming_it(tmp_path, key, line):
         f.write("\n".join(lines + ([line] if line else [])) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(meta)}: {key} "):
         load_scenario(out)
+
+
+def test_scenario_id_from_the_directory_name_is_held_to_the_same_characters(tmp_path):
+    # without a meta scenario_id the directory's name stands in, comma or not
+    for name, ok in (("scn-1.a+b_c", True), ("scn,1", False)):
+        out = str(tmp_path / name)
+        save_scenario(ref_scenario(), out)
+        meta = os.path.join(out, "meta")
+        with open(meta) as f:
+            lines = [ln for ln in f.read().splitlines() if not ln.startswith("scenario_id = ")]
+        with open(meta, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        if ok:
+            assert load_scenario(out).scenario_id == name
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(meta)}: scenario_id = scn,1 "):
+                load_scenario(out)
 
 
 def test_scenario_non_finite_feature_rejected_naming_its_file(tmp_path):

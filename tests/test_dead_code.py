@@ -22,7 +22,9 @@ Likewise it applies the task rule once: `seed_groups`, which splits a
 protocol's seeds into the stacks run_protocol trains, is called from
 cli.cmd_run alone. And it has one file writer: the only `open` call with a
 mode that writes (`w`, `a`, `x` or `+`, or a mode that is not a literal)
-is data.write_file's, which writes beside the name and renames.
+is data.write_file's, which writes beside the name and renames. It has one
+results codec: the 17-significant-digit format of the CSVs' float cells is
+spelled once, in cli._cell_rows, which both files' rows go through.
 """
 
 import ast
@@ -192,6 +194,15 @@ def test_one_function_opens_a_file_for_writing():
     # a second writer would write a file in place, where a cut write
     # leaves a cut file under its name
     assert callers(_write_opens) == {"open": ["data.write_file"]}
+
+
+def test_one_function_formats_a_results_float():
+    # a second spelling of the CSVs' float format would be a second writer
+    # that can drift from the reader; an f-string's spec counts too
+    spelled = [f"{module}:{node.lineno}" for module, tree in _trees(SRC).items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and ".17g" in str(node.value)]
+    assert len(spelled) == 1, spelled
 
 
 def unused_imports(paths) -> list:
