@@ -17,8 +17,10 @@ and bound once: in a key table below, or as a field of SyntheticSpec or
 PairedSpec ([scenario], by kind), SgdConfig, LolConfig, LossSpec or SwaConfig
 ([pretrain] defaults to the resolved [sgd]). An unknown section or key exits
 1, and so does a value that does not parse or is out of bound, as
-`error: [section] key = value <bound>` (`htlab gen`: `--flag = ...`).
-The HTLAB_SEED environment variable (comma-separated integers) overrides
+`error: [section] key = value <bound>` (`htlab gen` and --jobs: `--flag =
+...`). A number parses only as numkit.parse_number spells it: ASCII digits,
+`-` the only sign, so `1_0`, `+2` or a non-ASCII digit does not. The
+HTLAB_SEED environment variable (comma-separated integers) overrides
 the configured seed list, and is reported as `HTLAB_SEED = value <bound>`.
 
 CSV schemas. _SCHEMAS describes both files once, for the writer and the one
@@ -91,7 +93,7 @@ from .data import (
 from .losses import LossSpec
 from .metrics import METRICS, EvalReport, EvalSet, aggregate_seeds, evaluate, report_from_scores
 from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
-from .numkit import Rng, _at_least, _check, _one_of
+from .numkit import Rng, _at_least, _check, _one_of, parse_number
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, _check_model, pretrain_source,
                        run_protocol, se_predict, wise_merge)
@@ -127,20 +129,20 @@ _SCENARIO_KEYS = {"synthetic": _keys(SyntheticSpec), "paired": _keys(PairedSpec)
 _GEN_KEYS = {**_SCENARIO_KEYS["synthetic"], **_SCENARIO_KEYS["paired"]}  # htlab gen's flags
 
 
-def _widths(text: str) -> list:
-    """The widths `text` lists by commas; none unless each is at least 1."""
-    widths = [w.strip() for w in text.split(",") if w.strip()]
-    return [int(w) for w in widths] if all(w.isdecimal() and int(w) > 0 for w in widths) else []
-
-
-def _items(text: str, parse=str) -> list:
+def _items(text: str, parse=str, distinct=True) -> list:
     """The entries `text` lists by commas, each parsed; none unless each
-    parses and none is listed twice."""
+    parses and, if `distinct`, none is listed twice."""
     try:
         items = [parse(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
         return []
-    return items if len(set(items)) == len(items) else []
+    return items if not distinct or len(set(items)) == len(items) else []
+
+
+def _widths(text: str) -> list:
+    """The widths `text` lists by commas; none unless each is at least 1."""
+    widths = _items(text, parse_number, distinct=False)
+    return widths if all(w > 0 for w in widths) else []
 
 
 _MODEL_KEYS = {"hidden": ("64,64", (_widths, "must list widths of at least 1")),
@@ -154,9 +156,10 @@ _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _read(section: str, raw, keys: dict, name=None) -> dict:
-    """The defaults of `keys` overridden by `raw`, each value parsed as the
-    type of its default and held to its bound; a key `keys` lacks is an
-    error. A message names a key `name(key)`, by default `[section] key`."""
+    """The defaults of `keys` overridden by the texts of `raw`, each parsed as
+    the type of its default (parse_number's) and held to its bound; a key
+    `keys` lacks is an error. A message names a key `name(key)`, by default
+    `[section] key`."""
     name = name or (lambda key: f"[{section}] {key}")
     out = {key: default for key, (default, _) in keys.items()}
     for key, value in raw.items():
@@ -164,7 +167,8 @@ def _read(section: str, raw, keys: dict, name=None) -> dict:
             raise ValueError(f"unknown key {name(key)}")
         parse = type(keys[key][0])
         try:
-            out[key] = _BOOLEANS[str(value).lower()] if parse is bool else parse(value)
+            out[key] = (_BOOLEANS[value.lower()] if parse is bool else
+                        parse_number(value, parse) if parse in (int, float) else value)
         except (KeyError, ValueError):
             raise ValueError(f"{name(key)} = {value!r} must be {parse.__name__}") from None
     for key, (_, bound) in keys.items():
@@ -203,7 +207,7 @@ def load_config(path: str) -> dict:
     names = _items(read("protocols", _PROTOCOLS_KEYS)["names"])
     env = os.environ.get("HTLAB_SEED", "").strip()
     seeds_from, seeds_raw = ("HTLAB_SEED", env) if env else ("[run] seeds", run["seeds"])
-    seeds = _items(seeds_raw, int)
+    seeds = _items(seeds_raw, parse_number)
     # [run] seeds is free text in _RUN_KEYS, since HTLAB_SEED overrides it; each
     # seed is held to [scenario] seed's bound, as Rng reduces a seed mod 2**64
     _check(seeds_from, seeds_raw, (lambda v: seeds and all(0 <= s < 2**64 for s in seeds),
@@ -212,14 +216,15 @@ def load_config(path: str) -> dict:
     model["hidden"] = _widths(model["hidden"])
     bases = {"pretrain": sgd, "lol": LolConfig(), "loss": LossSpec(),
              "swa": SwaConfig(start_epoch=sgd.epochs // 2)}
-    return {"scenario": _resolve_scenario(cp["scenario"]), "model": model,
+    _resolve_scenario(cp["scenario"])  # checked here; build_scenario builds from the text
+    return {"scenario": dict(cp["scenario"]), "model": model,
             "protocol_names": names, **run, "seeds": seeds, "sgd": sgd,
             **{section: load(section, base) for section, base in bases.items()}}
 
 
 def build_scenario(scn: dict, name=None):
-    """The scenario a `[scenario]` dict describes; missing keys take the
-    defaults of its kind's spec. `name` is _read's."""
+    """The scenario a `[scenario]` dict of texts describes; missing keys take
+    the defaults of its kind's spec. `name` is _read's."""
     s = _resolve_scenario(scn, name)
     kind = s.pop("kind")
     if kind == "import":
@@ -370,7 +375,7 @@ def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensemb
 
 
 def cmd_run(args) -> int:
-    _check("--jobs", args.jobs, _COUNT)
+    jobs = _read("run", {"jobs": args.jobs}, {"jobs": (1, _COUNT)}, lambda key: "--jobs")["jobs"]
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output_dir"]
     # before the scenario is built, so a bad combination costs no generation
@@ -418,7 +423,7 @@ def cmd_run(args) -> int:
         cells = {(proto, seed): rows(proto, seed, src) if isinstance(src, Exception) else None
                  for proto in protocols for seed, src in sources.items()}
         shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"]}
-        _run_tasks(tasks, args.jobs, shared, take)
+        _run_tasks(tasks, jobs, shared, take)
     finally:
         restore()
     for part, name in enumerate(_SCHEMAS):
@@ -436,8 +441,8 @@ def cmd_run(args) -> int:
 
 def cmd_gen(args) -> int:
     scn = {k: v for k, v in vars(args).items() if k in _GEN_KEYS and v is not None}
-    pairs = scn.pop("pairs", 0)
-    if pairs:  # 0, the default, generates a synthetic scenario
+    pairs = scn.pop("pairs", "0")
+    if pairs != "0":  # 0, the default, generates a synthetic scenario
         scn.update(kind="paired", pairs=pairs)
     # a flag the kind does not read is an unknown key
     scenario = build_scenario(scn, name=lambda key: "--" + key.replace("_", "-"))
@@ -469,9 +474,9 @@ def _read_rows(path: str, text: str) -> list:
         if bad:
             raise ValueError(f"{path}: header {fault} {', '.join(bad)}")
 
-    def number(n: int, row: dict, column: str, parse):
+    def number(n: int, row: dict, column: str, kind):
         try:
-            return parse(row[column])
+            return parse_number(row[column], kind)
         except ValueError:
             raise ValueError(f"{path}:{n}: {column} = {row[column]!r} is not a number") from None
 
@@ -480,7 +485,7 @@ def _read_rows(path: str, text: str) -> list:
         if len(fields) != len(header):
             raise ValueError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
         row = dict(zip(header, fields))
-        cells = {c: number(n, row, c, int if c in ("seed", "epoch") else str) for c in lead}
+        cells = {c: number(n, row, c, int) if c in ("seed", "epoch") else row[c] for c in lead}
         named = tuple(cells[c] for c in key)
         if named in keys:
             raise ValueError(f"{path}:{n}: repeats " + " ".join(f"{c} {cells[c]}" for c in key))
@@ -561,7 +566,7 @@ def make_parser():
 
     g = sub.add_parser("gen", help="materialize a scenario directory")
     for key, (default, _) in _GEN_KEYS.items():
-        g.add_argument("--" + key.replace("_", "-"), type=type(default), default=None,
+        g.add_argument("--" + key.replace("_", "-"), default=None,
                        help="N > 0 generates a paired scenario of N pairs" if key == "pairs"
                        else f"default {default}")
     g.add_argument("--out", required=True, help="output directory")
@@ -571,7 +576,7 @@ def make_parser():
     r = sub.add_parser("run", help="run a protocol x seed grid")
     r.add_argument("--config", required=True)
     r.add_argument("--out", default=None, help="override the configured output dir")
-    r.add_argument("--jobs", type=int, default=1, metavar="N",
+    r.add_argument("--jobs", default="1", metavar="N",
                    help="run the tasks in up to N forked worker processes; output is "
                         "byte-identical to --jobs 1")
     r.set_defaults(func=cmd_run)

@@ -30,11 +30,14 @@ On-disk layout of a scenario directory:
                             image data prepared elsewhere)
     <split>_y.idx           labels (IDX u8)
 
-load_scenario checks every meta key it reads against the data files. The
-f64 container is 12 bytes of header -- magic ``HTF8``, u32 rows, u32
-cols, little endian -- followed by rows*cols float64 values, little endian,
-row major. The readers of both formats check the sizes a header declares
-against the file before reading.
+A meta number is spelled in ASCII digits with `-` its only sign
+(numkit.parse_number); num_classes is at most 256, the u8 labels' range,
+and seed is in [0, 2**64). load_scenario checks every meta key it reads
+against the data files. The f64 container is 12 bytes of header -- magic
+``HTF8``, u32 rows, u32 cols, little endian -- followed by rows*cols
+float64 values, little endian, row major. One reader, _read_sized, reads
+both formats and checks the sizes a header declares against the file
+before reading.
 
 write_file is the package's one file writer. Each file it writes -- a
 scenario directory's, and the checkpoints, CSVs and report of the other
@@ -46,6 +49,7 @@ scenarios that loads.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -56,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .numkit import (_FINITE, _NONNEGATIVE, _POSITIVE, Rng, _at_least, _bounded,
-                     _check_fields)
+                     _check_fields, parse_number)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -83,7 +87,8 @@ class Dataset:
         if not np.all(np.isfinite(self.X)):
             raise ValueError("non-finite features")
         if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.num_classes):
-            raise ValueError("labels out of range")
+            raise ValueError(f"num_classes = {self.num_classes}, but the labels span "
+                             f"{self.y.min()}..{self.y.max()}")
 
     @property
     def dim(self) -> int:
@@ -107,7 +112,10 @@ class ToxicityMap:
     def __post_init__(self):
         flat = [i for p in self.pairs for i in p]
         if len(set(flat)) != len(flat):
-            raise ValueError("toxicity pair indices must be distinct")
+            raise ValueError(f"toxic_pairs = {self} lists a class twice")
+
+    def __str__(self):  # the meta value
+        return ",".join(f"{t}:{n}" for t, n in self.pairs)
 
     def toxic_classes(self) -> np.ndarray:
         return np.array([t for t, _ in self.pairs], dtype=np.int64)
@@ -139,20 +147,28 @@ class HTScenario:
         return self.target_test.dim
 
     def validate(self):
+        """Each message starts with the meta key the scenario contradicts."""
         C = self.num_classes
-        if not (0 < self.seen_mask.sum() < C):
-            raise ValueError("seen mask must be a proper nonempty subset")
         seen = np.flatnonzero(self.seen_mask)
-        if not np.all(np.isin(self.target_train.y, seen)):
-            raise ValueError("target_train contains unseen-class labels")
-        if not np.array_equal(self.target_test.classes_present(), np.arange(C)):
-            raise ValueError("target_test must cover every class")
-        if not np.array_equal(self.source_train.classes_present(), np.arange(C)):
-            raise ValueError("source_train must cover every class")
-        if self.toxicity is not None:
-            non_toxic = np.sort(self.toxicity.non_toxic_classes())
-            if not np.array_equal(non_toxic, seen):
-                raise ValueError("non-toxic classes must equal the seen classes")
+        listed = ",".join(map(str, seen))
+        if not 0 < seen.size < C:
+            raise ValueError(f"seen = {listed} is not a proper nonempty subset of the "
+                             f"{C} classes")
+        # isin's table method: its sort method imports numpy.ma
+        trained = self.target_train.classes_present()
+        leaked = trained[~np.isin(trained, seen, kind="table")]
+        if leaked.size:
+            raise ValueError(f"seen = {listed}, but target_train has unseen-class label "
+                             f"{leaked[0]}")
+        for name in ("target_test", "source_train"):
+            present = getattr(self, name).classes_present()
+            if not np.array_equal(present, np.arange(C)):
+                raise ValueError(f"num_classes = {C}, but {name} has the labels "
+                                 + ",".join(map(str, present)))
+        if self.toxicity is not None and not np.array_equal(
+                np.sort(self.toxicity.non_toxic_classes()), seen):
+            raise ValueError(f"toxic_pairs = {self.toxicity}, but its non-toxic classes are "
+                             f"not the seen classes {listed}")
 
 
 @dataclass(frozen=True)
@@ -317,21 +333,27 @@ def write_file(path: str, *chunks: bytes):
         raise
 
 
-def _read_exact(f, n: int, path: str) -> bytes:
-    """The next n bytes of `f`. The length is checked against what is left
-    of the file before reading, so a header that declares a huge size
-    allocates nothing."""
-    if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise ValueError(f"truncated file: {path}")
-    return f.read(n)
-
-
-def _check_sizes(path: str, **fields):
-    """Reject a negative size field of a file's header; the header's
-    integers are signed, and a negative one would be read as a size."""
-    for name, value in fields.items():
-        if value < 0:
-            raise ValueError(f"{path}: negative {name} {value} in the header")
+def _read_sized(path: str, fmt: str, magic, what: str, sizes: tuple, itemsize: int = 1):
+    """The header sizes and payload of `path`, a file of `what`: a header
+    `fmt` of `magic` and the sizes `sizes` names, then their product times
+    `itemsize` bytes. Anything else raises naming it; a huge size raises
+    before any read, and a negative one too, as IDX sizes are signed."""
+    with open(path, "rb") as f:
+        head = f.read(struct.calcsize(fmt))
+        if len(head) < struct.calcsize(fmt):
+            raise ValueError(f"truncated file: {path}")
+        found, *values = struct.unpack(fmt, head)
+        if found != magic:
+            raise ValueError(f"not {what}: {path}: magic {found!r}")
+        for name, value in zip(sizes, values):
+            if value < 0:
+                raise ValueError(f"{path}: negative {name} {value} in the header")
+        n, left = math.prod(values) * itemsize, os.fstat(f.fileno()).st_size - len(head)
+        if n > left:
+            raise ValueError(f"truncated file: {path}")
+        if n < left:
+            raise ValueError(f"trailing bytes in {path}")
+        return values, f.read(n)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
@@ -339,14 +361,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
     Pixels are scaled to [0, 1]; each image becomes one feature row.
     """
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"not IDX image data: {images_path}: magic 0x{magic:08x}")
-        _check_sizes(images_path, count=count, rows=rows, cols=cols)
-        raw = _read_exact(f, count * rows * cols, images_path)
-        if f.read(1):
-            raise ValueError(f"trailing bytes in {images_path}")
+    (count, rows, cols), raw = _read_sized(images_path, ">iiii", IDX_IMAGES_MAGIC,
+                                           "IDX image data", ("count", "rows", "cols"))
     y = _read_idx_labels(labels_path)
     if count != len(y):
         raise ValueError(f"count mismatch: {count} images in {images_path} vs "
@@ -357,15 +373,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def _read_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, count = struct.unpack(">ii", _read_exact(f, 8, path))
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"not IDX label data: {path}: magic 0x{magic:08x}")
-        _check_sizes(path, count=count)
-        labels = np.frombuffer(_read_exact(f, count, path), dtype=np.uint8)
-        if f.read(1):
-            raise ValueError(f"trailing bytes in {path}")
-    return labels.astype(np.int64)
+    _, raw = _read_sized(path, ">ii", IDX_LABELS_MAGIC, "IDX label data", ("count",))
+    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
 def write_idx_labels(path: str, labels: np.ndarray):
@@ -386,14 +395,8 @@ def write_f64(path: str, X: np.ndarray):
 def read_f64(path: str) -> np.ndarray:
     """The features an f64 container holds; a non-finite one raises,
     naming the file."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path)
-        if magic != F64_MAGIC:
-            raise ValueError(f"not an f64 container: {path}")
-        rows, cols = struct.unpack("<II", _read_exact(f, 8, path))
-        raw = _read_exact(f, rows * cols * 8, path)
-        if f.read(1):
-            raise ValueError(f"trailing bytes in {path}")
+    (rows, cols), raw = _read_sized(path, "<4sII", F64_MAGIC, "an f64 container",
+                                    ("rows", "cols"), 8)
     X = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
     if not np.isfinite(X).all():
         raise ValueError(f"{path}: non-finite features")
@@ -427,8 +430,7 @@ def save_scenario(scenario: HTScenario, out_dir: str, force: bool = False):
         write_idx_labels(os.path.join(out_dir, f"{name}_y.idx"), ds.y)
         write_f64(os.path.join(out_dir, f"{name}_x.f64"), ds.X)
     if scenario.toxicity is not None:
-        lines.append("toxic_pairs = " + ",".join(
-            f"{t}:{n}" for t, n in scenario.toxicity.pairs))
+        lines.append(f"toxic_pairs = {scenario.toxicity}")
     write_file(meta, ("\n".join(lines) + "\n").encode())
 
 
@@ -438,9 +440,9 @@ def load_scenario(in_dir: str) -> HTScenario:
     and each split's row count, and the data files must agree with it; a
     key that is missing, malformed or out of range, or that the data
     contradicts, raises a ValueError naming the file and the key; so does a
-    key it does not know or one listed twice, a line without `=`, and
-    `toxic_pairs` listing a class twice or non-toxic classes other than the
-    seen ones. A non-finite feature raises naming its file."""
+    key it does not know or one listed twice, and a line without `=`. The
+    labels, seen classes and toxic pairs are checked by Dataset, ToxicityMap
+    and HTScenario. A non-finite feature raises naming its file."""
     path = os.path.join(in_dir, "meta")
 
     def bad(key, why):
@@ -458,7 +460,7 @@ def load_scenario(in_dir: str) -> HTScenario:
                 raise bad(k, "is listed twice")
             meta[k] = v
 
-    def field(key, parse=int, ok=lambda value: True):
+    def field(key, parse=parse_number, ok=lambda value: True):
         if key not in meta:
             raise bad(key, "is missing")
         try:
@@ -470,20 +472,24 @@ def load_scenario(in_dir: str) -> HTScenario:
         raise bad(key, f"= {meta[key]} is malformed or out of range")
 
     def class_ids(text, sep=","):
-        return tuple(int(i) for i in text.split(sep) if i.strip())
+        return tuple(parse_number(i.strip()) for i in text.split(sep) if i.strip())
 
     def in_range(ids):
         return all(0 <= i < num_classes for i in ids)
 
     meta.setdefault("scenario_id", os.path.basename(os.path.normpath(in_dir)))
     fmt = field("format", str, lambda f: f in ("synthetic", "idx"))
-    num_classes, dim = field("num_classes", ok=lambda n: n > 0), field("dim")
+    # IDX labels are u8; bounded before the seen mask is allocated
+    num_classes, dim = field("num_classes", ok=lambda n: 0 < n <= 256), field("dim")
     seen = np.zeros(num_classes, dtype=bool)
-    # a proper nonempty subset of the classes
-    seen[list(field("seen", class_ids,
-                    lambda ids: in_range(ids) and 0 < len(set(ids)) < num_classes))] = True
+    seen[list(field("seen", class_ids, in_range))] = True
+    pairs = field("toxic_pairs", lambda text: [class_ids(p, ":") for p in text.split(",")],
+                  lambda pairs: all(len(p) == 2 and in_range(p) for p in pairs)) \
+        if "toxic_pairs" in meta else None
+    seed = field("seed", ok=lambda s: 0 <= s < 2**64)
+    scenario_id = field("scenario_id", str, lambda v: re.fullmatch(r"[A-Za-z0-9._+-]+", v))
 
-    datasets = {}
+    splits = []
     for name in _SPLITS:
         labels = os.path.join(in_dir, f"{name}_y.idx")
         if fmt == "idx":
@@ -491,39 +497,15 @@ def load_scenario(in_dir: str) -> HTScenario:
             X, y = ds.X, ds.y
         else:
             X, y = read_f64(os.path.join(in_dir, f"{name}_x.f64")), _read_idx_labels(labels)
-        if len(y) and y.max() >= num_classes:
-            raise bad("num_classes", f"= {num_classes}, but {name} has label {y.max()}")
-        ds = datasets[name] = Dataset(X, y, num_classes)
-        present = ds.classes_present()
-        if name == "target_train" and not seen[present].all():
-            label = present[~seen[present]][0]
-            raise bad("seen", f"= {meta['seen']}, but {name} has unseen label {label}")
-        if name != "target_train" and present.size < num_classes:
-            label = np.setdiff1d(np.arange(num_classes), present)[0]
-            raise bad("num_classes", f"= {num_classes}, but {name} has no label {label}")
         count = field(f"count_{name}")
-        if count != len(ds):
-            raise bad(f"count_{name}", f"= {count}, but {name} has {len(ds)} rows")
-        if dim != ds.dim:
-            raise bad("dim", f"= {dim}, but {name} has {ds.dim} features")
-
-    toxicity = None
-    if "toxic_pairs" in meta:
-        pairs = field("toxic_pairs", lambda text: [class_ids(p, ":") for p in text.split(",")],
-                      lambda pairs: all(len(p) == 2 and in_range(p) for p in pairs))
-        flat = [i for p in pairs for i in p]
-        if len(set(flat)) < len(flat):
-            raise bad("toxic_pairs", f"= {meta['toxic_pairs']} lists a class twice")
-        if sorted(flat[1::2]) != np.flatnonzero(seen).tolist():
-            raise bad("toxic_pairs", f"= {meta['toxic_pairs']}, but its non-toxic classes "
-                                     f"are not the seen classes {meta['seen']}")
-        toxicity = ToxicityMap(pairs)
-    return HTScenario(
-        source_train=datasets["source_train"],
-        target_train=datasets["target_train"],
-        target_test=datasets["target_test"],
-        seen_mask=seen,
-        seed=field("seed"),
-        scenario_id=field("scenario_id", str, lambda v: re.fullmatch(r"[A-Za-z0-9._+-]+", v)),
-        toxicity=toxicity,
-    )
+        if count != len(y):
+            raise bad(f"count_{name}", f"= {count}, but {name} has {len(y)} rows")
+        if dim != X.shape[1]:
+            raise bad("dim", f"= {dim}, but {name} has {X.shape[1]} features")
+        splits.append((X, y))
+    try:
+        return HTScenario(*(Dataset(X, y, num_classes) for X, y in splits), seen_mask=seen,
+                          seed=seed, scenario_id=scenario_id,
+                          toxicity=None if pairs is None else ToxicityMap(pairs))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import field, fields
 
 import numpy as np
@@ -70,6 +71,17 @@ _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 _NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
 _FINITE = (math.isfinite, "must be finite")
 _FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
+
+_SPELLINGS = {int: re.compile(r"0|-?[1-9][0-9]*"),
+              float: re.compile(r"-?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?|inf)|nan")}
+
+
+def parse_number(text: str, kind=int):
+    """The `kind` (int or float) that `text` spells in ASCII as %d, repr or
+    the CSVs' 17-digit format writes one, nan and inf included; else ValueError."""
+    if not _SPELLINGS[kind].fullmatch(text):
+        raise ValueError(f"not a spelling of {kind.__name__}: {text!r}")
+    return kind(text)
 
 
 def _tag_to_bytes(tag) -> bytes:

@@ -1536,6 +1536,9 @@ def _insert_column(lines, before, name, value):
      "summary.csv:2: overall = 'x' is not a number"),
     (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "seed", "x")] + ls[2:],
      "summary.csv:2: seed = 'x' is not a number"),
+    # an integer spelled with `_` read as 10 before
+    (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "seed", "1_0")] + ls[2:],
+     "summary.csv:2: seed = '1_0' is not a number"),
     # a second `overall` column, before effective_rank, of 0.99 in every row
     (lambda ls: _insert_column(ls, "effective_rank", "overall", "0.99"),
      "header repeats overall"),
@@ -1546,7 +1549,8 @@ def _insert_column(lines, before, name, value):
                                 "other")],
      "summary.csv:3: scenario_id = 'other' is not"),
 ], ids=["no-ok-row", "missing-column", "wide-row", "repeated-row", "metric-not-a-number",
-        "seed-not-a-number", "repeated-column", "unknown-status", "mixed-scenario-ids"])
+        "seed-not-a-number", "seed-not-canonical", "repeated-column", "unknown-status",
+        "mixed-scenario-ids"])
 def test_report_rejects_bad_summary_before_writing(tmp_path, capsys, edit, reason):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     assert main(["run", "--config", cfg]) == 0

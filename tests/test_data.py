@@ -356,7 +356,12 @@ def test_scenario_round_trip_with_toxicity(tmp_path):
 
 @pytest.mark.parametrize("key, line", [
     ("num_classes", "num_classes = 0"),
+    # IDX labels are u8: a count above 256 is refused before the seen mask is allocated
+    ("num_classes", "num_classes = 999999999999"),
     ("seed", None),
+    # held to [0, 2**64) and spelled in ASCII digits, as [scenario] seed is
+    ("seed", "seed = -1"),
+    ("seed", "seed = \u0663"),
     ("seen", "seen = 0,x"),
     ("toxic_pairs", "toxic_pairs = 0:1,2"),
     ("toxic_pairs", "toxic_pairs = 0:1,2:7"),
