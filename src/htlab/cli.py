@@ -92,8 +92,8 @@ from .data import (
 )
 from .losses import LossSpec
 from .metrics import METRICS, EvalReport, EvalSet, aggregate_seeds, evaluate, report_from_scores
-from .model import BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
-from .numkit import Rng, _at_least, _check, _one_of, parse_number
+from .model import _WEIGHTS, BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
+from .numkit import _SEED, Rng, _at_least, _check, _one_of, parse_number
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, _check_model, pretrain_source,
                        run_protocol, se_predict, wise_merge)
@@ -140,12 +140,14 @@ def _items(text: str, parse=str, distinct=True) -> list:
 
 
 def _widths(text: str) -> list:
-    """The widths `text` lists by commas; none unless each is at least 1."""
+    """The widths `text` lists by commas; none unless each is at least 1 and
+    a model of them, one wide in and out, is within MlpSpec's cap."""
     widths = _items(text, parse_number, distinct=False)
-    return widths if all(w > 0 for w in widths) else []
+    return widths if all(w > 0 for w in widths) and _WEIGHTS[0]((1, *widths, 1)) else []
 
 
-_MODEL_KEYS = {"hidden": ("64,64", (_widths, "must list widths of at least 1")),
+_MODEL_KEYS = {"hidden": ("64,64", (_widths, "must list widths of at least 1 whose layers "
+                                              "hold at most 2**27 weights and biases")),
                "activation": _keys(MlpSpec)["activation"], "batchnorm": (False, None),
                "in_adapter": (False, None)}
 _PROTOCOLS_KEYS = {"names": ("", (_items, "must list one or more protocols, each once"))}
@@ -210,7 +212,7 @@ def load_config(path: str) -> dict:
     seeds = _items(seeds_raw, parse_number)
     # [run] seeds is free text in _RUN_KEYS, since HTLAB_SEED overrides it; each
     # seed is held to [scenario] seed's bound, as Rng reduces a seed mod 2**64
-    _check(seeds_from, seeds_raw, (lambda v: seeds and all(0 <= s < 2**64 for s in seeds),
+    _check(seeds_from, seeds_raw, (lambda v: seeds and all(map(_SEED[0], seeds)),
                                    "must list one or more integers in [0, 2**64), each once"))
 
     model["hidden"] = _widths(model["hidden"])
@@ -460,8 +462,8 @@ def _read_rows(path: str, text: str) -> list:
     EvalReport, None in a FAILED row; fnr reads as nan where it was None.
     Checks that the header has each of _columns once, the width of every
     row, that no two rows share a key, the status (`ok` or `FAILED`), that
-    all rows have one scenario_id, and that seed, epoch and the metric and
-    spectrum cells of a report are numbers."""
+    all rows have one scenario_id, that the metric and spectrum cells of a
+    report are numbers, and that seed and epoch are integers in their bounds."""
     name = os.path.basename(path)
     lead, key = _SCHEMAS[name]
     lines = [(n, ln.split(",")) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
@@ -474,18 +476,21 @@ def _read_rows(path: str, text: str) -> list:
         if bad:
             raise ValueError(f"{path}: header {fault} {', '.join(bad)}")
 
-    def number(n: int, row: dict, column: str, kind):
+    def number(n: int, row: dict, column: str, kind, bound=(lambda v: True, None)):
         try:
-            return parse_number(row[column], kind)
+            value = parse_number(row[column], kind)
         except ValueError:
             raise ValueError(f"{path}:{n}: {column} = {row[column]!r} is not a number") from None
+        _check(f"{path}:{n}: {column}", value, bound)
+        return value
 
     out, keys = [], set()
+    ints = {"seed": _SEED, "epoch": _at_least(0)}  # the bounds of what `htlab run` writes
     for n, fields in lines[1:]:
         if len(fields) != len(header):
             raise ValueError(f"{path}:{n}: {len(fields)} fields, header has {len(header)}")
         row = dict(zip(header, fields))
-        cells = {c: number(n, row, c, int) if c in ("seed", "epoch") else row[c] for c in lead}
+        cells = {c: number(n, row, c, int, ints[c]) if c in ints else row[c] for c in lead}
         named = tuple(cells[c] for c in key)
         if named in keys:
             raise ValueError(f"{path}:{n}: repeats " + " ".join(f"{c} {cells[c]}" for c in key))

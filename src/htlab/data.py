@@ -59,8 +59,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numkit import (_FINITE, _NONNEGATIVE, _POSITIVE, Rng, _at_least, _bounded,
-                     _check_fields, parse_number)
+from .numkit import (_FINITE, _MAX_VALUES, _NONNEGATIVE, _POSITIVE, _SEED, Rng, _at_least,
+                     _bounded, _check_fields, parse_number)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -171,17 +171,45 @@ class HTScenario:
                              f"not the seen classes {listed}")
 
 
+_SIZES: dict = {}  # each size key's default, in the order the specs check them
+
+
+def _size(default: int, key: str, bound):
+    """The field of a size key `key`: `bound`, then the cap, the largest
+    array that generating the scenario allocates (a split's rows x dim,
+    _class_means' pairwise differences or a synthetic scenario's dim x dim
+    style rotation) within _MAX_VALUES, with each size key checked after
+    `key` at most its default: the first key to pass the cap is named."""
+    _SIZES[key] = default
+
+    def made(s):
+        ok, words = bound(s) if callable(bound) else bound
+        if not ok(s[key]):
+            return ok, words
+        later = list(_SIZES)[list(_SIZES).index(key) + 1:]
+        s = {**s, **{k: min(s[k], _SIZES[k]) for k in later if k in s}}
+        pairs = s.get("pairs")
+        classes, seen = (2 * pairs, pairs) if "pairs" in s else (s["classes"], s["seen"])
+        rows = max(classes * s["source_per_class"], seen * s["train_per_class"],
+                   classes * s["test_per_class"])
+        means = classes if pairs is None else pairs  # _class_means' rows
+        largest = s["dim"] * max(rows, means * means, 0 if "pairs" in s else s["dim"])
+        return (lambda v: largest <= _MAX_VALUES,
+                "must keep the scenario's largest array within 2**27 float64 values")
+    return _bounded(default, made)
+
+
 @dataclass(frozen=True)
 class _ScenarioSpec:
     """The [scenario] keys both generated kinds read: the seed, the feature
     width, the rows per class of each split and the least distance between
     class means (each field states its default and bound once)."""
 
-    seed: int = _bounded(0, (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"))
-    dim: int = _bounded(16, _at_least(2))
-    source_per_class: int = _bounded(200, _at_least(1))
-    train_per_class: int = _bounded(60, _at_least(1))
-    test_per_class: int = _bounded(40, _at_least(1))
+    seed: int = _bounded(0, _SEED)
+    dim: int = _size(16, "dim", _at_least(2))
+    source_per_class: int = _size(200, "source_per_class", _at_least(1))
+    train_per_class: int = _size(60, "train_per_class", _at_least(1))
+    test_per_class: int = _size(40, "test_per_class", _at_least(1))
     cluster_sep: float = _bounded(6.0, _POSITIVE)
 
     __post_init__ = _check_fields
@@ -196,9 +224,9 @@ class SyntheticSpec(_ScenarioSpec):
     """A [scenario] of kind synthetic: `classes` class clusters, `seen` of
     them in target training, and the style shift of the target splits."""
 
-    classes: int = _bounded(10, lambda s: (lambda v: v > s["seen"],
-                                           f"must be above seen ({s['seen']})"))
-    seen: int = _bounded(6, _at_least(1))
+    classes: int = _size(10, "classes", lambda s: (lambda v: v > s["seen"],
+                                                   f"must be above seen ({s['seen']})"))
+    seen: int = _size(6, "seen", _at_least(1))
     style_angle: float = _bounded(0.0, _FINITE)
     style_shift: float = _bounded(0.0, _FINITE)
     style_noise: float = _bounded(0.0, _NONNEGATIVE)
@@ -223,7 +251,7 @@ class PairedSpec(_ScenarioSpec):
     """A [scenario] of kind paired: `pairs` confusable class pairs whose
     members sit (1 - overlap) * cluster_sep apart."""
 
-    pairs: int = _bounded(6, _at_least(1))
+    pairs: int = _size(6, "pairs", _at_least(1))
     overlap: float = _bounded(0.6, (lambda v: 0 <= v < 1, "must be in [0, 1)"))
 
 
@@ -486,7 +514,7 @@ def load_scenario(in_dir: str) -> HTScenario:
     pairs = field("toxic_pairs", lambda text: [class_ids(p, ":") for p in text.split(",")],
                   lambda pairs: all(len(p) == 2 and in_range(p) for p in pairs)) \
         if "toxic_pairs" in meta else None
-    seed = field("seed", ok=lambda s: 0 <= s < 2**64)
+    seed = field("seed", ok=_SEED[0])
     scenario_id = field("scenario_id", str, lambda v: re.fullmatch(r"[A-Za-z0-9._+-]+", v))
 
     splits = []

@@ -47,7 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, write_file
-from .numkit import _FRACTION, _POSITIVE, Rng, _bounded, _check, _check_fields, _one_of
+from .numkit import (_FRACTION, _MAX_VALUES, _POSITIVE, Rng, _bounded, _check, _check_fields,
+                     _one_of)
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -59,6 +60,11 @@ GROUPS = ("backbone", "classifier", "bn_affine", "bn_stats", "in_adapter")
 # indexes a per-feature vector (h,), or a stack of them (M, h), as one row
 # that broadcasts over the batch axis
 _ROW = np.s_[..., None, :]
+
+
+# bounds the weights and biases of the linear layers between the widths w
+_WEIGHTS = (lambda w: sum((a + 1) * b for a, b in zip(w, w[1:])) <= _MAX_VALUES,
+            "must hold at most 2**27 weights and biases")
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,7 @@ class MlpSpec:
             raise ValueError("need at least one hidden layer")
         if min(self.layer_widths) < 1:
             raise ValueError("all widths must be >= 1")
+        _check("layer_widths", self.layer_widths, _WEIGHTS)
         _check_fields(self)
 
     @property
@@ -134,7 +141,7 @@ class _Layout:
     plan of each freeze mask used so far."""
 
     def __init__(self, spec: MlpSpec):
-        w, self.spec, self.plans = spec.layer_widths, spec, {}
+        w, self.spec = spec.layer_widths, spec
         self.linear = [(f"layers.{i}.W", f"layers.{i}.b") for i in range(spec.n_linear)]
         self.bn = [tuple(f"bn.{i}.{p}" for p in ("gamma", "beta", "mean", "var"))
                    for i in range(spec.n_hidden if spec.use_batchnorm else 0)]
@@ -156,38 +163,23 @@ class _Layout:
     def of(spec: MlpSpec) -> "_Layout":
         return _Layout(spec)
 
+    @lru_cache(maxsize=None)
     def plan(self, mask: "FreezeMask") -> "_Plan":
-        plan = self.plans.get(mask)
-        if plan is None:
-            plan = self.plans[mask] = _Plan(self, mask)
-        return plan
-
-
-def _runs(layout: _Layout, keys) -> list:
-    """The slices of `keys`, adjacent ones merged."""
-    runs = []
-    for s in (layout.slices[k] for k in keys):
-        if runs and runs[-1].stop == s.start:
-            s = slice(runs.pop().start, s.stop)
-        runs.append(s)
-    return runs
+        return _Plan(self, mask)
 
 
 class _Plan:
-    """What a freeze mask trains in a spec's buffer. runs: the slices that
-    get gradients; decay: those of weight matrices (the only parameters
-    weight decay applies to); undecayed: the rest of runs. train[i]: linear
-    layer i gets gradients; bn, adapter: the BN affine and adapter
-    parameters do; lowest: the lowest hidden layer backward has to reach."""
+    """What a freeze mask trains in a spec's buffer (a slice it does not
+    train keeps a zero gradient). train[i]: linear layer i gets gradients;
+    decay: the slices of the trained weight matrices, the only parameters
+    weight decay applies to; bn, adapter: the BN affine and adapter
+    parameters get gradients; lowest: the lowest hidden layer backward has
+    to reach."""
 
     def __init__(self, layout: _Layout, mask: FreezeMask):
         spec = layout.spec
-        keys = [k for k in layout.keys
-                if layout.groups[k] != "bn_stats" and mask.trainable(layout.groups[k])]
-        self.runs = _runs(layout, keys)
-        self.decay = [layout.slices[k] for k in keys if k.endswith(".W")]
-        self.undecayed = _runs(layout, [k for k in keys if not k.endswith(".W")])
         self.train = [mask.trainable(layout.groups[W]) for W, _ in layout.linear]
+        self.decay = [layout.slices[W] for (W, _), t in zip(layout.linear, self.train) if t]
         self.bn = spec.use_batchnorm and mask.bn_affine
         self.adapter = spec.use_in_adapter and mask.in_adapter
         trained = [i for i in range(spec.n_hidden) if self.train[i]]

@@ -71,6 +71,8 @@ _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 _NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
 _FINITE = (math.isfinite, "must be finite")
 _FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
+_SEED = (lambda v: 0 <= v < _U64_MAX, "must be in [0, 2**64)")  # Rng reduces mod 2**64
+_MAX_VALUES = 2**27  # float64s (1 GiB): the cap on the largest array a size key implies
 
 _SPELLINGS = {int: re.compile(r"0|-?[1-9][0-9]*"),
               float: re.compile(r"-?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?|inf)|nan")}

@@ -92,33 +92,28 @@ class SwaConfig:
 
 def sgd_step(params: ModelParams, grads: ModelParams, state: dict, cfg: SgdConfig,
              mask: FreezeMask) -> ModelParams:
-    """One momentum SGD update, in place on `params` (elementwise over the
-    trained slices of the flat buffer).
+    """One momentum SGD update, in place on `params`, over the whole flat buffer.
 
-    v <- momentum * v + grad (+ weight_decay * param on weight matrices);
-    param <- param - lr * v. Frozen groups are left untouched bitwise and
-    their momentum does not accumulate. `state` keeps the momentum, an
-    array of the buffer's shape under "velocity", and a scratch buffer
-    between steps.
+    v <- momentum * v + grad (+ weight_decay * param on the trained weight
+    matrices); param <- param - lr * v. An untrained slice carries a zero
+    gradient, as backward leaves it, so from zero momentum it moves by
+    exactly lr * 0 and keeps zero momentum: frozen groups and the running
+    BN statistics stay bitwise put. `state` keeps the momentum, an array of
+    the buffer's shape under "velocity", and a scratch buffer between steps.
     """
-    plan = params.layout.plan(mask)
     p, g = params.flat, grads.flat
     if "velocity" not in state:
         state["velocity"] = np.zeros_like(p)
     v, t = state["velocity"], _buffer(state, "update", p.shape)
-    decay = cfg.weight_decay > 0
-    for s in plan.runs:
-        v[..., s] *= cfg.momentum
-        if decay:  # t <- grad + weight_decay * param on weight matrices, grad elsewhere
+    v *= cfg.momentum
+    if cfg.weight_decay > 0:  # t <- grad + weight_decay * param on weight matrices
+        t[...] = g
+        for s in params.layout.plan(mask).decay:
             np.multiply(p[..., s], cfg.weight_decay, out=t[..., s])
-    for s in plan.decay if decay else ():
-        t[..., s] += g[..., s]
-    for s in plan.undecayed if decay else ():
-        t[..., s] = g[..., s]
-    grad = t if decay else g
-    for s in plan.runs:
-        v[..., s] += grad[..., s]
-        p[..., s] -= np.multiply(v[..., s], cfg.lr, out=t[..., s])
+            t[..., s] += g[..., s]
+        g = t
+    v += g
+    p -= np.multiply(v, cfg.lr, out=t)
     return params
 
 

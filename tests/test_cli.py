@@ -1004,6 +1004,17 @@ def test_a_report_round_trips_through_the_writer_and_reader_of_each_file(reports
             assert np.array_equal(_bits(back), expected)
 
 
+def test_a_curves_row_of_a_negative_epoch_is_refused():
+    proto = types.SimpleNamespace(kind="naive_ft")
+    scenario = types.SimpleNamespace(scenario_id="syn-c5-s3-d6-seed11")
+    rep = EvalReport(0.5, 0.5, 0.5, 0.5, None, 1.0, np.empty(0))
+    curves = cli._cell_rows(proto, 7, types.SimpleNamespace(curve=[rep]), scenario, None, None,
+                            0, False)[0].decode()
+    text = ",".join(cli._columns("curves.csv", 0)) + "\n" + curves.replace(",7,0,", ",7,-1,")
+    with pytest.raises(ValueError, match=r"^curves\.csv:2: epoch = -1 must be at least 0$"):
+        cli._read_rows("curves.csv", text)
+
+
 def test_run_jobs_below_one_exits_1(tmp_path, capsys):
     cfg, out = _write_config(tmp_path)
     assert main(["run", "--config", cfg, "--jobs", "0"]) == 1
@@ -1539,6 +1550,11 @@ def _insert_column(lines, before, name, value):
     # an integer spelled with `_` read as 10 before
     (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "seed", "1_0")] + ls[2:],
      "summary.csv:2: seed = '1_0' is not a number"),
+    # seeds `htlab run` never writes: below 0, and past 2**64
+    (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "seed", "-1")] + ls[2:],
+     "summary.csv:2: seed = -1 must be in [0, 2**64)"),
+    (lambda ls: ls[:1] + [_set_cell(ls[0], ls[1], "seed", "1" + "0" * 30)] + ls[2:],
+     "summary.csv:2: seed = 1" + "0" * 30 + " must be in [0, 2**64)"),
     # a second `overall` column, before effective_rank, of 0.99 in every row
     (lambda ls: _insert_column(ls, "effective_rank", "overall", "0.99"),
      "header repeats overall"),
@@ -1549,7 +1565,8 @@ def _insert_column(lines, before, name, value):
                                 "other")],
      "summary.csv:3: scenario_id = 'other' is not"),
 ], ids=["no-ok-row", "missing-column", "wide-row", "repeated-row", "metric-not-a-number",
-        "seed-not-a-number", "seed-not-canonical", "repeated-column", "unknown-status",
+        "seed-not-a-number", "seed-not-canonical", "seed-negative", "seed-past-2**64",
+        "repeated-column", "unknown-status",
         "mixed-scenario-ids"])
 def test_report_rejects_bad_summary_before_writing(tmp_path, capsys, edit, reason):
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")

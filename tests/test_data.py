@@ -116,6 +116,24 @@ def test_identity_style_is_noop():
         assert np.linalg.norm(mu_src - mu_tgt) < 1.2  # ~ 2 * sigma/sqrt(30) * sqrt(d)
 
 
+@pytest.mark.parametrize("spec, key, fits, past", [
+    # the synthetic style rotation is dim x dim: 11585**2 <= 2**27 < 11586**2
+    (SyntheticSpec, "dim", 11585, 11586),
+    # source_train is classes * source_per_class rows of dim: 10 * 838860 * 16 <= 2**27
+    (SyntheticSpec, "source_per_class", 838860, 838861),
+    # _class_means' pairwise differences are classes**2 x dim
+    (SyntheticSpec, "classes", 2896, 2897),
+    # a paired source_train is 2 * pairs * source_per_class rows of dim
+    (PairedSpec, "dim", 2**27 // 2400, 2**27 // 2400 + 1),
+], ids=["synthetic-dim", "synthetic-source", "synthetic-classes", "paired-dim"])
+def test_a_generated_size_is_held_to_the_cap_exactly(spec, key, fits, past):
+    # building a spec allocates nothing, so the bound is checked at the cap itself
+    assert getattr(spec(**{key: fits}), key) == fits
+    with pytest.raises(ValueError, match=rf"^{key} = {past} must keep the scenario's largest "
+                                         r"array within 2\*\*27 float64 values$"):
+        spec(**{key: past})
+
+
 def test_generator_rejects_degenerate_seen_counts():
     with pytest.raises(ValueError, match=r"^classes = 5 must be above seen \(5\)$"):
         SyntheticSpec(classes=5, seen=5)

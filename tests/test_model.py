@@ -408,6 +408,15 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert np.array_equal(p[k], q[k])
 
 
+def test_spec_holds_its_weights_and_biases_to_the_cap():
+    # (1 + 1) * h + (h + 1) * 1 = 3h + 1 weights and biases; building a spec
+    # allocates nothing, so the bound is checked at the cap itself
+    assert MlpSpec((1, 44739242, 1)).layer_widths[1] == 44739242
+    with pytest.raises(ValueError, match=r"^layer_widths = \(1, 44739243, 1\) must hold at "
+                                         r"most 2\*\*27 weights and biases$"):
+        MlpSpec((1, 44739243, 1))
+
+
 def test_configurable_bn_settings_respected():
     spec = MlpSpec((5, 6, 4), use_batchnorm=True, bn_eps=1e-3, bn_momentum=0.5)
     p = init_model(spec, Rng(45))

@@ -7,6 +7,7 @@ import pytest
 from htlab.data import Dataset
 from htlab.losses import CompositeLoss, LossSpec, cross_entropy
 from htlab.model import (
+    GROUPS,
     FreezeMask,
     MlpSpec,
     ModelParams,
@@ -16,6 +17,7 @@ from htlab.model import (
     params_axpy,
 )
 from htlab.numkit import Rng
+from htlab.transfer import _PRESETS
 from htlab.optim import (
     LolConfig,
     RunningAverage,
@@ -118,17 +120,43 @@ def test_sgd_step_weight_decay_skips_biases_and_norm_affine():
     assert not np.array_equal(params["layers.0.W"], before["layers.0.W"])
 
 
-def test_sgd_step_frozen_group_untouched():
-    params = init_model(SPEC, Rng(75))
-    ds = _toy_dataset()
-    grads = _grads_for(params, ds.X[:8], ds.y[:8], FreezeMask.frozen_classifier())
+def _phase_masks() -> dict:
+    """Each distinct phase mask of the protocol presets, named by its first preset."""
+    masks = {}
+    for name, preset in _PRESETS.items():
+        for _, mask in preset.phases:
+            masks.setdefault(mask, name)
+    return masks
+
+
+@pytest.mark.parametrize("mask", list(_phase_masks()), ids=list(_phase_masks().values()))
+def test_sgd_step_frozen_group_untouched(mask):
+    # sgd_step updates the whole buffer: a slice stays put because backward
+    # leaves its gradient at exactly zero and its momentum starts at zero
+    spec = MlpSpec((4, 8, 6, 3), use_batchnorm=True, use_in_adapter=True)
+    params = _one_row(init_model(spec, Rng(75)))
+    params.flat[:] += Rng(76).standard_normal(params.flat.shape) * 0.1  # no identity BN/adapter
+    np.abs(params["bn.0.var"], out=params["bn.0.var"])
+    np.abs(params["bn.1.var"], out=params["bn.1.var"])
     before = params.clone()
+    ds = _toy_dataset()
+    steps = [Rng(77).derive(s).choice(len(ds), 8)[None] for s in range(4)]
     state = {}
-    for _ in range(5):
-        sgd_step(params, grads, state, SgdConfig(lr=0.1, weight_decay=1e-2),
-                 FreezeMask.frozen_classifier())
-    assert np.array_equal(params["layers.1.W"], before["layers.1.W"])
-    assert np.array_equal(params["layers.1.b"], before["layers.1.b"])
+    _train_steps(params, ds, steps, PLAIN_LOSS,
+                 SgdConfig(lr=0.1, momentum=0.9, weight_decay=1e-2), mask, state)
+    velocity, layout = state["velocity"], params.layout
+    for k in params.keys():
+        group = layout.groups[k]
+        moved = params[k].tobytes() != before[k].tobytes()
+        if group == "bn_stats":
+            assert moved == mask.bn_stats, k
+        elif not mask.trainable(group):
+            assert not moved, k
+        if group == "bn_stats" or not mask.trainable(group):
+            assert not velocity[:, layout.slices[k]].any(), k
+    trained = {layout.groups[k] for k in params.keys()
+               if params[k].tobytes() != before[k].tobytes()} - {"bn_stats"}
+    assert trained == {g for g in GROUPS if g != "bn_stats" and mask.trainable(g)}
 
 
 # ------------------------------------------------------------ train_sgd

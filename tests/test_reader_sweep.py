@@ -19,7 +19,10 @@ traceback, and:
   [0, 2**64), so every value tried for one exits 1.
 
 Each command stops where its reader returns, by the _Read that _stop_at
-raises, so only the checkpoint's runs generate or train anything.
+raises, so only the checkpoint's runs generate or train anything. The
+size cases are the exception: they build what they read, and a size past
+the cap of 2**27 float64 values on the largest array it implies must exit
+1 naming its key before anything is drawn.
 """
 
 import os
@@ -344,6 +347,47 @@ def test_each_gen_flag_mutation_reads_its_text_or_exits_1_naming_it(tmp_path, mo
     # must be above seen (11)`
     assert _faults(flag, attempt, base, base[flag], [flag.replace("_", "-")],
                    number=True, integer=type(base[flag]) is int, mutations=mutations) == []
+    assert not os.path.exists(out)
+
+
+# a size past the cap of 2**27 float64 values on the largest array it
+# implies; the cases below run what they read, with no reader stopped, so a
+# size that passed its bound would be drawn, and here fail to allocate
+_PAST_CAP = "1000000000000000"
+
+
+@pytest.mark.parametrize("flags, flag", [
+    ({"dim": _PAST_CAP}, "dim"),
+    ({"source_per_class": _PAST_CAP}, "source_per_class"),
+    ({"train_per_class": _PAST_CAP}, "train_per_class"),
+    ({"test_per_class": _PAST_CAP}, "test_per_class"),
+    ({"classes": _PAST_CAP, "seen": "1"}, "classes"),
+    ({"classes": "10", "seen": "9", "train_per_class": _PAST_CAP}, "train_per_class"),
+    ({"pairs": _PAST_CAP}, "pairs"),
+    ({"pairs": "1", "dim": _PAST_CAP}, "dim"),
+], ids=["dim", "source", "train", "test", "classes", "train-of-9-seen", "pairs", "paired-dim"])
+def test_a_gen_size_past_the_cap_exits_1_naming_it(tmp_path, capfd, flags, flag):
+    out = str(tmp_path / "scn")
+    rc, err, _ = _main(capfd, ["gen", *_gen_argv(flags), "--out", out])
+    name = "--" + flag.replace("_", "-")
+    assert rc == 1 and f"error: {name} = {flags[flag]} must keep the scenario's largest " \
+        "array within 2**27 float64 values" in err, err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("scenario", "dim", _PAST_CAP),
+    ("scenario", "source_per_class", _PAST_CAP),
+    ("scenario", "classes", _PAST_CAP),
+    ("model", "hidden", f"{_PAST_CAP},64"),
+    ("model", "hidden", _PAST_CAP),
+])
+def test_a_config_size_past_the_cap_exits_1_naming_it(tmp_path, capfd, section, key, text):
+    path, out = str(tmp_path / "sweep.ini"), str(tmp_path / "out")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(_config_text(section, key, "huge", text))
+    rc, err, _ = _main(capfd, ["run", "--config", path, "--out", out])
+    assert rc == 1 and f"error: [{section}] {key} = " in err and "2**27" in err, err
     assert not os.path.exists(out)
 
 
