@@ -92,8 +92,8 @@ from .data import (
 )
 from .losses import LossSpec
 from .metrics import METRICS, EvalReport, EvalSet, aggregate_seeds, evaluate, report_from_scores
-from .model import _WEIGHTS, BadCheckpoint, MlpSpec, load_checkpoint, save_checkpoint
-from .numkit import _SEED, Rng, _at_least, _check, _one_of, parse_number
+from .model import _WEIGHTS, BadCheckpoint, MlpSpec, _Layout, load_checkpoint, save_checkpoint
+from .numkit import _MAX_VALUES, _SEED, Rng, _at_least, _check, _one_of, parse_number
 from .optim import LolConfig, SgdConfig, SwaConfig
 from .transfer import (DivergenceError, Protocol, _check_model, pretrain_source,
                        run_protocol, se_predict, wise_merge)
@@ -392,6 +392,9 @@ def cmd_run(args) -> int:
     if any(p.local_sgd for p in protocols):
         _check("[lol] leave_k", cfg["lol"].leave_k, (lambda v: v < n_classes, (
             f"must be below the {n_classes} classes of the target training split")))
+        width = _Layout.of(spec).size  # a round stacks (subsets, width) run buffers
+        _check("[lol] subsets", cfg["lol"].subsets, (lambda v: v * width <= _MAX_VALUES, (
+            f"must keep the round's (subsets, {width}) stack within 2**27 float64 values")))
     for proto in protocols:  # a protocol the model cannot run, before any work
         _check_model(proto.kind, spec)
     os.makedirs(out_dir, exist_ok=True)
@@ -446,8 +449,13 @@ def cmd_gen(args) -> int:
     pairs = scn.pop("pairs", "0")
     if pairs != "0":  # 0, the default, generates a synthetic scenario
         scn.update(kind="paired", pairs=pairs)
-    # a flag the kind does not read is an unknown key
-    scenario = build_scenario(scn, name=lambda key: "--" + key.replace("_", "-"))
+    name = lambda key: "--" + key.replace("_", "-")  # noqa: E731
+    # a flag the kind does not read is an unknown key; the labels that
+    # save_scenario writes are u8, so at most 256 classes, two a pair
+    key, most = ("pairs", 128) if "pairs" in scn else ("classes", 256)
+    _check(name(key), _resolve_scenario(scn, name)[key],
+           (lambda v: v <= most, f"must be at most {most}, as gen writes u8 labels"))
+    scenario = build_scenario(scn, name=name)
     save_scenario(scenario, args.out, force=args.force)
     print(f"{scenario.scenario_id}: {scenario.num_classes} classes "
           f"({int(scenario.seen_mask.sum())} seen), dim {scenario.dim}, "

@@ -1,6 +1,6 @@
 """The adaptation loss suite: cross-entropy, selective distillation on the
-unseen-class logits, a feature-spectrum regularizer, and their weighted
-composition.
+unseen-class logits, a feature-spectrum regularizer, and CompositeLoss,
+which weights and sums them.
 
 Selective distillation matches the softmax of the frozen source model and
 the training model restricted to the unseen columns only (renormalized
@@ -23,7 +23,7 @@ batch alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -124,49 +124,18 @@ def rank_reg(features: np.ndarray) -> tuple:
     return loss, grad
 
 
-def compose(ce_parts, distill_parts, rank_parts, spec: LossSpec):
-    """Weighted sum of the three loss terms.
-
-    Each *_parts is a (loss, grad) pair, its loss an (M,) array, or None
-    when the term is disabled.
-    A zero weight leaves the total and the corresponding gradient untouched
-    bitwise. Returns (LossBreakdown, grad_at_logits, grad_at_features_or_None).
-    """
-    ce_loss, grad_logits = ce_parts
-    total = ce_loss
-    distill_loss = rank_loss = 0.0
-    grad_features = None
-    if spec.lambda_distill > 0:
-        if distill_parts is None:
-            raise ValueError("lambda_distill > 0 but no distillation parts")
-        distill_loss, dgrad = distill_parts
-        grad_logits = grad_logits + spec.lambda_distill * dgrad
-        total = total + spec.lambda_distill * distill_loss
-    if spec.lambda_rank > 0:
-        if rank_parts is None:
-            raise ValueError("lambda_rank > 0 but no rank parts")
-        rank_loss, rgrad = rank_parts
-        weight = spec.rank_sign * spec.lambda_rank
-        grad_features = weight * rgrad
-        total = total + weight * rank_loss
-    return LossBreakdown(ce=ce_loss, distill=distill_loss, rank=rank_loss,
-                         total=total), grad_logits, grad_features
-
-
 class CompositeLoss:
     """Batch loss used by the trainers: cross-entropy plus the configured
-    regularizers. Distillation targets are recomputed from the frozen
-    source model on every batch (never cached), one eval forward per run
-    of the batch stack. `source_params` is one model that every run
-    distills from, or a sequence of one source per run (each seed of a
-    seed stack has its own)."""
+    regularizers, each weighted here. Distillation targets are recomputed
+    from the frozen source model on every batch (never cached), one eval
+    forward per run of the batch stack. `source_params` is a sequence of one
+    source model per run (each seed of a seed stack has its own), or of one
+    that every run distills from."""
 
-    def __init__(self, spec: LossSpec,
-                 source_params: Union[ModelParams, Sequence[ModelParams], None] = None,
+    def __init__(self, spec: LossSpec, source_params: Sequence[ModelParams] = (),
                  seen_mask=None):
         self.spec = spec
-        self.sources = [source_params] if isinstance(source_params, ModelParams) \
-            else list(source_params or ())
+        self.sources = list(source_params)
         self.seen_mask = None if seen_mask is None else np.asarray(seen_mask, bool)
         if spec.lambda_distill > 0 and (not self.sources or self.seen_mask is None):
             raise ValueError("distillation needs source params and a seen mask")
@@ -174,19 +143,26 @@ class CompositeLoss:
     def __call__(self, trace, labels):
         """Returns (LossBreakdown, grad_at_logits, grad_at_features_or_None)
         for a train-mode trace of a batch stack; a single (N, d) batch
-        reads as a stack of one."""
-        ce_parts = cross_entropy(trace.logits, labels)
-        distill_parts = None
-        if self.spec.lambda_distill > 0:
+        reads as a stack of one. A term whose weight is 0 is not computed,
+        so the total and the gradients stay bitwise cross-entropy's."""
+        spec = self.spec
+        ce, grad_logits = cross_entropy(trace.logits, labels)
+        total, distill, rank, grad_features = ce, 0.0, 0.0, None
+        if spec.lambda_distill > 0:
             batches = trace.X.reshape(-1, *trace.X.shape[-2:])  # each run's (N, d) batch
             sources = self.sources * len(batches) if len(self.sources) == 1 else self.sources
             if len(sources) != len(batches):
                 raise ValueError("need one source model per run of the batch")
             src_logits = np.stack([forward(src, x, mode="eval").logits
                                    for src, x in zip(sources, batches)])
-            distill_parts = selective_distill(src_logits.reshape(trace.logits.shape),
+            distill, grad = selective_distill(src_logits.reshape(trace.logits.shape),
                                               trace.logits, self.seen_mask)
-        rank_parts = None
-        if self.spec.lambda_rank > 0:
-            rank_parts = rank_reg(trace.features)
-        return compose(ce_parts, distill_parts, rank_parts, self.spec)
+            grad_logits = grad_logits + spec.lambda_distill * grad
+            total = total + spec.lambda_distill * distill
+        if spec.lambda_rank > 0:
+            rank, grad = rank_reg(trace.features)
+            weight = spec.rank_sign * spec.lambda_rank
+            grad_features = weight * grad
+            total = total + weight * rank
+        return LossBreakdown(ce=ce, distill=distill, rank=rank, total=total), \
+            grad_logits, grad_features

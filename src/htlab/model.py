@@ -237,19 +237,18 @@ class ForwardTrace:
     mode: str
     X: np.ndarray
     adapter_xhat: Optional[np.ndarray]
-    inputs: list            # input to each linear layer
+    inputs: list            # input to each linear layer: X (adapted), then each activation
     pre: list               # linear outputs before BN (None without BN,
                             # where backward does not need them)
     bn_xhat: list           # normalized pre-activations (None without BN)
     bn_batch_mean: list     # the statistics BN used, shaped (..., 1, h): the
     bn_batch_var: list      # batch's in train mode, the running ones in eval
-    activations: list       # activation outputs per hidden layer
     logits: np.ndarray
 
     @property
     def features(self) -> np.ndarray:
         """Penultimate features: output of the last hidden activation."""
-        return self.activations[-1]
+        return self.inputs[-1]
 
 
 def _buffer(scratch: Optional[dict], key, shape: tuple, init=np.empty):
@@ -297,7 +296,7 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
         a = v["in_adapter.scale"][_ROW] * adapter_xhat
         a += v["in_adapter.shift"][_ROW]
 
-    inputs, pre, bn_xhat, bn_mean, bn_var, activations = [], [], [], [], [], []
+    inputs, pre, bn_xhat, bn_mean, bn_var = [], [], [], [], []
     for i in range(spec.n_hidden):
         W, b = layout.linear[i]
         inputs.append(a)
@@ -328,7 +327,6 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
         bn_var.append(vb)
         # in place: y is a temporary, or z that the trace does not keep
         a = np.maximum(y, 0.0, out=y) if spec.activation == "relu" else np.tanh(y, out=y)
-        activations.append(a)
 
     inputs.append(a)
     W, b = layout.linear[-1]
@@ -336,7 +334,7 @@ def forward(params: ModelParams, X: np.ndarray, mode: str = "eval",
     logits += v[b][_ROW]
     return ForwardTrace(mode=mode, X=X, adapter_xhat=adapter_xhat, inputs=inputs,
                         pre=pre, bn_xhat=bn_xhat, bn_batch_mean=bn_mean,
-                        bn_batch_var=bn_var, activations=activations, logits=logits)
+                        bn_batch_var=bn_var, logits=logits)
 
 
 def backward(params: ModelParams, trace: ForwardTrace,
@@ -375,7 +373,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
     for i in range(top, plan.lowest - 1, -1):
         below = i > plan.lowest or plan.adapter  # the gradient goes on through layer i
         if i < top:
-            act = trace.activations[i]
+            act = trace.inputs[i + 1]
             dz = da  # in place from here: relu's subgradient is 0 at 0
             dz *= (act > 0) if spec.activation == "relu" else 1.0 - act**2
         if i < top and spec.use_batchnorm:

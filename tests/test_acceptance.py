@@ -121,7 +121,7 @@ def test_criterion_1_numerical_correctness():
                 seen = np.array([True, True, False, False])
                 src = init_model(spec, Rng(40))
                 lspec = LossSpec(lambda_distill=0.7, lambda_rank=0.05)
-                loss_fn = CompositeLoss(lspec, source_params=src, seen_mask=seen)
+                loss_fn = CompositeLoss(lspec, source_params=[src], seen_mask=seen)
 
                 def total(p):
                     tr = forward(p, X, mode="train", update_stats=False)

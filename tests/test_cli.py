@@ -142,6 +142,8 @@ _BAD_GEN_FLAGS = [
     (["--style-shift", "nan"], "--style-shift = nan "),
     (["--style-noise", "-1"], "--style-noise = -1.0 "),
     (["--pairs", "2", "--overlap", "1"], "--overlap = 1.0 "),
+    (["--classes", "300", "--seen", "1"], "--classes = 300 "),  # past the u8 labels
+    (["--pairs", "200"], "--pairs = 200 "),
 ]
 
 
@@ -1032,6 +1034,18 @@ def test_run_leave_k_not_below_target_classes_exits_1_before_pretraining(tmp_pat
     # the same value is fine when no protocol runs leave-out local SGD
     cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
     assert main(["run", "--config", cfg]) == 0
+
+
+def test_run_lol_subsets_past_the_cap_exits_1_before_pretraining(tmp_path, capsys):
+    # a round stacks one buffer of the 173-value model per run; with no epochs
+    # the rounds never run, so a config the check missed would exit 0 at once
+    cfg, out = _write_config(tmp_path, names="naive_ft,lolsgd", seeds="0",
+                             extra="[lol]\nsubsets = 100000000\nleave_k = 1\n")
+    _edit(cfg, "epochs = 2", "epochs = 0")
+    assert main(["run", "--config", cfg]) == 1
+    assert ("error: [lol] subsets = 100000000 must keep the round's (subsets, 173) stack "
+            "within 2**27 float64 values") in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("kind,part", [("bn_affine_only", "batchnorm"),

@@ -226,7 +226,7 @@ def test_train_batch_matches_per_key_reference_bitwise(model, mask_name, loss_na
     X, y = _data(spec)
     seen = np.arange(spec.layer_widths[-1]) < 3
     src = init_model(spec, Rng(1))
-    loss = CompositeLoss(loss_spec, src, seen)
+    loss = CompositeLoss(loss_spec, [src], seen)
     starts = [init_model(spec, Rng(2 + m)) for m in range(runs)]
     work = ModelParams(spec, np.stack([s.flat for s in starts]))
     ref = {k: work[k].copy() for k in work.keys()}
@@ -258,7 +258,7 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
     # a one-row stack, checked against the per-key reference of one model
     one_row = ModelParams(spec, src.flat[None].copy())
     out = train_sgd(one_row, Dataset(X, y, spec.layer_widths[-1]),
-                    CompositeLoss(loss_spec, src, seen), cfg, mask, [Rng(4)], on_epoch=on_epoch)
+                    CompositeLoss(loss_spec, [src], seen), cfg, mask, [Rng(4)], on_epoch=on_epoch)
     ref, ref_state, ref_curve = {k: src[k].copy() for k in src.keys()}, {}, []
     for epoch in range(cfg.epochs):  # 5 batches an epoch, 70 steps in all
         order = Rng(4).derive(f"epoch-{epoch}").permutation(len(y))

@@ -4,7 +4,6 @@ import pytest
 from htlab.losses import (
     CompositeLoss,
     LossSpec,
-    compose,
     cross_entropy,
     rank_reg,
     selective_distill,
@@ -165,57 +164,64 @@ def test_rank_needs_two_samples():
         rank_reg(np.ones((1, 3)))
 
 
-# ------------------------------------------------------------ compose
+# ------------------------------------------------------------ weights
 
-def _parts(seed=58):
-    rng = Rng(seed)
-    logits = rng.standard_normal((6, 5))
-    labels = rng.choice(5, 6, replace=True)
-    feats = rng.standard_normal((6, 4))
-    src = rng.standard_normal((6, 5))
-    ce = cross_entropy(logits, labels)
-    di = selective_distill(src, logits, SEEN)
-    rk = rank_reg(feats)
-    return ce, di, rk
-
-
-def test_compose_degenerates_to_ce_bitwise():
-    ce, di, rk = _parts()
-    bd, gl, gf = compose(ce, di, rk, LossSpec(0.0, 0.0))
-    assert bd.total == ce[0]
+def _zero_weights_are_ce(run, ce, di, rk):
+    bd, gl, gf = run(LossSpec(0.0, 0.0))
+    assert np.array_equal(bd.total, ce[0])
     assert np.array_equal(gl, ce[1])
     assert gf is None
 
 
-def test_compose_accepts_large_weights():
-    ce, di, rk = _parts()
-    bd, _, _ = compose(ce, di, rk, LossSpec(lambda_distill=10.0, lambda_rank=100.0))
-    assert bd.total == ce[0] + 10.0 * di[0] + 100.0 * rk[0]
+def _large_weights(run, ce, di, rk):
+    bd, _, _ = run(LossSpec(lambda_distill=10.0, lambda_rank=100.0))
+    assert np.array_equal(bd.total, ce[0] + 10.0 * di[0] + 100.0 * rk[0])
 
 
-def test_compose_linear_in_each_weight():
-    ce, di, rk = _parts()
+def _linear_in_each_weight(run, ce, di, rk):
     for lam in (0.5, 1.0, 2.0):
-        bd, _, _ = compose(ce, di, rk, LossSpec(lambda_distill=lam))
-        assert bd.total == ce[0] + lam * di[0]
-        bd, _, gf = compose(ce, di, rk, LossSpec(lambda_rank=lam))
-        assert bd.total == ce[0] + lam * rk[0]
+        bd, gl, _ = run(LossSpec(lambda_distill=lam))
+        assert np.array_equal(bd.total, ce[0] + lam * di[0])
+        assert np.array_equal(gl, ce[1] + lam * di[1])
+        bd, _, gf = run(LossSpec(lambda_rank=lam))
+        assert np.array_equal(bd.total, ce[0] + lam * rk[0])
         assert np.array_equal(gf, lam * rk[1])
 
 
-def test_compose_doubling_rank_weight_doubles_contribution():
-    ce, di, rk = _parts()
-    bd1, _, _ = compose(ce, di, rk, LossSpec(lambda_rank=0.5))
-    bd2, _, _ = compose(ce, di, rk, LossSpec(lambda_rank=1.0))
-    assert (bd2.total - bd2.ce) == 2.0 * (bd1.total - bd1.ce)
+def _doubling_rank_weight_doubles_contribution(run, ce, di, rk):
+    bd1, _, gf1 = run(LossSpec(lambda_rank=0.5))
+    bd2, _, gf2 = run(LossSpec(lambda_rank=1.0))
+    # total - ce is rounded, so the contribution is checked as it is added
+    assert np.array_equal(bd2.rank, bd1.rank)
+    assert np.array_equal(bd2.total, bd2.ce + 2.0 * (0.5 * bd1.rank))
+    assert np.array_equal(gf2, 2.0 * gf1)
 
 
-def test_compose_rank_sign_flip():
-    ce, di, rk = _parts()
-    plus, _, gfp = compose(ce, di, rk, LossSpec(lambda_rank=1.0, rank_sign=1))
-    minus, _, gfm = compose(ce, di, rk, LossSpec(lambda_rank=1.0, rank_sign=-1))
-    assert plus.total - ce[0] == -(minus.total - ce[0])
+def _rank_sign_flip(run, ce, di, rk):
+    plus, _, gfp = run(LossSpec(lambda_rank=1.0, rank_sign=1))
+    minus, _, gfm = run(LossSpec(lambda_rank=1.0, rank_sign=-1))
+    assert np.array_equal(plus.total - ce[0], -(minus.total - ce[0]))
     assert np.array_equal(gfp, -gfm)
+
+
+_WEIGHT_CASES = [_zero_weights_are_ce, _large_weights, _linear_in_each_weight,
+                 _doubling_rank_weight_doubles_contribution, _rank_sign_flip]
+
+
+@pytest.mark.parametrize("case", _WEIGHT_CASES, ids=lambda case: case.__name__[1:])
+def test_composite_loss_weights_its_terms(case):
+    # CompositeLoss on a train-mode trace of a two-run stack, distilling
+    # from a source model, against each term computed alone on that trace
+    model = MlpSpec((4, 6, 5))
+    rng = Rng(58)
+    X, labels = rng.standard_normal((2, 6, 4)), rng.choice(5, (2, 6), replace=True)
+    source = init_model(model, Rng(59))
+    runs = ModelParams(model, np.stack([init_model(model, Rng(60 + m)).flat for m in range(2)]))
+    trace = forward(runs, X, mode="train")
+    ce = cross_entropy(trace.logits, labels)
+    di = selective_distill(np.stack([forward(source, x).logits for x in X]), trace.logits, SEEN)
+    rk = rank_reg(trace.features)
+    case(lambda spec: CompositeLoss(spec, [source], SEEN)(trace, labels), ce, di, rk)
 
 
 def test_loss_spec_validation():
@@ -235,7 +241,7 @@ def test_composite_loss_runs_all_terms():
     X = rng.standard_normal((8, 4))
     labels = rng.choice(2, 8, replace=True)  # seen classes only
     loss = CompositeLoss(LossSpec(lambda_distill=1.0, lambda_rank=0.1),
-                         source_params=source, seen_mask=SEEN)
+                         source_params=[source], seen_mask=SEEN)
     trace = forward(params, X, mode="train", update_stats=False)
     bd, gl, gf = loss(trace, labels)
     assert bd.total == bd.ce + 1.0 * bd.distill + 0.1 * bd.rank
@@ -250,7 +256,7 @@ def test_composite_loss_runs_all_terms():
 @pytest.mark.parametrize("batch", [5, 6])
 def test_stacked_losses_equal_each_batch_alone_bitwise(spec, batch):
     model = MlpSpec((4, 6, 5))
-    loss = CompositeLoss(spec, source_params=init_model(model, Rng(62)), seen_mask=SEEN)
+    loss = CompositeLoss(spec, source_params=[init_model(model, Rng(62))], seen_mask=SEEN)
     runs = [init_model(model, Rng(63 + m)) for m in range(3)]
     stacked = ModelParams(model, np.stack([r.flat for r in runs]))
     rng = Rng(66)

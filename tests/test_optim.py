@@ -384,7 +384,7 @@ def test_lolsgd_stacked_round_matches_sequential_runs_bitwise(case):
     params = init_model(spec, Rng(90))
     params["layers.0.b"] += 0.1  # off the init values, so every group moves
     seen = np.arange(spec.layer_widths[-1]) < 2
-    loss = CompositeLoss(loss_spec, init_model(spec, Rng(91)), seen)
+    loss = CompositeLoss(loss_spec, [init_model(spec, Rng(91))], seen)
     steps = _round_step_allocation(len(ds), cfg, lol)
     # each case exercises what its id claims
     assert ("zero" in exercises) == (min(steps) == 0)
@@ -414,7 +414,7 @@ def test_train_steps_shrinking_prefix_matches_each_run_trained_alone():
     spec, cfg = _TANH_BN, SgdConfig(lr=0.05, momentum=0.9, weight_decay=1e-3)
     ds = _toy_dataset(n_per=12, dim=spec.dim, classes=4)
     seen = np.arange(spec.layer_widths[-1]) < 2
-    loss = CompositeLoss(_BOTH, init_model(spec, Rng(91)), seen)
+    loss = CompositeLoss(_BOTH, [init_model(spec, Rng(91))], seen)
     mask = FreezeMask.all_trainable()
     rng = Rng(94)
     steps = [np.stack([rng.choice(len(ds), size=8, replace=False) for _ in range(a)])
