@@ -17,10 +17,10 @@ and bound once: in a key table below, or as a field of SyntheticSpec or
 PairedSpec ([scenario], by kind), SgdConfig, LolConfig, LossSpec or SwaConfig
 ([pretrain] defaults to the resolved [sgd]). An unknown section or key exits
 1, and so does a value that does not parse or is out of bound, as
-`error: [section] key = value <bound>` (`htlab gen` and --jobs: `--flag =
-...`). A number parses only as numkit.parse_number spells it: ASCII digits,
-`-` the only sign, so `1_0`, `+2` or a non-ASCII digit does not. The
-HTLAB_SEED environment variable (comma-separated integers) overrides
+`error: [section] key = value <bound>` (`htlab gen`, --jobs and --out:
+`--flag = ...`). A number parses only as numkit.parse_number spells it:
+ASCII digits, `-` the only sign, so `1_0`, `+2` or a non-ASCII digit does
+not. The HTLAB_SEED environment variable (comma-separated integers) overrides
 the configured seed list, and is reported as `HTLAB_SEED = value <bound>`.
 
 CSV schemas. _SCHEMAS describes both files once, for the writer and the one
@@ -59,10 +59,12 @@ source params, so each task carries only its protocol and seeds. At any
 --jobs the pretrains and tasks run with numpy's OpenBLAS capped at one
 thread, which the workers inherit, unless the caller set
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules load only when
-a pool starts. Each task's result becomes its cells' rows,
-the ensembles' too, as encoded bytes, here as it arrives and is let go;
-each file is written as its header and then each cell's rows in configured
-order, so the output is byte-identical at every --jobs.
+a pool starts. A task's runs become its cells' rows, the ensembles' too, as
+encoded bytes in the process that ran it, so only those bytes reach this one,
+which stores them as they arrive. A task that fails as a whole, in making its
+rows too, fails each of its cells as FAILED rows made here. Each file is
+written as its header and then each cell's rows in configured order, so the
+output is byte-identical at every --jobs.
 """
 
 from __future__ import annotations
@@ -258,21 +260,24 @@ def _source_key(scenario, spec: MlpSpec, pretrain: SgdConfig, seed: int) -> str:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 # what every cell of the run in progress reads: the scenario, _sources'
-# dict and k_spectrum; set by _run_tasks, and inherited by the
-# pool workers it forks
+# dict, k_spectrum, and the test EvalSet, sv_count and ensembles of its
+# rows; set by _run_tasks, and inherited by the pool workers it forks
 _SHARED: dict = {}
 
 
 def _cell(task):
-    """The runs of one task, a protocol and the seeds it covers, over the
-    _SHARED state: per seed its TransferRun or the exception it failed
-    with; a fault of the task as a whole raises. Module-level so worker
-    processes can run it."""
+    """The cells of one task, a protocol and the seeds it covers, over the
+    _SHARED state: per seed, _cell_rows of its run or of the exception it
+    failed with, so only bytes and error text leave the process that ran
+    it; a fault of the task as a whole, in making its rows too, raises.
+    Module-level so worker processes can run it."""
     protocol, seeds = task
-    scenario, sources = _SHARED["scenario"], _SHARED["sources"]
-    return run_protocol(scenario.target_train, scenario.target_test, scenario.seen_mask,
+    scenario, sources, test = _SHARED["scenario"], _SHARED["sources"], _SHARED["test"]
+    runs = run_protocol(scenario.target_train, scenario.target_test, scenario.seen_mask,
                         [sources[s] for s in seeds], protocol, seeds,
                         toxicity=scenario.toxicity, k_spectrum=_SHARED["k_spectrum"])
+    return [_cell_rows(protocol, seed, run, scenario, sources[seed], test, _SHARED["sv_count"],
+                       _SHARED["ensembles"]) for seed, run in zip(seeds, runs)]
 
 
 def _one_blas_thread():
@@ -293,10 +298,11 @@ def _one_blas_thread():
 
 
 def _run_tasks(tasks: list, jobs: int, shared: dict, take) -> list:
-    """take(task, result) of each task, in task order as its result (or the
-    exception it raised) arrives, with `shared` as _SHARED; no result is kept
-    past its take. With more than one worker the tasks run in forked processes,
-    which inherit _SHARED and the BLAS thread count, else here, with no pool."""
+    """take(task, result) of each task, in task order as its result (_cell's
+    rows, or the exception it raised) arrives, with `shared` as _SHARED; no
+    result is kept past its take. With more than one worker the tasks run in
+    forked processes, which inherit _SHARED and the BLAS thread count and
+    send back only the rows, else here, with no pool."""
     def attempt(call, *args):
         try:
             return call(*args)
@@ -377,9 +383,11 @@ def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensemb
 
 
 def cmd_run(args) -> int:
-    jobs = _read("run", {"jobs": args.jobs}, {"jobs": (1, _COUNT)}, lambda key: "--jobs")["jobs"]
+    given = {key: v for key, v in (("jobs", args.jobs), ("out", args.out)) if v is not None}
+    flags = _read("run", given, {"jobs": (1, _COUNT), "out": _RUN_KEYS["output_dir"]},
+                  lambda key: "--" + key)
     cfg = load_config(args.config)
-    out_dir = args.out or cfg["output_dir"]
+    out_dir = cfg["output_dir"] if args.out is None else flags["out"]
     # before the scenario is built, so a bad combination costs no generation
     protocols = [Protocol(kind=n, loss=cfg["loss"], sgd=cfg["sgd"], lol=cfg["lol"],
                           swa=cfg["swa"]) for n in cfg["protocol_names"]]
@@ -406,15 +414,15 @@ def cmd_run(args) -> int:
     sv_count = min(cfg["k_spectrum"], len(scenario.target_test), spec.layer_widths[-2])
     test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
 
-    def rows(proto, seed, run):
-        return _cell_rows(proto, seed, run, scenario, sources[seed], test, sv_count,
-                          cfg["ensembles"])
+    def failed_rows(proto, seed, error):
+        return _cell_rows(proto, seed, error, scenario, None, test, sv_count, cfg["ensembles"])
 
     def take(task, result):  # a failed task fails each of its seeds
         proto, seeds = task
-        for j, seed in enumerate(seeds):
-            run = result if isinstance(result, Exception) else result[j]
-            cells[proto, seed] = rows(proto, seed, run)
+        if isinstance(result, Exception):
+            result = [failed_rows(proto, seed, result) for seed in seeds]
+        for seed, rows in zip(seeds, result):
+            cells[proto, seed] = rows
 
     restore = _one_blas_thread()  # for the pretrains and every cell, at any --jobs
     try:
@@ -424,11 +432,12 @@ def cmd_run(args) -> int:
                  for group in proto.seed_groups(trained)]
         # per (protocol, seed), in configured order: _cell_rows of its run or of
         # the error it failed with. A seed whose pretrain diverged is in no task;
-        # a task's result becomes its cells' rows as it arrives, and is let go
-        cells = {(proto, seed): rows(proto, seed, src) if isinstance(src, Exception) else None
-                 for proto in protocols for seed, src in sources.items()}
-        shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"]}
-        _run_tasks(tasks, jobs, shared, take)
+        # a task's cells arrive as rows made where it ran
+        cells = {(proto, seed): failed_rows(proto, seed, src) if isinstance(src, Exception)
+                 else None for proto in protocols for seed, src in sources.items()}
+        shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"],
+                  "test": test, "sv_count": sv_count, "ensembles": cfg["ensembles"]}
+        _run_tasks(tasks, flags["jobs"], shared, take)
     finally:
         restore()
     for part, name in enumerate(_SCHEMAS):

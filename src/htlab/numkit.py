@@ -1,9 +1,9 @@
 """Deterministic numerical primitives shared by the rest of the package.
 
-Matrices are plain 2-D float64 numpy arrays (row major); `covariance` also
-takes a stack of them on leading axes, and `top_singular_values` returns a
-plain 1-D array. Every public operation returns finite values or raises;
-nothing here mutates its inputs.
+Matrices are plain 2-D float64 numpy arrays (row major);
+`_centred_covariance` also takes a stack of them on leading axes, and
+`top_singular_values` returns a plain 1-D array. Every public operation
+returns finite values or raises; nothing here mutates its inputs.
 
 Randomness is provided by :class:`Rng`, a thin wrapper around the Philox
 counter-based bit generator keyed by an explicit ``(seed, stream)`` pair of
@@ -16,9 +16,10 @@ derived Rngs only ever derive; its key is handed over as a seed sequence
 (:class:`_PhiloxKey`), since ``Philox(key=...)`` first draws OS entropy for
 a default seed sequence it then discards.
 
-Test vectors for the pinned generator (``Rng(seed=3, stream=7)``):
+Test vectors for the pinned generator (``Rng(seed=3, stream=7)``), its
+first draws of ``integers(0, 2**64, dtype=np.uint64)``:
 
-    first u64 draws: 2968336852963847644, 15180843502545175880
+    2968336852963847644, 15180843502545175880
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import re
 from dataclasses import field, fields
 
 import numpy as np
-
-KL_FLOOR = 1e-12  # q is clamped here before the log so kl_div never returns inf
 
 _U64 = np.uint64
 _U64_MAX = 2**64
@@ -131,9 +130,6 @@ class Rng:
         return Rng(self.seed, int.from_bytes(h.digest(), "little"))
 
     # Draw helpers; each consumes from this Rng's exclusive stream.
-    def u64(self, n: int) -> np.ndarray:
-        return self._gen.integers(0, _U64_MAX, size=n, dtype=_U64)
-
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size=size)
 
@@ -158,32 +154,10 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def kl_div(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) = sum p_i ln(p_i / q_i), with 0 ln(0/.) = 0.
-
-    q is clamped at KL_FLOOR before the log. Both inputs must be
-    probability vectors of the same length.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    for name, v in (("p", p), ("q", q)):
-        if abs(v.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} does not sum to 1 (got {v.sum():.12g})")
-    qc = np.maximum(q, KL_FLOOR)
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(qc[mask]))))
-
-
-def covariance(Z: np.ndarray) -> np.ndarray:
-    """Batch covariance C = (1/N) sum_n (z_n - zbar)(z_n - zbar)^T of an
-    N x d matrix, or of each matrix in a (..., N, d) stack."""
-    return _centred_covariance(Z)[1]
-
-
 def _centred_covariance(Z: np.ndarray) -> tuple:
-    """(Z - zbar, covariance(Z))."""
+    """(Z - zbar, C) for the batch covariance
+    C = (1/N) sum_n (z_n - zbar)(z_n - zbar)^T of an N x d matrix, or of
+    each matrix in a (..., N, d) stack."""
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim < 2:
         raise ValueError("Z must be at least 2-D")

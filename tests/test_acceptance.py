@@ -21,9 +21,10 @@ from htlab.data import (PairedSpec, SyntheticSpec, gen_paired_toxicity_scenario,
 from htlab.losses import CompositeLoss, LossSpec, cross_entropy, rank_reg, selective_distill
 from htlab.metrics import EvalSet, evaluate, report_from_scores
 from htlab.model import FreezeMask, MlpSpec, backward, forward, group_of, init_model
-from htlab.numkit import Rng, covariance, kl_div, top_singular_values
+from htlab.numkit import Rng, top_singular_values
 from htlab.optim import LolConfig, SgdConfig, lolsgd_round, sgd_step
 from htlab.transfer import Protocol, pretrain_source, run_protocol, se_predict, wise_merge
+from oracles import covariance, kl_div
 
 # ----------------------------------------------------------- reference setup
 

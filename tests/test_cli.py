@@ -551,45 +551,120 @@ def test_pool_workers_get_one_blas_thread_unless_the_caller_set_one(tmp_path, mo
         f"pretrain_source {want}", f"run_protocol {want}", f"run_protocol {want}"]
 
 
+_LOL_ENSEMBLE_GRID = dict(names="source_only,naive_ft,lolsgd", seeds="0,1", ensembles="true",
+                          extra="\n[lol]\nsubsets = 2\nleave_k = 1\n")
+
+
 def test_a_jobs_1_run_lets_each_task_s_runs_go_before_the_next_task(tmp_path,
                                                                     monkeypatch):
-    # a task's runs become its cells' rows as they arrive; nothing keeps them
-    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft,lolsgd", seeds="0,1",
-                           ensembles="true", extra="\n[lol]\nsubsets = 2\nleave_k = 1\n")
-    cell, refs, alive = cli._cell, [], []
+    # a task's runs become its cells' rows where it ran; nothing keeps them
+    cfg, _ = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
+    run_protocol, refs, alive = cli.run_protocol, [], []
 
-    def watched(task):
+    def watched(*args, **kwargs):
         gc.collect()
         alive.append(sum(ref() is not None for ref in refs))
-        runs = cell(task)
+        runs = run_protocol(*args, **kwargs)
         refs.extend(weakref.ref(run.final_params) for run in runs)
         return runs
 
-    monkeypatch.setattr(cli, "_cell", watched)
+    monkeypatch.setattr(cli, "run_protocol", watched)
     assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
     # source_only and naive_ft are one task each, lolsgd one per seed
     assert len(refs) == 6 and alive == [0, 0, 0, 0]
+    gc.collect()
+    assert not any(ref() is not None for ref in refs)  # nor the last task's
 
 
-def test_the_ensemble_rows_are_made_in_the_run_s_own_process(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_the_ensemble_rows_are_made_in_the_process_that_ran_the_task(tmp_path, monkeypatch,
+                                                                     jobs):
     # forked workers inherit the patches, so a call made in one is logged too
-    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft,lolsgd", seeds="0,1",
-                           ensembles="true", extra="\n[lol]\nsubsets = 2\nleave_k = 1\n")
+    cfg, _ = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
     log = tmp_path / "calls"
 
     def logged(fn):
-        def call(*args):
+        def call(*args, **kwargs):
             with open(log, "a") as f:
                 f.write(f"{fn.__name__} {os.getpid()}\n")
-            return fn(*args)
+            return fn(*args, **kwargs)
         return call
 
-    for name in ("se_predict", "wise_merge"):
+    for name in ("run_protocol", "se_predict", "wise_merge"):
         monkeypatch.setattr(cli, name, logged(getattr(cli, name)))
-    assert main(["run", "--config", cfg, "--jobs", "2"]) == 0
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 0
+    calls = [ln.split() for ln in log.read_text().splitlines()]
+    pids = {name: {int(pid) for n, pid in calls if n == name} for name, _ in calls}
     # one call of each per trained cell: naive_ft and lolsgd, 2 seeds each
-    assert sorted(log.read_text().splitlines()) == (
-        [f"se_predict {os.getpid()}"] * 4 + [f"wise_merge {os.getpid()}"] * 4)
+    assert sorted(name for name, _ in calls if name != "run_protocol") == (
+        ["se_predict"] * 4 + ["wise_merge"] * 4)
+    ensembles = pids["se_predict"] | pids["wise_merge"]
+    assert ensembles <= pids["run_protocol"]
+    if jobs == "1":
+        assert ensembles == {os.getpid()}
+    else:  # in the workers, never in the run's own process
+        assert os.getpid() not in ensembles
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_only_each_cell_s_row_bytes_and_error_text_leave_its_task(tmp_path, monkeypatch, jobs):
+    # at --jobs 2 what take gets is what came back through the pool
+    cfg, _ = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
+    run_tasks, taken = cli._run_tasks, []
+
+    def watched(tasks, jobs, shared, take):
+        def keep(task, result):
+            taken.append((task, result))
+            return take(task, result)
+        return run_tasks(tasks, jobs, shared, keep)
+
+    monkeypatch.setattr(cli, "_run_tasks", watched)
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 0
+    assert [(proto.kind, seeds) for (proto, seeds), _ in taken] == [
+        ("source_only", (0, 1)), ("naive_ft", (0, 1)), ("lolsgd", (0,)), ("lolsgd", (1,))]
+    for (proto, seeds), result in taken:
+        assert type(result) is list and len(result) == len(seeds)
+        for cell in result:
+            assert type(cell) is tuple and len(cell) == 3
+            assert type(cell[0]) is bytes and type(cell[1]) is bytes and cell[2] is None
+        # summary rows: the protocol's own, then +SE and +WiSE when it trains
+        assert [len(c[1].splitlines()) for c in result] == \
+            [1 if proto.kind == "source_only" else 3] * len(seeds)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_fault_in_making_a_task_s_rows_fails_its_cells(tmp_path, capsys, monkeypatch, jobs):
+    # each trained cell calls se_predict for its +SE row; source_only does not
+    cfg, _ = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
+    clean, broken = str(tmp_path / "clean"), str(tmp_path / "broken")
+    assert main(["run", "--config", cfg, "--out", clean, "--jobs", "1"]) == 0
+
+    def se_predict(*args):
+        raise RuntimeError("se_predict broke")
+
+    monkeypatch.setattr(cli, "se_predict", se_predict)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--out", broken, "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    lines = {out: {name: _read(os.path.join(out, name)).decode().splitlines(keepends=True)
+                   for name in ("curves.csv", "summary.csv")} for out in (clean, broken)}
+    # every other row is that of the unpatched --jobs 1 run, byte for byte
+    want = lines[clean]["curves.csv"]
+    assert lines[broken]["curves.csv"] == [want[0]] + [
+        ln for ln in want[1:] if ln.split(",")[1] == "source_only"]
+    assert lines[broken]["summary.csv"][0] == lines[clean]["summary.csv"][0]
+    got, want = lines[broken]["summary.csv"][1:], lines[clean]["summary.csv"][1:]
+    assert len(got) == len(want) == 2 + 2 * 2 * 3
+    for g, w in zip(got, want):
+        g_cells, w_cells = g.rstrip("\n").split(","), w.rstrip("\n").split(",")
+        if w_cells[2] == "source_only":
+            assert g == w
+        else:  # the cell's own row and its +SE and +WiSE rows
+            assert g_cells[:4] == ["FAILED", *w_cells[1:4]] and set(g_cells[4:]) == {"nan"}
+    for proto in ("naive_ft", "lolsgd"):
+        for seed in (0, 1):
+            assert f"FAILED {proto} seed={seed}: se_predict broke\n" in err
+    assert "FAILED source_only" not in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -829,6 +904,16 @@ def test_run_empty_output_dir_exits_1_before_the_scenario_is_built(tmp_path, cap
     monkeypatch.setattr(cli, "build_scenario", lambda *a, **k: pytest.fail("built"))
     assert main(["run", "--config", cfg]) == 1
     assert capfd.readouterr().err == "error: [run] output_dir = '' must name a directory\n"
+
+
+def test_run_empty_out_flag_exits_1_before_the_scenario_is_built(tmp_path, capfd,
+                                                                 monkeypatch):
+    # held to [run] output_dir's bound, not replaced by the configured directory
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    monkeypatch.setattr(cli, "build_scenario", lambda *a, **k: pytest.fail("built"))
+    assert main(["run", "--config", cfg, "--out", ""]) == 1
+    assert capfd.readouterr().err == "error: --out = '' must name a directory\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("epochs", [1, 0])

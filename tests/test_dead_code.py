@@ -37,10 +37,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 
 # names the package does not call, kept on purpose
 KEEP = {
-    "numkit.Rng.u64": "pins the stream contract: the test vectors are u64 draws",
     "numkit._PhiloxKey.generate_state": "numpy's Philox calls it to seed itself",
-    "numkit.kl_div": "an acceptance oracle for the distillation loss",
-    "numkit.covariance": "the tested public form of rank_reg's covariance",
 }
 
 

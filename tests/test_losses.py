@@ -9,7 +9,8 @@ from htlab.losses import (
     selective_distill,
 )
 from htlab.model import MlpSpec, ModelParams, forward, init_model
-from htlab.numkit import Rng, covariance, softmax
+from htlab.numkit import Rng, softmax
+from oracles import covariance
 
 
 def _fd(f, x, eps=1e-6):
