@@ -20,8 +20,11 @@ PairedSpec ([scenario], by kind), SgdConfig, LolConfig, LossSpec or SwaConfig
 `error: [section] key = value <bound>` (`htlab gen`, --jobs and --out:
 `--flag = ...`). A number parses only as numkit.parse_number spells it:
 ASCII digits, `-` the only sign, so `1_0`, `+2` or a non-ASCII digit does
-not. The HTLAB_SEED environment variable (comma-separated integers) overrides
-the configured seed list, and is reported as `HTLAB_SEED = value <bound>`.
+not. A value is read as written, with no `%` interpolation. The config, like a
+scenario's meta and summary.csv, is read by data.read_text, so one that is
+missing, a directory or not UTF-8 exits 1 naming it. The HTLAB_SEED
+environment variable (comma-separated integers) overrides the configured seed
+list, and is reported as `HTLAB_SEED = value <bound>`.
 
 CSV schemas. _SCHEMAS describes both files once, for the writer and the one
 reader: curves.csv is scenario_id, protocol, seed, epoch (0 is the source
@@ -89,6 +92,7 @@ from .data import (
     gen_paired_toxicity_scenario,
     gen_synthetic_scenario,
     load_scenario,
+    read_text,
     save_scenario,
     write_file,
 )
@@ -188,10 +192,8 @@ def _resolve_scenario(scn, name=None) -> dict:
 
 
 def load_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ValueError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    cp.read_file(read_text(path).splitlines(), source=path)
     if not cp.has_section("scenario") or not cp.has_section("run"):
         raise ValueError("config needs [scenario] and [run] sections")
     for name in cp.sections():
@@ -220,20 +222,17 @@ def load_config(path: str) -> dict:
     model["hidden"] = _widths(model["hidden"])
     bases = {"pretrain": sgd, "lol": LolConfig(), "loss": LossSpec(),
              "swa": SwaConfig(start_epoch=sgd.epochs // 2)}
-    _resolve_scenario(cp["scenario"])  # checked here; build_scenario builds from the text
-    return {"scenario": dict(cp["scenario"]), "model": model,
+    return {"scenario": _resolve_scenario(cp["scenario"]), "model": model,
             "protocol_names": names, **run, "seeds": seeds, "sgd": sgd,
             **{section: load(section, base) for section, base in bases.items()}}
 
 
-def build_scenario(scn: dict, name=None):
-    """The scenario a `[scenario]` dict of texts describes; missing keys take
-    the defaults of its kind's spec. `name` is _read's."""
-    s = _resolve_scenario(scn, name)
-    kind = s.pop("kind")
-    if kind == "import":
-        return load_scenario(s["path"])
-    if kind == "paired":
+def build_scenario(scn: dict):
+    """The scenario a resolved `[scenario]` dict (_resolve_scenario's) describes."""
+    s = {key: v for key, v in scn.items() if key != "kind"}
+    if scn["kind"] == "import":
+        return load_scenario(scn["path"])
+    if scn["kind"] == "paired":
         return gen_paired_toxicity_scenario(PairedSpec(**s))
     return gen_synthetic_scenario(SyntheticSpec(**s))
 
@@ -260,8 +259,8 @@ def _source_key(scenario, spec: MlpSpec, pretrain: SgdConfig, seed: int) -> str:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 # what every cell of the run in progress reads: the scenario, _sources'
-# dict, k_spectrum, and the test EvalSet, sv_count and ensembles of its
-# rows; set by _run_tasks, and inherited by the pool workers it forks
+# dict, the test EvalSet and sv_count its run_protocol call and rows take,
+# and ensembles; set by _run_tasks, and inherited by the pool workers it forks
 _SHARED: dict = {}
 
 
@@ -273,10 +272,10 @@ def _cell(task):
     Module-level so worker processes can run it."""
     protocol, seeds = task
     scenario, sources, test = _SHARED["scenario"], _SHARED["sources"], _SHARED["test"]
-    runs = run_protocol(scenario.target_train, scenario.target_test, scenario.seen_mask,
-                        [sources[s] for s in seeds], protocol, seeds,
-                        toxicity=scenario.toxicity, k_spectrum=_SHARED["k_spectrum"])
-    return [_cell_rows(protocol, seed, run, scenario, sources[seed], test, _SHARED["sv_count"],
+    k = _SHARED["sv_count"]
+    runs = run_protocol(scenario.target_train, test, k, [sources[s] for s in seeds],
+                        protocol, seeds)
+    return [_cell_rows(protocol, seed, run, scenario.scenario_id, sources[seed], test, k,
                        _SHARED["ensembles"]) for seed, run in zip(seeds, runs)]
 
 
@@ -349,16 +348,16 @@ def _sources(scenario, spec: MlpSpec, pretrain: SgdConfig, seeds: list, out_dir:
     return sources
 
 
-def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensembles: bool):
+def _cell_rows(proto, seed, run, scenario_id, source, test: EvalSet, k: int, ensembles: bool):
     """The curves.csv and summary.csv rows, with columns sv_1..sv_k, of the
-    cell (proto, seed) as encoded bytes, from its run or the error it failed
-    with, and that error's text or None. With `ensembles` its summary rows
-    go on with its SE and WiSE rows over `test`, made from its `source`
-    params."""
+    cell (proto, seed) of scenario `scenario_id` as encoded bytes, from its
+    run or the error it failed with, and that error's text or None. With
+    `ensembles` its summary rows go on with its SE and WiSE rows over
+    `test`, made from its `source` params."""
     def row(name, rep=None, protocol=proto.kind, **cells):
         # the cells of the file's leading columns (_SCHEMAS), then the metrics
         # and sv_1..sv_k; nan past the spectrum or without a report
-        cells.update(scenario_id=scenario.scenario_id, protocol=protocol, seed=seed)
+        cells.update(scenario_id=scenario_id, protocol=protocol, seed=seed)
         vals = [] if rep is None else [*(getattr(rep, m) for m in METRICS), *rep.sv.tolist()]
         vals += [None] * (len(METRICS) + k - len(vals))
         return ",".join([*(str(cells[c]) for c in _SCHEMAS[name][0]),
@@ -374,7 +373,7 @@ def _cell_rows(proto, seed, run, scenario, source, test: EvalSet, k: int, ensemb
     reports = [run.curve[-1]]
     if len(names) > 1:
         final = run.final_params
-        probs = se_predict(source, final, scenario.target_test.X, ENSEMBLE_ALPHA)
+        probs = se_predict(source, final, test.data.X, ENSEMBLE_ALPHA)
         merged = wise_merge(source, final, ENSEMBLE_ALPHA)
         reports += [report_from_scores(probs, test), evaluate(merged, test, k)]
     summary = "".join(row("summary.csv", rep, status="ok", protocol=n)
@@ -415,7 +414,8 @@ def cmd_run(args) -> int:
     test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
 
     def failed_rows(proto, seed, error):
-        return _cell_rows(proto, seed, error, scenario, None, test, sv_count, cfg["ensembles"])
+        return _cell_rows(proto, seed, error, scenario.scenario_id, None, test, sv_count,
+                          cfg["ensembles"])
 
     def take(task, result):  # a failed task fails each of its seeds
         proto, seeds = task
@@ -435,8 +435,8 @@ def cmd_run(args) -> int:
         # a task's cells arrive as rows made where it ran
         cells = {(proto, seed): failed_rows(proto, seed, src) if isinstance(src, Exception)
                  else None for proto in protocols for seed, src in sources.items()}
-        shared = {"scenario": scenario, "sources": sources, "k_spectrum": cfg["k_spectrum"],
-                  "test": test, "sv_count": sv_count, "ensembles": cfg["ensembles"]}
+        shared = {"scenario": scenario, "sources": sources, "test": test, "sv_count": sv_count,
+                  "ensembles": cfg["ensembles"]}
         _run_tasks(tasks, flags["jobs"], shared, take)
     finally:
         restore()
@@ -462,9 +462,10 @@ def cmd_gen(args) -> int:
     # a flag the kind does not read is an unknown key; the labels that
     # save_scenario writes are u8, so at most 256 classes, two a pair
     key, most = ("pairs", 128) if "pairs" in scn else ("classes", 256)
-    _check(name(key), _resolve_scenario(scn, name)[key],
+    scn = _resolve_scenario(scn, name)
+    _check(name(key), scn[key],
            (lambda v: v <= most, f"must be at most {most}, as gen writes u8 labels"))
-    scenario = build_scenario(scn, name=name)
+    scenario = build_scenario(scn)
     save_scenario(scenario, args.out, force=args.force)
     print(f"{scenario.scenario_id}: {scenario.num_classes} classes "
           f"({int(scenario.seen_mask.sum())} seen), dim {scenario.dim}, "
@@ -527,12 +528,8 @@ def _read_rows(path: str, text: str) -> list:
 
 def cmd_report(args) -> int:
     path = os.path.join(args.results_dir, "summary.csv")
-    if not os.path.exists(path):
-        print(f"missing {path}", file=sys.stderr)
-        return 1
-    with open(path, "rb") as f:
-        raw = f.read()
-    parsed = _read_rows(path, raw.decode())
+    text = read_text(path)
+    parsed = _read_rows(path, text)
     rows = [(c["protocol"], c["seed"], {m: getattr(rep, m) for m in METRICS})
             for c, rep in parsed if rep is not None]
     if not rows:
@@ -555,7 +552,8 @@ def cmd_report(args) -> int:
 
     report = {"protocols": table, "delta_vs_naive_ft": deltas,
               "best_delta_vs_naive_ft": best_delta,
-              "summary_sha256": hashlib.sha256(raw).hexdigest()}
+              # strict UTF-8 round-trips, so these are the bytes read
+              "summary_sha256": hashlib.sha256(text.encode()).hexdigest()}
     out_path = os.path.join(args.results_dir, "report.json")
     write_file(out_path, json.dumps(report, indent=2, sort_keys=True).encode())
 

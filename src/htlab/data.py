@@ -37,7 +37,8 @@ against the data files. The f64 container is 12 bytes of header -- magic
 ``HTF8``, u32 rows, u32 cols, little endian -- followed by rows*cols
 float64 values, little endian, row major. One reader, _read_sized, reads
 both formats and checks the sizes a header declares against the file
-before reading.
+before reading. Another, read_text, reads each text input: the meta here,
+and the config and summary.csv of the cli.
 
 write_file is the package's one file writer. Each file it writes -- a
 scenario directory's, and the checkpoints, CSVs and report of the other
@@ -384,6 +385,21 @@ def _read_sized(path: str, fmt: str, magic, what: str, sizes: tuple, itemsize: i
         return values, f.read(n)
 
 
+def read_text(path: str) -> str:
+    """The text of `path`, a UTF-8 file. One that is missing, that cannot
+    be read (a directory, say) or that is not UTF-8 raises a ValueError
+    naming it, quoted as an OSError quotes it."""
+    try:
+        with open(path, "rb") as f:
+            return f.read().decode()
+    except FileNotFoundError:
+        raise ValueError(f"{path!r} is missing") from None
+    except OSError as e:
+        raise ValueError(f"{path!r} cannot be read: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path!r} is not UTF-8 at byte {e.start}") from None
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label file pair into a flattened float Dataset.
 
@@ -477,16 +493,15 @@ def load_scenario(in_dir: str) -> HTScenario:
         return ValueError(f"{path}: {key} {why}")
 
     meta = {}
-    with open(path) as f:
-        for line in filter(str.strip, f):
-            k, sep, v = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise bad(k, "is not a key = value line")
-            if k not in _META_KEYS:
-                raise bad(k, "is not a meta key")
-            if k in meta:
-                raise bad(k, "is listed twice")
-            meta[k] = v
+    for line in filter(str.strip, read_text(path).splitlines()):
+        k, sep, v = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise bad(k, "is not a key = value line")
+        if k not in _META_KEYS:
+            raise bad(k, "is not a meta key")
+        if k in meta:
+            raise bad(k, "is listed twice")
+        meta[k] = v
 
     def field(key, parse=parse_number, ok=lambda value: True):
         if key not in meta:

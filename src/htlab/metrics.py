@@ -58,17 +58,17 @@ def effective_rank(sv: np.ndarray) -> int:
 
 
 class EvalSet:
-    """A test set as the evaluation reads it: the Dataset, and what the
-    accuracy views need of its labels besides the scores (the seen rows,
-    the seen columns, the toxic rows and which classes are non-toxic).
-    Built once per test set, it serves every evaluation of that set."""
+    """A test set as the evaluation reads it: the Dataset, its seen mask,
+    and what the accuracy views need of its labels besides the scores (the
+    seen rows, the seen columns, the toxic rows and which classes are
+    non-toxic). Built once per test set, it serves every evaluation of it."""
 
     def __init__(self, data: Dataset, seen_mask, toxicity: Optional[ToxicityMap] = None):
         seen_mask = np.asarray(seen_mask, dtype=bool)
         y = data.y
         if len(y) == 0:
             raise ValueError("empty test set")
-        self.data = data
+        self.data, self.seen_mask = data, seen_mask
         self.is_seen = seen_mask[y]
         self.n_seen = int(np.count_nonzero(self.is_seen))
         self.n_unseen = len(y) - self.n_seen

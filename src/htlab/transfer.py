@@ -1,10 +1,10 @@
 """End-to-end adaptation protocols: source pre-training, every target
 adaptation recipe, and post-hoc ensembles with the source model.
 
-Protocols never see the source dataset: run_protocol receives only the
-target splits and the frozen source parameters, which makes the
-source-data-free constraint structural. Distillation targets always come
-from the original source parameters, never from intermediate checkpoints.
+Protocols never see the source dataset: run_protocol gets only the target
+training split, the test EvalSet and the frozen source parameters, so the
+source-data-free constraint is structural. Distillation targets always
+come from the original source parameters, never intermediate checkpoints.
 
 Every protocol name maps to a preset (_PRESETS): training phases with
 their freeze masks, the loss terms carried, the inner step and whether the
@@ -36,11 +36,11 @@ that seed's run, and the seed's stack-mates train on unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, HTScenario, ToxicityMap
+from .data import Dataset, HTScenario
 from .losses import CompositeLoss, LossSpec
 from .metrics import EvalSet, evaluate
 from .model import (
@@ -220,14 +220,15 @@ class _AllFailed(Exception):
     """Every seed of a stack has failed, so its training stops early."""
 
 
-def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
-                 sources: Sequence[ModelParams], protocol: Protocol, seeds: Sequence[int],
-                 toxicity: Optional[ToxicityMap] = None, k_spectrum: int = 20) -> list:
+def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
+                 sources: Sequence[ModelParams], protocol: Protocol,
+                 seeds: Sequence[int]) -> list:
     """Adapt each seed's source model (`sources[i]` for `seeds[i]`) on the
-    target training split with one protocol, and evaluate after every epoch
-    (or round). Returns, per seed in order, its TransferRun (final params
-    and evaluation curve) or what it failed with: a DivergenceError once
-    its params, epoch loss or evaluated features go non-finite, or another
+    target training split with one protocol, and evaluate on `test`, with
+    up to `k_spectrum` singular values, after every epoch (or round).
+    Returns, per seed in order, its TransferRun (final params and
+    evaluation curve) or what it failed with: a DivergenceError once its
+    params, epoch loss or evaluated features go non-finite, or another
     error its evaluation raised. The epoch losses feed that check alone. A
     fault of the call as a whole, such as a model without the parts the
     protocol trains or more than one seed of a leave-out protocol, raises.
@@ -246,14 +247,12 @@ def run_protocol(target_train: Dataset, target_test: Dataset, seen_mask,
     if any(source.spec != sources[0].spec for source in sources):
         raise ValueError("the seeds' source models must share one spec")
     _check_model(protocol.kind, sources[0].spec)  # the one spec of every seed's source
-    seen_mask = np.asarray(seen_mask, dtype=bool)
-    test = EvalSet(target_test, seen_mask, toxicity)  # for every evaluation below
     scratch: dict = {}  # the evaluation forward's buffers, reused every epoch
     swa = protocol.swa
     fold_per_epoch = preset.swa and swa.cadence == "per_epoch"
     fold_per_step = preset.swa and swa.cadence == "per_iteration"
     rngs = [Rng(seed).derive(f"protocol-{protocol.kind}") for seed in seeds]
-    loss = CompositeLoss(protocol.effective_loss(), sources, seen_mask)
+    loss = CompositeLoss(protocol.effective_loss(), sources, test.seen_mask)
     tail = RunningAverage() if preset.swa else None
     curves: list = [[] for _ in seeds]
     errors: list = [None] * len(seeds)

@@ -68,12 +68,11 @@ def grid():
     for seed in SEEDS:
         scn = _reference_scenario(seed)
         src = pretrain_source(scn, MlpSpec(WIDTHS), PRETRAIN, Rng(seed).derive("source"))
-        out["source"].append(evaluate(src, EvalSet(scn.target_test, scn.seen_mask),
-                                      k_spectrum=K_SPECTRUM))
+        test = EvalSet(scn.target_test, scn.seen_mask)
+        out["source"].append(evaluate(src, test, k_spectrum=K_SPECTRUM))
         for kind in PROTOCOLS:
             proto = Protocol(kind=kind, loss=LOSS, sgd=ADAPT, lol=LOL)
-            [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
-                                 [src], proto, [seed], k_spectrum=K_SPECTRUM)
+            [run] = run_protocol(scn.target_train, test, K_SPECTRUM, [src], proto, [seed])
             out["final"][kind].append(run.curve[-1])
             out["runs"][(kind, seed)] = (scn, src, run)
     out["elapsed"] = time.time() - t0
@@ -92,11 +91,11 @@ def toxicity_grid():
             test_per_class=test, overlap=0.6, seed=seed, cluster_sep=CLUSTER_SEP))
         tox = scn.toxicity
         src = pretrain_source(scn, spec, PRETRAIN, Rng(seed).derive("source"))
-        out["source"].append(evaluate(src, EvalSet(scn.target_test, scn.seen_mask, tox)))
+        test = EvalSet(scn.target_test, scn.seen_mask, tox)
+        out["source"].append(evaluate(src, test))
         for kind in ("naive_ft", "lolsgd_distill_rank"):
             proto = Protocol(kind=kind, loss=LOSS, sgd=ADAPT, lol=LOL)
-            [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
-                                 [src], proto, [seed], toxicity=tox)
+            [run] = run_protocol(scn.target_train, test, K_SPECTRUM, [src], proto, [seed])
             out[kind].append(run.curve[-1])
     return out
 
@@ -391,14 +390,14 @@ def test_diagnostic_concept_shift_cancellation():
     for seed in SEEDS:
         scn = _reference_scenario(seed, cluster_sep=3.5)
         src = pretrain_source(scn, MlpSpec(WIDTHS), PRETRAIN, Rng(seed).derive("source"))
+        test = EvalSet(scn.target_test, scn.seen_mask)
         for kind in ("naive_ft", "lolsgd"):
             proto = Protocol(kind=kind, sgd=ADAPT, lol=LOL)
-            [run] = run_protocol(scn.target_train, scn.target_test, scn.seen_mask,
-                                 [src], proto, [seed])
+            [run] = run_protocol(scn.target_train, test, K_SPECTRUM, [src], proto, [seed])
             curves[kind].append([r.seen for r in run.curve])
         # fresh full-class target-style data of the same per-class size
         full = _reference_scenario(seed, per_class=(1, 1, 60), cluster_sep=3.5).target_test
-        [run] = run_protocol(full, scn.target_test, scn.seen_mask, [src],
+        [run] = run_protocol(full, test, K_SPECTRUM, [src],
                              Protocol(kind="naive_ft", sgd=ADAPT), [seed])
         curves["oracle"].append([r.seen for r in run.curve])
     naive = np.mean(curves["naive_ft"], axis=0)[-5:]

@@ -555,6 +555,32 @@ _LOL_ENSEMBLE_GRID = dict(names="source_only,naive_ft,lolsgd", seeds="0,1", ense
                           extra="\n[lol]\nsubsets = 2\nleave_k = 1\n")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_k_spectrum_past_the_feature_width_writes_the_bytes_of_the_width(tmp_path, jobs):
+    # hidden = 8,8 and 40 test rows: a spectrum has 8 values, whatever
+    # k_spectrum asks, in the cells' curves and their ensemble rows alike
+    cfg, _ = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
+    outputs = {}
+    for k in ("8", "1000"):
+        _edit(cfg, "k_spectrum = 6" if k == "8" else "k_spectrum = 8", f"k_spectrum = {k}")
+        out = str(tmp_path / f"k{k}")
+        assert main(["run", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+        outputs[k] = [_read(os.path.join(out, name)) for name in ("curves.csv", "summary.csv")]
+    assert outputs["1000"] == outputs["8"]
+    assert outputs["8"][0].split(b"\n")[0].endswith(b",sv_8")
+
+
+def test_config_values_are_read_literally(tmp_path):
+    # a `%` is a character of the value, with no interpolation: `%1` is no
+    # error and `%%` stays two, in a key --out overrides too
+    cfg, out = _write_config(tmp_path, seeds="0")
+    _edit(cfg, f"output_dir = {out}", f"output_dir = {out}%1%%")
+    assert main(["run", "--config", cfg]) == 0
+    assert os.path.exists(os.path.join(out + "%1%%", "summary.csv"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
+    assert os.path.exists(tmp_path / "flag" / "summary.csv")
+
+
 def test_a_jobs_1_run_lets_each_task_s_runs_go_before_the_next_task(tmp_path,
                                                                     monkeypatch):
     # a task's runs become its cells' rows where it ran; nothing keeps them
@@ -1069,9 +1095,10 @@ def test_a_report_round_trips_through_the_writer_and_reader_of_each_file(reports
              for vals, fnr in reports]
     proto = types.SimpleNamespace(kind="naive_ft")
     scenario = types.SimpleNamespace(scenario_id="syn-c5-s3-d6-seed11")
-    written = cli._cell_rows(proto, 7, types.SimpleNamespace(curve=curve), scenario, None, None,
-                             k, False)
-    failed = cli._cell_rows(proto, 8, ValueError("diverged"), scenario, None, None, k, False)
+    written = cli._cell_rows(proto, 7, types.SimpleNamespace(curve=curve), scenario.scenario_id,
+                             None, None, k, False)
+    failed = cli._cell_rows(proto, 8, ValueError("diverged"), scenario.scenario_id, None, None,
+                            k, False)
     lead = {"scenario_id": scenario.scenario_id, "protocol": "naive_ft"}
     for name, body, want in [
             ("curves.csv", written[0], [({**lead, "seed": 7, "epoch": e}, rep)
@@ -1095,8 +1122,8 @@ def test_a_curves_row_of_a_negative_epoch_is_refused():
     proto = types.SimpleNamespace(kind="naive_ft")
     scenario = types.SimpleNamespace(scenario_id="syn-c5-s3-d6-seed11")
     rep = EvalReport(0.5, 0.5, 0.5, 0.5, None, 1.0, np.empty(0))
-    curves = cli._cell_rows(proto, 7, types.SimpleNamespace(curve=[rep]), scenario, None, None,
-                            0, False)[0].decode()
+    curves = cli._cell_rows(proto, 7, types.SimpleNamespace(curve=[rep]), scenario.scenario_id,
+                            None, None, 0, False)[0].decode()
     text = ",".join(cli._columns("curves.csv", 0)) + "\n" + curves.replace(",7,0,", ",7,-1,")
     with pytest.raises(ValueError, match=r"^curves\.csv:2: epoch = -1 must be at least 0$"):
         cli._read_rows("curves.csv", text)

@@ -20,7 +20,10 @@ The package has one trainer loop: `sgd_step` and a `forward` in any mode
 but "eval" are each called from one function only, optim._train_steps.
 Likewise it applies the task rule once: `seed_groups`, which splits a
 protocol's seeds into the stacks run_protocol trains, is called from
-cli.cmd_run alone. And it has one file writer: the only `open` call with a
+cli.cmd_run alone. It describes each run input once: the test set's
+`EvalSet` is built in cli.cmd_run alone, and `[scenario]` is resolved
+(_resolve_scenario) in cli.load_config and, for `htlab gen`'s flags, in
+cli.cmd_gen alone. And it has one file writer: the only `open` call with a
 mode that writes (`w`, `a`, `x` or `+`, or a mode that is not a literal)
 is data.write_file's, which writes beside the name and renames. It has one
 results codec: the 17-significant-digit format of the CSVs' float cells is
@@ -141,9 +144,9 @@ def _training_calls(node) -> list:
     return out
 
 
-def _seed_groups_calls(node) -> list:
-    """The name seed_groups, once per call to it under `node`."""
-    return [name for name, _ in _calls(node) if name == "seed_groups"]
+def _named_calls(name: str):
+    """The `calls` of callers that lists `name` once per call to it."""
+    return lambda node: [called for called, _ in _calls(node) if called == name]
 
 
 def callers(calls, src: str = SRC) -> dict:
@@ -171,7 +174,20 @@ def test_one_function_runs_the_training_step():
 def test_one_function_applies_the_task_rule():
     # run_protocol trains the seeds it is given as one stack; a second
     # caller of seed_groups would group them a second time
-    assert callers(_seed_groups_calls) == {"seed_groups": ["cli.cmd_run"]}
+    assert callers(_named_calls("seed_groups")) == {"seed_groups": ["cli.cmd_run"]}
+
+
+def test_one_function_builds_the_test_set():
+    # run_protocol and the rows evaluate on the EvalSet cmd_run built; a
+    # second build would describe the test set a second time
+    assert callers(_named_calls("EvalSet")) == {"EvalSet": ["cli.cmd_run"]}
+
+
+def test_each_command_resolves_its_scenario_once():
+    # build_scenario builds from the resolved dict; resolving it again
+    # would read the [scenario] texts a second time
+    assert callers(_named_calls("_resolve_scenario")) == {
+        "_resolve_scenario": ["cli.load_config", "cli.cmd_gen"]}
 
 
 def _write_opens(node) -> list:

@@ -4,7 +4,9 @@ the `htlab gen` flags and `--jobs`, a source checkpoint and a summary.csv.
 
 Each key is tried dropped, repeated, and set to each text of _VALUES. Each
 file is tried cut by its last byte, extended by one byte, and with a wrong
-header size. Every mutation must exit 0 or 1, never 2, and print no
+header size. Each text file (config, meta, summary.csv) is also tried with
+a byte that is not UTF-8, and the config and summary.csv missing and as a
+directory. Every mutation must exit 0 or 1, never 2, and print no
 traceback, and:
 
 - exit 1 names what it refuses: the meta file and the key, the data file,
@@ -266,7 +268,7 @@ _CONFIG = _base_config()
 
 def _config_values(cfg: dict) -> dict:
     """Each `[section] key` as a load_config result reads it."""
-    values = {f"[scenario] {k}": v for k, v in cli._resolve_scenario(cfg["scenario"]).items()}
+    values = {f"[scenario] {k}": v for k, v in cfg["scenario"].items()}
     values.update({f"[model] {k}": v for k, v in cfg["model"].items()})
     values["[protocols] names"] = cfg["protocol_names"]
     values.update({f"[run] {k}": cfg[k] for k in cli._RUN_KEYS})
@@ -404,6 +406,37 @@ def test_each_jobs_mutation_reads_its_text_or_exits_1_naming_it(inputs, tmp_path
 
     assert _faults("--jobs", attempt, {"--jobs": 1}, 1, ["--jobs"], number=True,
                    integer=True) == []
+
+
+# ------------------------------------------------------------ text files
+
+@pytest.mark.parametrize("what, how", [
+    *((what, how) for what in ("config", "summary.csv")
+      for how in ("missing", "a directory", "not UTF-8")),
+    ("meta", "not UTF-8"),  # the shared scenario's, so edited in place and restored
+])
+def test_a_text_input_missing_a_directory_or_not_utf8_exits_1_naming_it(inputs, tmp_path,
+                                                                         capfd, what, how):
+    # each of the three text inputs goes through one reader
+    cfg, summary = str(tmp_path / "import.ini"), str(tmp_path / "summary.csv")
+    shutil.copy(inputs.cfg, cfg)
+    shutil.copy(os.path.join(inputs.out, "summary.csv"), summary)
+    run = ["run", "--config", cfg, "--out", str(tmp_path / "out")]
+    path, argv = {"config": (cfg, run), "meta": (os.path.join(inputs.scn, "meta"), run),
+                  "summary.csv": (summary, ["report", str(tmp_path)])}[what]
+    restore = lambda: None  # noqa: E731
+    if how == "not UTF-8":
+        restore = _swap(path, lambda raw: raw + b"\xff")
+    else:
+        os.remove(path)
+        if how == "a directory":
+            os.mkdir(path)
+    try:
+        rc, err, _ = _main(capfd, argv)
+    finally:
+        restore()
+    assert rc == 1 and path in err and "Traceback" not in err, err
+    assert not os.path.exists(tmp_path / "out") and not os.path.exists(tmp_path / "report.json")
 
 
 # ------------------------------------------------------------ checkpoint and summary.csv

@@ -26,6 +26,7 @@ from htlab.transfer import (
 SPEC = MlpSpec((8, 24, 24, 6))
 PRETRAIN = SgdConfig(lr=0.02, momentum=0.9, weight_decay=5e-4, batch_size=32, epochs=15)
 ADAPT = SgdConfig(lr=0.01, momentum=0.9, weight_decay=5e-4, batch_size=32, epochs=4)
+K_SPECTRUM = 20  # the spectrum size of every run_protocol call here
 
 
 def _scenario(per_class=(100, 30, 20), seed=3):
@@ -62,11 +63,16 @@ def _row(params):
     return ModelParams(params.spec, params.flat[0].copy())
 
 
+def _test(scenario):
+    """The EvalSet of the scenario's test split."""
+    return EvalSet(scenario.target_test, scenario.seen_mask)
+
+
 def _run(scenario, source, kind, seed=3, **kw):
     """The run of one seed; its DivergenceError, if it failed, is raised."""
     proto = Protocol(kind=kind, **{"sgd": ADAPT, **kw})
-    [run] = run_protocol(scenario.target_train, scenario.target_test,
-                         scenario.seen_mask, [source], proto, [seed])
+    [run] = run_protocol(scenario.target_train, _test(scenario), K_SPECTRUM, [source], proto,
+                         [seed])
     if isinstance(run, DivergenceError):
         raise run
     return run
@@ -280,8 +286,8 @@ def test_every_protocol_kind_runs(scenario):
         proto = Protocol(kind=kind, loss=LossSpec(lambda_distill=1.0, lambda_rank=1e-6),
                          sgd=short, lol=LolConfig(subsets=2, leave_k=1),
                          swa=SwaConfig(start_epoch=1))
-        [run] = run_protocol(scenario.target_train, scenario.target_test,
-                             scenario.seen_mask, [src], proto, seeds=[1])
+        [run] = run_protocol(scenario.target_train, _test(scenario), K_SPECTRUM, [src], proto,
+                             seeds=[1])
         assert run.curve, kind
         assert run.curve[0].overall == run.curve[0].overall  # finite
 
@@ -335,7 +341,7 @@ def test_seeds_run_together_match_one_seed_calls_bitwise(scenario, stack_sources
                      sgd=replace(ADAPT, epochs=3), lol=LolConfig(subsets=3, leave_k=1),
                      swa=SwaConfig(start_epoch=1, cadence=cadence))
     sources = stack_sources[model]
-    args = (scenario.target_train, scenario.target_test, scenario.seen_mask)
+    args = (scenario.target_train, _test(scenario), K_SPECTRUM)
     losses = _record_epoch_losses(monkeypatch)
     # the seeds in one call per group, as the CLI groups them
     together = [run for group in proto.seed_groups(range(len(_STACK_SEEDS)))
@@ -371,7 +377,7 @@ def test_non_finite_source_fails_alone_in_its_stack(scenario, stack_sources, kin
     proto = Protocol(kind=kind, loss=LossSpec(lambda_distill=1.0), sgd=replace(ADAPT, epochs=3))
     sources = [s.clone() for s in stack_sources["plain"]]
     sources[1]["layers.2.W"][0, 0] = np.nan
-    args = (scenario.target_train, scenario.target_test, scenario.seen_mask)
+    args = (scenario.target_train, _test(scenario), K_SPECTRUM)
     runs = run_protocol(*args, sources, proto, _STACK_SEEDS)
     assert isinstance(runs[1], DivergenceError)
     assert str(runs[1]) == f"{kind} diverged at epoch 0: non-finite classifier"
@@ -388,7 +394,7 @@ def test_leave_out_protocol_takes_one_seed_per_call(scenario, stack_sources):
     # run_protocol applies no grouping rule: a leave-out stack is train_lolsgd's error
     proto = Protocol(kind="lolsgd", sgd=ADAPT, lol=LolConfig(subsets=2, leave_k=1))
     with pytest.raises(ValueError, match=r"^train_lolsgd takes \(1, P\) params and one rng$"):
-        run_protocol(scenario.target_train, scenario.target_test, scenario.seen_mask,
+        run_protocol(scenario.target_train, _test(scenario), K_SPECTRUM,
                      stack_sources["plain"][:2], proto, _STACK_SEEDS[:2])
 
 
