@@ -367,7 +367,7 @@ def _read_sized(path: str, fmt: str, magic, what: str, sizes: tuple, itemsize: i
     `fmt` of `magic` and the sizes `sizes` names, then their product times
     `itemsize` bytes. Anything else raises naming it; a huge size raises
     before any read, and a negative one too, as IDX sizes are signed."""
-    with open(path, "rb") as f:
+    with _open_input(path) as f:
         head = f.read(struct.calcsize(fmt))
         if len(head) < struct.calcsize(fmt):
             raise ValueError(f"truncated file: {path}")
@@ -385,17 +385,26 @@ def _read_sized(path: str, fmt: str, magic, what: str, sizes: tuple, itemsize: i
         return values, f.read(n)
 
 
+def _open_input(path: str):
+    """`path` opened to read bytes. An OSError other than FileNotFoundError
+    (a directory, say) raises a ValueError that names the file."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise
+    except OSError as e:
+        raise ValueError(f"{path!r} cannot be read: {e.strerror or e}") from None
+
+
 def read_text(path: str) -> str:
     """The text of `path`, a UTF-8 file. One that is missing, that cannot
-    be read (a directory, say) or that is not UTF-8 raises a ValueError
-    naming it, quoted as an OSError quotes it."""
+    be read (see _open_input) or that is not UTF-8 raises a ValueError
+    naming it."""
     try:
-        with open(path, "rb") as f:
+        with _open_input(path) as f:
             return f.read().decode()
     except FileNotFoundError:
         raise ValueError(f"{path!r} is missing") from None
-    except OSError as e:
-        raise ValueError(f"{path!r} cannot be read: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise ValueError(f"{path!r} is not UTF-8 at byte {e.start}") from None
 

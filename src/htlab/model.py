@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, write_file
+from .data import Dataset, _open_input, write_file
 from .numkit import (_FRACTION, _MAX_VALUES, _POSITIVE, Rng, _bounded, _check, _check_fields,
                      _one_of)
 
@@ -474,9 +474,9 @@ def load_checkpoint(path: str, spec: MlpSpec, key: str) -> ModelParams:
     """The params of `spec` that save_checkpoint wrote under the cache `key`.
     A file that does not start with exactly that header, or whose payload is
     not a buffer of `spec`'s size with nonnegative running variances, raises
-    BadCheckpoint."""
+    BadCheckpoint; a path that cannot be opened, a ValueError (see _open_input)."""
     head, layout = _header(key), _Layout.of(spec)
-    with open(path, "rb") as f:
+    with _open_input(path) as f:
         # one byte past a whole checkpoint tells a longer file, unread
         raw = f.read(len(head) + 8 * layout.size + 1)
         size = os.fstat(f.fileno()).st_size

@@ -2,13 +2,14 @@
 local SGD (averaged pseudo-gradients from class-subset runs), and tail
 weight averaging over checkpoint streams.
 
-Both trainers take a run stack: params of shape (S, P), S >= 1, with one
-Rng per run. Minibatch SGD trains the S runs at once: transfer.run_protocol
-stacks the seeds of an SGD-trained protocol this way, and a single model
-trains as a one-row stack. Each run reshuffles from its own stream, and
-one stacked step advances all S, each slice bitwise as if it trained
-alone. Leave-out local SGD trains one run (S = 1), since its M local runs
-already fill the run axis.
+Both trainers take a run stack, params of shape (S, P), S >= 1, and train
+one epoch (or round) per call; the callers in transfer loop over epochs.
+train_sgd trains the S runs at once, one Rng per run: run_protocol stacks
+the seeds of an SGD-trained protocol this way, and a single model trains
+as a one-row stack. Each run reshuffles from its own stream, and one
+stacked step advances all S, each slice bitwise as if it trained alone.
+lolsgd_round trains one run (S = 1), since its M local runs already fill
+the run axis.
 
 Leave-out local SGD works in rounds. Each round snapshots the parameters,
 runs M short local SGD passes that each drop `leave_k` randomly chosen
@@ -25,11 +26,11 @@ Each run's minibatches are drawn before training starts, from the run's
 own stream. Runs whose retained subsets give the same batch size share one
 stack; a run with no steps stays out of it, its row already the snapshot.
 
-Both trainers step through one loop, _train_steps, which trains the first
-A runs of the stack in place at each step. A never grows: in train_sgd it
-is S, and in a leave-out stack the runs still training are a prefix,
-because the step allocation gives the remainder to the lowest indices, so
-a finished run's row stays as its last step left it. Every run does the
+train_sgd and lolsgd_round step through one loop, _train_steps, which
+trains the first A runs of the stack in place at each step. A never grows:
+in train_sgd it is S, and in a leave-out stack the runs still training
+are a prefix, because the step allocation gives the remainder to the
+lowest indices, so a finished run's row stays as its last step left it. Every run does the
 arithmetic of a run trained alone, whatever this scheduling.
 
 Compute budget: one round spends round(M * local_budget * E) minibatches,
@@ -143,34 +144,29 @@ def _train_steps(work: ModelParams, dataset: Dataset, steps, loss: CompositeLoss
     return out
 
 
-def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
-              cfg: SgdConfig, mask: FreezeMask, rngs: Sequence[Rng], on_epoch, on_step=None):
-    """Minibatch SGD over per-epoch reshuffles of `dataset`, for the S runs
-    of (S, P) params, one of `rngs` per run: each run reshuffles from its
+def train_sgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss, cfg: SgdConfig,
+              mask: FreezeMask, rngs: Sequence[Rng], epoch: int, state: dict,
+              on_step=None) -> np.ndarray:
+    """Epoch `epoch` of minibatch SGD, in place on the S runs of (S, P)
+    params, one of `rngs` per run: each run reshuffles `dataset` from its
     own stream and the S runs take every step together, each slice bitwise
-    as if it trained alone (see model.forward). Returns the trained params;
-    the input params are not modified. Deterministic in (params, dataset,
-    cfg, rngs). `on_epoch` is called as on_epoch(epoch, params, epoch_loss)
-    after every epoch, with the (S,) array of the epoch's mean minibatch
-    losses; it is the only place that loss goes.
-    """
+    as if it trained alone (see model.forward). Returns the (S,) array of
+    the epoch's mean minibatch losses. `state` keeps the momentum across
+    the epochs of a phase, which the caller counts: cfg.epochs is unread.
+    on_step(params) follows every step."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     if params.flat.ndim != 2 or len(rngs) != len(params.flat):
         raise ValueError("train_sgd takes (S, P) params and one rng per run")
-    work = params.clone()
-    state: dict = {}
     n = len(dataset)
-    for epoch in range(cfg.epochs):
-        order = np.stack([r.derive(f"epoch-{epoch}").permutation(n) for r in rngs])
-        steps = [order[:, lo:lo + cfg.batch_size] for lo in range(0, n, cfg.batch_size)]
-        totals = [0.0] * len(rngs)
-        for idx, step in zip(steps, _train_steps(work, dataset, steps, loss, cfg, mask,
-                                                 state, on_step)):
-            # Python floats round as f64 array ops do, at less cost per step
-            totals = [t + b * idx.shape[1] for t, b in zip(totals, step.total.tolist())]
-        on_epoch(epoch, work, np.array(totals) / n)
-    return work
+    order = np.stack([r.derive(f"epoch-{epoch}").permutation(n) for r in rngs])
+    steps = [order[:, lo:lo + cfg.batch_size] for lo in range(0, n, cfg.batch_size)]
+    totals = [0.0] * len(rngs)
+    for idx, step in zip(steps, _train_steps(params, dataset, steps, loss, cfg, mask, state,
+                                             on_step)):
+        # Python floats round as f64 array ops do, at less cost per step
+        totals = [t + b * idx.shape[1] for t, b in zip(totals, step.total.tolist())]
+    return np.array(totals) / n
 
 
 def _round_step_allocation(n: int, cfg: SgdConfig, lol: LolConfig) -> list:
@@ -188,8 +184,8 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
                  loss_sink: list, scratch: dict) -> ModelParams:
     """One leave-out round: M local runs from the snapshot `params`, one
     model, averaged displacement applied as the outer update. Returns the
-    new params, of the snapshot's shape: (P,), or (1, P) as train_lolsgd
-    passes it.
+    new params, of the snapshot's shape: (P,), or (1, P) as
+    transfer.run_protocol passes it.
 
     The runs train stacked (see the module docstring). `loss_sink` gets
     every local minibatch loss, run by run in ascending m. `scratch` keeps
@@ -233,29 +229,6 @@ def lolsgd_round(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
         total += d[m]
     scale = lol.outer_step / lol.subsets
     return params_axpy(1.0, snapshot, -scale, ModelParams(spec, total))
-
-
-def train_lolsgd(params: ModelParams, dataset: Dataset, loss: CompositeLoss,
-                 cfg: SgdConfig, lol: LolConfig, mask: FreezeMask, rngs: Sequence[Rng],
-                 on_epoch):
-    """Iterated leave-out rounds for the one run of (1, P) params, with a
-    one-Rng `rngs`. With the default budget one round costs one epoch of
-    minibatches, so the default `rounds = epochs` spends the same compute
-    as train_sgd. Returns the trained (1, P) params; `on_epoch` is called
-    as on_epoch(round, params, round_loss) after every round, with the (1,)
-    mean of the round's local minibatch losses."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if params.flat.shape[:-1] != (1,) or len(rngs) != 1:
-        raise ValueError("train_lolsgd takes (1, P) params and one rng")
-    rounds = lol.rounds if lol.rounds > 0 else cfg.epochs
-    work, scratch = params, {}
-    for r in range(rounds):
-        sink: list = []
-        work = lolsgd_round(work, dataset, loss, cfg, lol, mask,
-                            rngs[0].derive(f"round-{r}"), sink, scratch)
-        on_epoch(r, work, np.mean(sink, keepdims=True))
-    return work
 
 
 class RunningAverage:

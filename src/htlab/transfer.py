@@ -20,9 +20,9 @@ runs already fill the run axis, so its seeds are a call each.
 
 A run is its final params and a per-epoch evaluation curve whose entry 0
 is the source model itself, so curves from different protocols share an
-x-axis. Each epoch's (or round's) training loss reaches run_protocol only
-through the trainers' one on_epoch hook, for the check below; entry 0
-takes the same hook, called once before training.
+x-axis. run_protocol drives the epoch (or round) loop: each trainer call
+returns that epoch's training losses, checked below with the params, as
+the source models are checked before training.
 
 Training that diverges fails loudly: params and the epoch (or round) loss
 are checked for finite values at every epoch boundary of pretrain_source
@@ -56,7 +56,7 @@ from .model import (
     recompute_bn_stats,
 )
 from .numkit import Rng, _check, _one_of, softmax
-from .optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, train_lolsgd, train_sgd
+from .optim import LolConfig, RunningAverage, SgdConfig, SwaConfig, lolsgd_round, train_sgd
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class _Preset:
     phases: (rng_label, FreezeMask) pairs run in order from the source
         model; the first of two phases gets epochs // 2, the second the rest.
     distill, rank: the loss terms the protocol carries.
-    step: "sgd" (train_sgd), "lol" (train_lolsgd) or "bn_stats" (one exact
+    step: "sgd" (train_sgd), "lol" (lolsgd_round) or "bn_stats" (one exact
         recalibration of the running BN statistics, no training).
     swa: whether the [swa] tail average of the trained weights is deployed.
     """
@@ -195,14 +195,12 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
     """Train the source model from scratch on the source split. After this
     returns, nothing else ever reads the source data."""
     params = _stack([init_model(spec, rng.derive("init"))])
-
-    def on_epoch(epoch, work, epoch_loss):
-        _check_finite("pretrain", epoch + 1, work, epoch_loss)
-
+    loss, rngs, state = CompositeLoss(LossSpec()), [rng.derive("pretrain")], {}
     with np.errstate(all="ignore"):  # divergence is reported by DivergenceError alone
-        params = train_sgd(params, scenario.source_train, CompositeLoss(LossSpec()), cfg,
-                           FreezeMask.all_trainable(), [rng.derive("pretrain")],
-                           on_epoch=on_epoch)
+        for epoch in range(cfg.epochs):
+            epoch_loss = train_sgd(params, scenario.source_train, loss, cfg,
+                                   FreezeMask.all_trainable(), rngs, epoch, state)
+            _check_finite("pretrain", epoch + 1, params, epoch_loss)
     return _rows(params)[0]
 
 
@@ -214,10 +212,6 @@ def _check_model(kind: str, spec: MlpSpec):
         trained = [g for g in GROUPS if mask.trainable(g)]
         if not present.intersection(trained):
             raise ValueError(f"{kind} requires a model with {_PART_NAMES[trained[0]]}")
-
-
-class _AllFailed(Exception):
-    """Every seed of a stack has failed, so its training stops early."""
 
 
 def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
@@ -233,17 +227,21 @@ def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
     fault of the call as a whole, such as a model without the parts the
     protocol trains or more than one seed of a leave-out protocol, raises.
 
-    The seeds train as one (S, P) stack (see optim.train_sgd); which seeds
-    share a call is the caller's choice (Protocol.seed_groups). Each seed's
-    slice does the arithmetic of a run of its own, so every result is
-    bitwise that of a one-seed call. A seed fails alone, its source model
-    included: its slice keeps its place in the stack but is no longer
-    checked or evaluated, and the others finish bitwise as if it were
-    absent.
+    Each epoch (or round) is one train_sgd, lolsgd_round or
+    recompute_bn_stats call, after which each seed still running is checked
+    and evaluated; once none is, training stops. The seeds train as one
+    (S, P) stack; which seeds share a call is the caller's choice
+    (Protocol.seed_groups). Each seed's slice does the arithmetic of a run
+    of its own, so every result is bitwise that of a one-seed call. A seed
+    fails alone, its source model included: its slice keeps its place in
+    the stack but is no longer checked or evaluated, and the others finish
+    bitwise as if it were absent.
     """
     preset = _PRESETS[protocol.kind]
     if len(sources) != len(seeds):
         raise ValueError("need one source model per seed")
+    if protocol.local_sgd and len(seeds) != 1:
+        raise ValueError(f"{protocol.kind} takes one seed per call: its runs fill the run axis")
     if any(source.spec != sources[0].spec for source in sources):
         raise ValueError("the seeds' source models must share one spec")
     _check_model(protocol.kind, sources[0].spec)  # the one spec of every seed's source
@@ -256,12 +254,11 @@ def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
     tail = RunningAverage() if preset.swa else None
     curves: list = [[] for _ in seeds]
     errors: list = [None] * len(seeds)
-    done = -1  # epochs (or rounds) finished; the call before training is epoch 0
 
-    def on_epoch(_epoch, params, epoch_loss):
-        nonlocal done
-        done += 1
-        if fold_per_epoch and done > swa.start_epoch:
+    def evaluated(epoch, params, epoch_loss) -> bool:
+        """Check and evaluate each seed still running after `epoch` epochs
+        (or rounds); whether any seed is still running."""
+        if fold_per_epoch and epoch > swa.start_epoch:
             tail.fold(params)
         # the curve follows the deployable model: the tail average once
         # it has started, the raw weights before that
@@ -270,41 +267,44 @@ def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
                 zip(_rows(params), _rows(deployed), epoch_loss)):
             if errors[j] is None:
                 try:
-                    _check_finite(protocol.kind, done, run, run_loss)
+                    _check_finite(protocol.kind, epoch, run, run_loss)
                     curves[j].append(evaluate(shown, test, k_spectrum, scratch))
                 except FloatingPointError:  # features too large to square, or not finite
-                    errors[j] = DivergenceError(protocol.kind, done, "features")
+                    errors[j] = DivergenceError(protocol.kind, epoch, "features")
                 except Exception as e:  # noqa: BLE001 - a seed fails alone
                     errors[j] = e
-        if None not in errors:
-            raise _AllFailed
-
-    def on_step(params):
-        if done >= swa.start_epoch:
-            tail.fold(params)
+        return None in errors
 
     work = _stack(sources)
     epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
-    try:
-        with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
-            on_epoch(None, work, [None] * len(seeds))  # entry 0; no loss to check
-            for k, (label, mask) in enumerate(preset.phases):
-                cfg = replace(protocol.sgd,
-                              epochs=epochs * (k + 1) // n_phases - epochs * k // n_phases)
+    done = 0  # epochs (or rounds) finished; the source models are epoch 0
+    with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
+        if not evaluated(done, work, [None] * len(seeds)):
+            return errors
+        for k, (label, mask) in enumerate(preset.phases):
+            count = epochs * (k + 1) // n_phases - epochs * k // n_phases
+            if preset.step == "lol":
+                count = protocol.lol.rounds or count
+            elif preset.step == "bn_stats":
+                count = 1  # one exact recalibration: it trains nothing and draws nothing
+            phase_rngs = [rng.derive(label) for rng in rngs if label is not None]
+            state: dict = {}  # momentum and step buffers, kept across the phase
+            for e in range(count):
                 if preset.step == "bn_stats":
                     work = _stack([recompute_bn_stats(run, target_train) for run in _rows(work)])
-                    on_epoch(0, work, [None] * len(seeds))
-                    continue
-                phase_rngs = [rng.derive(label) for rng in rngs]
-                if preset.step == "lol":
-                    work = train_lolsgd(work, target_train, loss, cfg, protocol.lol,
-                                        mask, phase_rngs, on_epoch=on_epoch)
-                else:
-                    work = train_sgd(work, target_train, loss, cfg, mask, phase_rngs,
-                                     on_epoch=on_epoch,
-                                     on_step=on_step if fold_per_step else None)
-    except _AllFailed:
-        return errors
+                    epoch_loss = [None] * len(seeds)
+                elif preset.step == "lol":
+                    sink: list = []
+                    work = lolsgd_round(work, target_train, loss, protocol.sgd, protocol.lol,
+                                        mask, phase_rngs[0].derive(f"round-{e}"), sink, state)
+                    epoch_loss = np.mean(sink, keepdims=True)
+                else:  # a per-iteration tail folds each step once it has started
+                    epoch_loss = train_sgd(
+                        work, target_train, loss, protocol.sgd, mask, phase_rngs, e, state,
+                        tail.fold if fold_per_step and done >= swa.start_epoch else None)
+                done += 1
+                if not evaluated(done, work, epoch_loss):
+                    return errors
     finals = _rows(tail.value() if tail is not None else work)
     return [error if error is not None else TransferRun(final_params=final, curve=curve)
             for error, final, curve in zip(errors, finals, curves)]

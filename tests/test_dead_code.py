@@ -18,6 +18,9 @@ name; `from __future__` imports bind nothing and are skipped.
 
 The package has one trainer loop: `sgd_step` and a `forward` in any mode
 but "eval" are each called from one function only, optim._train_steps.
+Its callers drive the epochs: `train_sgd`, one epoch, is called only from
+transfer.pretrain_source and transfer.run_protocol, and `lolsgd_round`,
+one round, only from transfer.run_protocol.
 Likewise it applies the task rule once: `seed_groups`, which splits a
 protocol's seeds into the stacks run_protocol trains, is called from
 cli.cmd_run alone. It describes each run input once: the test set's
@@ -169,6 +172,14 @@ def test_one_function_runs_the_training_step():
     # a second trainer loop would call these from a second function
     assert callers(_training_calls) == {"sgd_step": ["optim._train_steps"],
                                         "forward": ["optim._train_steps"]}
+
+
+def test_the_protocol_loop_and_the_pretrain_drive_the_epochs():
+    # a trainer that looped over epochs itself would need a way back into
+    # its caller for each epoch's check; a third caller would be a third loop
+    assert callers(_named_calls("train_sgd")) == {
+        "train_sgd": ["transfer.pretrain_source", "transfer.run_protocol"]}
+    assert callers(_named_calls("lolsgd_round")) == {"lolsgd_round": ["transfer.run_protocol"]}
 
 
 def test_one_function_applies_the_task_rule():

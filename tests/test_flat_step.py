@@ -250,15 +250,14 @@ def test_train_sgd_matches_per_key_reference_bitwise(mask_name):
     seen = np.arange(spec.layer_widths[-1]) < 6
     src = init_model(spec, Rng(1))
     epochs, curve = [], []
-
-    def on_epoch(epoch, params, loss):
-        epochs.append(params.clone())
-        curve.append(loss.tolist())
-
     # a one-row stack, checked against the per-key reference of one model
-    one_row = ModelParams(spec, src.flat[None].copy())
-    out = train_sgd(one_row, Dataset(X, y, spec.layer_widths[-1]),
-                    CompositeLoss(loss_spec, [src], seen), cfg, mask, [Rng(4)], on_epoch=on_epoch)
+    out, state = ModelParams(spec, src.flat[None].copy()), {}
+    loss = CompositeLoss(loss_spec, [src], seen)
+    for epoch in range(cfg.epochs):
+        epoch_loss = train_sgd(out, Dataset(X, y, spec.layer_widths[-1]), loss, cfg, mask,
+                               [Rng(4)], epoch, state)
+        epochs.append(out.clone())
+        curve.append(epoch_loss.tolist())
     ref, ref_state, ref_curve = {k: src[k].copy() for k in src.keys()}, {}, []
     for epoch in range(cfg.epochs):  # 5 batches an epoch, 70 steps in all
         order = Rng(4).derive(f"epoch-{epoch}").permutation(len(y))

@@ -27,7 +27,6 @@ from htlab.optim import (
     _train_steps,
     lolsgd_round,
     sgd_step,
-    train_lolsgd,
     train_sgd,
 )
 
@@ -50,8 +49,26 @@ def _one_row(params):
     return ModelParams(params.spec, params.flat[None].copy())
 
 
-def _no_hook(epoch, params, epoch_loss):
-    pass
+def _train(params, ds, loss, cfg, mask, rngs, on_step=None):
+    """cfg.epochs epochs of train_sgd on a copy of the (S, P) `params`, one
+    call per epoch with one state across them, as its callers loop.
+    Returns the trained stack and the (S,) losses of each epoch."""
+    work, state = params.clone(), {}
+    return work, [train_sgd(work, ds, loss, cfg, mask, rngs, epoch, state, on_step)
+                  for epoch in range(cfg.epochs)]
+
+
+def _lol_rounds(params, ds, loss, cfg, lol, mask, rng):
+    """cfg.epochs leave-out rounds of the (1, P) `params`, as run_protocol
+    loops over them. Returns the trained stack and each round's (1,) mean
+    local loss."""
+    work, scratch, losses = params, {}, []
+    for r in range(cfg.epochs):
+        sink: list = []
+        work = lolsgd_round(work, ds, loss, cfg, lol, mask, rng.derive(f"round-{r}"), sink,
+                            scratch)
+        losses.append(np.mean(sink, keepdims=True))
+    return work, losses
 
 
 def _grads_for(params, X, y, mask=None, update_stats=False):
@@ -164,23 +181,37 @@ def test_sgd_step_frozen_group_untouched(mask):
 def test_train_sgd_zero_epochs_returns_input():
     params = _one_row(init_model(SPEC, Rng(76)))
     ds = _toy_dataset()
-    curve = []
-    out = train_sgd(params, ds, PLAIN_LOSS, SgdConfig(epochs=0), FreezeMask.all_trainable(),
-                    [Rng(1)], on_epoch=lambda e, p, loss: curve.append(loss))
+    out, curve = _train(params, ds, PLAIN_LOSS, SgdConfig(epochs=0), FreezeMask.all_trainable(),
+                        [Rng(1)])
     assert curve == []
     for k in params.keys():
         assert np.array_equal(out[k], params[k])
+
+
+def test_train_sgd_trains_one_epoch_in_place_and_state_carries_momentum():
+    params = _one_row(init_model(SPEC, Rng(86)))
+    ds, mask = _toy_dataset(), FreezeMask.all_trainable()
+    cfg = SgdConfig(lr=0.05, momentum=0.9, batch_size=16)
+    work, state = params.clone(), {}
+    flat = work.flat
+    loss = train_sgd(work, ds, PLAIN_LOSS, cfg, mask, [Rng(2)], 0, state)
+    assert loss.shape == (1,) and np.isfinite(loss).all()
+    assert work.flat is flat and not np.array_equal(work.flat, params.flat)
+    assert state["velocity"].shape == params.flat.shape and state["velocity"].any()
+    # the next epoch from the same state steps on the momentum built so far
+    carried, fresh = work.clone(), work.clone()
+    train_sgd(carried, ds, PLAIN_LOSS, cfg, mask, [Rng(2)], 1, state)
+    train_sgd(fresh, ds, PLAIN_LOSS, cfg, mask, [Rng(2)], 1, {})
+    assert not np.array_equal(carried.flat, fresh.flat)
 
 
 def test_train_sgd_deterministic():
     params = _one_row(init_model(SPEC, Rng(77)))
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.05, epochs=3, batch_size=16)
-    ca, cb = [], []
-    a = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(5)],
-                  on_epoch=lambda e, p, loss: ca.append(loss.tolist()))
-    b = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(5)],
-                  on_epoch=lambda e, p, loss: cb.append(loss.tolist()))
+    a, ca = _train(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(5)])
+    b, cb = _train(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(5)])
+    ca, cb = [loss.tolist() for loss in ca], [loss.tolist() for loss in cb]
     assert len(ca) == cfg.epochs and ca == cb
     for k in a.keys():
         assert np.array_equal(a[k], b[k])
@@ -191,9 +222,8 @@ def test_train_sgd_loss_decreases_on_separable_data():
     ds = _toy_dataset(sep=8.0)
     cfg = SgdConfig(lr=0.01, momentum=0.0, weight_decay=0.0,
                     batch_size=len(ds), epochs=20)
-    curve = []
-    train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(6)],
-              on_epoch=lambda e, p, loss: curve.append(loss.item()))
+    _, losses = _train(params, ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(6)])
+    curve = [loss.item() for loss in losses]
     assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
     assert curve[-1] < curve[0]
 
@@ -202,8 +232,7 @@ def test_train_sgd_freeze_commutes_with_training():
     params = _one_row(init_model(SPEC, Rng(79)))
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.1, epochs=4, batch_size=8, weight_decay=1e-3)
-    out = train_sgd(params, ds, PLAIN_LOSS, cfg, FreezeMask.frozen_classifier(), [Rng(7)],
-                    on_epoch=_no_hook)
+    out, _ = _train(params, ds, PLAIN_LOSS, cfg, FreezeMask.frozen_classifier(), [Rng(7)])
     assert np.array_equal(out["layers.1.W"], params["layers.1.W"])
     assert np.array_equal(out["layers.1.b"], params["layers.1.b"])
     assert not np.array_equal(out["layers.0.W"], params["layers.0.W"])
@@ -266,11 +295,9 @@ def test_lolsgd_deterministic_per_seed():
     ds = _toy_dataset()
     cfg = SgdConfig(lr=0.05, batch_size=16, epochs=2)
     lol = LolConfig(subsets=5, leave_k=1)
-    ca, cb = [], []
-    a = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), [Rng(12)],
-                     on_epoch=lambda r, p, loss: ca.append(loss.tolist()))
-    b = train_lolsgd(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), [Rng(12)],
-                     on_epoch=lambda r, p, loss: cb.append(loss.tolist()))
+    a, ca = _lol_rounds(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), Rng(12))
+    b, cb = _lol_rounds(params, ds, PLAIN_LOSS, cfg, lol, FreezeMask.all_trainable(), Rng(12))
+    ca, cb = [loss.tolist() for loss in ca], [loss.tolist() for loss in cb]
     assert len(ca) == cfg.epochs and ca == cb
     for k in a.keys():
         assert np.array_equal(a[k], b[k])
@@ -282,10 +309,9 @@ def test_lolsgd_budget_matches_sgd():
     cfg = SgdConfig(lr=0.02, batch_size=16, epochs=5)
     lol = LolConfig(subsets=10, leave_k=1)
     count = {"sgd": 0}
-    train_sgd(_one_row(params), ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(13)],
-              on_epoch=_no_hook,
-              on_step=lambda p: count.__setitem__("sgd", count["sgd"] + 1))
-    # the rounds train_lolsgd runs by default (one per sgd epoch); the sink
+    _train(_one_row(params), ds, PLAIN_LOSS, cfg, FreezeMask.all_trainable(), [Rng(13)],
+           on_step=lambda p: count.__setitem__("sgd", count["sgd"] + 1))
+    # the rounds run_protocol runs by default (one per sgd epoch); the sink
     # gets one loss per local minibatch
     sink: list = []
     work, scratch = params, {}
@@ -536,13 +562,9 @@ def test_config_rejection_names_the_key_and_value(make, message):
         make()
 
 
-def test_trainers_take_a_run_stack_and_one_rng_per_run():
+def test_train_sgd_takes_a_run_stack_and_one_rng_per_run():
     params = init_model(SPEC, Rng(76))
     ds, cfg, mask = _toy_dataset(), SgdConfig(epochs=1), FreezeMask.all_trainable()
     for bad_params, rngs in ((params, [Rng(1)]), (_one_row(params), [Rng(1), Rng(2)])):
         with pytest.raises(ValueError, match="train_sgd takes"):
-            train_sgd(bad_params, ds, PLAIN_LOSS, cfg, mask, rngs, _no_hook)
-    two_runs = ModelParams(SPEC, np.stack([params.flat, params.flat]))
-    with pytest.raises(ValueError, match="train_lolsgd takes"):
-        train_lolsgd(two_runs, ds, PLAIN_LOSS, cfg, LolConfig(leave_k=1), mask,
-                     [Rng(1), Rng(2)], _no_hook)
+            train_sgd(bad_params, ds, PLAIN_LOSS, cfg, mask, rngs, 0, {})

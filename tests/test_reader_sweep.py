@@ -6,8 +6,8 @@ Each key is tried dropped, repeated, and set to each text of _VALUES. Each
 file is tried cut by its last byte, extended by one byte, and with a wrong
 header size. Each text file (config, meta, summary.csv) is also tried with
 a byte that is not UTF-8, and the config and summary.csv missing and as a
-directory. Every mutation must exit 0 or 1, never 2, and print no
-traceback, and:
+directory; each data file and the checkpoint are tried as a directory too.
+Every mutation must exit 0 or 1, never 2, and print no traceback, and:
 
 - exit 1 names what it refuses: the meta file and the key, the data file,
   the config's section and key, the flag, or the summary.csv;
@@ -248,6 +248,21 @@ def test_each_data_file_cut_extended_or_resized_exits_1_naming_it(inputs, monkey
     assert faults == []
 
 
+@pytest.mark.parametrize("name", [f"{split}_{part}" for split in _SPLITS
+                                  for part in ("x.f64", "y.idx")])
+def test_a_data_file_that_is_a_directory_exits_1_naming_it(inputs, monkeypatch, capfd, name):
+    _stop_at(monkeypatch, "build_scenario")
+    path, aside = os.path.join(inputs.scn, name), f"{inputs.scn}-{name}"
+    os.rename(path, aside)
+    os.mkdir(path)
+    try:
+        rc, err, _ = _main(capfd, ["run", "--config", inputs.cfg])
+    finally:
+        os.rmdir(path)
+        os.rename(aside, path)
+    assert rc == 1 and f"{path!r} cannot be read" in err and "Traceback" not in err, err
+
+
 # ------------------------------------------------------------ config and flags
 
 def _base_config() -> dict:
@@ -460,6 +475,16 @@ def test_a_cut_extended_or_reheaded_checkpoint_is_retrained_to_the_same_bytes(
         with open(os.path.join(out, name), "rb") as a, \
                 open(os.path.join(inputs.out, name), "rb") as b:
             assert a.read() == b.read(), name
+
+
+def test_a_checkpoint_that_is_a_directory_exits_1_naming_it(inputs, tmp_path, capfd):
+    # a directory cannot be retrained over, so the run stops before any work
+    out = str(tmp_path / "out")
+    ckpt = os.path.join(out, "source_seed0.ckpt")
+    os.makedirs(ckpt)
+    rc, err, _ = _main(capfd, ["run", "--config", inputs.cfg, "--out", out])
+    assert rc == 1 and f"{ckpt!r} cannot be read" in err and "Traceback" not in err, err
+    assert os.listdir(out) == ["source_seed0.ckpt"]
 
 
 def _summary_values(rows: list) -> dict:

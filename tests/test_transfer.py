@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from htlab import optim
 from htlab.data import SyntheticSpec, gen_synthetic_scenario
 from htlab.losses import CompositeLoss, LossSpec
 from htlab.metrics import EvalSet, evaluate
@@ -188,16 +189,17 @@ def _report(scenario, params):
 
 def test_lp_ft_two_phase_boundary(scenario, source):
     run = _run(scenario, source, "lp_ft")
-    # replay both phases of the underlying trainer, collecting the raw
-    # per-epoch params through its on_epoch hook
+    # replay both phases of the underlying trainer, one call per epoch,
+    # collecting the raw per-epoch params
     rng = Rng(3).derive("protocol-lp_ft")
-    half = replace(ADAPT, epochs=ADAPT.epochs // 2)
-    seen = [source]
-    keep = lambda e, p, loss: seen.append(_row(p))  # noqa: E731
-    probe = train_sgd(_one_row(source), scenario.target_train, CompositeLoss(LossSpec()), half,
-                      FreezeMask.only("classifier"), [rng.derive("probe")], on_epoch=keep)
-    final = train_sgd(probe, scenario.target_train, CompositeLoss(LossSpec()), half,
-                      FreezeMask.all_trainable(), [rng.derive("ft")], on_epoch=keep)
+    seen, final = [source], _one_row(source)
+    for label, mask in (("probe", FreezeMask.only("classifier")),
+                        ("ft", FreezeMask.all_trainable())):
+        state = {}
+        for epoch in range(ADAPT.epochs // 2):
+            train_sgd(final, scenario.target_train, CompositeLoss(LossSpec()), ADAPT, mask,
+                      [rng.derive(label)], epoch, state)
+            seen.append(_row(final))
     for k in final.keys():
         assert np.array_equal(run.final_params[k], final[k][0])
     # epochs=4 -> phase 1 (classifier only) covers epochs 1..2
@@ -247,12 +249,14 @@ def test_swa_presets_reject_late_start():
 
 def test_swa_final_is_average_of_tail_checkpoints(scenario, source):
     run = _run(scenario, source, "swa", swa=SwaConfig(start_epoch=2))
-    # replay the underlying trainer to capture the raw per-epoch params
-    raw = []
-    train_sgd(_one_row(source), scenario.target_train, CompositeLoss(LossSpec()), ADAPT,
-              FreezeMask.frozen_classifier(),
-              [Rng(3).derive("protocol-swa").derive("train")],
-              on_epoch=lambda e, p, loss: raw.append(_row(p)))
+    # replay the underlying trainer, one call per epoch, to capture the raw
+    # per-epoch params
+    raw, work, state = [], _one_row(source), {}
+    for epoch in range(ADAPT.epochs):
+        train_sgd(work, scenario.target_train, CompositeLoss(LossSpec()), ADAPT,
+                  FreezeMask.frozen_classifier(),
+                  [Rng(3).derive("protocol-swa").derive("train")], epoch, state)
+        raw.append(_row(work))
     tail = RunningAverage()
     for p in raw[2:]:  # tail = epochs 2..3
         tail.fold(p)
@@ -318,15 +322,13 @@ def _stack_cases():
 
 
 def _record_epoch_losses(monkeypatch) -> list:
-    """A list that, from now on, gets each epoch loss run_protocol's
-    train_sgd passes to on_epoch, as an (S,) array."""
+    """A list that, from now on, gets the (S,) epoch loss each of
+    run_protocol's train_sgd calls returns."""
     losses = []
 
-    def recording(*args, on_epoch, **kwargs):
-        def hook(epoch, params, epoch_loss):
-            losses.append(epoch_loss)
-            on_epoch(epoch, params, epoch_loss)
-        return train_sgd(*args, on_epoch=hook, **kwargs)
+    def recording(*args, **kwargs):
+        losses.append(train_sgd(*args, **kwargs))
+        return losses[-1]
 
     monkeypatch.setattr("htlab.transfer.train_sgd", recording)
     return losses
@@ -348,7 +350,7 @@ def test_seeds_run_together_match_one_seed_calls_bitwise(scenario, stack_sources
                 for run in run_protocol(*args, [sources[i] for i in group], proto,
                                         [_STACK_SEEDS[i] for i in group])]
     assert len(together) == len(_STACK_SEEDS)
-    # an SGD preset's seeds train as one stack, passing (S,) losses to on_epoch
+    # an SGD preset's seeds train as one stack, each epoch returning (S,) losses
     stacked_losses = losses[:]
     trains_sgd = _PRESETS[kind].step == "sgd" and _PRESETS[kind].phases
     assert len(stacked_losses) == (3 if trains_sgd else 0)
@@ -390,12 +392,38 @@ def test_non_finite_source_fails_alone_in_its_stack(scenario, stack_sources, kin
         assert run.final_params.flat.tobytes() == alone.final_params.flat.tobytes()
 
 
-def test_leave_out_protocol_takes_one_seed_per_call(scenario, stack_sources):
-    # run_protocol applies no grouping rule: a leave-out stack is train_lolsgd's error
+def test_leave_out_protocol_takes_one_seed_per_call(scenario, stack_sources, monkeypatch):
+    # run_protocol applies no grouping rule, but refuses a leave-out stack
+    # before it evaluates or trains anything
+    monkeypatch.setattr("htlab.transfer.evaluate", None)
     proto = Protocol(kind="lolsgd", sgd=ADAPT, lol=LolConfig(subsets=2, leave_k=1))
-    with pytest.raises(ValueError, match=r"^train_lolsgd takes \(1, P\) params and one rng$"):
+    with pytest.raises(ValueError, match="^lolsgd takes one seed per call: its runs fill the "
+                                         "run axis$"):
         run_protocol(scenario.target_train, _test(scenario), K_SPECTRUM,
                      stack_sources["plain"][:2], proto, _STACK_SEEDS[:2])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_stack_stops_training_once_every_seed_has_failed(scenario, stack_sources,
+                                                           monkeypatch):
+    # the second seed fails at epoch 0, its source not finite, and the first
+    # diverges later: the epoch it fails at is the last one trained
+    trained, real = 0, optim._train_steps
+
+    def one_epoch(*args, **kwargs):  # train_sgd steps through one call per epoch
+        nonlocal trained
+        trained += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "_train_steps", one_epoch)
+    sources = [s.clone() for s in stack_sources["plain"][:2]]
+    sources[1]["layers.2.W"][0, 0] = np.nan
+    proto = Protocol(kind="naive_ft", sgd=replace(ADAPT, lr=1.0, epochs=8))
+    runs = run_protocol(scenario.target_train, _test(scenario), K_SPECTRUM, sources, proto,
+                        _STACK_SEEDS[:2])
+    assert [type(run) for run in runs] == [DivergenceError] * 2
+    assert runs[1].epoch == 0 and 1 < runs[0].epoch < proto.sgd.epochs
+    assert trained == runs[0].epoch
 
 
 def test_frozen_classifier_preserves_prediction_on_unchanged_features(scenario, source):
