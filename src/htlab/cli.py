@@ -48,8 +48,8 @@ retrained and overwritten, with a note on stderr. Every file that gen, run
 and report write goes through data.write_file: it is written beside its
 name and renamed over it, so a command killed while writing leaves no
 partial file under the name. Once its config is valid, a run first removes
-the curves.csv, summary.csv and report.json an earlier run left; its
-checkpoints stay.
+the curves.csv, summary.csv and report.json an earlier run left, and the
+<name>.<pid>.tmp of each that a killed run left; its checkpoints stay.
 
 A task is a protocol and the seeds that train together as one stack, one
 run_protocol call, at any --jobs (transfer.Protocol.seed_groups): all the
@@ -57,17 +57,23 @@ seeds of a protocol, bn_stats_only's included, or one seed of a leave-out
 protocol. A seed whose pretrain diverged is in no task; a seed that fails
 in a task leaves its stack-mates' rows as they would be without it. With
 --jobs N the tasks run in min(N, tasks) worker processes forked from this
-one, or in this one when that is 1. The workers inherit the scenario and the
-source params, so each task carries only its protocol and seeds. At any
---jobs the pretrains and tasks run with numpy's OpenBLAS capped at one
-thread, which the workers inherit, unless the caller set
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules load only when
-a pool starts. A task's runs become its cells' rows, the ensembles' too, as
-encoded bytes in the process that ran it, so only those bytes reach this one,
-which stores them as they arrive. A task that fails as a whole, in making its
-rows too, fails each of its cells as FAILED rows made here. Each file is
-written as its header and then each cell's rows in configured order, so the
-output is byte-identical at every --jobs.
+one, or in this one when that is 1. Once the sources exist the scenario is
+dropped, and the source split with it, before any task: the tasks, and the
+workers, which inherit what they read, get the target training split, the
+test EvalSet, the scenario id and the source params, so each task carries
+only its protocol and seeds. At any --jobs the pretrains and tasks run with
+numpy's OpenBLAS capped at one thread, which the workers inherit, unless
+the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules
+load only when a pool starts. A task's runs become its cells' rows, the
+ensembles' too, as encoded bytes in the process that ran it, so only those
+bytes reach this one. A task that fails as a whole, in making its rows too,
+fails each of its cells as FAILED rows made here. Results arrive in task
+order at every --jobs, and the tasks cover the trained cells in configured
+order, so each task's curves.csv rows stream into the file's temporary as
+the task returns and are not kept; each cell's summary.csv rows and error
+text are kept until summary.csv is written, after the last task. Each file
+is its header and then each cell's rows in configured order, so the output
+is byte-identical at every --jobs.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -258,9 +265,10 @@ def _source_key(scenario, spec: MlpSpec, pretrain: SgdConfig, seed: int) -> str:
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# what every cell of the run in progress reads: the scenario, _sources'
-# dict, the test EvalSet and sv_count its run_protocol call and rows take,
-# and ensembles; set by _run_tasks, and inherited by the pool workers it forks
+# what every cell of the run in progress reads: the target training split
+# and the scenario id, _sources' dict, the test EvalSet and sv_count its
+# run_protocol call and rows take, and ensembles; never the source split. Set
+# by _run_tasks, and inherited by the pool workers it forks
 _SHARED: dict = {}
 
 
@@ -271,11 +279,10 @@ def _cell(task):
     it; a fault of the task as a whole, in making its rows too, raises.
     Module-level so worker processes can run it."""
     protocol, seeds = task
-    scenario, sources, test = _SHARED["scenario"], _SHARED["sources"], _SHARED["test"]
-    k = _SHARED["sv_count"]
-    runs = run_protocol(scenario.target_train, test, k, [sources[s] for s in seeds],
+    sources, test, k = _SHARED["sources"], _SHARED["test"], _SHARED["sv_count"]
+    runs = run_protocol(_SHARED["target_train"], test, k, [sources[s] for s in seeds],
                         protocol, seeds)
-    return [_cell_rows(protocol, seed, run, scenario.scenario_id, sources[seed], test, k,
+    return [_cell_rows(protocol, seed, run, _SHARED["scenario_id"], sources[seed], test, k,
                        _SHARED["ensembles"]) for seed, run in zip(seeds, runs)]
 
 
@@ -296,12 +303,13 @@ def _one_blas_thread():
     return lambda: set_(before)
 
 
-def _run_tasks(tasks: list, jobs: int, shared: dict, take) -> list:
-    """take(task, result) of each task, in task order as its result (_cell's
-    rows, or the exception it raised) arrives, with `shared` as _SHARED; no
-    result is kept past its take. With more than one worker the tasks run in
-    forked processes, which inherit _SHARED and the BLAS thread count and
-    send back only the rows, else here, with no pool."""
+def _run_tasks(tasks: list, jobs: int, shared: dict):
+    """Yields (task, result) for each task, in task order as its result
+    (_cell's rows, or the exception it raised) arrives, with `shared` as
+    _SHARED until the last is taken; the caller keeps what it needs of each.
+    With more than one worker the tasks run in forked processes, which
+    inherit _SHARED and the BLAS thread count and send back only the rows,
+    else here, with no pool, each as the one before it has been taken."""
     def attempt(call, *args):
         try:
             return call(*args)
@@ -312,7 +320,9 @@ def _run_tasks(tasks: list, jobs: int, shared: dict, take) -> list:
     _SHARED.update(shared)
     try:
         if workers <= 1:  # none when every seed's pretrain diverged
-            return [take(t, attempt(_cell, t)) for t in tasks]
+            for t in tasks:
+                yield t, attempt(_cell, t)
+            return
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         # a fork-context pool forks all its workers at the first submit,
@@ -320,7 +330,8 @@ def _run_tasks(tasks: list, jobs: int, shared: dict, take) -> list:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
             futures = deque(pool.submit(_cell, t) for t in tasks)
-            return [take(t, attempt(futures.popleft().result)) for t in tasks]
+            for t in tasks:
+                yield t, attempt(futures.popleft().result)
     finally:
         _SHARED.clear()
 
@@ -344,7 +355,7 @@ def _sources(scenario, spec: MlpSpec, pretrain: SgdConfig, seeds: list, out_dir:
             save_checkpoint(sources[seed], ckpt, key)
         except DivergenceError as e:
             print(f"runtime failure: {e}", file=sys.stderr)
-            sources[seed] = e
+            sources[seed] = e.with_traceback(None)  # its frames hold the scenario
     return sources
 
 
@@ -405,46 +416,59 @@ def cmd_run(args) -> int:
     for proto in protocols:  # a protocol the model cannot run, before any work
         _check_model(proto.kind, spec)
     os.makedirs(out_dir, exist_ok=True)
-    # what an earlier run left; its checkpoints stay, guarded by their cache key
+    # what an earlier run left, and the temporaries of one cut while writing
+    # them; its checkpoints stay, guarded by their cache key
     for name in (*_SCHEMAS, "report.json"):
-        with suppress(FileNotFoundError):
-            os.unlink(os.path.join(out_dir, name))
+        path = os.path.join(out_dir, name)
+        for stale in (path, *glob.glob(glob.escape(path) + ".*.tmp")):
+            with suppress(FileNotFoundError):
+                os.unlink(stale)
 
     sv_count = min(cfg["k_spectrum"], len(scenario.target_test), spec.layer_widths[-2])
     test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
+    target_train, scenario_id = scenario.target_train, scenario.scenario_id
 
     def failed_rows(proto, seed, error):
-        return _cell_rows(proto, seed, error, scenario.scenario_id, None, test, sv_count,
+        return _cell_rows(proto, seed, error, scenario_id, None, test, sv_count,
                           cfg["ensembles"])
 
-    def take(task, result):  # a failed task fails each of its seeds
-        proto, seeds = task
-        if isinstance(result, Exception):
-            result = [failed_rows(proto, seed, result) for seed in seeds]
-        for seed, rows in zip(seeds, result):
-            cells[proto, seed] = rows
+    def header(name):
+        return (",".join(_columns(name, sv_count)) + "\n").encode()
+
+    def curves():
+        # curves.csv's header, then each task's curves rows as it returns.
+        # The tasks cover the trained cells in configured order, and a cell
+        # whose pretrain diverged has no curves rows, so this is that order
+        yield header("curves.csv")
+        for (proto, seeds), result in _run_tasks(tasks, flags["jobs"], shared):
+            if isinstance(result, Exception):  # a failed task fails each of its seeds
+                result = [failed_rows(proto, seed, result) for seed in seeds]
+            for seed, (curve, summary, error) in zip(seeds, result):
+                cells[proto, seed] = summary, error
+                yield curve
 
     restore = _one_blas_thread()  # for the pretrains and every cell, at any --jobs
     try:
         sources = _sources(scenario, spec, cfg["pretrain"], cfg["seeds"], out_dir)
+        del scenario  # and with it the source split, before any task
         trained = [seed for seed, src in sources.items() if not isinstance(src, Exception)]
         tasks = [(proto, tuple(group)) for proto in protocols
                  for group in proto.seed_groups(trained)]
-        # per (protocol, seed), in configured order: _cell_rows of its run or of
-        # the error it failed with. A seed whose pretrain diverged is in no task;
-        # a task's cells arrive as rows made where it ran
-        cells = {(proto, seed): failed_rows(proto, seed, src) if isinstance(src, Exception)
+        # per (protocol, seed), in configured order: the summary rows and error
+        # text of its run, or of the error it failed with. A seed whose pretrain
+        # diverged is in no task; a task's cells arrive as rows made where it ran
+        cells = {(proto, seed): failed_rows(proto, seed, src)[1:] if isinstance(src, Exception)
                  else None for proto in protocols for seed, src in sources.items()}
-        shared = {"scenario": scenario, "sources": sources, "test": test, "sv_count": sv_count,
+        shared = {"target_train": target_train, "scenario_id": scenario_id,
+                  "sources": sources, "test": test, "sv_count": sv_count,
                   "ensembles": cfg["ensembles"]}
-        _run_tasks(tasks, flags["jobs"], shared, take)
+        write_file(os.path.join(out_dir, "curves.csv"), curves())
     finally:
         restore()
-    for part, name in enumerate(_SCHEMAS):
-        header = (",".join(_columns(name, sv_count)) + "\n").encode()
-        write_file(os.path.join(out_dir, name), header, *(c[part] for c in cells.values()))
+    write_file(os.path.join(out_dir, "summary.csv"),
+               [header("summary.csv"), *(summary for summary, _ in cells.values())])
 
-    failed = [(cell, c[2]) for cell, c in cells.items() if c[2] is not None]
+    failed = [(cell, error) for cell, (_, error) in cells.items() if error is not None]
     for (proto, seed), err in failed:
         print(f"FAILED {proto.kind} seed={seed}: {err}", file=sys.stderr)
     print(f"{len(cells) - len(failed)}/{len(cells)} runs completed -> {out_dir}/summary.csv")
@@ -555,7 +579,7 @@ def cmd_report(args) -> int:
               # strict UTF-8 round-trips, so these are the bytes read
               "summary_sha256": hashlib.sha256(text.encode()).hexdigest()}
     out_path = os.path.join(args.results_dir, "report.json")
-    write_file(out_path, json.dumps(report, indent=2, sort_keys=True).encode())
+    write_file(out_path, [json.dumps(report, indent=2, sort_keys=True).encode()])
 
     width = max(len(n) for n in table) + 2
     print("protocol".ljust(width) + "".join(m.rjust(15) for m in METRICS))

@@ -56,7 +56,7 @@ import re
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -155,6 +155,8 @@ class HTScenario:
         if not 0 < seen.size < C:
             raise ValueError(f"seen = {listed} is not a proper nonempty subset of the "
                              f"{C} classes")
+        if not len(self.target_train):
+            raise ValueError("count_target_train = 0 leaves no rows to adapt on")
         # isin's table method: its sort method imports numpy.ma
         trained = self.target_train.classes_present()
         leaked = trained[~np.isin(trained, seen, kind="table")]
@@ -346,15 +348,18 @@ def gen_paired_toxicity_scenario(spec: PairedSpec) -> HTScenario:
 
 # ------------------------------------------------------- file and IDX I/O
 
-def write_file(path: str, *chunks: bytes):
+def write_file(path: str, chunks: Iterable[bytes]):
     """The `chunks`, in order and one write each, written beside `path` and
-    renamed over it: a cut write leaves `path` as it was. The chunks are
-    never joined, so no copy of the whole file is made."""
+    renamed over it once the last is in: a cut write leaves `path` as it was.
+    Each chunk is taken from the iterable and flushed to the temporary as it
+    comes, and the chunks are never joined, so a caller that yields them as
+    they are made never holds the whole file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
+                f.flush()
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -434,15 +439,15 @@ def write_idx_labels(path: str, labels: np.ndarray):
     labels = np.asarray(labels)
     if labels.size and labels.max() > 255:
         raise ValueError("IDX labels must fit in u8")
-    write_file(path, struct.pack(">ii", IDX_LABELS_MAGIC, len(labels)),
-               labels.astype(np.uint8).tobytes())
+    write_file(path, [struct.pack(">ii", IDX_LABELS_MAGIC, len(labels)),
+                      labels.astype(np.uint8).tobytes()])
 
 
 # -------------------------------------------------------- f64 container I/O
 
 def write_f64(path: str, X: np.ndarray):
     X = np.ascontiguousarray(X, dtype=np.float64)
-    write_file(path, F64_MAGIC + struct.pack("<II", *X.shape), X.astype("<f8").tobytes())
+    write_file(path, [F64_MAGIC + struct.pack("<II", *X.shape), X.astype("<f8").tobytes()])
 
 
 def read_f64(path: str) -> np.ndarray:
@@ -484,7 +489,7 @@ def save_scenario(scenario: HTScenario, out_dir: str, force: bool = False):
         write_f64(os.path.join(out_dir, f"{name}_x.f64"), ds.X)
     if scenario.toxicity is not None:
         lines.append(f"toxic_pairs = {scenario.toxicity}")
-    write_file(meta, ("\n".join(lines) + "\n").encode())
+    write_file(meta, [("\n".join(lines) + "\n").encode()])
 
 
 def load_scenario(in_dir: str) -> HTScenario:

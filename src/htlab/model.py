@@ -467,7 +467,7 @@ def _header(key: str) -> bytes:
 def save_checkpoint(params: ModelParams, path: str, key: str):
     """Write `params` as a checkpoint under the cache `key` (see the module
     docstring), through write_file."""
-    write_file(path, _header(key), np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
+    write_file(path, [_header(key), np.ascontiguousarray(params.flat, dtype="<f8").tobytes()])
 
 
 def load_checkpoint(path: str, spec: MlpSpec, key: str) -> ModelParams:

@@ -3,7 +3,9 @@ adaptation recipe, and post-hoc ensembles with the source model.
 
 Protocols never see the source dataset: run_protocol gets only the target
 training split, the test EvalSet and the frozen source parameters, so the
-source-data-free constraint is structural. Distillation targets always
+source-data-free constraint is structural. pretrain_source alone reads the
+source split, and `htlab run` frees it once the sources exist, before any
+protocol runs. Distillation targets always
 come from the original source parameters, never intermediate checkpoints.
 
 Every protocol name maps to a preset (_PRESETS): training phases with

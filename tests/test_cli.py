@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import htlab
 import htlab.cli as cli
 from htlab.cli import build_scenario, load_config, main
-from htlab.data import SyntheticSpec, load_scenario
+from htlab.data import SyntheticSpec, load_scenario, write_f64, write_idx_labels
 from htlab.losses import LossSpec
 from htlab.metrics import METRICS, EvalReport
 from htlab.model import MlpSpec, ModelParams
@@ -273,6 +273,23 @@ def test_run_rejects_an_import_whose_meta_disagrees_naming_the_key(tmp_path, cap
     assert not os.path.exists(out)
 
 
+def test_run_rejects_an_import_with_no_target_training_rows(tmp_path, capsys):
+    # a `htlab gen` directory whose target_train files and count say 0 rows
+    # agree with each other, but leave nothing to adapt on: it is refused as
+    # it loads, before any source is pretrained
+    scn, out = str(tmp_path / "scn"), str(tmp_path / "out")
+    assert main(["gen", "--classes", "5", "--seen", "3", "--dim", "6", "--out", scn]) == 0
+    meta = os.path.join(scn, "meta")
+    write_f64(os.path.join(scn, "target_train_x.f64"), np.zeros((0, 6)))
+    write_idx_labels(os.path.join(scn, "target_train_y.idx"), np.zeros(0, dtype=np.uint8))
+    [count] = re.findall(r"^count_target_train = \d+$", _read(meta).decode(), re.M)
+    _edit(meta, count, "count_target_train = 0")
+    capsys.readouterr()
+    assert main(["run", "--config", _import_config(tmp_path, scn, out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {meta}: count_target_train = 0 ")
+    assert not os.path.exists(out)
+
+
 # ------------------------------------------------------------ run
 
 def test_run_row_bookkeeping(tmp_path):
@@ -317,6 +334,26 @@ def test_run_removes_the_outputs_an_earlier_run_left(tmp_path, capsys):
     assert {path: (_read(path), os.stat(path).st_mtime_ns) for path in ckpts} == before
 
 
+def test_a_run_removes_the_temporaries_a_killed_run_left(tmp_path):
+    # a run killed while writing an output leaves <name>.<pid>.tmp beside it;
+    # a valid run removes those of its outputs, and an invalid one touches
+    # nothing, as it leaves the outputs themselves
+    cfg, out = _write_config(tmp_path, seeds="0")
+    os.makedirs(out)
+    stale = [os.path.join(out, f"{name}.{pid}.tmp")
+             for name, pid in (("curves.csv", 7), ("summary.csv", 8), ("report.json", 9))]
+    other = os.path.join(out, "notes.txt.7.tmp")  # not an output of the run
+    for path in (*stale, other):
+        with open(path, "wb") as f:
+            f.write(b"cut")
+    _edit(cfg, "k_spectrum = 6", "k_spectrum = 0")
+    assert main(["run", "--config", cfg]) == 1
+    assert sorted(glob.glob(os.path.join(out, "*.tmp"))) == sorted([*stale, other])
+    _edit(cfg, "k_spectrum = 0", "k_spectrum = 6")
+    assert main(["run", "--config", cfg]) == 0
+    assert glob.glob(os.path.join(out, "*.tmp")) == [other]
+
+
 class _CutShort:
     """A file whose write writes the first half of what it is given, then
     raises as a full disk would."""
@@ -356,11 +393,11 @@ def test_a_cut_short_csv_write_leaves_no_cut_file_and_no_temporary(tmp_path, mon
     assert not os.path.exists(path)
     assert glob.glob(os.path.join(out, "*.tmp")) == []
     # a cut write leaves the file it was to replace whole
-    cli.write_file(path, old)
+    cli.write_file(path, [old])
     with monkeypatch.context() as m:
         m.setattr("builtins.open", cut_curves_open)
         with pytest.raises(OSError, match="No space left"):
-            cli.write_file(path, old.replace(b"naive_ft", b"frozen_ft"))
+            cli.write_file(path, [old.replace(b"naive_ft", b"frozen_ft")])
     assert _read(path) == old
     assert glob.glob(os.path.join(out, "*.tmp")) == []
 
@@ -603,6 +640,92 @@ def test_a_jobs_1_run_lets_each_task_s_runs_go_before_the_next_task(tmp_path,
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_no_task_runs_while_the_source_split_is_held(tmp_path, monkeypatch, jobs):
+    # once the sources exist nothing the run keeps reaches the source split,
+    # a diverged pretrain's error included: not this process, nor the
+    # workers it forks, which inherit the patches and log from there
+    cfg, _ = _write_config(tmp_path, names="source_only,naive_ft", seeds="0,1")
+    build, pretrain, run_protocol = cli.build_scenario, cli.pretrain_source, cli.run_protocol
+    log, refs = tmp_path / "alive", []
+
+    def built(scn):
+        scenario = build(scn)
+        refs.append(weakref.ref(scenario.source_train.X))
+        return scenario
+
+    def diverge_seed_0(scenario, spec, pre_cfg, rng):
+        if rng.seed == 0:
+            raise DivergenceError("pretrain", 3, "backbone")
+        return pretrain(scenario, spec, pre_cfg, rng)
+
+    def watched(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{refs[0]() is not None}\n")
+        return run_protocol(*args, **kwargs)
+
+    for name, fn in (("build_scenario", built), ("pretrain_source", diverge_seed_0),
+                     ("run_protocol", watched)):
+        monkeypatch.setattr(cli, name, fn)
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 2  # seed 0's cells fail
+    assert log.read_text().splitlines() == ["False", "False"]
+
+
+# the tasks of _LOL_ENSEMBLE_GRID, in order, as (protocol, seeds)
+_LOL_ENSEMBLE_TASKS = [("source_only", "01"), ("naive_ft", "01"), ("lolsgd", "0"),
+                       ("lolsgd", "1")]
+
+
+def test_each_task_s_curves_rows_are_written_before_the_next_task_starts(tmp_path,
+                                                                         monkeypatch):
+    # at --jobs 1 each task's curves rows reach the temporary as it returns,
+    # so the run never holds the whole file; it gets its name once whole
+    cfg, out = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
+    run_protocol, written = cli.run_protocol, []
+
+    def watched(*args, **kwargs):
+        [tmp] = glob.glob(os.path.join(out, "curves.csv.*.tmp"))
+        written.append(_read(tmp))
+        assert not os.path.exists(os.path.join(out, "curves.csv"))
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", watched)
+    assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+    lines = _read(os.path.join(out, "curves.csv")).decode().splitlines(keepends=True)
+    assert len(written) == len(_LOL_ENSEMBLE_TASKS)
+    for i, got in enumerate(written):
+        done = {(proto, seed) for proto, seeds in _LOL_ENSEMBLE_TASKS[:i] for seed in seeds}
+        assert got.decode() == "".join(
+            [lines[0], *(ln for ln in lines[1:] if tuple(ln.split(",")[1:3]) in done)])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_fault_of_the_run_s_own_process_mid_grid_leaves_no_results(tmp_path, capsys,
+                                                                    monkeypatch, jobs):
+    # naive_ft's task fails as a whole, after source_only's rows are written,
+    # and making its FAILED rows, in this process, raises: the run exits 2
+    # with neither CSV under its name, nor a temporary
+    cfg, out = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
+    run_protocol, cell_rows = cli.run_protocol, cli._cell_rows
+
+    def naive_ft_fails(target_train, test, k, sources, protocol, seeds):
+        if protocol.kind == "naive_ft":
+            raise RuntimeError("naive_ft broke")
+        return run_protocol(target_train, test, k, sources, protocol, seeds)
+
+    def rows(proto, seed, run, *args):
+        if str(run) == "naive_ft broke":
+            raise RuntimeError("the rows broke")
+        return cell_rows(proto, seed, run, *args)
+
+    monkeypatch.setattr(cli, "run_protocol", naive_ft_fails)
+    monkeypatch.setattr(cli, "_cell_rows", rows)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 2
+    assert "runtime failure: the rows broke" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["source_seed0.ckpt", "source_seed1.ckpt"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_the_ensemble_rows_are_made_in_the_process_that_ran_the_task(tmp_path, monkeypatch,
                                                                      jobs):
     # forked workers inherit the patches, so a call made in one is logged too
@@ -634,15 +757,14 @@ def test_the_ensemble_rows_are_made_in_the_process_that_ran_the_task(tmp_path, m
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_only_each_cell_s_row_bytes_and_error_text_leave_its_task(tmp_path, monkeypatch, jobs):
-    # at --jobs 2 what take gets is what came back through the pool
+    # at --jobs 2 what _run_tasks yields is what came back through the pool
     cfg, _ = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
     run_tasks, taken = cli._run_tasks, []
 
-    def watched(tasks, jobs, shared, take):
-        def keep(task, result):
+    def watched(tasks, jobs, shared):
+        for task, result in run_tasks(tasks, jobs, shared):
             taken.append((task, result))
-            return take(task, result)
-        return run_tasks(tasks, jobs, shared, keep)
+            yield task, result
 
     monkeypatch.setattr(cli, "_run_tasks", watched)
     assert main(["run", "--config", cfg, "--jobs", jobs]) == 0

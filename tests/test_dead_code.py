@@ -26,9 +26,13 @@ protocol's seeds into the stacks run_protocol trains, is called from
 cli.cmd_run alone. It describes each run input once: the test set's
 `EvalSet` is built in cli.cmd_run alone, and `[scenario]` is resolved
 (_resolve_scenario) in cli.load_config and, for `htlab gen`'s flags, in
-cli.cmd_gen alone. And it has one file writer: the only `open` call with a
-mode that writes (`w`, `a`, `x` or `+`, or a mode that is not a literal)
-is data.write_file's, which writes beside the name and renames. It has one
+cli.cmd_gen alone. It is source-data-free past the pretrains: the source
+split, as an attribute, is read by transfer.pretrain_source, cli._source_key
+and cli.cmd_gen's summary line alone, and named as a string only in data,
+whose build, save and load code takes the splits by name. And it has one
+file writer: the only `open` call with a mode that writes (`w`, `a`, `x`
+or `+`, or a mode that is not a literal) is data.write_file's, which
+writes beside the name and renames. It has one
 results codec: the 17-significant-digit format of the CSVs' float cells is
 spelled once, in cli._cell_rows, which both files' rows go through.
 """
@@ -199,6 +203,23 @@ def test_each_command_resolves_its_scenario_once():
     # would read the [scenario] texts a second time
     assert callers(_named_calls("_resolve_scenario")) == {
         "_resolve_scenario": ["cli.load_config", "cli.cmd_gen"]}
+
+
+def _attribute_reads(attr: str):
+    """The `calls` of callers that lists `attr` once per attribute of that
+    name read under a node."""
+    return lambda node: [attr for n in ast.walk(node)
+                         if isinstance(n, ast.Attribute) and n.attr == attr]
+
+
+def test_only_the_pretrain_reads_the_source_split():
+    # adaptation sees only the target data; a reader past the pretrains
+    # would keep the source split alive through every cell
+    assert callers(_attribute_reads("source_train")) == {
+        "source_train": ["cli._source_key", "cli.cmd_gen", "transfer.pretrain_source"]}
+    named = {module for module, tree in _trees(SRC).items() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "source_train"}
+    assert named == {"data"}
 
 
 def _write_opens(node) -> list:

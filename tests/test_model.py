@@ -608,6 +608,9 @@ def test_checkpoint_save_cut_short_keeps_the_old_file(tmp_path, monkeypatch):
             self._writes += 1
             return self._f.write(data)
 
+        def flush(self):
+            return self._f.flush()
+
         def __enter__(self):
             return self
 
