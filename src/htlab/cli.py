@@ -54,26 +54,28 @@ the curves.csv, summary.csv and report.json an earlier run left, and the
 A task is a protocol and the seeds that train together as one stack, one
 run_protocol call, at any --jobs (transfer.Protocol.seed_groups): all the
 seeds of a protocol, bn_stats_only's included, or one seed of a leave-out
-protocol. A seed whose pretrain diverged is in no task; a seed that fails
-in a task leaves its stack-mates' rows as they would be without it. With
---jobs N the tasks run in min(N, tasks) worker processes forked from this
-one, or in this one when that is 1. Once the sources exist the scenario is
-dropped, and the source split with it, before any task: the tasks, and the
-workers, which inherit what they read, get the target training split, the
-test EvalSet, the scenario id and the source params, so each task carries
-only its protocol and seeds. At any --jobs the pretrains and tasks run with
-numpy's OpenBLAS capped at one thread, which the workers inherit, unless
-the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules
-load only when a pool starts. A task's runs become its cells' rows, the
-ensembles' too, as encoded bytes in the process that ran it, so only those
-bytes reach this one. A task that fails as a whole, in making its rows too,
-fails each of its cells as FAILED rows made here. Results arrive in task
-order at every --jobs, and the tasks cover the trained cells in configured
-order, so each task's curves.csv rows stream into the file's temporary as
-the task returns and are not kept; each cell's summary.csv rows and error
-text are kept until summary.csv is written, after the last task. Each file
-is its header and then each cell's rows in configured order, so the output
-is byte-identical at every --jobs.
+protocol. A seed whose pretrain diverged stays in its task but out of its
+stack, and fails with its pretrain's error; a seed that fails in a task
+leaves its stack-mates' rows as they would be without it. With --jobs N the
+tasks run in min(N, tasks) worker processes forked from this one, or in this
+one when that is 1. Once the sources exist the scenario is dropped, and the
+source split with it, before any task: the tasks, and the workers, which
+inherit what they read, get the target training split, the test EvalSet,
+the scenario id and the source params, so each task carries only its
+protocol and seeds. At any --jobs the pretrains and tasks run with numpy's
+OpenBLAS capped at one thread, which the workers inherit, unless the caller
+set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; the pool's modules load only
+when a pool starts. Every row of a cell, FAILED ones too, is made as encoded
+bytes in the process that ran its task (_cell), so only those bytes and
+error text reach this one. A task that fails as a whole fails each of its
+cells; a fault in making those FAILED rows, or one of this process or of a
+worker's, fails the run (exit 2), and the tasks not yet started never run.
+Results arrive in task order at every --jobs, and the tasks cover the
+grid's cells in configured order, so each task's curves.csv rows stream
+into the file's temporary as the task returns and are not kept; each
+cell's summary.csv rows and error text are kept until summary.csv is
+written, after the last task. Each file is its header and then each cell's
+rows in configured order, so the output is byte-identical at every --jobs.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ import hashlib
 import json
 import os
 import sys
-from collections import deque
 from contextlib import suppress
 from dataclasses import fields
 
@@ -274,16 +275,26 @@ _SHARED: dict = {}
 
 def _cell(task):
     """The cells of one task, a protocol and the seeds it covers, over the
-    _SHARED state: per seed, _cell_rows of its run or of the exception it
-    failed with, so only bytes and error text leave the process that ran
-    it; a fault of the task as a whole, in making its rows too, raises.
-    Module-level so worker processes can run it."""
+    _SHARED state: per seed, _cell_rows of its run, of the error it failed
+    with, of its pretrain's DivergenceError (it trains in no stack), or of
+    a fault of the task as a whole, in making its rows too. So only bytes
+    and error text leave the process that ran it; a fault in making FAILED
+    rows raises. Module-level so worker processes can run it."""
     protocol, seeds = task
     sources, test, k = _SHARED["sources"], _SHARED["test"], _SHARED["sv_count"]
-    runs = run_protocol(_SHARED["target_train"], test, k, [sources[s] for s in seeds],
-                        protocol, seeds)
-    return [_cell_rows(protocol, seed, run, _SHARED["scenario_id"], sources[seed], test, k,
-                       _SHARED["ensembles"]) for seed, run in zip(seeds, runs)]
+    trained = [seed for seed in seeds if not isinstance(sources[seed], Exception)]
+
+    def rows(results):
+        return [_cell_rows(protocol, seed, result, _SHARED["scenario_id"], sources[seed], test,
+                           k, _SHARED["ensembles"]) for seed, result in zip(seeds, results)]
+
+    try:
+        runs = dict(zip(trained, run_protocol(_SHARED["target_train"], test, k,
+                                              [sources[s] for s in trained], protocol, trained)
+                        if trained else ()))
+        return rows([runs.get(seed, sources[seed]) for seed in seeds])
+    except Exception as e:  # noqa: BLE001 - cell isolation
+        return rows([e if seed in trained else sources[seed] for seed in seeds])
 
 
 def _one_blas_thread():
@@ -304,34 +315,29 @@ def _one_blas_thread():
 
 
 def _run_tasks(tasks: list, jobs: int, shared: dict):
-    """Yields (task, result) for each task, in task order as its result
-    (_cell's rows, or the exception it raised) arrives, with `shared` as
-    _SHARED until the last is taken; the caller keeps what it needs of each.
-    With more than one worker the tasks run in forked processes, which
-    inherit _SHARED and the BLAS thread count and send back only the rows,
-    else here, with no pool, each as the one before it has been taken."""
-    def attempt(call, *args):
-        try:
-            return call(*args)
-        except Exception as e:  # noqa: BLE001 - cell isolation
-            return e
-
+    """Yields (task, _cell(task)) for each task, in task order as it
+    arrives, with `shared` as _SHARED until the last is taken; the caller
+    keeps what it needs of each. With more than one worker the tasks run in
+    forked processes, which inherit _SHARED and the BLAS thread count and
+    send back only the rows, and a fault stops the pool, cancelling the
+    tasks not yet started; else here, with no pool, each as the one before
+    it has been taken."""
     workers = min(jobs, len(tasks))
     _SHARED.update(shared)
     try:
-        if workers <= 1:  # none when every seed's pretrain diverged
-            for t in tasks:
-                yield t, attempt(_cell, t)
+        if workers <= 1:
+            yield from zip(tasks, map(_cell, tasks))
             return
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         # a fork-context pool forks all its workers at the first submit,
         # before it starts a thread of its own
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = deque(pool.submit(_cell, t) for t in tasks)
-            for t in tasks:
-                yield t, attempt(futures.popleft().result)
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=multiprocessing.get_context("fork"))
+        try:
+            yield from zip(tasks, pool.map(_cell, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
         _SHARED.clear()
 
@@ -428,37 +434,25 @@ def cmd_run(args) -> int:
     test = EvalSet(scenario.target_test, scenario.seen_mask, scenario.toxicity)
     target_train, scenario_id = scenario.target_train, scenario.scenario_id
 
-    def failed_rows(proto, seed, error):
-        return _cell_rows(proto, seed, error, scenario_id, None, test, sv_count,
-                          cfg["ensembles"])
-
     def header(name):
         return (",".join(_columns(name, sv_count)) + "\n").encode()
 
     def curves():
-        # curves.csv's header, then each task's curves rows as it returns.
-        # The tasks cover the trained cells in configured order, and a cell
-        # whose pretrain diverged has no curves rows, so this is that order
+        # curves.csv's header, then each task's curves rows as it returns;
+        # the tasks cover the grid's cells in configured order
         yield header("curves.csv")
         for (proto, seeds), result in _run_tasks(tasks, flags["jobs"], shared):
-            if isinstance(result, Exception):  # a failed task fails each of its seeds
-                result = [failed_rows(proto, seed, result) for seed in seeds]
             for seed, (curve, summary, error) in zip(seeds, result):
-                cells[proto, seed] = summary, error
+                cells.append(((proto, seed), (summary, error)))
                 yield curve
 
     restore = _one_blas_thread()  # for the pretrains and every cell, at any --jobs
     try:
         sources = _sources(scenario, spec, cfg["pretrain"], cfg["seeds"], out_dir)
         del scenario  # and with it the source split, before any task
-        trained = [seed for seed, src in sources.items() if not isinstance(src, Exception)]
         tasks = [(proto, tuple(group)) for proto in protocols
-                 for group in proto.seed_groups(trained)]
-        # per (protocol, seed), in configured order: the summary rows and error
-        # text of its run, or of the error it failed with. A seed whose pretrain
-        # diverged is in no task; a task's cells arrive as rows made where it ran
-        cells = {(proto, seed): failed_rows(proto, seed, src)[1:] if isinstance(src, Exception)
-                 else None for proto in protocols for seed, src in sources.items()}
+                 for group in proto.seed_groups(cfg["seeds"])]
+        cells = []  # ((protocol, seed), (its summary rows, its error text)), in configured order
         shared = {"target_train": target_train, "scenario_id": scenario_id,
                   "sources": sources, "test": test, "sv_count": sv_count,
                   "ensembles": cfg["ensembles"]}
@@ -466,9 +460,9 @@ def cmd_run(args) -> int:
     finally:
         restore()
     write_file(os.path.join(out_dir, "summary.csv"),
-               [header("summary.csv"), *(summary for summary, _ in cells.values())])
+               [header("summary.csv"), *(summary for _, (summary, _) in cells)])
 
-    failed = [(cell, error) for cell, (_, error) in cells.items() if error is not None]
+    failed = [(cell, error) for cell, (_, error) in cells if error is not None]
     for (proto, seed), err in failed:
         print(f"FAILED {proto.kind} seed={seed}: {err}", file=sys.stderr)
     print(f"{len(cells) - len(failed)}/{len(cells)} runs completed -> {out_dir}/summary.csv")

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -725,6 +726,122 @@ def test_a_fault_of_the_run_s_own_process_mid_grid_leaves_no_results(tmp_path, c
     assert sorted(os.listdir(out)) == ["source_seed0.ckpt", "source_seed1.ckpt"]
 
 
+def test_a_worker_that_dies_mid_task_fails_the_run_with_no_results(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a worker killed in naive_ft's task breaks the pool: the run exits 2 as
+    # for a fault of its own process, with neither CSV under its name, nor a
+    # temporary, and no cell reported FAILED, the ones that never ran included
+    cfg, out = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
+    run_protocol, parent = cli.run_protocol, os.getpid()
+
+    def naive_ft_dies(target_train, test, k, sources, protocol, seeds):
+        if protocol.kind == "naive_ft" and os.getpid() != parent:
+            os._exit(1)
+        return run_protocol(target_train, test, k, sources, protocol, seeds)
+
+    monkeypatch.setattr(cli, "run_protocol", naive_ft_dies)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "runtime failure: A process in the process pool was terminated abruptly" in err
+    assert "FAILED" not in err
+    assert sorted(os.listdir(out)) == ["source_seed0.ckpt", "source_seed1.ckpt"]
+
+
+class _TwoPartError(Exception):
+    """An error whose class cannot be rebuilt from its args, as unpickling
+    rebuilds an exception."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def test_a_task_error_that_cannot_be_unpickled_fails_only_its_cells(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a task's FAILED rows are made where it ran, so its error never crosses
+    # a process boundary: --jobs 2 writes the bytes of --jobs 1, 4 of 6 ok
+    cfg, _ = _write_config(tmp_path, **_LOL_ENSEMBLE_GRID)
+    run_protocol, pretrain, run_tasks = cli.run_protocol, cli.pretrain_source, cli._run_tasks
+    taken = {}
+
+    def naive_ft_fails(target_train, test, k, sources, protocol, seeds):
+        if protocol.kind == "naive_ft":
+            raise _TwoPartError("naive_ft", "broke")
+        return run_protocol(target_train, test, k, sources, protocol, seeds)
+
+    def watched(tasks, jobs, shared):
+        for (proto, seeds), result in run_tasks(tasks, jobs, shared):
+            taken.update(((proto.kind, seed), cell) for seed, cell in zip(seeds, result))
+            yield (proto, seeds), result
+
+    def taken_errors():
+        for cell in taken.values():
+            assert type(cell) is tuple and [type(c) for c in cell[:2]] == [bytes, bytes]
+            assert cell[2] is None or type(cell[2]) is str and cell[0] == b""
+        return {name: cell[2] for name, cell in taken.items() if cell[2] is not None}
+
+    monkeypatch.setattr(cli, "run_protocol", naive_ft_fails)
+    monkeypatch.setattr(cli, "_run_tasks", watched)
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"jobs{jobs}")
+        capsys.readouterr()
+        taken.clear()
+        assert main(["run", "--config", cfg, "--out", out, "--jobs", jobs]) == 2
+        assert "4/6 runs completed" in capsys.readouterr().out
+        outputs[jobs] = [_read(os.path.join(out, name)) for name in ("curves.csv", "summary.csv")]
+    assert outputs["2"] == outputs["1"]
+    assert taken_errors() == {("naive_ft", seed): "naive_ft: broke" for seed in (0, 1)}
+
+    # seed 1's pretrain diverges: its cells come back from its tasks too,
+    # made from its pretrain's error, while seed 0 trains alone
+    def diverge_seed_1(scenario, spec, pre_cfg, rng):
+        if rng.seed == 1:
+            raise DivergenceError("pretrain", 3, "backbone")
+        return pretrain(scenario, spec, pre_cfg, rng)
+
+    monkeypatch.setattr(cli, "pretrain_source", diverge_seed_1)
+    taken.clear()
+    out = str(tmp_path / "diverged")
+    assert main(["run", "--config", cfg, "--out", out, "--jobs", "2"]) == 2
+    diverged = "pretrain diverged at epoch 3: non-finite backbone"
+    assert len(taken) == 6 and taken_errors() == {
+        ("source_only", 1): diverged, ("naive_ft", 0): "naive_ft: broke",
+        ("naive_ft", 1): diverged, ("lolsgd", 1): diverged}
+
+
+def test_a_fault_of_the_run_s_own_process_starts_no_more_tasks(tmp_path, capsys, monkeypatch):
+    # naive_ft's task, the first, fails as a whole, and making its FAILED rows
+    # raises: the run exits 2 and the pool runs none of the 12 lolsgd tasks
+    # it has not yet started. Forked workers inherit the patches, so a
+    # lolsgd call made in one is logged too
+    cfg, _ = _write_config(tmp_path, names="naive_ft,lolsgd", seeds=",".join(map(str, range(12))),
+                           extra="\n[lol]\nleave_k = 1\n")
+    run_protocol, cell_rows, log = cli.run_protocol, cli._cell_rows, tmp_path / "lolsgd"
+
+    def fails_or_sleeps(target_train, test, k, sources, protocol, seeds):
+        if protocol.kind == "naive_ft":
+            raise RuntimeError("naive_ft broke")
+        with open(log, "a") as f:
+            f.write(f"{seeds}\n")
+        time.sleep(0.3)
+        return run_protocol(target_train, test, k, sources, protocol, seeds)
+
+    def rows(proto, seed, run, *args):
+        if str(run) == "naive_ft broke":
+            raise RuntimeError("the rows broke")
+        return cell_rows(proto, seed, run, *args)
+
+    monkeypatch.setattr(cli, "run_protocol", fails_or_sleeps)
+    monkeypatch.setattr(cli, "_cell_rows", rows)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--jobs", "2"]) == 2
+    assert "runtime failure: the rows broke" in capsys.readouterr().err
+    # the tasks already in the pool's call queue, workers + 1, may still run
+    calls = log.read_text().splitlines() if log.exists() else []
+    assert len(calls) < 12
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_the_ensemble_rows_are_made_in_the_process_that_ran_the_task(tmp_path, monkeypatch,
                                                                      jobs):
@@ -853,7 +970,8 @@ def test_run_diverged_pretrain_prints_no_numpy_warnings(tmp_path):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_diverged_pretrain_fails_only_its_seed(tmp_path, capsys, monkeypatch, jobs):
-    # the seed is left out of every task, so no worker sees its error
+    # the seed stays in its tasks but trains in no stack: each task makes
+    # its FAILED rows from its pretrain's error
     cfg, out = _write_config(tmp_path, names="source_only,naive_ft", seeds="0,1")
     pretrain = cli.pretrain_source
 

@@ -34,7 +34,9 @@ file writer: the only `open` call with a mode that writes (`w`, `a`, `x`
 or `+`, or a mode that is not a literal) is data.write_file's, which
 writes beside the name and renames. It has one
 results codec: the 17-significant-digit format of the CSVs' float cells is
-spelled once, in cli._cell_rows, which both files' rows go through.
+spelled once, in cli._cell_rows, which both files' rows go through. And
+one function makes a cell's rows: cli._cell alone calls cli._cell_rows, for
+a run, a failed one, a diverged pretrain or a task that failed as a whole.
 """
 
 import ast
@@ -190,6 +192,12 @@ def test_one_function_applies_the_task_rule():
     # run_protocol trains the seeds it is given as one stack; a second
     # caller of seed_groups would group them a second time
     assert callers(_named_calls("seed_groups")) == {"seed_groups": ["cli.cmd_run"]}
+
+
+def test_one_function_makes_a_cell_s_rows():
+    # _cell makes them where the task ran, FAILED ones too; a second caller
+    # would make rows in a second process, from an error carried there
+    assert callers(_named_calls("_cell_rows")) == {"_cell_rows": ["cli._cell"]}
 
 
 def test_one_function_builds_the_test_set():
