@@ -22,7 +22,8 @@ PairedSpec ([scenario], by kind), SgdConfig, LolConfig, LossSpec or SwaConfig
 ASCII digits, `-` the only sign, so `1_0`, `+2` or a non-ASCII digit does
 not. A value is read as written, with no `%` interpolation. The config, like a
 scenario's meta and summary.csv, is read by data.read_text, so one that is
-missing, a directory or not UTF-8 exits 1 naming it. The HTLAB_SEED
+missing, a directory or not UTF-8 exits 1 naming it; so does an output
+directory that cannot be made, by the flag or key that set it. The HTLAB_SEED
 environment variable (comma-separated integers) overrides the configured seed
 list, and is reported as `HTLAB_SEED = value <bound>`.
 
@@ -231,7 +232,7 @@ def load_config(path: str) -> dict:
     bases = {"pretrain": sgd, "lol": LolConfig(), "loss": LossSpec(),
              "swa": SwaConfig(start_epoch=sgd.epochs // 2)}
     return {"scenario": _resolve_scenario(cp["scenario"]), "model": model,
-            "protocol_names": names, **run, "seeds": seeds, "sgd": sgd,
+            "protocol_names": names, **run, "seeds": seeds, "seeds_from": seeds_from, "sgd": sgd,
             **{section: load(section, base) for section, base in bases.items()}}
 
 
@@ -398,6 +399,16 @@ def _cell_rows(proto, seed, run, scenario_id, source, test: EvalSet, k: int, ens
     return curves.encode(), summary.encode(), None
 
 
+def _make_dir(path: str, name: str):
+    """Make the directory `path`, named `name` by the flag or key that set
+    it, unless it exists. One that cannot be made raises a ValueError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ValueError(f"{name} = {path!r} cannot be made a directory: "
+                         f"{e.strerror or e}") from None
+
+
 def cmd_run(args) -> int:
     given = {key: v for key, v in (("jobs", args.jobs), ("out", args.out)) if v is not None}
     flags = _read("run", given, {"jobs": (1, _COUNT), "out": _RUN_KEYS["output_dir"]},
@@ -413,15 +424,25 @@ def cmd_run(args) -> int:
                    use_batchnorm=cfg["model"]["batchnorm"],
                    use_in_adapter=cfg["model"]["in_adapter"])
     n_classes = scenario.target_train.classes_present().size
+    # the arrays the run allocates past the model, each held to the cap;
+    # width is one run's buffer
+    width, rows = _Layout.of(spec).size, len(scenario.target_test)
+    _check("[model] hidden", cfg["model"]["hidden"], (
+        lambda v: rows * max(v) <= _MAX_VALUES and v[-1] ** 2 <= _MAX_VALUES, (
+            f"must keep the eval forward's ({rows} target_test rows, widest layer) activations "
+            "and its features' (last, last) Gram within 2**27 float64 values")))
+    if not all(p.local_sgd for p in protocols):
+        _check(cfg["seeds_from"], len(cfg["seeds"]), (lambda v: v * width <= _MAX_VALUES, (
+            f"seeds must keep the (seeds, {width}) stack of the protocols other than the "
+            "leave-out ones within 2**27 float64 values")))
     if any(p.local_sgd for p in protocols):
         _check("[lol] leave_k", cfg["lol"].leave_k, (lambda v: v < n_classes, (
             f"must be below the {n_classes} classes of the target training split")))
-        width = _Layout.of(spec).size  # a round stacks (subsets, width) run buffers
         _check("[lol] subsets", cfg["lol"].subsets, (lambda v: v * width <= _MAX_VALUES, (
             f"must keep the round's (subsets, {width}) stack within 2**27 float64 values")))
     for proto in protocols:  # a protocol the model cannot run, before any work
         _check_model(proto.kind, spec)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir, "[run] output_dir" if args.out is None else "--out")
     # what an earlier run left, and the temporaries of one cut while writing
     # them; its checkpoints stay, guarded by their cache key
     for name in (*_SCHEMAS, "report.json"):
@@ -484,6 +505,7 @@ def cmd_gen(args) -> int:
     _check(name(key), scn[key],
            (lambda v: v <= most, f"must be at most {most}, as gen writes u8 labels"))
     scenario = build_scenario(scn)
+    _make_dir(args.out, "--out")
     save_scenario(scenario, args.out, force=args.force)
     print(f"{scenario.scenario_id}: {scenario.num_classes} classes "
           f"({int(scenario.seen_mask.sum())} seen), dim {scenario.dim}, "

@@ -412,28 +412,31 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
 
 def recompute_bn_stats(params: ModelParams, dataset: Dataset) -> ModelParams:
-    """Replace running BN statistics with exact full-dataset statistics.
+    """Replace running BN statistics with exact full-dataset statistics, of
+    (P,) params or of each run of an (S, P) stack.
 
     Layers are processed in order: layer i's pre-activations are computed in
     eval mode using the freshly updated statistics of layers < i, then its
     running mean/variance are set to the streamed full-dataset moments. This
     reproduces a single full-batch train pass exactly and is idempotent.
-    All weights, biases, gammas and betas are returned bit-identical.
+    All weights, biases, gammas and betas are returned bit-identical. A
+    stack's runs share one forward per chunk, the chunk broadcast over the
+    run axis, and each run's statistics are bitwise those of a (P,) call.
     """
     if not params.spec.use_batchnorm:
         raise ValueError("model has no batchnorm layers")
     out = params.clone()
-    spec = params.spec
+    spec, lead = params.spec, params.flat.shape[:-1]
     n_total = len(dataset)
     for i in range(spec.n_hidden):
-        s = np.zeros(spec.layer_widths[i + 1])
-        sq = np.zeros(spec.layer_widths[i + 1])
+        s = np.zeros(lead + (spec.layer_widths[i + 1],))
+        sq = np.zeros(lead + (spec.layer_widths[i + 1],))
         for lo in range(0, n_total, BN_STATS_BATCH):
             Xb = dataset.X[lo:lo + BN_STATS_BATCH]
-            trace = forward(out, Xb, mode="eval")
-            z = trace.pre[i]
-            s += z.sum(axis=0)
-            sq += (z * z).sum(axis=0)
+            # the trace goes at once: of its arrays, S times one run's, z alone is read
+            z = forward(out, np.broadcast_to(Xb, lead + Xb.shape), mode="eval").pre[i]
+            s += z.sum(axis=-2)
+            sq += (z * z).sum(axis=-2)
         mean = s / n_total
         var = np.maximum(sq / n_total - mean**2, 0.0)
         out[f"bn.{i}.mean"] = mean

@@ -66,7 +66,8 @@ class _Preset:
     """What a protocol name stands for.
 
     phases: (rng_label, FreezeMask) pairs run in order from the source
-        model; the first of two phases gets epochs // 2, the second the rest.
+        model, each deriving its streams from its label (bn_stats_only draws
+        none); the first of two phases gets epochs // 2, the second the rest.
     distill, rank: the loss terms the protocol carries.
     step: "sgd" (train_sgd), "lol" (lolsgd_round) or "bn_stats" (one exact
         recalibration of the running BN statistics, no training).
@@ -89,7 +90,7 @@ _PRESETS = {
     "lp_ft": _Preset((("probe", FreezeMask.only("classifier")),
                       ("ft", FreezeMask.all_trainable()))),
     "bn_affine_only": _Preset((("train", FreezeMask.only("bn_affine", "bn_stats")),)),
-    "bn_stats_only": _Preset(((None, FreezeMask.only("bn_stats")),), step="bn_stats"),
+    "bn_stats_only": _Preset((("bn_stats", FreezeMask.only("bn_stats")),), step="bn_stats"),
     "in_adapter_only": _Preset((("train", FreezeMask.only("in_adapter")),)),
     "sgd_distill": _Preset(_FROZEN_HEAD, distill=True),
     "sgd_rank": _Preset(_FROZEN_HEAD, rank=True),
@@ -182,11 +183,6 @@ class TransferRun:
     curve: list
 
 
-def _stack(runs: Sequence[ModelParams]) -> ModelParams:
-    """The runs' params, copied into one (S, P) stack."""
-    return ModelParams(runs[0].spec, np.stack([run.flat for run in runs]))
-
-
 def _rows(params: ModelParams) -> list:
     """The (P,) params of each run of an (S, P) stack, as views."""
     return [ModelParams(params.spec, row) for row in params.flat]
@@ -196,7 +192,7 @@ def pretrain_source(scenario: HTScenario, spec: MlpSpec, cfg: SgdConfig,
                     rng: Rng) -> ModelParams:
     """Train the source model from scratch on the source split. After this
     returns, nothing else ever reads the source data."""
-    params = _stack([init_model(spec, rng.derive("init"))])
+    params = ModelParams(spec, np.stack([init_model(spec, rng.derive("init")).flat]))
     loss, rngs, state = CompositeLoss(LossSpec()), [rng.derive("pretrain")], {}
     with np.errstate(all="ignore"):  # divergence is reported by DivergenceError alone
         for epoch in range(cfg.epochs):
@@ -230,14 +226,15 @@ def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
     protocol trains or more than one seed of a leave-out protocol, raises.
 
     Each epoch (or round) is one train_sgd, lolsgd_round or
-    recompute_bn_stats call, after which each seed still running is checked
-    and evaluated; once none is, training stops. The seeds train as one
-    (S, P) stack; which seeds share a call is the caller's choice
-    (Protocol.seed_groups). Each seed's slice does the arithmetic of a run
-    of its own, so every result is bitwise that of a one-seed call. A seed
-    fails alone, its source model included: its slice keeps its place in
-    the stack but is no longer checked or evaluated, and the others finish
-    bitwise as if it were absent.
+    recompute_bn_stats call on the whole (S, P) stack, after which each
+    seed still running is checked and evaluated; once none is, training
+    stops. From [swa] start_epoch on, an SWA preset's tail folds the stack
+    after every step (per_iteration) or epoch (per_epoch). Which seeds
+    share a stack is the caller's choice (Protocol.seed_groups). Each
+    seed's slice does the arithmetic of a run of its own, so every result
+    is bitwise that of a one-seed call. A seed fails alone, its source
+    model included: its slice keeps its place in the stack but is no longer
+    checked or evaluated, and the others finish bitwise as if it were absent.
     """
     preset = _PRESETS[protocol.kind]
     if len(sources) != len(seeds):
@@ -248,9 +245,7 @@ def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
         raise ValueError("the seeds' source models must share one spec")
     _check_model(protocol.kind, sources[0].spec)  # the one spec of every seed's source
     scratch: dict = {}  # the evaluation forward's buffers, reused every epoch
-    swa = protocol.swa
-    fold_per_epoch = preset.swa and swa.cadence == "per_epoch"
-    fold_per_step = preset.swa and swa.cadence == "per_iteration"
+    each_step = protocol.swa.cadence == "per_iteration"  # else the tail folds per epoch
     rngs = [Rng(seed).derive(f"protocol-{protocol.kind}") for seed in seeds]
     loss = CompositeLoss(protocol.effective_loss(), sources, test.seen_mask)
     tail = RunningAverage() if preset.swa else None
@@ -258,12 +253,9 @@ def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
     errors: list = [None] * len(seeds)
 
     def evaluated(epoch, params, epoch_loss) -> bool:
-        """Check and evaluate each seed still running after `epoch` epochs
-        (or rounds); whether any seed is still running."""
-        if fold_per_epoch and epoch > swa.start_epoch:
-            tail.fold(params)
-        # the curve follows the deployable model: the tail average once
-        # it has started, the raw weights before that
+        """Check each seed still running after `epoch` epochs (or rounds) and
+        evaluate the model it deploys, the tail average once that has
+        started and the raw weights before; whether any seed still runs."""
         deployed = tail.value() if tail is not None and tail.count else params
         for j, (run, shown, run_loss) in enumerate(
                 zip(_rows(params), _rows(deployed), epoch_loss)):
@@ -277,7 +269,7 @@ def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
                     errors[j] = e
         return None in errors
 
-    work = _stack(sources)
+    work = ModelParams(sources[0].spec, np.stack([source.flat for source in sources]))
     epochs, n_phases = protocol.sgd.epochs, len(preset.phases)
     done = 0  # epochs (or rounds) finished; the source models are epoch 0
     with np.errstate(all="ignore"):  # divergence is reported by DivergenceError
@@ -289,21 +281,23 @@ def run_protocol(target_train: Dataset, test: EvalSet, k_spectrum: int,
                 count = protocol.lol.rounds or count
             elif preset.step == "bn_stats":
                 count = 1  # one exact recalibration: it trains nothing and draws nothing
-            phase_rngs = [rng.derive(label) for rng in rngs if label is not None]
+            phase_rngs = [rng.derive(label) for rng in rngs]
             state: dict = {}  # momentum and step buffers, kept across the phase
             for e in range(count):
+                fold = tail.fold if tail is not None and done >= protocol.swa.start_epoch else None
                 if preset.step == "bn_stats":
-                    work = _stack([recompute_bn_stats(run, target_train) for run in _rows(work)])
+                    work = recompute_bn_stats(work, target_train)
                     epoch_loss = [None] * len(seeds)
                 elif preset.step == "lol":
                     sink: list = []
                     work = lolsgd_round(work, target_train, loss, protocol.sgd, protocol.lol,
                                         mask, phase_rngs[0].derive(f"round-{e}"), sink, state)
                     epoch_loss = np.mean(sink, keepdims=True)
-                else:  # a per-iteration tail folds each step once it has started
-                    epoch_loss = train_sgd(
-                        work, target_train, loss, protocol.sgd, mask, phase_rngs, e, state,
-                        tail.fold if fold_per_step and done >= swa.start_epoch else None)
+                else:
+                    epoch_loss = train_sgd(work, target_train, loss, protocol.sgd, mask,
+                                           phase_rngs, e, state, fold if each_step else None)
+                if fold is not None and not each_step:
+                    fold(work)
                 done += 1
                 if not evaluated(done, work, epoch_loss):
                     return errors

@@ -166,6 +166,18 @@ def test_gen_refuses_nonempty_without_force(tmp_path):
                  "--force"]) == 0
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_gen_out_that_cannot_be_made_a_directory_exits_1_naming_it(tmp_path, capfd, under):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    out = str(afile / under) if under else str(afile)
+    assert main(["gen", "--classes", "5", "--seen", "3", "--out", out]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: --out = {out!r} cannot be made a directory: ")
+    assert err.count("\n") == 1
+    assert afile.read_bytes() == b"kept"
+
+
 def _import_config(tmp_path, scn, out):
     """The path of a config that runs naive_ft seed 0 on the scenario
     directory `scn` into `out`."""
@@ -1398,6 +1410,87 @@ def test_run_lol_subsets_past_the_cap_exits_1_before_pretraining(tmp_path, capsy
     assert ("error: [lol] subsets = 100000000 must keep the round's (subsets, 173) stack "
             "within 2**27 float64 values") in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def _no_sources(monkeypatch):
+    """Fail a run that gets as far as its source models."""
+    def made(*args, **kwargs):
+        raise AssertionError("a source model was made before the checks")
+
+    monkeypatch.setattr(cli, "pretrain_source", made)
+    monkeypatch.setattr(cli, "load_checkpoint", made)
+
+
+# (edits to the config, the words of the error); every key is within its bound
+_EVAL_PAST_THE_CAP = {
+    # the eval forward over the 1048576 test rows is (1048576, 131072) values
+    "eval-forward": ((("classes = 5", "classes = 2"), ("seen = 3", "seen = 1"),
+                      ("dim = 6", "dim = 2"), ("test_per_class = 8", "test_per_class = 524288"),
+                      ("hidden = 8,8", "hidden = 131072"), ("epochs = 6", "epochs = 0"),
+                      ("epochs = 2", "epochs = 0")),
+                     "[model] hidden = [131072] must keep the eval forward's (1048576 "
+                     "target_test rows, widest layer) activations"),
+    # 40 test rows, but the Gram of 16384 features is (16384, 16384) values
+    "feature-gram": ((("hidden = 8,8", "hidden = 8,16384"),),
+                     "[model] hidden = [8, 16384] must keep the eval forward's (40 "
+                     "target_test rows, widest layer) activations and its features' (last, "
+                     "last) Gram within 2**27 float64 values"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EVAL_PAST_THE_CAP))
+def test_run_evaluation_past_the_cap_exits_1_before_any_source(tmp_path, capsys, monkeypatch,
+                                                               case):
+    edits, words = _EVAL_PAST_THE_CAP[case]
+    cfg, out = _write_config(tmp_path, names="source_only", seeds="0")
+    for old, new in edits:
+        _edit(cfg, old, new)
+    _no_sources(monkeypatch)
+    assert main(["run", "--config", cfg]) == 1
+    assert f"error: {words}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("named", ["[run] seeds", "HTLAB_SEED"])
+def test_run_seed_stack_past_the_cap_exits_1_before_any_source(tmp_path, capsys, monkeypatch,
+                                                               named):
+    # an SGD protocol stacks one buffer of the 16830469-value model per seed:
+    # 7 seeds are within 2**27 values, 8 are not
+    def run(count):
+        seeds = ",".join(map(str, range(count)))
+        cfg, out = _write_config(tmp_path, names="naive_ft", seeds=seeds)
+        _edit(cfg, "hidden = 8,8", "hidden = 4096,4096")
+        if named == "HTLAB_SEED":
+            monkeypatch.setenv("HTLAB_SEED", seeds)
+        else:
+            monkeypatch.delenv("HTLAB_SEED", raising=False)
+        return main(["run", "--config", cfg]), out
+
+    _no_sources(monkeypatch)
+    status, out = run(8)
+    assert status == 1
+    assert (f"error: {named} = 8 seeds must keep the (seeds, 16830469) stack of the protocols "
+            "other than the leave-out ones within 2**27 float64 values") in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert run(7)[0] == 2  # past every check, to the stub
+    assert "a source model was made before the checks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["--out", "[run] output_dir"])
+def test_run_output_dir_that_cannot_be_made_exits_1_naming_it(tmp_path, capfd, via):
+    cfg, out = _write_config(tmp_path, names="naive_ft", seeds="0")
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    bad = str(afile / "sub")
+    if via == "--out":
+        assert main(["run", "--config", cfg, "--out", bad]) == 1
+    else:
+        _edit(cfg, f"output_dir = {out}", f"output_dir = {bad}")
+        assert main(["run", "--config", cfg]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: {via} = {bad!r} cannot be made a directory: ")
+    assert err.count("\n") == 1
+    assert afile.read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize("kind,part", [("bn_affine_only", "batchnorm"),

@@ -316,6 +316,25 @@ def test_recompute_bn_idempotent_and_weight_preserving():
             assert np.array_equal(once[k], params[k])
 
 
+@pytest.mark.parametrize("ina", [False, True], ids=["bn", "bn-adapter"])
+def test_recompute_bn_of_a_stack_matches_one_run_calls_bitwise(ina):
+    # without the adapter the broadcast chunk goes straight into the first matmul
+    runs = [init_model(_spec(bn=True, ina=ina), Rng(seed)) for seed in (32, 33, 34)]
+    for j, run in enumerate(runs):  # running stats that differ run by run
+        run["bn.0.mean"] += j
+        run["bn.1.var"] *= j + 2
+    X = Rng(35).standard_normal((300, 5)) * 2 + 1
+    ds = Dataset(X, np.zeros(300, dtype=int), 1)  # two BN_STATS_BATCH chunks
+    stack = ModelParams(runs[0].spec, np.stack([run.flat for run in runs]))
+    before = stack.flat.copy()
+    out = recompute_bn_stats(stack, ds)
+    assert out.flat.shape == stack.flat.shape
+    assert np.array_equal(stack.flat, before)  # the stack itself is left as it was
+    for row, run in zip(out.flat, runs):
+        assert row.tobytes() == recompute_bn_stats(run, ds).flat.tobytes()
+    assert out.flat[0].tobytes() != out.flat[1].tobytes()
+
+
 def test_recompute_bn_requires_bn():
     params = init_model(_spec(bn=False), Rng(31))
     ds = Dataset(np.zeros((4, 5)), np.zeros(4, dtype=int), 1)

@@ -247,26 +247,36 @@ def test_swa_presets_reject_late_start():
             Protocol(kind=kind, loss=weights, sgd=ADAPT, swa=late)
 
 
-def test_swa_final_is_average_of_tail_checkpoints(scenario, source):
-    run = _run(scenario, source, "swa", swa=SwaConfig(start_epoch=2))
+@pytest.mark.parametrize("cadence", ["per_epoch", "per_iteration"])
+def test_swa_final_is_average_of_tail_checkpoints(scenario, source, cadence):
+    run = _run(scenario, source, "swa", swa=SwaConfig(start_epoch=2, cadence=cadence))
     # replay the underlying trainer, one call per epoch, to capture the raw
-    # per-epoch params
-    raw, work, state = [], _one_row(source), {}
+    # per-epoch params and, per epoch, the checkpoints the tail takes: the
+    # epoch's last params, or the params after each of its steps
+    raw, taken, work, state = [], [], _one_row(source), {}
     for epoch in range(ADAPT.epochs):
+        steps = []
+        on_step = (lambda p: steps.append(_row(p))) if cadence == "per_iteration" else None
         train_sgd(work, scenario.target_train, CompositeLoss(LossSpec()), ADAPT,
                   FreezeMask.frozen_classifier(),
-                  [Rng(3).derive("protocol-swa").derive("train")], epoch, state)
+                  [Rng(3).derive("protocol-swa").derive("train")], epoch, state, on_step)
         raw.append(_row(work))
-    tail = RunningAverage()
-    for p in raw[2:]:  # tail = epochs 2..3
-        tail.fold(p)
-    want = tail.value()
+        taken.append(steps or [raw[-1]])
+    assert all(len(steps) == (4 if cadence == "per_iteration" else 1) for steps in taken)
+
+    def average(epochs):  # the tail after the epochs 2..epochs - 1
+        tail = RunningAverage()
+        for p in [p for steps in taken[2:epochs] for p in steps]:
+            tail.fold(p)
+        return tail.value()
+
+    want = average(ADAPT.epochs)
     for k in want.keys():
         assert np.array_equal(run.final_params[k], want[k])
     # the curve follows the deployable model: raw before the tail starts,
     # the running average afterwards
     _assert_same_report(run.curve[1], _report(scenario, raw[0]))
-    _assert_same_report(run.curve[3], _report(scenario, raw[2]))
+    _assert_same_report(run.curve[3], _report(scenario, average(3)))
     _assert_same_report(run.curve[4], _report(scenario, want))
 
 
